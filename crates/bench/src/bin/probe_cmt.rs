@@ -1,7 +1,8 @@
 //! Diagnostic probe: one CMT bulk-stream (or ping-pong) cell with full
 //! transport counters — the companion to `cmt` for dissecting a single
 //! grid point. Stalls show up as a large gap between `sim` seconds and
-//! `bytes/rate`; `SCTP_TRACE=1` prints the per-path timer/recovery edges.
+//! `bytes/rate`; for the per-path timer/recovery edges behind one, run the
+//! `cmt` figure under `TRACE=1` and read the capture with `analyze`.
 //!
 //! Usage: `probe_cmt [loss] [paths] [count] [seed] [bufs_kb]` plus flags:
 //! `--nocmt` (multihomed without striping), `--pingpong` (strict

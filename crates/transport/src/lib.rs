@@ -21,11 +21,10 @@
 //! MPI middleware and workloads run against this world inside a
 //! [`simcore::Runtime`].
 //!
-//! Diagnostics (all env-gated, printing to stderr): `TCP_TRACE=1` traces
-//! TCP timeouts and hole repairs; `SCTP_TRACE=1` traces SCTP T3 expiries
-//! and receive-window drops; `SCTP_CHECK=1` verifies the per-path flight
-//! invariant after every SACK; `SCTP_TS_TRACE=1` traces the send gate of
-//! one association.
+//! Diagnostics: `SCTP_CHECK=1` (read once per process) verifies the SCTP
+//! per-path flight invariant after every SACK and T3 expiry, panicking on
+//! drift. Timer, retransmission and cwnd edges are recorded by the flight
+//! recorder (`TRACE=1`), not printed to stderr.
 
 #![warn(missing_docs)]
 

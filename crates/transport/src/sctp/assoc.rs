@@ -309,25 +309,42 @@ pub struct PathState {
     /// rescan skips the settled prefix. Lowered only when a
     /// retransmission re-homes an old TSN onto this path.
     pub cumack_floor: u64,
-    /// CMT: this path (not the association) is in fast recovery.
-    pub in_fast_recovery: bool,
-    /// CMT: leave per-path fast recovery once `pseudo_cumack` passes this.
-    pub fast_recovery_exit: u64,
-    /// CMT: per-path T3-rtx generation (stale-fire rejection).
+    /// T3-rtx timer and fast-recovery episode of this destination's stripe —
+    /// the live scope under CMT, where retransmission timers are per
+    /// destination: a timeout on one path must not stall or re-mark the
+    /// others, and concurrent losses recover in parallel.
+    pub(crate) rec: Recovery,
+}
+
+/// Which [`Recovery`] slot guards a chunk: the association's (`None`) or
+/// destination `p`'s (`Some(p)`). Association-wide versus per-destination
+/// loss recovery is this *value*, read by one code path — see
+/// `engine::scope_of`.
+pub(crate) type Scope = Option<u8>;
+
+/// Loss-recovery state of one scope: its T3-rtx timer and its fast-recovery
+/// episode. An association holds one for its whole window and every
+/// [`PathState`] one for its own stripe; the mechanism is the same.
+#[derive(Debug, Default)]
+pub(crate) struct Recovery {
+    /// T3-rtx generation (stale-fire rejection).
     pub t3_gen: u64,
-    /// CMT: per-path T3-rtx timer is armed. CMT retransmission timers are
-    /// per destination — a timeout on one path must not stall or re-mark
-    /// the others, and concurrent losses recover in parallel.
     pub t3_armed: bool,
-    /// CMT: live per-path T3-rtx timer (ghost-cancelled on rearm).
+    /// Live T3-rtx timer, if one is scheduled. Rearms go through
+    /// `Ctx::reschedule_in` so the superseded timer is ghost-cancelled (one
+    /// wheel tombstone) instead of firing later as a checked no-op.
     pub t3_timer: Option<simcore::TimerId>,
-    /// CMT: the armed timer is a *rescue probe* (~2·SRTT), not the full
-    /// RTO. The probe re-queues this path's aged chunks without cwnd
-    /// collapse or backoff — ping-pong tail losses otherwise sit a whole
-    /// RTO because SFR (correctly) refuses cross-path strike evidence and
-    /// no later same-path data exists to strike with. After one probe the
-    /// timer falls back to the real RTO.
+    /// The armed timer is a *rescue probe* (~2·SRTT), not the full RTO —
+    /// per-destination scopes only. The probe re-queues the path's aged
+    /// chunks without cwnd collapse or backoff — ping-pong tail losses
+    /// otherwise sit a whole RTO because SFR (correctly) refuses cross-path
+    /// strike evidence and no later same-path data exists to strike with.
+    /// After one probe the timer falls back to the real RTO.
     pub t3_rescue: bool,
+    /// In fast recovery until the scope's ack point (cumulative ack, or the
+    /// destination's pseudo-cumack) passes this TSN; `None` = not
+    /// recovering.
+    pub fast_recovery: Option<u64>,
 }
 
 impl PathState {
@@ -346,12 +363,7 @@ impl PathState {
             last_used: SimTime::ZERO,
             pseudo_cumack: u64::MAX,
             cumack_floor: 0,
-            in_fast_recovery: false,
-            fast_recovery_exit: 0,
-            t3_gen: 0,
-            t3_armed: false,
-            t3_timer: None,
-            t3_rescue: false,
+            rec: Recovery::default(),
         }
     }
 }
@@ -368,7 +380,7 @@ pub(crate) struct InStream {
     /// reassembles independently. I-DATA path only.
     pub i_frags: BTreeMap<u64, BTreeMap<u32, IDataChunk>>,
     /// Complete messages waiting for their SSN (or MID) turn.
-    pub ready: BTreeMap<u32, (u32, Vec<Bytes>, u32)>, // ssn -> (ppid, data, len)
+    pub ready: BTreeMap<u32, RecvMsg>,
 }
 
 /// A message delivered to the application by `sctp_recvmsg`.
@@ -501,14 +513,9 @@ pub(crate) struct Assoc {
     /// Consecutive unanswered timeouts/heartbeats across the whole
     /// association; reset by any acknowledged progress (RFC 4960 §8.1).
     pub assoc_errors: u32,
-    pub t3_gen: u64,
-    pub t3_armed: bool,
-    /// Live T3-rtx timer, if one is scheduled. Rearms go through
-    /// `Ctx::reschedule_in` so the superseded timer is ghost-cancelled (one
-    /// wheel tombstone) instead of firing later as a checked no-op.
-    pub t3_timer: Option<simcore::TimerId>,
-    pub in_fast_recovery: bool,
-    pub fast_recovery_exit: u64,
+    /// T3-rtx timer and fast-recovery episode of the whole window — the
+    /// live scope without CMT.
+    pub rec: Recovery,
     /// RTT probe (tsn, never retransmitted) per Karn.
     pub rtt_probe: Option<u64>,
 
@@ -589,11 +596,7 @@ impl Assoc {
             peer_rwnd: cfg.rcvbuf,
             cmt_last_path: 0,
             assoc_errors: 0,
-            t3_gen: 0,
-            t3_armed: false,
-            t3_timer: None,
-            in_fast_recovery: false,
-            fast_recovery_exit: 0,
+            rec: Recovery::default(),
             rtt_probe: None,
             cum_tsn: 0, // set when peer's init_tsn learned
             rcv_have: RangeSet::new(),
@@ -798,6 +801,19 @@ impl Assoc {
             Some((point, skips))
         } else {
             None
+        }
+    }
+
+    /// The recovery slot of `scope`.
+    pub(crate) fn rec(&self, scope: Scope) -> &Recovery {
+        scope.map_or(&self.rec, |p| &self.paths[p as usize].rec)
+    }
+
+    /// Mutable [`Assoc::rec`].
+    pub(crate) fn rec_mut(&mut self, scope: Scope) -> &mut Recovery {
+        match scope {
+            None => &mut self.rec,
+            Some(p) => &mut self.paths[p as usize].rec,
         }
     }
 

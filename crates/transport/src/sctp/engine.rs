@@ -11,7 +11,7 @@ use crate::{World, Wx};
 
 use super::assoc::{
     Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, InStream, PathState, PendingChunk,
-    RecvMsg, SctpCfg, SentChunk, MAX_PATHS,
+    RecvMsg, Scope, SctpCfg, SentChunk, MAX_PATHS,
 };
 use super::wire::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 
@@ -146,8 +146,11 @@ fn cmt_rtx_target(ak: &Assoc, chunk_path: u8) -> u8 {
 
 /// Record that `tsn` now rides `path`: the path's pseudo-cumack (earliest
 /// outstanding TSN) and its rescan cursor may move down. Called at every
-/// chunk→path (re)assignment when CMT is on.
-fn cmt_note_assign(ak: &mut Assoc, path: u8, tsn: u64) {
+/// chunk→path (re)assignment; a no-op without CMT, which reads neither.
+fn note_assign(ak: &mut Assoc, cfg: &SctpCfg, path: u8, tsn: u64) {
+    if !cfg.cmt {
+        return;
+    }
     ak.cmt_last_path = path;
     let ps = &mut ak.paths[path as usize];
     ps.pseudo_cumack = ps.pseudo_cumack.min(tsn);
@@ -157,7 +160,7 @@ fn cmt_note_assign(ak: &mut Assoc, path: u8, tsn: u64) {
 /// Earliest unacked TSN currently assigned to path `p`, advancing the
 /// path's scan cursor past the settled prefix so repeated per-SACK rescans
 /// stay amortized-cheap (`acked` never reverts; assignments below the
-/// cursor go through [`cmt_note_assign`]).
+/// cursor go through [`note_assign`]).
 fn cmt_earliest_on(ak: &mut Assoc, p: usize) -> Option<u64> {
     let floor = ak.paths[p].cumack_floor;
     let hit = ak
@@ -491,7 +494,7 @@ pub fn dump_all(w: &World) {
                     .iter()
                     .map(|st| {
                         st.frags.values().map(|c| c.data.len() as u64).sum::<u64>()
-                            + st.ready.values().map(|(_, _, l)| *l as u64).sum::<u64>()
+                            + st.ready.values().map(|m| m.len as u64).sum::<u64>()
                     })
                     .sum();
                 let ready: usize = ak.in_streams.iter().map(|st| st.ready.len()).sum();
@@ -506,7 +509,7 @@ pub fn dump_all(w: &World) {
                     ak.peer_rwnd,
                     ak.rcvbuf_used,
                     ep.deliver_q.len(),
-                    ak.t3_armed,
+                    ak.rec.t3_armed,
                     ak.cum_tsn,
                     ak.rcv_have.iter().take(4).collect::<Vec<_>>(),
                 );
@@ -701,10 +704,7 @@ fn try_send_inner(
         let vtag;
         {
             let (ak, pool) = assoc_pool_mut(w, a);
-            if !matches!(
-                ak.state,
-                AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownReceived
-            ) {
+            if !tx_open(ak) {
                 return;
             }
             vtag = ak.peer_tag;
@@ -714,11 +714,9 @@ fn try_send_inner(
             let want_sack = ak.sack_immediate || ak.sack_pending_pkts > 0;
 
             // Phase 1: marked retransmissions (cwnd-limited on the rtx path).
-            // CMT keeps each retransmission on the chunk's own path
-            // (RTX-SAME): moving chunks between paths would corrupt the
-            // per-path pseudo-cumack and SFR accounting the scheduler
-            // depends on, so one burst iteration serves one path and later
-            // iterations (or the next SACK) pick up the rest.
+            // Under CMT one burst iteration serves one path — the own path
+            // of the lowest marked TSN (RTX-SAME, see `reemit_marked`) — and
+            // later iterations (or the next SACK) pick up the rest.
             let rtx_path = if cfg.cmt {
                 ak.rtx_queue
                     .first()
@@ -727,8 +725,8 @@ fn try_send_inner(
             } else {
                 ak.rtx_path(cfg.rtx_alternate)
             };
-            let has_marked = !ak.rtx_queue.is_empty()
-                && (!cfg.cmt || burst_on[rtx_path as usize] < cfg.max_burst);
+            let has_marked =
+                !ak.rtx_queue.is_empty() && burst_on[rtx_path as usize] < cfg.max_burst;
             if has_marked && ak.paths[rtx_path as usize].flight < ak.paths[rtx_path as usize].cwnd {
                 path = rtx_path;
                 if want_sack {
@@ -736,54 +734,7 @@ fn try_send_inner(
                     let sack = make_sack(ctx, ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
                     packet.push(sack);
                 }
-                let now = ctx.now();
-                let interleave = ak.interleaving();
-                let pr = ak.pr_active();
-                // `rtx_queue` holds exactly the marked, unacked TSNs, so no
-                // scan of `sent` is needed; snapshot it because the loop
-                // removes entries as chunks go back on the wire.
-                let tsns: Vec<u64> = ak.rtx_queue.iter().copied().collect();
-                for tsn in tsns {
-                    if !ak.rtx_queue.contains(&tsn) {
-                        // Removed since the snapshot: an earlier iteration
-                        // abandoned its whole message (PR-SCTP).
-                        continue;
-                    }
-                    if cfg.cmt && cmt_rtx_target(ak, ak.sent[&tsn].path) != path {
-                        continue; // another path's retransmission burst
-                    }
-                    // PR-SCTP: lifetime lapsed while queued for
-                    // retransmission → abandon the message, never resend.
-                    if pr && ak.sent[&tsn].expires.is_some_and(|e| now > e) {
-                        let (s, n) = (ak.sent[&tsn].stream, ak.sent[&tsn].ssn);
-                        abandon_message(ak, s, n);
-                        continue;
-                    }
-                    let c = ak.sent.get_mut(&tsn).unwrap();
-                    let hdr: u32 = if interleave { 20 } else { 16 };
-                    let clen = hdr + (c.data.len() as u32).div_ceil(4) * 4;
-                    if clen > budget {
-                        break;
-                    }
-                    budget -= clen;
-                    c.marked_rtx = false;
-                    c.missing = 0;
-                    c.txcount += 1;
-                    c.sent_at = now;
-                    // The chunk left the flight when it was marked; it
-                    // re-enters on the retransmission path.
-                    let len = c.data.len() as u64;
-                    c.path = path;
-                    ak.rtx_queue.remove(&tsn);
-                    ak.stats.retransmits += 1;
-                    if cfg.cmt {
-                        cmt_note_assign(ak, path, tsn);
-                    }
-                    let data = ak.sent.get(&tsn).unwrap();
-                    packet.push(data_chunk_for(interleave, tsn, data));
-                    ak.paths[path as usize].flight += len;
-                    ak.rtt_probe = None; // Karn
-                }
+                reemit_marked(ak, &cfg, ctx.now(), path, &mut budget, &mut packet);
             } else if !ak.q_is_empty() {
                 // Phase 2: new data. Normally on the primary path; with CMT
                 // enabled, pick the active path with the most free cwnd,
@@ -803,14 +754,6 @@ fn try_send_inner(
                 // window-update SACK lost in transit.
                 let probe_ok = ak.outstanding_bytes == 0;
                 let rwnd_ok = ak.peer_rwnd >= front_len;
-                if std::env::var("SCTP_TS_TRACE").is_ok() && a.host == 0 && a.idx == 2 {
-                    eprintln!(
-                        "[{}] try_send h0a2 pend={} out={} flight={} cwnd={} rwnd={} burst={} -> send={}",
-                        ctx.now(), ak.pending.len(), ak.outstanding_bytes,
-                        p.flight, p.cwnd, ak.peer_rwnd, burst,
-                        cwnd_ok && (rwnd_ok || probe_ok)
-                    );
-                }
                 if !cwnd_ok || !(rwnd_ok || probe_ok) {
                     return;
                 }
@@ -825,8 +768,7 @@ fn try_send_inner(
                 loop {
                     let (qsid, len, clen) = {
                         let Some((qsid, front)) = ak.q_front() else { break };
-                        let hdr: u32 = if interleave { 20 } else { 16 };
-                        (qsid, front.data.len() as u64, hdr + (front.data.len() as u32).div_ceil(4) * 4)
+                        (qsid, front.data.len() as u64, chunk_wire_len(interleave, &front.data))
                     };
                     if clen > budget {
                         break;
@@ -866,54 +808,27 @@ fn try_send_inner(
                     }
                     ak.stats.data_chunks_out += 1;
                     ak.stats.bytes_out += len;
-                    packet.push(if interleave {
-                        Chunk::IData(IDataChunk {
-                            tsn,
-                            stream: pc.stream,
-                            mid: pc.ssn as u64,
-                            fsn: pc.fsn,
-                            begin: pc.begin,
-                            end: pc.end,
-                            unordered: pc.unordered,
-                            ppid: pc.ppid,
-                            data: pc.data.clone(),
-                        })
-                    } else {
-                        Chunk::Data(DataChunk {
-                            tsn,
-                            stream: pc.stream,
-                            ssn: pc.ssn,
-                            begin: pc.begin,
-                            end: pc.end,
-                            unordered: pc.unordered,
-                            ppid: pc.ppid,
-                            data: pc.data.clone(),
-                        })
-                    });
-                    ak.sent.insert(
-                        tsn,
-                        SentChunk {
-                            stream: pc.stream,
-                            ssn: pc.ssn,
-                            begin: pc.begin,
-                            end: pc.end,
-                            unordered: pc.unordered,
-                            ppid: pc.ppid,
-                            data: pc.data,
-                            path,
-                            sent_at: now,
-                            txcount: 1,
-                            missing: 0,
-                            acked: false,
-                            marked_rtx: false,
-                            fsn: pc.fsn,
-                            expires: pc.expires,
-                            abandoned: false,
-                        },
-                    );
-                    if cfg.cmt {
-                        cmt_note_assign(ak, path, tsn);
-                    }
+                    let sc = SentChunk {
+                        stream: pc.stream,
+                        ssn: pc.ssn,
+                        begin: pc.begin,
+                        end: pc.end,
+                        unordered: pc.unordered,
+                        ppid: pc.ppid,
+                        data: pc.data,
+                        path,
+                        sent_at: now,
+                        txcount: 1,
+                        missing: 0,
+                        acked: false,
+                        marked_rtx: false,
+                        fsn: pc.fsn,
+                        expires: pc.expires,
+                        abandoned: false,
+                    };
+                    packet.push(data_chunk_for(interleave, tsn, &sc));
+                    ak.sent.insert(tsn, sc);
+                    note_assign(ak, &cfg, path, tsn);
                     // Stop bundling if cwnd exhausted (1-byte rule applies
                     // per packet, not per chunk beyond the first).
                     if ak.paths[path as usize].flight >= ak.paths[path as usize].cwnd {
@@ -923,20 +838,11 @@ fn try_send_inner(
             } else {
                 return;
             }
-            if packet.iter().all(|c| !matches!(c, Chunk::Data(_) | Chunk::IData(_))) {
-                // Nothing fit; don't emit a data-less packet from here.
-                if !packet.is_empty() {
-                    // We consumed the SACK state; send it standalone.
-                } else {
-                    return;
-                }
-            }
+        }
+        if packet.is_empty() {
+            return; // nothing fit, and no pending SACK was consumed either
         }
         let has_data = packet.iter().any(|c| matches!(c, Chunk::Data(_) | Chunk::IData(_)));
-        if packet.is_empty() {
-            w.pool.put_chunk_vec(packet);
-            return;
-        }
         if crc {
             // CRC cost model delays each packet individually; no fusion.
             send_packet(w, ctx, a, path, vtag, packet);
@@ -951,24 +857,88 @@ fn try_send_inner(
         }
         burst += 1;
         burst_on[(path as usize).min(MAX_PATHS - 1)] += 1;
-        if has_data {
-            if cfg.cmt {
-                if !assoc_ref(w, a).paths[path as usize].t3_armed {
-                    arm_t3_cmt(w, ctx, a, path, true);
-                }
-            } else if !assoc_ref(w, a).t3_armed {
-                arm_t3(w, ctx, a);
-            }
-        }
         // A SACK-only packet can happen when the pending SACK's budget
         // reservation leaves no room for a full-size DATA chunk: flush the
         // SACK and loop — the next packet carries the data. Returning here
         // would strand the pending queue with nothing left to re-trigger
         // this function.
-        if !has_data {
-            continue;
+        if has_data {
+            ensure_t3(w, ctx, a, &cfg, path);
         }
     }
+}
+
+/// Put marked chunks back on the wire toward `path`, lowest TSN first, for
+/// as long as `budget` lasts: the one re-emit loop behind both the
+/// cwnd-limited send pass and the cwnd-ignoring fast-retransmit burst.
+///
+/// CMT keeps each retransmission on the chunk's own path (RTX-SAME): moving
+/// chunks between paths would corrupt the per-path pseudo-cumack and SFR
+/// accounting the scheduler depends on, so chunks whose target is another
+/// path are left for that path's turn.
+fn reemit_marked(
+    ak: &mut Assoc,
+    cfg: &SctpCfg,
+    now: simcore::SimTime,
+    path: u8,
+    budget: &mut u32,
+    packet: &mut Vec<Chunk>,
+) {
+    let interleave = ak.interleaving();
+    let pr = ak.pr_active();
+    // `rtx_queue` holds exactly the marked, unacked TSNs, so no scan of
+    // `sent` is needed. Walk it by cursor, not by iterator: the loop removes
+    // entries as chunks go back on the wire, and abandoning one chunk
+    // (PR-SCTP) removes its whole message.
+    let mut next = 0;
+    while let Some(&tsn) = ak.rtx_queue.range(next..).next() {
+        next = tsn + 1;
+        let c = &ak.sent[&tsn];
+        if cfg.cmt && cmt_rtx_target(ak, c.path) != path {
+            continue;
+        }
+        // PR-SCTP: lifetime lapsed while queued for retransmission →
+        // abandon the message, never resend.
+        if pr && c.expires.is_some_and(|e| now > e) {
+            let (s, n) = (c.stream, c.ssn);
+            abandon_message(ak, s, n);
+            continue;
+        }
+        let c = ak.sent.get_mut(&tsn).expect("rtx_queue entries are in sent");
+        let clen = chunk_wire_len(interleave, &c.data);
+        if clen > *budget {
+            break;
+        }
+        *budget -= clen;
+        c.marked_rtx = false;
+        c.missing = 0;
+        c.txcount += 1;
+        c.sent_at = now;
+        // The chunk left the flight when it was marked; it re-enters on
+        // the retransmission path.
+        c.path = path;
+        let len = c.data.len() as u64;
+        packet.push(data_chunk_for(interleave, tsn, c));
+        ak.rtx_queue.remove(&tsn);
+        ak.stats.retransmits += 1;
+        note_assign(ak, cfg, path, tsn);
+        ak.paths[path as usize].flight += len;
+        ak.rtt_probe = None; // Karn
+    }
+}
+
+/// Bytes a (I-)DATA chunk carrying `data` takes on the wire: header plus
+/// payload padded to 4.
+fn chunk_wire_len(interleave: bool, data: &Bytes) -> u32 {
+    (if interleave { 20 } else { 16 }) + (data.len() as u32).div_ceil(4) * 4
+}
+
+/// May DATA or FORWARD-TSN go on the wire in this state?
+fn tx_open(ak: &Assoc) -> bool {
+    matches!(
+        ak.state,
+        AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownReceived
+    )
 }
 
 fn make_sack_placeholder_len(ak: &Assoc) -> u32 {
@@ -1075,28 +1045,16 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
             },
         );
     };
-    if *per_stream_q {
-        if let Some(q) = out_q.get_mut(stream as usize) {
-            q.retain(|pc| {
-                if pc.ssn == ssn {
-                    phantom(pc);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    } else {
-        pending.retain(|pc| {
-            if pc.stream == stream && pc.ssn == ssn {
+    let queue = if *per_stream_q { out_q.get_mut(stream as usize) } else { Some(pending) };
+    if let Some(q) = queue {
+        q.retain(|pc| {
+            let doomed = pc.stream == stream && pc.ssn == ssn;
+            if doomed {
                 phantom(pc);
-                false
-            } else {
-                true
             }
+            !doomed
         });
     }
-    drop(phantom);
     *pending_bytes = pending_bytes.saturating_sub(dropped);
     stats.msgs_abandoned += 1;
 }
@@ -1132,21 +1090,14 @@ fn reap_expired(ak: &mut Assoc, now: simcore::SimTime) {
 }
 
 /// Emit a FORWARD-TSN when the Advanced.Peer.Ack.Point (RFC 3758 §3.5)
-/// moved past the last one sent. With nothing else outstanding the T3
-/// timer is armed to guard the chunk itself — its loss leaves no data in
-/// flight to clock a resend (see the retry branch in `on_t3`). Under CMT
-/// the per-path timers don't take over that duty — a documented
-/// limitation; the PR-SCTP workloads run single-path.
+/// moved past the last one sent. With nothing else outstanding, the T3 of
+/// the scope it left on is armed to guard the chunk itself — its loss leaves
+/// no data in flight to clock a resend (see the drained branch of `on_t3`).
 fn maybe_send_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let (chunk, vtag, path) = {
         let ak = assoc_mut(w, a);
-        if !ak.pr_active()
-            || !matches!(
-                ak.state,
-                AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownReceived
-            )
-        {
+        if !ak.pr_active() || !tx_open(ak) {
             return;
         }
         let Some((point, skips)) = ak.adv_peer_ack() else { return };
@@ -1158,20 +1109,39 @@ fn maybe_send_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId) {
         (Chunk::ForwardTsn { new_cum: point, skips }, ak.peer_tag, ak.primary)
     };
     send_packet(w, ctx, a, path, vtag, vec![chunk]);
-    if !cfg.cmt {
-        let need_arm = {
-            let ak = assoc_ref(w, a);
-            ak.outstanding_bytes == 0 && !ak.t3_armed
-        };
-        if need_arm {
-            arm_t3(w, ctx, a);
-        }
+    let scope = scope_of(&cfg, path);
+    let ak = assoc_ref(w, a);
+    if ak.outstanding_bytes == 0 && !ak.rec(scope).t3_armed {
+        arm_t3(w, ctx, a, scope, false);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Timers
 // ---------------------------------------------------------------------------
+
+/// The recovery scope guarding chunks sent to `path`: the association as a
+/// whole, or — under CMT — that destination alone. There a timeout is a
+/// *path* event, and concurrent losses on different paths must recover in
+/// parallel instead of serialising behind one association-wide timer's
+/// exponential backoff.
+fn scope_of(cfg: &SctpCfg, path: u8) -> Scope {
+    cfg.cmt.then_some(path)
+}
+
+/// Every recovery scope of an association with `n_paths` paths.
+fn scopes(cfg: &SctpCfg, n_paths: usize) -> impl Iterator<Item = Scope> + '_ {
+    (0..if cfg.cmt { n_paths } else { 1 }).map(|p| scope_of(cfg, p as u8))
+}
+
+/// Nothing `scope`'s T3 guards is outstanding (per destination: as of the
+/// last pseudo-cumack recomputation).
+fn scope_drained(ak: &Assoc, scope: Scope) -> bool {
+    match scope {
+        None => ak.outstanding_bytes == 0,
+        Some(p) => ak.paths[p as usize].pseudo_cumack == u64::MAX,
+    }
+}
 
 /// Path of the earliest unacked chunk. Advances `unacked_floor` past the
 /// acked prefix while looking, so repeated calls skip already-scanned TSNs:
@@ -1191,16 +1161,56 @@ fn earliest_outstanding_path(ak: &mut Assoc) -> u8 {
     }
 }
 
-fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId) {
+/// Floor on the rescue-probe deadline: keeps micro-RTT jitter from
+/// re-arming the probe every few microseconds.
+const RESCUE_PTO_FLOOR: simcore::Dur = simcore::Dur::from_micros(200);
+
+/// Data just left on `path`: make sure the T3 guarding it is running.
+fn ensure_t3(w: &mut World, ctx: &mut Wx, a: AssocId, cfg: &SctpCfg, path: u8) {
+    let scope = scope_of(cfg, path);
+    if !assoc_ref(w, a).rec(scope).t3_armed {
+        arm_t3(w, ctx, a, scope, true);
+    }
+}
+
+/// Arm the T3-rtx timer of `scope`. The association-wide timer runs on the
+/// RTO of the earliest outstanding chunk's path; a destination's timer on
+/// its own.
+///
+/// A `fresh` arm of a per-destination timer (new data sent, or the path's
+/// pseudo-cumack advanced) schedules a *rescue probe* at ~2·SRTT rather
+/// than the full RTO: a ping-pong tail loss has no later same-path traffic
+/// to generate SFR strikes, so without the probe it can only wait out
+/// RTO.min (a full second on a 40 µs LAN). `fresh = false` rearms preserve
+/// the current phase — after a probe fires, the next deadline is the real
+/// RTO.
+fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fresh: bool) {
     let ak = assoc_mut(w, a);
-    ak.t3_gen += 1;
-    ak.t3_armed = true;
-    let gen = ak.t3_gen;
-    let old = ak.t3_timer.take();
-    let path = earliest_outstanding_path(ak);
-    let d = ak.paths[path as usize].rto.current();
+    let path = scope.unwrap_or_else(|| earliest_outstanding_path(ak));
+    let rec = ak.rec_mut(scope);
+    rec.t3_gen += 1;
+    rec.t3_armed = true;
+    rec.t3_rescue |= fresh && scope.is_some();
+    let (gen, old, rescue) = (rec.t3_gen, rec.t3_timer.take(), rec.t3_rescue);
+    let rto = &ak.paths[path as usize].rto;
+    let mut d = rto.current();
+    if rescue {
+        // A path that has not produced an RTT sample yet (first chunks of
+        // slow start) borrows the smallest sibling estimate, the way MPTCP
+        // subflows share one smoothed RTT: a loss there would otherwise sit
+        // out the full 3 s initial RTO while the reordering window fills
+        // rwnd and stalls every other path behind it.
+        let borrowed = || {
+            ak.paths
+                .iter()
+                .filter_map(|q| q.rto.srtt().map(|s| (s, q.rto.rttvar())))
+                .min_by_key(|(s, _)| s.as_nanos())
+        };
+        if let Some((srtt, rttvar)) = rto.srtt().map(|s| (s, rto.rttvar())).or_else(borrowed) {
+            d = (srtt * 2 + rttvar * 4).max(RESCUE_PTO_FLOOR).min(d);
+        }
+    }
     if ctx.tracing() {
-        let rto = &ak.paths[path as usize].rto;
         ctx.trace_emit(trace::Event::RtoArm(trace::RtoArmEv {
             proto: trace::Proto8::Sctp,
             host: a.host,
@@ -1211,327 +1221,158 @@ fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId) {
             rttvar_ns: rto.rttvar().as_nanos() as i64,
         }));
     }
-    let id = ctx.reschedule_in(old, d, move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, gen));
-    assoc_mut(w, a).t3_timer = Some(id);
+    let id =
+        ctx.reschedule_in(old, d, move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, scope, gen));
+    assoc_mut(w, a).rec_mut(scope).t3_timer = Some(id);
 }
 
-fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, gen: u64) {
+/// T3-rtx expiry for `scope`. The association-wide timer penalises the
+/// earliest outstanding chunk's path and re-marks the whole window. A
+/// destination's timer penalises and re-marks only its own stripe: the
+/// other destinations' flights are healthy — yanking them would collapse
+/// the whole aggregate on every single-path incident.
+fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, gen: u64) {
     let cfg = cfg_of(w, a.host);
-    // PR-SCTP: nothing outstanding but an unconfirmed FORWARD-TSN — its
-    // loss leaves no data in flight to clock a resend, so the timer is the
-    // only recovery. Reset the dedup point and re-emit (`try_send` arms a
-    // fresh T3 via `maybe_send_forward_tsn`). No cwnd or error penalty:
-    // the path carried no data to lose.
-    {
-        let ak = assoc_mut(w, a);
-        if ak.t3_gen != gen || !ak.t3_armed {
-            return;
-        }
+    let pmtu = cfg.pmtu as u64;
+    let now = ctx.now();
+    let ak = assoc_mut(w, a);
+    if ak.rec(scope).t3_gen != gen || !ak.rec(scope).t3_armed {
+        return;
+    }
+    if let Some(p) = scope {
+        // Chunks leave a path by being re-striped elsewhere, which no SACK
+        // tells this timer about: look again before judging it drained.
+        ak.paths[p as usize].pseudo_cumack = cmt_earliest_on(ak, p as usize).unwrap_or(u64::MAX);
+    }
+    if scope_drained(ak, scope) {
+        let rec = ak.rec_mut(scope);
+        rec.t3_armed = false;
+        rec.t3_rescue = false;
+        // PR-SCTP: nothing outstanding but an unconfirmed FORWARD-TSN — its
+        // loss leaves no data in flight to clock a resend, so the timer is
+        // the only recovery. Reset the dedup point and re-emit (`try_send`
+        // arms a fresh T3 via `maybe_send_forward_tsn`). No cwnd or error
+        // penalty: the path carried no data to lose.
         if ak.outstanding_bytes == 0
             && ak.pr_active()
             && ak.adv_peer_ack().is_some_and(|(p, _)| p > ak.peer_cum)
         {
-            ak.t3_armed = false;
             ak.fwd_sent = 0;
-        } else if ak.outstanding_bytes == 0 {
-            ak.t3_armed = false;
-            return;
+            try_send(w, ctx, a);
         }
-    }
-    if !assoc_ref(w, a).t3_armed {
-        try_send(w, ctx, a);
         return;
     }
-    let mut failed = false;
-    {
-        let ak = assoc_mut(w, a);
-        if ak.outstanding_bytes == 0 {
-            ak.t3_armed = false;
-            return;
-        }
-        if std::env::var("SCTP_TRACE").is_ok() {
-            let first = ak
-                .sent
-                .range(ak.unacked_floor..)
-                .find(|(_, c)| !c.acked)
-                .map(|(&t, c)| (t, c.data.len()));
-            eprintln!("[{}] T3 h{} assoc({},{}) errors={} outstanding={} pending={} first_unacked={:?} rwnd={}",
-                ctx.now(), a.host, a.ep, a.idx, ak.assoc_errors, ak.outstanding_bytes, ak.pending.len(), first, ak.peer_rwnd);
-        }
-        ak.stats.timeouts += 1;
-        ak.assoc_errors += 1;
-        let p = earliest_outstanding_path(ak);
-        let path = &mut ak.paths[p as usize];
-        path.rto.backoff();
-        path.error_count = (path.error_count + 1).min(cfg.path_max_retrans + 1);
-        path.ssthresh = (path.cwnd / 2).max(4 * cfg.pmtu as u64);
-        path.cwnd = cfg.pmtu as u64;
-        path.partial_bytes_acked = 0;
-        if path.error_count > cfg.path_max_retrans && path.active {
-            path.active = false;
-            if ak.primary == p {
-                // Failover: move the primary to an active alternate.
-                if let Some((np, _)) =
-                    ak.paths.iter().enumerate().find(|(i, ps)| *i as u8 != p && ps.active)
-                {
-                    ak.primary = np as u8;
-                    ak.stats.failovers += 1;
-                    if ak.stats.first_failover_ns == 0 {
-                        ak.stats.first_failover_ns = ctx.now().as_nanos();
-                    }
-                }
+    let p = scope.unwrap_or_else(|| earliest_outstanding_path(ak));
+    if std::mem::take(&mut ak.rec_mut(scope).t3_rescue) {
+        // Rescue probe: re-queue this path's aged chunks for
+        // retransmission with NO cwnd collapse, backoff, or error
+        // counting — the path is presumed healthy and the loss random.
+        // Chunks already transmitted twice are left to the real RTO so
+        // a dead receiver can't turn the probe into a 2·SRTT resend
+        // storm.
+        // Like TCP's tail-loss probe, exactly ONE segment is probed —
+        // the path's lowest outstanding TSN. If its retransmission is
+        // SACKed, the pseudo-cumack advances and re-arms a fresh probe
+        // for the next hole; marking the whole aged flight here instead
+        // turns one stall into a duplicate-retransmission burst that
+        // overflows bottleneck queues.
+        // The probe is now spent (even if nothing qualifies): the next
+        // deadline on this path is the real RTO. A SACK that advances the
+        // pseudo-cumack re-arms fresh and re-enables the probe.
+        let srtt = ak.paths[p as usize].rto.srtt().unwrap_or(simcore::Dur::ZERO);
+        let floor = ak.paths[p as usize].cumack_floor;
+        for (&tsn, c) in ak.sent.range_mut(floor..) {
+            if c.path != p || c.acked || c.marked_rtx || c.txcount > 2 {
+                continue;
             }
-        }
-        if ak.assoc_errors > cfg.assoc_max_retrans {
-            failed = true;
-        } else {
-            // Mark everything outstanding for retransmission; marked
-            // chunks leave the flight so the cwnd=1·PMTU restart can
-            // actually retransmit them.
-            // Everything below the floor is already acked, so the walk
-            // starts at the cursor instead of the window's base.
-            // (CMT associations never reach here — their timers are per
-            // destination, see `on_t3_cmt`.)
-            let floor = ak.unacked_floor;
-            let mut marked = 0u32;
-            for (&tsn, c) in ak.sent.range_mut(floor..) {
-                if !c.acked && !c.marked_rtx {
-                    ak.paths[c.path as usize].flight = ak.paths[c.path as usize]
-                        .flight
-                        .saturating_sub(c.data.len() as u64);
-                }
-                if !c.acked {
-                    c.marked_rtx = true;
-                    c.missing = 0;
-                    ak.rtx_queue.insert(tsn);
-                    marked += 1;
-                }
-            }
-            ak.in_fast_recovery = false;
-            ak.rtt_probe = None;
-            if ctx.tracing() {
-                ctx.trace_emit(trace::Event::RtoFire(trace::RtoFireEv {
-                    proto: trace::Proto8::Sctp,
-                    host: a.host,
-                    peer: ak.peer_host,
-                    path: p,
-                    backoff: ak.paths[p as usize].rto.backoff_shift(),
-                    marked,
-                }));
-                trace_cwnd(ctx, a.host, ak.peer_host, p, &ak.paths[p as usize]);
-            }
-        }
-    }
-    if failed {
-        fail_assoc(w, ctx, a);
-        return;
-    }
-    check_flight(assoc_ref(w, a), "on_t3", ctx.now());
-    try_send(w, ctx, a); // retransmits the first PMTU immediately (cwnd = 1 PMTU)
-    arm_t3(w, ctx, a);
-}
-
-/// Floor on the CMT rescue-probe deadline: keeps micro-RTT jitter from
-/// re-arming the probe every few microseconds.
-const RESCUE_PTO_FLOOR: simcore::Dur = simcore::Dur::from_micros(200);
-
-/// CMT: arm the T3-rtx timer guarding destination `p`. Retransmission
-/// timers are per destination under CMT — a timeout is a *path* event, and
-/// concurrent losses on different paths must recover in parallel instead of
-/// serialising behind one association-wide timer's exponential backoff.
-///
-/// A `fresh` arm (new data sent, or the path's pseudo-cumack advanced)
-/// schedules a *rescue probe* at ~2·SRTT rather than the full RTO: a
-/// ping-pong tail loss has no later same-path traffic to generate SFR
-/// strikes, so without the probe it can only wait out RTO.min (a full
-/// second on a 40 µs LAN). `fresh = false` rearms preserve the current
-/// phase — after a probe fires, the next deadline is the real RTO.
-fn arm_t3_cmt(w: &mut World, ctx: &mut Wx, a: AssocId, p: u8, fresh: bool) {
-    let (gen, old, d) = {
-        let ak = assoc_mut(w, a);
-        // A path that has not produced an RTT sample yet (first chunks of
-        // slow start) borrows the smallest sibling estimate, the way MPTCP
-        // subflows share one smoothed RTT: a loss there would otherwise sit
-        // out the full 3 s initial RTO while the reordering window fills
-        // rwnd and stalls every other path behind it.
-        let borrowed = ak
-            .paths
-            .iter()
-            .filter_map(|q| q.rto.srtt().map(|s| (s, q.rto.rttvar())))
-            .min_by_key(|(s, _)| s.as_nanos());
-        let ps = &mut ak.paths[p as usize];
-        ps.t3_gen += 1;
-        ps.t3_armed = true;
-        if fresh {
-            ps.t3_rescue = true;
-        }
-        let rto = ps.rto.current();
-        let own = ps.rto.srtt().map(|s| (s, ps.rto.rttvar()));
-        let d = match (ps.t3_rescue, own.or(borrowed)) {
-            (true, Some((srtt, rttvar))) => {
-                ((srtt * 2 + rttvar * 4).max(RESCUE_PTO_FLOOR)).min(rto)
-            }
-            _ => rto,
-        };
-        (ps.t3_gen, ps.t3_timer.take(), d)
-    };
-    if ctx.tracing() {
-        let ak = assoc_ref(w, a);
-        let rto = &ak.paths[p as usize].rto;
-        ctx.trace_emit(trace::Event::RtoArm(trace::RtoArmEv {
-            proto: trace::Proto8::Sctp,
-            host: a.host,
-            peer: ak.peer_host,
-            path: p,
-            rto_ns: d.as_nanos(),
-            srtt_ns: rto.srtt().map_or(-1, |x| x.as_nanos() as i64),
-            rttvar_ns: rto.rttvar().as_nanos() as i64,
-        }));
-    }
-    let id =
-        ctx.reschedule_in(old, d, move |w: &mut World, ctx: &mut Wx| on_t3_cmt(w, ctx, a, p, gen));
-    assoc_mut(w, a).paths[p as usize].t3_timer = Some(id);
-}
-
-/// CMT per-path T3 expiry: penalise and re-mark only `p`'s stripe. The
-/// other destinations' flights are healthy — yanking them (as the
-/// association-wide timeout does) would collapse the whole aggregate on
-/// every single-path incident, and serialising their recovery behind this
-/// path's backed-off timer is exactly the failure mode per-path timers
-/// exist to avoid.
-fn on_t3_cmt(w: &mut World, ctx: &mut Wx, a: AssocId, p: u8, gen: u64) {
-    let cfg = cfg_of(w, a.host);
-    let mut failed = false;
-    {
-        let ak = assoc_mut(w, a);
-        if ak.paths[p as usize].t3_gen != gen || !ak.paths[p as usize].t3_armed {
-            return;
-        }
-        // Lazily disarm when the stripe drained: chunks leave a path by
-        // being re-striped elsewhere, which no SACK tells this timer about.
-        let earliest = cmt_earliest_on(ak, p as usize);
-        ak.paths[p as usize].pseudo_cumack = earliest.unwrap_or(u64::MAX);
-        if earliest.is_none() {
-            ak.paths[p as usize].t3_armed = false;
-            return;
-        }
-        if ak.paths[p as usize].t3_rescue {
-            // Rescue probe: re-queue this path's aged chunks for
-            // retransmission with NO cwnd collapse, backoff, or error
-            // counting — the path is presumed healthy and the loss random.
-            // Chunks already transmitted twice are left to the real RTO so
-            // a dead receiver can't turn the probe into a 2·SRTT resend
-            // storm.
-            // Like TCP's tail-loss probe, exactly ONE segment is probed —
-            // the path's lowest outstanding TSN. If its retransmission is
-            // SACKed, the pseudo-cumack advances and re-arms a fresh probe
-            // for the next hole; marking the whole aged flight here instead
-            // turns one stall into a duplicate-retransmission burst that
-            // overflows bottleneck queues.
-            let now = ctx.now();
-            let srtt = ak.paths[p as usize].rto.srtt().unwrap_or(simcore::Dur::ZERO);
-            let floor = ak.paths[p as usize].cumack_floor;
-            let mut marked = 0u64;
-            for (&tsn, c) in ak.sent.range_mut(floor..) {
-                if c.path != p || c.acked || c.marked_rtx || c.txcount > 2 {
-                    continue;
-                }
-                if now.since(c.sent_at).as_nanos() <= srtt.as_nanos() {
-                    break;
-                }
+            if now.since(c.sent_at).as_nanos() > srtt.as_nanos() {
                 ak.paths[p as usize].flight =
                     ak.paths[p as usize].flight.saturating_sub(c.data.len() as u64);
                 c.marked_rtx = true;
                 c.missing = 0;
                 ak.rtx_queue.insert(tsn);
-                marked += 1;
-                break;
+                ak.stats.rescue_rtx += 1;
             }
-            ak.stats.rescue_rtx += marked;
-            // Probe spent (even if nothing qualified): the next deadline on
-            // this path is the real RTO. A SACK that advances the
-            // pseudo-cumack re-arms fresh and re-enables the probe.
-            ak.paths[p as usize].t3_rescue = false;
-        } else {
-            rto_expire_cmt(ak, ctx, a, p, &cfg, &mut failed);
+            break;
         }
-    }
-    if failed {
-        fail_assoc(w, ctx, a);
-        return;
-    }
-    check_flight(assoc_ref(w, a), "on_t3_cmt", ctx.now());
-    try_send(w, ctx, a); // retransmits the first PMTU immediately (cwnd = 1 PMTU)
-    arm_t3_cmt(w, ctx, a, p, false);
-}
-
-/// The full-RTO half of [`on_t3_cmt`]: penalise path `p` and re-mark its
-/// stripe (the probe half, by contrast, touches neither cwnd nor RTO).
-fn rto_expire_cmt(ak: &mut Assoc, ctx: &mut Wx, a: AssocId, p: u8, cfg: &SctpCfg, failed: &mut bool) {
-    {
-        if std::env::var("SCTP_TRACE").is_ok() {
-            eprintln!(
-                "[{}] T3-CMT h{} assoc({},{}) path={} errors={} outstanding={} pending={} first_unacked={:?} rwnd={}",
-                ctx.now(), a.host, a.ep, a.idx, p, ak.assoc_errors, ak.outstanding_bytes,
-                ak.pending.len(), ak.paths[p as usize].pseudo_cumack, ak.peer_rwnd
-            );
-        }
+    } else {
         ak.stats.timeouts += 1;
         ak.assoc_errors += 1;
-        let path = &mut ak.paths[p as usize];
-        path.rto.backoff();
-        path.error_count = (path.error_count + 1).min(cfg.path_max_retrans + 1);
-        path.ssthresh = (path.cwnd / 2).max(4 * cfg.pmtu as u64);
-        path.cwnd = cfg.pmtu as u64;
-        path.partial_bytes_acked = 0;
-        path.in_fast_recovery = false;
-        if path.error_count > cfg.path_max_retrans && path.active {
-            path.active = false;
-            if ak.primary == p {
-                // Failover: move the primary to an active alternate.
-                if let Some((np, _)) =
-                    ak.paths.iter().enumerate().find(|(i, ps)| *i as u8 != p && ps.active)
-                {
-                    ak.primary = np as u8;
-                    ak.stats.failovers += 1;
-                    if ak.stats.first_failover_ns == 0 {
-                        ak.stats.first_failover_ns = ctx.now().as_nanos();
-                    }
-                }
-            }
+        let ps = &mut ak.paths[p as usize];
+        ps.rto.backoff();
+        ps.ssthresh = (ps.cwnd / 2).max(4 * pmtu);
+        ps.cwnd = pmtu;
+        ps.partial_bytes_acked = 0;
+        // Fail over only on taking the primary down now; one found down later
+        // (no alternate was alive then) is moved by the next heartbeat.
+        if path_strike(ps, &cfg) && ak.primary == p {
+            failover_primary(ak, now);
         }
         if ak.assoc_errors > cfg.assoc_max_retrans {
-            *failed = true;
-        } else {
-            // Mark only this path's stripe; the walk starts at the path's
-            // own rescan floor (everything below it is acked).
-            let floor = ak.paths[p as usize].cumack_floor;
-            let mut marked = 0u32;
-            for (&tsn, c) in ak.sent.range_mut(floor..) {
-                if c.path != p || c.acked {
-                    continue;
-                }
-                if !c.marked_rtx {
-                    ak.paths[p as usize].flight =
-                        ak.paths[p as usize].flight.saturating_sub(c.data.len() as u64);
-                }
-                c.marked_rtx = true;
-                c.missing = 0;
-                ak.rtx_queue.insert(tsn);
-                marked += 1;
+            fail_assoc(w, ctx, a);
+            return;
+        }
+        // Mark everything the scope guards for retransmission; marked
+        // chunks leave the flight so the cwnd=1·PMTU restart can actually
+        // retransmit them. Everything below the scope's rescan floor is
+        // already acked, so the walk starts at the cursor instead of the
+        // window's base.
+        let floor = scope.map_or(ak.unacked_floor, |p| ak.paths[p as usize].cumack_floor);
+        let mut marked = 0u32;
+        for (&tsn, c) in ak.sent.range_mut(floor..) {
+            if c.acked || scope.is_some_and(|p| c.path != p) {
+                continue;
             }
-            ak.rtt_probe = None;
-            if ctx.tracing() {
-                ctx.trace_emit(trace::Event::RtoFire(trace::RtoFireEv {
-                    proto: trace::Proto8::Sctp,
-                    host: a.host,
-                    peer: ak.peer_host,
-                    path: p,
-                    backoff: ak.paths[p as usize].rto.backoff_shift(),
-                    marked,
-                }));
-                trace_cwnd(ctx, a.host, ak.peer_host, p, &ak.paths[p as usize]);
+            if !c.marked_rtx {
+                let flight = &mut ak.paths[c.path as usize].flight;
+                *flight = flight.saturating_sub(c.data.len() as u64);
             }
+            c.marked_rtx = true;
+            c.missing = 0;
+            ak.rtx_queue.insert(tsn);
+            marked += 1;
+        }
+        ak.rec_mut(scope).fast_recovery = None;
+        ak.rtt_probe = None;
+        if ctx.tracing() {
+            ctx.trace_emit(trace::Event::RtoFire(trace::RtoFireEv {
+                proto: trace::Proto8::Sctp,
+                host: a.host,
+                peer: ak.peer_host,
+                path: p,
+                backoff: ak.paths[p as usize].rto.backoff_shift(),
+                marked,
+            }));
+            trace_cwnd(ctx, a.host, ak.peer_host, p, &ak.paths[p as usize]);
+        }
+    }
+    check_flight(ak, "on_t3", now);
+    try_send(w, ctx, a); // retransmits the first PMTU immediately (cwnd = 1 PMTU)
+    arm_t3(w, ctx, a, scope, false);
+}
+
+/// Charge one unanswered retransmission or heartbeat to a path; past
+/// `path_max_retrans` the path goes inactive. True when this strike is the
+/// one that took it down.
+fn path_strike(ps: &mut PathState, cfg: &SctpCfg) -> bool {
+    ps.error_count = (ps.error_count + 1).min(cfg.path_max_retrans + 1);
+    let down = ps.error_count > cfg.path_max_retrans && ps.active;
+    if down {
+        ps.active = false;
+    }
+    down
+}
+
+/// Failover: with the primary inactive, the first active path takes over.
+fn failover_primary(ak: &mut Assoc, now: simcore::SimTime) {
+    if ak.paths[ak.primary as usize].active {
+        return;
+    }
+    if let Some(np) = ak.paths.iter().position(|ps| ps.active) {
+        ak.primary = np as u8;
+        ak.stats.failovers += 1;
+        if ak.stats.first_failover_ns == 0 {
+            ak.stats.first_failover_ns = now.as_nanos();
         }
     }
 }
@@ -1572,45 +1413,21 @@ fn arm_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
 fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, gen: u64) {
     let cfg = cfg_of(w, a.host);
     let nonce: u64 = draw_nonce(ctx, &cfg);
-    let send;
-    let vtag;
-    {
+    let vtag = {
         let ak = assoc_mut(w, a);
-        if ak.paths[path as usize].hb_gen != gen {
+        if ak.paths[path as usize].hb_gen != gen || ak.state != AssocState::Established {
             return;
         }
-        if !matches!(ak.state, AssocState::Established) {
-            return;
+        let ps = &mut ak.paths[path as usize];
+        // Previous heartbeat unanswered → path error.
+        if ps.hb_nonce.is_some() {
+            path_strike(ps, &cfg);
         }
-        let primary = ak.primary;
-        {
-            let ps = &mut ak.paths[path as usize];
-            // Previous heartbeat unanswered → path error.
-            if ps.hb_nonce.is_some() {
-                ps.error_count = (ps.error_count + 1).min(cfg.path_max_retrans + 1);
-                if ps.error_count > cfg.path_max_retrans && ps.active {
-                    ps.active = false;
-                }
-            }
-            ps.hb_nonce = Some(nonce);
-            send = true;
-            vtag = ak.peer_tag;
-        }
-        if !ak.paths[primary as usize].active {
-            if let Some((np, _)) = ak.paths.iter().enumerate().find(|(_, ps)| ps.active) {
-                if ak.primary != np as u8 {
-                    ak.primary = np as u8;
-                    ak.stats.failovers += 1;
-                    if ak.stats.first_failover_ns == 0 {
-                        ak.stats.first_failover_ns = ctx.now().as_nanos();
-                    }
-                }
-            }
-        }
-    }
-    if send {
-        send_packet(w, ctx, a, path, vtag, vec![Chunk::Heartbeat { path, nonce }]);
-    }
+        ps.hb_nonce = Some(nonce);
+        failover_primary(ak, ctx.now());
+        ak.peer_tag
+    };
+    send_packet(w, ctx, a, path, vtag, vec![Chunk::Heartbeat { path, nonce }]);
     arm_heartbeat(w, ctx, a, path);
 }
 
@@ -1623,18 +1440,17 @@ fn arm_autoclose(w: &mut World, ctx: &mut Wx, a: AssocId) {
     ctx.schedule_in(d, move |w: &mut World, ctx: &mut Wx| {
         let cfg = cfg_of(w, a.host);
         let d = cfg.autoclose.unwrap();
-        let (expired, rearm) = {
+        let expired = {
             let ak = assoc_mut(w, a);
             if ak.autoclose_gen != gen || ak.state != AssocState::Established {
                 return;
             }
             let idle = ctx.now().since(ak.last_traffic);
-            (idle >= d && ak.outstanding_bytes == 0 && ak.q_is_empty(), idle < d)
+            idle >= d && ak.outstanding_bytes == 0 && ak.q_is_empty()
         };
         if expired {
             shutdown(w, ctx, a);
         } else {
-            let _ = rearm;
             arm_autoclose(w, ctx, a);
         }
     });
@@ -1891,12 +1707,7 @@ fn handle_cookie_ack(w: &mut World, ctx: &mut Wx, a: AssocId) {
 
 fn fail_assoc(w: &mut World, ctx: &mut Wx, a: AssocId) {
     assoc_mut(w, a).state = AssocState::Aborted;
-    let e = a.endpoint();
-    let ep = ep_mut(w, e);
-    ctx.wake_all(&ep.readers);
-    ctx.wake_all(&ep.writers);
-    ep.readers.clear();
-    ep.writers.clear();
+    wake_endpoint(w, ctx, a.endpoint());
 }
 
 // ---------------------------------------------------------------------------
@@ -1961,11 +1772,11 @@ pub fn input(w: &mut World, ctx: &mut Wx, src: IfAddr, dst: IfAddr, pkt: SctpPac
             Chunk::CookieAck => handle_cookie_ack(w, ctx, a),
             Chunk::Data(d) => {
                 saw_data = true;
-                handle_data(w, ctx, a, src, d);
+                handle_data(w, ctx, a, Frag::Data(d));
             }
             Chunk::IData(d) => {
                 saw_data = true;
-                handle_idata(w, ctx, a, src, d);
+                handle_data(w, ctx, a, Frag::IData(d));
             }
             Chunk::ForwardTsn { new_cum, skips } => {
                 // Rides the SACK decision machinery: it moves the receive
@@ -2022,92 +1833,49 @@ pub fn input(w: &mut World, ctx: &mut Wx, src: IfAddr, dst: IfAddr, pkt: SctpPac
 // Data receive path
 // ---------------------------------------------------------------------------
 
-fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, _src: IfAddr, d: DataChunk) {
+// One pipeline serves DATA, I-DATA and FORWARD-TSN: admit the TSN →
+// reassemble (keyed by TSN run or by (MID, FSN)) → ordered-delivery gate →
+// endpoint hand-off. FORWARD-TSN enters at the gate, which it moves.
+
+/// A received user-data fragment. The two wire forms differ only in how
+/// reassembly *keys* them (RFC 8260), not in TSN admission, the ordered
+/// gate or the hand-off.
+enum Frag {
+    Data(DataChunk),
+    IData(IDataChunk),
+}
+
+fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
     let cfg = cfg_of(w, a.host);
     let mut delivered = w.pool.take_msg_vec();
-    {
-        let (ak, pool) = assoc_pool_mut(w, a);
-        if !matches!(
-            ak.state,
-            AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownSent
-        ) {
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        ak.last_traffic = ctx.now();
-        let len = d.data.len() as u64;
-        if d.tsn <= ak.cum_tsn || ak.rcv_have.contains(d.tsn) {
-            ak.stats.dup_tsns_in += 1;
-            ak.dup_since_sack += 1;
-            ak.sack_immediate = true;
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        // A chunk that fills a gap below the highest TSN seen must be
-        // accepted even when the buffer is nominally full: the space was
-        // promised when the surrounding window was advertised, and dropping
-        // it would wedge reassembly forever (the sender would retransmit
-        // into the same full buffer until the association died).
-        let fills_gap = ak.rcv_have.max_end().is_some_and(|e| d.tsn < e);
-        // Accept a one-PMTU overrun: the §6.1.A probe chunk arrives when the
-        // advertised window is (or looks) closed; dropping it would turn
-        // every stale-window episode into an RTO ladder. KAME applies the
-        // same slop.
-        let cap = cfg.rcvbuf + cfg.pmtu as u64;
-        if ak.rcvbuf_used + len > cap && !fills_gap {
-            if std::env::var("SCTP_TRACE").is_ok() {
-                eprintln!("[{}] RXFULL h{} assoc({},{}) tsn={} len={} used={} cum={}",
-                    ctx.now(), a.host, a.ep, a.idx, d.tsn, len, ak.rcvbuf_used, ak.cum_tsn);
-            }
-            // No receive window: silently drop (the sender's rwnd tracking
-            // or its probe logic will retry).
-            ak.sack_immediate = true;
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        ak.rcv_have.insert_point(d.tsn);
-        // Advance the cumulative TSN over any now-contiguous prefix.
-        let first_missing = ak.rcv_have.first_missing_from(ak.cum_tsn + 1);
-        if first_missing > ak.cum_tsn + 1 {
-            ak.cum_tsn = first_missing - 1;
-            ak.rcv_have.remove_below(ak.cum_tsn + 1);
-        }
-        ak.rcvbuf_used += len;
-        ak.stats.data_chunks_in += 1;
-        ak.stats.bytes_in += len;
-
-        let sid = d.stream;
-        let aid = a;
+    let (ak, pool) = assoc_pool_mut(w, a);
+    let (tsn, sid, len) = match &f {
+        Frag::Data(d) => (d.tsn, d.stream, d.data.len() as u64),
+        Frag::IData(d) => (d.tsn, d.stream, d.data.len() as u64),
+    };
+    if rx_open(ak, ctx.now()) && admit_tsn(ak, &cfg, tsn, len) {
         let peer = ak.peer_host;
         let st = ak.in_stream_mut(sid);
-        st.frags.insert(d.tsn, d);
-        // Assemble complete fragment runs; gate ordered messages on SSN.
-        loop {
-            let Some((ssn, ppid, unordered, data, mlen)) = try_assemble(st, pool) else { break };
-            if unordered {
-                delivered.push(RecvMsg { assoc: aid, stream: sid, ssn, ppid, data, len: mlen });
-            } else if ssn == st.next_ssn {
-                st.next_ssn += 1;
-                delivered.push(RecvMsg { assoc: aid, stream: sid, ssn, ppid, data, len: mlen });
-                // Drain any queued successors.
-                while let Some((p2, d2, l2)) = st.ready.remove(&st.next_ssn) {
-                    delivered.push(RecvMsg {
-                        assoc: aid,
-                        stream: sid,
-                        ssn: st.next_ssn,
-                        ppid: p2,
-                        data: d2,
-                        len: l2,
-                    });
-                    st.next_ssn += 1;
-                }
-            } else {
-                st.ready.insert(ssn, (ppid, data, mlen));
+        let mid = match f {
+            Frag::Data(d) => {
+                st.frags.insert(d.tsn, d);
+                None
             }
+            Frag::IData(d) => {
+                let mid = d.mid;
+                st.i_frags.entry(mid).or_default().insert(d.fsn, d);
+                Some(mid)
+            }
+        };
+        while let Some((unordered, msg)) = match mid {
+            None => assemble_run(st, a, sid, pool),
+            Some(mid) => assemble_mid(st, mid, a, sid, pool),
+        } {
+            ordered_gate(st, unordered, msg, &mut delivered);
         }
         // Flight recorder: a stream is head-of-line blocked while complete
-        // messages sit in `ready`, gated on an earlier SSN whose message is
-        // still missing data. Fragments mid-reassembly (`frags`) alone are
+        // messages sit in `ready`, gated on an earlier SSN (or MID) whose
+        // message is still missing data. Fragments mid-reassembly alone are
         // ordinary transmission latency, not HOL — counting them would
         // charge every multi-chunk message as a block even at zero loss.
         // Edge detection lives in the tracer.
@@ -2123,134 +1891,97 @@ fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, _src: IfAddr, d: DataChu
                 delivered.len() as u32,
             );
         }
-        ak.stats.msgs_delivered += delivered.len() as u64;
     }
-    if !delivered.is_empty() {
-        let e = a.endpoint();
-        let ep = ep_mut(w, e);
-        for m in delivered.drain(..) {
-            ep.deliver_q.push_back(m);
-        }
-        ctx.wake_all(&ep.readers);
-        ep.readers.clear();
-    }
-    w.pool.put_msg_vec(delivered);
+    deliver(w, ctx, a, delivered);
 }
 
-/// RFC 8260 receive path: per-(stream, MID) reassembly. Fragments of
-/// different messages interleave in TSN space, so each message's fragments
-/// are keyed by FSN under their MID and reassemble independently — an
-/// incomplete message never blocks a complete one from assembling (ordered
-/// *delivery* is still gated on the MID sequence, which is the semantic
-/// stream order, not a reassembly artifact).
-fn handle_idata(w: &mut World, ctx: &mut Wx, a: AssocId, _src: IfAddr, d: IDataChunk) {
-    let cfg = cfg_of(w, a.host);
-    let mut delivered = w.pool.take_msg_vec();
-    {
-        let (ak, pool) = assoc_pool_mut(w, a);
-        if !matches!(
-            ak.state,
-            AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownSent
-        ) {
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        ak.last_traffic = ctx.now();
-        let len = d.data.len() as u64;
-        // TSN-level duplicate / window checks: identical to DATA.
-        if d.tsn <= ak.cum_tsn || ak.rcv_have.contains(d.tsn) {
-            ak.stats.dup_tsns_in += 1;
-            ak.dup_since_sack += 1;
-            ak.sack_immediate = true;
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        let fills_gap = ak.rcv_have.max_end().is_some_and(|e| d.tsn < e);
-        let cap = cfg.rcvbuf + cfg.pmtu as u64;
-        if ak.rcvbuf_used + len > cap && !fills_gap {
-            ak.sack_immediate = true;
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        ak.rcv_have.insert_point(d.tsn);
-        let first_missing = ak.rcv_have.first_missing_from(ak.cum_tsn + 1);
-        if first_missing > ak.cum_tsn + 1 {
-            ak.cum_tsn = first_missing - 1;
-            ak.rcv_have.remove_below(ak.cum_tsn + 1);
-        }
-        ak.rcvbuf_used += len;
-        ak.stats.data_chunks_in += 1;
-        ak.stats.bytes_in += len;
-
-        let sid = d.stream;
-        let mid = d.mid;
-        let aid = a;
-        let peer = ak.peer_host;
-        let st = ak.in_stream_mut(sid);
-        st.i_frags.entry(mid).or_default().insert(d.fsn, d);
-        // Complete when FSNs 0..=last are all present and `last` carries
-        // the E bit (distinct keys ≤ last with count last+1 ⇒ no holes).
-        let complete = {
-            let m = &st.i_frags[&mid];
-            m.last_key_value().is_some_and(|(&last, c)| c.end && m.len() as u64 == last as u64 + 1)
-                && m.contains_key(&0)
-        };
-        if complete {
-            let m = st.i_frags.remove(&mid).unwrap();
-            let mut data = pool.take_bytes_vec();
-            let mut mlen = 0u32;
-            let (mut ppid, mut unordered) = (0u32, false);
-            for (_, c) in m {
-                ppid = c.ppid;
-                unordered = c.unordered;
-                mlen += c.data.len() as u32;
-                data.push(c.data);
-            }
-            // The MID doubles as the SSN: both count messages per stream,
-            // so ordered delivery gates on the same counter.
-            let ssn = mid as u32;
-            if unordered {
-                delivered.push(RecvMsg { assoc: aid, stream: sid, ssn, ppid, data, len: mlen });
-            } else if ssn == st.next_ssn {
-                st.next_ssn += 1;
-                delivered.push(RecvMsg { assoc: aid, stream: sid, ssn, ppid, data, len: mlen });
-                while let Some((p2, d2, l2)) = st.ready.remove(&st.next_ssn) {
-                    delivered.push(RecvMsg {
-                        assoc: aid,
-                        stream: sid,
-                        ssn: st.next_ssn,
-                        ppid: p2,
-                        data: d2,
-                        len: l2,
-                    });
-                    st.next_ssn += 1;
-                }
-            } else {
-                st.ready.insert(ssn, (ppid, data, mlen));
-            }
-        }
-        // Flight recorder: same receiver-side HOL definition as DATA —
-        // complete messages gated in `ready` behind a missing earlier MID.
-        if let Some(t) = ctx.tracer() {
-            let blocked = !st.ready.is_empty();
-            t.hol_update(
-                ctx.now().as_nanos(),
-                a.host,
-                peer,
-                sid,
-                trace::HolSide::Rcv,
-                blocked,
-                delivered.len() as u32,
-            );
-        }
-        ak.stats.msgs_delivered += delivered.len() as u64;
+/// May inbound data be accepted in this state? Notes the traffic if so.
+fn rx_open(ak: &mut Assoc, now: simcore::SimTime) -> bool {
+    let open = matches!(
+        ak.state,
+        AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownSent
+    );
+    if open {
+        ak.last_traffic = now;
     }
+    open
+}
+
+/// Pipeline stage 1: TSN-level duplicate and window checks, then account
+/// the chunk and advance the cumulative TSN. False = chunk dropped.
+fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
+    if tsn <= ak.cum_tsn || ak.rcv_have.contains(tsn) {
+        ak.stats.dup_tsns_in += 1;
+        ak.dup_since_sack += 1;
+        ak.sack_immediate = true;
+        return false;
+    }
+    // A chunk that fills a gap below the highest TSN seen must be
+    // accepted even when the buffer is nominally full: the space was
+    // promised when the surrounding window was advertised, and dropping
+    // it would wedge reassembly forever (the sender would retransmit
+    // into the same full buffer until the association died).
+    let fills_gap = ak.rcv_have.max_end().is_some_and(|e| tsn < e);
+    // Accept a one-PMTU overrun: the §6.1.A probe chunk arrives when the
+    // advertised window is (or looks) closed; dropping it would turn
+    // every stale-window episode into an RTO ladder. KAME applies the
+    // same slop.
+    let cap = cfg.rcvbuf + cfg.pmtu as u64;
+    if ak.rcvbuf_used + len > cap && !fills_gap {
+        // No receive window: silently drop (the sender's rwnd tracking
+        // or its probe logic will retry).
+        ak.sack_immediate = true;
+        return false;
+    }
+    ak.rcv_have.insert_point(tsn);
+    advance_cum(ak);
+    ak.rcvbuf_used += len;
+    ak.stats.data_chunks_in += 1;
+    ak.stats.bytes_in += len;
+    true
+}
+
+/// Advance the cumulative TSN over any now-contiguous prefix.
+fn advance_cum(ak: &mut Assoc) {
+    let first_missing = ak.rcv_have.first_missing_from(ak.cum_tsn + 1);
+    if first_missing > ak.cum_tsn + 1 {
+        ak.cum_tsn = first_missing - 1;
+        ak.rcv_have.remove_below(ak.cum_tsn + 1);
+    }
+}
+
+/// Pipeline stage 3, the ordered-delivery gate: unordered messages pass
+/// straight through, ordered ones wait in `ready` for their SSN's turn. (A
+/// MID doubles as the SSN: both count messages per stream, so ordered
+/// delivery gates on the same counter — the semantic stream order, not a
+/// reassembly artifact.)
+fn ordered_gate(st: &mut InStream, unordered: bool, msg: RecvMsg, out: &mut Vec<RecvMsg>) {
+    if unordered {
+        out.push(msg);
+    } else if msg.ssn == st.next_ssn {
+        st.next_ssn += 1;
+        out.push(msg);
+        drain_ready(st, out);
+    } else {
+        st.ready.insert(msg.ssn, msg);
+    }
+}
+
+/// Release the queued successors of the message just let through the gate.
+fn drain_ready(st: &mut InStream, out: &mut Vec<RecvMsg>) {
+    while let Some(m) = st.ready.remove(&st.next_ssn) {
+        out.push(m);
+        st.next_ssn += 1;
+    }
+}
+
+/// Pipeline stage 4, the endpoint hand-off: messages join the endpoint's
+/// queue in arrival order across all associations and streams.
+fn deliver(w: &mut World, ctx: &mut Wx, a: AssocId, mut delivered: Vec<RecvMsg>) {
     if !delivered.is_empty() {
-        let e = a.endpoint();
-        let ep = ep_mut(w, e);
-        for m in delivered.drain(..) {
-            ep.deliver_q.push_back(m);
-        }
+        assoc_mut(w, a).stats.msgs_delivered += delivered.len() as u64;
+        let ep = ep_mut(w, a.endpoint());
+        ep.deliver_q.extend(delivered.drain(..));
         ctx.wake_all(&ep.readers);
         ep.readers.clear();
     }
@@ -2259,100 +1990,64 @@ fn handle_idata(w: &mut World, ctx: &mut Wx, a: AssocId, _src: IfAddr, d: IDataC
 
 /// RFC 3758 receive path: the peer abandoned messages; jump the cumulative
 /// TSN over their chunks and drop any partial reassembly state they left,
-/// then un-gate ordered delivery on each skipped (stream, MID).
+/// then move the ordered gate past each skipped (stream, MID).
 fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cum: u64, skips: Vec<(u16, u64)>) {
     let mut delivered = w.pool.take_msg_vec();
-    {
-        let (ak, pool) = assoc_pool_mut(w, a);
-        if !matches!(
-            ak.state,
-            AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownSent
-        ) {
-            pool.put_msg_vec(delivered);
-            return;
-        }
-        ak.last_traffic = ctx.now();
+    let ak = assoc_mut(w, a);
+    if rx_open(ak, ctx.now()) {
         ak.stats.fwd_tsn_in += 1;
         if new_cum > ak.cum_tsn {
             ak.cum_tsn = new_cum;
             ak.rcv_have.remove_below(ak.cum_tsn + 1);
             // Chunks above the jump may now be contiguous with it.
-            let first_missing = ak.rcv_have.first_missing_from(ak.cum_tsn + 1);
-            if first_missing > ak.cum_tsn + 1 {
-                ak.cum_tsn = first_missing - 1;
-                ak.rcv_have.remove_below(ak.cum_tsn + 1);
-            }
+            advance_cum(ak);
         }
-        let aid = a;
         for &(sid, mid) in &skips {
             let ssn = mid as u32;
-            let mut freed = 0u64;
             let st = ak.in_stream_mut(sid);
             // Drop the abandoned message's partial reassembly state — and
             // ONLY its own: other messages' fragments at TSNs at or below
             // the jump may belong to complete-but-unacked messages and
             // must survive.
-            if let Some(m) = st.i_frags.remove(&mid) {
-                for c in m.values() {
+            let mut freed: u64 = st
+                .i_frags
+                .remove(&mid)
+                .map_or(0, |m| m.values().map(|c| c.data.len() as u64).sum());
+            st.frags.retain(|_, c| {
+                let doomed = c.ssn == ssn;
+                if doomed {
                     freed += c.data.len() as u64;
                 }
-            }
-            let drop_tsns: Vec<u64> =
-                st.frags.iter().filter(|(_, c)| c.ssn == ssn).map(|(&t, _)| t).collect();
-            for t in drop_tsns {
-                if let Some(c) = st.frags.remove(&t) {
-                    freed += c.data.len() as u64;
-                }
-            }
+                !doomed
+            });
             // Un-gate ordered delivery: hand over anything the abandoned
             // message was blocking (in order), then skip past it.
             if ssn >= st.next_ssn {
-                while let Some((&k, _)) = st.ready.first_key_value() {
-                    if k > ssn {
-                        break;
-                    }
-                    let (p2, d2, l2) = st.ready.remove(&k).unwrap();
-                    delivered.push(RecvMsg { assoc: aid, stream: sid, ssn: k, ppid: p2, data: d2, len: l2 });
+                while let Some(e) = st.ready.first_entry().filter(|e| *e.key() <= ssn) {
+                    delivered.push(e.remove());
                 }
                 st.next_ssn = ssn + 1;
-                while let Some((p2, d2, l2)) = st.ready.remove(&st.next_ssn) {
-                    delivered.push(RecvMsg {
-                        assoc: aid,
-                        stream: sid,
-                        ssn: st.next_ssn,
-                        ppid: p2,
-                        data: d2,
-                        len: l2,
-                    });
-                    st.next_ssn += 1;
-                }
+                drain_ready(st, &mut delivered);
             }
             ak.rcvbuf_used = ak.rcvbuf_used.saturating_sub(freed);
         }
         // Ack the jump promptly so the sender stops re-emitting it.
         ak.sack_immediate = true;
-        ak.stats.msgs_delivered += delivered.len() as u64;
     }
-    if !delivered.is_empty() {
-        let e = a.endpoint();
-        let ep = ep_mut(w, e);
-        for m in delivered.drain(..) {
-            ep.deliver_q.push_back(m);
-        }
-        ctx.wake_all(&ep.readers);
-        ep.readers.clear();
-    }
-    w.pool.put_msg_vec(delivered);
+    deliver(w, ctx, a, delivered);
 }
 
-/// Try to assemble one complete message from a stream's fragment map.
-/// Fragments of a message occupy consecutive TSNs bracketed by B/E bits.
-/// The chunk list comes from the pool; the middleware retires it after
-/// consuming the message.
-fn try_assemble(
+/// Pipeline stage 2, keyed by TSN run: try to assemble one complete message
+/// from a stream's DATA fragment map. Fragments of a message occupy
+/// consecutive TSNs bracketed by B/E bits. The chunk list comes from the
+/// pool; the middleware retires it after consuming the message. Returns
+/// the message and its U bit.
+fn assemble_run(
     st: &mut InStream,
+    a: AssocId,
+    sid: u16,
     pool: &mut crate::pool::Pools,
-) -> Option<(u32, u32, bool, Vec<Bytes>, u32)> {
+) -> Option<(bool, RecvMsg)> {
     let mut run_start: Option<u64> = None;
     let mut prev_tsn: Option<u64> = None;
     let mut complete: Option<(u64, u64)> = None;
@@ -2372,18 +2067,46 @@ fn try_assemble(
         prev_tsn = Some(tsn);
     }
     let (s, e) = complete?;
-    let mut data = pool.take_bytes_vec();
-    let mut len = 0u32;
-    let (mut ssn, mut ppid, mut unordered) = (0u32, 0u32, false);
+    let mut msg =
+        RecvMsg { assoc: a, stream: sid, ssn: 0, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
+    let mut unordered = false;
     for tsn in s..=e {
         let c = st.frags.remove(&tsn).expect("complete run present");
-        ssn = c.ssn;
-        ppid = c.ppid;
-        unordered = c.unordered;
-        len += c.data.len() as u32;
-        data.push(c.data);
+        (msg.ssn, msg.ppid, unordered) = (c.ssn, c.ppid, c.unordered);
+        msg.len += c.data.len() as u32;
+        msg.data.push(c.data);
     }
-    Some((ssn, ppid, unordered, data, len))
+    Some((unordered, msg))
+}
+
+/// Pipeline stage 2, keyed by (MID, FSN) — RFC 8260: fragments of different
+/// messages interleave in TSN space, so each message's fragments are keyed
+/// by FSN under their MID and reassemble independently — an incomplete
+/// message never blocks a complete one from assembling.
+fn assemble_mid(
+    st: &mut InStream,
+    mid: u64,
+    a: AssocId,
+    sid: u16,
+    pool: &mut crate::pool::Pools,
+) -> Option<(bool, RecvMsg)> {
+    // Complete when FSNs 0..=last are all present and `last` carries
+    // the E bit (distinct keys ≤ last with count last+1 ⇒ no holes).
+    let m = st.i_frags.get(&mid)?;
+    let (&last, c) = m.last_key_value()?;
+    if !(c.end && m.len() as u64 == last as u64 + 1 && m.contains_key(&0)) {
+        return None;
+    }
+    let ssn = mid as u32;
+    let mut msg =
+        RecvMsg { assoc: a, stream: sid, ssn, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
+    let mut unordered = false;
+    for c in st.i_frags.remove(&mid)?.into_values() {
+        (msg.ppid, unordered) = (c.ppid, c.unordered);
+        msg.len += c.data.len() as u32;
+        msg.data.push(c.data);
+    }
+    Some((unordered, msg))
 }
 
 /// Per-packet SACK decision: immediate when there are gaps or duplicates
@@ -2416,7 +2139,8 @@ fn decide_sack(w: &mut World, ctx: &mut Wx, a: AssocId) {
 /// sent chunks on that path, and the O(1) aggregates (`rtx_queue`,
 /// `unacked_floor`) agree with a full rescan of `sent`.
 fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
-    if std::env::var("SCTP_CHECK").is_err() {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    if !*ENABLED.get_or_init(|| std::env::var("SCTP_CHECK").is_ok()) {
         return;
     }
     let mut per_path = vec![0u64; ak.paths.len()];
@@ -2487,74 +2211,66 @@ fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, 
         // acked — cross-path reordering then never trips the threshold.
         let mut hna = [0u64; MAX_PATHS];
 
+        // One chunk newly acknowledged — cumulatively or by a gap block —
+        // given as it stood before the ack.
+        let Assoc { sent, paths, rtx_queue, stats, rtt_probe, outstanding_bytes, .. } = &mut *ak;
+        let mut on_ack = |tsn: u64, c: &SentChunk| {
+            let (len, p) = (c.data.len() as u64, c.path as usize);
+            if c.marked_rtx {
+                // Acked while queued for retransmission: the mark was
+                // spurious (reordering, not loss). Marked chunks already
+                // left the flight.
+                rtx_queue.remove(&tsn);
+                stats.spurious_frtx += 1;
+            } else {
+                paths[p].flight = paths[p].flight.saturating_sub(len);
+            }
+            *outstanding_bytes -= len;
+            newly_acked[p] += len;
+            hna[p] = hna[p].max(tsn);
+            if *rtt_probe == Some(tsn) && c.txcount == 1 {
+                paths[p].rto.sample(now.since(c.sent_at));
+                *rtt_probe = None;
+            }
+        };
         // Cumulative ack: split the acked prefix off in one O(log n)
         // tree operation instead of walking (and re-balancing per key)
         // everything at or below `cum`.
-        if ak.sent.first_key_value().is_some_and(|(&t, _)| t <= cum) {
-            let rest = ak.sent.split_off(&cum.saturating_add(1));
-            let acked_prefix = std::mem::replace(&mut ak.sent, rest);
-            for (tsn, c) in acked_prefix {
-                cum_advanced = true;
-                if c.marked_rtx && !c.acked {
-                    ak.rtx_queue.remove(&tsn);
-                    // Acked while queued for retransmission: the mark was
-                    // spurious (reordering, not loss).
-                    ak.stats.spurious_frtx += 1;
-                }
+        if sent.first_key_value().is_some_and(|(&t, _)| t <= cum) {
+            let rest = sent.split_off(&cum.saturating_add(1));
+            cum_advanced = true;
+            for (tsn, c) in std::mem::replace(sent, rest) {
                 if !c.acked {
-                    let len = c.data.len() as u64;
-                    // Chunks marked for retransmission already left the flight.
-                    if !c.marked_rtx {
-                        ak.paths[c.path as usize].flight =
-                            ak.paths[c.path as usize].flight.saturating_sub(len);
-                    }
-                    ak.outstanding_bytes -= len;
-                    newly_acked[c.path as usize] += len;
-                    hna[c.path as usize] = hna[c.path as usize].max(tsn);
-                    if ak.rtt_probe == Some(tsn) && c.txcount == 1 {
-                        ak.paths[c.path as usize].rto.sample(now.since(c.sent_at));
-                        ak.rtt_probe = None;
-                    }
+                    on_ack(tsn, &c);
                 }
             }
+        }
+        // Gap acks: walk each reported block in place.
+        for &(g0, g1) in gaps {
+            for (&tsn, c) in sent.range_mut(g0..g1) {
+                if !c.acked {
+                    on_ack(tsn, c);
+                    c.acked = true;
+                    c.marked_rtx = false;
+                }
+            }
+        }
+        if cum_advanced {
             // Nothing at or below `cum` remains, so the earliest-unacked
             // cursor can never point below it.
             ak.unacked_floor = ak.unacked_floor.max(cum.saturating_add(1));
         }
-        // Gap acks: walk each reported block in place.
-        for &(g0, g1) in gaps {
-            for (&tsn, c) in ak.sent.range_mut(g0..g1) {
-                if !c.acked {
-                    c.acked = true;
-                    let was_marked = c.marked_rtx;
-                    c.marked_rtx = false;
-                    let len = c.data.len() as u64;
-                    let p = c.path as usize;
-                    if was_marked {
-                        ak.rtx_queue.remove(&tsn);
-                        ak.stats.spurious_frtx += 1;
-                    }
-                    if ak.rtt_probe == Some(tsn) && c.txcount == 1 {
-                        ak.paths[p].rto.sample(now.since(c.sent_at));
-                        ak.rtt_probe = None;
-                    }
-                    if !was_marked {
-                        ak.paths[p].flight = ak.paths[p].flight.saturating_sub(len);
-                    }
-                    ak.outstanding_bytes -= len;
-                    newly_acked[p] += len;
-                    hna[p] = hna[p].max(tsn);
-                }
-            }
-        }
 
-        // CMT CUC (cwnd update for CMT): recompute each SACKed path's
-        // pseudo-cumack — the earliest TSN still outstanding on it. The
+        // Did the ack point of path `p`'s recovery scope move? For the
+        // association-wide scope that is the cumulative ack. CMT CUC (cwnd
+        // update for CMT) instead recomputes each SACKed path's
+        // pseudo-cumack — the earliest TSN still outstanding on it: the
         // association-wide cumulative ack stalls behind the slowest path,
         // so per-path growth (below) is gated on the pseudo-cumack's
-        // advance instead. A pseudo-cumack passing the path's recovery
-        // exit point also ends that path's fast recovery.
-        let mut pseudo_advanced = [false; MAX_PATHS];
+        // advance. A pseudo-cumack passing the path's recovery exit point
+        // also ends that path's fast recovery, *before* this SACK's strikes
+        // are counted.
+        let mut advanced = [cum_advanced; MAX_PATHS];
         if cfg.cmt {
             for p in 0..n_paths {
                 if newly_acked[p] == 0 {
@@ -2562,28 +2278,22 @@ fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, 
                 }
                 let old = ak.paths[p].pseudo_cumack;
                 let new_e = cmt_earliest_on(ak, p);
-                pseudo_advanced[p] = old != u64::MAX && new_e.map_or(true, |e| e > old);
-                let ps = &mut ak.paths[p];
-                ps.pseudo_cumack = new_e.unwrap_or(u64::MAX);
-                if ps.in_fast_recovery && new_e.map_or(true, |e| e > ps.fast_recovery_exit) {
-                    ps.in_fast_recovery = false;
-                }
+                advanced[p] = old != u64::MAX && new_e.map_or(true, |e| e > old);
+                ak.paths[p].pseudo_cumack = new_e.unwrap_or(u64::MAX);
+                leave_fast_recovery(ak, Some(p as u8), new_e.unwrap_or(u64::MAX));
             }
         }
 
-        // Missing reports → fast retransmit marking (strike count).
+        // Missing reports → fast retransmit marking (strike count). Fresh
+        // marks are tallied per recovery scope as (count, first TSN, its
+        // path), slot 0 standing in for the association-wide scope.
         let highest = gaps.iter().map(|&(_, g1)| g1).max().unwrap_or(0);
-        if highest > 0 {
-            let mut newly_marked = false;
-            let mut first_marked_path = ak.primary;
-            let mut first_marked_tsn = 0u64;
-            let mut n_marked = 0u32;
-            // CMT: marks grouped per destination path for per-path recovery.
-            let mut marked_on = [0u32; MAX_PATHS];
-            let mut first_tsn_on = [0u64; MAX_PATHS];
-            // Entries below the earliest-unacked cursor are all acked, so
-            // the strike walk starts there, not at the window's base.
-            let floor = ak.unacked_floor;
+        let mut marks = [(0u32, 0u64, 0u8); MAX_PATHS];
+        // Entries below the earliest-unacked cursor are all acked, so the
+        // strike walk starts there, not at the window's base (and is empty
+        // when abandonment moved the cursor past every reported block).
+        let floor = ak.unacked_floor;
+        if highest > floor {
             for (&tsn, c) in ak.sent.range_mut(floor..highest) {
                 // A chunk may be *fast*-retransmitted only once (RFC 4960
                 // §7.2.4); after that, only T3 resends it. Without this,
@@ -2606,84 +2316,56 @@ fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, 
                             .flight
                             .saturating_sub(c.data.len() as u64);
                         ak.rtx_queue.insert(tsn);
-                        if !newly_marked {
-                            first_marked_path = c.path;
-                            first_marked_tsn = tsn;
+                        let m = &mut marks[scope_of(&cfg, c.path).unwrap_or(0) as usize];
+                        if m.0 == 0 {
+                            (m.1, m.2) = (tsn, c.path);
                         }
-                        if marked_on[c.path as usize] == 0 {
-                            first_tsn_on[c.path as usize] = tsn;
-                        }
-                        marked_on[c.path as usize] += 1;
-                        newly_marked = true;
-                        n_marked += 1;
+                        m.0 += 1;
                     }
                 }
             }
-            if newly_marked {
-                if cfg.cmt {
-                    // Fast recovery is a per-path episode: halve only the
-                    // paths with fresh marks, and only when they are not
-                    // already recovering — a single reordering burst must
-                    // not cascade into repeated multiplicative decreases
-                    // across the stripe.
-                    let exit = ak.next_tsn.saturating_sub(1);
-                    for p in 0..n_paths {
-                        if marked_on[p] == 0 || ak.paths[p].in_fast_recovery {
-                            continue;
-                        }
-                        {
-                            let ps = &mut ak.paths[p];
-                            ps.in_fast_recovery = true;
-                            ps.fast_recovery_exit = exit;
-                            ps.ssthresh = (ps.cwnd / 2).max(4 * pmtu);
-                            ps.cwnd = ps.ssthresh;
-                            ps.partial_bytes_acked = 0;
-                        }
-                        ak.stats.fast_retransmits += 1;
-                        if ctx.tracing() {
-                            ctx.trace_emit(trace::Event::FastRtx(trace::FastRtxEv {
-                                proto: trace::Proto8::Sctp,
-                                host: a.host,
-                                peer: ak.peer_host,
-                                path: p as u8,
-                                tsn: first_tsn_on[p],
-                                count: marked_on[p],
-                            }));
-                            trace_cwnd(ctx, a.host, ak.peer_host, p as u8, &ak.paths[p]);
-                        }
-                    }
-                } else if !ak.in_fast_recovery {
-                    ak.in_fast_recovery = true;
-                    ak.fast_recovery_exit = ak.next_tsn.saturating_sub(1);
-                    ak.stats.fast_retransmits += 1;
-                    let ps = &mut ak.paths[first_marked_path as usize];
-                    ps.ssthresh = (ps.cwnd / 2).max(4 * pmtu);
-                    ps.cwnd = ps.ssthresh;
-                    ps.partial_bytes_acked = 0;
-                    if ctx.tracing() {
-                        ctx.trace_emit(trace::Event::FastRtx(trace::FastRtxEv {
-                            proto: trace::Proto8::Sctp,
-                            host: a.host,
-                            peer: ak.peer_host,
-                            path: first_marked_path,
-                            tsn: first_marked_tsn,
-                            count: n_marked,
-                        }));
-                        let ps = &ak.paths[first_marked_path as usize];
-                        trace_cwnd(ctx, a.host, ak.peer_host, first_marked_path, ps);
-                    }
-                }
-                do_fast_rtx = true;
+        }
+        // Fast recovery is one episode per scope: halve only where fresh
+        // marks landed (the first marked chunk's path), and only when that
+        // scope is not already recovering — a single reordering burst must
+        // not cascade into repeated multiplicative decreases.
+        let exit = ak.next_tsn.saturating_sub(1);
+        for (count, first_tsn, path) in marks {
+            if count == 0 {
+                continue;
+            }
+            do_fast_rtx = true;
+            let scope = scope_of(&cfg, path);
+            if ak.rec(scope).fast_recovery.is_some() {
+                continue;
+            }
+            ak.rec_mut(scope).fast_recovery = Some(exit);
+            ak.stats.fast_retransmits += 1;
+            let ps = &mut ak.paths[path as usize];
+            ps.ssthresh = (ps.cwnd / 2).max(4 * pmtu);
+            ps.cwnd = ps.ssthresh;
+            ps.partial_bytes_acked = 0;
+            if ctx.tracing() {
+                ctx.trace_emit(trace::Event::FastRtx(trace::FastRtxEv {
+                    proto: trace::Proto8::Sctp,
+                    host: a.host,
+                    peer: ak.peer_host,
+                    path,
+                    tsn: first_tsn,
+                    count,
+                }));
+                trace_cwnd(ctx, a.host, ak.peer_host, path, &ak.paths[path as usize]);
             }
         }
-        if ak.in_fast_recovery && cum >= ak.fast_recovery_exit {
-            ak.in_fast_recovery = false;
-        }
+        // The association-wide scope (never entered under CMT) leaves fast
+        // recovery *after* marking: a SACK that both passes the exit point
+        // and strikes new chunks must not open a second episode.
+        leave_fast_recovery(ak, None, cum.saturating_add(1));
 
-        // Congestion window growth (byte counting — §4.1.1). Under CMT the
-        // gates are per path (CUC): this path's pseudo-cumack must have
-        // advanced and this path must not be in fast recovery — the
-        // association-wide cumulative ack says nothing about which path
+        // Congestion window growth (byte counting — §4.1.1), gated on the
+        // path's recovery scope: its ack point must have advanced and it
+        // must not be in fast recovery. Under CMT that is per path (CUC) —
+        // the association-wide cumulative ack says nothing about which path
         // delivered.
         let peer = ak.peer_host;
         for (p, &acked) in newly_acked.iter().enumerate() {
@@ -2696,12 +2378,10 @@ fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, 
                 ps.active = true;
             }
             ak.assoc_errors = 0;
-            let in_fr = if cfg.cmt { ak.paths[p].in_fast_recovery } else { ak.in_fast_recovery };
-            if in_fr {
+            if ak.rec(scope_of(&cfg, p as u8)).fast_recovery.is_some() {
                 continue;
             }
-            let advanced = if cfg.cmt { pseudo_advanced[p] } else { cum_advanced };
-            if advanced {
+            if advanced[p] {
                 let ps = &mut ak.paths[p];
                 if ps.cwnd <= ps.ssthresh {
                     if cfg.byte_counting_cc {
@@ -2735,34 +2415,25 @@ fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, 
         // Peer receive window: advertised minus what is still in flight.
         ak.peer_rwnd = a_rwnd.saturating_sub(ak.outstanding_bytes);
 
-        // Retransmission timer management. CMT keeps one T3 per
-        // destination: stop a path's timer when its stripe drained, restart
-        // it fresh when its pseudo-cumack advanced (the association-wide
-        // cumulative ack says nothing about which path delivered).
-        if cfg.cmt {
-            for p in 0..n_paths {
-                if newly_acked[p] == 0 {
-                    continue;
-                }
-                if ak.paths[p].pseudo_cumack == u64::MAX {
-                    let ps = &mut ak.paths[p];
-                    ps.t3_gen += 1;
-                    ps.t3_armed = false;
-                    if let Some(id) = ps.t3_timer.take() {
-                        ctx.cancel_counted(id);
-                    }
-                } else if pseudo_advanced[p] {
-                    ak.paths[p].t3_armed = false; // re-armed fresh below
-                }
+        // Retransmission timer management, per recovery scope: stop the
+        // timer when nothing it guards is left outstanding, restart it fresh
+        // when the scope's ack point advanced. A destination's timer only
+        // hears SACKs that acked something there.
+        for scope in scopes(&cfg, n_paths) {
+            if scope.is_some_and(|p| newly_acked[p as usize] == 0) {
+                continue;
             }
-        } else if ak.outstanding_bytes == 0 {
-            ak.t3_gen += 1;
-            ak.t3_armed = false;
-            if let Some(id) = ak.t3_timer.take() {
-                ctx.cancel_counted(id);
+            let drained = scope_drained(ak, scope);
+            let rec = ak.rec_mut(scope);
+            if drained {
+                rec.t3_gen += 1;
+                rec.t3_armed = false;
+                if let Some(id) = rec.t3_timer.take() {
+                    ctx.cancel_counted(id);
+                }
+            } else if advanced[scope.unwrap_or(0) as usize] {
+                rec.t3_armed = false; // re-armed fresh below
             }
-        } else if cum_advanced {
-            ak.t3_armed = false; // re-armed fresh below
         }
 
         // Send space freed → wake endpoint writers.
@@ -2779,25 +2450,22 @@ fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, 
         fast_retransmit_burst(w, ctx, a);
     }
     try_send(w, ctx, a);
-    if cfg.cmt {
-        for p in 0..MAX_PATHS as u8 {
-            let needs_arm = {
-                let ak = assoc_ref(w, a);
-                (p as usize) < ak.paths.len()
-                    && ak.paths[p as usize].pseudo_cumack != u64::MAX
-                    && !ak.paths[p as usize].t3_armed
-            };
-            if needs_arm {
-                arm_t3_cmt(w, ctx, a, p, true);
-            }
-        }
-    } else {
+    for scope in scopes(&cfg, assoc_ref(w, a).paths.len()) {
         let ak = assoc_ref(w, a);
-        if ak.outstanding_bytes > 0 && !ak.t3_armed {
-            arm_t3(w, ctx, a);
+        if !scope_drained(ak, scope) && !ak.rec(scope).t3_armed {
+            arm_t3(w, ctx, a, scope, true);
         }
     }
     maybe_progress_shutdown(w, ctx, a);
+}
+
+/// One scope leaves fast recovery once everything below `next_unacked` —
+/// its ack point — is acknowledged past the episode's exit TSN.
+fn leave_fast_recovery(ak: &mut Assoc, scope: Scope, next_unacked: u64) {
+    let fr = &mut ak.rec_mut(scope).fast_recovery;
+    if fr.is_some_and(|exit| next_unacked > exit) {
+        *fr = None;
+    }
 }
 
 /// RFC 4960 §7.2.4: on entering fast retransmit, send one packet with as
@@ -2809,78 +2477,22 @@ fn fast_retransmit_burst(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let abandoned_before = assoc_ref(w, a).stats.msgs_abandoned;
     let mut packets: Vec<(u8, Vec<Chunk>)> = Vec::new();
-    let vtag;
-    {
-        let ak = assoc_mut(w, a);
-        vtag = ak.peer_tag;
-        let now = ctx.now();
-        // `rtx_queue` is exactly the marked, unacked TSNs; snapshot it
-        // because the loops remove entries as they go on the wire.
-        let tsns: Vec<u64> = ak.rtx_queue.iter().copied().collect();
-        let interleave = ak.interleaving();
-        let pr = ak.pr_active();
-        let targets: Vec<u8> = if cfg.cmt {
-            (0..ak.paths.len() as u8).collect()
-        } else {
-            vec![ak.rtx_path(cfg.rtx_alternate)]
-        };
-        for path in targets {
-            let mut budget = cfg.packet_budget();
-            let mut packet = Vec::new();
-            for &tsn in &tsns {
-                if !ak.rtx_queue.contains(&tsn) {
-                    continue; // already resent for an earlier target (or abandoned)
-                }
-                if cfg.cmt && cmt_rtx_target(ak, ak.sent[&tsn].path) != path {
-                    continue;
-                }
-                // PR-SCTP: expired at retransmission time → abandon.
-                if pr && ak.sent[&tsn].expires.is_some_and(|e| now > e) {
-                    let (s, n) = (ak.sent[&tsn].stream, ak.sent[&tsn].ssn);
-                    abandon_message(ak, s, n);
-                    continue;
-                }
-                let c = ak.sent.get_mut(&tsn).unwrap();
-                let hdr: u32 = if interleave { 20 } else { 16 };
-                let clen = hdr + (c.data.len() as u32).div_ceil(4) * 4;
-                if clen > budget {
-                    break;
-                }
-                budget -= clen;
-                c.marked_rtx = false;
-                c.missing = 0;
-                c.txcount += 1;
-                c.sent_at = now;
-                let len = c.data.len() as u64;
-                c.path = path;
-                ak.rtx_queue.remove(&tsn);
-                ak.stats.retransmits += 1;
-                ak.rtt_probe = None;
-                if cfg.cmt {
-                    cmt_note_assign(ak, path, tsn);
-                }
-                let c = ak.sent.get(&tsn).unwrap();
-                packet.push(data_chunk_for(interleave, tsn, c));
-                ak.paths[path as usize].flight += len;
-            }
-            if !packet.is_empty() {
-                packets.push((path, packet));
-            }
+    let ak = assoc_mut(w, a);
+    let vtag = ak.peer_tag;
+    for scope in scopes(&cfg, ak.paths.len()) {
+        let path = scope.unwrap_or_else(|| ak.rtx_path(cfg.rtx_alternate));
+        let mut packet = Vec::new();
+        reemit_marked(ak, &cfg, ctx.now(), path, &mut cfg.packet_budget(), &mut packet);
+        if !packet.is_empty() {
+            packets.push((path, packet));
         }
     }
-    let sent_any = !packets.is_empty();
     let sent_paths: Vec<u8> = packets.iter().map(|&(p, _)| p).collect();
     for (path, packet) in packets {
         send_packet(w, ctx, a, path, vtag, packet);
     }
-    if cfg.cmt {
-        for p in sent_paths {
-            if !assoc_ref(w, a).paths[p as usize].t3_armed {
-                arm_t3_cmt(w, ctx, a, p, true);
-            }
-        }
-    } else if sent_any && !assoc_ref(w, a).t3_armed {
-        arm_t3(w, ctx, a);
+    for p in sent_paths {
+        ensure_t3(w, ctx, a, &cfg, p);
     }
     wake_writers_after_abandon(w, ctx, a, abandoned_before);
 }

@@ -238,9 +238,6 @@ fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId, gen: u64) {
             return;
         }
         // Timeout: collapse to one segment, clear the scoreboard, back off.
-        if std::env::var("TCP_TRACE").is_ok() {
-            eprintln!("[{}] RTO: una={} nxt={} cwnd={} recovery={} sacked={:?}", ctx.now(), sk.snd_una, sk.snd_nxt, sk.cc.cwnd, sk.cc.in_recovery, sk.sacked.iter().collect::<Vec<_>>());
-        }
         let marked = sk.flight();
         sk.stats.timeouts += 1;
         sk.rto.backoff();
@@ -792,9 +789,6 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
         }
     };
     if let Some((seq, len)) = rtx {
-        if std::env::var("TCP_TRACE").is_ok() {
-            eprintln!("[{}] HOLE-RTX seq={seq} len={len}", ctx.now());
-        }
         retransmit_seg(w, ctx, s, seq, len as usize);
     }
 
@@ -832,9 +826,6 @@ fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> boo
             } else if seq >= wnd_edge {
                 // Entirely beyond our window: drop, but tell the sender
                 // where we stand (this answers zero-window probes too).
-                if std::env::var("TCP_TRACE").is_ok() {
-                    eprintln!("[?] OOW-DROP seq={seq} edge={wnd_edge} rcv_nxt={} in_order={}", sk.rcv_nxt, sk.in_order_bytes);
-                }
                 ack_now = true;
             } else {
                 let had_gap = !sk.have.is_empty();
