@@ -79,7 +79,7 @@ fn rearm(c: &mut Criterion) {
             fired: u64,
         }
         let mut rt = Runtime::new(W::default(), 0xF17E);
-        rt.spawn("storm", move |env: ProcEnv<W>| {
+        rt.spawn("storm", move |env: ProcEnv<W>| async move {
             env.with(|w, ctx| {
                 w.pending = Some(ctx.schedule_in(Dur::from_micros(500), |w: &mut W, _| {
                     w.fired += 1;
@@ -100,7 +100,7 @@ fn rearm(c: &mut Criterion) {
                     });
                 }
             });
-            env.sleep(Dur::from_millis(10));
+            env.sleep(Dur::from_millis(10)).await;
         });
         rt.run().events
     }

@@ -102,9 +102,10 @@ fn matching_churn(c: &mut Criterion) {
 
 fn park_wake(c: &mut Criterion) {
     // Two processes ping-pong through park/wake 256 times: each exchange is
-    // one deposit + wake + block_on, i.e. one full token handoff round trip
+    // one deposit + wake + block_on, i.e. one `Pending` return and one poll
     // in each direction. The measured per-iteration cost divided by the
-    // reported handoff count is the round-trip price the overhaul targets.
+    // reported poll count is the round-trip price (before the runtime
+    // became an executor: two thread handoffs).
     c.bench_function("park_wake/round_trip_x256", |b| {
         b.iter(|| {
             #[derive(Default)]
@@ -114,18 +115,18 @@ fn park_wake(c: &mut Criterion) {
             }
             const N: u32 = 256;
             let mut rt = Runtime::new(W::default(), 1);
-            rt.spawn("a", |env: ProcEnv<W>| {
+            rt.spawn("a", |env: ProcEnv<W>| async move {
                 for i in 0..N {
                     env.with(|w, ctx| {
                         w.b += 1;
                         ctx.wake(ProcId(1));
                     });
-                    env.block_on(move |w, _| (w.a > i).then_some(()));
+                    env.block_on(move |w, _| (w.a > i).then_some(())).await;
                 }
             });
-            rt.spawn("b", |env: ProcEnv<W>| {
+            rt.spawn("b", |env: ProcEnv<W>| async move {
                 for i in 0..N {
-                    env.block_on(move |w, _| (w.b > i).then_some(()));
+                    env.block_on(move |w, _| (w.b > i).then_some(())).await;
                     env.with(|w, ctx| {
                         w.a += 1;
                         ctx.wake(ProcId(0));
@@ -137,13 +138,13 @@ fn park_wake(c: &mut Criterion) {
     });
     // 64 consecutive uncontended CPU charges: under the reference
     // discipline each is a timer park + wake; the fast path advances the
-    // clock inline and performs zero handoffs for the whole batch.
+    // clock inline and never yields for the whole batch.
     c.bench_function("park_wake/charge_batch_x64", |b| {
         b.iter(|| {
             let mut rt = Runtime::new((), 1);
-            rt.spawn("p", |env: ProcEnv<()>| {
+            rt.spawn("p", |env: ProcEnv<()>| async move {
                 for _ in 0..64 {
-                    env.sleep(Dur::from_nanos(100));
+                    env.sleep(Dur::from_nanos(100)).await;
                 }
             });
             let out = rt.run();

@@ -134,11 +134,13 @@ fn bench_collectives(c: &mut Criterion) {
     c.bench_function("collectives_allreduce", |b| {
         b.iter(|| {
             mpirun(MpiCfg::sctp(8, 0.0).with_seed(8), |mpi| {
-                for _ in 0..5 {
-                    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 16]);
-                    mpi.barrier();
-                }
-                let _ = mpi.bcast(0, (mpi.rank() == 0).then(|| Bytes::from(vec![0u8; 100_000])));
+                Box::pin(async move {
+                    for _ in 0..5 {
+                        let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 16]).await;
+                        mpi.barrier().await;
+                    }
+                    let _ = mpi.bcast(0, (mpi.rank() == 0).then(|| Bytes::from(vec![0u8; 100_000]))).await;
+                })
             })
         });
     });

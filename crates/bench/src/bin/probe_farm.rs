@@ -22,13 +22,16 @@ fn main() {
         let blocked = std::sync::Arc::new(std::sync::Mutex::new((0.0f64, 0.0f64)));
         let b2 = blocked.clone();
         let rep = mpi_core::mpirun(m.with_seed(std::env::var("FARM_SEED").ok().and_then(|x| x.parse().ok()).unwrap_or(7)), move |mpi| {
-            workloads::farm::run_inline(mpi, cfg);
-            let mut g = b2.lock().unwrap();
-            if mpi.rank() == 0 {
-                g.0 = mpi.stats.blocked.as_secs_f64();
-            } else if mpi.rank() == 1 {
-                g.1 = mpi.stats.blocked.as_secs_f64();
-            }
+            let b2 = b2.clone();
+            Box::pin(async move {
+                workloads::farm::run_inline(mpi, cfg).await;
+                let mut g = b2.lock().unwrap();
+                if mpi.rank() == 0 {
+                    g.0 = mpi.stats.blocked.as_secs_f64();
+                } else if mpi.rank() == 1 {
+                    g.1 = mpi.stats.blocked.as_secs_f64();
+                }
+            })
         });
         let (mb, wb) = *blocked.lock().unwrap();
         println!("  manager blocked {mb:.3}s; worker1 blocked {wb:.3}s");

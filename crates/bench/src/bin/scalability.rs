@@ -24,22 +24,22 @@ struct Row {
 
 bench_harness::impl_to_json!(Row { nprocs, tcp_us, tcp_noselect_us, select_share_pct, sctp_us });
 
-fn ring(mpi: &mut mpi_core::Mpi, iters: u32, bytes: usize) {
+async fn ring(mpi: &mut mpi_core::Mpi, iters: u32, bytes: usize) {
     let n = mpi.size();
     let me = mpi.rank();
     let to = (me + 1) % n;
     let from = (me + n - 1) % n;
     for it in 0..iters {
-        let s = mpi.isend(to, it as i32, Bytes::from(vec![0u8; bytes]));
-        let r = mpi.irecv(Some(from), Some(it as i32));
-        mpi.waitall(&[s, r]);
+        let s = mpi.isend(to, it as i32, Bytes::from(vec![0u8; bytes])).await;
+        let r = mpi.irecv(Some(from), Some(it as i32)).await;
+        mpi.waitall(&[s, r]).await;
     }
 }
 
 fn run_one(mut cfg: MpiCfg, n: u16, iters: u32) -> f64 {
     cfg.nprocs = n;
     cfg.net = NetCfg { hosts: n, ..NetCfg::paper_cluster(0.0) };
-    let report = mpirun(cfg, move |mpi| ring(mpi, iters, 16 * 1024));
+    let report = mpirun(cfg, move |mpi| Box::pin(ring(mpi, iters, 16 * 1024)));
     report.secs() / iters as f64 * 1e6
 }
 

@@ -8,8 +8,8 @@
 //! how threads interleave; only wall-clock changes.
 //!
 //! Each cell records wall-clock, simulated seconds, the simulator's
-//! `events_fired` counter, and the runtime's handoff meters (driver↔process
-//! transfers performed, wakes coalesced away, µs of wall clock per event).
+//! `events_fired` counter, and the runtime's meters (rank polls performed,
+//! wakes coalesced away, µs of wall clock per event).
 //! The per-figure roll-up is persisted as `results/BENCH_<fig>.json`
 //! (schema documented in EXPERIMENTS.md) so harness performance is
 //! comparable across PRs.
@@ -39,7 +39,7 @@ pub struct Measured {
     /// Figure-specific side channel (the farm figures report the peak
     /// unexpected-queue length here); 0 when unused.
     pub aux: u64,
-    /// Runtime driver↔process handoffs performed (wall-clock diagnostic;
+    /// Rank polls the runtime performed (wall-clock diagnostic;
     /// excluded from `SIM_CHECK` comparison because the disciplines differ
     /// here by design).
     pub handoffs: u64,
@@ -120,7 +120,7 @@ impl Measured {
         }
     }
 
-    /// Attach the runtime's handoff meters.
+    /// Attach the runtime's poll/coalescing meters.
     pub fn with_runtime_meters(mut self, handoffs: u64, wakes_coalesced: u64) -> Measured {
         self.handoffs = handoffs;
         self.wakes_coalesced = wakes_coalesced;
@@ -211,11 +211,11 @@ pub struct CellMeter {
     pub sim_secs: f64,
     pub events_fired: u64,
     pub events_per_sec: f64,
-    /// Driver↔process handoffs the runtime performed for this cell.
+    /// Rank polls the runtime performed for this cell.
     pub handoffs_total: u64,
     /// Wakes coalesced away (suppressed spurious wakes + inline-advanced
     /// sleeps); under the reference discipline each of these would have
-    /// been a handoff.
+    /// been a poll.
     pub wakes_coalesced: u64,
     /// Wall-clock microseconds per simulator event — the runtime-overhead
     /// trajectory the overhaul drives down.

@@ -12,22 +12,24 @@ use bench_harness::{farm_figure_metered, fig8_metered, human_size, render_table,
 /// (events fired + every transport counter).
 fn pingpong_report(cfg: MpiCfg, size: usize, iters: u32) -> String {
     let report = mpirun(cfg, move |mpi| {
-        let data = Bytes::from(vec![0u8; size]);
-        match mpi.rank() {
-            0 => {
-                for _ in 0..iters {
-                    mpi.send(1, 0, data.clone());
-                    let _ = mpi.recv(Some(1), Some(0));
+        Box::pin(async move {
+            let data = Bytes::from(vec![0u8; size]);
+            match mpi.rank() {
+                0 => {
+                    for _ in 0..iters {
+                        mpi.send(1, 0, data.clone()).await;
+                        let _ = mpi.recv(Some(1), Some(0)).await;
+                    }
                 }
-            }
-            1 => {
-                for _ in 0..iters {
-                    let _ = mpi.recv(Some(0), Some(0));
-                    mpi.send(0, 0, data.clone());
+                1 => {
+                    for _ in 0..iters {
+                        let _ = mpi.recv(Some(0), Some(0)).await;
+                        mpi.send(0, 0, data.clone()).await;
+                    }
                 }
+                _ => {}
             }
-            _ => {}
-        }
+        })
     });
     format!("{report:?}")
 }

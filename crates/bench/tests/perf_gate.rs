@@ -10,14 +10,19 @@
 //! Lives alone in its own integration-test binary so no sibling test's
 //! CPU time pollutes the wall-clock measurement.
 //!
-//! Budget: the pooled plane measures ~0.7 µs/event on this workload in
-//! release mode (the pre-pool harness was ~4.9). The gate sits at 4.0 —
-//! wide enough for a loaded CI box and codegen drift, tight enough that
-//! regressing back to the pre-pool cost profile trips it.
+//! Budget: with ranks as futures on the calling thread this workload
+//! measures 0.55–0.66 µs/event in release mode on the 2-vCPU dev box,
+//! pinned to one CPU (`taskset -c 0`) and unpinned alike — there is no
+//! second thread for the kernel to place. (The thread-per-rank runtime it
+//! replaced measured 0.76–0.80 pinned and 1.0–5.1 unpinned, which is what
+//! the old 4.0 ceiling was sized to absorb; the pre-pool harness was
+//! ~4.9.) The gate sits at 2.0: three times the measured value, enough
+//! for a loaded CI box and codegen drift, tight enough that a 2× hot-path
+//! regression stacked on a slow runner trips it.
 
 use bench_harness::{farm_figure_metered, Scale};
 
-const MAX_US_PER_EVENT: f64 = 4.0;
+const MAX_US_PER_EVENT: f64 = 2.0;
 
 #[test]
 fn farm_quick_stays_within_time_budget() {
@@ -43,7 +48,7 @@ fn farm_quick_stays_within_time_budget() {
     assert!(
         us_per_event <= MAX_US_PER_EVENT,
         "performance regression: {us_per_event:.3} µs/event exceeds budget \
-         {MAX_US_PER_EVENT} (pooled baseline ~0.7; pre-pool harness ~4.9). \
+         {MAX_US_PER_EVENT} (measured ~0.6; pre-pool harness ~4.9). \
          Profile with `cargo bench -p bench-harness --bench hot_paths` and \
          check the timer wheel, SACK fast paths, and pool coverage first."
     );

@@ -137,19 +137,14 @@ pub enum TransportSel {
 impl Mpi {
     /// Initialize the middleware: establish the full interconnect, then
     /// barrier (the association-setup barrier of §3.4).
-    pub(crate) fn init(env: ProcEnv<World>, cfg: MpiProcCfg) -> Mpi {
+    pub(crate) async fn init(env: ProcEnv<World>, cfg: MpiProcCfg) -> Mpi {
         let rank = env.id().0 as u16;
         let rpi = match cfg.transport {
-            TransportSel::Tcp => Rpi::Tcp(TcpRpi::init(&env, rank, cfg.size)),
-            TransportSel::Sctp { streams, race_fix, ctx_map } => Rpi::Sctp(SctpRpi::init(
-                &env,
-                rank,
-                cfg.size,
-                streams,
-                cfg.long_piece as usize,
-                race_fix,
-                ctx_map,
-            )),
+            TransportSel::Tcp => Rpi::Tcp(TcpRpi::init(&env, rank, cfg.size).await),
+            TransportSel::Sctp { streams, race_fix, ctx_map } => Rpi::Sctp(
+                SctpRpi::init(&env, rank, cfg.size, streams, cfg.long_piece as usize, race_fix, ctx_map)
+                    .await,
+            ),
         };
         let mut mpi = Mpi {
             env,
@@ -162,7 +157,7 @@ impl Mpi {
             next_cxt: 2,
             stats: MpiStats::default(),
         };
-        mpi.barrier();
+        mpi.barrier().await;
         mpi
     }
 
@@ -197,8 +192,8 @@ impl Mpi {
     }
 
     /// Model local computation for `d` of simulated time.
-    pub fn compute(&self, d: Dur) {
-        self.env.sleep(d);
+    pub async fn compute(&self, d: Dur) {
+        self.env.sleep(d).await;
     }
 
     /// Direct access to the simulated world — fault injection (link
@@ -217,16 +212,16 @@ impl Mpi {
     // -----------------------------------------------------------------
 
     /// Nonblocking standard send (eager below 64 KB, rendezvous above).
-    pub fn isend(&mut self, dst: u16, tag: i32, data: Bytes) -> ReqId {
-        self.isend_cxt(dst, tag, CXT_WORLD, data, false)
+    pub async fn isend(&mut self, dst: u16, tag: i32, data: Bytes) -> ReqId {
+        self.isend_cxt(dst, tag, CXT_WORLD, data, false).await
     }
 
     /// Nonblocking synchronous send.
-    pub fn issend(&mut self, dst: u16, tag: i32, data: Bytes) -> ReqId {
-        self.isend_cxt(dst, tag, CXT_WORLD, data, true)
+    pub async fn issend(&mut self, dst: u16, tag: i32, data: Bytes) -> ReqId {
+        self.isend_cxt(dst, tag, CXT_WORLD, data, true).await
     }
 
-    pub(crate) fn isend_cxt(&mut self, dst: u16, tag: i32, cxt: u32, data: Bytes, sync: bool) -> ReqId {
+    pub(crate) async fn isend_cxt(&mut self, dst: u16, tag: i32, cxt: u32, data: Bytes, sync: bool) -> ReqId {
         assert!(dst < self.core.size, "rank {dst} out of range");
         self.stats.sends += 1;
         self.stats.bytes_sent += data.len() as u64;
@@ -240,16 +235,16 @@ impl Mpi {
             rpi.progress(w, ctx, core, cost, meter);
             (req, meter.take())
         });
-        self.env.sleep(charge);
+        self.env.sleep(charge).await;
         req
     }
 
     /// Nonblocking receive with optional source/tag wildcards.
-    pub fn irecv(&mut self, src: Option<u16>, tag: Option<i32>) -> ReqId {
-        self.irecv_cxt(src, tag, CXT_WORLD)
+    pub async fn irecv(&mut self, src: Option<u16>, tag: Option<i32>) -> ReqId {
+        self.irecv_cxt(src, tag, CXT_WORLD).await
     }
 
-    pub(crate) fn irecv_cxt(&mut self, src: Option<u16>, tag: Option<i32>, cxt: u32) -> ReqId {
+    pub(crate) async fn irecv_cxt(&mut self, src: Option<u16>, tag: Option<i32>, cxt: u32) -> ReqId {
         self.stats.recvs += 1;
         let Mpi { env, core, rpi, cost, meter, .. } = self;
         let (req, charge) = env.with(|w, ctx| {
@@ -272,53 +267,53 @@ impl Mpi {
             }
             (req, meter.take())
         });
-        self.env.sleep(charge);
+        self.env.sleep(charge).await;
         req
     }
 
     /// Blocking standard send.
-    pub fn send(&mut self, dst: u16, tag: i32, data: Bytes) {
-        let r = self.isend(dst, tag, data);
-        self.wait(r);
+    pub async fn send(&mut self, dst: u16, tag: i32, data: Bytes) {
+        let r = self.isend(dst, tag, data).await;
+        self.wait(r).await;
     }
 
     /// Blocking synchronous send.
-    pub fn ssend(&mut self, dst: u16, tag: i32, data: Bytes) {
-        let r = self.issend(dst, tag, data);
-        self.wait(r);
+    pub async fn ssend(&mut self, dst: u16, tag: i32, data: Bytes) {
+        let r = self.issend(dst, tag, data).await;
+        self.wait(r).await;
     }
 
     /// Blocking receive.
-    pub fn recv(&mut self, src: Option<u16>, tag: Option<i32>) -> (Status, Msg) {
-        let r = self.irecv(src, tag);
-        self.wait(r)
+    pub async fn recv(&mut self, src: Option<u16>, tag: Option<i32>) -> (Status, Msg) {
+        let r = self.irecv(src, tag).await;
+        self.wait(r).await
     }
 
     /// Wait for one request.
-    pub fn wait(&mut self, req: ReqId) -> (Status, Msg) {
-        self.progress_until(|core| core.is_done(req));
+    pub async fn wait(&mut self, req: ReqId) -> (Status, Msg) {
+        self.progress_until(|core| core.is_done(req)).await;
         self.take(req)
     }
 
     /// Wait for any of `reqs` to complete; returns its index.
-    pub fn waitany(&mut self, reqs: &[ReqId]) -> (usize, Status, Msg) {
+    pub async fn waitany(&mut self, reqs: &[ReqId]) -> (usize, Status, Msg) {
         assert!(!reqs.is_empty());
-        self.progress_until(|core| reqs.iter().any(|&r| core.is_done(r)));
+        self.progress_until(|core| reqs.iter().any(|&r| core.is_done(r))).await;
         let idx = reqs.iter().position(|&r| self.core.is_done(r)).unwrap();
         let (st, msg) = self.take(reqs[idx]);
         (idx, st, msg)
     }
 
     /// Wait for all of `reqs`; returns statuses+messages in order.
-    pub fn waitall(&mut self, reqs: &[ReqId]) -> Vec<(Status, Msg)> {
-        self.progress_until(|core| reqs.iter().all(|&r| core.is_done(r)));
+    pub async fn waitall(&mut self, reqs: &[ReqId]) -> Vec<(Status, Msg)> {
+        self.progress_until(|core| reqs.iter().all(|&r| core.is_done(r))).await;
         reqs.iter().map(|&r| self.take(r)).collect()
     }
 
     /// Reap completed send requests from `reqs` (one progression pass, no
     /// blocking). Lets latency-tolerant programs keep many sends in flight.
-    pub fn reap_sends(&mut self, reqs: &mut Vec<ReqId>) {
-        self.progress_once();
+    pub async fn reap_sends(&mut self, reqs: &mut Vec<ReqId>) {
+        self.progress_once().await;
         let core = &mut self.core;
         reqs.retain(|&r| {
             if core.is_done(r) {
@@ -332,21 +327,21 @@ impl Mpi {
 
     /// Nonblocking probe: is a matching message already here? Returns its
     /// envelope metadata without receiving it (MPI_Iprobe).
-    pub fn iprobe(&mut self, src: Option<u16>, tag: Option<i32>) -> Option<Status> {
-        self.progress_once();
+    pub async fn iprobe(&mut self, src: Option<u16>, tag: Option<i32>) -> Option<Status> {
+        self.progress_once().await;
         self.core.probe_unexpected(src, tag, CXT_WORLD)
     }
 
     /// Blocking probe: wait until a matching message is buffered, return
     /// its envelope metadata without receiving it (MPI_Probe).
-    pub fn probe(&mut self, src: Option<u16>, tag: Option<i32>) -> Status {
-        self.progress_until(|core| core.probe_unexpected(src, tag, CXT_WORLD).is_some());
+    pub async fn probe(&mut self, src: Option<u16>, tag: Option<i32>) -> Status {
+        self.progress_until(|core| core.probe_unexpected(src, tag, CXT_WORLD).is_some()).await;
         self.core.probe_unexpected(src, tag, CXT_WORLD).unwrap()
     }
 
     /// Nonblocking completion test.
-    pub fn test(&mut self, req: ReqId) -> Option<(Status, Msg)> {
-        self.progress_once();
+    pub async fn test(&mut self, req: ReqId) -> Option<(Status, Msg)> {
+        self.progress_once().await;
         if self.core.is_done(req) {
             Some(self.take(req))
         } else {
@@ -365,7 +360,7 @@ impl Mpi {
     // -----------------------------------------------------------------
 
     /// Drive the RPI until `cond` holds, parking when nothing can move.
-    pub(crate) fn progress_until(&mut self, mut cond: impl FnMut(&mut Core) -> bool) {
+    pub(crate) async fn progress_until(&mut self, mut cond: impl FnMut(&mut Core) -> bool) {
         let me = self.env.id();
         // Simulated time only advances inside this loop through sleep/park,
         // so the blocked-time stat reads the clock lazily: a call whose
@@ -385,7 +380,7 @@ impl Mpi {
                 if block_start.is_none() {
                     block_start = Some(self.env.now());
                 }
-                self.env.sleep(charge);
+                self.env.sleep(charge).await;
             }
             if done {
                 // Before returning, flush any control replies this pass
@@ -404,7 +399,7 @@ impl Mpi {
                 }
                 let Mpi { env, rpi, .. } = self;
                 env.with(|w, _| rpi.register(w, me));
-                env.park();
+                env.park().await;
             }
         }
         if let Some(start) = block_start {
@@ -415,8 +410,8 @@ impl Mpi {
     /// Drain all queued outbound traffic (run by `mpirun` after the user
     /// program returns, like LAM's finalize, so late ACKs reach peers that
     /// are still waiting on them).
-    pub(crate) fn finalize(&mut self) {
-        self.progress_until(|_| true);
+    pub(crate) async fn finalize(&mut self) {
+        self.progress_until(|_| true).await;
         let me = self.env.id();
         loop {
             let Mpi { env, core, rpi, cost, meter, .. } = self;
@@ -428,24 +423,24 @@ impl Mpi {
                 (p, meter.take())
             });
             if progressed && !charge.is_zero() {
-                self.env.sleep(charge);
+                self.env.sleep(charge).await;
             }
             if !progressed {
                 let Mpi { env, rpi, .. } = self;
                 env.with(|w, _| rpi.register(w, me));
-                env.park();
+                env.park().await;
             }
         }
     }
 
     /// One nonblocking progression pass.
-    pub(crate) fn progress_once(&mut self) {
+    pub(crate) async fn progress_once(&mut self) {
         let Mpi { env, core, rpi, cost, meter, .. } = self;
         let charge = env.with(|w, ctx| {
             rpi.progress(w, ctx, core, cost, meter);
             meter.take()
         });
-        self.env.sleep(charge);
+        self.env.sleep(charge).await;
     }
 
     // -----------------------------------------------------------------

@@ -59,14 +59,14 @@ impl Mpi {
         ((seq << 4) | (op & 0xF)) as i32
     }
 
-    fn coll_send(&mut self, view: &CommView, dst_local: u16, tag: i32, data: Bytes) -> ReqId {
+    async fn coll_send(&mut self, view: &CommView, dst_local: u16, tag: i32, data: Bytes) -> ReqId {
         let world = view.world_of(dst_local);
-        self.isend_cxt(world, tag, view.cxt + 1, data, false)
+        self.isend_cxt(world, tag, view.cxt + 1, data, false).await
     }
 
-    fn coll_recv(&mut self, view: &CommView, src_local: u16, tag: i32) -> ReqId {
+    async fn coll_recv(&mut self, view: &CommView, src_local: u16, tag: i32) -> ReqId {
         let world = view.world_of(src_local);
-        self.irecv_cxt(Some(world), Some(tag), view.cxt + 1)
+        self.irecv_cxt(Some(world), Some(tag), view.cxt + 1).await
     }
 
     // -----------------------------------------------------------------
@@ -75,7 +75,7 @@ impl Mpi {
 
     /// Dissemination barrier over `comm`: ⌈log₂ n⌉ rounds of pairwise
     /// exchange.
-    pub fn barrier_on(&mut self, comm: Comm) {
+    pub async fn barrier_on(&mut self, comm: Comm) {
         let view = self.comm_view(comm);
         let n = view.size() as u32;
         let base = self.coll_tag(comm, 1);
@@ -89,16 +89,16 @@ impl Mpi {
             let tag = base + ((round as i32) << 16);
             let to = ((me + dist) % n) as u16;
             let from = ((me + n - dist) % n) as u16;
-            let s = self.coll_send(&view, to, tag, Bytes::new());
-            let r = self.coll_recv(&view, from, tag);
-            self.waitall(&[s, r]);
+            let s = self.coll_send(&view, to, tag, Bytes::new()).await;
+            let r = self.coll_recv(&view, from, tag).await;
+            self.waitall(&[s, r]).await;
             dist <<= 1;
             round += 1;
         }
     }
 
-    pub fn barrier(&mut self) {
-        self.barrier_on(COMM_WORLD)
+    pub async fn barrier(&mut self) {
+        self.barrier_on(COMM_WORLD).await
     }
 
     // -----------------------------------------------------------------
@@ -107,7 +107,7 @@ impl Mpi {
 
     /// Binomial-tree broadcast from `root` (comm-local rank). Every member
     /// returns the payload.
-    pub fn bcast_on(&mut self, comm: Comm, root: u16, data: Option<Bytes>) -> Bytes {
+    pub async fn bcast_on(&mut self, comm: Comm, root: u16, data: Option<Bytes>) -> Bytes {
         let view = self.comm_view(comm);
         let n = view.size() as u32;
         let tag = self.coll_tag(comm, 2);
@@ -122,8 +122,8 @@ impl Mpi {
             // Receive from parent: clear the lowest set bit.
             let parent_v = vrank & (vrank - 1);
             let parent = ((parent_v + root as u32) % n) as u16;
-            let r = self.coll_recv(&view, parent, tag);
-            let (_, msg) = self.wait(r);
+            let r = self.coll_recv(&view, parent, tag).await;
+            let (_, msg) = self.wait(r).await;
             Bytes::from(msg.to_vec())
         };
         // Forward to children: set bits above the lowest set bit of vrank.
@@ -134,18 +134,18 @@ impl Mpi {
             let child_v = vrank | bit;
             if child_v < n && child_v != vrank {
                 let child = ((child_v + root as u32) % n) as u16;
-                pend.push(self.coll_send(&view, child, tag, payload.clone()));
+                pend.push(self.coll_send(&view, child, tag, payload.clone()).await);
             }
             bit <<= 1;
         }
         if !pend.is_empty() {
-            self.waitall(&pend);
+            self.waitall(&pend).await;
         }
         payload
     }
 
-    pub fn bcast(&mut self, root: u16, data: Option<Bytes>) -> Bytes {
-        self.bcast_on(COMM_WORLD, root, data)
+    pub async fn bcast(&mut self, root: u16, data: Option<Bytes>) -> Bytes {
+        self.bcast_on(COMM_WORLD, root, data).await
     }
 
     // -----------------------------------------------------------------
@@ -153,7 +153,7 @@ impl Mpi {
     // -----------------------------------------------------------------
 
     /// Binomial-tree reduction of an f64 vector to `root` (comm-local).
-    pub fn reduce_on(&mut self, comm: Comm, root: u16, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
+    pub async fn reduce_on(&mut self, comm: Comm, root: u16, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
         let view = self.comm_view(comm);
         let n = view.size() as u32;
         let tag = self.coll_tag(comm, 3);
@@ -167,8 +167,8 @@ impl Mpi {
             let child_v = vrank | bit;
             if child_v < n {
                 let child = ((child_v + root as u32) % n) as u16;
-                let r = self.coll_recv(&view, child, tag);
-                let (_, msg) = self.wait(r);
+                let r = self.coll_recv(&view, child, tag).await;
+                let (_, msg) = self.wait(r).await;
                 op.apply(&mut acc, &msg_to_f64s(&msg));
             }
             bit <<= 1;
@@ -177,28 +177,28 @@ impl Mpi {
             let parent_v = vrank & (vrank - 1);
             let parent = ((parent_v + root as u32) % n) as u16;
             let payload = f64s_to_bytes(&acc);
-            let s = self.coll_send(&view, parent, tag, payload);
-            self.wait(s);
+            let s = self.coll_send(&view, parent, tag, payload).await;
+            self.wait(s).await;
             None
         } else {
             Some(acc)
         }
     }
 
-    pub fn reduce(&mut self, root: u16, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
-        self.reduce_on(COMM_WORLD, root, op, data)
+    pub async fn reduce(&mut self, root: u16, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
+        self.reduce_on(COMM_WORLD, root, op, data).await
     }
 
     /// Allreduce = reduce to local rank 0 + broadcast.
-    pub fn allreduce_on(&mut self, comm: Comm, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        let reduced = self.reduce_on(comm, 0, op, data);
+    pub async fn allreduce_on(&mut self, comm: Comm, op: ReduceOp, data: &[f64]) -> Vec<f64> {
+        let reduced = self.reduce_on(comm, 0, op, data).await;
         let payload = reduced.map(|v| f64s_to_bytes(&v));
-        let out = self.bcast_on(comm, 0, payload);
+        let out = self.bcast_on(comm, 0, payload).await;
         msg_to_f64s(&Msg { len: out.len(), chunks: vec![out] })
     }
 
-    pub fn allreduce(&mut self, op: ReduceOp, data: &[f64]) -> Vec<f64> {
-        self.allreduce_on(COMM_WORLD, op, data)
+    pub async fn allreduce(&mut self, op: ReduceOp, data: &[f64]) -> Vec<f64> {
+        self.allreduce_on(COMM_WORLD, op, data).await
     }
 
     // -----------------------------------------------------------------
@@ -206,35 +206,35 @@ impl Mpi {
     // -----------------------------------------------------------------
 
     /// Linear gather to `root`: returns payloads indexed by comm-local rank.
-    pub fn gather_on(&mut self, comm: Comm, root: u16, data: Bytes) -> Option<Vec<Bytes>> {
+    pub async fn gather_on(&mut self, comm: Comm, root: u16, data: Bytes) -> Option<Vec<Bytes>> {
         let view = self.comm_view(comm);
         let n = view.size();
         let tag = self.coll_tag(comm, 4);
         if view.me == root {
             let mut out: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
             out[root as usize] = Some(data);
-            let reqs: Vec<(u16, ReqId)> = (0..n)
-                .filter(|&p| p != root)
-                .map(|p| (p, self.coll_recv(&view, p, tag)))
-                .collect();
+            let mut reqs: Vec<(u16, ReqId)> = Vec::with_capacity(n as usize);
+            for p in (0..n).filter(|&p| p != root) {
+                reqs.push((p, self.coll_recv(&view, p, tag).await));
+            }
             for (p, r) in reqs {
-                let (_, msg) = self.wait(r);
+                let (_, msg) = self.wait(r).await;
                 out[p as usize] = Some(Bytes::from(msg.to_vec()));
             }
             Some(out.into_iter().map(|o| o.unwrap()).collect())
         } else {
-            let s = self.coll_send(&view, root, tag, data);
-            self.wait(s);
+            let s = self.coll_send(&view, root, tag, data).await;
+            self.wait(s).await;
             None
         }
     }
 
-    pub fn gather(&mut self, root: u16, data: Bytes) -> Option<Vec<Bytes>> {
-        self.gather_on(COMM_WORLD, root, data)
+    pub async fn gather(&mut self, root: u16, data: Bytes) -> Option<Vec<Bytes>> {
+        self.gather_on(COMM_WORLD, root, data).await
     }
 
     /// Linear scatter from `root`: each member receives its slice.
-    pub fn scatter_on(&mut self, comm: Comm, root: u16, data: Option<Vec<Bytes>>) -> Bytes {
+    pub async fn scatter_on(&mut self, comm: Comm, root: u16, data: Option<Vec<Bytes>>) -> Bytes {
         let view = self.comm_view(comm);
         let n = view.size();
         let tag = self.coll_tag(comm, 5);
@@ -247,24 +247,24 @@ impl Mpi {
                 if p as u16 == root {
                     mine = d;
                 } else {
-                    pend.push(self.coll_send(&view, p as u16, tag, d));
+                    pend.push(self.coll_send(&view, p as u16, tag, d).await);
                 }
             }
-            self.waitall(&pend);
+            self.waitall(&pend).await;
             mine
         } else {
-            let r = self.coll_recv(&view, root, tag);
-            let (_, msg) = self.wait(r);
+            let r = self.coll_recv(&view, root, tag).await;
+            let (_, msg) = self.wait(r).await;
             Bytes::from(msg.to_vec())
         }
     }
 
-    pub fn scatter(&mut self, root: u16, data: Option<Vec<Bytes>>) -> Bytes {
-        self.scatter_on(COMM_WORLD, root, data)
+    pub async fn scatter(&mut self, root: u16, data: Option<Vec<Bytes>>) -> Bytes {
+        self.scatter_on(COMM_WORLD, root, data).await
     }
 
     /// Ring allgather: everyone ends with all members' payloads.
-    pub fn allgather_on(&mut self, comm: Comm, data: Bytes) -> Vec<Bytes> {
+    pub async fn allgather_on(&mut self, comm: Comm, data: Bytes) -> Vec<Bytes> {
         let view = self.comm_view(comm);
         let n = view.size();
         let tag = self.coll_tag(comm, 6);
@@ -281,9 +281,9 @@ impl Mpi {
         for step in 0..(n - 1) {
             let tag_s = tag + ((step as i32) << 16);
             let block = out[cur as usize].clone().unwrap();
-            let s = self.coll_send(&view, right, tag_s, block);
-            let r = self.coll_recv(&view, left, tag_s);
-            let done = self.waitall(&[s, r]);
+            let s = self.coll_send(&view, right, tag_s, block).await;
+            let r = self.coll_recv(&view, left, tag_s).await;
+            let done = self.waitall(&[s, r]).await;
             let incoming = Bytes::from(done[1].1.to_vec());
             cur = (cur + n - 1) % n;
             out[cur as usize] = Some(incoming);
@@ -291,13 +291,13 @@ impl Mpi {
         out.into_iter().map(|o| o.unwrap()).collect()
     }
 
-    pub fn allgather(&mut self, data: Bytes) -> Vec<Bytes> {
-        self.allgather_on(COMM_WORLD, data)
+    pub async fn allgather(&mut self, data: Bytes) -> Vec<Bytes> {
+        self.allgather_on(COMM_WORLD, data).await
     }
 
     /// All-to-all personalized exchange: `data[p]` goes to comm-local rank
     /// p; returns what each member sent here, indexed by source.
-    pub fn alltoall_on(&mut self, comm: Comm, data: Vec<Bytes>) -> Vec<Bytes> {
+    pub async fn alltoall_on(&mut self, comm: Comm, data: Vec<Bytes>) -> Vec<Bytes> {
         let view = self.comm_view(comm);
         let n = view.size();
         assert_eq!(data.len(), n as usize);
@@ -305,25 +305,27 @@ impl Mpi {
         let me = view.me;
         let mut out: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
         // Post all receives, then all sends, then wait (robust for any n).
-        let recvs: Vec<(u16, ReqId)> =
-            (0..n).filter(|&p| p != me).map(|p| (p, self.coll_recv(&view, p, tag))).collect();
+        let mut recvs: Vec<(u16, ReqId)> = Vec::with_capacity(n as usize);
+        for p in (0..n).filter(|&p| p != me) {
+            recvs.push((p, self.coll_recv(&view, p, tag).await));
+        }
         let mut sends = Vec::new();
         for (p, d) in data.into_iter().enumerate() {
             if p as u16 == me {
                 out[p] = Some(d);
             } else {
-                sends.push(self.coll_send(&view, p as u16, tag, d));
+                sends.push(self.coll_send(&view, p as u16, tag, d).await);
             }
         }
         for (p, r) in recvs {
-            let (_, msg) = self.wait(r);
+            let (_, msg) = self.wait(r).await;
             out[p as usize] = Some(Bytes::from(msg.to_vec()));
         }
-        self.waitall(&sends);
+        self.waitall(&sends).await;
         out.into_iter().map(|o| o.unwrap()).collect()
     }
 
-    pub fn alltoall(&mut self, data: Vec<Bytes>) -> Vec<Bytes> {
-        self.alltoall_on(COMM_WORLD, data)
+    pub async fn alltoall(&mut self, data: Vec<Bytes>) -> Vec<Bytes> {
+        self.alltoall_on(COMM_WORLD, data).await
     }
 }

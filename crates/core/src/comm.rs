@@ -85,17 +85,17 @@ impl Mpi {
 
     /// Agree on a fresh context pair across the members of `parent`.
     /// Collective over `parent`.
-    fn allocate_context(&mut self, parent: Comm) -> u32 {
+    async fn allocate_context(&mut self, parent: Comm) -> u32 {
         let mine = self.next_cxt as f64;
-        let agreed = self.allreduce_on(parent, crate::ReduceOp::Max, &[mine])[0] as u32;
+        let agreed = self.allreduce_on(parent, crate::ReduceOp::Max, &[mine]).await[0] as u32;
         self.next_cxt = agreed + 2;
         agreed
     }
 
     /// Duplicate `comm`: same group, fresh context — traffic on the dup can
     /// never match receives on the original. Collective over `comm`.
-    pub fn comm_dup(&mut self, comm: Comm) -> Comm {
-        let cxt = self.allocate_context(comm);
+    pub async fn comm_dup(&mut self, comm: Comm) -> Comm {
+        let cxt = self.allocate_context(comm).await;
         let d = self.comm_data(comm).clone();
         self.comms.push(CommData { cxt, group: d.group, my_local: d.my_local });
         Comm { id: self.comms.len() - 1 }
@@ -104,8 +104,8 @@ impl Mpi {
     /// Split `comm` by color: processes with equal `color` end up in the
     /// same new communicator, ordered by `(key, old rank)`. `None` color
     /// returns `None` (MPI_UNDEFINED). Collective over `comm`.
-    pub fn comm_split(&mut self, comm: Comm, color: Option<i32>, key: i32) -> Option<Comm> {
-        let cxt = self.allocate_context(comm);
+    pub async fn comm_split(&mut self, comm: Comm, color: Option<i32>, key: i32) -> Option<Comm> {
+        let cxt = self.allocate_context(comm).await;
         // Exchange (color, key) triples via an allgather on the parent.
         let me_world = self.rank();
         let payload = {
@@ -115,7 +115,7 @@ impl Mpi {
             v.extend_from_slice(&(me_world as u32).to_le_bytes());
             Bytes::from(v)
         };
-        let all = self.allgather_on(comm, payload);
+        let all = self.allgather_on(comm, payload).await;
         let color = color?;
         let mut members: Vec<(i32, u16)> = all
             .iter()
@@ -138,33 +138,33 @@ impl Mpi {
     // -----------------------------------------------------------------
 
     /// Nonblocking send to `dst` (a rank within `comm`).
-    pub fn isend_on(&mut self, comm: Comm, dst: u16, tag: i32, data: Bytes) -> ReqId {
+    pub async fn isend_on(&mut self, comm: Comm, dst: u16, tag: i32, data: Bytes) -> ReqId {
         let d = self.comm_data(comm);
         let (world, cxt) = (d.group[dst as usize], d.cxt);
-        self.isend_cxt(world, tag, cxt, data, false)
+        self.isend_cxt(world, tag, cxt, data, false).await
     }
 
     /// Nonblocking receive from `src` within `comm` (None = any member).
     ///
     /// Note: with `ANY_SOURCE` the returned status's `src` is a world rank;
     /// use [`Mpi::world_to_comm_rank`] to translate.
-    pub fn irecv_on(&mut self, comm: Comm, src: Option<u16>, tag: Option<i32>) -> ReqId {
+    pub async fn irecv_on(&mut self, comm: Comm, src: Option<u16>, tag: Option<i32>) -> ReqId {
         let d = self.comm_data(comm);
         let cxt = d.cxt;
         let world = src.map(|s| d.group[s as usize]);
-        self.irecv_cxt(world, tag, cxt)
+        self.irecv_cxt(world, tag, cxt).await
     }
 
     /// Blocking send within `comm`.
-    pub fn send_on(&mut self, comm: Comm, dst: u16, tag: i32, data: Bytes) {
-        let r = self.isend_on(comm, dst, tag, data);
-        self.wait(r);
+    pub async fn send_on(&mut self, comm: Comm, dst: u16, tag: i32, data: Bytes) {
+        let r = self.isend_on(comm, dst, tag, data).await;
+        self.wait(r).await;
     }
 
     /// Blocking receive within `comm`.
-    pub fn recv_on(&mut self, comm: Comm, src: Option<u16>, tag: Option<i32>) -> (Status, Msg) {
-        let r = self.irecv_on(comm, src, tag);
-        self.wait(r)
+    pub async fn recv_on(&mut self, comm: Comm, src: Option<u16>, tag: Option<i32>) -> (Status, Msg) {
+        let r = self.irecv_on(comm, src, tag).await;
+        self.wait(r).await
     }
 
     /// Translate a world rank (e.g. from a wildcard receive status) to its

@@ -19,8 +19,9 @@
 //! The aggregated [`JobTable`] is exposed so tests (and the monitoring
 //! example) can assert what an `mpitask`-style client would observe.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use simcore::ProcEnv;
@@ -123,7 +124,7 @@ impl JobTable {
 
 type Env = ProcEnv<World>;
 
-fn recv_blocking(env: &Env, ep: EpId) -> (u16, DaemonMsg) {
+async fn recv_blocking(env: &Env, ep: EpId) -> (u16, DaemonMsg) {
     let me = env.id();
     env.block_on(|w, ctx| match sctp::recvmsg(w, ctx, ep) {
         Some(m) => {
@@ -144,14 +145,14 @@ fn recv_blocking(env: &Env, ep: EpId) -> (u16, DaemonMsg) {
             sctp::register_reader(w, ep, me);
             None
         }
-    })
+    }).await
 }
 
 fn sctp_peer_host(w: &World, a: AssocId) -> u16 {
     sctp::peer_addrs(w, a)[0].host
 }
 
-fn send_blocking(env: &Env, a: AssocId, msg: DaemonMsg) {
+async fn send_blocking(env: &Env, a: AssocId, msg: DaemonMsg) {
     let me = env.id();
     env.block_on(|w, ctx| match sctp::sendmsg(w, ctx, a, 0, 0, msg.to_bytes()) {
         Ok(()) => Some(()),
@@ -160,10 +161,10 @@ fn send_blocking(env: &Env, a: AssocId, msg: DaemonMsg) {
             None
         }
         Err(e) => panic!("daemon send failed: {e:?}"),
-    })
+    }).await
 }
 
-fn connect_blocking(env: &Env, ep: EpId, host: u16, port: u16) -> AssocId {
+async fn connect_blocking(env: &Env, ep: EpId, host: u16, port: u16) -> AssocId {
     let a = env.with(|w, ctx| sctp::connect(w, ctx, ep, host, port));
     let me = env.id();
     env.block_on(|w, _| match sctp::assoc_state(w, a) {
@@ -174,14 +175,14 @@ fn connect_blocking(env: &Env, ep: EpId, host: u16, port: u16) -> AssocId {
             sctp::register_reader(w, ep, me);
             None
         }
-    });
+    }).await;
     a
 }
 
 /// The daemon process for `host` (0 = the root/aggregator). Runs until a
 /// `Halt` arrives (root: until all ranks ended, then self-halts and
 /// broadcasts). `expected_local` ranks run on this host.
-pub fn daemon_main(env: Env, host: u16, n_hosts: u16, n_ranks: u16, table: Arc<Mutex<JobTable>>) {
+pub async fn daemon_main(env: Env, host: u16, n_hosts: u16, n_ranks: u16, table: Rc<RefCell<JobTable>>) {
     let ep = env.with(|w, _| {
         let ep = sctp::socket(w, host, DAEMON_PORT, true);
         sctp::listen(w, ep);
@@ -191,53 +192,54 @@ pub fn daemon_main(env: Env, host: u16, n_hosts: u16, n_ranks: u16, table: Arc<M
         // lamboot: the root daemon dials every other daemon.
         let mut peers: Vec<AssocId> = Vec::new();
         for h in 1..n_hosts {
-            peers.push(connect_blocking(&env, ep, h, DAEMON_PORT));
+            peers.push(connect_blocking(&env, ep, h, DAEMON_PORT).await);
         }
         let mut ended = 0u16;
         loop {
-            let (from, msg) = recv_blocking(&env, ep);
-            let mut t = table.lock().unwrap();
-            match msg {
-                // Local ranks on host 0 report directly.
-                DaemonMsg::JobStart { rank } => {
-                    let e = t.ranks.entry(rank).or_default();
-                    e.host = 0;
-                    e.started = true;
-                }
-                DaemonMsg::Heartbeat { rank, msgs_sent } => {
-                    let e = t.ranks.entry(rank).or_default();
-                    e.heartbeats += 1;
-                    e.last_msgs_sent = msgs_sent;
-                }
-                DaemonMsg::JobEnd { rank } => {
-                    t.ranks.entry(rank).or_default().ended = true;
-                    ended += 1;
-                }
-                // Remote daemons forward their ranks' reports.
-                DaemonMsg::Forward { host, rank, kind, msgs_sent } => {
-                    let e = t.ranks.entry(rank).or_default();
-                    e.host = host;
-                    match kind {
-                        1 => e.started = true,
-                        2 => {
-                            e.heartbeats += 1;
-                            e.last_msgs_sent = msgs_sent;
-                        }
-                        3 => {
-                            e.ended = true;
-                            ended += 1;
-                        }
-                        k => panic!("bad forward kind {k}"),
+            let (from, msg) = recv_blocking(&env, ep).await;
+            {
+                let mut t = table.borrow_mut();
+                match msg {
+                    // Local ranks on host 0 report directly.
+                    DaemonMsg::JobStart { rank } => {
+                        let e = t.ranks.entry(rank).or_default();
+                        e.host = 0;
+                        e.started = true;
                     }
+                    DaemonMsg::Heartbeat { rank, msgs_sent } => {
+                        let e = t.ranks.entry(rank).or_default();
+                        e.heartbeats += 1;
+                        e.last_msgs_sent = msgs_sent;
+                    }
+                    DaemonMsg::JobEnd { rank } => {
+                        t.ranks.entry(rank).or_default().ended = true;
+                        ended += 1;
+                    }
+                    // Remote daemons forward their ranks' reports.
+                    DaemonMsg::Forward { host, rank, kind, msgs_sent } => {
+                        let e = t.ranks.entry(rank).or_default();
+                        e.host = host;
+                        match kind {
+                            1 => e.started = true,
+                            2 => {
+                                e.heartbeats += 1;
+                                e.last_msgs_sent = msgs_sent;
+                            }
+                            3 => {
+                                e.ended = true;
+                                ended += 1;
+                            }
+                            k => panic!("bad forward kind {k}"),
+                        }
+                    }
+                    DaemonMsg::Halt => break,
                 }
-                DaemonMsg::Halt => break,
             }
-            drop(t);
             let _ = from;
             if ended == n_ranks {
                 // lamhalt: job finished; stop the daemon plane.
                 for &p in &peers {
-                    send_blocking(&env, p, DaemonMsg::Halt);
+                    send_blocking(&env, p, DaemonMsg::Halt).await;
                 }
                 break;
             }
@@ -252,19 +254,19 @@ pub fn daemon_main(env: Env, host: u16, n_hosts: u16, n_ranks: u16, table: Arc<M
                 sctp::register_reader(w, ep, me);
                 None
             }
-        });
+        }).await;
         loop {
-            let (_from, msg) = recv_blocking(&env, ep);
+            let (_from, msg) = recv_blocking(&env, ep).await;
             match msg {
                 DaemonMsg::Halt => break,
                 DaemonMsg::JobStart { rank } => {
-                    send_blocking(&env, root, DaemonMsg::Forward { host, rank, kind: 1, msgs_sent: 0 });
+                    send_blocking(&env, root, DaemonMsg::Forward { host, rank, kind: 1, msgs_sent: 0 }).await;
                 }
                 DaemonMsg::Heartbeat { rank, msgs_sent } => {
-                    send_blocking(&env, root, DaemonMsg::Forward { host, rank, kind: 2, msgs_sent });
+                    send_blocking(&env, root, DaemonMsg::Forward { host, rank, kind: 2, msgs_sent }).await;
                 }
                 DaemonMsg::JobEnd { rank } => {
-                    send_blocking(&env, root, DaemonMsg::Forward { host, rank, kind: 3, msgs_sent: 0 });
+                    send_blocking(&env, root, DaemonMsg::Forward { host, rank, kind: 3, msgs_sent: 0 }).await;
                 }
                 DaemonMsg::Forward { .. } => panic!("leaf daemon received a forward"),
             }
@@ -280,14 +282,14 @@ pub struct DaemonClient {
 
 impl DaemonClient {
     /// Connect rank `rank` (on `host`) to its local daemon.
-    pub fn connect(env: &Env, host: u16, rank: u16) -> DaemonClient {
+    pub async fn connect(env: &Env, host: u16, rank: u16) -> DaemonClient {
         let ep = env.with(|w, _| sctp::socket(w, host, CLIENT_PORT_BASE + rank, true));
-        let assoc = connect_blocking(env, ep, host, DAEMON_PORT);
+        let assoc = connect_blocking(env, ep, host, DAEMON_PORT).await;
         DaemonClient { assoc }
     }
 
-    pub fn report(&self, env: &Env, msg: DaemonMsg) {
-        send_blocking(env, self.assoc, msg);
+    pub async fn report(&self, env: &Env, msg: DaemonMsg) {
+        send_blocking(env, self.assoc, msg).await;
     }
 }
 

@@ -1,7 +1,9 @@
 //! `mpirun` — build a simulated cluster, spawn one virtual process per
 //! rank, run the program, and collect a report.
 
-use std::sync::Arc;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
 
 use netsim::{NetCfg, NetStats};
 use simcore::{ProcEnv, Runtime, SimTime};
@@ -12,6 +14,11 @@ use transport::World;
 use crate::api::{Mpi, MpiProcCfg, TransportSel};
 use crate::cost::CostCfg;
 use crate::rpi_sctp::{ContextMap, RaceFix};
+
+/// What a rank program returns: its body as a boxed future borrowing the
+/// rank's [`Mpi`] handle. Write programs as
+/// `|mpi| Box::pin(async move { … })`.
+pub type RankFut<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
 
 /// Full configuration of one MPI run.
 #[derive(Debug, Clone)]
@@ -208,8 +215,8 @@ pub struct MpiReport {
     pub sim_time: SimTime,
     /// Events fired (diagnostic).
     pub events: u64,
-    /// Driver↔process ownership transfers performed by the runtime
-    /// (diagnostic; wall-clock cost, no simulated-time meaning).
+    /// Rank polls performed by the runtime (diagnostic; wall-clock cost,
+    /// no simulated-time meaning).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (diagnostic).
     pub wakes_coalesced: u64,
@@ -242,7 +249,7 @@ impl MpiReport {
 /// report — what an `mpitask`-style monitor would have observed.
 pub fn mpirun_monitored<F>(cfg: MpiCfg, f: F) -> (MpiReport, crate::daemon::JobTable)
 where
-    F: Fn(&mut Mpi) + Send + Sync + 'static,
+    F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
     use crate::daemon::{daemon_main, DaemonClient, DaemonMsg, JobTable};
     cfg.validate();
@@ -259,8 +266,8 @@ where
     }
     let mut rt = Runtime::new(world, cfg.seed);
     rt.set_tracer(tracer.clone());
-    let f = Arc::new(f);
-    let table = Arc::new(std::sync::Mutex::new(JobTable::default()));
+    let f = Rc::new(f);
+    let table = Rc::new(std::cell::RefCell::new(JobTable::default()));
     let proc_cfg = MpiProcCfg {
         size: cfg.nprocs,
         transport: cfg.transport,
@@ -270,24 +277,22 @@ where
     };
     let n = cfg.nprocs;
     for rank in 0..n {
-        let f = Arc::clone(&f);
-        rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| {
+        let f = Rc::clone(&f);
+        rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| async move {
             // Report to the local daemon over SCTP (stock LAM used UDP).
-            let client = DaemonClient::connect(&env, rank, rank);
-            client.report(&env, DaemonMsg::JobStart { rank });
-            let mut mpi = Mpi::init(env, proc_cfg);
-            f(&mut mpi);
+            let client = DaemonClient::connect(&env, rank, rank).await;
+            client.report(&env, DaemonMsg::JobStart { rank }).await;
+            let mut mpi = Mpi::init(env, proc_cfg).await;
+            f(&mut mpi).await;
             let sent = mpi.stats.sends as u32;
-            client.report(mpi.proc_env(), DaemonMsg::Heartbeat { rank, msgs_sent: sent });
-            client.report(mpi.proc_env(), DaemonMsg::JobEnd { rank });
-            mpi.finalize();
+            client.report(mpi.proc_env(), DaemonMsg::Heartbeat { rank, msgs_sent: sent }).await;
+            client.report(mpi.proc_env(), DaemonMsg::JobEnd { rank }).await;
+            mpi.finalize().await;
         });
     }
     for host in 0..n {
-        let table = Arc::clone(&table);
-        rt.spawn(format!("lamd{host}"), move |env: ProcEnv<World>| {
-            daemon_main(env, host, n, n, table);
-        });
+        let table = Rc::clone(&table);
+        rt.spawn(format!("lamd{host}"), move |env: ProcEnv<World>| daemon_main(env, host, n, n, table));
     }
     let out = rt.run();
     flush_trace(&tracer, out.sim_time, cfg.seed);
@@ -305,7 +310,7 @@ where
         tcp: w.hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp),
         sctp: w.hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp),
     };
-    let table = Arc::try_unwrap(table).expect("daemons exited").into_inner().unwrap();
+    let table = Rc::try_unwrap(table).expect("daemons exited").into_inner();
     (report, table)
 }
 
@@ -358,7 +363,7 @@ fn fold_sctp(mut a: AssocStats, s: AssocStats) -> AssocStats {
 /// blocked time") in-process, without the TRACE=1 file sinks.
 pub fn mpirun_traced<F>(mut cfg: MpiCfg, f: F) -> (MpiReport, trace::TraceDump)
 where
-    F: Fn(&mut Mpi) + Send + Sync + 'static,
+    F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
     cfg.trace = true;
     let mut dump_slot: Option<trace::TraceDump> = None;
@@ -369,10 +374,11 @@ where
 /// Run `f` as an `nprocs`-rank MPI program on the simulated cluster.
 ///
 /// `f` is invoked once per rank with an initialized [`Mpi`] handle
-/// (connections established, init barrier passed).
+/// (connections established, init barrier passed) and returns the rank's
+/// body as a [`RankFut`]; every rank runs on the calling thread.
 pub fn mpirun<F>(cfg: MpiCfg, f: F) -> MpiReport
 where
-    F: Fn(&mut Mpi) + Send + Sync + 'static,
+    F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
     mpirun_inner(cfg, f, None)
 }
@@ -383,7 +389,7 @@ fn mpirun_inner<F>(
     dump_slot: Option<&mut Option<trace::TraceDump>>,
 ) -> MpiReport
 where
-    F: Fn(&mut Mpi) + Send + Sync + 'static,
+    F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
     cfg.validate();
     let mut sctp_cfg = cfg.sctp.clone();
@@ -399,7 +405,7 @@ where
     }
     let mut rt = Runtime::new(world, cfg.seed);
     rt.set_tracer(tracer.clone());
-    let f = Arc::new(f);
+    let f = Rc::new(f);
     let proc_cfg = MpiProcCfg {
         size: cfg.nprocs,
         transport: cfg.transport,
@@ -408,11 +414,11 @@ where
         long_piece: cfg.long_piece,
     };
     for rank in 0..cfg.nprocs {
-        let f = Arc::clone(&f);
-        rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| {
-            let mut mpi = Mpi::init(env, proc_cfg);
-            f(&mut mpi);
-            mpi.finalize();
+        let f = Rc::clone(&f);
+        rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| async move {
+            let mut mpi = Mpi::init(env, proc_cfg).await;
+            f(&mut mpi).await;
+            mpi.finalize().await;
         });
     }
     // Debug aid: abort runaway simulations (panics with diagnostics).

@@ -30,6 +30,6 @@ pub use api::{Mpi, MpiStats, Msg, TransportSel, ANY_SOURCE, ANY_TAG};
 pub use comm::{Comm, COMM_WORLD};
 pub use collectives::{f64s_to_bytes, msg_to_f64s, ReduceOp};
 pub use cost::CostCfg;
-pub use launch::{mpirun, mpirun_monitored, mpirun_traced, MpiCfg, MpiReport};
+pub use launch::{mpirun, mpirun_monitored, mpirun_traced, MpiCfg, MpiReport, RankFut};
 pub use matching::{ReqId, Status};
 pub use rpi_sctp::{ContextMap, RaceFix};

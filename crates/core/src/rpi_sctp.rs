@@ -102,7 +102,7 @@ impl SctpRpi {
     /// Establish associations with every peer: lower ranks initiate, higher
     /// ranks learn of the association on their one-to-many socket. A
     /// barrier at the end of setup is run by the caller (§3.4's second race).
-    pub(crate) fn init(
+    pub(crate) async fn init(
         env: &simcore::ProcEnv<World>,
         me: u16,
         n: u16,
@@ -143,7 +143,7 @@ impl SctpRpi {
                         None
                     }
                 }
-            });
+            }).await;
             assocs[peer as usize] = Some(a);
         }
         let wq = (0..n).map(|_| (0..nstreams).map(|_| VecDeque::new()).collect()).collect();

@@ -54,8 +54,9 @@ pub(crate) const TCP_RPI_PORT: u16 = 5500;
 
 impl TcpRpi {
     /// Establish the full mesh: lower ranks connect to higher ranks.
-    /// Blocking (runs inside process context via closures over `env`).
-    pub(crate) fn init(env: &simcore::ProcEnv<World>, me: u16, n: u16) -> TcpRpi {
+    /// Awaits the handshakes (runs inside process context via closures over
+    /// `env`).
+    pub(crate) async fn init(env: &simcore::ProcEnv<World>, me: u16, n: u16) -> TcpRpi {
         let me_pid = env.id();
         env.with(|w, _| tcp::listen(w, me, TCP_RPI_PORT));
         let mut socks: Vec<Option<SockId>> = vec![None; n as usize];
@@ -76,7 +77,7 @@ impl TcpRpi {
                     tcp::register_writer(w, s, me_pid);
                     None
                 }
-            });
+            }).await;
         }
         // Passive opens from lower ranks; identify peers by address.
         for _ in 0..me {
@@ -86,7 +87,7 @@ impl TcpRpi {
                     tcp::register_acceptor(w, me, TCP_RPI_PORT, me_pid);
                     None
                 }
-            });
+            }).await;
             let (peer, _) = env.with(|w, _| tcp::peer_of(w, s));
             assert!(socks[peer as usize].is_none(), "duplicate connection from {peer}");
             socks[peer as usize] = Some(s);

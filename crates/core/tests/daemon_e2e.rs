@@ -7,9 +7,11 @@ use mpi_core::{mpirun_monitored, MpiCfg, ReduceOp};
 #[test]
 fn daemons_observe_a_full_job() {
     let (report, table) = mpirun_monitored(MpiCfg::sctp(6, 0.0).with_seed(1), |mpi| {
-        let _ = mpi.allreduce(ReduceOp::Sum, &[mpi.rank() as f64]);
-        mpi.send((mpi.rank() + 1) % mpi.size(), 1, Bytes::from_static(b"hi"));
-        let _ = mpi.recv(None, Some(1));
+        Box::pin(async move {
+            let _ = mpi.allreduce(ReduceOp::Sum, &[mpi.rank() as f64]).await;
+            mpi.send((mpi.rank() + 1) % mpi.size(), 1, Bytes::from_static(b"hi")).await;
+            let _ = mpi.recv(None, Some(1)).await;
+        })
     });
     assert!(table.all_started(6), "every rank must have reported start: {table:?}");
     assert!(table.all_ended(6), "every rank must have reported end: {table:?}");
@@ -27,7 +29,9 @@ fn daemons_work_under_loss_and_with_tcp_rpi() {
     // The daemon plane is SCTP regardless of the RPI transport (that is the
     // paper's point: the *entire* environment moves to SCTP).
     let (_, table) = mpirun_monitored(MpiCfg::tcp(4, 0.01).with_seed(2), |mpi| {
-        mpi.barrier();
+        Box::pin(async move {
+            mpi.barrier().await;
+        })
     });
     assert!(table.all_started(4));
     assert!(table.all_ended(4));
@@ -37,8 +41,10 @@ fn daemons_work_under_loss_and_with_tcp_rpi() {
 fn monitored_runs_are_deterministic() {
     let go = || {
         let (r, _) = mpirun_monitored(MpiCfg::sctp(4, 0.01).with_seed(3), |mpi| {
-            mpi.barrier();
-            let _ = mpi.allreduce(ReduceOp::Max, &[1.0]);
+            Box::pin(async move {
+                mpi.barrier().await;
+                let _ = mpi.allreduce(ReduceOp::Max, &[1.0]).await;
+            })
         });
         r.sim_time.as_nanos()
     };

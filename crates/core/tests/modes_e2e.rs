@@ -15,25 +15,27 @@ fn ppid_context_mapping_delivers_everything() {
     // Same traffic as a normal run, but contexts ride in the PPID field
     // and streams are keyed by tag alone — including sub-communicators.
     mpirun(MpiCfg::sctp_ppid(6, 0.01).with_seed(13), |mpi| {
-        let me = mpi.rank();
-        let half = mpi.comm_split(COMM_WORLD, Some((me % 2) as i32), 0).unwrap();
-        for i in 0..10u8 {
-            if me == 0 || me == 1 {
-                for dst in (me + 2..mpi.size()).step_by(2) {
-                    mpi.send(dst, i as i32, pattern(2000, i));
+        Box::pin(async move {
+            let me = mpi.rank();
+            let half = mpi.comm_split(COMM_WORLD, Some((me % 2) as i32), 0).await.unwrap();
+            for i in 0..10u8 {
+                if me == 0 || me == 1 {
+                    for dst in (me + 2..mpi.size()).step_by(2) {
+                        mpi.send(dst, i as i32, pattern(2000, i)).await;
+                    }
                 }
             }
-        }
-        if me >= 2 {
-            let from = me % 2;
-            for i in 0..10u8 {
-                let (st, msg) = mpi.recv(Some(from), Some(i as i32));
-                assert_eq!(st.len, 2000);
-                assert_eq!(msg.to_vec(), &pattern(2000, i)[..]);
+            if me >= 2 {
+                let from = me % 2;
+                for i in 0..10u8 {
+                    let (st, msg) = mpi.recv(Some(from), Some(i as i32)).await;
+                    assert_eq!(st.len, 2000);
+                    assert_eq!(msg.to_vec(), &pattern(2000, i)[..]);
+                }
             }
-        }
-        mpi.barrier_on(half);
-        mpi.barrier();
+            mpi.barrier_on(half).await;
+            mpi.barrier().await;
+        })
     });
 }
 
@@ -43,10 +45,13 @@ fn ppid_and_streamhash_agree_on_results() {
         let out = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let o = out.clone();
         mpirun(cfg, move |mpi| {
-            let v = mpi.allreduce(mpi_core::ReduceOp::Sum, &[mpi.rank() as f64]);
-            if mpi.rank() == 0 {
-                o.store(v[0] as u64, std::sync::atomic::Ordering::Relaxed);
-            }
+            let o = o.clone();
+            Box::pin(async move {
+                let v = mpi.allreduce(mpi_core::ReduceOp::Sum, &[mpi.rank() as f64]).await;
+                if mpi.rank() == 0 {
+                    o.store(v[0] as u64, std::sync::atomic::Ordering::Relaxed);
+                }
+            })
         });
         out.load(std::sync::atomic::Ordering::Relaxed) as f64
     }
@@ -78,19 +83,23 @@ fn cmt_preserves_order_and_content() {
     let mut m = MpiCfg::sctp(2, 0.005).with_seed(15);
     m.sctp.num_paths = 3;
     m.sctp.cmt = true;
-    mpirun(m, |mpi| match mpi.rank() {
-        0 => {
-            for i in 0..30u8 {
-                mpi.send(1, 4, pattern(20_000, i));
+    mpirun(m, |mpi| {
+        Box::pin(async move {
+            match mpi.rank() {
+                0 => {
+                    for i in 0..30u8 {
+                        mpi.send(1, 4, pattern(20_000, i)).await;
+                    }
+                }
+                1 => {
+                    for i in 0..30u8 {
+                        let (_, msg) = mpi.recv(Some(0), Some(4)).await;
+                        assert_eq!(msg.to_vec(), &pattern(20_000, i)[..], "CMT broke ordering at {i}");
+                    }
+                }
+                _ => {}
             }
-        }
-        1 => {
-            for i in 0..30u8 {
-                let (_, msg) = mpi.recv(Some(0), Some(4));
-                assert_eq!(msg.to_vec(), &pattern(20_000, i)[..], "CMT broke ordering at {i}");
-            }
-        }
-        _ => {}
+        })
     });
 }
 
@@ -121,40 +130,48 @@ fn era_tcp_is_not_better_under_loss() {
 
 #[test]
 fn probe_then_recv_sees_the_same_message() {
-    mpirun(MpiCfg::sctp(2, 0.0).with_seed(17), |mpi| match mpi.rank() {
-        0 => {
-            let st = mpi.probe(Some(1), ANY_TAG);
-            assert_eq!(st.tag, 42);
-            assert_eq!(st.len, 512);
-            // The message is still there — receive it.
-            let (st2, msg) = mpi.recv(Some(1), Some(st.tag));
-            assert_eq!(st2.len, st.len);
-            assert_eq!(msg.len, 512);
-        }
-        1 => {
-            mpi.compute(Dur::from_millis(5));
-            mpi.send(0, 42, pattern(512, 1));
-        }
-        _ => {}
+    mpirun(MpiCfg::sctp(2, 0.0).with_seed(17), |mpi| {
+        Box::pin(async move {
+            match mpi.rank() {
+                0 => {
+                    let st = mpi.probe(Some(1), ANY_TAG).await;
+                    assert_eq!(st.tag, 42);
+                    assert_eq!(st.len, 512);
+                    // The message is still there — receive it.
+                    let (st2, msg) = mpi.recv(Some(1), Some(st.tag)).await;
+                    assert_eq!(st2.len, st.len);
+                    assert_eq!(msg.len, 512);
+                }
+                1 => {
+                    mpi.compute(Dur::from_millis(5)).await;
+                    mpi.send(0, 42, pattern(512, 1)).await;
+                }
+                _ => {}
+            }
+        })
     });
 }
 
 #[test]
 fn iprobe_is_nonblocking() {
-    mpirun(MpiCfg::tcp(2, 0.0).with_seed(18), |mpi| match mpi.rank() {
-        0 => {
-            assert!(mpi.iprobe(Some(1), ANY_TAG).is_none(), "nothing sent yet");
-            mpi.barrier();
-            // After the barrier the message is definitely buffered.
-            let st = mpi.probe(Some(1), Some(9));
-            assert_eq!(st.len, 64);
-            let _ = mpi.recv(Some(1), Some(9));
-        }
-        1 => {
-            mpi.send(0, 9, pattern(64, 3));
-            mpi.barrier();
-        }
-        _ => {}
+    mpirun(MpiCfg::tcp(2, 0.0).with_seed(18), |mpi| {
+        Box::pin(async move {
+            match mpi.rank() {
+                0 => {
+                    assert!(mpi.iprobe(Some(1), ANY_TAG).await.is_none(), "nothing sent yet");
+                    mpi.barrier().await;
+                    // After the barrier the message is definitely buffered.
+                    let st = mpi.probe(Some(1), Some(9)).await;
+                    assert_eq!(st.len, 64);
+                    let _ = mpi.recv(Some(1), Some(9)).await;
+                }
+                1 => {
+                    mpi.send(0, 9, pattern(64, 3)).await;
+                    mpi.barrier().await;
+                }
+                _ => {}
+            }
+        })
     });
 }
 

@@ -7,9 +7,9 @@
 //! * [`sched`] — the event queue and scheduler context ([`Ctx`]), with
 //!   deterministic tie-breaking and cancellable timers;
 //! * [`process`] — a virtual-process runtime ([`Runtime`], [`ProcEnv`]) that
-//!   runs simulated programs as blocking Rust code on real threads while
-//!   keeping the whole simulation single-threaded in effect (exactly one
-//!   runnable thread at any instant), hence fully deterministic;
+//!   runs simulated programs as straight-line `async` Rust: every process
+//!   is a `Future` polled by the runtime on the calling thread, so the
+//!   whole simulation is single-threaded and fully deterministic;
 //! * [`rng`] — seed-derived independent random streams.
 //!
 //! Everything above this crate (network, transports, MPI middleware,

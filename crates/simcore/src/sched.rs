@@ -253,10 +253,10 @@ pub struct Ctx<W> {
     wake_pending: FxHashSet<ProcId>,
     /// `sleeping[p]` is true while process `p` is parked inside
     /// [`crate::ProcEnv::sleep`]. A wake delivered to a sleeping process is
-    /// provably spurious — the sleep loop only re-checks a private `done`
-    /// flag that nothing but its own timer can set, then parks again without
-    /// touching the world — so the fast discipline drops such wakes instead
-    /// of paying a resume/park round trip for them.
+    /// provably spurious — the sleep loop only re-checks this mark, which
+    /// nothing but its own timer clears, then parks again without touching
+    /// the world — so the fast discipline drops such wakes instead of paying
+    /// a poll for them.
     sleeping: Vec<bool>,
     /// Reference discipline: disable wake suppression, the sleep fast path,
     /// and packet-train fusion, reproducing the original one-event-per-packet
@@ -755,6 +755,12 @@ impl<W> Ctx<W> {
         self.wake(p);
     }
 
+    /// Is `p` still inside a timed `ProcEnv::sleep` (its timer has not
+    /// fired)? The sleep loop's re-check after every park.
+    pub(crate) fn is_sleeping(&self, p: ProcId) -> bool {
+        self.sleeping.get(p.0).copied().unwrap_or(false)
+    }
+
     /// CPU-charge batching fast path: try to satisfy a `sleep(d)` by
     /// advancing the clock inline, with no timer, no park, and no
     /// driver↔process round trip. Legal only when the advance is invisible:
@@ -834,28 +840,6 @@ impl<W> Ctx<W> {
 
     pub(crate) fn has_wakes(&self) -> bool {
         !self.wake_fifo.is_empty()
-    }
-
-    /// If the pending wake batch consists of exactly one process, return it
-    /// without consuming — the inline-driver fast path in
-    /// [`crate::ProcEnv::park`] uses this to decide between continuing
-    /// itself, a direct process→process handoff, and deferring to the real
-    /// driver.
-    pub(crate) fn sole_wake(&self) -> Option<ProcId> {
-        if self.wake_fifo.len() == 1 {
-            Some(self.wake_fifo[0])
-        } else {
-            None
-        }
-    }
-
-    /// Consume the single-wake batch [`Ctx::sole_wake`] reported. Equivalent
-    /// to the driver draining the batch: the fifo and the pending set are
-    /// cleared wholesale, so wakes issued afterwards land in a fresh batch.
-    pub(crate) fn consume_sole_wake(&mut self) {
-        debug_assert_eq!(self.wake_fifo.len(), 1);
-        self.wake_fifo.clear();
-        self.wake_pending.clear();
     }
 
     /// Visit occupied buckets of `occ` circularly from `start`, calling `f`

@@ -1,12 +1,12 @@
 //! Discipline-equivalence property tests for the runtime fast path.
 //!
-//! The token-handoff runtime coalesces wakes (suppressing wakes aimed at a
+//! The runtime coalesces wakes (suppressing wakes aimed at a
 //! process parked in `sleep`, advancing uncontended sleeps inline) and
 //! batches CPU charges. All of that is wall-clock optimisation only: under
 //! any interleaving of park/wake/charge the observable schedule — world
 //! mutations, their order, timestamps, event counts, final sim time — must
 //! be bit-identical to the pre-overhaul reference discipline, which issues
-//! one full handoff per wake and per sleep. These tests drive both
+//! one full poll per wake and per sleep. These tests drive both
 //! disciplines over random programs and demand exactly that.
 
 use proptest::prelude::*;
@@ -61,13 +61,13 @@ fn run_once(scripts: &[Vec<Op>], reference: bool) -> (Vec<(usize, usize, u64)>, 
     for (p, script) in scripts.iter().enumerate() {
         let script = script.clone();
         let want = expected[p];
-        rt.spawn(format!("p{p}"), move |env: ProcEnv<W>| {
+        rt.spawn(format!("p{p}"), move |env: ProcEnv<W>| async move {
             for (i, &op) in script.iter().enumerate() {
                 match op {
-                    Op::Sleep(d) => env.sleep(Dur::from_nanos(d)),
+                    Op::Sleep(d) => env.sleep(Dur::from_nanos(d)).await,
                     Op::Charge(d) => {
-                        env.sleep(Dur::from_nanos(d));
-                        env.sleep(Dur::from_nanos(d / 2 + 1));
+                        env.sleep(Dur::from_nanos(d)).await;
+                        env.sleep(Dur::from_nanos(d / 2 + 1)).await;
                     }
                     Op::Ping(q) => env.with(move |w, ctx| {
                         w.pings[q] += 1;
@@ -82,13 +82,51 @@ fn run_once(scripts: &[Vec<Op>], reference: bool) -> (Vec<(usize, usize, u64)>, 
             // Park until every ping aimed at us has landed; the wakes come
             // from the pingers, so this exercises wake-after-park,
             // wake-before-park, and wake-during-sleep orderings.
-            env.block_on(move |w, _| (w.pings[p] >= want).then_some(()));
+            env.block_on(move |w, _| (w.pings[p] >= want).then_some(())).await;
         });
     }
     set_reference_discipline(reference);
     let out = rt.run();
     set_reference_discipline(false);
     (out.world.log, out.world.pings, out.sim_time.as_nanos(), out.events)
+}
+
+/// The ROADMAP's "10 000-rank job starts in one process": a token ring of
+/// 10 000 processes, three laps. Each process blocks on its slot, charges
+/// 1 µs, and wakes its neighbour, so the ring is strictly serial: simulated
+/// time and the event count are both exactly one per hop.
+#[test]
+fn ten_thousand_process_token_ring() {
+    const N: usize = 10_000;
+    const LAPS: u32 = 3;
+    struct Ring {
+        tokens: Vec<u32>,
+        hops: u64,
+    }
+    let mut tokens = vec![0; N];
+    tokens[0] = 1;
+    let mut rt = Runtime::new(Ring { tokens, hops: 0 }, 3);
+    for p in 0..N {
+        rt.spawn(format!("p{p}"), move |env: ProcEnv<Ring>| async move {
+            for _ in 0..LAPS {
+                env.block_on(|w, _| (w.tokens[p] > 0).then(|| w.tokens[p] -= 1)).await;
+                env.sleep(Dur::from_micros(1)).await;
+                env.with(|w, ctx| {
+                    w.hops += 1;
+                    w.tokens[(p + 1) % N] += 1;
+                    ctx.wake(ProcId((p + 1) % N));
+                });
+            }
+        });
+    }
+    let out = rt.run();
+    let hops = N as u64 * LAPS as u64;
+    assert!(!out.hit_deadline);
+    assert_eq!(out.world.hops, hops);
+    assert_eq!(out.sim_time.as_nanos(), hops * 1_000, "one 1 µs charge per hop, strictly serial");
+    assert_eq!(out.events, hops, "one sleep timer (fired or advanced inline) per hop");
+    // The last hop hands the token back to process 0, which has finished.
+    assert_eq!(out.world.tokens.iter().sum::<u32>(), 1);
 }
 
 proptest! {

@@ -15,7 +15,7 @@ proptest! {
         }
         let mut rt = Runtime::new(W::default(), 9);
         let expect = delays.clone();
-        rt.spawn("driver", move |env: ProcEnv<W>| {
+        rt.spawn("driver", move |env: ProcEnv<W>| async move {
             env.with(|_, ctx| {
                 for (i, &d) in expect.iter().enumerate() {
                     ctx.schedule_in(Dur::from_nanos(d), move |w: &mut W, ctx| {
@@ -36,7 +36,7 @@ proptest! {
                     });
                     None
                 }
-            });
+            }).await;
         });
         let out = rt.run();
         let fired = out.world.fired;
@@ -62,8 +62,8 @@ proptest! {
         }
         let mut rt = Runtime::new(W { ends: Vec::new() }, 10);
         for (i, &d) in durs.iter().enumerate() {
-            rt.spawn(format!("p{i}"), move |env: ProcEnv<W>| {
-                env.sleep(Dur::from_nanos(d));
+            rt.spawn(format!("p{i}"), move |env: ProcEnv<W>| async move {
+                env.sleep(Dur::from_nanos(d)).await;
                 let t = env.now().as_nanos();
                 env.with(move |w, _| w.ends.push((i, t)));
             });
@@ -87,10 +87,10 @@ proptest! {
             let mut rt = Runtime::new(W::default(), 11);
             for p in 0..3usize {
                 let steps: Vec<_> = steps.to_vec();
-                rt.spawn(format!("p{p}"), move |env: ProcEnv<W>| {
+                rt.spawn(format!("p{p}"), move |env: ProcEnv<W>| async move {
                     for (i, &(d, kind)) in steps.iter().enumerate() {
                         if (i + p) % 2 == 0 {
-                            env.sleep(Dur::from_nanos(d * (p as u64 + 1)));
+                            env.sleep(Dur::from_nanos(d * (p as u64 + 1))).await;
                         }
                         let tag = (p as u32) << 16 | (i as u32) << 2 | kind as u32;
                         env.with(move |w, _| w.log.push(tag));
@@ -180,11 +180,11 @@ proptest! {
         }
         let mut rt = Runtime::new(W { fired: Vec::new(), ids: Vec::new() }, 11);
         let plan = ops.clone();
-        rt.spawn("sched", move |env: ProcEnv<W>| {
+        rt.spawn("sched", move |env: ProcEnv<W>| async move {
             // Land on an arbitrary (usually non-grain-aligned) `now` first:
             // the wheel wrap regression only reproduces when `now` does not
             // sit on a bucket boundary.
-            env.sleep(Dur::from_nanos(base));
+            env.sleep(Dur::from_nanos(base)).await;
             env.with(|w, ctx| {
                 // Targets first: seqs 0..n in op order.
                 for (i, &(d, _)) in plan.iter().enumerate() {
@@ -207,7 +207,7 @@ proptest! {
                 }
             });
             // Outlive every timer and canceller.
-            env.sleep(Dur::from_nanos(3 * simcore::sched::WHEEL2_HORIZON_NS));
+            env.sleep(Dur::from_nanos(3 * simcore::sched::WHEEL2_HORIZON_NS)).await;
         });
         let out = rt.run();
         prop_assert_eq!(out.world.fired, expected);
@@ -240,7 +240,7 @@ proptest! {
         fn run(plan: &[(u64, u64)], batched: bool) -> (Vec<u64>, u64, u64) {
             let plan = plan.to_vec();
             let mut rt = Runtime::new(W::default(), 7);
-            rt.spawn("driver", move |env: ProcEnv<W>| {
+            rt.spawn("driver", move |env: ProcEnv<W>| async move {
                 env.with(|w, ctx| {
                     w.pending = Some(ctx.schedule_in(Dur::from_nanos(500), target_fire));
                     // Rearm events at cumulative offsets; each retires the
@@ -263,7 +263,7 @@ proptest! {
                     }
                 });
                 // Outlive the last possible rearm target.
-                env.sleep(Dur::from_nanos(plan.iter().map(|&(g, _)| g).sum::<u64>() + 10_000));
+                env.sleep(Dur::from_nanos(plan.iter().map(|&(g, _)| g).sum::<u64>() + 10_000)).await;
             });
             let out = rt.run();
             (out.world.fired, out.events, out.sim_time.as_nanos())

@@ -35,7 +35,7 @@ fn pattern(len: usize, tag: u8) -> Bytes {
     )
 }
 
-fn connect_blocking(env: &Env, ep: EpId, dst_host: u16, dst_port: u16) -> AssocId {
+async fn connect_blocking(env: &Env, ep: EpId, dst_host: u16, dst_port: u16) -> AssocId {
     let a = env.with(|w, ctx| sctp::connect(w, ctx, ep, dst_host, dst_port));
     let me = env.id();
     env.block_on(|w, _| match sctp::assoc_state(w, a) {
@@ -45,13 +45,13 @@ fn connect_blocking(env: &Env, ep: EpId, dst_host: u16, dst_port: u16) -> AssocI
             sctp::register_writer(w, ep, me);
             None
         }
-    });
+    }).await;
     a
 }
 
 /// Queue one message, blocking on send-buffer space. `lifetime` as in the
 /// engine: `None` = the config default, `Some(l)` = explicit via `sendmsg_pr`.
-fn sendmsg_blocking(
+async fn sendmsg_blocking(
     env: &Env,
     a: AssocId,
     stream: u16,
@@ -74,10 +74,10 @@ fn sendmsg_blocking(
             }
             Err(e) => panic!("sendmsg failed: {e:?}"),
         }
-    });
+    }).await;
 }
 
-fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
+async fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
     let me = env.id();
     env.block_on(|w, ctx| match sctp::recvmsg(w, ctx, ep) {
         Some(m) => Some(m),
@@ -85,7 +85,7 @@ fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
             sctp::register_reader(w, ep, me);
             None
         }
-    })
+    }).await
 }
 
 /// PPID of the fully reliable end-of-stream marker: with PR-SCTP on, any
@@ -94,18 +94,18 @@ fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
 /// marker says nothing about the other streams' tails).
 const SENTINEL: u32 = u32::MAX;
 
-fn send_sentinels(env: &Env, a: AssocId, streams: impl IntoIterator<Item = u16>) {
+async fn send_sentinels(env: &Env, a: AssocId, streams: impl IntoIterator<Item = u16>) {
     for sid in streams {
-        sendmsg_blocking(env, a, sid, SENTINEL, Bytes::from_static(b"eos"), Some(None));
+        sendmsg_blocking(env, a, sid, SENTINEL, Bytes::from_static(b"eos"), Some(None)).await;
     }
 }
 
 /// Receive until `streams` sentinels arrived, handing every other message
 /// to `on_msg`.
-fn recv_until_sentinels(env: &Env, ep: EpId, streams: u16, mut on_msg: impl FnMut(RecvMsg)) {
+async fn recv_until_sentinels(env: &Env, ep: EpId, streams: u16, mut on_msg: impl FnMut(RecvMsg)) {
     let mut open = streams;
     while open > 0 {
-        let m = recvmsg_blocking(env, ep);
+        let m = recvmsg_blocking(env, ep).await;
         if m.ppid == SENTINEL {
             open -= 1;
         } else {
@@ -115,8 +115,8 @@ fn recv_until_sentinels(env: &Env, ep: EpId, streams: u16, mut on_msg: impl FnMu
 }
 
 /// A stuck ordered-delivery gate does not end a run — heartbeats keep the
-/// simulation alive forever — so every run here carries a deadline:
-/// `Runtime::run` panics when it passes with processes still blocked.
+/// simulation alive forever — so every run here carries a deadline, and
+/// asserts the outcome did not hit it (naming the cell that stalled).
 const DEADLINE: SimTime = SimTime::from_nanos(600_000_000_000);
 
 /// Every `AssocStats` counter of both hosts summed, in declaration order
@@ -171,23 +171,28 @@ struct MixedRun {
 /// large enough to fragment (70 KB > sndbuf-independent PMTU), the rest
 /// 1 KB, under the config's default lifetime; then the reliable sentinels.
 fn run_mixed(cfg: SctpCfg, loss: f64, seed: u64, n_msgs: u32, streams: u16) -> MixedRun {
+    let what = format!(
+        "run_mixed(interleave={} sched={:?} cmt={} num_paths={} pr_lifetime={:?}, loss={loss}, \
+         seed={seed}, n_msgs={n_msgs}, streams={streams})",
+        cfg.interleave, cfg.sched, cfg.cmt, cfg.num_paths, cfg.pr_lifetime
+    );
     let world = World::new(NetCfg::paper_cluster(loss), TcpCfg::default(), cfg);
     let mut rt = Runtime::new(world, seed);
     rt.set_deadline(DEADLINE);
     let delivered: Arc<Mutex<Delivered>> = Arc::new(Mutex::new(BTreeMap::new()));
 
-    rt.spawn("client", move |env: Env| {
+    rt.spawn("client", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
-        let a = connect_blocking(&env, ep, 1, 4000);
+        let a = connect_blocking(&env, ep, 1, 4000).await;
         for i in 0..n_msgs {
             let sid = (i % streams as u32) as u16;
-            sendmsg_blocking(&env, a, sid, i, mixed_payload(i, sid), None);
+            sendmsg_blocking(&env, a, sid, i, mixed_payload(i, sid), None).await;
         }
-        send_sentinels(&env, a, 0..streams);
+        send_sentinels(&env, a, 0..streams).await;
     });
 
     let d = delivered.clone();
-    rt.spawn("server", move |env: Env| {
+    rt.spawn("server", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, 4000, true);
             sctp::listen(w, ep);
@@ -196,10 +201,11 @@ fn run_mixed(cfg: SctpCfg, loss: f64, seed: u64, n_msgs: u32, streams: u16) -> M
         recv_until_sentinels(&env, ep, streams, |m| {
             let rec = (m.ssn, m.ppid, m.len, digest(&m.data));
             d.lock().unwrap().entry(m.stream).or_default().push(rec);
-        });
+        }).await;
     });
 
     let out = rt.run();
+    assert!(!out.hit_deadline, "{what}: deadline passed with a process still blocked");
     MixedRun {
         delivered: Arc::try_unwrap(delivered).unwrap().into_inner().unwrap(),
         events: out.events,
@@ -426,18 +432,18 @@ fn forward_tsn_accounting(paths: SctpCfg, blackout: bool) {
     rt.set_deadline(DEADLINE);
     let delivered = Arc::new(Mutex::new(Vec::<u32>::new()));
 
-    rt.spawn("client", move |env: Env| {
+    rt.spawn("client", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
-        let a = connect_blocking(&env, ep, 1, 4000);
+        let a = connect_blocking(&env, ep, 1, 4000).await;
         let life = Some(Some(Dur::from_millis(20)));
         for i in 0..N {
             // A near-line-rate source: 32 KB every 500 µs ≈ 512 Mb/s offered;
             // loss-recovery stalls back the queue up past the 20 ms lifetime.
-            env.sleep(Dur::from_micros(500));
-            sendmsg_blocking(&env, a, (i % 4) as u16, i, pattern(32 * 1024, i as u8), life);
+            env.sleep(Dur::from_micros(500)).await;
+            sendmsg_blocking(&env, a, (i % 4) as u16, i, pattern(32 * 1024, i as u8), life).await;
         }
         if !blackout {
-            send_sentinels(&env, a, 0..4);
+            send_sentinels(&env, a, 0..4).await;
             return;
         }
         // Stream 1 ends differently. Its last message M goes into dead
@@ -452,34 +458,35 @@ fn forward_tsn_accounting(paths: SctpCfg, blackout: bool) {
         let all_networks = |up: bool| {
             env.with(|w, _| (0..num_paths).for_each(|i| w.net.set_network_up(i, up)))
         };
-        send_sentinels(&env, a, [0, 2, 3]);
-        env.sleep(Dur::from_secs(5));
+        send_sentinels(&env, a, [0, 2, 3]).await;
+        env.sleep(Dur::from_secs(5)).await;
         env.with(|w, _| w.net.set_loss(0.0));
         all_networks(false);
-        sendmsg_blocking(&env, a, 1, N, pattern(1024, 0), life);
+        sendmsg_blocking(&env, a, 1, N, pattern(1024, 0), life).await;
         all_networks(true);
-        send_sentinels(&env, a, [1]);
+        send_sentinels(&env, a, [1]).await;
         let sacks = |env: &Env| env.with(|w, _| sctp::stats(w, a).sacks_in);
         let before = sacks(&env);
         while sacks(&env) == before {
-            env.sleep(Dur::from_micros(10));
+            env.sleep(Dur::from_micros(10)).await;
         }
         all_networks(false);
-        env.sleep(Dur::from_secs(2));
+        env.sleep(Dur::from_secs(2)).await;
         all_networks(true);
     });
 
     let d = delivered.clone();
-    rt.spawn("server", move |env: Env| {
+    rt.spawn("server", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, 4000, true);
             sctp::listen(w, ep);
             ep
         });
-        recv_until_sentinels(&env, ep, 4, |m| d.lock().unwrap().push(m.ppid));
+        recv_until_sentinels(&env, ep, 4, |m| d.lock().unwrap().push(m.ppid)).await;
     });
 
     let out = rt.run();
+    assert!(!out.hit_deadline, "{what}: deadline passed with a process still blocked");
     let got = delivered.lock().unwrap().clone();
     let stats = out
         .world

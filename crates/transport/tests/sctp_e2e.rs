@@ -2,6 +2,8 @@
 //! simulated cluster — handshake, multistreaming, fragmentation, loss
 //! recovery, security features, multihoming failover.
 
+use std::future::Future;
+
 use bytes::Bytes;
 use netsim::{IfAddr, NetCfg};
 use simcore::{Dur, ProcEnv, Runtime, SimTime};
@@ -15,7 +17,7 @@ fn world(loss: f64, sctp_cfg: SctpCfg) -> World {
     World::new(NetCfg::paper_cluster(loss), TcpCfg::default(), sctp_cfg)
 }
 
-fn connect_blocking(env: &Env, ep: EpId, dst_host: u16, dst_port: u16) -> AssocId {
+async fn connect_blocking(env: &Env, ep: EpId, dst_host: u16, dst_port: u16) -> AssocId {
     let a = env.with(|w, ctx| sctp::connect(w, ctx, ep, dst_host, dst_port));
     let me = env.id();
     env.block_on(|w, _| match sctp::assoc_state(w, a) {
@@ -25,12 +27,12 @@ fn connect_blocking(env: &Env, ep: EpId, dst_host: u16, dst_port: u16) -> AssocI
             sctp::register_writer(w, ep, me);
             None
         }
-    });
+    }).await;
     a
 }
 
 /// Wait until the peer's inbound association appears and is established.
-fn await_assoc(env: &Env, ep: EpId, peer_host: u16, peer_port: u16) -> AssocId {
+async fn await_assoc(env: &Env, ep: EpId, peer_host: u16, peer_port: u16) -> AssocId {
     let me = env.id();
     env.block_on(|w, _| match sctp::lookup_peer(w, ep, peer_host, peer_port) {
         Some(a) if sctp::assoc_state(w, a) == AssocState::Established => Some(a),
@@ -38,10 +40,10 @@ fn await_assoc(env: &Env, ep: EpId, peer_host: u16, peer_port: u16) -> AssocId {
             sctp::register_reader(w, ep, me);
             None
         }
-    })
+    }).await
 }
 
-fn sendmsg_blocking(env: &Env, a: AssocId, stream: u16, data: Bytes) {
+async fn sendmsg_blocking(env: &Env, a: AssocId, stream: u16, data: Bytes) {
     let me = env.id();
     let ep = a.endpoint();
     env.block_on(|w, ctx| match sctp::sendmsg(w, ctx, a, stream, 0, data.clone()) {
@@ -51,10 +53,10 @@ fn sendmsg_blocking(env: &Env, a: AssocId, stream: u16, data: Bytes) {
             None
         }
         Err(e) => panic!("sendmsg failed: {e:?}"),
-    });
+    }).await;
 }
 
-fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
+async fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
     let me = env.id();
     env.block_on(|w, ctx| match sctp::recvmsg(w, ctx, ep) {
         Some(m) => Some(m),
@@ -62,7 +64,7 @@ fn recvmsg_blocking(env: &Env, ep: EpId) -> RecvMsg {
             sctp::register_reader(w, ep, me);
             None
         }
-    })
+    }).await
 }
 
 fn pattern(len: usize, tag: u8) -> Bytes {
@@ -77,27 +79,27 @@ fn flatten(m: &RecvMsg) -> Vec<u8> {
     v
 }
 
-fn run_pair(
+fn run_pair<C: Future<Output = ()> + 'static, S: Future<Output = ()> + 'static>(
     loss: f64,
     seed: u64,
     cfg: SctpCfg,
-    client: impl FnOnce(Env, EpId, AssocId) + Send + 'static,
-    server: impl FnOnce(Env, EpId, AssocId) + Send + 'static,
+    client: impl FnOnce(Env, EpId, AssocId) -> C + 'static,
+    server: impl FnOnce(Env, EpId, AssocId) -> S + 'static,
 ) -> simcore::RunOutcome<World> {
     let mut rt = Runtime::new(world(loss, cfg), seed);
-    rt.spawn("client", move |env: Env| {
+    rt.spawn("client", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
-        let a = connect_blocking(&env, ep, 1, 4000);
-        client(env, ep, a);
+        let a = connect_blocking(&env, ep, 1, 4000).await;
+        client(env, ep, a).await;
     });
-    rt.spawn("server", move |env: Env| {
+    rt.spawn("server", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, 4000, true);
             sctp::listen(w, ep);
             ep
         });
-        let a = await_assoc(&env, ep, 0, 4000);
-        server(env, ep, a);
+        let a = await_assoc(&env, ep, 0, 4000).await;
+        server(env, ep, a).await;
     });
     rt.run()
 }
@@ -108,10 +110,10 @@ fn four_way_handshake_establishes_both_ends() {
         0.0,
         1,
         SctpCfg::default(),
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             env.with(|w, _| assert_eq!(sctp::assoc_state(w, a), AssocState::Established));
         },
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             env.with(|w, _| assert_eq!(sctp::assoc_state(w, a), AssocState::Established));
         },
     );
@@ -126,14 +128,14 @@ fn message_boundaries_are_preserved() {
         0.0,
         2,
         SctpCfg::default(),
-        move |env, _ep, a| {
+        move |env, _ep, a| async move {
             for (i, &n) in sizes.iter().enumerate() {
-                sendmsg_blocking(&env, a, 0, pattern(n, i as u8));
+                sendmsg_blocking(&env, a, 0, pattern(n, i as u8)).await;
             }
         },
-        move |env, ep, _a| {
+        move |env, ep, _a| async move {
             for (i, &n) in sizes.iter().enumerate() {
-                let m = recvmsg_blocking(&env, ep);
+                let m = recvmsg_blocking(&env, ep).await;
                 assert_eq!(m.len as usize, n, "message {i} boundary");
                 assert_eq!(flatten(&m), &pattern(n, i as u8)[..]);
                 assert_eq!(m.stream, 0);
@@ -152,9 +154,9 @@ fn large_message_fragments_and_reassembles() {
         0.0,
         3,
         SctpCfg::default(),
-        move |env, _ep, a| sendmsg_blocking(&env, a, 3, data),
-        move |env, ep, _a| {
-            let m = recvmsg_blocking(&env, ep);
+        move |env, _ep, a| async move { sendmsg_blocking(&env, a, 3, data).await },
+        move |env, ep, _a| async move {
+            let m = recvmsg_blocking(&env, ep).await;
             assert_eq!(m.len as usize, n);
             assert_eq!(m.stream, 3);
             assert_eq!(flatten(&m), &expect[..]);
@@ -172,17 +174,17 @@ fn per_stream_ordering_holds_across_streams() {
         0.0,
         4,
         SctpCfg::default(),
-        move |env, _ep, a| {
+        move |env, _ep, a| async move {
             for i in 0..per {
                 for sid in 0..n_streams {
-                    sendmsg_blocking(&env, a, sid, pattern(200 + sid as usize, i as u8));
+                    sendmsg_blocking(&env, a, sid, pattern(200 + sid as usize, i as u8)).await;
                 }
             }
         },
-        move |env, ep, _a| {
+        move |env, ep, _a| async move {
             let mut next = vec![0u32; n_streams as usize];
             for _ in 0..(per * n_streams as u32) {
-                let m = recvmsg_blocking(&env, ep);
+                let m = recvmsg_blocking(&env, ep).await;
                 assert_eq!(m.ssn, next[m.stream as usize], "SSN order on stream {}", m.stream);
                 next[m.stream as usize] += 1;
             }
@@ -199,15 +201,15 @@ fn bulk_transfer_no_loss_is_wire_speed() {
         0.0,
         5,
         SctpCfg::default(),
-        move |env, _ep, a| {
+        move |env, _ep, a| async move {
             for i in 0..n {
-                sendmsg_blocking(&env, a, (i % 10) as u16, pattern(size, i as u8));
+                sendmsg_blocking(&env, a, (i % 10) as u16, pattern(size, i as u8)).await;
             }
         },
-        move |env, ep, _a| {
+        move |env, ep, _a| async move {
             let mut total = 0u64;
             while total < (n * size) as u64 {
-                total += recvmsg_blocking(&env, ep).len as u64;
+                total += recvmsg_blocking(&env, ep).await.len as u64;
             }
         },
     );
@@ -224,16 +226,16 @@ fn loss_recovery_preserves_content_and_order() {
         0.02,
         6,
         SctpCfg::default(),
-        move |env, _ep, a| {
+        move |env, _ep, a| async move {
             for i in 0..n_msgs {
-                sendmsg_blocking(&env, a, (i % 4) as u16, pattern(size, i as u8));
+                sendmsg_blocking(&env, a, (i % 4) as u16, pattern(size, i as u8)).await;
             }
         },
-        move |env, ep, _a| {
+        move |env, ep, _a| async move {
             let mut next = [0u32; 4];
             let mut seen = 0;
             while seen < n_msgs {
-                let m = recvmsg_blocking(&env, ep);
+                let m = recvmsg_blocking(&env, ep).await;
                 assert_eq!(m.ssn, next[m.stream as usize]);
                 next[m.stream as usize] += 1;
                 // Verify content integrity under retransmission.
@@ -255,9 +257,9 @@ fn head_of_line_blocking_is_per_stream_only() {
     // We approximate targeted loss with a brief 100% loss window around the
     // first message's flight.
     let mut rt = Runtime::new(world(0.0, SctpCfg::default()), 7);
-    rt.spawn("sender", move |env: Env| {
+    rt.spawn("sender", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
-        let a = connect_blocking(&env, ep, 1, 4000);
+        let a = connect_blocking(&env, ep, 1, 4000).await;
         // Turn on total loss, send Msg-A on stream 0 (it will be dropped).
         env.with(|w, ctx| {
             w.net.set_loss(1.0);
@@ -265,7 +267,7 @@ fn head_of_line_blocking_is_per_stream_only() {
         });
         // Let the doomed transmission happen, then restore the network and
         // send Msg-B on stream 1.
-        env.sleep(Dur::from_millis(10));
+        env.sleep(Dur::from_millis(10)).await;
         env.with(|w, ctx| {
             w.net.set_loss(0.0);
             sctp::sendmsg(w, ctx, a, 1, 0, pattern(1000, 2)).unwrap();
@@ -273,14 +275,14 @@ fn head_of_line_blocking_is_per_stream_only() {
     });
     let order = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let order2 = order.clone();
-    rt.spawn("receiver", move |env: Env| {
+    rt.spawn("receiver", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, 4000, true);
             sctp::listen(w, ep);
             ep
         });
         for _ in 0..2 {
-            let m = recvmsg_blocking(&env, ep);
+            let m = recvmsg_blocking(&env, ep).await;
             order2.lock().unwrap().push((m.stream, env.now()));
         }
     });
@@ -299,15 +301,15 @@ fn one_to_many_socket_demuxes_many_peers() {
     // One server socket; 7 clients connect and send — the §3.1 model.
     let mut rt = Runtime::new(world(0.0, SctpCfg::default()), 8);
     for h in 1..8u16 {
-        rt.spawn(format!("client{h}"), move |env: Env| {
+        rt.spawn(format!("client{h}"), move |env: Env| async move {
             let ep = env.with(|w, _| sctp::socket(w, h, 4000, true));
-            let a = connect_blocking(&env, ep, 0, 4000);
-            sendmsg_blocking(&env, a, h % 10, pattern(500, h as u8));
-            let m = recvmsg_blocking(&env, ep);
+            let a = connect_blocking(&env, ep, 0, 4000).await;
+            sendmsg_blocking(&env, a, h % 10, pattern(500, h as u8)).await;
+            let m = recvmsg_blocking(&env, ep).await;
             assert_eq!(flatten(&m)[0], h as u8 ^ 0xFF);
         });
     }
-    rt.spawn("server", move |env: Env| {
+    rt.spawn("server", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 0, 4000, true);
             sctp::listen(w, ep);
@@ -315,12 +317,12 @@ fn one_to_many_socket_demuxes_many_peers() {
         });
         let mut seen = std::collections::HashSet::new();
         for _ in 0..7 {
-            let m = recvmsg_blocking(&env, ep);
+            let m = recvmsg_blocking(&env, ep).await;
             let from = m.assoc;
             assert!(seen.insert(from.idx), "two messages from one peer?");
             // Reply on the same association.
             let tag = flatten(&m)[0] ^ 0xFF;
-            sendmsg_blocking(&env, from, 0, Bytes::from(vec![tag; 10]));
+            sendmsg_blocking(&env, from, 0, Bytes::from(vec![tag; 10])).await;
         }
     });
     rt.run();
@@ -332,7 +334,7 @@ fn forged_verification_tag_is_dropped() {
         0.0,
         9,
         SctpCfg::default(),
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             // Inject a forged DATA packet at the server with a bogus vtag.
             env.with(|w, ctx| {
                 let forged = sctp::SctpPacket {
@@ -353,10 +355,10 @@ fn forged_verification_tag_is_dropped() {
                 sctp::input(w, ctx, IfAddr::new(0, 0), IfAddr::new(1, 0), forged);
             });
             // Legit message afterwards.
-            sendmsg_blocking(&env, a, 0, Bytes::from_static(b"good"));
+            sendmsg_blocking(&env, a, 0, Bytes::from_static(b"good")).await;
         },
-        |env, ep, _a| {
-            let m = recvmsg_blocking(&env, ep);
+        |env, ep, _a| async move {
+            let m = recvmsg_blocking(&env, ep).await;
             assert_eq!(&flatten(&m)[..], b"good", "forged packet must not be delivered");
         },
     );
@@ -365,7 +367,7 @@ fn forged_verification_tag_is_dropped() {
 #[test]
 fn stale_and_forged_cookies_are_rejected() {
     let mut rt = Runtime::new(world(0.0, SctpCfg::default()), 10);
-    rt.spawn("attacker", |env: Env| {
+    rt.spawn("attacker", |env: Env| async move {
         // A COOKIE-ECHO with a fabricated cookie (bad MAC) must not create
         // an association.
         env.with(|w, ctx| {
@@ -409,8 +411,8 @@ fn autoclose_shuts_idle_association() {
         0.0,
         11,
         cfg,
-        |env, ep, a| {
-            sendmsg_blocking(&env, a, 0, Bytes::from_static(b"hello"));
+        |env, ep, a| async move {
+            sendmsg_blocking(&env, a, 0, Bytes::from_static(b"hello")).await;
             // Then go idle; autoclose should shut the association down.
             let me = env.id();
             env.block_on(|w, _| match sctp::assoc_state(w, a) {
@@ -420,10 +422,10 @@ fn autoclose_shuts_idle_association() {
                     sctp::register_reader(w, ep, me);
                     None
                 }
-            });
+            }).await;
         },
-        |env, ep, a| {
-            let _ = recvmsg_blocking(&env, ep);
+        |env, ep, a| async move {
+            let _ = recvmsg_blocking(&env, ep).await;
             let me = env.id();
             env.block_on(|w, _| match sctp::assoc_state(w, a) {
                 AssocState::Closed => Some(()),
@@ -432,7 +434,7 @@ fn autoclose_shuts_idle_association() {
                     sctp::register_writer(w, ep, me);
                     None
                 }
-            });
+            }).await;
         },
     );
     assert!(out.sim_time >= SimTime::ZERO + Dur::from_secs(5));
@@ -445,8 +447,8 @@ fn graceful_shutdown_completes_both_sides() {
         0.0,
         12,
         SctpCfg::default(),
-        |env, ep, a| {
-            sendmsg_blocking(&env, a, 0, pattern(5000, 1));
+        |env, ep, a| async move {
+            sendmsg_blocking(&env, a, 0, pattern(5000, 1)).await;
             env.with(|w, ctx| sctp::shutdown(w, ctx, a));
             let me = env.id();
             env.block_on(|w, _| match sctp::assoc_state(w, a) {
@@ -456,10 +458,10 @@ fn graceful_shutdown_completes_both_sides() {
                     sctp::register_reader(w, ep, me);
                     None
                 }
-            });
+            }).await;
         },
-        |env, ep, a| {
-            let _ = recvmsg_blocking(&env, ep);
+        |env, ep, a| async move {
+            let _ = recvmsg_blocking(&env, ep).await;
             let me = env.id();
             env.block_on(|w, _| match sctp::assoc_state(w, a) {
                 AssocState::Closed | AssocState::ShutdownAckSent => Some(()),
@@ -468,7 +470,7 @@ fn graceful_shutdown_completes_both_sides() {
                     sctp::register_writer(w, ep, me);
                     None
                 }
-            });
+            }).await;
         },
     );
 }
@@ -485,15 +487,15 @@ fn multihoming_failover_keeps_transfer_alive() {
     let n_msgs = 40;
     let size = 20_000;
     let mut rt = Runtime::new(world(0.0, cfg), 13);
-    rt.spawn("sender", move |env: Env| {
+    rt.spawn("sender", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
-        let a = connect_blocking(&env, ep, 1, 4000);
+        let a = connect_blocking(&env, ep, 1, 4000).await;
         for i in 0..n_msgs {
             if i == 5 {
                 // Primary network dies.
                 env.with(|w, _| w.net.set_network_up(0, false));
             }
-            sendmsg_blocking(&env, a, 0, pattern(size, i as u8));
+            sendmsg_blocking(&env, a, 0, pattern(size, i as u8)).await;
         }
         // Confirm failover happened.
         env.with(|w, _| {
@@ -501,14 +503,14 @@ fn multihoming_failover_keeps_transfer_alive() {
             assert!(sctp::stats(w, a).failovers >= 1);
         });
     });
-    rt.spawn("receiver", move |env: Env| {
+    rt.spawn("receiver", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, 4000, true);
             sctp::listen(w, ep);
             ep
         });
         for i in 0..n_msgs {
-            let m = recvmsg_blocking(&env, ep);
+            let m = recvmsg_blocking(&env, ep).await;
             assert_eq!(m.ssn, i as u32, "ordered delivery across failover");
             assert_eq!(m.len as usize, size);
         }
@@ -528,16 +530,16 @@ fn sender_blocks_on_receiver_flow_control_then_resumes() {
         0.0,
         14,
         SctpCfg::default(),
-        move |env, _ep, a| {
+        move |env, _ep, a| async move {
             for i in 0..n_msgs {
-                sendmsg_blocking(&env, a, 0, pattern(size, i as u8));
+                sendmsg_blocking(&env, a, 0, pattern(size, i as u8)).await;
             }
             *done2.lock().unwrap() = env.now();
         },
-        move |env, ep, _a| {
-            env.sleep(Dur::from_secs(3));
+        move |env, ep, _a| async move {
+            env.sleep(Dur::from_secs(3)).await;
             for _ in 0..n_msgs {
-                let m = recvmsg_blocking(&env, ep);
+                let m = recvmsg_blocking(&env, ep).await;
                 assert_eq!(m.len as usize, size);
             }
         },
@@ -557,14 +559,14 @@ fn deterministic_under_loss() {
             0.01,
             seed,
             SctpCfg::default(),
-            move |env, _ep, a| {
+            move |env, _ep, a| async move {
                 for i in 0..n_msgs {
-                    sendmsg_blocking(&env, a, (i % 3) as u16, pattern(size, i as u8));
+                    sendmsg_blocking(&env, a, (i % 3) as u16, pattern(size, i as u8)).await;
                 }
             },
-            move |env, ep, _a| {
+            move |env, ep, _a| async move {
                 for _ in 0..n_msgs {
-                    recvmsg_blocking(&env, ep);
+                    recvmsg_blocking(&env, ep).await;
                 }
             },
         );

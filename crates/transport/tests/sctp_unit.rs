@@ -2,6 +2,8 @@
 //! independence, stats plumbing, and edge cases not covered by the big
 //! end-to-end suites.
 
+use std::future::Future;
+
 use bytes::Bytes;
 use simcore::{Dur, ProcEnv, Runtime};
 use transport::sctp::{self, AssocState, SctpCfg};
@@ -14,14 +16,14 @@ fn world(cfg: SctpCfg) -> World {
     World::new(netsim::NetCfg::paper_cluster(0.0), TcpCfg::default(), cfg)
 }
 
-fn pair(
+fn pair<C: Future<Output = ()> + 'static, S: Future<Output = ()> + 'static>(
     cfg: SctpCfg,
     seed: u64,
-    client: impl FnOnce(Env, sctp::EpId, sctp::AssocId) + Send + 'static,
-    server: impl FnOnce(Env, sctp::EpId, sctp::AssocId) + Send + 'static,
+    client: impl FnOnce(Env, sctp::EpId, sctp::AssocId) -> C + 'static,
+    server: impl FnOnce(Env, sctp::EpId, sctp::AssocId) -> S + 'static,
 ) {
     let mut rt = Runtime::new(world(cfg), seed);
-    rt.spawn("c", move |env: Env| {
+    rt.spawn("c", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
         let a = env.with(|w, ctx| sctp::connect(w, ctx, ep, 1, 4000));
         let me = env.id();
@@ -31,10 +33,10 @@ fn pair(
                 sctp::register_writer(w, ep, me);
                 None
             }
-        });
-        client(env, ep, a);
+        }).await;
+        client(env, ep, a).await;
     });
-    rt.spawn("s", move |env: Env| {
+    rt.spawn("s", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, 4000, true);
             sctp::listen(w, ep);
@@ -47,8 +49,8 @@ fn pair(
                 sctp::register_reader(w, ep, me);
                 None
             }
-        });
-        server(env, ep, a);
+        }).await;
+        server(env, ep, a).await;
     });
     rt.run();
 }
@@ -58,7 +60,7 @@ fn zero_length_messages_are_legal_and_framed() {
     pair(
         SctpCfg::default(),
         1,
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             let me = env.id();
             for sid in [0u16, 3] {
                 env.block_on(|w, ctx| match sctp::sendmsg(w, ctx, a, sid, 77, Bytes::new()) {
@@ -68,10 +70,10 @@ fn zero_length_messages_are_legal_and_framed() {
                         None
                     }
                     Err(e) => panic!("{e:?}"),
-                });
+                }).await;
             }
         },
-        |env, ep, _a| {
+        |env, ep, _a| async move {
             let me = env.id();
             for _ in 0..2 {
                 let m = env.block_on(|w, ctx| match sctp::recvmsg(w, ctx, ep) {
@@ -80,7 +82,7 @@ fn zero_length_messages_are_legal_and_framed() {
                         sctp::register_reader(w, ep, me);
                         None
                     }
-                });
+                }).await;
                 assert_eq!(m.len, 0, "empty message must stay a message");
                 assert_eq!(m.ppid, 77, "PPID must ride through");
             }
@@ -93,7 +95,7 @@ fn sendmsg_rejects_oversized_and_bad_stream() {
     pair(
         SctpCfg::default(),
         2,
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             env.with(|w, ctx| {
                 let too_big = Bytes::from(vec![0u8; 221 * 1024]);
                 assert_eq!(
@@ -106,7 +108,7 @@ fn sendmsg_rejects_oversized_and_bad_stream() {
                 );
             });
         },
-        |_env, _ep, _a| {},
+        |_env, _ep, _a| async move {},
     );
 }
 
@@ -115,7 +117,7 @@ fn stats_count_data_and_sacks() {
     pair(
         SctpCfg::default(),
         3,
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             let me = env.id();
             env.block_on(|w, ctx| match sctp::sendmsg(w, ctx, a, 0, 0, Bytes::from(vec![1u8; 10_000])) {
                 Ok(()) => Some(()),
@@ -123,7 +125,7 @@ fn stats_count_data_and_sacks() {
                     sctp::register_writer(w, a.endpoint(), me);
                     None
                 }
-            });
+            }).await;
             // Wait for everything to be acked (writable space back to full).
             env.block_on(|w, _| {
                 if sctp::can_send(w, a, 220 * 1024) {
@@ -132,7 +134,7 @@ fn stats_count_data_and_sacks() {
                     sctp::register_writer(w, a.endpoint(), me);
                     None
                 }
-            });
+            }).await;
             env.with(|w, _| {
                 let st = sctp::stats(w, a);
                 assert!(st.data_chunks_out >= 7, "10 KB is ≥7 chunks, got {}", st.data_chunks_out);
@@ -141,7 +143,7 @@ fn stats_count_data_and_sacks() {
                 assert_eq!(st.retransmits, 0, "no loss, no retransmits");
             });
         },
-        |env, ep, _a| {
+        |env, ep, _a| async move {
             let me = env.id();
             let m = env.block_on(|w, ctx| match sctp::recvmsg(w, ctx, ep) {
                 Some(m) => Some(m),
@@ -149,7 +151,7 @@ fn stats_count_data_and_sacks() {
                     sctp::register_reader(w, ep, me);
                     None
                 }
-            });
+            }).await;
             assert_eq!(m.len, 10_000);
         },
     );
@@ -160,7 +162,7 @@ fn per_stream_ssns_are_independent() {
     pair(
         SctpCfg::default(),
         4,
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             let me = env.id();
             // Interleave two streams; each stream's SSNs must start at 0.
             for i in 0..4u16 {
@@ -173,10 +175,10 @@ fn per_stream_ssns_are_independent() {
                             None
                         }
                     }
-                });
+                }).await;
             }
         },
-        |env, ep, _a| {
+        |env, ep, _a| async move {
             let me = env.id();
             let mut next = [0u32; 2];
             for _ in 0..4 {
@@ -186,7 +188,7 @@ fn per_stream_ssns_are_independent() {
                         sctp::register_reader(w, ep, me);
                         None
                     }
-                });
+                }).await;
                 assert_eq!(m.ssn, next[m.stream as usize], "per-stream SSN sequence");
                 next[m.stream as usize] += 1;
             }
@@ -203,17 +205,17 @@ fn heartbeats_keep_idle_association_alive_and_measured() {
     pair(
         cfg,
         5,
-        |env, _ep, a| {
+        |env, _ep, a| async move {
             // Idle for several heartbeat intervals.
-            env.sleep(Dur::from_secs(5));
+            env.sleep(Dur::from_secs(5)).await;
             env.with(|w, _| {
                 assert_eq!(sctp::assoc_state(w, a), AssocState::Established);
                 let st = sctp::stats(w, a);
                 assert!(st.packets_out >= 4, "heartbeats should have flowed: {st:?}");
             });
         },
-        |env, _ep, a| {
-            env.sleep(Dur::from_secs(5));
+        |env, _ep, a| async move {
+            env.sleep(Dur::from_secs(5)).await;
             env.with(|w, _| assert_eq!(sctp::assoc_state(w, a), AssocState::Established));
         },
     );
@@ -224,7 +226,7 @@ fn security_drop_counters_are_exposed() {
     pair(
         SctpCfg::default(),
         6,
-        |env, _ep, _a| {
+        |env, _ep, _a| async move {
             // Inject garbage with a bad vtag at the server.
             env.with(|w, ctx| {
                 let pkt = sctp::SctpPacket {
@@ -240,6 +242,6 @@ fn security_drop_counters_are_exposed() {
                 assert_eq!(stale, 0);
             });
         },
-        |_env, _ep, _a| {},
+        |_env, _ep, _a| async move {},
     );
 }

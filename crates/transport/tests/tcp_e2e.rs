@@ -1,6 +1,8 @@
 //! End-to-end TCP tests: sockets driven by virtual processes over the
 //! simulated cluster, with and without loss.
 
+use std::future::Future;
+
 use bytes::Bytes;
 use simcore::{Dur, ProcEnv, Runtime, SimTime};
 use transport::tcp::{self, SockId};
@@ -8,7 +10,7 @@ use transport::World;
 
 type Env = ProcEnv<World>;
 
-fn connect_blocking(env: &Env, host: u16, dst_host: u16, dst_port: u16) -> SockId {
+async fn connect_blocking(env: &Env, host: u16, dst_host: u16, dst_port: u16) -> SockId {
     let s = env.with(|w, ctx| tcp::connect(w, ctx, host, dst_host, dst_port));
     let me = env.id();
     env.block_on(|w, _| {
@@ -19,11 +21,11 @@ fn connect_blocking(env: &Env, host: u16, dst_host: u16, dst_port: u16) -> SockI
             tcp::register_writer(w, s, me);
             None
         }
-    });
+    }).await;
     s
 }
 
-fn accept_blocking(env: &Env, host: u16, port: u16) -> SockId {
+async fn accept_blocking(env: &Env, host: u16, port: u16) -> SockId {
     let me = env.id();
     env.block_on(|w, _| match tcp::accept(w, host, port) {
         Some(s) => Some(s),
@@ -31,10 +33,10 @@ fn accept_blocking(env: &Env, host: u16, port: u16) -> SockId {
             tcp::register_acceptor(w, host, port, me);
             None
         }
-    })
+    }).await
 }
 
-fn send_all(env: &Env, s: SockId, data: Bytes) {
+async fn send_all(env: &Env, s: SockId, data: Bytes) {
     let me = env.id();
     let mut off = 0usize;
     while off < data.len() {
@@ -43,12 +45,12 @@ fn send_all(env: &Env, s: SockId, data: Bytes) {
         off += n;
         if off < data.len() && n == 0 {
             env.with(|w, _| tcp::register_writer(w, s, me));
-            env.park();
+            env.park().await;
         }
     }
 }
 
-fn recv_exact(env: &Env, s: SockId, n: usize) -> Vec<u8> {
+async fn recv_exact(env: &Env, s: SockId, n: usize) -> Vec<u8> {
     let me = env.id();
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
@@ -59,7 +61,7 @@ fn recv_exact(env: &Env, s: SockId, n: usize) -> Vec<u8> {
                 assert!(!tcp::at_eof(w, s), "unexpected EOF");
                 tcp::register_reader(w, s, me);
             });
-            env.park();
+            env.park().await;
         } else {
             for c in chunks {
                 out.extend_from_slice(&c);
@@ -73,21 +75,21 @@ fn pattern(len: usize) -> Bytes {
     Bytes::from((0..len).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>())
 }
 
-fn run_pair(
+fn run_pair<C: Future<Output = ()> + 'static, S: Future<Output = ()> + 'static>(
     loss: f64,
     seed: u64,
-    client: impl FnOnce(Env, SockId) + Send + 'static,
-    server: impl FnOnce(Env, SockId) + Send + 'static,
+    client: impl FnOnce(Env, SockId) -> C + 'static,
+    server: impl FnOnce(Env, SockId) -> S + 'static,
 ) -> simcore::RunOutcome<World> {
     let mut rt = Runtime::new(World::paper_cluster(loss), seed);
-    rt.spawn("client", move |env: Env| {
-        let s = connect_blocking(&env, 0, 1, 5000);
-        client(env, s);
+    rt.spawn("client", move |env: Env| async move {
+        let s = connect_blocking(&env, 0, 1, 5000).await;
+        client(env, s).await;
     });
-    rt.spawn("server", move |env: Env| {
+    rt.spawn("server", move |env: Env| async move {
         env.with(|w, _| tcp::listen(w, 1, 5000));
-        let s = accept_blocking(&env, 1, 5000);
-        server(env, s);
+        let s = accept_blocking(&env, 1, 5000).await;
+        server(env, s).await;
     });
     rt.run()
 }
@@ -99,9 +101,9 @@ fn handshake_and_small_message() {
     run_pair(
         0.0,
         1,
-        move |env, s| send_all(&env, s, data),
-        move |env, s| {
-            let got = recv_exact(&env, s, 100);
+        move |env, s| async move { send_all(&env, s, data).await },
+        move |env, s| async move {
+            let got = recv_exact(&env, s, 100).await;
             assert_eq!(&got[..], &expect[..]);
         },
     );
@@ -115,15 +117,15 @@ fn bidirectional_transfer() {
     run_pair(
         0.0,
         2,
-        move |env, s| {
-            send_all(&env, s, a);
-            let got = recv_exact(&env, s, 3000);
+        move |env, s| async move {
+            send_all(&env, s, a).await;
+            let got = recv_exact(&env, s, 3000).await;
             assert_eq!(&got[..], &be[..]);
         },
-        move |env, s| {
-            let got = recv_exact(&env, s, 5000);
+        move |env, s| async move {
+            let got = recv_exact(&env, s, 5000).await;
             assert_eq!(&got[..], &ae[..]);
-            send_all(&env, s, b);
+            send_all(&env, s, b).await;
         },
     );
 }
@@ -136,9 +138,9 @@ fn bulk_transfer_no_loss_is_wire_speed() {
     let out = run_pair(
         0.0,
         3,
-        move |env, s| send_all(&env, s, data),
-        move |env, s| {
-            let got = recv_exact(&env, s, n);
+        move |env, s| async move { send_all(&env, s, data).await },
+        move |env, s| async move {
+            let got = recv_exact(&env, s, n).await;
             assert_eq!(got.len(), n);
             assert_eq!(&got[..64], &expect[..64]);
             assert_eq!(&got[n - 64..], &expect[n - 64..]);
@@ -159,9 +161,9 @@ fn bulk_transfer_survives_heavy_loss_intact() {
     let out = run_pair(
         0.02,
         4,
-        move |env, s| send_all(&env, s, data),
-        move |env, s| {
-            let got = recv_exact(&env, s, n);
+        move |env, s| async move { send_all(&env, s, data).await },
+        move |env, s| async move {
+            let got = recv_exact(&env, s, n).await;
             assert_eq!(&got[..], &expect[..], "corruption under loss");
         },
     );
@@ -178,9 +180,9 @@ fn fast_retransmit_recovers_single_drop_quickly() {
     let out = run_pair(
         0.003,
         5,
-        move |env, s| send_all(&env, s, data),
-        move |env, s| {
-            let _ = recv_exact(&env, s, n);
+        move |env, s| async move { send_all(&env, s, data).await },
+        move |env, s| async move {
+            let _ = recv_exact(&env, s, n).await;
         },
     );
     let st = out.world.hosts[0].tcp.total_stats();
@@ -200,14 +202,14 @@ fn close_delivers_eof_and_half_close_allows_reply() {
     run_pair(
         0.0,
         6,
-        move |env, s| {
-            send_all(&env, s, data);
+        move |env, s| async move {
+            send_all(&env, s, data).await;
             env.with(|w, ctx| tcp::close(w, ctx, s));
-            let got = recv_exact(&env, s, 500);
+            let got = recv_exact(&env, s, 500).await;
             assert_eq!(&got[..], &re[..]);
         },
-        move |env, s| {
-            let got = recv_exact(&env, s, 1000);
+        move |env, s| async move {
+            let got = recv_exact(&env, s, 1000).await;
             assert_eq!(&got[..], &de[..]);
             // Wait for EOF.
             let me = env.id();
@@ -218,9 +220,9 @@ fn close_delivers_eof_and_half_close_allows_reply() {
                     tcp::register_reader(w, s, me);
                     None
                 }
-            });
+            }).await;
             // Half-closed: we can still send.
-            send_all(&env, s, reply);
+            send_all(&env, s, reply).await;
             env.with(|w, ctx| tcp::close(w, ctx, s));
         },
     );
@@ -237,13 +239,13 @@ fn flow_control_blocks_sender_until_receiver_drains() {
     let out = run_pair(
         0.0,
         7,
-        move |env, s| {
-            send_all(&env, s, data);
+        move |env, s| async move {
+            send_all(&env, s, data).await;
             *done2.lock().unwrap() = env.now();
         },
-        move |env, s| {
-            env.sleep(Dur::from_secs(2));
-            let got = recv_exact(&env, s, n);
+        move |env, s| async move {
+            env.sleep(Dur::from_secs(2)).await;
+            let got = recv_exact(&env, s, n).await;
             assert_eq!(got.len(), n);
         },
     );
@@ -264,10 +266,10 @@ fn zero_window_persist_probe_resumes_after_long_stall() {
     run_pair(
         0.0,
         8,
-        move |env, s| send_all(&env, s, data),
-        move |env, s| {
-            env.sleep(Dur::from_secs(30));
-            let got = recv_exact(&env, s, n);
+        move |env, s| async move { send_all(&env, s, data).await },
+        move |env, s| async move {
+            env.sleep(Dur::from_secs(30)).await;
+            let got = recv_exact(&env, s, n).await;
             assert_eq!(got.len(), n);
         },
     );
@@ -279,23 +281,23 @@ fn full_mesh_eight_hosts() {
     let mut rt = Runtime::new(World::paper_cluster(0.0), 9);
     let n = 8u16;
     for h in 0..n {
-        rt.spawn(format!("h{h}"), move |env: Env| {
+        rt.spawn(format!("h{h}"), move |env: Env| async move {
             env.with(|w, _| tcp::listen(w, h, 6000));
             // Connect to every higher rank; accept from every lower rank.
             let mut socks = Vec::new();
             for peer in (h + 1)..n {
-                socks.push(connect_blocking(&env, h, peer, 6000));
+                socks.push(connect_blocking(&env, h, peer, 6000).await);
             }
             for _ in 0..h {
-                socks.push(accept_blocking(&env, h, 6000));
+                socks.push(accept_blocking(&env, h, 6000).await);
             }
             // Everyone sends its rank 100 times on every socket.
             let msg = Bytes::from(vec![h as u8; 100]);
             for &s in &socks {
-                send_all(&env, s, msg.clone());
+                send_all(&env, s, msg.clone()).await;
             }
             for &s in &socks {
-                let got = recv_exact(&env, s, 100);
+                let got = recv_exact(&env, s, 100).await;
                 assert!(got.iter().all(|&b| b == got[0]), "mixed bytes from one peer");
                 assert_ne!(got[0], h as u8, "own rank echoed back?");
             }
@@ -312,9 +314,9 @@ fn deterministic_under_loss() {
         let out = run_pair(
             0.01,
             seed,
-            move |env, s| send_all(&env, s, data),
-            move |env, s| {
-                let _ = recv_exact(&env, s, n);
+            move |env, s| async move { send_all(&env, s, data).await },
+            move |env, s| async move {
+                let _ = recv_exact(&env, s, n).await;
             },
         );
         let st = out.world.hosts[0].tcp.total_stats();
@@ -331,7 +333,7 @@ fn deterministic_under_loss() {
 #[test]
 fn connect_to_dead_host_fails_after_retries() {
     let mut rt = Runtime::new(World::paper_cluster(0.0), 10);
-    rt.spawn("client", |env: Env| {
+    rt.spawn("client", |env: Env| async move {
         // Nobody listens on host 1 port 7777.
         let s = env.with(|w, ctx| tcp::connect(w, ctx, 0, 1, 7777));
         let me = env.id();
@@ -343,7 +345,7 @@ fn connect_to_dead_host_fails_after_retries() {
                 tcp::register_writer(w, s, me);
                 None
             }
-        });
+        }).await;
     });
     let out = rt.run();
     // 6 retries with exponential backoff from 3 s: tens of seconds.

@@ -79,7 +79,7 @@ fn flags_algebra() {
 #[test]
 fn state_transitions_through_a_whole_connection() {
     let mut rt = Runtime::new(World::paper_cluster(0.0), 1);
-    rt.spawn("client", |env: Env| {
+    rt.spawn("client", |env: Env| async move {
         let s = env.with(|w, ctx| tcp::connect(w, ctx, 0, 1, 9000));
         assert_eq!(env.with(|w, _| tcp::state(w, s)), TcpState::SynSent);
         let me = env.id();
@@ -90,7 +90,7 @@ fn state_transitions_through_a_whole_connection() {
                 tcp::register_writer(w, s, me);
                 None
             }
-        });
+        }).await;
         assert_eq!(env.with(|w, _| tcp::state(w, s)), TcpState::Established);
         assert_eq!(env.with(|w, _| tcp::peer_of(w, s)), (1, 9000));
         env.with(|w, ctx| {
@@ -108,9 +108,9 @@ fn state_transitions_through_a_whole_connection() {
                 tcp::register_reader(w, s, me);
                 None
             }
-        });
+        }).await;
     });
-    rt.spawn("server", |env: Env| {
+    rt.spawn("server", |env: Env| async move {
         env.with(|w, _| tcp::listen(w, 1, 9000));
         let me = env.id();
         let s = env.block_on(|w, _| match tcp::accept(w, 1, 9000) {
@@ -119,7 +119,7 @@ fn state_transitions_through_a_whole_connection() {
                 tcp::register_acceptor(w, 1, 9000, me);
                 None
             }
-        });
+        }).await;
         // Read the 3 bytes + observe EOF.
         env.block_on(|w, ctx| {
             let got = tcp::recv(w, ctx, s, 10);
@@ -129,7 +129,7 @@ fn state_transitions_through_a_whole_connection() {
             } else {
                 Some(())
             }
-        });
+        }).await;
         env.block_on(|w, _| {
             if tcp::at_eof(w, s) {
                 Some(())
@@ -137,7 +137,7 @@ fn state_transitions_through_a_whole_connection() {
                 tcp::register_reader(w, s, me);
                 None
             }
-        });
+        }).await;
         assert_eq!(env.with(|w, _| tcp::state(w, s)), TcpState::CloseWait);
         env.with(|w, ctx| tcp::close(w, ctx, s));
         env.block_on(|w, _| {
@@ -147,7 +147,7 @@ fn state_transitions_through_a_whole_connection() {
                 tcp::register_writer(w, s, me);
                 None
             }
-        });
+        }).await;
     });
     rt.run();
 }
@@ -160,7 +160,7 @@ fn nagle_coalesces_small_writes() {
         let cfg = TcpCfg { nagle, ..TcpCfg::default() };
         let world = World::new(netsim::NetCfg::paper_cluster(0.0), cfg, Default::default());
         let mut rt = Runtime::new(world, 4);
-        rt.spawn("tx", |env: Env| {
+        rt.spawn("tx", |env: Env| async move {
             let s = env.with(|w, ctx| tcp::connect(w, ctx, 0, 1, 9100));
             let me = env.id();
             env.block_on(|w, _| {
@@ -170,16 +170,16 @@ fn nagle_coalesces_small_writes() {
                     tcp::register_writer(w, s, me);
                     None
                 }
-            });
+            }).await;
             for _ in 0..50 {
                 env.with(|w, ctx| {
                     tcp::send(w, ctx, s, &[Bytes::from_static(b"0123456789")]);
                 });
                 // A little pacing so un-Nagled writes become segments.
-                env.sleep(Dur::from_micros(30));
+                env.sleep(Dur::from_micros(30)).await;
             }
         });
-        rt.spawn("rx", |env: Env| {
+        rt.spawn("rx", |env: Env| async move {
             env.with(|w, _| tcp::listen(w, 1, 9100));
             let me = env.id();
             let s = env.block_on(|w, _| match tcp::accept(w, 1, 9100) {
@@ -188,13 +188,13 @@ fn nagle_coalesces_small_writes() {
                     tcp::register_acceptor(w, 1, 9100, me);
                     None
                 }
-            });
+            }).await;
             let mut got = 0usize;
             while got < 500 {
                 let chunks = env.with(|w, ctx| tcp::recv(w, ctx, s, 500));
                 if chunks.is_empty() {
                     env.with(|w, _| tcp::register_reader(w, s, me));
-                    env.park();
+                    env.park().await;
                 } else {
                     got += chunks.iter().map(|c| c.len()).sum::<usize>();
                 }
@@ -214,7 +214,7 @@ fn nagle_coalesces_small_writes() {
 #[test]
 fn send_respects_buffer_and_reports_partial_accept() {
     let mut rt = Runtime::new(World::paper_cluster(0.0), 5);
-    rt.spawn("tx", |env: Env| {
+    rt.spawn("tx", |env: Env| async move {
         let s = env.with(|w, ctx| tcp::connect(w, ctx, 0, 1, 9200));
         let me = env.id();
         env.block_on(|w, _| {
@@ -224,14 +224,14 @@ fn send_respects_buffer_and_reports_partial_accept() {
                 tcp::register_writer(w, s, me);
                 None
             }
-        });
+        }).await;
         // Try to push 1 MB at once: only ~sndbuf is accepted.
         let big = Bytes::from(vec![7u8; 1 << 20]);
         let n = env.with(|w, ctx| tcp::send(w, ctx, s, &[big]));
         assert!(n > 0 && n <= 220 * 1024, "accepted {n}");
         assert!(env.with(|w, _| tcp::send_space(w, s)) < 220 * 1024);
     });
-    rt.spawn("rx", |env: Env| {
+    rt.spawn("rx", |env: Env| async move {
         env.with(|w, _| tcp::listen(w, 1, 9200));
         let me = env.id();
         let _s = env.block_on(|w, _| match tcp::accept(w, 1, 9200) {
@@ -240,9 +240,9 @@ fn send_respects_buffer_and_reports_partial_accept() {
                 tcp::register_acceptor(w, 1, 9200, me);
                 None
             }
-        });
+        }).await;
         // Let the sender's buffered data drain into our rcvbuf.
-        env.sleep(Dur::from_millis(50));
+        env.sleep(Dur::from_millis(50)).await;
     });
     rt.run();
 }

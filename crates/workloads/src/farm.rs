@@ -13,8 +13,11 @@
 //! * When the task pool is exhausted, each further request is answered
 //!   with a termination message.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use bytes::Bytes;
-use mpi_core::{mpirun, Mpi, MpiCfg, ANY_SOURCE, ANY_TAG};
+use mpi_core::{mpirun, Mpi, MpiCfg, RankFut, ANY_SOURCE, ANY_TAG};
 use simcore::Dur;
 
 use crate::zeros;
@@ -79,7 +82,7 @@ pub struct FarmResult {
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Runtime driver↔process handoffs performed (self-metering).
+    /// Rank polls the runtime performed (self-metering).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (self-metering).
     pub wakes_coalesced: u64,
@@ -101,22 +104,24 @@ pub struct FarmResult {
 pub fn run(mpi_cfg: MpiCfg, cfg: FarmCfg) -> FarmResult {
     assert!(mpi_cfg.nprocs >= 2, "farm needs a manager and a worker");
     assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
-    let done_count = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let peak = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let dc = done_count.clone();
-    let pk = peak.clone();
+    let done_count = Rc::new(Cell::new(0u32));
+    let peak = Rc::new(Cell::new(0usize));
+    let (dc, pk) = (done_count.clone(), peak.clone());
     let report = mpirun(mpi_cfg, move |mpi| {
-        if mpi.rank() == 0 {
-            manager(mpi, cfg, None);
-        } else {
-            let n = worker(mpi, cfg);
-            dc.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        }
-        pk.fetch_max(mpi.unexpected_peak(), std::sync::atomic::Ordering::Relaxed);
+        let (dc, pk) = (dc.clone(), pk.clone());
+        Box::pin(async move {
+            if mpi.rank() == 0 {
+                manager(mpi, cfg, None).await;
+            } else {
+                let n = worker(mpi, cfg).await;
+                dc.set(dc.get() + n);
+            }
+            pk.set(pk.get().max(mpi.unexpected_peak()));
+        })
     });
     FarmResult {
         secs: report.secs(),
-        tasks_done: done_count.load(std::sync::atomic::Ordering::Relaxed),
+        tasks_done: done_count.get(),
         events: report.events,
         handoffs: report.handoffs,
         wakes_coalesced: report.wakes_coalesced,
@@ -124,17 +129,19 @@ pub fn run(mpi_cfg: MpiCfg, cfg: FarmCfg) -> FarmResult {
         pkts_fused: report.pkts_fused,
         wheel_hits: report.wheel_hits,
         heap_falls: report.heap_falls,
-        unexpected_peak: peak.load(std::sync::atomic::Ordering::Relaxed),
+        unexpected_peak: peak.get(),
     }
 }
 
 /// Run the farm body inside an existing `mpirun` rank (diagnostics).
-pub fn run_inline(mpi: &mut Mpi, cfg: FarmCfg) {
-    if mpi.rank() == 0 {
-        manager(mpi, cfg, None);
-    } else {
-        worker(mpi, cfg);
-    }
+pub fn run_inline(mpi: &mut Mpi, cfg: FarmCfg) -> RankFut<'_> {
+    Box::pin(async move {
+        if mpi.rank() == 0 {
+            manager(mpi, cfg, None).await;
+        } else {
+            worker(mpi, cfg).await;
+        }
+    })
 }
 
 /// Farm result including transport-level failover metrics (experiments A3
@@ -158,19 +165,22 @@ pub struct FaultFarmResult {
 /// after `kill_at_batch` batches have been distributed — the §3.5.1
 /// failover experiment. Requires `mpi_cfg.sctp.num_paths > 1` to survive.
 pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>) -> FaultFarmResult {
-    let done_count = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let done_count = Rc::new(Cell::new(0u32));
     let dc = done_count.clone();
     let report = mpirun(mpi_cfg, move |mpi| {
-        if mpi.rank() == 0 {
-            manager(mpi, cfg, kill_at_batch);
-        } else {
-            let n = worker(mpi, cfg);
-            dc.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        }
+        let dc = dc.clone();
+        Box::pin(async move {
+            if mpi.rank() == 0 {
+                manager(mpi, cfg, kill_at_batch).await;
+            } else {
+                let n = worker(mpi, cfg).await;
+                dc.set(dc.get() + n);
+            }
+        })
     });
     FaultFarmResult {
         secs: report.secs(),
-        tasks_done: done_count.load(std::sync::atomic::Ordering::Relaxed),
+        tasks_done: done_count.get(),
         failovers: report.sctp.failovers,
         first_failover_ns: report.sctp.first_failover_ns,
         events: report.events,
@@ -185,7 +195,7 @@ pub fn run_with_plan(mpi_cfg: MpiCfg, cfg: FarmCfg) -> FaultFarmResult {
     run_with_fault(mpi_cfg, cfg, None)
 }
 
-fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {
+async fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {
     let workers = (mpi.size() - 1) as u32;
     let batches = cfg.num_tasks / cfg.fanout;
     let total_requests = batches + cfg.outstanding * workers;
@@ -196,7 +206,7 @@ fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {
     // servicing the other workers' requests — the overlap §4.2 relies on.
     let mut inflight: Vec<mpi_core::ReqId> = Vec::new();
     for _ in 0..total_requests {
-        let (st, _req) = mpi.recv(ANY_SOURCE, Some(REQ_TAG));
+        let (st, _req) = mpi.recv(ANY_SOURCE, Some(REQ_TAG)).await;
         let worker = st.src;
         if remaining > 0 {
             if kill_at_batch == Some((cfg.num_tasks - remaining) / cfg.fanout) {
@@ -207,28 +217,31 @@ fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {
             for _ in 0..cfg.fanout {
                 let tag = (task_no % cfg.max_work_tags) as i32;
                 task_no += 1;
-                inflight.push(mpi.isend(worker, tag, zeros(cfg.task_bytes)));
+                inflight.push(mpi.isend(worker, tag, zeros(cfg.task_bytes)).await);
             }
             remaining -= cfg.fanout;
-            mpi.reap_sends(&mut inflight);
+            mpi.reap_sends(&mut inflight).await;
         } else {
-            mpi.send(worker, DONE_TAG, Bytes::new());
+            mpi.send(worker, DONE_TAG, Bytes::new()).await;
         }
     }
     let leftovers: Vec<_> = std::mem::take(&mut inflight);
-    mpi.waitall(&leftovers);
+    mpi.waitall(&leftovers).await;
 }
 
 /// Returns the number of tasks this worker processed.
-fn worker(mpi: &mut Mpi, cfg: FarmCfg) -> u32 {
+async fn worker(mpi: &mut Mpi, cfg: FarmCfg) -> u32 {
     // Pre-post enough receives to cover everything that can be in flight:
     // `outstanding` batches of `fanout` tasks, plus termination messages.
     let pool = (cfg.outstanding * cfg.fanout + cfg.outstanding) as usize;
-    let mut recvs: Vec<_> = (0..pool).map(|_| mpi.irecv(Some(0), ANY_TAG)).collect();
+    let mut recvs = Vec::with_capacity(pool);
+    for _ in 0..pool {
+        recvs.push(mpi.irecv(Some(0), ANY_TAG).await);
+    }
 
     // Issue the initial outstanding job requests.
     for _ in 0..cfg.outstanding {
-        mpi.send(0, REQ_TAG, zeros(REQ_BYTES));
+        mpi.send(0, REQ_TAG, zeros(REQ_BYTES)).await;
     }
     let mut tasks_in_batch = 0u32;
     let mut tasks_done = 0u32;
@@ -239,9 +252,9 @@ fn worker(mpi: &mut Mpi, cfg: FarmCfg) -> u32 {
     // worker receives exactly `outstanding` DONEs, regardless of how SCTP
     // streams reorder a DONE around in-flight batches.
     while dones < cfg.outstanding {
-        let (idx, st, _msg) = mpi.waitany(&recvs);
+        let (idx, st, _msg) = mpi.waitany(&recvs).await;
         // Re-post the consumed slot so messages stay expected.
-        recvs[idx] = mpi.irecv(Some(0), ANY_TAG);
+        recvs[idx] = mpi.irecv(Some(0), ANY_TAG).await;
         if st.tag == DONE_TAG {
             dones += 1;
             continue;
@@ -249,11 +262,11 @@ fn worker(mpi: &mut Mpi, cfg: FarmCfg) -> u32 {
         // A task: process it (overlapping with the other posted receives).
         tasks_done += 1;
         tasks_in_batch += 1;
-        mpi.compute(cfg.compute_per_task);
+        mpi.compute(cfg.compute_per_task).await;
         if tasks_in_batch == cfg.fanout {
             tasks_in_batch = 0;
             // Ask for more work (the request doubles as result delivery).
-            mpi.send(0, REQ_TAG, zeros(REQ_BYTES));
+            mpi.send(0, REQ_TAG, zeros(REQ_BYTES)).await;
         }
     }
     debug_assert_eq!(tasks_in_batch, 0, "exited with a partial batch");

@@ -122,7 +122,7 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
     let sum_stale = Arc::new(AtomicU64::new(0));
 
     let (s_sent, s_skip) = (sent.clone(), skipped.clone());
-    rt.spawn("source", move |env: Env| {
+    rt.spawn("source", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, PORT, true));
         let a = {
             let a = env.with(|w, ctx| sctp::connect(w, ctx, ep, 1, PORT));
@@ -134,7 +134,7 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
                     sctp::register_writer(w, ep, me);
                     None
                 }
-            });
+            }).await;
             a
         };
         for i in 0..cfg.frames {
@@ -142,7 +142,7 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
             let due = SimTime::ZERO + Dur::from_nanos(cfg.interval.as_nanos() * i as u64);
             let now = env.with(|_, ctx| ctx.now());
             if due > now {
-                env.sleep(due.since(now));
+                env.sleep(due.since(now)).await;
             }
             let frame = zeros(cfg.frame_bytes);
             let r = env.with(|w, ctx| sctp::sendmsg_pr(w, ctx, a, 0, i, frame, cfg.lifetime));
@@ -170,12 +170,12 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
                 }
                 Err(e) => panic!("sentinel send failed: {e:?}"),
             }
-        });
+        }).await;
     });
 
     let (r_del, r_max, r_sum) = (delivered.clone(), max_stale.clone(), sum_stale.clone());
     let interval_ns = cfg.interval.as_nanos();
-    rt.spawn("sink", move |env: Env| {
+    rt.spawn("sink", move |env: Env| async move {
         let ep = env.with(|w, _| {
             let ep = sctp::socket(w, 1, PORT, true);
             sctp::listen(w, ep);
@@ -189,7 +189,7 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
                     sctp::register_reader(w, ep, me);
                     None
                 }
-            });
+            }).await;
             if m.ppid == SENTINEL {
                 break;
             }

@@ -17,6 +17,9 @@
 //! deterministic task-size schedule: every `bulk_every`-th task is bulk
 //! (tag 0 → one stream), the rest are urgent on the remaining tags.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use mpi_core::{mpirun, mpirun_traced, Mpi, MpiCfg, ANY_SOURCE, ANY_TAG};
 use simcore::Dur;
@@ -114,14 +117,15 @@ pub struct TracedMixedResult {
 
 /// Run the mixed farm under `mpi_cfg`.
 pub fn run(mpi_cfg: MpiCfg, cfg: MixedCfg) -> MixedResult {
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let done = Rc::new(Cell::new(0u32));
     let dc = done.clone();
     let report = mpirun(mpi_cfg, move |mpi| {
-        body(mpi, cfg, &dc);
+        let dc = dc.clone();
+        Box::pin(async move { body(mpi, cfg, &dc).await })
     });
     MixedResult {
         secs: report.secs(),
-        tasks_done: done.load(std::sync::atomic::Ordering::Relaxed),
+        tasks_done: done.get(),
         events: report.events,
         msgs_abandoned: report.sctp.msgs_abandoned,
         fwd_tsn_out: report.sctp.fwd_tsn_out,
@@ -131,16 +135,17 @@ pub fn run(mpi_cfg: MpiCfg, cfg: MixedCfg) -> MixedResult {
 /// Run the mixed farm with the flight recorder forced on, returning the
 /// per-side HOL totals the interleave experiment asserts on.
 pub fn run_traced(mpi_cfg: MpiCfg, cfg: MixedCfg) -> TracedMixedResult {
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let done = Rc::new(Cell::new(0u32));
     let dc = done.clone();
     let (report, dump) = mpirun_traced(mpi_cfg, move |mpi| {
-        body(mpi, cfg, &dc);
+        let dc = dc.clone();
+        Box::pin(async move { body(mpi, cfg, &dc).await })
     });
     let hol = dump.hol_totals();
     TracedMixedResult {
         result: MixedResult {
             secs: report.secs(),
-            tasks_done: done.load(std::sync::atomic::Ordering::Relaxed),
+            tasks_done: done.get(),
             events: report.events,
             msgs_abandoned: report.sctp.msgs_abandoned,
             fwd_tsn_out: report.sctp.fwd_tsn_out,
@@ -152,16 +157,16 @@ pub fn run_traced(mpi_cfg: MpiCfg, cfg: MixedCfg) -> TracedMixedResult {
     }
 }
 
-fn body(mpi: &mut Mpi, cfg: MixedCfg, done: &std::sync::atomic::AtomicU32) {
+async fn body(mpi: &mut Mpi, cfg: MixedCfg, done: &Cell<u32>) {
     if mpi.rank() == 0 {
-        manager(mpi, cfg);
+        manager(mpi, cfg).await;
     } else {
-        let n = worker(mpi, cfg);
-        done.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        let n = worker(mpi, cfg).await;
+        done.set(done.get() + n);
     }
 }
 
-fn manager(mpi: &mut Mpi, cfg: MixedCfg) {
+async fn manager(mpi: &mut Mpi, cfg: MixedCfg) {
     assert!(mpi.size() >= 2, "mixed farm needs a manager and a worker");
     assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
     let workers = (mpi.size() - 1) as u32;
@@ -171,7 +176,7 @@ fn manager(mpi: &mut Mpi, cfg: MixedCfg) {
     let mut task_no: u32 = 0;
     let mut inflight: Vec<mpi_core::ReqId> = Vec::new();
     for _ in 0..total_requests {
-        let (st, _req) = mpi.recv(ANY_SOURCE, Some(REQ_TAG));
+        let (st, _req) = mpi.recv(ANY_SOURCE, Some(REQ_TAG)).await;
         let worker = st.src;
         if remaining > 0 {
             // One batch: `fanout` tasks off the deterministic size/tag
@@ -180,41 +185,44 @@ fn manager(mpi: &mut Mpi, cfg: MixedCfg) {
             for _ in 0..cfg.fanout {
                 let (bytes, tag) = cfg.task_shape(task_no);
                 task_no += 1;
-                inflight.push(mpi.isend(worker, tag, zeros(bytes)));
+                inflight.push(mpi.isend(worker, tag, zeros(bytes)).await);
             }
             remaining -= cfg.fanout;
-            mpi.reap_sends(&mut inflight);
+            mpi.reap_sends(&mut inflight).await;
         } else {
-            mpi.send(worker, DONE_TAG, Bytes::new());
+            mpi.send(worker, DONE_TAG, Bytes::new()).await;
         }
     }
     let leftovers: Vec<_> = std::mem::take(&mut inflight);
-    mpi.waitall(&leftovers);
+    mpi.waitall(&leftovers).await;
 }
 
 /// Returns the number of tasks this worker processed.
-fn worker(mpi: &mut Mpi, cfg: MixedCfg) -> u32 {
+async fn worker(mpi: &mut Mpi, cfg: MixedCfg) -> u32 {
     let pool = (cfg.outstanding * cfg.fanout + cfg.outstanding) as usize;
-    let mut recvs: Vec<_> = (0..pool).map(|_| mpi.irecv(Some(0), ANY_TAG)).collect();
+    let mut recvs = Vec::with_capacity(pool);
+    for _ in 0..pool {
+        recvs.push(mpi.irecv(Some(0), ANY_TAG).await);
+    }
     for _ in 0..cfg.outstanding {
-        mpi.send(0, REQ_TAG, zeros(REQ_BYTES));
+        mpi.send(0, REQ_TAG, zeros(REQ_BYTES)).await;
     }
     let mut tasks_in_batch = 0u32;
     let mut tasks_done = 0u32;
     let mut dones = 0u32;
     while dones < cfg.outstanding {
-        let (idx, st, _msg) = mpi.waitany(&recvs);
-        recvs[idx] = mpi.irecv(Some(0), ANY_TAG);
+        let (idx, st, _msg) = mpi.waitany(&recvs).await;
+        recvs[idx] = mpi.irecv(Some(0), ANY_TAG).await;
         if st.tag == DONE_TAG {
             dones += 1;
             continue;
         }
         tasks_done += 1;
         tasks_in_batch += 1;
-        mpi.compute(cfg.compute_per_task);
+        mpi.compute(cfg.compute_per_task).await;
         if tasks_in_batch == cfg.fanout {
             tasks_in_batch = 0;
-            mpi.send(0, REQ_TAG, zeros(REQ_BYTES));
+            mpi.send(0, REQ_TAG, zeros(REQ_BYTES)).await;
         }
     }
     tasks_done

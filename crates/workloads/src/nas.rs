@@ -137,7 +137,7 @@ pub struct NasResult {
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Runtime driver↔process handoffs performed (self-metering).
+    /// Rank polls the runtime performed (self-metering).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (self-metering).
     pub wakes_coalesced: u64,
@@ -153,9 +153,7 @@ pub struct NasResult {
 
 /// Run one kernel at one class.
 pub fn run(mpi_cfg: MpiCfg, kernel: Kernel, class: Class) -> NasResult {
-    let report = mpirun(mpi_cfg, move |mpi| {
-        dispatch(mpi, kernel, class);
-    });
+    let report = mpirun(mpi_cfg, move |mpi| Box::pin(dispatch(mpi, kernel, class)));
     let secs = report.secs();
     let mops_total = kernel.mops(class);
     NasResult {
@@ -174,15 +172,15 @@ pub fn run(mpi_cfg: MpiCfg, kernel: Kernel, class: Class) -> NasResult {
     }
 }
 
-fn dispatch(mpi: &mut Mpi, kernel: Kernel, class: Class) {
+async fn dispatch(mpi: &mut Mpi, kernel: Kernel, class: Class) {
     match kernel {
-        Kernel::LU => lu(mpi, class),
-        Kernel::SP => sp(mpi, class),
-        Kernel::EP => ep(mpi, class),
-        Kernel::CG => cg(mpi, class),
-        Kernel::BT => bt(mpi, class),
-        Kernel::MG => mg(mpi, class),
-        Kernel::IS => is(mpi, class),
+        Kernel::LU => lu(mpi, class).await,
+        Kernel::SP => sp(mpi, class).await,
+        Kernel::EP => ep(mpi, class).await,
+        Kernel::CG => cg(mpi, class).await,
+        Kernel::BT => bt(mpi, class).await,
+        Kernel::MG => mg(mpi, class).await,
+        Kernel::IS => is(mpi, class).await,
     }
 }
 
@@ -195,10 +193,10 @@ fn msg(base: usize, class: Class) -> usize {
 }
 
 /// Blocking pairwise exchange (sendrecv) used by the grid kernels.
-fn exchange(mpi: &mut Mpi, partner: u16, tag: i32, bytes: usize) {
-    let s = mpi.isend(partner, tag, zeros(bytes));
-    let r = mpi.irecv(Some(partner), Some(tag));
-    mpi.waitall(&[s, r]);
+async fn exchange(mpi: &mut Mpi, partner: u16, tag: i32, bytes: usize) {
+    let s = mpi.isend(partner, tag, zeros(bytes)).await;
+    let r = mpi.irecv(Some(partner), Some(tag)).await;
+    mpi.waitall(&[s, r]).await;
 }
 
 /// Process-grid helpers: 4×2 for 8 ranks, degrading to a line.
@@ -214,7 +212,7 @@ fn at(col: i32, row: i32, cols: i32) -> u16 {
 
 /// **LU** — wavefront (pipelined SSOR): many *small* messages along the
 /// 2D process grid, two sweeps per iteration.
-fn lu(mpi: &mut Mpi, class: Class) {
+async fn lu(mpi: &mut Mpi, class: Class) {
     let n = mpi.size();
     let me = mpi.rank();
     let (col, row, cols, rows) = grid(me, n);
@@ -227,40 +225,40 @@ fn lu(mpi: &mut Mpi, class: Class) {
         let tag = (it as i32) << 2;
         // Forward sweep: wait on north/west, compute, send south/east.
         if col > 0 {
-            let _ = mpi.recv(Some(at(col - 1, row, cols)), Some(tag));
+            let _ = mpi.recv(Some(at(col - 1, row, cols)), Some(tag)).await;
         }
         if row > 0 {
-            let _ = mpi.recv(Some(at(col, row - 1, cols)), Some(tag));
+            let _ = mpi.recv(Some(at(col, row - 1, cols)), Some(tag)).await;
         }
-        mpi.compute(sweep_compute);
+        mpi.compute(sweep_compute).await;
         if col + 1 < cols {
-            mpi.send(at(col + 1, row, cols), tag, zeros(m));
+            mpi.send(at(col + 1, row, cols), tag, zeros(m)).await;
         }
         if row + 1 < rows {
-            mpi.send(at(col, row + 1, cols), tag, zeros(m));
+            mpi.send(at(col, row + 1, cols), tag, zeros(m)).await;
         }
         // Backward sweep.
         let tag = tag | 1;
         if col + 1 < cols {
-            let _ = mpi.recv(Some(at(col + 1, row, cols)), Some(tag));
+            let _ = mpi.recv(Some(at(col + 1, row, cols)), Some(tag)).await;
         }
         if row + 1 < rows {
-            let _ = mpi.recv(Some(at(col, row + 1, cols)), Some(tag));
+            let _ = mpi.recv(Some(at(col, row + 1, cols)), Some(tag)).await;
         }
-        mpi.compute(sweep_compute);
+        mpi.compute(sweep_compute).await;
         if col > 0 {
-            mpi.send(at(col - 1, row, cols), tag, zeros(m));
+            mpi.send(at(col - 1, row, cols), tag, zeros(m)).await;
         }
         if row > 0 {
-            mpi.send(at(col, row - 1, cols), tag, zeros(m));
+            mpi.send(at(col, row - 1, cols), tag, zeros(m)).await;
         }
     }
-    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 5]); // residual norms
+    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 5]).await; // residual norms
 }
 
 /// **SP** — scalar-pentadiagonal ADI: large face exchanges in three
 /// directions per iteration (long messages in class B).
-fn sp(mpi: &mut Mpi, class: Class) {
+async fn sp(mpi: &mut Mpi, class: Class) {
     let n = mpi.size();
     let me = mpi.rank();
     let niter = iters(100, class);
@@ -272,27 +270,27 @@ fn sp(mpi: &mut Mpi, class: Class) {
             let to = (me + shift) % n;
             let from = (me + n - shift) % n;
             let tag = ((it as i32) << 4) | dir as i32;
-            let s = mpi.isend(to, tag, zeros(m));
-            let r = mpi.irecv(Some(from), Some(tag));
-            mpi.compute(per_iter / 3);
-            mpi.waitall(&[s, r]);
+            let s = mpi.isend(to, tag, zeros(m)).await;
+            let r = mpi.irecv(Some(from), Some(tag)).await;
+            mpi.compute(per_iter / 3).await;
+            mpi.waitall(&[s, r]).await;
         }
     }
-    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 5]);
+    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 5]).await;
 }
 
 /// **EP** — embarrassingly parallel: almost pure compute, tiny reductions
 /// at the end.
-fn ep(mpi: &mut Mpi, class: Class) {
-    mpi.compute(Dur::from_secs_f64(10.0 * class.scale()));
+async fn ep(mpi: &mut Mpi, class: Class) {
+    mpi.compute(Dur::from_secs_f64(10.0 * class.scale())).await;
     for _ in 0..3 {
-        let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 10]);
+        let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 10]).await;
     }
 }
 
 /// **CG** — conjugate gradient: transpose-partner exchanges of long
 /// vectors plus a tiny dot-product allreduce every inner iteration.
-fn cg(mpi: &mut Mpi, class: Class) {
+async fn cg(mpi: &mut Mpi, class: Class) {
     let n = mpi.size();
     let me = mpi.rank();
     let outer = iters(15, class);
@@ -304,10 +302,10 @@ fn cg(mpi: &mut Mpi, class: Class) {
     for _o in 0..outer {
         for i in 0..inner {
             if partner < n && partner != me {
-                exchange(mpi, partner, i, m);
+                exchange(mpi, partner, i, m).await;
             }
-            mpi.compute(per_inner);
-            let _ = mpi.allreduce(ReduceOp::Sum, &[1.0]);
+            mpi.compute(per_inner).await;
+            let _ = mpi.allreduce(ReduceOp::Sum, &[1.0]).await;
         }
     }
 }
@@ -315,7 +313,7 @@ fn cg(mpi: &mut Mpi, class: Class) {
 /// **BT** — block-tridiagonal ADI. The paper notes BT keeps a greater
 /// proportion of *short* messages even in class B: faces move as several
 /// sub-block messages below the eager limit.
-fn bt(mpi: &mut Mpi, class: Class) {
+async fn bt(mpi: &mut Mpi, class: Class) {
     let n = mpi.size();
     let me = mpi.rank();
     let niter = iters(60, class);
@@ -329,19 +327,25 @@ fn bt(mpi: &mut Mpi, class: Class) {
             let tag = ((it as i32) << 4) | dir as i32;
             // Four sub-block messages per face: short-message heavy (the
             // property the paper credits for TCP's slight edge on BT).
-            let sends: Vec<_> = (0..4).map(|_| mpi.isend(to, tag, zeros(m))).collect();
-            let recvs: Vec<_> = (0..4).map(|_| mpi.irecv(Some(from), Some(tag))).collect();
-            mpi.compute(per_iter / 3);
-            mpi.waitall(&sends);
-            mpi.waitall(&recvs);
+            let mut sends = Vec::with_capacity(4);
+            for _ in 0..4 {
+                sends.push(mpi.isend(to, tag, zeros(m)).await);
+            }
+            let mut recvs = Vec::with_capacity(4);
+            for _ in 0..4 {
+                recvs.push(mpi.irecv(Some(from), Some(tag)).await);
+            }
+            mpi.compute(per_iter / 3).await;
+            mpi.waitall(&sends).await;
+            mpi.waitall(&recvs).await;
         }
     }
-    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 5]);
+    let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 5]).await;
 }
 
 /// **MG** — multigrid V-cycles: neighbor exchanges whose size shrinks with
 /// every grid level, so traffic is dominated by *short* messages.
-fn mg(mpi: &mut Mpi, class: Class) {
+async fn mg(mpi: &mut Mpi, class: Class) {
     let n = mpi.size();
     let me = mpi.rank();
     let niter = iters(20, class);
@@ -359,34 +363,34 @@ fn mg(mpi: &mut Mpi, class: Class) {
                 let to = (me + shift) % n;
                 let from = (me + n - shift) % n;
                 let tag = ((it as i32) << 8) | (level << 2) | shift as i32;
-                let s = mpi.isend(to, tag, zeros(level_bytes));
-                let r = mpi.irecv(Some(from), Some(tag));
-                mpi.waitall(&[s, r]);
+                let s = mpi.isend(to, tag, zeros(level_bytes)).await;
+                let r = mpi.irecv(Some(from), Some(tag)).await;
+                mpi.waitall(&[s, r]).await;
             }
-            mpi.compute(per_level);
+            mpi.compute(per_level).await;
             level_bytes /= 4;
             level += 1;
         }
     }
-    let _ = mpi.allreduce(ReduceOp::Max, &[1.0]);
+    let _ = mpi.allreduce(ReduceOp::Max, &[1.0]).await;
 }
 
 /// **IS** — integer sort: a bucket-size reduction then an all-to-all key
 /// redistribution (the heavy phase), per iteration.
-fn is(mpi: &mut Mpi, class: Class) {
+async fn is(mpi: &mut Mpi, class: Class) {
     let n = mpi.size();
     let niter = iters(10, class);
     let keys_per_pair = msg(512 * 1024, class);
     let per_iter = Dur::from_secs_f64(1.2 * class.scale() / niter as f64);
     for _ in 0..niter {
         // Bucket-size exchange (small).
-        let _ = mpi.allreduce(ReduceOp::Sum, &[0.0; 64]);
+        let _ = mpi.allreduce(ReduceOp::Sum, &[0.0; 64]).await;
         // Key redistribution (large, all-to-all).
         let data: Vec<Bytes> = (0..n).map(|_| zeros(keys_per_pair)).collect();
-        let _ = mpi.alltoall(data);
-        mpi.compute(per_iter);
+        let _ = mpi.alltoall(data).await;
+        mpi.compute(per_iter).await;
     }
-    let _ = mpi.allreduce(ReduceOp::Max, &[1.0]);
+    let _ = mpi.allreduce(ReduceOp::Max, &[1.0]).await;
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub struct PingPongResult {
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Runtime driver↔process handoffs performed (self-metering).
+    /// Rank polls the runtime performed (self-metering).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (self-metering).
     pub wakes_coalesced: u64,
@@ -52,24 +52,26 @@ pub struct PingPongResult {
 pub fn run(mpi_cfg: MpiCfg, cfg: PingPongCfg) -> PingPongResult {
     assert!(mpi_cfg.nprocs >= 2);
     let report = mpirun(mpi_cfg, move |mpi| {
-        let data = zeros(cfg.size);
-        match mpi.rank() {
-            0 => {
-                for _ in 0..cfg.iters {
-                    mpi.send(1, 0, data.clone());
-                    let (_, msg) = mpi.recv(Some(1), Some(0));
-                    debug_assert_eq!(msg.len, cfg.size);
+        Box::pin(async move {
+            let data = zeros(cfg.size);
+            match mpi.rank() {
+                0 => {
+                    for _ in 0..cfg.iters {
+                        mpi.send(1, 0, data.clone()).await;
+                        let (_, msg) = mpi.recv(Some(1), Some(0)).await;
+                        debug_assert_eq!(msg.len, cfg.size);
+                    }
                 }
-            }
-            1 => {
-                for _ in 0..cfg.iters {
-                    let (_, msg) = mpi.recv(Some(0), Some(0));
-                    debug_assert_eq!(msg.len, cfg.size);
-                    mpi.send(0, 0, data.clone());
+                1 => {
+                    for _ in 0..cfg.iters {
+                        let (_, msg) = mpi.recv(Some(0), Some(0)).await;
+                        debug_assert_eq!(msg.len, cfg.size);
+                        mpi.send(0, 0, data.clone()).await;
+                    }
                 }
+                _ => {}
             }
-            _ => {}
-        }
+        })
     });
     let secs = report.secs();
     PingPongResult {
@@ -110,24 +112,26 @@ pub struct StreamCfg {
 pub fn run_stream(mpi_cfg: MpiCfg, cfg: StreamCfg) -> PingPongResult {
     assert!(mpi_cfg.nprocs >= 2);
     let report = mpirun(mpi_cfg, move |mpi| {
-        let data = zeros(cfg.size);
-        match mpi.rank() {
-            0 => {
-                for _ in 0..cfg.count {
-                    mpi.send(1, 0, data.clone());
+        Box::pin(async move {
+            let data = zeros(cfg.size);
+            match mpi.rank() {
+                0 => {
+                    for _ in 0..cfg.count {
+                        mpi.send(1, 0, data.clone()).await;
+                    }
+                    let (_, ack) = mpi.recv(Some(1), Some(1)).await;
+                    debug_assert_eq!(ack.len, 0);
                 }
-                let (_, ack) = mpi.recv(Some(1), Some(1));
-                debug_assert_eq!(ack.len, 0);
-            }
-            1 => {
-                for _ in 0..cfg.count {
-                    let (_, msg) = mpi.recv(Some(0), Some(0));
-                    debug_assert_eq!(msg.len, cfg.size);
+                1 => {
+                    for _ in 0..cfg.count {
+                        let (_, msg) = mpi.recv(Some(0), Some(0)).await;
+                        debug_assert_eq!(msg.len, cfg.size);
+                    }
+                    mpi.send(0, 1, zeros(0)).await;
                 }
-                mpi.send(0, 1, zeros(0));
+                _ => {}
             }
-            _ => {}
-        }
+        })
     });
     let secs = report.secs();
     PingPongResult {

@@ -8,8 +8,11 @@
 //! slow start, AIMD, fast retransmit and an exponentially backed-off RTO —
 //! because at this scale the interesting dynamics are *collective*
 //! (synchronized windows overflowing one FIFO), not per-byte protocol
-//! detail, and because every node must be a flat state machine: blocking
-//! per-rank processes do not scale to 10k ranks.
+//! detail, and because the sharded engine drives flat per-node state
+//! machines. (Rank count is not the obstacle: `simcore::process` ranks are
+//! futures on one thread, and a 10 000-process job starts in one process —
+//! see `simcore/tests/runtime_props.rs`. Running the real engines here is
+//! ROADMAP item 2.)
 //!
 //! Three design rules keep the model bit-identical at any shard count
 //! (see `simcore::shard` for the engine's contract):

@@ -40,32 +40,36 @@ const SIZE: usize = 100 * 1024;
 /// The transfer both parts run: rank 0 streams `N_MSGS` × `SIZE` bytes to
 /// rank 1, which checks every message arrives intact and in order.
 fn transfer(cfg: MpiCfg, kill_primary_at_msg: Option<u32>) -> MpiReport {
-    mpirun(cfg, move |mpi| match mpi.rank() {
-        0 => {
-            for i in 0..N_MSGS {
-                if Some(i) == kill_primary_at_msg {
-                    println!(
-                        "[{:.3}s] killing network 0 (the primary path)",
-                        mpi.now().as_secs_f64()
-                    );
-                    mpi.with_world(|w| w.net.set_network_up(0, false));
+    mpirun(cfg, move |mpi| {
+        Box::pin(async move {
+            match mpi.rank() {
+                0 => {
+                    for i in 0..N_MSGS {
+                        if Some(i) == kill_primary_at_msg {
+                            println!(
+                                "[{:.3}s] killing network 0 (the primary path)",
+                                mpi.now().as_secs_f64()
+                            );
+                            mpi.with_world(|w| w.net.set_network_up(0, false));
+                        }
+                        mpi.send(1, 0, Bytes::from(vec![i as u8; SIZE])).await;
+                    }
                 }
-                mpi.send(1, 0, Bytes::from(vec![i as u8; SIZE]));
+                1 => {
+                    for i in 0..N_MSGS {
+                        let (_, msg) = mpi.recv(Some(0), Some(0)).await;
+                        assert_eq!(msg.len, SIZE);
+                        assert_eq!(msg.to_vec()[0], i as u8, "ordered across failover");
+                    }
+                    println!(
+                        "[{:.3}s] receiver: all {} messages intact and in order",
+                        mpi.now().as_secs_f64(),
+                        N_MSGS
+                    );
+                }
+                _ => {}
             }
-        }
-        1 => {
-            for i in 0..N_MSGS {
-                let (_, msg) = mpi.recv(Some(0), Some(0));
-                assert_eq!(msg.len, SIZE);
-                assert_eq!(msg.to_vec()[0], i as u8, "ordered across failover");
-            }
-            println!(
-                "[{:.3}s] receiver: all {} messages intact and in order",
-                mpi.now().as_secs_f64(),
-                N_MSGS
-            );
-        }
-        _ => {}
+        })
     })
 }
 

@@ -11,15 +11,17 @@ use mpi_core::{mpirun_monitored, MpiCfg, ReduceOp};
 fn main() {
     let n = 8;
     let (report, table) = mpirun_monitored(MpiCfg::sctp(n, 0.0), |mpi| {
-        // A small job: a ring of messages plus a reduction.
-        let next = (mpi.rank() + 1) % mpi.size();
-        let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
-        for i in 0..5 {
-            let s = mpi.isend(next, i, Bytes::from(vec![0u8; 10_000]));
-            let r = mpi.irecv(Some(prev), Some(i));
-            mpi.waitall(&[s, r]);
-        }
-        let _ = mpi.allreduce(ReduceOp::Sum, &[mpi.rank() as f64]);
+        Box::pin(async move {
+            // A small job: a ring of messages plus a reduction.
+            let next = (mpi.rank() + 1) % mpi.size();
+            let prev = (mpi.rank() + mpi.size() - 1) % mpi.size();
+            for i in 0..5 {
+                let s = mpi.isend(next, i, Bytes::from(vec![0u8; 10_000])).await;
+                let r = mpi.irecv(Some(prev), Some(i)).await;
+                mpi.waitall(&[s, r]).await;
+            }
+            let _ = mpi.allreduce(ReduceOp::Sum, &[mpi.rank() as f64]).await;
+        })
     });
 
     println!("job finished in {:.3}s (simulated); mpitask view:", report.secs());

@@ -14,38 +14,40 @@ use simcore::Dur;
 fn scenario(name: &str, cfg: MpiCfg) {
     println!("--- {name} ---");
     let report = mpirun(cfg, |mpi| {
-        match mpi.rank() {
-            1 => {
-                // Sender: Msg-A (tag 100) is doomed — we flip the network
-                // to 100% loss around its flight, then restore and send
-                // Msg-B (tag 200).
-                mpi.with_world(|w| w.net.set_loss(1.0));
-                let a = mpi.isend(0, 101, Bytes::from(vec![0xAA; 1024]));
-                mpi.compute(Dur::from_millis(1));
-                mpi.with_world(|w| w.net.set_loss(0.0));
-                let b = mpi.isend(0, 205, Bytes::from(vec![0xBB; 1024]));
-                mpi.waitall(&[a, b]);
+        Box::pin(async move {
+            match mpi.rank() {
+                1 => {
+                    // Sender: Msg-A (tag 100) is doomed — we flip the network
+                    // to 100% loss around its flight, then restore and send
+                    // Msg-B (tag 200).
+                    mpi.with_world(|w| w.net.set_loss(1.0));
+                    let a = mpi.isend(0, 101, Bytes::from(vec![0xAA; 1024])).await;
+                    mpi.compute(Dur::from_millis(1)).await;
+                    mpi.with_world(|w| w.net.set_loss(0.0));
+                    let b = mpi.isend(0, 205, Bytes::from(vec![0xBB; 1024])).await;
+                    mpi.waitall(&[a, b]).await;
+                }
+                0 => {
+                    // Receiver: posts both receives, does not care about order.
+                    let ra = mpi.irecv(Some(1), Some(101)).await;
+                    let rb = mpi.irecv(Some(1), Some(205)).await;
+                    let (first, st, _) = mpi.waitany(&[ra, rb]).await;
+                    println!(
+                        "  first arrival: tag {} at t={:.3}s",
+                        st.tag,
+                        mpi.now().as_secs_f64()
+                    );
+                    let other = if first == 0 { rb } else { ra };
+                    let (st2, _) = mpi.wait(other).await;
+                    println!(
+                        "  second arrival: tag {} at t={:.3}s",
+                        st2.tag,
+                        mpi.now().as_secs_f64()
+                    );
+                }
+                _ => {}
             }
-            0 => {
-                // Receiver: posts both receives, does not care about order.
-                let ra = mpi.irecv(Some(1), Some(101));
-                let rb = mpi.irecv(Some(1), Some(205));
-                let (first, st, _) = mpi.waitany(&[ra, rb]);
-                println!(
-                    "  first arrival: tag {} at t={:.3}s",
-                    st.tag,
-                    mpi.now().as_secs_f64()
-                );
-                let other = if first == 0 { rb } else { ra };
-                let (st2, _) = mpi.wait(other);
-                println!(
-                    "  second arrival: tag {} at t={:.3}s",
-                    st2.tag,
-                    mpi.now().as_secs_f64()
-                );
-            }
-            _ => {}
-        }
+        })
     });
     println!("  total: {:.3}s (drops={}, rtx: tcp={} sctp={})", report.secs(), report.net.drops_loss, report.tcp.retransmits, report.sctp.retransmits);
 }

@@ -17,23 +17,25 @@ fn main() {
         ("LAM-SCTP", MpiCfg::sctp(2, 0.0)),
     ] {
         let report = mpirun(cfg, move |mpi| {
-            let payload = Bytes::from(vec![0u8; size]);
-            match mpi.rank() {
-                0 => {
-                    for _ in 0..iters {
-                        mpi.send(1, 0, payload.clone());
-                        let (_, msg) = mpi.recv(Some(1), Some(0));
-                        assert_eq!(msg.len, size);
+            Box::pin(async move {
+                let payload = Bytes::from(vec![0u8; size]);
+                match mpi.rank() {
+                    0 => {
+                        for _ in 0..iters {
+                            mpi.send(1, 0, payload.clone()).await;
+                            let (_, msg) = mpi.recv(Some(1), Some(0)).await;
+                            assert_eq!(msg.len, size);
+                        }
                     }
-                }
-                1 => {
-                    for _ in 0..iters {
-                        let (_, msg) = mpi.recv(Some(0), Some(0));
-                        mpi.send(0, 0, Bytes::from(msg.to_vec()));
+                    1 => {
+                        for _ in 0..iters {
+                            let (_, msg) = mpi.recv(Some(0), Some(0)).await;
+                            mpi.send(0, 0, Bytes::from(msg.to_vec())).await;
+                        }
                     }
+                    _ => unreachable!(),
                 }
-                _ => unreachable!(),
-            }
+            })
         });
         let tput = (size * iters) as f64 / report.secs();
         println!(

@@ -1,6 +1,9 @@
 //! Cross-crate integration tests: full simulated-cluster MPI runs spanning
 //! `simcore` → `netsim` → `transport` → `mpi-core` → `workloads`.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use mpi_core::{mpirun, MpiCfg, ReduceOp, ANY_SOURCE, ANY_TAG};
 use simcore::Dur;
@@ -19,41 +22,43 @@ fn message_storm_integrity_under_loss_both_transports() {
     // content and per-(src, tag) ordering.
     for cfg in [MpiCfg::tcp(6, 0.01).with_seed(21), MpiCfg::sctp(6, 0.01).with_seed(21)] {
         let r = mpirun(cfg, |mpi| {
-            let me = mpi.rank();
-            let n = mpi.size();
-            let per_pair = 6u8;
-            let mut sends = Vec::new();
-            for dst in 0..n {
-                if dst == me {
-                    continue;
+            Box::pin(async move {
+                let me = mpi.rank();
+                let n = mpi.size();
+                let per_pair = 6u8;
+                let mut sends = Vec::new();
+                for dst in 0..n {
+                    if dst == me {
+                        continue;
+                    }
+                    for i in 0..per_pair {
+                        let tag = (i % 3) as i32;
+                        let len = if i % 2 == 0 { 3000 } else { 80_000 };
+                        sends.push(mpi.isend(dst, tag, pattern(len, me as u8 ^ (i << 2))).await);
+                    }
                 }
-                for i in 0..per_pair {
-                    let tag = (i % 3) as i32;
-                    let len = if i % 2 == 0 { 3000 } else { 80_000 };
-                    sends.push(mpi.isend(dst, tag, pattern(len, me as u8 ^ (i << 2))));
+                // Receive everything, tracking per-(src, tag) sequence: the
+                // idx-th arrival on (src, tag) must be the sender's message
+                // i = tag + 3*idx (MPI non-overtaking per TRC).
+                let mut per_tag_count = vec![[0u8; 3]; n as usize];
+                let total = (n - 1) as usize * per_pair as usize;
+                for _ in 0..total {
+                    let (st, msg) = mpi.recv(ANY_SOURCE, ANY_TAG).await;
+                    let src = st.src as usize;
+                    let tag = st.tag as usize;
+                    let idx = per_tag_count[src][tag];
+                    per_tag_count[src][tag] += 1;
+                    let i = tag as u8 + 3 * idx;
+                    let len = if i.is_multiple_of(2) { 3000 } else { 80_000 };
+                    assert_eq!(msg.len, len, "wrong size for src {src} tag {tag}");
+                    assert_eq!(
+                        msg.to_vec(),
+                        &pattern(len, st.src as u8 ^ (i << 2))[..],
+                        "corruption from src {src} tag {tag}"
+                    );
                 }
-            }
-            // Receive everything, tracking per-(src, tag) sequence: the
-            // idx-th arrival on (src, tag) must be the sender's message
-            // i = tag + 3*idx (MPI non-overtaking per TRC).
-            let mut per_tag_count = vec![[0u8; 3]; n as usize];
-            let total = (n - 1) as usize * per_pair as usize;
-            for _ in 0..total {
-                let (st, msg) = mpi.recv(ANY_SOURCE, ANY_TAG);
-                let src = st.src as usize;
-                let tag = st.tag as usize;
-                let idx = per_tag_count[src][tag];
-                per_tag_count[src][tag] += 1;
-                let i = tag as u8 + 3 * idx;
-                let len = if i.is_multiple_of(2) { 3000 } else { 80_000 };
-                assert_eq!(msg.len, len, "wrong size for src {src} tag {tag}");
-                assert_eq!(
-                    msg.to_vec(),
-                    &pattern(len, st.src as u8 ^ (i << 2))[..],
-                    "corruption from src {src} tag {tag}"
-                );
-            }
-            mpi.waitall(&sends);
+                mpi.waitall(&sends).await;
+            })
         });
         assert!(r.net.drops_loss > 0);
     }
@@ -64,17 +69,19 @@ fn transports_agree_on_results() {
     // The same allreduce program must produce identical numeric results on
     // both transports (only timing differs).
     fn run_sum(cfg: MpiCfg) -> Vec<f64> {
-        let out = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let out = Rc::new(RefCell::new(Vec::new()));
         let o2 = out.clone();
         mpirun(cfg, move |mpi| {
-            let v = [mpi.rank() as f64, (mpi.rank() as f64).powi(2)];
-            let r = mpi.allreduce(ReduceOp::Sum, &v);
-            if mpi.rank() == 0 {
-                *o2.lock().unwrap() = r;
-            }
+            let o2 = o2.clone();
+            Box::pin(async move {
+                let v = [mpi.rank() as f64, (mpi.rank() as f64).powi(2)];
+                let r = mpi.allreduce(ReduceOp::Sum, &v).await;
+                if mpi.rank() == 0 {
+                    *o2.borrow_mut() = r;
+                }
+            })
         });
-        let v = out.lock().unwrap().clone();
-        v
+        out.take()
     }
     let a = run_sum(MpiCfg::tcp(8, 0.0));
     let b = run_sum(MpiCfg::sctp(8, 0.0));
@@ -163,20 +170,43 @@ fn whole_runs_are_deterministic() {
 fn compute_and_communication_overlap() {
     // A nonblocking receive posted before compute completes during the
     // compute — total time ≈ max(compute, comm), not the sum.
-    let r = mpirun(MpiCfg::sctp(2, 0.0), |mpi| match mpi.rank() {
-        0 => {
-            let r = mpi.irecv(Some(1), Some(0));
-            mpi.compute(Dur::from_millis(100));
-            let t0 = mpi.now();
-            let _ = mpi.wait(r);
-            let waited = mpi.now().since(t0);
-            assert!(
-                waited < Dur::from_millis(10),
-                "message should have arrived during compute (waited {waited})"
-            );
-        }
-        1 => mpi.send(0, 0, Bytes::from(vec![0u8; 50_000])),
-        _ => {}
+    let r = mpirun(MpiCfg::sctp(2, 0.0), |mpi| {
+        Box::pin(async move {
+            match mpi.rank() {
+                0 => {
+                    let r = mpi.irecv(Some(1), Some(0)).await;
+                    mpi.compute(Dur::from_millis(100)).await;
+                    let t0 = mpi.now();
+                    let _ = mpi.wait(r).await;
+                    let waited = mpi.now().since(t0);
+                    assert!(
+                        waited < Dur::from_millis(10),
+                        "message should have arrived during compute (waited {waited})"
+                    );
+                }
+                1 => mpi.send(0, 0, Bytes::from(vec![0u8; 50_000])).await,
+                _ => {}
+            }
+        })
     });
     assert!(r.secs() < 0.2);
+}
+
+#[test]
+fn every_rank_runs_on_the_callers_thread() {
+    // Ranks are futures polled by `mpirun` itself: no rank ever sees a
+    // thread other than the one that called it.
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s2 = seen.clone();
+    mpirun(MpiCfg::sctp(4, 0.0), move |mpi| {
+        let s2 = s2.clone();
+        Box::pin(async move {
+            mpi.barrier().await;
+            s2.borrow_mut().push((mpi.rank(), std::thread::current().id()));
+        })
+    });
+    let seen = seen.take();
+    assert_eq!(seen.len(), 4);
+    let me = std::thread::current().id();
+    assert!(seen.iter().all(|&(_, id)| id == me), "a rank left the caller's thread: {seen:?} vs {me:?}");
 }
