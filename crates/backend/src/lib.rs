@@ -115,6 +115,8 @@ impl LiveNode {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use netsim::IfAddr;
+    use transport::ip::{Packet, Proto};
     use transport::sctp;
 
     /// The reactor pump is exercised hermetically: both "hosts" live in one
@@ -147,5 +149,91 @@ mod tests {
         let msg = sctp::recvmsg(&mut node.world, &mut node.ctx, eb).expect("readable");
         assert_eq!(msg.len, 3000);
         assert!(node.events_fired > 0);
+    }
+
+    /// What a backend sees, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Poll(usize),
+        Send,
+        Flush,
+    }
+
+    /// A backend that replays scripted ingress batches and logs every call.
+    #[derive(Default)]
+    struct Scripted {
+        batches: std::collections::VecDeque<Vec<Packet>>,
+        log: Vec<Seen>,
+    }
+
+    impl Backend for Scripted {
+        fn send(&mut self, _w: &mut World, _ctx: &mut Wx, _pkt: Packet) {
+            self.log.push(Seen::Send);
+        }
+        fn send_train(&mut self, _w: &mut World, _ctx: &mut Wx, pkts: Vec<Packet>) {
+            self.log.extend(pkts.iter().map(|_| Seen::Send));
+        }
+        fn poll_ingress(&mut self, _ctx: &mut Wx) -> Vec<Packet> {
+            let batch = self.batches.pop_front().unwrap_or_default();
+            self.log.push(Seen::Poll(batch.len()));
+            batch
+        }
+        fn flush(&mut self) {
+            self.log.push(Seen::Flush);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// An INIT from host 1 for the endpoint listening on host 0: dispatching
+    /// it makes the engine send an INIT-ACK.
+    fn init_from_peer(tag: u64) -> Packet {
+        Packet {
+            src: IfAddr::new(1, 0),
+            dst: IfAddr::new(0, 0),
+            body: Proto::Sctp(sctp::SctpPacket {
+                src_port: 5000,
+                dst_port: 5000,
+                vtag: 0,
+                chunks: vec![sctp::Chunk::Init {
+                    init_tag: tag,
+                    a_rwnd: 1 << 16,
+                    out_streams: 10,
+                    in_streams: 10,
+                    init_tsn: 1,
+                    ext_flags: 0,
+                }],
+            }),
+        }
+    }
+
+    #[test]
+    fn flush_ends_every_non_empty_ingress_batch_and_only_those() {
+        let mut node = LiveNode::new(World::paper_cluster(0.0), 7);
+        let ep = sctp::socket(&mut node.world, 0, 5000, false);
+        sctp::listen(&mut node.world, ep);
+        let script = Scripted {
+            batches: [vec![init_from_peer(11), init_from_peer(12)], vec![], vec![init_from_peer(13)]].into(),
+            log: Vec::new(),
+        };
+        node.install_backend(Box::new(script));
+
+        for tick in 1..=3 {
+            node.poll_at(SimTime::from_nanos(tick));
+        }
+        // A send from outside an ingress dispatch reaches the backend with
+        // no batch open: nothing is pending a flush when `connect` returns.
+        let ea = sctp::socket(&mut node.world, 0, 6000, false);
+        sctp::connect(&mut node.world, &mut node.ctx, ea, 1, 5000);
+
+        let backend = node.world.backend.as_mut().expect("installed");
+        let log = &backend.as_any().downcast_mut::<Scripted>().expect("the scripted backend").log;
+        use Seen::*;
+        assert_eq!(
+            log,
+            &[Poll(2), Send, Send, Flush, Poll(0), Poll(1), Send, Flush, Send],
+            "replies are sent between the poll and its one flush; an empty poll is not flushed"
+        );
     }
 }

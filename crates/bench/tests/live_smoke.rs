@@ -31,7 +31,8 @@ fn quick_sweep_completes_over_real_sockets() {
     // harness writes, so `results/` diffing treats live and sim runs alike.
     let dir = std::env::temp_dir().join(format!("live_smoke_{}", std::process::id()));
     report.save_to(&dir);
-    let path = dir.join("BENCH_pingpong_live.json");
+    assert_eq!(report.fig, "pingpong_live_quick", "a quick run must not claim the paper-scale file");
+    let path = dir.join("BENCH_pingpong_live_quick.json");
     let text = std::fs::read_to_string(&path).expect("report written");
     assert_eq!(sniff_schema_version(&text), SCHEMA_VERSION);
     let _ = std::fs::remove_dir_all(&dir);
@@ -57,21 +58,32 @@ fn live_frames_flow_through_the_pcapng_sink() {
     // Trace parity: packets the UDP backend sends and receives must land in
     // the same flight recorder the sim uses, and the pcapng sink must
     // accept the capture — so `analyze` works on live runs too.
-    let tracer = trace::Tracer::new(trace::DEFAULT_CAP, trace::DEFAULT_SNAP);
-    let c = live::sctp_cell(4096, 5, 0xBEEF, Some(&tracer));
+    // Snap nothing, so that every captured frame can be decoded below.
+    let tracer = trace::Tracer::new(trace::DEFAULT_CAP, 1 << 16);
+    let mut c = live::sctp_cell(4096, 5, 0xBEEF, Some(&tracer));
+    c.udp += live::tcp_cell(4096, 5, 0xBEEF, Some(&tracer)).udp;
     let dump = tracer.dump(u64::MAX);
-    let pkts = dump
+    // Egress on one node + ingress mirror on the other: every datagram that
+    // crossed the socket appears twice in the shared recorder. And the
+    // capture holds the wire, not a re-encoding: each frame decodes, and the
+    // bytes one node recorded on egress are the bytes its peer recorded on
+    // ingress — so sorted, the frames pair up, but for the few still in the
+    // socket when their cell ended.
+    let mut frames: Vec<&[u8]> = dump
         .recs
         .iter()
-        .filter(|r| matches!(r.ev, trace::Event::Pkt(_)))
-        .count() as u64;
-    // Egress on one node + ingress mirror on the other: every datagram that
-    // crossed the socket appears at least twice in the shared recorder.
-    assert!(
-        pkts >= c.udp.tx_frames + c.udp.rx_frames,
-        "expected >= {} pkt records, got {pkts}",
-        c.udp.tx_frames + c.udp.rx_frames
-    );
+        .filter_map(|r| match &r.ev {
+            trace::Event::Pkt(p) => Some(&p.frame[..]),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(frames.len() as u64, c.udp.tx_frames + c.udp.rx_frames);
+    for f in &frames {
+        transport::wire_bytes::decode_packet(f).expect("a captured frame decodes");
+    }
+    frames.sort_unstable();
+    let unpaired = frames.chunk_by(|a, b| a == b).filter(|same| same.len() % 2 == 1).count() as u64;
+    assert_eq!(unpaired, c.udp.tx_frames - c.udp.rx_frames, "a received frame differs from the one sent");
     let pcap = dump.write_pcapng();
     assert!(pcap.len() > 1024, "pcapng capture looks empty: {} bytes", pcap.len());
     assert!(!dump.write_jsonl().is_empty());

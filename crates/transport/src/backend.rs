@@ -9,11 +9,12 @@
 //!   scheduled events, so [`Backend::poll_ingress`] has nothing to do. This
 //!   is the default backend and is bit-identical to the pre-trait code:
 //!   same RNG draws, same (time, seq) event positions, same `events_fired`.
-//! * [`UdpBackend`](udp::UdpBackend) — real sockets. Egress serializes the
-//!   frame ([`crate::wire_bytes::encode_packet`]) and writes it as one UDP
-//!   datagram (RFC 6951-style encapsulation); ingress drains the socket,
-//!   verifies checksums, and hands decoded packets back for dispatch into
-//!   the same unmodified engines.
+//! * [`UdpBackend`](udp::UdpBackend) — real sockets. Egress serializes each
+//!   frame into a tx arena ([`crate::wire_bytes::encode_packet_into`]) and
+//!   writes it as one UDP datagram (RFC 6951-style encapsulation), a run of
+//!   like-sized datagrams per syscall; ingress drains the socket a train
+//!   per syscall, verifies the checksums of every datagram, and hands
+//!   decoded packets back for dispatch into the same unmodified engines.
 //!
 //! What is shared between the two backends: the protocol engines (CC, RTO,
 //! SACK, bundling, CMT), the timer wheel, the flight recorder. What is not:
@@ -26,6 +27,12 @@
 //! path only *schedules* deliveries, the UDP path only writes datagrams).
 //! Ingress dispatch happens with the backend back in place, so input
 //! handlers are free to transmit replies.
+//!
+//! Cork discipline: a packet handed to `send`/`send_train` is on its way
+//! when the call returns — except while [`pump_ingress`] is dispatching a
+//! batch, when a backend may hold the replies back and write them together
+//! in [`Backend::flush`], which `pump_ingress` calls once the batch is
+//! dispatched. Held or not, packets leave in the order they were sent.
 
 pub mod udp;
 
@@ -41,17 +48,23 @@ pub trait Backend: Send {
     fn send(&mut self, w: &mut World, ctx: &mut Wx, pkt: Packet);
 
     /// Egress a train of back-to-back packets to one peer. The sim backend
-    /// fuses these into one delivery event; a socket backend just writes
-    /// K datagrams.
+    /// fuses these into one delivery event; the socket backend writes K
+    /// datagrams, as few syscalls as their sizes allow.
     fn send_train(&mut self, w: &mut World, ctx: &mut Wx, pkts: Vec<Packet>);
 
     /// Drain ingress: frames that arrived since the last poll, decoded into
     /// engine packets (in arrival order). The sim backend returns nothing —
     /// its deliveries ride scheduled events. The caller dispatches the
-    /// result via [`ip::deliver_now`] with the backend back in place.
+    /// result via [`ip::deliver_now`] with the backend back in place, then
+    /// calls [`Backend::flush`] if there was anything to dispatch.
     fn poll_ingress(&mut self, _ctx: &mut Wx) -> Vec<Packet> {
         Vec::new()
     }
+
+    /// The batch `poll_ingress` returned has been dispatched: write whatever
+    /// was held back while it was. Nothing to do for a backend that never
+    /// holds a packet.
+    fn flush(&mut self) {}
 
     /// The next instant the driver loop must wake for: the earliest queued
     /// timer by default. A socket backend's reactor sleeps until this (or
@@ -77,16 +90,21 @@ pub trait Backend: Send {
 /// packet into the protocol input routines. Returns how many were
 /// dispatched. The poll runs with the backend taken out (so it can't
 /// re-enter the engines); dispatch runs with it restored (so input handlers
-/// can transmit replies). This is the reactor's per-tick ingress pump; on
-/// the sim backend it is a no-op.
+/// can transmit replies), and a non-empty batch ends with one
+/// [`Backend::flush`]. This is the reactor's per-tick ingress pump; on the
+/// sim backend it is a no-op.
 pub fn pump_ingress(w: &mut World, ctx: &mut Wx) -> usize {
     let mut b = w.backend.take().expect("backend re-entered pump_ingress from its own dispatch");
     let pkts = b.poll_ingress(ctx);
     w.backend = Some(b);
     let n = pkts.len();
+    if n == 0 {
+        return 0;
+    }
     for pkt in pkts {
         ip::deliver_now(w, ctx, pkt);
     }
+    w.backend.as_mut().expect("backend restored above").flush();
     n
 }
 

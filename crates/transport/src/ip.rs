@@ -67,7 +67,7 @@ pub enum Proto {
 }
 
 impl Proto {
-    fn wire_len(&self) -> u32 {
+    pub(crate) fn wire_len(&self) -> u32 {
         match self {
             Proto::Tcp(s) => s.wire_len(),
             Proto::Sctp(p) => p.wire_len(),
@@ -98,11 +98,29 @@ pub(crate) struct PktCapture {
     stream: i32,
 }
 
+impl PktCapture {
+    fn new(frame: Vec<u8>, frame_orig_len: u32, pkt: &Packet) -> Self {
+        let (proto, kind, tsn, ntsn, stream) = wire_bytes::pkt_meta(&pkt.body);
+        PktCapture { frame, frame_orig_len, proto, kind, tsn, ntsn, stream }
+    }
+}
+
+/// Sim-path capture: serialize `pkt` as the wire would carry it.
 pub(crate) fn capture(ctx: &Wx, pkt: &Packet) -> Option<PktCapture> {
     let tracer = ctx.tracer()?;
     let (frame, frame_orig_len) = wire_bytes::capture_frame(pkt, ctx.now().as_nanos(), tracer.snaplen());
-    let (proto, kind, tsn, ntsn, stream) = wire_bytes::pkt_meta(&pkt.body);
-    Some(PktCapture { frame, frame_orig_len, proto, kind, tsn, ntsn, stream })
+    Some(PktCapture::new(frame, frame_orig_len, pkt))
+}
+
+/// Live-path flight-recorder hook: `wire` is the datagram that crossed (or
+/// is about to cross) the socket, `pkt` its decoded form. Records those
+/// bytes, snapped — never a re-encoding — with verdict Deliver-now (the real
+/// network's verdict is unknowable from here).
+pub(crate) fn trace_wire(ctx: &Wx, pkt: &Packet, wire: &[u8]) {
+    let Some(tracer) = ctx.tracer() else { return };
+    let snap = tracer.snaplen().min(wire.len());
+    let cap = PktCapture::new(wire[..snap].to_vec(), wire.len() as u32, pkt);
+    emit_pkt(ctx, pkt.src, pkt.dst, wire.len() as u32, Verdict::Deliver { at: ctx.now() }, cap);
 }
 
 pub(crate) fn emit_pkt(ctx: &Wx, src: IfAddr, dst: IfAddr, wire_len: u32, verdict: Verdict, cap: PktCapture) {

@@ -1,11 +1,14 @@
-//! On-wire byte serialization for the flight recorder's pcapng sink.
+//! On-wire byte serialization, for the flight recorder's pcapng sink and for
+//! the real-socket backend.
 //!
 //! The simulator keeps segments and chunks as typed Rust values; this module
 //! renders them into the real RFC encodings — IPv4 (no options), TCP with
 //! MSS/timestamp/SACK options and a correct ones-complement checksum, SCTP
 //! per RFC 4960 with a correct CRC32c — so the captures dissect cleanly in
-//! wireshark/tshark. Only the tracer calls this, and only when tracing is
-//! on; nothing in the simulation reads these bytes back.
+//! wireshark/tshark. In the simulation only the tracer calls this, and only
+//! when tracing is on ([`encode_packet`], one `Vec` per frame); the socket
+//! backend serializes every frame it sends, appending each to its tx arena
+//! ([`encode_packet_into`], the same bytes with no allocation).
 //!
 //! Fidelity notes, where the model is wider than the wire:
 //! - TSNs, tags, sequence numbers are `u64` in the model and truncate to
@@ -28,7 +31,7 @@
 use bytes::Bytes;
 use netsim::IfAddr;
 
-use crate::crc32c::crc32c;
+use crate::crc32c::{crc32c, Crc32c};
 use crate::ip::{Packet, Proto, IP_HEADER};
 use crate::sctp::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 use crate::tcp::{Flags, TcpSegment};
@@ -89,17 +92,28 @@ pub fn capture_frame(pkt: &Packet, now_ns: u64, snaplen: usize) -> (Vec<u8>, u32
 
 /// The full serialized frame: IPv4 header + TCP segment or SCTP packet.
 pub fn encode_packet(pkt: &Packet, now_ns: u64) -> Vec<u8> {
+    // Plus the 32-bit padding of TCP options, which the model does not charge.
+    let mut out = Vec::with_capacity((IP_HEADER + pkt.body.wire_len()) as usize + 3);
+    encode_packet_into(pkt, now_ns, &mut out);
+    out
+}
+
+/// Append the serialized frame to `out` — the live backend's tx arena, which
+/// already holds earlier frames — and return its length. The bytes appended
+/// are exactly [`encode_packet`]'s, at whatever offset `out` ends: every
+/// length, padding and checksum is computed relative to the frame's own
+/// start.
+pub fn encode_packet_into(pkt: &Packet, now_ns: u64, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
     let src_ip = host_ip(pkt.src.host, pkt.src.iface);
     let dst_ip = host_ip(pkt.dst.host, pkt.dst.iface);
-    let (proto_num, body) = match &pkt.body {
-        Proto::Tcp(seg) => (6u8, encode_tcp(seg, src_ip, dst_ip, now_ns)),
-        Proto::Sctp(p) => (132u8, encode_sctp(p)),
+    let proto_num = match &pkt.body {
+        Proto::Tcp(_) => 6u8,
+        Proto::Sctp(_) => 132u8,
     };
-    let total_len = IP_HEADER as usize + body.len();
-    let mut out = Vec::with_capacity(total_len);
     out.push(0x45); // version 4, IHL 5
     out.push(0); // TOS
-    out.extend_from_slice(&(total_len as u16).to_be_bytes());
+    out.extend_from_slice(&0u16.to_be_bytes()); // total length placeholder
     out.extend_from_slice(&0u16.to_be_bytes()); // identification
     out.extend_from_slice(&0x4000u16.to_be_bytes()); // DF, fragment offset 0
     out.push(64); // TTL
@@ -107,10 +121,15 @@ pub fn encode_packet(pkt: &Packet, now_ns: u64) -> Vec<u8> {
     out.extend_from_slice(&0u16.to_be_bytes()); // checksum placeholder
     out.extend_from_slice(&src_ip);
     out.extend_from_slice(&dst_ip);
-    let cks = ones_complement_sum(&out[..IP_HEADER as usize], 0);
-    out[10..12].copy_from_slice(&(!cks).to_be_bytes());
-    out.extend_from_slice(&body);
-    out
+    match &pkt.body {
+        Proto::Tcp(seg) => encode_tcp(out, seg, src_ip, dst_ip, now_ns),
+        Proto::Sctp(p) => encode_sctp(out, p),
+    }
+    let total_len = out.len() - start;
+    out[start + 2..start + 4].copy_from_slice(&(total_len as u16).to_be_bytes());
+    let cks = ones_complement_sum(&out[start..start + IP_HEADER as usize], 0);
+    out[start + 10..start + 12].copy_from_slice(&(!cks).to_be_bytes());
+    total_len
 }
 
 /// Addressing scheme for the capture: interface `i` of host `h` is
@@ -135,29 +154,8 @@ fn ones_complement_sum(data: &[u8], init: u32) -> u16 {
     sum as u16
 }
 
-fn encode_tcp(seg: &TcpSegment, src_ip: [u8; 4], dst_ip: [u8; 4], now_ns: u64) -> Vec<u8> {
-    // Options, kept 32-bit aligned as a real stack would emit them.
-    let mut opts = Vec::new();
-    if seg.flags.contains(Flags::SYN) {
-        opts.extend_from_slice(&[2, 4]); // MSS
-        opts.extend_from_slice(&1460u16.to_be_bytes());
-    }
-    // Timestamps (always on, as the model's 12-byte charge assumes).
-    opts.extend_from_slice(&[1, 1, 8, 10]);
-    opts.extend_from_slice(&((now_ns / 1_000_000) as u32).to_be_bytes()); // TSval (ms ticks)
-    opts.extend_from_slice(&0u32.to_be_bytes()); // TSecr
-    if !seg.sack.is_empty() {
-        opts.extend_from_slice(&[1, 1, 5, (2 + 8 * seg.sack.len()) as u8]);
-        for &(lo, hi) in &seg.sack {
-            opts.extend_from_slice(&(lo as u32).to_be_bytes());
-            opts.extend_from_slice(&(hi as u32).to_be_bytes());
-        }
-    }
-    while opts.len() % 4 != 0 {
-        opts.push(1); // NOP
-    }
-    let header_len = 20 + opts.len();
-
+fn encode_tcp(out: &mut Vec<u8>, seg: &TcpSegment, src_ip: [u8; 4], dst_ip: [u8; 4], now_ns: u64) {
+    let start = out.len();
     let mut flags = 0u8;
     if seg.flags.contains(Flags::FIN) {
         flags |= 0x01;
@@ -175,17 +173,37 @@ fn encode_tcp(seg: &TcpSegment, src_ip: [u8; 4], dst_ip: [u8; 4], now_ns: u64) -
         flags |= 0x10;
     }
 
-    let mut out = Vec::with_capacity(header_len + seg.payload_len as usize);
     out.extend_from_slice(&seg.src_port.to_be_bytes());
     out.extend_from_slice(&seg.dst_port.to_be_bytes());
     out.extend_from_slice(&(seg.seq as u32).to_be_bytes());
     out.extend_from_slice(&(seg.ack as u32).to_be_bytes());
-    out.push(((header_len / 4) as u8) << 4);
+    out.push(0); // data offset, patched once the options are down
     out.push(flags);
     out.extend_from_slice(&(seg.wnd.min(u16::MAX as u64) as u16).to_be_bytes());
     out.extend_from_slice(&0u16.to_be_bytes()); // checksum placeholder
     out.extend_from_slice(&0u16.to_be_bytes()); // urgent pointer
-    out.extend_from_slice(&opts);
+
+    // Options, kept 32-bit aligned as a real stack would emit them.
+    if seg.flags.contains(Flags::SYN) {
+        out.extend_from_slice(&[2, 4]); // MSS
+        out.extend_from_slice(&1460u16.to_be_bytes());
+    }
+    // Timestamps (always on, as the model's 12-byte charge assumes).
+    out.extend_from_slice(&[1, 1, 8, 10]);
+    out.extend_from_slice(&((now_ns / 1_000_000) as u32).to_be_bytes()); // TSval (ms ticks)
+    out.extend_from_slice(&0u32.to_be_bytes()); // TSecr
+    if !seg.sack.is_empty() {
+        out.extend_from_slice(&[1, 1, 5, (2 + 8 * seg.sack.len()) as u8]);
+        for &(lo, hi) in &seg.sack {
+            out.extend_from_slice(&(lo as u32).to_be_bytes());
+            out.extend_from_slice(&(hi as u32).to_be_bytes());
+        }
+    }
+    while (out.len() - start) % 4 != 0 {
+        out.push(1); // NOP
+    }
+    let header_len = out.len() - start;
+    out[start + 12] = ((header_len / 4) as u8) << 4;
     for b in &seg.payload {
         out.extend_from_slice(b);
     }
@@ -197,26 +215,24 @@ fn encode_tcp(seg: &TcpSegment, src_ip: [u8; 4], dst_ip: [u8; 4], now_ns: u64) -
     pseudo += u16::from_be_bytes([dst_ip[0], dst_ip[1]]) as u32;
     pseudo += u16::from_be_bytes([dst_ip[2], dst_ip[3]]) as u32;
     pseudo += 6; // protocol
-    pseudo += out.len() as u32;
-    let cks = ones_complement_sum(&out, pseudo);
-    out[16..18].copy_from_slice(&(!cks).to_be_bytes());
-    out
+    pseudo += (out.len() - start) as u32;
+    let cks = ones_complement_sum(&out[start..], pseudo);
+    out[start + 16..start + 18].copy_from_slice(&(!cks).to_be_bytes());
 }
 
-fn encode_sctp(p: &SctpPacket) -> Vec<u8> {
-    let mut out = Vec::with_capacity(p.wire_len() as usize);
+fn encode_sctp(out: &mut Vec<u8>, p: &SctpPacket) {
+    let start = out.len();
     out.extend_from_slice(&p.src_port.to_be_bytes());
     out.extend_from_slice(&p.dst_port.to_be_bytes());
     out.extend_from_slice(&(p.vtag as u32).to_be_bytes());
     out.extend_from_slice(&0u32.to_be_bytes()); // CRC32c placeholder
     for c in &p.chunks {
-        encode_chunk(&mut out, c);
+        encode_chunk(out, c);
     }
     // RFC 4960 Appendix B: compute CRC32c with the checksum field zeroed and
     // transmit the result least-significant byte first.
-    let crc = crc32c(&out);
-    out[8..12].copy_from_slice(&crc.to_le_bytes());
-    out
+    let crc = crc32c(&out[start..]);
+    out[start + 8..start + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn put_chunk_header(out: &mut Vec<u8>, ty: u8, flags: u8, len: u16) {
@@ -521,9 +537,13 @@ pub fn decode_sctp(b: &[u8]) -> Result<SctpPacket, DecodeError> {
         return Err(DecodeError::Truncated);
     }
     let stored = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
-    let mut zeroed = b.to_vec();
-    zeroed[8..12].fill(0);
-    let computed = crc32c(&zeroed);
+    // The checksum covers the packet with its own field zeroed: fold the
+    // header, four zero bytes, then the chunks, without copying the packet.
+    let mut crc = Crc32c::new();
+    crc.update(&b[..8]);
+    crc.update(&[0; 4]);
+    crc.update(&b[12..]);
+    let computed = crc.finalize();
     if stored != computed {
         return Err(DecodeError::BadCrc(stored, computed));
     }

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use transport::ip::{Packet, Proto};
 use transport::sctp::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 use transport::tcp::{Flags, TcpSegment};
-use transport::wire_bytes::{decode_packet, encode_packet, DecodeError};
+use transport::wire_bytes::{decode_packet, encode_packet, encode_packet_into, DecodeError};
 
 fn arb_cookie() -> impl Strategy<Value = Cookie> {
     (
@@ -312,3 +312,155 @@ proptest! {
         }
     }
 }
+
+/// `encode_packet_into` must append exactly `encode_packet`'s bytes wherever
+/// the arena happens to end: at offsets 0..=3 (every alignment of the CRC
+/// and checksum words) and behind another frame.
+fn assert_appends_identically(pkt: &Packet, now: u64) -> Result<(), proptest::test_runner::TestCaseError> {
+    let frame = encode_packet(pkt, now);
+    for lead in 0..4usize {
+        let mut arena = vec![0xEE; lead];
+        let n = encode_packet_into(pkt, now, &mut arena);
+        prop_assert_eq!(n, frame.len());
+        prop_assert_eq!(&arena[..lead], &vec![0xEE; lead][..], "bytes before the frame were touched");
+        prop_assert_eq!(&arena[lead..], &frame[..], "frame differs at arena offset {}", lead);
+    }
+    let mut arena = Vec::new();
+    encode_packet_into(pkt, now, &mut arena);
+    let n = encode_packet_into(pkt, now, &mut arena);
+    prop_assert_eq!(arena.len(), 2 * frame.len());
+    prop_assert_eq!(&arena[frame.len()..], &frame[..n], "frame differs behind another frame");
+    prop_assert_eq!(&arena[..frame.len()], &frame[..], "appending rewrote the frame before it");
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn sctp_encode_into_matches_encode_at_any_offset(pkt in arb_sctp_packet(), now in any::<u64>()) {
+        assert_appends_identically(&pkt, now)?;
+    }
+
+    #[test]
+    fn tcp_encode_into_matches_encode_at_any_offset(pkt in arb_tcp_packet(), now in 0u64..u32::MAX as u64) {
+        assert_appends_identically(&pkt, now)?;
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Three frames whose bytes were recorded from `encode_packet` before it
+/// became a wrapper over `encode_packet_into`: the sim's pcapng captures go
+/// through it, so its output may not move by a byte.
+#[test]
+fn encode_packet_output_is_pinned() {
+    let cookie = Cookie {
+        peer_host: 0,
+        peer_port: 5000,
+        local_port: 5000,
+        peer_tag: 0x1111_2222,
+        local_tag: 0x3333_4444,
+        peer_rwnd: 220 * 1024,
+        peer_init_tsn: 7,
+        my_init_tsn: 9,
+        out_streams: 10,
+        in_streams: 10,
+        created_at: simcore::SimTime::from_nanos(123_456_789),
+        ext_flags: 3,
+        mac: 0xFEED_FACE_CAFE_BEEF,
+    };
+    let data_sack = Packet {
+        src: IfAddr::new(0, 1),
+        dst: IfAddr::new(3, 1),
+        body: Proto::Sctp(SctpPacket {
+            src_port: 5600,
+            dst_port: 5601,
+            vtag: 0xDEAD_BEEF,
+            chunks: vec![
+                Chunk::Data(DataChunk {
+                    tsn: 42,
+                    stream: 3,
+                    ssn: 7,
+                    begin: true,
+                    end: false,
+                    unordered: false,
+                    ppid: 9,
+                    data: Bytes::from_static(b"hello world"),
+                }),
+                Chunk::Sack { cum_tsn: 41, a_rwnd: 220 * 1024, gaps: vec![(44, 46), (50, 51)], dup_count: 1 },
+                Chunk::Heartbeat { path: 1, nonce: 0xFEED_FACE },
+            ],
+        }),
+    };
+    let handshake = Packet {
+        src: IfAddr::new(1, 0),
+        dst: IfAddr::new(0, 0),
+        body: Proto::Sctp(SctpPacket {
+            src_port: 5000,
+            dst_port: 5000,
+            vtag: 0x1111_2222,
+            chunks: vec![
+                Chunk::InitAck {
+                    init_tag: 0x3333_4444,
+                    a_rwnd: 220 * 1024,
+                    out_streams: 10,
+                    in_streams: 10,
+                    init_tsn: 9,
+                    ext_flags: 3,
+                    cookie,
+                },
+                Chunk::IData(IDataChunk {
+                    tsn: 100,
+                    stream: 2,
+                    mid: 5,
+                    fsn: 1,
+                    begin: false,
+                    end: true,
+                    unordered: true,
+                    ppid: 0,
+                    data: Bytes::from_static(b"odd"),
+                }),
+                Chunk::ForwardTsn { new_cum: 99, skips: vec![(2, 4)] },
+            ],
+        }),
+    };
+    let tcp = Packet {
+        src: IfAddr::new(258, 0),
+        dst: IfAddr::new(2, 0),
+        body: Proto::Tcp(TcpSegment {
+            src_port: 5700,
+            dst_port: 5701,
+            flags: Flags::SYN | Flags::ACK,
+            seq: 1000,
+            ack: 2000,
+            wnd: 220 * 1024,
+            sack: vec![(3000, 4460)],
+            probe: false,
+            payload: vec![Bytes::from_static(&[0xAB; 7]), Bytes::from_static(&[0xCD; 6])],
+            payload_len: 13,
+        }),
+    };
+    for (name, pkt, want) in [
+        ("data+sack", &data_sack, PINNED_DATA_SACK),
+        ("handshake", &handshake, PINNED_HANDSHAKE),
+        ("tcp", &tcp, PINNED_TCP),
+    ] {
+        assert_eq!(hex(&encode_packet(pkt, 12_345_678_901)), want, "{name} frame moved");
+    }
+}
+
+const PINNED_DATA_SACK: &str = concat!(
+    "4500006000004000408426160a0100000a01000315e015e1deadbeef208d12940002001b0000002a0003000700000009",
+    "68656c6c6f20776f726c64000300001800000029000370000002000000030004000900090400000c00010008feedface"
+);
+const PINNED_HANDSHAKE: &str = concat!(
+    "450000b000004000408425ca0a0000010a000000138813881111222235291a01020000683333444400037000000a000a",
+    "0000000980080005030000000007004c0000138813880000000011112222000000003333444400000000000370000000",
+    "0000000000070000000000000009000a000a00000000075bcd15feedfacecafebeef0300000000004005001700000064",
+    "0002000000000005000000016f646400c2000010000000630002000000000004"
+);
+const PINNED_TCP: &str = concat!(
+    "4500005100004000400625a40a0001020a00000216441645000003e8000007d0c01affff76c40000020405b40101080a",
+    "00003039000000000101050a00000bb80000116cabababababababcdcdcdcdcdcd"
+);
