@@ -8,14 +8,17 @@
 //!   so the `(cxt, src, tag)`-indexed matcher and its incremental GC are on
 //!   the measured path.
 //!
-//! * `park_wake` — the runtime handoff primitives themselves: a full
+//! * `park_wake` — the runtime's park/wake primitives themselves: a full
 //!   driver↔process round trip, and a burst of uncontended CPU charges the
-//!   sleep fast path folds into inline clock advances (zero handoffs).
+//!   sleep fast path folds into inline clock advances (zero polls).
 //!
 //! * `burst_path` — packet-train fusion: one `transmit_burst` call against
 //!   the equivalent per-packet `transmit` loop on the raw network model, and
 //!   a fusion-heavy end-to-end transfer whose deliveries ride fused train
 //!   events.
+//!
+//! * `collectives_allreduce` — the collectives layer (and communicators)
+//!   end to end: allreduce + barrier rounds, then a 100 KB broadcast.
 //!
 //! Run with `cargo bench --offline -p bench-harness --bench hot_paths`.
 
@@ -24,7 +27,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use mpi_core::envelope::{EnvKind, Envelope};
 use mpi_core::matching::Core;
-use mpi_core::MpiCfg;
+use mpi_core::{mpirun, MpiCfg, ReduceOp};
 use simcore::{Dur, ProcEnv, ProcId, Runtime};
 use workloads::farm::{self, FarmCfg};
 use workloads::pingpong::{self, PingPongCfg};
@@ -105,7 +108,7 @@ fn park_wake(c: &mut Criterion) {
     // one deposit + wake + block_on, i.e. one `Pending` return and one poll
     // in each direction. The measured per-iteration cost divided by the
     // reported poll count is the round-trip price (before the runtime
-    // became an executor: two thread handoffs).
+    // became an executor: two thread switches).
     c.bench_function("park_wake/round_trip_x256", |b| {
         b.iter(|| {
             #[derive(Default)]
@@ -133,7 +136,7 @@ fn park_wake(c: &mut Criterion) {
                     });
                 }
             });
-            black_box(rt.run().handoffs)
+            black_box(rt.run().sched.polls)
         })
     });
     // 64 consecutive uncontended CPU charges: under the reference
@@ -148,7 +151,7 @@ fn park_wake(c: &mut Criterion) {
                 }
             });
             let out = rt.run();
-            black_box((out.events, out.wakes_coalesced))
+            black_box((out.events, out.sched.wakes_coalesced))
         })
     });
 }
@@ -196,14 +199,30 @@ fn burst_path(c: &mut Criterion) {
                 MpiCfg::sctp(2, 0.0).with_seed(0xF05E),
                 PingPongCfg { size: 300 * 1024, iters: 4 },
             );
-            black_box((r.throughput, r.bursts_total, r.pkts_fused))
+            black_box((r.throughput, r.sched.bursts, r.sched.pkts_fused))
         })
+    });
+}
+
+fn collectives(c: &mut Criterion) {
+    c.bench_function("collectives_allreduce", |b| {
+        b.iter(|| {
+            mpirun(MpiCfg::sctp(8, 0.0).with_seed(8), |mpi| {
+                Box::pin(async move {
+                    for _ in 0..5 {
+                        let _ = mpi.allreduce(ReduceOp::Sum, &[1.0; 16]).await;
+                        mpi.barrier().await;
+                    }
+                    let _ = mpi.bcast(0, (mpi.rank() == 0).then(|| Bytes::from(vec![0u8; 100_000]))).await;
+                })
+            })
+        });
     });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sack_storm, matching_churn, park_wake, burst_path
+    targets = sack_storm, matching_churn, park_wake, burst_path, collectives
 }
 criterion_main!(benches);

@@ -6,12 +6,15 @@
 /// Schema version stamped into every `results/BENCH_*.json` roll-up.
 ///
 /// * v1 (implicit): no `schema_version` field — reports through PR 3.
-/// * v2: adds `schema_version`; cells carry the flight-recorder era's
-///   meter set.
+/// * v2: adds `schema_version`; cells carry one flat meter set, zero
+///   where a layer never ran.
+/// * v3: cells group their counters by layer (`sched`, `shard`, `sctp`,
+///   `tcp`, `net`, `udp`, `hol`) and carry a group only for a layer that
+///   ran; the runtime's poll count is `sched.polls_total`.
 ///
 /// Bump this when a field changes meaning or disappears; adding fields is
 /// backward-compatible and does not need a bump.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Best-effort schema version of a previously written report.
 ///
@@ -33,11 +36,9 @@ pub fn sniff_schema_version(text: &str) -> u64 {
 /// A JSON value.
 #[derive(Debug, Clone)]
 pub enum Json {
-    Null,
     Bool(bool),
     /// Finite floats render as shortest-roundtrip; NaN/inf render as null.
     Num(f64),
-    Int(i64),
     UInt(u64),
     Str(String),
     Arr(Vec<Json>),
@@ -50,6 +51,22 @@ pub enum Json {
 }
 
 impl Json {
+    /// The value under `key` of an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value of an unsigned integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::UInt(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// Pretty-prints with 2-space indentation (what `serde_json::to_string_pretty`
     /// produced for the existing result files).
     pub fn render(&self) -> String {
@@ -60,7 +77,6 @@ impl Json {
 
     fn render_into(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => {
                 if x.is_finite() {
@@ -75,7 +91,6 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Int(i) => out.push_str(&i.to_string()),
             Json::UInt(u) => out.push_str(&u.to_string()),
             Json::Raw(s) => out.push_str(s),
             Json::Str(s) => {
@@ -143,12 +158,6 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
@@ -184,48 +193,10 @@ macro_rules! impl_to_json_uint {
 }
 impl_to_json_uint!(u8, u16, u32, u64, usize);
 
-macro_rules! impl_to_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i64)
-            }
-        }
-    )*};
-}
-impl_to_json_int!(i8, i16, i32, i64, isize);
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
-    }
-}
-
-/// Implements [`ToJson`] for a struct by listing its fields:
-/// `impl_to_json!(Row { size, tput });`
-#[macro_export]
-macro_rules! impl_to_json {
-    ($t:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $t {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),+
-                ])
-            }
-        }
-    };
 }
 
 #[cfg(test)]
@@ -236,7 +207,7 @@ mod tests {
     fn renders_nested_pretty() {
         let v = Json::Obj(vec![
             ("name", Json::Str("fig\"8\"".into())),
-            ("vals", Json::Arr(vec![Json::Int(1), Json::Num(2.5), Json::Num(3.0)])),
+            ("vals", Json::Arr(vec![Json::UInt(1), Json::Num(2.5), Json::Num(3.0)])),
             ("empty", Json::Arr(vec![])),
         ]);
         let s = v.render();
@@ -255,17 +226,5 @@ mod tests {
         assert_eq!(sniff_schema_version(""), 1);
         // Garbage after the key degrades to v1, never panics.
         assert_eq!(sniff_schema_version("\"schema_version\": \"two\""), 1);
-    }
-
-    #[test]
-    fn macro_derives_struct_shape() {
-        struct R {
-            size: usize,
-            tput: f64,
-        }
-        impl_to_json!(R { size, tput });
-        let s = R { size: 4096, tput: 1.5 }.to_json().render();
-        assert!(s.contains("\"size\": 4096"));
-        assert!(s.contains("\"tput\": 1.5"));
     }
 }

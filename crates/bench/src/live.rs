@@ -12,7 +12,7 @@
 //! repo's first datapoint that the simulated engines speak a coherent wire
 //! protocol end to end.
 //!
-//! The sweep mirrors [`crate::fig8_metered`] (same sizes, same iteration
+//! The sweep mirrors `bench fig8` (same sizes, same iteration
 //! counts, same one-way-throughput metric, same BENCH report schema) so the
 //! live and simulated curves land side by side in EXPERIMENTS.md.
 
@@ -27,8 +27,9 @@ use transport::sctp::{self, SctpCfg};
 use transport::tcp::{self, TcpCfg};
 use transport::World;
 
+use crate::paper::{fig8_sweep, Fig8Point};
 use crate::runner::{BenchReport, CellMeter};
-use crate::{fig8_sizes, Fig8Row, Scale, SEED_BASE};
+use crate::{Scale, SEED_BASE};
 
 /// Engine-side port both endpoints use (the OS-side ports are ephemeral).
 const PORT: u16 = 5000;
@@ -120,6 +121,19 @@ impl LivePair {
         [&self.a, &self.b].iter().map(|n| n.events_fired + n.ingress_delivered).sum()
     }
 
+    /// The cell's outcome, its timed loop having started at `t0`.
+    fn finish(&mut self, size: usize, iters: u32, t0: Instant, t_cell: Instant) -> LiveCell {
+        let secs = t0.elapsed().as_secs_f64();
+        LiveCell {
+            throughput: size as f64 * iters as f64 / secs,
+            rtt: secs / iters as f64,
+            events: self.events(),
+            wall_secs: t_cell.elapsed().as_secs_f64(),
+            sim_secs: self.a.sim_secs(),
+            udp: self.udp_stats(),
+        }
+    }
+
     fn udp_stats(&mut self) -> UdpStats {
         let mut total = UdpStats::default();
         for node in [&mut self.a, &mut self.b] {
@@ -164,15 +178,7 @@ pub fn sctp_cell(size: usize, iters: u32, seed: u64, tracer: Option<&trace::Trac
         let back = sctp::recvmsg(&mut p.a.world, &mut p.a.ctx, ea).expect("readable");
         assert_eq!(back.len as usize, size, "echo {i} returned wrong-sized");
     }
-    let secs = t0.elapsed().as_secs_f64();
-    LiveCell {
-        throughput: size as f64 * iters as f64 / secs,
-        rtt: secs / iters as f64,
-        events: p.events(),
-        wall_secs: t_cell.elapsed().as_secs_f64(),
-        sim_secs: p.a.sim_secs(),
-        udp: p.udp_stats(),
-    }
+    p.finish(size, iters, t0, t_cell)
 }
 
 /// One live TCP ping-pong cell: three-way handshake, then `iters` echoes of
@@ -224,63 +230,18 @@ pub fn tcp_cell(size: usize, iters: u32, seed: u64, tracer: Option<&trace::Trace
         });
         assert!(ok, "echo {i} never fully returned");
     }
-    let secs = t0.elapsed().as_secs_f64();
-    LiveCell {
-        throughput: size as f64 * iters as f64 / secs,
-        rtt: secs / iters as f64,
-        events: p.events(),
-        wall_secs: t_cell.elapsed().as_secs_f64(),
-        sim_secs: p.a.sim_secs(),
-        udp: p.udp_stats(),
-    }
-}
-
-fn meter(label: String, c: &LiveCell, paths: u64) -> CellMeter {
-    CellMeter {
-        label,
-        wall_secs: c.wall_secs,
-        sim_secs: c.sim_secs,
-        events_fired: c.events,
-        events_per_sec: c.events as f64 / c.wall_secs.max(1e-9),
-        handoffs_total: 0,
-        wakes_coalesced: 0,
-        us_per_event: c.wall_secs * 1e6 / c.events.max(1) as f64,
-        bursts_total: 0,
-        pkts_per_burst_avg: 0.0,
-        wheel_hits: 0,
-        heap_falls: 0,
-        shards: 1,
-        epochs_total: 0,
-        cross_shard_pkts: 0,
-        lookahead_ns: 0,
-        paths,
-        per_path_pkts: vec![c.udp.tx_frames, 0, 0, 0],
-        spurious_frtx_total: 0,
-        rescue_rtx_total: 0,
-        scheduler: "fcfs".to_string(),
-        msgs_abandoned: 0,
-        fwd_tsn_total: 0,
-        snd_hol_blocks: 0,
-        snd_hol_ns: 0,
-        allocs_total: 0,
-        allocs_per_event: 0.0,
-    }
+    p.finish(size, iters, t0, t_cell)
 }
 
 /// The full fig8-style sweep over loopback: same sizes and iteration counts
-/// as the sim's [`crate::fig8_metered`], TCP and SCTP cells per size, one
+/// as the sim's `bench fig8`, TCP and SCTP cells per size, one
 /// [`BenchReport`] in the standard schema (fig `pingpong_live`).
-pub fn live_fig8(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
+pub fn live_fig8(scale: Scale) -> (Vec<Fig8Point>, BenchReport) {
     let t0 = Instant::now();
-    let iters = match scale {
-        Scale::Paper => 200,
-        Scale::Quick => 20,
-    };
-    let sizes = fig8_sizes(scale);
+    let (sizes, iters) = fig8_sweep(scale);
     let tracer = trace::Tracer::from_env();
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    let mut events_total = 0u64;
     for (i, &size) in sizes.iter().enumerate() {
         let seed = SEED_BASE + 2 * i as u64;
         let t = tcp_cell(size, iters, seed, tracer.as_ref());
@@ -288,47 +249,15 @@ pub fn live_fig8(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
         for (label, c) in [("tcp", &t), ("sctp", &s)] {
             assert_eq!(c.udp.rx_bad_crc, 0, "loopback must not corrupt frames");
             assert_eq!(c.udp.rx_bad_frame, 0, "own frames must decode");
-            events_total += c.events;
-            // How well the socket path batched: 1.0 is a syscall per frame.
-            let u = &c.udp;
-            println!(
-                "size={size} rpi={label}: {} frames in {} send calls ({:.1} per call), {} in {} receive calls ({:.1} per call)",
-                u.tx_frames,
-                u.tx_calls,
-                u.tx_frames as f64 / u.tx_calls.max(1) as f64,
-                u.rx_frames,
-                u.rx_calls,
-                u.rx_frames as f64 / u.rx_calls.max(1) as f64,
-            );
-            cells.push(meter(
-                format!("size={size} rpi={label} live"),
-                c,
-                if label == "sctp" { 1 } else { 0 },
-            ));
+            cells.push(CellMeter::new(format!("size={size} rpi={label} live"), c.wall_secs, 0, c));
         }
-        rows.push(Fig8Row {
-            size,
-            tcp_tput: t.throughput,
-            sctp_tput: s.throughput,
-            normalized: s.throughput / t.throughput,
-        });
+        rows.push((size, t.throughput, s.throughput));
     }
     if let Some(t) = &tracer {
         flush_live_trace(t);
     }
-    let report = BenchReport {
-        fig: scale.tag("pingpong_live"),
-        scale: match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        },
-        threads: 1,
-        wall_secs_total: t0.elapsed().as_secs_f64(),
-        events_total,
-        fault_plan: None,
-        cells,
-    };
-    (rows, report)
+    let wall = t0.elapsed().as_secs_f64();
+    (rows, BenchReport::new("pingpong_live", scale, 1, wall, None, cells))
 }
 
 /// `TRACE=1` file sink for live runs, mirroring the sim launcher's:

@@ -2,205 +2,227 @@
 //!
 //! Every figure/table cell — one (message size × loss rate × transport ×
 //! seed) combination — is an independent deterministic simulation, so the
-//! harness fans cells across a `std::thread::scope` worker pool. Results
-//! are written back by cell index, so output order (and therefore every
+//! harness fans cells across a `std::thread::scope` worker pool. A cell
+//! returns its workload's own result type; [`run_cells`] hands the typed
+//! results back by cell index, so output order (and therefore every
 //! aggregate computed from it) is identical to a sequential run no matter
 //! how threads interleave; only wall-clock changes.
 //!
-//! Each cell records wall-clock, simulated seconds, the simulator's
-//! `events_fired` counter, and the runtime's meters (rank polls performed,
-//! wakes coalesced away, µs of wall clock per event).
-//! The per-figure roll-up is persisted as `results/BENCH_<fig>.json`
-//! (schema documented in EXPERIMENTS.md) so harness performance is
-//! comparable across PRs.
+//! Beside the results the runner builds one [`CellMeter`] per cell: wall
+//! clock, simulated seconds, events fired, and the counter block of every
+//! layer the result carries ([`CellResult::meter`] — one conversion per
+//! result type). The per-figure roll-up is persisted as
+//! `results/BENCH_<fig>.json` (schema documented in EXPERIMENTS.md) so
+//! harness performance is comparable across PRs.
 //!
 //! `SIM_CHECK=1` turns on shadow verification: every cell runs twice, first
 //! under the reference wakeup discipline (pre-coalescing accounting), then
-//! under the fast one, and the harness panics if any semantic output
-//! (value, simulated seconds, events, aux) differs by even a bit. Only the
-//! fast run is metered.
+//! under the fast one, and the harness panics if the two typed results
+//! differ in anything but their run-cost counters
+//! ([`CellResult::strip_cost`]). Only the fast run is metered.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
+use mpi_core::MpiReport;
+use netsim::NetStats;
+use simcore::SchedCounters;
+use transport::sctp::AssocStats;
+use transport::tcp::SockStats;
+use workloads::farm::FarmResult;
+use workloads::media::MediaResult;
+use workloads::mixed::TracedMixedResult;
+use workloads::nas::NasResult;
+use workloads::pingpong::PingPongResult;
+use workloads::scale::ScaleResult;
+
 use crate::json::{Json, ToJson};
-use crate::{impl_to_json, Scale};
-
-/// What one cell's simulation reports back to the harness.
-#[derive(Debug, Clone, Copy)]
-pub struct Measured {
-    /// The cell's metric (throughput, seconds, MOPS — figure-dependent).
-    pub value: f64,
-    /// Simulated seconds the run covered.
-    pub sim_secs: f64,
-    /// Simulator events fired during the run.
-    pub events: u64,
-    /// Figure-specific side channel (the farm figures report the peak
-    /// unexpected-queue length here); 0 when unused.
-    pub aux: u64,
-    /// Rank polls the runtime performed (wall-clock diagnostic;
-    /// excluded from `SIM_CHECK` comparison because the disciplines differ
-    /// here by design).
-    pub handoffs: u64,
-    /// Wakes coalesced away by the runtime fast path (ditto).
-    pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (ditto; zero under the
-    /// reference discipline by design).
-    pub bursts_total: u64,
-    /// Packets fused inside those trains (each still counts in `events`).
-    pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (ditto).
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; ditto).
-    pub heap_falls: u64,
-    /// Worker shards the cell's simulation ran on (1 = sequential; ditto —
-    /// the partition must not change semantic outputs, so it is not
-    /// compared).
-    pub shards: u64,
-    /// Conservative epochs the sharded engine synchronized through (ditto).
-    pub epochs_total: u64,
-    /// Messages that crossed a shard boundary (partition-dependent; ditto).
-    pub cross_shard_pkts: u64,
-    /// Conservative lookahead the run executed under, in ns (0 when the
-    /// cell did not use the sharded engine).
-    pub lookahead_ns: u64,
-    /// Destination addresses configured per association (1 = singlehomed;
-    /// 0 when the cell's transport has no path notion, e.g. TCP).
-    pub paths: u64,
-    /// Packets sent per path index across the run — the CMT stripe balance
-    /// (all zeros for TCP cells).
-    pub per_path_pkts: [u64; 4],
-    /// Fast retransmits a later SACK proved unnecessary (the reordering
-    /// false-positive count CMT's SFR accounting drives to zero).
-    pub spurious_frtx: u64,
-    /// Chunks re-queued by the CMT rescue probe (tail-loss recovery that
-    /// bypassed the RTO).
-    pub rescue_rtx: u64,
-    /// Sender-side stream scheduler the cell ran under ("fcfs" when the
-    /// cell has no scheduler notion, e.g. TCP or non-interleaved SCTP).
-    pub scheduler: &'static str,
-    /// PR-SCTP messages abandoned past their lifetime.
-    pub msgs_abandoned: u64,
-    /// FORWARD-TSN chunks sent across the run.
-    pub fwd_tsn_total: u64,
-    /// Sender-side HOL blocks observed by the flight recorder (0 when the
-    /// cell was not traced).
-    pub snd_hol_blocks: u64,
-    /// Total sender-side HOL blocked time, ns (ditto).
-    pub snd_hol_ns: u64,
-}
-
-impl Measured {
-    pub fn new(value: f64, sim_secs: f64, events: u64) -> Measured {
-        Measured {
-            value,
-            sim_secs,
-            events,
-            aux: 0,
-            handoffs: 0,
-            wakes_coalesced: 0,
-            bursts_total: 0,
-            pkts_fused: 0,
-            wheel_hits: 0,
-            heap_falls: 0,
-            shards: 1,
-            epochs_total: 0,
-            cross_shard_pkts: 0,
-            lookahead_ns: 0,
-            paths: 0,
-            per_path_pkts: [0; 4],
-            spurious_frtx: 0,
-            rescue_rtx: 0,
-            scheduler: "fcfs",
-            msgs_abandoned: 0,
-            fwd_tsn_total: 0,
-            snd_hol_blocks: 0,
-            snd_hol_ns: 0,
-        }
-    }
-
-    /// Attach the runtime's poll/coalescing meters.
-    pub fn with_runtime_meters(mut self, handoffs: u64, wakes_coalesced: u64) -> Measured {
-        self.handoffs = handoffs;
-        self.wakes_coalesced = wakes_coalesced;
-        self
-    }
-
-    /// Attach the burst-path and timer-wheel meters.
-    pub fn with_burst_meters(
-        mut self,
-        bursts_total: u64,
-        pkts_fused: u64,
-        wheel_hits: u64,
-        heap_falls: u64,
-    ) -> Measured {
-        self.bursts_total = bursts_total;
-        self.pkts_fused = pkts_fused;
-        self.wheel_hits = wheel_hits;
-        self.heap_falls = heap_falls;
-        self
-    }
-
-    /// Attach the multipath (CMT) meters.
-    pub fn with_path_meters(
-        mut self,
-        paths: u64,
-        per_path_pkts: [u64; 4],
-        spurious_frtx: u64,
-        rescue_rtx: u64,
-    ) -> Measured {
-        self.paths = paths;
-        self.per_path_pkts = per_path_pkts;
-        self.spurious_frtx = spurious_frtx;
-        self.rescue_rtx = rescue_rtx;
-        self
-    }
-
-    /// Attach the stream-machinery meters (scheduler identity, PR-SCTP
-    /// abandonment, and sender-side HOL accounting from a forced trace).
-    pub fn with_stream_meters(
-        mut self,
-        scheduler: &'static str,
-        msgs_abandoned: u64,
-        fwd_tsn_total: u64,
-        snd_hol_blocks: u64,
-        snd_hol_ns: u64,
-    ) -> Measured {
-        self.scheduler = scheduler;
-        self.msgs_abandoned = msgs_abandoned;
-        self.fwd_tsn_total = fwd_tsn_total;
-        self.snd_hol_blocks = snd_hol_blocks;
-        self.snd_hol_ns = snd_hol_ns;
-        self
-    }
-
-    /// Attach the sharded-engine meters.
-    pub fn with_shard_meters(
-        mut self,
-        shards: u64,
-        epochs_total: u64,
-        cross_shard_pkts: u64,
-        lookahead_ns: u64,
-    ) -> Measured {
-        self.shards = shards;
-        self.epochs_total = epochs_total;
-        self.cross_shard_pkts = cross_shard_pkts;
-        self.lookahead_ns = lookahead_ns;
-        self
-    }
-}
+use crate::Scale;
 
 /// One unit of work: a label for the meter plus the simulation closure.
-pub struct Cell<'a> {
+pub struct Cell<R> {
     pub label: String,
-    pub run: Box<dyn Fn() -> Measured + Send + Sync + 'a>,
+    pub run: Box<dyn Fn() -> R + Send + Sync>,
 }
 
-impl<'a> Cell<'a> {
-    pub fn new(label: String, run: impl Fn() -> Measured + Send + Sync + 'a) -> Cell<'a> {
+impl<R> Cell<R> {
+    pub fn new(label: String, run: impl Fn() -> R + Send + Sync + 'static) -> Cell<R> {
         Cell { label, run: Box::new(run) }
     }
+}
+
+/// One layer's counter block in a report cell: the group's key and its
+/// JSON object.
+pub type Group = (&'static str, Json);
+
+/// What the harness needs from a cell's result, whatever workload made it.
+pub trait CellResult: std::fmt::Debug + Clone + Send {
+    /// Simulated seconds the run covered, simulator events it fired, and
+    /// one [`Group`] per layer that ran in it — none for a layer that did
+    /// not (a TCP cell has no `sctp`, a live cell no `sched`), so a report
+    /// never shows a structural zero.
+    fn meter(&self) -> (f64, u64, Vec<Group>);
+    /// Zero what the wakeup discipline (or the shard partition) changes by
+    /// design; `SIM_CHECK` compares everything that is left.
+    fn strip_cost(&mut self);
+}
+
+fn group<const N: usize>(name: &'static str, fields: [(&'static str, &dyn ToJson); N]) -> Group {
+    (name, Json::Obj(fields.iter().map(|(k, v)| (*k, v.to_json())).collect()))
+}
+
+/// The groups of a run under `mpirun`; a transport counts as having run
+/// when it sent anything.
+fn mpi_groups(s: SchedCounters, net: NetStats, tcp: SockStats, sctp: AssocStats) -> Vec<Group> {
+    let per_burst = if s.bursts == 0 { 0.0 } else { s.pkts_fused as f64 / s.bursts as f64 };
+    let mut groups = vec![group(
+        "sched",
+        [
+            ("polls_total", &s.polls),
+            ("wakes_coalesced", &s.wakes_coalesced),
+            ("bursts_total", &s.bursts),
+            ("pkts_per_burst_avg", &per_burst),
+            ("wheel_hits", &s.wheel_hits),
+            ("heap_falls", &s.heap_falls),
+        ],
+    )];
+    if sctp.packets_out > 0 {
+        groups.push(group(
+            "sctp",
+            [
+                ("packets_out", &sctp.packets_out),
+                ("retransmits", &sctp.retransmits),
+                ("fast_retransmits", &sctp.fast_retransmits),
+                ("timeouts", &sctp.timeouts),
+                ("failovers", &sctp.failovers),
+                ("per_path_pkts", &sctp.per_path_pkts.to_vec()),
+                ("spurious_frtx_total", &sctp.spurious_frtx),
+                ("rescue_rtx_total", &sctp.rescue_rtx),
+                ("msgs_abandoned", &sctp.msgs_abandoned),
+                ("fwd_tsn_total", &sctp.fwd_tsn_out),
+            ],
+        ));
+    }
+    if tcp.segs_out > 0 {
+        groups.push(group(
+            "tcp",
+            [
+                ("segs_out", &tcp.segs_out),
+                ("retransmits", &tcp.retransmits),
+                ("fast_retransmits", &tcp.fast_retransmits),
+                ("timeouts", &tcp.timeouts),
+            ],
+        ));
+    }
+    groups.push(group(
+        "net",
+        [
+            ("packets_offered", &net.packets_offered),
+            ("packets_delivered", &net.packets_delivered),
+            ("drops_loss", &net.drops_loss),
+            ("drops_queue", &net.drops_queue),
+            ("drops_down", &net.drops_down),
+        ],
+    ));
+    groups
+}
+
+/// Results that carry `secs`, `events` and the four `mpirun` blocks as
+/// fields of those names.
+macro_rules! mpi_cell_result {
+    ($($t:ty),*) => {$(
+        impl CellResult for $t {
+            fn meter(&self) -> (f64, u64, Vec<Group>) {
+                (self.secs, self.events, mpi_groups(self.sched, self.net, self.tcp, self.sctp))
+            }
+            fn strip_cost(&mut self) {
+                self.sched = SchedCounters::default();
+            }
+        }
+    )*};
+}
+mpi_cell_result!(PingPongResult, FarmResult, NasResult);
+
+impl CellResult for MpiReport {
+    fn meter(&self) -> (f64, u64, Vec<Group>) {
+        (self.secs(), self.events, mpi_groups(self.sched, self.net, self.tcp, self.sctp))
+    }
+    fn strip_cost(&mut self) {
+        self.sched = SchedCounters::default();
+    }
+}
+
+impl CellResult for MediaResult {
+    fn meter(&self) -> (f64, u64, Vec<Group>) {
+        (self.secs, self.events, mpi_groups(self.sched, self.net, SockStats::default(), self.sctp))
+    }
+    fn strip_cost(&mut self) {
+        self.sched = SchedCounters::default();
+    }
+}
+
+/// Adds the sender-side head-of-line blocking its forced flight recording saw.
+impl CellResult for TracedMixedResult {
+    fn meter(&self) -> (f64, u64, Vec<Group>) {
+        let r = &self.result;
+        let mut groups = mpi_groups(r.sched, r.net, SockStats::default(), r.sctp);
+        groups.push(group("hol", [("snd_hol_blocks", &self.snd_hol_blocks), ("snd_hol_ns", &self.snd_hol_ns)]));
+        (r.secs, r.events, groups)
+    }
+    fn strip_cost(&mut self) {
+        self.result.sched = SchedCounters::default();
+    }
+}
+
+/// The sharded engine runs flat state machines: nothing polls, and the
+/// transport and network counters are the result's own semantic fields.
+impl CellResult for ScaleResult {
+    fn meter(&self) -> (f64, u64, Vec<Group>) {
+        let s = &self.sched;
+        let groups = vec![
+            group("sched", [("wheel_hits", &s.wheel_hits), ("heap_falls", &s.heap_falls)]),
+            group(
+                "shard",
+                [
+                    ("shards", &self.shards),
+                    ("epochs_total", &self.epochs),
+                    ("cross_shard_pkts", &self.cross_shard_pkts),
+                    ("lookahead_ns", &self.lookahead_ns),
+                ],
+            ),
+        ];
+        (self.end_ns as f64 / 1e9, self.events, groups)
+    }
+    /// The shadow run is forced onto one shard, so the partition meters go
+    /// with the scheduler's.
+    fn strip_cost(&mut self) {
+        self.sched = SchedCounters::default();
+        self.shards = 0;
+        self.cross_shard_pkts = 0;
+    }
+}
+
+/// A live cell has no reference discipline to compare against, and of the
+/// layers only the socket driver keeps counters: the scheduler is the
+/// reactor loop, the network is the kernel.
+impl CellResult for crate::live::LiveCell {
+    fn meter(&self) -> (f64, u64, Vec<Group>) {
+        let u = &self.udp;
+        let udp = group(
+            "udp",
+            [
+                ("tx_frames", &u.tx_frames),
+                ("tx_calls", &u.tx_calls),
+                ("rx_frames", &u.rx_frames),
+                ("rx_calls", &u.rx_calls),
+                ("rx_errors", &u.rx_errors),
+                ("rx_bad_crc", &u.rx_bad_crc),
+                ("rx_bad_frame", &u.rx_bad_frame),
+            ],
+        );
+        (self.sim_secs, self.events, vec![udp])
+    }
+    fn strip_cost(&mut self) {}
 }
 
 /// Per-cell self-metering record (one row of `results/BENCH_<fig>.json`).
@@ -210,88 +232,47 @@ pub struct CellMeter {
     pub wall_secs: f64,
     pub sim_secs: f64,
     pub events_fired: u64,
-    pub events_per_sec: f64,
-    /// Rank polls the runtime performed for this cell.
-    pub handoffs_total: u64,
-    /// Wakes coalesced away (suppressed spurious wakes + inline-advanced
-    /// sleeps); under the reference discipline each of these would have
-    /// been a poll.
-    pub wakes_coalesced: u64,
-    /// Wall-clock microseconds per simulator event — the runtime-overhead
-    /// trajectory the overhaul drives down.
-    pub us_per_event: f64,
-    /// Packet trains emitted through the burst path for this cell.
-    pub bursts_total: u64,
-    /// Mean packets per train (fused packets / trains; 0.0 when no trains).
-    pub pkts_per_burst_avg: f64,
-    /// Timers that took the O(1) wheel insert.
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback).
-    pub heap_falls: u64,
-    /// Worker shards the cell's simulation ran on (1 = sequential).
-    pub shards: u64,
-    /// Conservative epochs the sharded engine synchronized through.
-    pub epochs_total: u64,
-    /// Messages that crossed a shard boundary.
-    pub cross_shard_pkts: u64,
-    /// Conservative lookahead the run executed under, in ns.
-    pub lookahead_ns: u64,
-    /// Destination addresses per association (0 = no path notion).
-    pub paths: u64,
-    /// Packets sent per path index — the CMT stripe balance.
-    pub per_path_pkts: Vec<u64>,
-    /// Fast retransmits a later SACK proved unnecessary.
-    pub spurious_frtx_total: u64,
-    /// Chunks re-queued by the CMT rescue probe.
-    pub rescue_rtx_total: u64,
-    /// Sender-side stream scheduler the cell ran under.
-    pub scheduler: String,
-    /// PR-SCTP messages abandoned past their lifetime.
-    pub msgs_abandoned: u64,
-    /// FORWARD-TSN chunks sent across the run.
-    pub fwd_tsn_total: u64,
-    /// Sender-side HOL blocks observed by the flight recorder.
-    pub snd_hol_blocks: u64,
-    /// Total sender-side HOL blocked time, ns.
-    pub snd_hol_ns: u64,
     /// Heap allocations during the metered run (`ALLOC_METER=1`; 0 when the
     /// counting allocator is off). Process-global, so attributable to this
     /// cell only at `BENCH_THREADS=1`.
     pub allocs_total: u64,
-    /// Allocations per simulator event (the memory-plane trajectory this
-    /// pass drives down; 0.0 when metering is off).
-    pub allocs_per_event: f64,
+    /// One group per layer that ran in the cell.
+    pub layers: Vec<Group>,
 }
 
-impl_to_json!(CellMeter {
-    label,
-    wall_secs,
-    sim_secs,
-    events_fired,
-    events_per_sec,
-    handoffs_total,
-    wakes_coalesced,
-    us_per_event,
-    bursts_total,
-    pkts_per_burst_avg,
-    wheel_hits,
-    heap_falls,
-    shards,
-    epochs_total,
-    cross_shard_pkts,
-    lookahead_ns,
-    paths,
-    per_path_pkts,
-    spurious_frtx_total,
-    rescue_rtx_total,
-    scheduler,
-    msgs_abandoned,
-    fwd_tsn_total,
-    snd_hol_blocks,
-    snd_hol_ns,
-    allocs_total,
-    allocs_per_event
-});
+impl CellMeter {
+    /// Counter `key` of layer group `layer`, if that layer ran in the cell.
+    pub fn counter(&self, layer: &str, key: &str) -> Option<u64> {
+        let (_, group) = self.layers.iter().find(|(name, _)| *name == layer)?;
+        group.get(key)?.as_u64()
+    }
+
+    /// The one place a cell's result becomes its report row.
+    pub fn new(label: String, wall_secs: f64, allocs_total: u64, r: &impl CellResult) -> CellMeter {
+        let (sim_secs, events_fired, layers) = r.meter();
+        CellMeter { label, wall_secs, sim_secs, events_fired, allocs_total, layers }
+    }
+}
+
+impl ToJson for CellMeter {
+    /// Adds the rates: events per wall second, wall-clock µs per event (the
+    /// runtime-overhead trajectory) and allocations per event.
+    fn to_json(&self) -> Json {
+        let (wall, events) = (self.wall_secs, self.events_fired.max(1) as f64);
+        let mut fields = vec![
+            ("label", self.label.to_json()),
+            ("wall_secs", wall.to_json()),
+            ("sim_secs", self.sim_secs.to_json()),
+            ("events_fired", self.events_fired.to_json()),
+            ("events_per_sec", (self.events_fired as f64 / wall.max(1e-9)).to_json()),
+            ("us_per_event", (wall * 1e6 / events).to_json()),
+            ("allocs_total", self.allocs_total.to_json()),
+            ("allocs_per_event", (self.allocs_total as f64 / events).to_json()),
+        ];
+        fields.extend(self.layers.iter().cloned());
+        Json::Obj(fields)
+    }
+}
 
 /// Roll-up of one figure's harness run.
 #[derive(Debug, Clone)]
@@ -328,6 +309,37 @@ impl ToJson for BenchReport {
 }
 
 impl BenchReport {
+    /// Roll `cells` up under `fig`'s scale-tagged name.
+    pub fn new(
+        fig: &str,
+        scale: Scale,
+        threads: usize,
+        wall_secs_total: f64,
+        fault_plan: Option<String>,
+        cells: Vec<CellMeter>,
+    ) -> BenchReport {
+        BenchReport {
+            fig: scale.tag(fig),
+            scale: match scale {
+                Scale::Paper => "paper",
+                Scale::Quick => "quick",
+            },
+            threads,
+            wall_secs_total,
+            events_total: cells.iter().map(|m| m.events_fired).sum(),
+            fault_plan,
+            cells,
+        }
+    }
+
+    /// Append `other`'s cells: one figure whose cells come in more than one
+    /// result type runs a pool per type and reports them together.
+    pub fn absorb(&mut self, other: BenchReport) {
+        self.wall_secs_total += other.wall_secs_total;
+        self.events_total += other.events_total;
+        self.cells.extend(other.cells);
+    }
+
     /// Writes `results/BENCH_<fig>.json`.
     pub fn save(&self) {
         self.save_to(std::path::Path::new("results"));
@@ -397,79 +409,50 @@ fn shards_from_env(var: Option<&str>) -> u32 {
     var.and_then(|v| v.parse::<u32>().ok()).map(|n| n.max(1)).unwrap_or(1)
 }
 
-/// Which packet driver `pingpong_live` runs on (see `BACKEND`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The deterministic simulator — the comparison path.
-    Sim,
-    /// Real UDP sockets over loopback.
-    Udp,
-}
-
-/// Packet-driver selection for the live binaries: `BACKEND` env override,
-/// default the real-socket driver (the binary exists to exercise it);
-/// `BACKEND=sim` selects the simulated comparison path.
-pub fn backend_kind() -> BackendKind {
-    backend_from_env(std::env::var("BACKEND").ok().as_deref())
+/// Packet driver of `pingpong_live`: the `BACKEND` env override selects the
+/// simulated comparison path with `sim`; the default is the real-socket
+/// driver the entry exists to exercise.
+pub fn backend_is_sim() -> bool {
+    sim_from_env(std::env::var("BACKEND").ok().as_deref())
 }
 
 /// Parse a `BACKEND` override. Unset, empty, or unrecognized values fall
 /// back to the default (udp) rather than erroring, the same
 /// garbage-tolerant posture as `SHARDS`/`BENCH_THREADS`: an env knob must
 /// never turn a benchmark run into a parse failure.
-fn backend_from_env(var: Option<&str>) -> BackendKind {
-    match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        Some("sim") => BackendKind::Sim,
-        _ => BackendKind::Udp,
-    }
+fn sim_from_env(var: Option<&str>) -> bool {
+    var.is_some_and(|v| v.trim().eq_ignore_ascii_case("sim"))
 }
 
-/// Panics unless the reference-discipline and fast-discipline runs of one
-/// cell agree bit for bit on every semantic output. Handoff meters are
-/// excluded: coalescing exists precisely to change them.
-fn assert_disciplines_agree(label: &str, reference: &Measured, fast: &Measured) {
-    let same = reference.value.to_bits() == fast.value.to_bits()
-        && reference.sim_secs.to_bits() == fast.sim_secs.to_bits()
-        && reference.events == fast.events
-        && reference.aux == fast.aux
-        && reference.per_path_pkts == fast.per_path_pkts
-        && reference.spurious_frtx == fast.spurious_frtx
-        && reference.rescue_rtx == fast.rescue_rtx
-        && reference.msgs_abandoned == fast.msgs_abandoned
-        && reference.fwd_tsn_total == fast.fwd_tsn_total;
+/// Panics, naming the cell, unless its reference-discipline and
+/// fast-discipline runs agree on the whole typed result once the run-cost
+/// counters are stripped: those exist precisely to differ. The `Debug`
+/// text prints every field and enough float digits to round-trip, so
+/// equal text is bit-equal results.
+fn assert_disciplines_agree<R: CellResult>(label: &str, reference: &R, fast: &R) {
+    let semantic = |r: &R| {
+        let mut r = r.clone();
+        r.strip_cost();
+        format!("{r:?}")
+    };
+    let (reference, fast) = (semantic(reference), semantic(fast));
     assert!(
-        same,
-        "SIM_CHECK divergence in cell `{label}`: \
-         reference (value={:?} sim_secs={:?} events={} aux={} paths={:?}) vs \
-         fast (value={:?} sim_secs={:?} events={} aux={} paths={:?})",
-        reference.value,
-        reference.sim_secs,
-        reference.events,
-        reference.aux,
-        reference.per_path_pkts,
-        fast.value,
-        fast.sim_secs,
-        fast.events,
-        fast.aux,
-        fast.per_path_pkts,
+        reference == fast,
+        "SIM_CHECK divergence in cell `{label}`:\n reference {reference}\n fast      {fast}"
     );
 }
 
-/// Runs all cells on the worker pool; returns per-cell measurements in
-/// cell order plus the metering roll-up.
-pub fn run_cells(fig: &str, scale: Scale, cells: Vec<Cell<'_>>) -> (Vec<Measured>, BenchReport) {
-    run_cells_with_plan(fig, scale, cells, None)
-}
-
-/// [`run_cells`] for fault experiments: `plan_json` (the serialized
-/// [`netsim::FaultPlan`] every cell ran under) is stamped into the report so
-/// `results/BENCH_<fig>.json` carries everything needed to replay the run.
-pub fn run_cells_with_plan(
+/// Runs all cells on the worker pool; returns the cells' own results in
+/// cell order plus the metering roll-up. `plan_json` — the serialized
+/// [`netsim::FaultPlan`] a fault experiment's cells ran under — is stamped
+/// into the report so `results/BENCH_<fig>.json` carries everything needed
+/// to replay the run.
+pub fn run_cells<R: CellResult>(
     fig: &str,
     scale: Scale,
-    cells: Vec<Cell<'_>>,
+    cells: Vec<Cell<R>>,
     plan_json: Option<String>,
-) -> (Vec<Measured>, BenchReport) {
+) -> (Vec<R>, BenchReport) {
     let n = cells.len();
     let threads = pool_threads().min(n.max(1));
     let check = sim_check();
@@ -478,125 +461,133 @@ pub fn run_cells_with_plan(
     }
     let metering_allocs = crate::alloc_meter::enabled();
     let start = Instant::now();
-    let slots: Vec<Mutex<Option<(Measured, CellMeter)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell = &cells[i];
-                // Name any flight-recorder capture after the cell, so a
-                // `TRACE=1 fig10 --quick` run leaves one
-                // `traces/<fig>_<label>.{pcapng,jsonl}` pair per cell. The
-                // label is thread-local; clearing it keeps later non-cell
-                // runs (e.g. Criterion) on the seed-derived default name.
-                trace::set_run_label(Some(&format!("{fig} {}", cell.label)));
-                // Shadow run first so the metered (fast) run below is
-                // undisturbed. The discipline flag is thread-local, so
-                // parallel workers shadow-check independently.
-                let reference = check.then(|| {
-                    simcore::set_reference_discipline(true);
-                    let r = (cell.run)();
-                    simcore::set_reference_discipline(false);
-                    r
-                });
-                let a0 = metering_allocs.then(crate::alloc_meter::allocs);
-                let t0 = Instant::now();
-                let m = (cell.run)();
-                let wall = t0.elapsed().as_secs_f64();
-                let allocs_total =
-                    a0.map_or(0, |a| crate::alloc_meter::allocs().saturating_sub(a));
-                trace::set_run_label(None);
-                if let Some(r) = &reference {
-                    assert_disciplines_agree(&cell.label, r, &m);
-                }
-                let meter = CellMeter {
-                    label: cell.label.clone(),
-                    wall_secs: wall,
-                    sim_secs: m.sim_secs,
-                    events_fired: m.events,
-                    events_per_sec: m.events as f64 / wall.max(1e-9),
-                    handoffs_total: m.handoffs,
-                    wakes_coalesced: m.wakes_coalesced,
-                    us_per_event: wall * 1e6 / (m.events.max(1)) as f64,
-                    bursts_total: m.bursts_total,
-                    pkts_per_burst_avg: if m.bursts_total == 0 {
-                        0.0
-                    } else {
-                        m.pkts_fused as f64 / m.bursts_total as f64
-                    },
-                    wheel_hits: m.wheel_hits,
-                    heap_falls: m.heap_falls,
-                    shards: m.shards,
-                    epochs_total: m.epochs_total,
-                    cross_shard_pkts: m.cross_shard_pkts,
-                    lookahead_ns: m.lookahead_ns,
-                    paths: m.paths,
-                    per_path_pkts: m.per_path_pkts.to_vec(),
-                    spurious_frtx_total: m.spurious_frtx,
-                    rescue_rtx_total: m.rescue_rtx,
-                    scheduler: m.scheduler.to_string(),
-                    msgs_abandoned: m.msgs_abandoned,
-                    fwd_tsn_total: m.fwd_tsn_total,
-                    snd_hol_blocks: m.snd_hol_blocks,
-                    snd_hol_ns: m.snd_hol_ns,
-                    allocs_total,
-                    allocs_per_event: allocs_total as f64 / (m.events.max(1)) as f64,
-                };
-                *slots[i].lock().unwrap() = Some((m, meter));
+    let worker = || {
+        let mut done: Vec<(usize, R, CellMeter)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            let cell = &cells[i];
+            // Name any flight-recorder capture after the cell, so a
+            // `TRACE=1 bench fig10 --quick` run leaves one
+            // `traces/<fig>_<label>.{pcapng,jsonl}` pair per cell. The
+            // label is thread-local; clearing it keeps later non-cell
+            // runs (e.g. Criterion) on the seed-derived default name.
+            trace::set_run_label(Some(&format!("{fig} {}", cell.label)));
+            // Shadow run first so the metered (fast) run below is
+            // undisturbed. The discipline flag is thread-local, so
+            // parallel workers shadow-check independently.
+            let reference = check.then(|| {
+                simcore::set_reference_discipline(true);
+                let r = (cell.run)();
+                simcore::set_reference_discipline(false);
+                r
             });
+            let a0 = metering_allocs.then(crate::alloc_meter::allocs);
+            let t0 = Instant::now();
+            let r = (cell.run)();
+            let wall = t0.elapsed().as_secs_f64();
+            let allocs_total = a0.map_or(0, |a| crate::alloc_meter::allocs().saturating_sub(a));
+            trace::set_run_label(None);
+            if let Some(reference) = &reference {
+                assert_disciplines_agree(&cell.label, reference, &r);
+            }
+            let meter = CellMeter::new(cell.label.clone(), wall, allocs_total, &r);
+            done.push((i, r, meter));
         }
+    };
+    // Each worker hands back what it ran; a cell's panic is the pool's.
+    let mut done: Vec<(usize, R, CellMeter)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
     let wall_total = start.elapsed().as_secs_f64();
-    let mut values = Vec::with_capacity(n);
-    let mut meters = Vec::with_capacity(n);
-    for slot in slots {
-        let (v, m) = slot.into_inner().unwrap().expect("cell not run");
-        values.push(v);
-        meters.push(m);
-    }
-    let report = BenchReport {
-        fig: scale.tag(fig),
-        scale: match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        },
-        threads,
-        wall_secs_total: wall_total,
-        events_total: meters.iter().map(|m| m.events_fired).sum(),
-        fault_plan: plan_json,
-        cells: meters,
-    };
-    (values, report)
+    done.sort_by_key(|&(i, ..)| i);
+    let (results, meters): (Vec<R>, Vec<CellMeter>) = done.into_iter().map(|(_, r, m)| (r, m)).unzip();
+    let report = BenchReport::new(fig, scale, threads, wall_total, plan_json, meters);
+    (results, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A hand-built ping-pong result: `events` doubles as the value.
+    fn sample(events: u64) -> PingPongResult {
+        PingPongResult {
+            size: 1024,
+            iters: 10,
+            secs: 0.5,
+            throughput: events as f64,
+            events,
+            sched: SchedCounters { polls: 7, ..SchedCounters::default() },
+            sctp: AssocStats { packets_out: 9, ..AssocStats::default() },
+            tcp: SockStats::default(),
+            net: NetStats::default(),
+        }
+    }
+
     #[test]
     fn results_are_in_cell_order_regardless_of_runtime() {
         // Cells finish in reverse submission order (later = faster), yet
-        // values come back in cell order.
-        let cells: Vec<Cell> = (0..16)
+        // the typed results come back in cell order.
+        let cells: Vec<Cell<PingPongResult>> = (0..16)
             .map(|i| {
                 Cell::new(format!("cell{i}"), move || {
-                    std::thread::sleep(std::time::Duration::from_millis(16 - i as u64));
-                    Measured::new(i as f64, 0.0, i)
+                    std::thread::sleep(std::time::Duration::from_millis(16 - i));
+                    sample(i)
                 })
             })
             .collect();
-        let (values, report) = run_cells("test", Scale::Quick, cells);
-        let got: Vec<f64> = values.iter().map(|m| m.value).collect();
-        assert_eq!(got, (0..16).map(|i| i as f64).collect::<Vec<_>>());
+        let (results, report) = run_cells("test", Scale::Quick, cells, None);
+        let got: Vec<u64> = results.iter().map(|r| r.events).collect();
+        assert_eq!(got, (0..16).collect::<Vec<_>>());
         assert_eq!(report.cells.len(), 16);
         assert_eq!(report.cells[3].label, "cell3");
         assert_eq!(report.events_total, (0..16).sum::<u64>());
         assert!(report.wall_secs_total > 0.0);
+    }
+
+    #[test]
+    fn sim_check_names_the_cell_on_any_semantic_difference_and_ignores_run_cost() {
+        type Edit = fn(&mut PingPongResult);
+        let semantic: [(&str, Edit); 7] = [
+            ("value", |r| r.throughput += 1.0),
+            ("sim seconds", |r| r.secs = f64::from_bits(r.secs.to_bits() + 1)),
+            ("events", |r| r.events += 1),
+            ("per-path packets", |r| r.sctp.per_path_pkts[1] += 1),
+            ("abandoned messages", |r| r.sctp.msgs_abandoned += 1),
+            ("FORWARD-TSN count", |r| r.sctp.fwd_tsn_out += 1),
+            ("drops", |r| r.net.drops_queue += 1),
+        ];
+        for (what, edit) in semantic {
+            let mut fast = sample(3);
+            edit(&mut fast);
+            let err = std::panic::catch_unwind(|| {
+                assert_disciplines_agree("size=1024 rpi=sctp", &sample(3), &fast)
+            })
+            .expect_err(what);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("cell `size=1024 rpi=sctp`"), "{what}: {msg}");
+        }
+        let cost: [Edit; 6] = [
+            |r| r.sched.polls += 1,
+            |r| r.sched.wakes_coalesced += 1,
+            |r| r.sched.bursts += 1,
+            |r| r.sched.pkts_fused += 1,
+            |r| r.sched.wheel_hits += 1,
+            |r| r.sched.heap_falls += 1,
+        ];
+        for edit in cost {
+            let mut fast = sample(3);
+            edit(&mut fast);
+            assert_disciplines_agree("cell", &sample(3), &fast);
+        }
     }
 
     #[test]
@@ -625,88 +616,63 @@ mod tests {
 
     #[test]
     fn backend_override_parsing_defaults_to_udp_on_bad_values() {
-        assert_eq!(backend_from_env(None), BackendKind::Udp);
-        assert_eq!(backend_from_env(Some("")), BackendKind::Udp);
-        assert_eq!(backend_from_env(Some("tcp")), BackendKind::Udp);
-        assert_eq!(backend_from_env(Some("0")), BackendKind::Udp);
-        assert_eq!(backend_from_env(Some("udp")), BackendKind::Udp);
-        assert_eq!(backend_from_env(Some(" UDP ")), BackendKind::Udp);
-        assert_eq!(backend_from_env(Some("sim")), BackendKind::Sim);
-        assert_eq!(backend_from_env(Some(" Sim ")), BackendKind::Sim);
+        for udp in [None, Some(""), Some("tcp"), Some("0"), Some("udp"), Some(" UDP ")] {
+            assert!(!sim_from_env(udp), "{udp:?}");
+        }
+        assert!(sim_from_env(Some("sim")) && sim_from_env(Some(" Sim ")));
     }
 
     #[test]
     fn bench_report_renders_schema() {
-        let r = BenchReport {
-            fig: "fig0".into(),
-            scale: "quick",
-            threads: 2,
-            wall_secs_total: 0.5,
-            events_total: 10,
-            fault_plan: None,
-            cells: vec![CellMeter {
-                label: "a".into(),
-                wall_secs: 0.25,
-                sim_secs: 1.0,
-                events_fired: 10,
-                events_per_sec: 40.0,
-                handoffs_total: 4,
-                wakes_coalesced: 6,
-                us_per_event: 25000.0,
-                bursts_total: 3,
-                pkts_per_burst_avg: 2.5,
-                wheel_hits: 9,
-                heap_falls: 1,
-                shards: 4,
-                epochs_total: 12,
-                cross_shard_pkts: 7,
-                lookahead_ns: 22_000,
-                paths: 3,
-                per_path_pkts: vec![5, 3, 2, 0],
-                spurious_frtx_total: 1,
-                rescue_rtx_total: 2,
-                scheduler: "rr".into(),
-                msgs_abandoned: 4,
-                fwd_tsn_total: 2,
-                snd_hol_blocks: 6,
-                snd_hol_ns: 9_000,
-                allocs_total: 123,
-                allocs_per_event: 12.3,
-            }],
+        let sim = CellMeter::new("sim".into(), 0.25, 123, &sample(10));
+        let live = crate::live::LiveCell {
+            throughput: 1.0,
+            rtt: 1.0,
+            events: 4,
+            wall_secs: 0.5,
+            sim_secs: 0.5,
+            udp: transport::backend::udp::UdpStats { tx_frames: 5, ..Default::default() },
         };
-        let s = r.to_json().render();
+        let live = CellMeter::new("live".into(), live.wall_secs, 0, &live);
+        let render = |c: &CellMeter| c.to_json().render();
+        let (sim, live) = (render(&sim), render(&live));
         for key in [
-            "\"schema_version\"",
-            "\"fig\"",
-            "\"threads\"",
-            "\"cells\"",
-            "\"events_fired\"",
-            "\"label\"",
-            "\"handoffs_total\"",
+            "\"label\": \"sim\"",
+            "\"events_fired\": 10",
+            "\"us_per_event\": 25000.0",
+            "\"allocs_total\": 123",
+            "\"allocs_per_event\": 12.3",
+            "\"sched\": {",
+            "\"polls_total\": 7",
             "\"wakes_coalesced\"",
-            "\"us_per_event\"",
             "\"bursts_total\"",
             "\"pkts_per_burst_avg\"",
             "\"wheel_hits\"",
             "\"heap_falls\"",
-            "\"shards\"",
-            "\"epochs_total\"",
-            "\"cross_shard_pkts\"",
-            "\"lookahead_ns\"",
-            "\"paths\"",
+            "\"sctp\": {",
             "\"per_path_pkts\"",
             "\"spurious_frtx_total\"",
             "\"rescue_rtx_total\"",
-            "\"scheduler\"",
             "\"msgs_abandoned\"",
             "\"fwd_tsn_total\"",
-            "\"snd_hol_blocks\"",
-            "\"snd_hol_ns\"",
-            "\"allocs_total\"",
-            "\"allocs_per_event\"",
+            "\"net\": {",
+            "\"drops_queue\"",
         ] {
-            assert!(s.contains(key), "missing {key} in {s}");
+            assert!(sim.contains(key), "missing {key} in {sim}");
         }
+        // A layer that did not run leaves no group behind: no TCP in an
+        // SCTP cell, no scheduler, shard or simulated network in a live one.
+        for group in ["\"tcp\"", "\"shard\"", "\"udp\"", "\"hol\""] {
+            assert!(!sim.contains(group), "structural {group} group in {sim}");
+        }
+        assert!(live.contains("\"udp\": {") && live.contains("\"tx_frames\": 5"), "{live}");
+        for group in ["\"sched\"", "\"shard\"", "\"net\"", "\"sctp\"", "\"tcp\""] {
+            assert!(!live.contains(group), "structural {group} group in {live}");
+        }
+
+        let report = BenchReport::new("fig0", Scale::Quick, 2, 0.5, None, vec![]);
+        let s = report.to_json().render();
+        assert!(s.contains("\"fig\": \"fig0_quick\"") && s.contains("\"threads\": 2"), "{s}");
         assert!(
             s.contains(&format!("\"schema_version\": {}", crate::json::SCHEMA_VERSION)),
             "report must stamp the current schema: {s}"
@@ -724,15 +690,7 @@ mod tests {
             ..Default::default()
         };
         let text = plan.to_json();
-        let report = BenchReport {
-            fig: "flap_quick".into(),
-            scale: "quick",
-            threads: 1,
-            wall_secs_total: 0.1,
-            events_total: 1,
-            fault_plan: Some(text.clone()),
-            cells: vec![],
-        };
+        let report = BenchReport::new("flap", Scale::Quick, 1, 0.1, Some(text.clone()), vec![]);
         let s = report.to_json().render();
         // Embedded verbatim — what the file carries is exactly what
         // `FaultPlan::from_json` replays.
@@ -745,25 +703,21 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("bench-schema-test-{}-{:?}", std::process::id(), std::thread::current().id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let report = BenchReport {
-            fig: "figtest".into(),
-            scale: "quick",
-            threads: 1,
-            wall_secs_total: 0.1,
-            events_total: 1,
-            fault_plan: None,
-            cells: vec![],
-        };
+        let report = BenchReport::new("figtest", Scale::Paper, 1, 0.1, None, vec![]);
         let path = dir.join("BENCH_figtest.json");
         let bak = dir.join("BENCH_figtest.json.bak");
-
-        // Seed a pre-versioned (v1) file, as PR 3 and earlier wrote.
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, "{\n  \"fig\": \"figtest\"\n}\n").unwrap();
-        report.save_to(&dir);
-        assert!(bak.exists(), "v1 file must be retired, not overwritten");
-        let new = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(crate::json::sniff_schema_version(&new), crate::json::SCHEMA_VERSION);
+
+        // A pre-versioned (v1) file, as PR 3 and earlier wrote, then a v2
+        // file (ungrouped cells): each is retired.
+        for old in ["{\n  \"fig\": \"figtest\"\n}\n", "{\n  \"schema_version\": 2\n}\n"] {
+            let _ = std::fs::remove_file(&bak);
+            std::fs::write(&path, old).unwrap();
+            report.save_to(&dir);
+            assert_eq!(std::fs::read_to_string(&bak).unwrap(), old, "retired, not overwritten");
+            let new = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(crate::json::sniff_schema_version(&new), crate::json::SCHEMA_VERSION);
+        }
 
         // Same-schema overwrite keeps the old backup untouched.
         std::fs::write(&bak, "sentinel").unwrap();

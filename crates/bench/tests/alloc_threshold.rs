@@ -17,7 +17,7 @@
 //! that losing any one pool (payloads, gap lists, trains, wake lists)
 //! trips it.
 
-use bench_harness::{alloc_meter, farm_figure_metered, Scale};
+use bench_harness::{alloc_meter, figure, Scale};
 
 const MAX_ALLOCS_PER_EVENT: f64 = 1.2;
 
@@ -29,7 +29,7 @@ fn farm_quick_stays_within_alloc_budget() {
     std::env::set_var("BENCH_THREADS", "1");
     alloc_meter::enable(true);
 
-    let (_rows, bench) = farm_figure_metered(Scale::Quick, 1);
+    let bench = (figure("fig10").expect("registered").run)(Scale::Quick, &[]).report;
 
     let allocs: u64 = bench.cells.iter().map(|c| c.allocs_total).sum();
     let events = bench.events_total;

@@ -3,35 +3,15 @@
 //! property down for both RPIs, with loss enabled so the retransmission
 //! machinery (the code the SACK fast paths rewrote) is on the trace.
 
-use bytes::Bytes;
-use mpi_core::{mpirun, MpiCfg};
+use mpi_core::MpiCfg;
+use workloads::pingpong::{self, PingPongCfg};
 
-use bench_harness::{farm_figure_metered, fig8_metered, human_size, render_table, Scale};
+use bench_harness::{figure, section, FigureOutput, Scale};
 
-/// One fig8-style ping-pong exchange, returning the full run report
-/// (events fired + every transport counter).
+/// One fig8-style ping-pong exchange, returning the full run result
+/// (events fired + every transport and network counter).
 fn pingpong_report(cfg: MpiCfg, size: usize, iters: u32) -> String {
-    let report = mpirun(cfg, move |mpi| {
-        Box::pin(async move {
-            let data = Bytes::from(vec![0u8; size]);
-            match mpi.rank() {
-                0 => {
-                    for _ in 0..iters {
-                        mpi.send(1, 0, data.clone()).await;
-                        let _ = mpi.recv(Some(1), Some(0)).await;
-                    }
-                }
-                1 => {
-                    for _ in 0..iters {
-                        let _ = mpi.recv(Some(0), Some(0)).await;
-                        mpi.send(0, 0, data.clone()).await;
-                    }
-                }
-                _ => {}
-            }
-        })
-    });
-    format!("{report:?}")
+    format!("{:?}", pingpong::run(cfg, PingPongCfg { size, iters }))
 }
 
 #[test]
@@ -54,62 +34,75 @@ fn different_seeds_change_the_trace_under_loss() {
     assert_ne!(a, b);
 }
 
-/// Renders fig10's stdout table exactly as `bin/fig10.rs` does, so the
-/// assertion below really is "the figure the user sees is byte-identical".
-fn fig10_quick_table(threads: &str) -> (String, u64) {
+/// One registry entry at `--quick`, as `bench <name> --quick` runs it.
+fn quick(name: &str) -> FigureOutput {
+    (figure(name).expect(name).run)(Scale::Quick, &[])
+}
+
+fn fig10_quick(threads: &str) -> (String, u64) {
     std::env::set_var("BENCH_THREADS", threads);
-    let (rows, bench) = farm_figure_metered(Scale::Quick, 1);
+    let out = quick("fig10");
     std::env::remove_var("BENCH_THREADS");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                human_size(r.task_bytes),
-                format!("{:.0}%", r.loss * 100.0),
-                format!("{:.1}", r.sctp_secs),
-                format!("{:.1}", r.tcp_secs),
-                format!("{:.1}", r.tcp_era_secs),
-                format!("{:.2}x", r.ratio_tcp_over_sctp),
-                format!("{:.2}x", r.ratio_era),
-            ]
-        })
-        .collect();
-    let out = render_table(
-        "Figure 10: Bulk Processor Farm, Fanout 1 (total run time, s)",
-        &["task", "loss", "SCTP s", "TCP s", "TCPera s", "TCP/SCTP", "era/SCTP"],
-        &table,
-    );
-    (out, bench.events_total)
+    (out.stdout, out.report.events_total)
 }
 
 #[test]
 fn fig10_quick_stdout_is_thread_count_invariant() {
-    // The overhaul's hard constraint: handoff/coalescing changes may move
+    // The overhaul's hard constraint: poll/coalescing changes may move
     // wall-clock, never results. A sequential run and a 4-worker run must
     // produce byte-identical figure output and identical event totals.
-    let (seq, ev_seq) = fig10_quick_table("1");
-    let (par, ev_par) = fig10_quick_table("4");
+    let (seq, ev_seq) = fig10_quick("1");
+    let (par, ev_par) = fig10_quick("4");
     assert_eq!(seq, par, "fig10 --quick stdout differs between BENCH_THREADS=1 and 4");
     assert_eq!(ev_seq, ev_par);
 }
 
 #[test]
 fn fig8_quick_rows_and_metering_are_reproducible() {
-    let (rows_a, bench_a) = fig8_metered(Scale::Quick);
-    let (rows_b, bench_b) = fig8_metered(Scale::Quick);
-    assert_eq!(rows_a.len(), rows_b.len());
-    for (a, b) in rows_a.iter().zip(&rows_b) {
-        assert_eq!(a.size, b.size);
-        // Bit-exact: aggregation happens in cell order regardless of how
-        // the worker pool interleaved the cells.
-        assert_eq!(a.tcp_tput.to_bits(), b.tcp_tput.to_bits(), "size={}", a.size);
-        assert_eq!(a.sctp_tput.to_bits(), b.sctp_tput.to_bits(), "size={}", a.size);
-    }
+    let (a, b) = (quick("fig8"), quick("fig8"));
+    // Bit-exact: aggregation happens in cell order regardless of how the
+    // worker pool interleaved the cells, and the row file prints every
+    // float to round-trip precision.
+    assert_eq!(a.files, b.files);
     // Wall-clock differs run to run; the simulation-side meters must not.
-    for (ca, cb) in bench_a.cells.iter().zip(&bench_b.cells) {
+    for (ca, cb) in a.report.cells.iter().zip(&b.report.cells) {
         assert_eq!(ca.label, cb.label);
         assert_eq!(ca.events_fired, cb.events_fired, "cell {}", ca.label);
         assert_eq!(ca.sim_secs.to_bits(), cb.sim_secs.to_bits(), "cell {}", ca.label);
     }
-    assert_eq!(bench_a.events_total, bench_b.events_total);
+    assert_eq!(a.report.events_total, b.report.events_total);
+}
+
+/// `name`'s section of a `bench all` transcript, header and blank line
+/// included.
+fn golden_section<'a>(golden: &'a str, name: &str) -> &'a str {
+    let head = format!("===== {name} =====\n");
+    let rest = &golden[golden.find(&head).unwrap_or_else(|| panic!("no section {name}"))..];
+    let end = rest[head.len()..].find("\n===== ").map_or(rest.len(), |i| head.len() + i + 1);
+    &rest[..end]
+}
+
+#[test]
+fn cheap_figures_match_the_committed_quick_transcript() {
+    // `bench all --quick` wrote the golden file; the entries cheap enough
+    // for a debug build are rendered again through the same table.
+    let golden = include_str!("../../../results/all_figures_quick.txt");
+    for name in [
+        "fig8", "table1", "fig9", "failover", "flap", "interleave", "incast", "tenants", "ablate_cc",
+        "scalability",
+    ] {
+        let out = quick(name);
+        assert_eq!(section(name, &out.stdout), golden_section(golden, name), "{name} --quick drifted");
+        // No structural zeros: a group only for a layer that ran in the
+        // cell, and every run under the process runtime was polled.
+        let sharded = matches!(name, "incast" | "tenants");
+        for c in &out.report.cells {
+            let has = |layer: &str| c.layers.iter().any(|(name, _)| *name == layer);
+            assert!(has("sched") && !has("udp"), "{name} `{}`: {:?}", c.label, c.layers);
+            assert_eq!(has("shard"), sharded, "{name} `{}`", c.label);
+            assert_eq!(has("net") && (has("sctp") || has("tcp")), !sharded, "{name} `{}`", c.label);
+            let polls = c.counter("sched", "polls_total");
+            assert!(if sharded { polls.is_none() } else { polls > Some(0) }, "{name} `{}`: {polls:?}", c.label);
+        }
+    }
 }

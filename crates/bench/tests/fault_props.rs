@@ -111,10 +111,10 @@ fn flap_runs_are_replayable() {
         m.fault_plan = flap_plan();
         m
     };
-    let a = farm::run_with_plan(mk(), farm);
-    let b = farm::run_with_plan(mk(), farm);
+    let a = farm::run(mk(), farm);
+    let b = farm::run(mk(), farm);
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "flap runs must replay byte-identically");
-    assert!(a.failovers >= 1, "the flap must force a failover: {a:?}");
+    assert!(a.sctp.failovers >= 1, "the flap must force a failover: {a:?}");
     // And the plan itself replays through its JSON form.
     let plan = flap_plan();
     let back = netsim::FaultPlan::from_json(&plan.to_json()).unwrap();

@@ -16,13 +16,13 @@ use bench_harness::Scale;
 fn quick_sweep_completes_over_real_sockets() {
     let (rows, report) = live::live_fig8(Scale::Quick);
     assert_eq!(rows.len(), 4, "quick scale sweeps 4 sizes");
-    for r in &rows {
-        assert!(r.tcp_tput > 0.0 && r.sctp_tput > 0.0, "size {}: zero throughput", r.size);
+    for &(size, tcp_tput, sctp_tput) in &rows {
+        assert!(tcp_tput > 0.0 && sctp_tput > 0.0, "size {size}: zero throughput");
     }
     // Larger messages must move more bytes per second than tiny ones — the
     // shape every ping-pong curve (sim or live) has.
     assert!(
-        rows.last().unwrap().sctp_tput > rows.first().unwrap().sctp_tput,
+        rows.last().unwrap().2 > rows.first().unwrap().2,
         "throughput did not grow with message size"
     );
     assert_eq!(report.cells.len(), 2 * rows.len(), "one TCP and one SCTP cell per size");

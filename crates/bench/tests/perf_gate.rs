@@ -20,7 +20,7 @@
 //! for a loaded CI box and codegen drift, tight enough that a 2× hot-path
 //! regression stacked on a slow runner trips it.
 
-use bench_harness::{farm_figure_metered, Scale};
+use bench_harness::{figure, Scale};
 
 const MAX_US_PER_EVENT: f64 = 2.0;
 
@@ -37,7 +37,7 @@ fn farm_quick_stays_within_time_budget() {
     // count and hide a per-event regression behind idle cores.
     std::env::set_var("BENCH_THREADS", "1");
 
-    let (_rows, bench) = farm_figure_metered(Scale::Quick, 1);
+    let bench = (figure("fig10").expect("registered").run)(Scale::Quick, &[]).report;
 
     assert!(bench.events_total > 0, "farm run fired no events");
     let us_per_event = bench.wall_secs_total * 1e6 / bench.events_total as f64;

@@ -6,7 +6,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 
 use netsim::{NetCfg, NetStats};
-use simcore::{ProcEnv, Runtime, SimTime};
+use simcore::{ProcEnv, RunOutcome, Runtime, SchedCounters, SimTime};
 use transport::sctp::{AssocStats, SctpCfg};
 use transport::tcp::{SockStats, TcpCfg};
 use transport::World;
@@ -209,25 +209,14 @@ fn flush_trace(tracer: &Option<trace::Tracer>, end: SimTime, seed: u64) {
 }
 
 /// Result of one MPI run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MpiReport {
     /// Simulated wall time until the last rank finished.
     pub sim_time: SimTime,
     /// Events fired (diagnostic).
     pub events: u64,
-    /// Rank polls performed by the runtime (diagnostic; wall-clock cost,
-    /// no simulated-time meaning).
-    pub handoffs: u64,
-    /// Wakes coalesced away by the runtime fast path (diagnostic).
-    pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (diagnostic).
-    pub bursts_total: u64,
-    /// Packets fused inside those trains (each still counts in `events`).
-    pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (diagnostic).
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback).
-    pub heap_falls: u64,
+    /// What the run cost the scheduler and the rank driver (diagnostic).
+    pub sched: SchedCounters,
     pub net: NetStats,
     /// Aggregate TCP socket stats across hosts (zero for SCTP runs).
     pub tcp: SockStats,
@@ -236,6 +225,19 @@ pub struct MpiReport {
 }
 
 impl MpiReport {
+    /// Every layer's counters out of a finished run, each block copied whole.
+    pub fn collect(out: &RunOutcome<World>) -> MpiReport {
+        let hosts = &out.world.hosts;
+        MpiReport {
+            sim_time: out.sim_time,
+            events: out.events,
+            sched: out.sched,
+            net: out.world.net.stats,
+            tcp: hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp),
+            sctp: hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp),
+        }
+    }
+
     /// Total run time in seconds (the farm figures' metric).
     pub fn secs(&self) -> f64 {
         self.sim_time.as_secs_f64()
@@ -296,20 +298,7 @@ where
     }
     let out = rt.run();
     flush_trace(&tracer, out.sim_time, cfg.seed);
-    let w = &out.world;
-    let report = MpiReport {
-        sim_time: out.sim_time,
-        events: out.events,
-        handoffs: out.handoffs,
-        wakes_coalesced: out.wakes_coalesced,
-        bursts_total: out.bursts_total,
-        pkts_fused: out.pkts_fused,
-        wheel_hits: out.wheel_hits,
-        heap_falls: out.heap_falls,
-        net: w.net.stats,
-        tcp: w.hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp),
-        sctp: w.hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp),
-    };
+    let report = MpiReport::collect(&out);
     let table = Rc::try_unwrap(table).expect("daemons exited").into_inner();
     (report, table)
 }
@@ -441,22 +430,5 @@ where
     if let Some(slot) = dump_slot {
         *slot = tracer.as_ref().map(|t| t.dump(out.sim_time.as_nanos()));
     }
-    let w = &out.world;
-    let tcp_total =
-        w.hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp);
-    let sctp_total =
-        w.hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp);
-    MpiReport {
-        sim_time: out.sim_time,
-        events: out.events,
-        handoffs: out.handoffs,
-        wakes_coalesced: out.wakes_coalesced,
-        bursts_total: out.bursts_total,
-        pkts_fused: out.pkts_fused,
-        wheel_hits: out.wheel_hits,
-        heap_falls: out.heap_falls,
-        net: w.net.stats,
-        tcp: tcp_total,
-        sctp: sctp_total,
-    }
+    MpiReport::collect(&out)
 }

@@ -26,7 +26,7 @@ pub use process::{
     reference_discipline, set_reference_discipline, ProcEnv, ProcId, RunOutcome, Runtime,
 };
 pub use rng::{derive_rng, stream_id};
-pub use sched::{Ctx, TimerId};
+pub use sched::{Ctx, SchedCounters, TimerId};
 pub use shard::{
     effective_shards, local_ix, run_sharded, shard_of, Inbound, Mailbox, ShardCfg, ShardOutcome,
     ShardSim, ShardWorld,

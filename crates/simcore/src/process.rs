@@ -29,7 +29,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::rng::derive_rng;
-use crate::sched::{Ctx, Popped};
+use crate::sched::{Ctx, Popped, SchedCounters};
 use crate::time::{Dur, SimTime};
 
 thread_local! {
@@ -184,24 +184,11 @@ pub struct RunOutcome<W> {
     /// Total events fired (diagnostic). Identical under both wakeup
     /// disciplines: inline-advanced sleeps count their skipped timer.
     pub events: u64,
-    /// Polls of process futures performed by the driver (diagnostic; it
-    /// differs between disciplines by design).
-    pub handoffs: u64,
-    /// Wakes that never became a poll: suppressed spurious wakes plus
-    /// sleeps satisfied by the inline fast path (diagnostic).
-    pub wakes_coalesced: u64,
+    /// What the run cost the scheduler and this driver (polls included).
+    pub sched: SchedCounters,
     /// True if the run was cut short by the deadline; processes still
     /// blocked at that point were dropped unfinished.
     pub hit_deadline: bool,
-    /// Packet trains emitted through the burst path (diagnostic; zero under
-    /// the reference discipline by design).
-    pub bursts_total: u64,
-    /// Packets carried inside those trains; each still counts in `events`.
-    pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (diagnostic).
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon that fell back to the heap.
-    pub heap_falls: u64,
 }
 
 /// One process: its name (for deadlock reports) and its future, `None` once
@@ -278,7 +265,7 @@ impl<W: 'static> Runtime<W> {
         let mut cx = Context::from_waker(Waker::noop());
         let mut live = procs.len();
         let mut hit_deadline = false;
-        let mut handoffs: u64 = 0;
+        let mut polls: u64 = 0;
         let mut wake_buf: Vec<ProcId> = Vec::new();
         loop {
             // Drain wakeups first: same-timestamp readiness beats timers.
@@ -297,7 +284,7 @@ impl<W: 'static> Runtime<W> {
                     shared.inflight_wakes.set(shared.inflight_wakes.get() - 1);
                     let proc = &mut procs[p.0];
                     let Some(fut) = proc.fut.as_mut() else { continue };
-                    handoffs += 1;
+                    polls += 1;
                     match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
                         Ok(Poll::Pending) => {}
                         Ok(Poll::Ready(())) => {
@@ -355,12 +342,7 @@ impl<W: 'static> Runtime<W> {
         RunOutcome {
             sim_time: sim.ctx.now(),
             events: sim.ctx.events_fired(),
-            handoffs,
-            wakes_coalesced: sim.ctx.wakes_coalesced(),
-            bursts_total: sim.ctx.bursts(),
-            pkts_fused: sim.ctx.fused_pkts(),
-            wheel_hits: sim.ctx.wheel_hits(),
-            heap_falls: sim.ctx.heap_falls(),
+            sched: sim.ctx.counters(polls),
             world: sim.world,
             hit_deadline,
         }

@@ -39,6 +39,41 @@ use rand::rngs::SmallRng;
 use crate::process::ProcId;
 use crate::time::{Dur, SimTime};
 
+/// What one run cost the scheduler and the process driver: wall-clock
+/// diagnostics with no simulated-time meaning. The wakeup discipline (and,
+/// on the sharded engine, the partition) changes them by design, so
+/// `SIM_CHECK` compares everything in a result *except* this block. Outcome
+/// and result structs carry it whole, by value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedCounters {
+    /// Polls of process futures by the driver (0 on the sharded engine,
+    /// which runs flat state machines, not processes).
+    pub polls: u64,
+    /// Wakes that never became a poll: suppressed spurious wakes plus
+    /// sleeps satisfied by an inline clock advance.
+    pub wakes_coalesced: u64,
+    /// Packet trains emitted through the burst path (zero under the
+    /// reference discipline).
+    pub bursts: u64,
+    /// Packets carried inside those trains; each still counts as one event.
+    pub pkts_fused: u64,
+    /// Timers that took the O(1) wheel insert.
+    pub wheel_hits: u64,
+    /// Timers beyond the wheel horizon that fell back to the heap.
+    pub heap_falls: u64,
+}
+
+impl std::ops::AddAssign for SchedCounters {
+    fn add_assign(&mut self, o: Self) {
+        self.polls += o.polls;
+        self.wakes_coalesced += o.wakes_coalesced;
+        self.bursts += o.bursts;
+        self.pkts_fused += o.pkts_fused;
+        self.wheel_hits += o.wheel_hits;
+        self.heap_falls += o.heap_falls;
+    }
+}
+
 /// Identifies a scheduled timer so it can be cancelled. Packs the slab slot
 /// index and its generation; cancelling a fired or already-cancelled timer
 /// is a generation mismatch and a no-op.
@@ -405,48 +440,17 @@ impl<W> Ctx<W> {
         self.reference
     }
 
-    /// Wakes that never became a driver↔process round trip: suppressed
-    /// spurious wakes plus sleeps satisfied by the inline fast path.
-    #[inline]
-    pub fn wakes_coalesced(&self) -> u64 {
-        self.wakes_suppressed + self.sleep_fastpaths
-    }
-
-    /// Spurious wakes dropped because the target was in a charge sleep.
-    #[inline]
-    pub fn wakes_suppressed(&self) -> u64 {
-        self.wakes_suppressed
-    }
-
-    /// Sleeps satisfied by an inline clock advance, no park at all.
-    #[inline]
-    pub fn sleep_fastpaths(&self) -> u64 {
-        self.sleep_fastpaths
-    }
-
-    /// Timers that landed in the wheel (short horizon, O(1) bucket insert).
-    #[inline]
-    pub fn wheel_hits(&self) -> u64 {
-        self.wheel_hits
-    }
-
-    /// Timers beyond the wheel horizon that fell back to the heap.
-    #[inline]
-    pub fn heap_falls(&self) -> u64 {
-        self.heap_falls
-    }
-
-    /// Packet trains emitted through the burst path.
-    #[inline]
-    pub fn bursts(&self) -> u64 {
-        self.bursts
-    }
-
-    /// Packets carried inside those trains (each still counts as one fired
-    /// event; see [`Ctx::try_advance_to`]).
-    #[inline]
-    pub fn fused_pkts(&self) -> u64 {
-        self.fused_pkts
+    /// The run-cost counters of this context, with the driver's own `polls`
+    /// count filled in (a context polls nothing itself).
+    pub fn counters(&self, polls: u64) -> SchedCounters {
+        SchedCounters {
+            polls,
+            wakes_coalesced: self.wakes_suppressed + self.sleep_fastpaths,
+            bursts: self.bursts,
+            pkts_fused: self.fused_pkts,
+            wheel_hits: self.wheel_hits,
+            heap_falls: self.heap_falls,
+        }
     }
 
     /// Record one emitted train of `pkts` fused packets.
@@ -1472,11 +1476,11 @@ mod tests {
         for (i, ms) in [200u64, 250, 1_000, 5_000].into_iter().enumerate() {
             c.schedule_in(Dur::from_millis(ms), move |w: &mut Vec<u32>, _| w.push(i as u32));
         }
-        assert_eq!(c.heap_falls(), 0, "coarse timers must stay on a wheel");
+        assert_eq!(c.counters(0).heap_falls, 0, "coarse timers must stay on a wheel");
         assert_eq!(c.wheel2_len, 4);
-        assert_eq!(c.wheel_hits(), 4);
+        assert_eq!(c.counters(0).wheel_hits, 4);
         c.schedule_in(Dur::from_secs(20), |w: &mut Vec<u32>, _| w.push(9));
-        assert_eq!(c.heap_falls(), 1, "past the L2 horizon the heap still catches");
+        assert_eq!(c.counters(0).heap_falls, 1, "past the L2 horizon the heap still catches");
         drain(&mut w, &mut c);
         assert_eq!(w, vec![0, 1, 2, 3, 9]);
         assert_eq!(c.wheel2_len, 0);

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::rng::derive_rng;
-use crate::sched::{Ctx, Popped};
+use crate::sched::{Ctx, Popped, SchedCounters};
 use crate::time::{Dur, SimTime};
 
 /// Which shard owns a node. Round-robin keeps hot neighbors (e.g. the
@@ -251,7 +251,7 @@ impl ShardCfg {
 
 /// What one finished run looks like. Everything the determinism contract
 /// covers (`worlds`, `end_time`, `events`, `sends_total`, `epochs`) is
-/// bit-identical across shard counts; `cross_shard_pkts` and the queue
+/// bit-identical across shard counts; `cross_shard_pkts` and the `sched`
 /// meters legitimately depend on the partition.
 #[derive(Debug)]
 pub struct ShardOutcome<W> {
@@ -271,10 +271,8 @@ pub struct ShardOutcome<W> {
     pub epochs: u64,
     /// Messages whose source and destination shards differed.
     pub cross_shard_pkts: u64,
-    /// Timer-wheel hits, summed over shards.
-    pub wheel_hits: u64,
-    /// Heap falls, summed over shards.
-    pub heap_falls: u64,
+    /// Scheduler cost counters, summed over shards (partition-dependent).
+    pub sched: SchedCounters,
     /// True when the deadline cut the run short of queue exhaustion.
     pub hit_deadline: bool,
 }
@@ -352,8 +350,7 @@ struct WorkerDone<W> {
     events: u64,
     sends: u64,
     cross: u64,
-    wheel_hits: u64,
-    heap_falls: u64,
+    sched: SchedCounters,
     epochs: u64,
     hit_deadline: bool,
 }
@@ -445,8 +442,7 @@ pub fn run_sharded<W: ShardWorld>(mut cfg: ShardCfg, worlds: Vec<W>) -> ShardOut
         sends_total: 0,
         epochs: 0,
         cross_shard_pkts: 0,
-        wheel_hits: 0,
-        heap_falls: 0,
+        sched: SchedCounters::default(),
         hit_deadline: false,
     };
     for r in results.into_iter().map(|r| r.expect("missing worker result")) {
@@ -454,8 +450,7 @@ pub fn run_sharded<W: ShardWorld>(mut cfg: ShardCfg, worlds: Vec<W>) -> ShardOut
         out.events += r.events;
         out.sends_total += r.sends;
         out.cross_shard_pkts += r.cross;
-        out.wheel_hits += r.wheel_hits;
-        out.heap_falls += r.heap_falls;
+        out.sched += r.sched;
         // Every worker computes the same epoch/deadline story.
         out.epochs = r.epochs;
         out.hit_deadline = r.hit_deadline;
@@ -561,8 +556,7 @@ fn worker<W: ShardWorld>(
         events: ctx.events_fired(),
         sends: sim.mail.sends,
         cross,
-        wheel_hits: ctx.wheel_hits(),
-        heap_falls: ctx.heap_falls(),
+        sched: ctx.counters(0),
         epochs,
         hit_deadline,
         world: sim.world,

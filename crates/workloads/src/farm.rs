@@ -78,59 +78,30 @@ impl FarmCfg {
 #[derive(Debug, Clone, Copy)]
 pub struct FarmResult {
     pub secs: f64,
+    /// Tasks completed by the workers (sanity: must equal `num_tasks`).
     pub tasks_done: u32,
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Rank polls the runtime performed (self-metering).
-    pub handoffs: u64,
-    /// Wakes coalesced away by the runtime fast path (self-metering).
-    pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (self-metering).
-    pub bursts_total: u64,
-    /// Packets fused inside those trains (self-metering).
-    pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (self-metering).
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; self-metering).
-    pub heap_falls: u64,
+    /// Scheduler/driver cost of the run (self-metering).
+    pub sched: simcore::SchedCounters,
+    /// Network-wide counters (loss/queue/down drop taxonomy).
+    pub net: netsim::NetStats,
+    /// Aggregate TCP socket stats (zero for SCTP runs).
+    pub tcp: transport::tcp::SockStats,
+    /// Aggregate SCTP association stats (zero for TCP runs); `failovers`
+    /// and `first_failover_ns` are the failover experiments' metrics.
+    pub sctp: transport::sctp::AssocStats,
     /// Peak length of the matching layer's unexpected-message queue across
     /// all ranks — must stay bounded for this latency-tolerant workload.
     pub unexpected_peak: usize,
 }
 
 /// Run the farm under `mpi_cfg`; returns total run time (Figures 10–12's
-/// metric).
+/// metric). Damage scripted in `mpi_cfg.fault_plan` (link flaps, bursty
+/// loss, jitter, degradation) replays byte-identically for one plan + seed.
 pub fn run(mpi_cfg: MpiCfg, cfg: FarmCfg) -> FarmResult {
-    assert!(mpi_cfg.nprocs >= 2, "farm needs a manager and a worker");
-    assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
-    let done_count = Rc::new(Cell::new(0u32));
-    let peak = Rc::new(Cell::new(0usize));
-    let (dc, pk) = (done_count.clone(), peak.clone());
-    let report = mpirun(mpi_cfg, move |mpi| {
-        let (dc, pk) = (dc.clone(), pk.clone());
-        Box::pin(async move {
-            if mpi.rank() == 0 {
-                manager(mpi, cfg, None).await;
-            } else {
-                let n = worker(mpi, cfg).await;
-                dc.set(dc.get() + n);
-            }
-            pk.set(pk.get().max(mpi.unexpected_peak()));
-        })
-    });
-    FarmResult {
-        secs: report.secs(),
-        tasks_done: done_count.get(),
-        events: report.events,
-        handoffs: report.handoffs,
-        wakes_coalesced: report.wakes_coalesced,
-        bursts_total: report.bursts_total,
-        pkts_fused: report.pkts_fused,
-        wheel_hits: report.wheel_hits,
-        heap_falls: report.heap_falls,
-        unexpected_peak: peak.get(),
-    }
+    run_with_fault(mpi_cfg, cfg, None)
 }
 
 /// Run the farm body inside an existing `mpirun` rank (diagnostics).
@@ -144,31 +115,17 @@ pub fn run_inline(mpi: &mut Mpi, cfg: FarmCfg) -> RankFut<'_> {
     })
 }
 
-/// Farm result including transport-level failover metrics (experiments A3
-/// and E-faults).
-#[derive(Debug, Clone, Copy)]
-pub struct FaultFarmResult {
-    /// Total run time in seconds.
-    pub secs: f64,
-    /// Tasks completed by the workers (sanity: must equal `num_tasks`).
-    pub tasks_done: u32,
-    /// Primary-path switches performed by SCTP across all associations.
-    pub failovers: u64,
-    /// Instant of the earliest failover anywhere, ns (0 = none). Against a
-    /// scripted flap start this gives the fault-detection latency.
-    pub first_failover_ns: u64,
-    /// Simulator events fired (self-metering, see `bench-harness`).
-    pub events: u64,
-}
-
-/// Run the farm, optionally killing network 0 (every host's primary path)
-/// after `kill_at_batch` batches have been distributed — the §3.5.1
-/// failover experiment. Requires `mpi_cfg.sctp.num_paths > 1` to survive.
-pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>) -> FaultFarmResult {
+/// [`run`], optionally killing network 0 (every host's primary path) after
+/// `kill_at_batch` batches have been distributed — the §3.5.1 failover
+/// experiment. Requires `mpi_cfg.sctp.num_paths > 1` to survive.
+pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>) -> FarmResult {
+    assert!(mpi_cfg.nprocs >= 2, "farm needs a manager and a worker");
+    assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
     let done_count = Rc::new(Cell::new(0u32));
-    let dc = done_count.clone();
+    let peak = Rc::new(Cell::new(0usize));
+    let (dc, pk) = (done_count.clone(), peak.clone());
     let report = mpirun(mpi_cfg, move |mpi| {
-        let dc = dc.clone();
+        let (dc, pk) = (dc.clone(), pk.clone());
         Box::pin(async move {
             if mpi.rank() == 0 {
                 manager(mpi, cfg, kill_at_batch).await;
@@ -176,23 +133,19 @@ pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>)
                 let n = worker(mpi, cfg).await;
                 dc.set(dc.get() + n);
             }
+            pk.set(pk.get().max(mpi.unexpected_peak()));
         })
     });
-    FaultFarmResult {
+    FarmResult {
         secs: report.secs(),
         tasks_done: done_count.get(),
-        failovers: report.sctp.failovers,
-        first_failover_ns: report.sctp.first_failover_ns,
         events: report.events,
+        sched: report.sched,
+        net: report.net,
+        tcp: report.tcp,
+        sctp: report.sctp,
+        unexpected_peak: peak.get(),
     }
-}
-
-/// Run the farm under a *scripted* fault plan: the damage (link flaps,
-/// bursty loss, jitter, degradation) comes from `mpi_cfg.fault_plan`
-/// rather than from the application tearing a network down mid-run, so
-/// two runs with the same plan and seed are byte-identical.
-pub fn run_with_plan(mpi_cfg: MpiCfg, cfg: FarmCfg) -> FaultFarmResult {
-    run_with_fault(mpi_cfg, cfg, None)
 }
 
 async fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {

@@ -75,11 +75,6 @@ pub struct MediaResult {
     pub frames_skipped: u32,
     /// Frames that reached the receiving application.
     pub frames_delivered: u32,
-    /// Messages abandoned by PR-SCTP (sender side).
-    pub msgs_abandoned: u64,
-    /// FORWARD-TSN chunks sent / received.
-    pub fwd_tsn_out: u64,
-    pub fwd_tsn_in: u64,
     /// Worst delivered-frame staleness: delivery instant minus scheduled
     /// emission instant, ns.
     pub max_staleness_ns: u64,
@@ -89,6 +84,12 @@ pub struct MediaResult {
     pub secs: f64,
     /// Simulator events fired (self-metering).
     pub events: u64,
+    /// Scheduler/driver cost of the run (self-metering).
+    pub sched: simcore::SchedCounters,
+    /// Network and SCTP counters of the run, each copied whole
+    /// (`sctp.msgs_abandoned`, `sctp.fwd_tsn_out`/`_in` are the PR-SCTP view).
+    pub net: netsim::NetStats,
+    pub sctp: sctp::AssocStats,
 }
 
 /// Sentinel PPID: the last message of the run, always sent reliable.
@@ -202,30 +203,20 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
     });
 
     let out = rt.run();
-    let stats = out
-        .world
-        .hosts
-        .iter()
-        .map(|h| h.sctp.total_stats())
-        .fold(sctp::AssocStats::default(), |mut a, s| {
-            a.msgs_abandoned += s.msgs_abandoned;
-            a.fwd_tsn_out += s.fwd_tsn_out;
-            a.fwd_tsn_in += s.fwd_tsn_in;
-            a
-        });
+    let report = mpi_core::MpiReport::collect(&out);
     let n_del = delivered.load(std::sync::atomic::Ordering::Relaxed);
     MediaResult {
         frames_sent: sent.load(std::sync::atomic::Ordering::Relaxed),
         frames_skipped: skipped.load(std::sync::atomic::Ordering::Relaxed),
         frames_delivered: n_del,
-        msgs_abandoned: stats.msgs_abandoned,
-        fwd_tsn_out: stats.fwd_tsn_out,
-        fwd_tsn_in: stats.fwd_tsn_in,
         max_staleness_ns: max_stale.load(std::sync::atomic::Ordering::Relaxed),
         mean_staleness_ns: sum_stale.load(std::sync::atomic::Ordering::Relaxed)
             / n_del.max(1) as u64,
-        secs: out.sim_time.as_secs_f64(),
-        events: out.events,
+        secs: report.secs(),
+        events: report.events,
+        sched: report.sched,
+        net: report.net,
+        sctp: report.sctp,
     }
 }
 
@@ -238,17 +229,17 @@ mod tests {
         let r = run(MediaCfg::new(100, None, 0.0));
         assert_eq!(r.frames_delivered, 100);
         assert_eq!(r.frames_skipped, 0);
-        assert_eq!(r.msgs_abandoned, 0);
-        assert_eq!(r.fwd_tsn_out, 0);
+        assert_eq!(r.sctp.msgs_abandoned, 0);
+        assert_eq!(r.sctp.fwd_tsn_out, 0);
     }
 
     #[test]
     fn deadline_run_abandons_under_loss_and_terminates() {
         let r = run(MediaCfg::new(300, Some(Dur::from_millis(20)), 0.02));
-        assert!(r.msgs_abandoned > 0, "tight deadlines under loss must abandon: {r:?}");
-        assert!(r.fwd_tsn_out > 0, "abandonment must emit FORWARD-TSN: {r:?}");
+        assert!(r.sctp.msgs_abandoned > 0, "tight deadlines under loss must abandon: {r:?}");
+        assert!(r.sctp.fwd_tsn_out > 0, "abandonment must emit FORWARD-TSN: {r:?}");
         assert!(
-            r.frames_delivered as u64 + r.msgs_abandoned + r.frames_skipped as u64
+            r.frames_delivered as u64 + r.sctp.msgs_abandoned + r.frames_skipped as u64
                 >= r.frames_sent as u64,
             "every frame is delivered, abandoned, or source-dropped: {r:?}"
         );

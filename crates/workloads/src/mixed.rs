@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mpi_core::{mpirun, mpirun_traced, Mpi, MpiCfg, ANY_SOURCE, ANY_TAG};
+use mpi_core::{mpirun, mpirun_traced, Mpi, MpiCfg, MpiReport, ANY_SOURCE, ANY_TAG};
 use simcore::Dur;
 
 use crate::zeros;
@@ -97,10 +97,25 @@ pub struct MixedResult {
     pub tasks_done: u32,
     /// Simulator events fired (self-metering).
     pub events: u64,
-    /// PR-SCTP messages abandoned (0 unless the run sets a lifetime).
-    pub msgs_abandoned: u64,
-    /// FORWARD-TSN chunks sent.
-    pub fwd_tsn_out: u64,
+    /// Scheduler/driver cost of the run (self-metering).
+    pub sched: simcore::SchedCounters,
+    /// Network and SCTP counters of the run, each copied whole
+    /// (`msgs_abandoned` stays 0 unless the run sets a lifetime).
+    pub net: netsim::NetStats,
+    pub sctp: transport::sctp::AssocStats,
+}
+
+impl MixedResult {
+    fn new(report: MpiReport, tasks_done: u32) -> MixedResult {
+        MixedResult {
+            secs: report.secs(),
+            tasks_done,
+            events: report.events,
+            sched: report.sched,
+            net: report.net,
+            sctp: report.sctp,
+        }
+    }
 }
 
 /// [`MixedResult`] plus the per-side HOL accounting from a forced trace.
@@ -123,13 +138,7 @@ pub fn run(mpi_cfg: MpiCfg, cfg: MixedCfg) -> MixedResult {
         let dc = dc.clone();
         Box::pin(async move { body(mpi, cfg, &dc).await })
     });
-    MixedResult {
-        secs: report.secs(),
-        tasks_done: done.get(),
-        events: report.events,
-        msgs_abandoned: report.sctp.msgs_abandoned,
-        fwd_tsn_out: report.sctp.fwd_tsn_out,
-    }
+    MixedResult::new(report, done.get())
 }
 
 /// Run the mixed farm with the flight recorder forced on, returning the
@@ -143,13 +152,7 @@ pub fn run_traced(mpi_cfg: MpiCfg, cfg: MixedCfg) -> TracedMixedResult {
     });
     let hol = dump.hol_totals();
     TracedMixedResult {
-        result: MixedResult {
-            secs: report.secs(),
-            tasks_done: done.get(),
-            events: report.events,
-            msgs_abandoned: report.sctp.msgs_abandoned,
-            fwd_tsn_out: report.sctp.fwd_tsn_out,
-        },
+        result: MixedResult::new(report, done.get()),
         snd_hol_blocks: hol.snd_blocks,
         snd_hol_ns: hol.snd_ns,
         rcv_hol_blocks: hol.rcv_blocks,

@@ -137,18 +137,12 @@ pub struct NasResult {
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Rank polls the runtime performed (self-metering).
-    pub handoffs: u64,
-    /// Wakes coalesced away by the runtime fast path (self-metering).
-    pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (self-metering).
-    pub bursts_total: u64,
-    /// Packets fused inside those trains (self-metering).
-    pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (self-metering).
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; self-metering).
-    pub heap_falls: u64,
+    /// Scheduler/driver cost of the run (self-metering).
+    pub sched: simcore::SchedCounters,
+    /// Network, TCP and SCTP counters of the run, each copied whole.
+    pub net: netsim::NetStats,
+    pub tcp: transport::tcp::SockStats,
+    pub sctp: transport::sctp::AssocStats,
 }
 
 /// Run one kernel at one class.
@@ -163,12 +157,10 @@ pub fn run(mpi_cfg: MpiCfg, kernel: Kernel, class: Class) -> NasResult {
         mops_total,
         mops_per_sec: mops_total / secs,
         events: report.events,
-        handoffs: report.handoffs,
-        wakes_coalesced: report.wakes_coalesced,
-        bursts_total: report.bursts_total,
-        pkts_fused: report.pkts_fused,
-        wheel_hits: report.wheel_hits,
-        heap_falls: report.heap_falls,
+        sched: report.sched,
+        net: report.net,
+        tcp: report.tcp,
+        sctp: report.sctp,
     }
 }
 

@@ -28,22 +28,14 @@ pub struct PingPongResult {
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Rank polls the runtime performed (self-metering).
-    pub handoffs: u64,
-    /// Wakes coalesced away by the runtime fast path (self-metering).
-    pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (self-metering).
-    pub bursts_total: u64,
-    /// Packets fused inside those trains (self-metering).
-    pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (self-metering).
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; self-metering).
-    pub heap_falls: u64,
+    /// Scheduler/driver cost of the run (self-metering).
+    pub sched: simcore::SchedCounters,
     /// Aggregate SCTP association stats (per-path packet balance, rescue
     /// probes, spurious marks — the CMT scheduler's observables). Zero for
     /// TCP runs.
     pub sctp: transport::sctp::AssocStats,
+    /// Aggregate TCP socket stats. Zero for SCTP runs.
+    pub tcp: transport::tcp::SockStats,
     /// Network-wide counters (loss/queue/down drop taxonomy).
     pub net: netsim::NetStats,
 }
@@ -83,13 +75,9 @@ pub fn run(mpi_cfg: MpiCfg, cfg: PingPongCfg) -> PingPongResult {
         // one-way volume over the elapsed time.
         throughput: (cfg.size as f64 * cfg.iters as f64) / secs,
         events: report.events,
-        handoffs: report.handoffs,
-        wakes_coalesced: report.wakes_coalesced,
-        bursts_total: report.bursts_total,
-        pkts_fused: report.pkts_fused,
-        wheel_hits: report.wheel_hits,
-        heap_falls: report.heap_falls,
+        sched: report.sched,
         sctp: report.sctp,
+        tcp: report.tcp,
         net: report.net,
     }
 }
@@ -140,13 +128,9 @@ pub fn run_stream(mpi_cfg: MpiCfg, cfg: StreamCfg) -> PingPongResult {
         secs,
         throughput: (cfg.size as f64 * cfg.count as f64) / secs,
         events: report.events,
-        handoffs: report.handoffs,
-        wakes_coalesced: report.wakes_coalesced,
-        bursts_total: report.bursts_total,
-        pkts_fused: report.pkts_fused,
-        wheel_hits: report.wheel_hits,
-        heap_falls: report.heap_falls,
+        sched: report.sched,
         sctp: report.sctp,
+        tcp: report.tcp,
         net: report.net,
     }
 }

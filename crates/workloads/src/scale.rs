@@ -494,10 +494,8 @@ pub struct ScaleResult {
     pub epochs: u64,
     /// Messages that crossed a shard boundary (partition-dependent).
     pub cross_shard_pkts: u64,
-    /// Timers that took an O(1) wheel insert, summed over shards.
-    pub wheel_hits: u64,
-    /// Timers that fell to the heap, summed over shards.
-    pub heap_falls: u64,
+    /// Scheduler cost counters, summed over shards (partition-dependent).
+    pub sched: simcore::SchedCounters,
     /// Shards the run actually used.
     pub shards: u32,
     /// The conservative lookahead bound, ns.
@@ -535,8 +533,7 @@ pub fn run_scale(cfg: ScaleCfg, shards_requested: usize) -> ScaleResult {
         sends: out.sends_total,
         epochs: out.epochs,
         cross_shard_pkts: out.cross_shard_pkts,
-        wheel_hits: out.wheel_hits,
-        heap_falls: out.heap_falls,
+        sched: out.sched,
         shards: out.shards,
         lookahead_ns: out.lookahead.as_nanos(),
         end_ns: out.end_time.as_nanos(),

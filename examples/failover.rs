@@ -164,6 +164,6 @@ fn main() {
     println!("\ndetection latency ≈ the first pmr+1 backed-off RTOs (RFC 4960 §8.2/§8.3);");
     println!(
         "sweep heartbeat_interval × path_max_retrans with: \
-         cargo run --release -p bench-harness --bin flap"
+         cargo run --release -p bench-harness --bin bench -- flap"
     );
 }

@@ -154,7 +154,7 @@ fn failover_completes_the_job() {
     let cfg = FarmCfg::small(30 * 1024, 10);
     let r = run_with_fault(m, cfg, Some(5));
     assert_eq!(r.tasks_done, 200);
-    assert!(r.failovers >= 1, "the primary-path death must trigger failover");
+    assert!(r.sctp.failovers >= 1, "the primary-path death must trigger failover");
 }
 
 #[test]
