@@ -10,20 +10,22 @@ use crate::ip::{self, Packet, Proto};
 use crate::{World, Wx};
 
 use super::assoc::{
-    Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, InStream, PathState, PendingChunk,
-    RecvMsg, Scope, SctpCfg, SentChunk, MAX_PATHS,
+    Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, PendingChunk, RecvMsg, Scope,
+    SctpCfg, SentChunk, MAX_PATHS,
 };
+use super::receive::{decide_sack, handle_data, handle_forward_tsn, Frag};
+use super::window::{check_flight, process_sack};
 use super::wire::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 
 // ---------------------------------------------------------------------------
 // Accessors
 // ---------------------------------------------------------------------------
 
-fn cfg_of(w: &World, host: u16) -> SctpCfg {
+pub(super) fn cfg_of(w: &World, host: u16) -> SctpCfg {
     w.hosts[host as usize].sctp.cfg.clone()
 }
 
-fn ep_mut(w: &mut World, e: EpId) -> &mut Endpoint {
+pub(super) fn ep_mut(w: &mut World, e: EpId) -> &mut Endpoint {
     &mut w.hosts[e.host as usize].sctp.eps[e.idx as usize]
 }
 
@@ -31,17 +33,17 @@ fn ep_ref(w: &World, e: EpId) -> &Endpoint {
     &w.hosts[e.host as usize].sctp.eps[e.idx as usize]
 }
 
-fn assoc_mut(w: &mut World, a: AssocId) -> &mut Assoc {
+pub(super) fn assoc_mut(w: &mut World, a: AssocId) -> &mut Assoc {
     &mut w.hosts[a.host as usize].sctp.eps[a.ep as usize].assocs[a.idx as usize]
 }
 
-fn assoc_ref(w: &World, a: AssocId) -> &Assoc {
+pub(super) fn assoc_ref(w: &World, a: AssocId) -> &Assoc {
     &w.hosts[a.host as usize].sctp.eps[a.ep as usize].assocs[a.idx as usize]
 }
 
 /// Split borrow: the association *and* the world's buffer pools, so hot
 /// paths can recycle buffers while mutating association state.
-fn assoc_pool_mut(w: &mut World, a: AssocId) -> (&mut Assoc, &mut crate::pool::Pools) {
+pub(super) fn assoc_pool_mut(w: &mut World, a: AssocId) -> (&mut Assoc, &mut crate::pool::Pools) {
     let World { hosts, pool, .. } = w;
     (&mut hosts[a.host as usize].sctp.eps[a.ep as usize].assocs[a.idx as usize], pool)
 }
@@ -73,7 +75,7 @@ fn host_secret(w: &mut World, ctx: &mut Wx, host: u16) -> u64 {
 
 /// Flight-recorder snapshot of one path's congestion state. Callers guard
 /// with `ctx.tracing()` so the off path costs one branch.
-fn trace_cwnd(ctx: &Wx, host: u16, peer: u16, path: u8, ps: &PathState) {
+pub(super) fn trace_cwnd(ctx: &Wx, host: u16, peer: u16, path: u8, ps: &PathState) {
     ctx.trace_emit(trace::Event::Cwnd(trace::CwndEv {
         proto: trace::Proto8::Sctp,
         host,
@@ -161,7 +163,7 @@ fn note_assign(ak: &mut Assoc, cfg: &SctpCfg, path: u8, tsn: u64) {
 /// path's scan cursor past the settled prefix so repeated per-SACK rescans
 /// stay amortized-cheap (`acked` never reverts; assignments below the
 /// cursor go through [`note_assign`]).
-fn cmt_earliest_on(ak: &mut Assoc, p: usize) -> Option<u64> {
+pub(super) fn cmt_earliest_on(ak: &mut Assoc, p: usize) -> Option<u64> {
     let floor = ak.paths[p].cumack_floor;
     let hit = ak
         .sent
@@ -543,7 +545,7 @@ fn build_packet(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, vtag: u64, ch
     Packet { src, dst, body: Proto::Sctp(SctpPacket { src_port: sp, dst_port: dp, vtag, chunks }) }
 }
 
-fn send_packet(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, vtag: u64, chunks: Vec<Chunk>) {
+pub(super) fn send_packet(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, vtag: u64, chunks: Vec<Chunk>) {
     let cfg = cfg_of(w, a.host);
     let pkt = build_packet(w, ctx, a, path, vtag, chunks);
     if cfg.crc_enabled {
@@ -585,7 +587,7 @@ fn make_sack(
     Chunk::Sack { cum_tsn: ak.cum_tsn, a_rwnd: ak.last_advertised_rwnd, gaps, dup_count: dups }
 }
 
-fn send_sack_now(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(super) fn send_sack_now(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let (sack, path, vtag) = {
         let (ak, pool) = assoc_pool_mut(w, a);
@@ -621,7 +623,7 @@ impl Assoc {
 /// discipline puts it after the first packet, but its deadline is RTO-far
 /// (≥ 1 s) while train arrivals are queue-bounded (≪ 1 s), so no
 /// (time, seq) tie between them is possible and fire order is unchanged.
-fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(super) fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let pr = assoc_ref(w, a).pr_active();
     let abandoned_before = if pr { assoc_ref(w, a).stats.msgs_abandoned } else { 0 };
     if pr {
@@ -669,7 +671,7 @@ fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
 /// (and the simulation) alive. Wake blocked writers whenever a call
 /// abandoned anything; a spurious wake is benign (a still-blocked sender
 /// re-checks and re-registers).
-fn wake_writers_after_abandon(w: &mut World, ctx: &mut Wx, a: AssocId, abandoned_before: u64) {
+pub(super) fn wake_writers_after_abandon(w: &mut World, ctx: &mut Wx, a: AssocId, abandoned_before: u64) {
     if assoc_ref(w, a).stats.msgs_abandoned == abandoned_before {
         return;
     }
@@ -876,7 +878,7 @@ fn try_send_inner(
 /// chunks between paths would corrupt the per-path pseudo-cumack and SFR
 /// accounting the scheduler depends on, so chunks whose target is another
 /// path are left for that path's turn.
-fn reemit_marked(
+pub(super) fn reemit_marked(
     ak: &mut Assoc,
     cfg: &SctpCfg,
     now: simcore::SimTime,
@@ -1125,18 +1127,18 @@ fn maybe_send_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId) {
 /// *path* event, and concurrent losses on different paths must recover in
 /// parallel instead of serialising behind one association-wide timer's
 /// exponential backoff.
-fn scope_of(cfg: &SctpCfg, path: u8) -> Scope {
+pub(super) fn scope_of(cfg: &SctpCfg, path: u8) -> Scope {
     cfg.cmt.then_some(path)
 }
 
 /// Every recovery scope of an association with `n_paths` paths.
-fn scopes(cfg: &SctpCfg, n_paths: usize) -> impl Iterator<Item = Scope> + '_ {
+pub(super) fn scopes(cfg: &SctpCfg, n_paths: usize) -> impl Iterator<Item = Scope> + '_ {
     (0..if cfg.cmt { n_paths } else { 1 }).map(|p| scope_of(cfg, p as u8))
 }
 
 /// Nothing `scope`'s T3 guards is outstanding (per destination: as of the
 /// last pseudo-cumack recomputation).
-fn scope_drained(ak: &Assoc, scope: Scope) -> bool {
+pub(super) fn scope_drained(ak: &Assoc, scope: Scope) -> bool {
     match scope {
         None => ak.outstanding_bytes == 0,
         Some(p) => ak.paths[p as usize].pseudo_cumack == u64::MAX,
@@ -1166,7 +1168,7 @@ fn earliest_outstanding_path(ak: &mut Assoc) -> u8 {
 const RESCUE_PTO_FLOOR: simcore::Dur = simcore::Dur::from_micros(200);
 
 /// Data just left on `path`: make sure the T3 guarding it is running.
-fn ensure_t3(w: &mut World, ctx: &mut Wx, a: AssocId, cfg: &SctpCfg, path: u8) {
+pub(super) fn ensure_t3(w: &mut World, ctx: &mut Wx, a: AssocId, cfg: &SctpCfg, path: u8) {
     let scope = scope_of(cfg, path);
     if !assoc_ref(w, a).rec(scope).t3_armed {
         arm_t3(w, ctx, a, scope, true);
@@ -1184,7 +1186,7 @@ fn ensure_t3(w: &mut World, ctx: &mut Wx, a: AssocId, cfg: &SctpCfg, path: u8) {
 /// RTO.min (a full second on a 40 µs LAN). `fresh = false` rearms preserve
 /// the current phase — after a probe fires, the next deadline is the real
 /// RTO.
-fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fresh: bool) {
+pub(super) fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fresh: bool) {
     let ak = assoc_mut(w, a);
     let path = scope.unwrap_or_else(|| earliest_outstanding_path(ak));
     let rec = ak.rec_mut(scope);
@@ -1377,7 +1379,7 @@ fn failover_primary(ak: &mut Assoc, now: simcore::SimTime) {
     }
 }
 
-fn arm_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(super) fn arm_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let ak = assoc_mut(w, a);
     if ak.sack_armed {
@@ -1830,674 +1832,6 @@ pub fn input(w: &mut World, ctx: &mut Wx, src: IfAddr, dst: IfAddr, pkt: SctpPac
 }
 
 // ---------------------------------------------------------------------------
-// Data receive path
-// ---------------------------------------------------------------------------
-
-// One pipeline serves DATA, I-DATA and FORWARD-TSN: admit the TSN →
-// reassemble (keyed by TSN run or by (MID, FSN)) → ordered-delivery gate →
-// endpoint hand-off. FORWARD-TSN enters at the gate, which it moves.
-
-/// A received user-data fragment. The two wire forms differ only in how
-/// reassembly *keys* them (RFC 8260), not in TSN admission, the ordered
-/// gate or the hand-off.
-enum Frag {
-    Data(DataChunk),
-    IData(IDataChunk),
-}
-
-fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
-    let cfg = cfg_of(w, a.host);
-    let mut delivered = w.pool.take_msg_vec();
-    let (ak, pool) = assoc_pool_mut(w, a);
-    let (tsn, sid, len) = match &f {
-        Frag::Data(d) => (d.tsn, d.stream, d.data.len() as u64),
-        Frag::IData(d) => (d.tsn, d.stream, d.data.len() as u64),
-    };
-    if rx_open(ak, ctx.now()) && admit_tsn(ak, &cfg, tsn, len) {
-        let peer = ak.peer_host;
-        let st = ak.in_stream_mut(sid);
-        let mid = match f {
-            Frag::Data(d) => {
-                st.frags.insert(d.tsn, d);
-                None
-            }
-            Frag::IData(d) => {
-                let mid = d.mid;
-                st.i_frags.entry(mid).or_default().insert(d.fsn, d);
-                Some(mid)
-            }
-        };
-        while let Some((unordered, msg)) = match mid {
-            None => assemble_run(st, a, sid, pool),
-            Some(mid) => assemble_mid(st, mid, a, sid, pool),
-        } {
-            ordered_gate(st, unordered, msg, &mut delivered);
-        }
-        // Flight recorder: a stream is head-of-line blocked while complete
-        // messages sit in `ready`, gated on an earlier SSN (or MID) whose
-        // message is still missing data. Fragments mid-reassembly alone are
-        // ordinary transmission latency, not HOL — counting them would
-        // charge every multi-chunk message as a block even at zero loss.
-        // Edge detection lives in the tracer.
-        if let Some(t) = ctx.tracer() {
-            let blocked = !st.ready.is_empty();
-            t.hol_update(
-                ctx.now().as_nanos(),
-                a.host,
-                peer,
-                sid,
-                trace::HolSide::Rcv,
-                blocked,
-                delivered.len() as u32,
-            );
-        }
-    }
-    deliver(w, ctx, a, delivered);
-}
-
-/// May inbound data be accepted in this state? Notes the traffic if so.
-fn rx_open(ak: &mut Assoc, now: simcore::SimTime) -> bool {
-    let open = matches!(
-        ak.state,
-        AssocState::Established | AssocState::ShutdownPending | AssocState::ShutdownSent
-    );
-    if open {
-        ak.last_traffic = now;
-    }
-    open
-}
-
-/// Pipeline stage 1: TSN-level duplicate and window checks, then account
-/// the chunk and advance the cumulative TSN. False = chunk dropped.
-fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
-    if tsn <= ak.cum_tsn || ak.rcv_have.contains(tsn) {
-        ak.stats.dup_tsns_in += 1;
-        ak.dup_since_sack += 1;
-        ak.sack_immediate = true;
-        return false;
-    }
-    // A chunk that fills a gap below the highest TSN seen must be
-    // accepted even when the buffer is nominally full: the space was
-    // promised when the surrounding window was advertised, and dropping
-    // it would wedge reassembly forever (the sender would retransmit
-    // into the same full buffer until the association died).
-    let fills_gap = ak.rcv_have.max_end().is_some_and(|e| tsn < e);
-    // Accept a one-PMTU overrun: the §6.1.A probe chunk arrives when the
-    // advertised window is (or looks) closed; dropping it would turn
-    // every stale-window episode into an RTO ladder. KAME applies the
-    // same slop.
-    let cap = cfg.rcvbuf + cfg.pmtu as u64;
-    if ak.rcvbuf_used + len > cap && !fills_gap {
-        // No receive window: silently drop (the sender's rwnd tracking
-        // or its probe logic will retry).
-        ak.sack_immediate = true;
-        return false;
-    }
-    ak.rcv_have.insert_point(tsn);
-    advance_cum(ak);
-    ak.rcvbuf_used += len;
-    ak.stats.data_chunks_in += 1;
-    ak.stats.bytes_in += len;
-    true
-}
-
-/// Advance the cumulative TSN over any now-contiguous prefix.
-fn advance_cum(ak: &mut Assoc) {
-    let first_missing = ak.rcv_have.first_missing_from(ak.cum_tsn + 1);
-    if first_missing > ak.cum_tsn + 1 {
-        ak.cum_tsn = first_missing - 1;
-        ak.rcv_have.remove_below(ak.cum_tsn + 1);
-    }
-}
-
-/// Pipeline stage 3, the ordered-delivery gate: unordered messages pass
-/// straight through, ordered ones wait in `ready` for their SSN's turn. (A
-/// MID doubles as the SSN: both count messages per stream, so ordered
-/// delivery gates on the same counter — the semantic stream order, not a
-/// reassembly artifact.)
-fn ordered_gate(st: &mut InStream, unordered: bool, msg: RecvMsg, out: &mut Vec<RecvMsg>) {
-    if unordered {
-        out.push(msg);
-    } else if msg.ssn == st.next_ssn {
-        st.next_ssn += 1;
-        out.push(msg);
-        drain_ready(st, out);
-    } else {
-        st.ready.insert(msg.ssn, msg);
-    }
-}
-
-/// Release the queued successors of the message just let through the gate.
-fn drain_ready(st: &mut InStream, out: &mut Vec<RecvMsg>) {
-    while let Some(m) = st.ready.remove(&st.next_ssn) {
-        out.push(m);
-        st.next_ssn += 1;
-    }
-}
-
-/// Pipeline stage 4, the endpoint hand-off: messages join the endpoint's
-/// queue in arrival order across all associations and streams.
-fn deliver(w: &mut World, ctx: &mut Wx, a: AssocId, mut delivered: Vec<RecvMsg>) {
-    if !delivered.is_empty() {
-        assoc_mut(w, a).stats.msgs_delivered += delivered.len() as u64;
-        let ep = ep_mut(w, a.endpoint());
-        ep.deliver_q.extend(delivered.drain(..));
-        ctx.wake_all(&ep.readers);
-        ep.readers.clear();
-    }
-    w.pool.put_msg_vec(delivered);
-}
-
-/// RFC 3758 receive path: the peer abandoned messages; jump the cumulative
-/// TSN over their chunks and drop any partial reassembly state they left,
-/// then move the ordered gate past each skipped (stream, MID).
-fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cum: u64, skips: Vec<(u16, u64)>) {
-    let mut delivered = w.pool.take_msg_vec();
-    let ak = assoc_mut(w, a);
-    if rx_open(ak, ctx.now()) {
-        ak.stats.fwd_tsn_in += 1;
-        if new_cum > ak.cum_tsn {
-            ak.cum_tsn = new_cum;
-            ak.rcv_have.remove_below(ak.cum_tsn + 1);
-            // Chunks above the jump may now be contiguous with it.
-            advance_cum(ak);
-        }
-        for &(sid, mid) in &skips {
-            let ssn = mid as u32;
-            let st = ak.in_stream_mut(sid);
-            // Drop the abandoned message's partial reassembly state — and
-            // ONLY its own: other messages' fragments at TSNs at or below
-            // the jump may belong to complete-but-unacked messages and
-            // must survive.
-            let mut freed: u64 = st
-                .i_frags
-                .remove(&mid)
-                .map_or(0, |m| m.values().map(|c| c.data.len() as u64).sum());
-            st.frags.retain(|_, c| {
-                let doomed = c.ssn == ssn;
-                if doomed {
-                    freed += c.data.len() as u64;
-                }
-                !doomed
-            });
-            // Un-gate ordered delivery: hand over anything the abandoned
-            // message was blocking (in order), then skip past it.
-            if ssn >= st.next_ssn {
-                while let Some(e) = st.ready.first_entry().filter(|e| *e.key() <= ssn) {
-                    delivered.push(e.remove());
-                }
-                st.next_ssn = ssn + 1;
-                drain_ready(st, &mut delivered);
-            }
-            ak.rcvbuf_used = ak.rcvbuf_used.saturating_sub(freed);
-        }
-        // Ack the jump promptly so the sender stops re-emitting it.
-        ak.sack_immediate = true;
-    }
-    deliver(w, ctx, a, delivered);
-}
-
-/// Pipeline stage 2, keyed by TSN run: try to assemble one complete message
-/// from a stream's DATA fragment map. Fragments of a message occupy
-/// consecutive TSNs bracketed by B/E bits. The chunk list comes from the
-/// pool; the middleware retires it after consuming the message. Returns
-/// the message and its U bit.
-fn assemble_run(
-    st: &mut InStream,
-    a: AssocId,
-    sid: u16,
-    pool: &mut crate::pool::Pools,
-) -> Option<(bool, RecvMsg)> {
-    let mut run_start: Option<u64> = None;
-    let mut prev_tsn: Option<u64> = None;
-    let mut complete: Option<(u64, u64)> = None;
-    for (&tsn, c) in st.frags.iter() {
-        let contiguous = prev_tsn.map(|p| p + 1 == tsn).unwrap_or(true);
-        if c.begin {
-            run_start = Some(tsn);
-        } else if !contiguous {
-            run_start = None;
-        }
-        if let Some(s) = run_start {
-            if c.end {
-                complete = Some((s, tsn));
-                break;
-            }
-        }
-        prev_tsn = Some(tsn);
-    }
-    let (s, e) = complete?;
-    let mut msg =
-        RecvMsg { assoc: a, stream: sid, ssn: 0, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
-    let mut unordered = false;
-    for tsn in s..=e {
-        let c = st.frags.remove(&tsn).expect("complete run present");
-        (msg.ssn, msg.ppid, unordered) = (c.ssn, c.ppid, c.unordered);
-        msg.len += c.data.len() as u32;
-        msg.data.push(c.data);
-    }
-    Some((unordered, msg))
-}
-
-/// Pipeline stage 2, keyed by (MID, FSN) — RFC 8260: fragments of different
-/// messages interleave in TSN space, so each message's fragments are keyed
-/// by FSN under their MID and reassemble independently — an incomplete
-/// message never blocks a complete one from assembling.
-fn assemble_mid(
-    st: &mut InStream,
-    mid: u64,
-    a: AssocId,
-    sid: u16,
-    pool: &mut crate::pool::Pools,
-) -> Option<(bool, RecvMsg)> {
-    // Complete when FSNs 0..=last are all present and `last` carries
-    // the E bit (distinct keys ≤ last with count last+1 ⇒ no holes).
-    let m = st.i_frags.get(&mid)?;
-    let (&last, c) = m.last_key_value()?;
-    if !(c.end && m.len() as u64 == last as u64 + 1 && m.contains_key(&0)) {
-        return None;
-    }
-    let ssn = mid as u32;
-    let mut msg =
-        RecvMsg { assoc: a, stream: sid, ssn, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
-    let mut unordered = false;
-    for c in st.i_frags.remove(&mid)?.into_values() {
-        (msg.ppid, unordered) = (c.ppid, c.unordered);
-        msg.len += c.data.len() as u32;
-        msg.data.push(c.data);
-    }
-    Some((unordered, msg))
-}
-
-/// Per-packet SACK decision: immediate when there are gaps or duplicates
-/// (the fast gap reporting §4.1.1 credits), else delayed (every 2nd packet
-/// or 200 ms).
-fn decide_sack(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let cfg = cfg_of(w, a.host);
-    let send_now = {
-        let ak = assoc_mut(w, a);
-        let gaps_exist = !ak.rcv_have.is_empty();
-        if ak.sack_immediate || gaps_exist {
-            true
-        } else {
-            ak.sack_pending_pkts += 1;
-            ak.sack_pending_pkts >= cfg.sack_every
-        }
-    };
-    if send_now {
-        send_sack_now(w, ctx, a);
-    } else {
-        arm_sack_timer(w, ctx, a);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SACK processing (sender side)
-// ---------------------------------------------------------------------------
-
-/// Debug invariants: per-path flight equals the sum of unacked, unmarked
-/// sent chunks on that path, and the O(1) aggregates (`rtx_queue`,
-/// `unacked_floor`) agree with a full rescan of `sent`.
-fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if !*ENABLED.get_or_init(|| std::env::var("SCTP_CHECK").is_ok()) {
-        return;
-    }
-    let mut per_path = vec![0u64; ak.paths.len()];
-    let mut rtx_expect = std::collections::BTreeSet::new();
-    for (&tsn, c) in &ak.sent {
-        if !c.acked && !c.marked_rtx {
-            per_path[c.path as usize] += c.data.len() as u64;
-        }
-        if c.marked_rtx && !c.acked {
-            rtx_expect.insert(tsn);
-        }
-    }
-    for (i, ps) in ak.paths.iter().enumerate() {
-        if ps.flight != per_path[i] {
-            panic!(
-                "[{now}] FLIGHT DRIFT at {whence}: path {i} flight={} actual={} (assoc to peer{})",
-                ps.flight, per_path[i], ak.peer_host
-            );
-        }
-    }
-    if rtx_expect != ak.rtx_queue {
-        panic!(
-            "[{now}] RTX QUEUE DRIFT at {whence}: aggregate={:?} actual={:?} (assoc to peer{})",
-            ak.rtx_queue, rtx_expect, ak.peer_host
-        );
-    }
-    if let Some((&tsn, _)) = ak.sent.range(..ak.unacked_floor).find(|(_, c)| !c.acked) {
-        panic!(
-            "[{now}] FLOOR DRIFT at {whence}: unacked tsn {tsn} below floor {} (assoc to peer{})",
-            ak.unacked_floor, ak.peer_host
-        );
-    }
-    // CMT cursors: no unacked chunk assigned to a path may sit below that
-    // path's pseudo-cumack rescan floor.
-    for (i, ps) in ak.paths.iter().enumerate() {
-        if let Some((&tsn, _)) = ak
-            .sent
-            .range(..ps.cumack_floor)
-            .find(|(_, c)| !c.acked && c.path as usize == i)
-        {
-            panic!(
-                "[{now}] CMT FLOOR DRIFT at {whence}: unacked tsn {tsn} on path {i} below floor {} (assoc to peer{})",
-                ps.cumack_floor, ak.peer_host
-            );
-        }
-    }
-}
-
-fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, gaps: &[(u64, u64)]) {
-    let cfg = cfg_of(w, a.host);
-    let pmtu = cfg.pmtu as u64;
-    let now = ctx.now();
-    let mut do_fast_rtx = false;
-    let wake_writers;
-    {
-        let (ak, pool) = assoc_pool_mut(w, a);
-        ak.stats.sacks_in += 1;
-        // PR-SCTP: the peer's cumulative ack is the FORWARD-TSN baseline
-        // (Advanced.Peer.Ack.Point walks upward from here).
-        ak.peer_cum = ak.peer_cum.max(cum);
-        let n_paths = ak.paths.len();
-        let mut newly_acked = pool.take_u64_vec();
-        newly_acked.resize(n_paths, 0);
-        let mut cum_advanced = false;
-        // SFR: highest TSN newly acked per destination path by THIS SACK
-        // (0 = none; TSNs start at 1). With CMT, a missing report may only
-        // be charged to a chunk when a later TSN on the *same* path was
-        // acked — cross-path reordering then never trips the threshold.
-        let mut hna = [0u64; MAX_PATHS];
-
-        // One chunk newly acknowledged — cumulatively or by a gap block —
-        // given as it stood before the ack.
-        let Assoc { sent, paths, rtx_queue, stats, rtt_probe, outstanding_bytes, .. } = &mut *ak;
-        let mut on_ack = |tsn: u64, c: &SentChunk| {
-            let (len, p) = (c.data.len() as u64, c.path as usize);
-            if c.marked_rtx {
-                // Acked while queued for retransmission: the mark was
-                // spurious (reordering, not loss). Marked chunks already
-                // left the flight.
-                rtx_queue.remove(&tsn);
-                stats.spurious_frtx += 1;
-            } else {
-                paths[p].flight = paths[p].flight.saturating_sub(len);
-            }
-            *outstanding_bytes -= len;
-            newly_acked[p] += len;
-            hna[p] = hna[p].max(tsn);
-            if *rtt_probe == Some(tsn) && c.txcount == 1 {
-                paths[p].rto.sample(now.since(c.sent_at));
-                *rtt_probe = None;
-            }
-        };
-        // Cumulative ack: split the acked prefix off in one O(log n)
-        // tree operation instead of walking (and re-balancing per key)
-        // everything at or below `cum`.
-        if sent.first_key_value().is_some_and(|(&t, _)| t <= cum) {
-            let rest = sent.split_off(&cum.saturating_add(1));
-            cum_advanced = true;
-            for (tsn, c) in std::mem::replace(sent, rest) {
-                if !c.acked {
-                    on_ack(tsn, &c);
-                }
-            }
-        }
-        // Gap acks: walk each reported block in place.
-        for &(g0, g1) in gaps {
-            for (&tsn, c) in sent.range_mut(g0..g1) {
-                if !c.acked {
-                    on_ack(tsn, c);
-                    c.acked = true;
-                    c.marked_rtx = false;
-                }
-            }
-        }
-        if cum_advanced {
-            // Nothing at or below `cum` remains, so the earliest-unacked
-            // cursor can never point below it.
-            ak.unacked_floor = ak.unacked_floor.max(cum.saturating_add(1));
-        }
-
-        // Did the ack point of path `p`'s recovery scope move? For the
-        // association-wide scope that is the cumulative ack. CMT CUC (cwnd
-        // update for CMT) instead recomputes each SACKed path's
-        // pseudo-cumack — the earliest TSN still outstanding on it: the
-        // association-wide cumulative ack stalls behind the slowest path,
-        // so per-path growth (below) is gated on the pseudo-cumack's
-        // advance. A pseudo-cumack passing the path's recovery exit point
-        // also ends that path's fast recovery, *before* this SACK's strikes
-        // are counted.
-        let mut advanced = [cum_advanced; MAX_PATHS];
-        if cfg.cmt {
-            for p in 0..n_paths {
-                if newly_acked[p] == 0 {
-                    continue;
-                }
-                let old = ak.paths[p].pseudo_cumack;
-                let new_e = cmt_earliest_on(ak, p);
-                advanced[p] = old != u64::MAX && new_e.map_or(true, |e| e > old);
-                ak.paths[p].pseudo_cumack = new_e.unwrap_or(u64::MAX);
-                leave_fast_recovery(ak, Some(p as u8), new_e.unwrap_or(u64::MAX));
-            }
-        }
-
-        // Missing reports → fast retransmit marking (strike count). Fresh
-        // marks are tallied per recovery scope as (count, first TSN, its
-        // path), slot 0 standing in for the association-wide scope.
-        let highest = gaps.iter().map(|&(_, g1)| g1).max().unwrap_or(0);
-        let mut marks = [(0u32, 0u64, 0u8); MAX_PATHS];
-        // Entries below the earliest-unacked cursor are all acked, so the
-        // strike walk starts there, not at the window's base (and is empty
-        // when abandonment moved the cursor past every reported block).
-        let floor = ak.unacked_floor;
-        if highest > floor {
-            for (&tsn, c) in ak.sent.range_mut(floor..highest) {
-                // A chunk may be *fast*-retransmitted only once (RFC 4960
-                // §7.2.4); after that, only T3 resends it. Without this,
-                // the per-packet gap SACKs re-mark it every few reports
-                // and the retransmission storm congests the path further.
-                if !c.acked && !c.marked_rtx && c.txcount == 1 {
-                    // SFR (split fast retransmit): only an ack above this
-                    // chunk on its OWN path is evidence of loss there —
-                    // acks of later TSNs striped onto other paths are just
-                    // reordering.
-                    if cfg.cmt && hna[c.path as usize] <= tsn {
-                        continue;
-                    }
-                    c.missing += 1;
-                    if c.missing >= cfg.missing_thresh {
-                        c.marked_rtx = true;
-                        // Marked chunks leave the flight (RFC 4960 §6.2.1/7.2.4)
-                        // so the retransmission fits inside the new cwnd.
-                        ak.paths[c.path as usize].flight = ak.paths[c.path as usize]
-                            .flight
-                            .saturating_sub(c.data.len() as u64);
-                        ak.rtx_queue.insert(tsn);
-                        let m = &mut marks[scope_of(&cfg, c.path).unwrap_or(0) as usize];
-                        if m.0 == 0 {
-                            (m.1, m.2) = (tsn, c.path);
-                        }
-                        m.0 += 1;
-                    }
-                }
-            }
-        }
-        // Fast recovery is one episode per scope: halve only where fresh
-        // marks landed (the first marked chunk's path), and only when that
-        // scope is not already recovering — a single reordering burst must
-        // not cascade into repeated multiplicative decreases.
-        let exit = ak.next_tsn.saturating_sub(1);
-        for (count, first_tsn, path) in marks {
-            if count == 0 {
-                continue;
-            }
-            do_fast_rtx = true;
-            let scope = scope_of(&cfg, path);
-            if ak.rec(scope).fast_recovery.is_some() {
-                continue;
-            }
-            ak.rec_mut(scope).fast_recovery = Some(exit);
-            ak.stats.fast_retransmits += 1;
-            let ps = &mut ak.paths[path as usize];
-            ps.ssthresh = (ps.cwnd / 2).max(4 * pmtu);
-            ps.cwnd = ps.ssthresh;
-            ps.partial_bytes_acked = 0;
-            if ctx.tracing() {
-                ctx.trace_emit(trace::Event::FastRtx(trace::FastRtxEv {
-                    proto: trace::Proto8::Sctp,
-                    host: a.host,
-                    peer: ak.peer_host,
-                    path,
-                    tsn: first_tsn,
-                    count,
-                }));
-                trace_cwnd(ctx, a.host, ak.peer_host, path, &ak.paths[path as usize]);
-            }
-        }
-        // The association-wide scope (never entered under CMT) leaves fast
-        // recovery *after* marking: a SACK that both passes the exit point
-        // and strikes new chunks must not open a second episode.
-        leave_fast_recovery(ak, None, cum.saturating_add(1));
-
-        // Congestion window growth (byte counting — §4.1.1), gated on the
-        // path's recovery scope: its ack point must have advanced and it
-        // must not be in fast recovery. Under CMT that is per path (CUC) —
-        // the association-wide cumulative ack says nothing about which path
-        // delivered.
-        let peer = ak.peer_host;
-        for (p, &acked) in newly_acked.iter().enumerate() {
-            if acked == 0 {
-                continue;
-            }
-            {
-                let ps = &mut ak.paths[p];
-                ps.error_count = 0;
-                ps.active = true;
-            }
-            ak.assoc_errors = 0;
-            if ak.rec(scope_of(&cfg, p as u8)).fast_recovery.is_some() {
-                continue;
-            }
-            if advanced[p] {
-                let ps = &mut ak.paths[p];
-                if ps.cwnd <= ps.ssthresh {
-                    if cfg.byte_counting_cc {
-                        // Slow start: grow by bytes acked, at most one PMTU.
-                        ps.cwnd += acked.min(pmtu);
-                    } else {
-                        // Ablation A1: TCP-style per-ACK counting. With the
-                        // every-2nd-packet delayed SACK this halves slow
-                        // start growth, like delayed-ACK TCP (§4.1.1).
-                        ps.cwnd += pmtu / 2;
-                    }
-                } else {
-                    ps.partial_bytes_acked += acked;
-                    if ps.partial_bytes_acked >= ps.cwnd && ps.flight >= ps.cwnd {
-                        ps.partial_bytes_acked -= ps.cwnd;
-                        ps.cwnd += pmtu;
-                    }
-                }
-                ps.cwnd = ps.cwnd.min(cfg.sndbuf * 4);
-                if ctx.tracing() {
-                    trace_cwnd(ctx, a.host, peer, p as u8, &ak.paths[p]);
-                }
-            }
-        }
-        if ak.outstanding_bytes == 0 {
-            for ps in &mut ak.paths {
-                ps.partial_bytes_acked = 0;
-            }
-        }
-
-        // Peer receive window: advertised minus what is still in flight.
-        ak.peer_rwnd = a_rwnd.saturating_sub(ak.outstanding_bytes);
-
-        // Retransmission timer management, per recovery scope: stop the
-        // timer when nothing it guards is left outstanding, restart it fresh
-        // when the scope's ack point advanced. A destination's timer only
-        // hears SACKs that acked something there.
-        for scope in scopes(&cfg, n_paths) {
-            if scope.is_some_and(|p| newly_acked[p as usize] == 0) {
-                continue;
-            }
-            let drained = scope_drained(ak, scope);
-            let rec = ak.rec_mut(scope);
-            if drained {
-                rec.t3_gen += 1;
-                rec.t3_armed = false;
-                if let Some(id) = rec.t3_timer.take() {
-                    ctx.cancel_counted(id);
-                }
-            } else if advanced[scope.unwrap_or(0) as usize] {
-                rec.t3_armed = false; // re-armed fresh below
-            }
-        }
-
-        // Send space freed → wake endpoint writers.
-        wake_writers = newly_acked.iter().any(|&x| x > 0);
-        pool.put_u64_vec(newly_acked);
-        check_flight(ak, "process_sack", now);
-    }
-    if wake_writers {
-        let ep = ep_mut(w, a.endpoint());
-        ctx.wake_all(&ep.writers);
-        ep.writers.clear();
-    }
-    if do_fast_rtx {
-        fast_retransmit_burst(w, ctx, a);
-    }
-    try_send(w, ctx, a);
-    for scope in scopes(&cfg, assoc_ref(w, a).paths.len()) {
-        let ak = assoc_ref(w, a);
-        if !scope_drained(ak, scope) && !ak.rec(scope).t3_armed {
-            arm_t3(w, ctx, a, scope, true);
-        }
-    }
-    maybe_progress_shutdown(w, ctx, a);
-}
-
-/// One scope leaves fast recovery once everything below `next_unacked` —
-/// its ack point — is acknowledged past the episode's exit TSN.
-fn leave_fast_recovery(ak: &mut Assoc, scope: Scope, next_unacked: u64) {
-    let fr = &mut ak.rec_mut(scope).fast_recovery;
-    if fr.is_some_and(|exit| next_unacked > exit) {
-        *fr = None;
-    }
-}
-
-/// RFC 4960 §7.2.4: on entering fast retransmit, send one packet with as
-/// many marked chunks as fit, ignoring cwnd. Remaining marked chunks go out
-/// through the normal cwnd-limited path. Under CMT the episode is per
-/// *path*: one cwnd-ignoring packet per destination path, each carrying its
-/// own path's marked chunks (RTX-SAME keeps the per-path accounting true).
-fn fast_retransmit_burst(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let cfg = cfg_of(w, a.host);
-    let abandoned_before = assoc_ref(w, a).stats.msgs_abandoned;
-    let mut packets: Vec<(u8, Vec<Chunk>)> = Vec::new();
-    let ak = assoc_mut(w, a);
-    let vtag = ak.peer_tag;
-    for scope in scopes(&cfg, ak.paths.len()) {
-        let path = scope.unwrap_or_else(|| ak.rtx_path(cfg.rtx_alternate));
-        let mut packet = Vec::new();
-        reemit_marked(ak, &cfg, ctx.now(), path, &mut cfg.packet_budget(), &mut packet);
-        if !packet.is_empty() {
-            packets.push((path, packet));
-        }
-    }
-    let sent_paths: Vec<u8> = packets.iter().map(|&(p, _)| p).collect();
-    for (path, packet) in packets {
-        send_packet(w, ctx, a, path, vtag, packet);
-    }
-    for p in sent_paths {
-        ensure_t3(w, ctx, a, &cfg, p);
-    }
-    wake_writers_after_abandon(w, ctx, a, abandoned_before);
-}
-
-// ---------------------------------------------------------------------------
 // Shutdown
 // ---------------------------------------------------------------------------
 
@@ -2510,7 +1844,7 @@ fn wake_endpoint(w: &mut World, ctx: &mut Wx, e: EpId) {
     ep.writers.clear();
 }
 
-fn maybe_progress_shutdown(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(super) fn maybe_progress_shutdown(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let (state, drained) = {
         let ak = assoc_ref(w, a);
         (ak.state, ak.outstanding_bytes == 0 && ak.q_is_empty())

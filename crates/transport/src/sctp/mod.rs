@@ -3,7 +3,9 @@
 
 mod assoc;
 mod engine;
+mod receive;
 pub mod sched;
+mod window;
 mod wire;
 
 pub use assoc::{AssocId, AssocState, AssocStats, EpId, PathState, RecvMsg, SctpCfg, SctpHost};
