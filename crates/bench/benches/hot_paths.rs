@@ -20,6 +20,12 @@
 //! * `collectives_allreduce` — the collectives layer (and communicators)
 //!   end to end: allreduce + barrier rounds, then a 100 KB broadcast.
 //!
+//! * `sctp_window`, `sctp_reassembly` — SCTP's two flat data-plane
+//!   structures on their own: the TSN-offset send ring under a loss-free
+//!   SACK cadence, and one receiving association reassembling 128 KiB
+//!   messages whose 91 fragments arrive in order (append, one scan) and
+//!   reversed (every fragment fills in below one already held).
+//!
 //! Run with `cargo bench --offline -p bench-harness --bench hot_paths`.
 
 use bytes::Bytes;
@@ -29,6 +35,7 @@ use mpi_core::envelope::{EnvKind, Envelope};
 use mpi_core::matching::Core;
 use mpi_core::{mpirun, MpiCfg, ReduceOp};
 use simcore::{Dur, ProcEnv, ProcId, Runtime};
+use transport::sctp::{self, Chunk, DataChunk, SentRing};
 use workloads::farm::{self, FarmCfg};
 use workloads::pingpong::{self, PingPongCfg};
 
@@ -220,9 +227,134 @@ fn collectives(c: &mut Criterion) {
     });
 }
 
+fn sctp_window(c: &mut Criterion) {
+    // A 150-chunk window (a full 220 KiB send buffer of MTU chunks), then
+    // the acknowledgements a loss-free receiver sends: a SACK per second
+    // chunk, each a cumulative pop plus the (empty) strike-walk range.
+    // Entries are the size of the engine's sent-chunk record.
+    c.bench_function("sctp_window/cum_ack_150", |b| {
+        let mut ring: SentRing<[u64; 15]> = SentRing::new(1);
+        let mut next = 1u64;
+        b.iter(|| {
+            let mut sum = 0u64;
+            for _ in 0..64 {
+                for _ in 0..150 {
+                    ring.push(next, [next; 15]);
+                    next += 1;
+                }
+                for cum in (next - 149..next).step_by(2) {
+                    while let Some((tsn, c)) = ring.pop_acked(cum) {
+                        sum += tsn ^ c[0];
+                    }
+                    sum += ring.range_mut(cum + 1..cum + 4).count() as u64;
+                }
+            }
+            black_box(sum)
+        })
+    });
+}
+
+/// An established SCTP association on host 1 with no peer engine and no
+/// network: packets built by hand go straight into `sctp::input`, and a
+/// sink backend collects whatever the receiver transmits.
+struct Receiver {
+    w: transport::World,
+    ctx: transport::Wx,
+    ep: sctp::EpId,
+    vtag: u64,
+    /// What the receiver sent (its SACKs); the caller empties it.
+    wire: std::sync::Arc<std::sync::Mutex<Vec<transport::ip::Packet>>>,
+}
+
+impl Receiver {
+    fn established() -> Receiver {
+        use std::sync::{Arc, Mutex};
+        use transport::ip::{Packet, Proto};
+        struct Sink(Arc<Mutex<Vec<Packet>>>);
+        impl transport::backend::Backend for Sink {
+            fn send(&mut self, _w: &mut transport::World, _ctx: &mut transport::Wx, pkt: Packet) {
+                self.0.lock().unwrap().push(pkt);
+            }
+            fn send_train(&mut self, _w: &mut transport::World, _ctx: &mut transport::Wx, pkts: Vec<Packet>) {
+                self.0.lock().unwrap().extend(pkts);
+            }
+            fn as_any(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        const PORT: u16 = 4000;
+        let mut w = transport::World::paper_cluster(0.0);
+        let mut ctx: transport::Wx = simcore::Ctx::standalone(simcore::derive_rng(7, 0));
+        let wire = Arc::new(Mutex::new(Vec::new()));
+        w.install_backend(Box::new(Sink(wire.clone())));
+        let client = sctp::socket(&mut w, 0, PORT, false);
+        let ep = sctp::socket(&mut w, 1, PORT, true);
+        sctp::listen(&mut w, ep);
+        sctp::connect(&mut w, &mut ctx, client, 1, PORT);
+        // Carry the four handshake packets across by hand; the COOKIE-ECHO
+        // is addressed with the tag host 1 chose.
+        let mut vtag = 0;
+        loop {
+            let Some(pkt) = wire.lock().unwrap().pop() else { break };
+            let Proto::Sctp(p) = pkt.body else { unreachable!("SCTP only") };
+            if matches!(p.chunks[0], Chunk::CookieEcho { .. }) {
+                vtag = p.vtag;
+            }
+            sctp::input(&mut w, &mut ctx, pkt.src, pkt.dst, p);
+        }
+        assert!(sctp::lookup_peer(&w, ep, 0, PORT).is_some(), "handshake completed");
+        Receiver { w, ctx, ep, vtag, wire }
+    }
+}
+
+fn sctp_reassembly(c: &mut Criterion) {
+    use netsim::IfAddr;
+    const FRAGS: u64 = 91; // 128 KiB in 1452-byte DATA chunks
+    for (name, reversed) in [("in_order", false), ("reversed", true)] {
+        let mut rx = Receiver::established();
+        let payload = Bytes::from(vec![0u8; 1452]);
+        let (mut tsn, mut ssn) = (1u64, 0u32);
+        c.bench_function(&format!("sctp_reassembly/{name}_128k"), |b| {
+            b.iter(|| {
+                let mut bytes = 0u64;
+                for _ in 0..32 {
+                    // One message per packet, so the SACK decision (and its
+                    // timer) runs once per message, not once per fragment.
+                    let mut chunks: Vec<Chunk> = (0..FRAGS)
+                        .map(|k| {
+                            Chunk::Data(DataChunk {
+                                tsn: tsn + k,
+                                stream: 0,
+                                ssn: ssn as u16 as u32,
+                                begin: k == 0,
+                                end: k + 1 == FRAGS,
+                                unordered: false,
+                                ppid: 0,
+                                data: payload.clone(),
+                            })
+                        })
+                        .collect();
+                    if reversed {
+                        chunks.reverse();
+                    }
+                    (tsn, ssn) = (tsn + FRAGS, ssn + 1);
+                    let pkt = sctp::SctpPacket { src_port: 4000, dst_port: 4000, vtag: rx.vtag, chunks };
+                    sctp::input(&mut rx.w, &mut rx.ctx, IfAddr::new(0, 0), IfAddr::new(1, 0), pkt);
+                    rx.wire.lock().unwrap().clear();
+                    let msg = sctp::recvmsg(&mut rx.w, &mut rx.ctx, rx.ep).expect("message complete");
+                    bytes += msg.len as u64;
+                    rx.w.pool.put_bytes_vec(msg.data);
+                }
+                black_box(bytes)
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sack_storm, matching_churn, park_wake, burst_path, collectives
+    targets = sack_storm, matching_churn, park_wake, burst_path, collectives, sctp_window,
+        sctp_reassembly
 }
 criterion_main!(benches);

@@ -170,13 +170,13 @@ pub fn sctp_cell(size: usize, iters: u32, seed: u64, tracer: Option<&trace::Trac
         let ok = p.spin(deadline, |p| sctp::readable(&p.b.world, eb));
         assert!(ok, "ping {i} never reached the echo side");
         let msg = sctp::recvmsg(&mut p.b.world, &mut p.b.ctx, eb).expect("readable");
-        assert_eq!(msg.len as usize, size, "ping {i} arrived wrong-sized");
+        assert_eq!((msg.ssn, msg.len as usize), (i, size), "ping {i} arrived out of order or wrong-sized");
         sctp::sendmsg_v(&mut p.b.world, &mut p.b.ctx, ab, 0, 0, &msg.data)
             .unwrap_or_else(|e| panic!("echo {i} rejected: {e:?}"));
         let ok = p.spin(deadline, |p| sctp::readable(&p.a.world, ea));
         assert!(ok, "echo {i} never returned");
         let back = sctp::recvmsg(&mut p.a.world, &mut p.a.ctx, ea).expect("readable");
-        assert_eq!(back.len as usize, size, "echo {i} returned wrong-sized");
+        assert_eq!((back.ssn, back.len as usize), (i, size), "echo {i} returned out of order or wrong-sized");
     }
     p.finish(size, iters, t0, t_cell)
 }

@@ -54,6 +54,16 @@ fn loopback_latency_is_sane() {
 }
 
 #[test]
+fn one_stream_carries_seventy_thousand_messages() {
+    // A DATA chunk carries 16 bits of SSN, so stream 0 wraps on the wire at
+    // message 65 536; the receiver widens it back against its 32-bit
+    // ordered-delivery counter. `sctp_cell` checks every message's SSN and
+    // panics if the stream stops delivering.
+    let c = live::sctp_cell(1, 70_000, 0x55E, None);
+    assert_eq!(c.udp.rx_bad_crc + c.udp.rx_bad_frame, 0);
+}
+
+#[test]
 fn live_frames_flow_through_the_pcapng_sink() {
     // Trace parity: packets the UDP backend sends and receives must land in
     // the same flight recorder the sim uses, and the pcapng sink must

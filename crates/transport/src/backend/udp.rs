@@ -52,7 +52,9 @@ use std::ops::AddAssign;
 use netsim::IfAddr;
 
 use crate::backend::Backend;
-use crate::ip::{self, Packet};
+use crate::ip::{self, Packet, Proto};
+use crate::pool::Pools;
+use crate::sctp::Chunk;
 use crate::{wire_bytes, World, Wx};
 
 /// Largest datagram (or coalesced train of datagrams) one receive returns:
@@ -289,9 +291,30 @@ impl UdpBackend {
     }
 }
 
+/// Only a packet's encoded bytes travel, so once it is enqueued its pooled
+/// carriers go back where they came from (the sim path retires them at the
+/// receiver).
+fn retire(pool: &mut Pools, pkt: Packet) {
+    match pkt.body {
+        Proto::Tcp(seg) => {
+            pool.put_bytes_vec(seg.payload);
+            pool.put_gap_vec(seg.sack);
+        }
+        Proto::Sctp(mut p) => {
+            for chunk in p.chunks.drain(..) {
+                if let Chunk::Sack { gaps, .. } = chunk {
+                    pool.put_gap_vec(gaps);
+                }
+            }
+            pool.put_chunk_vec(p.chunks);
+        }
+    }
+}
+
 impl Backend for UdpBackend {
-    fn send(&mut self, _w: &mut World, ctx: &mut Wx, pkt: Packet) {
+    fn send(&mut self, w: &mut World, ctx: &mut Wx, pkt: Packet) {
         self.enqueue(ctx, &pkt);
+        retire(&mut w.pool, pkt);
         if !self.corked {
             self.write_queued();
         }
@@ -300,6 +323,7 @@ impl Backend for UdpBackend {
     fn send_train(&mut self, w: &mut World, ctx: &mut Wx, mut pkts: Vec<Packet>) {
         for pkt in pkts.drain(..) {
             self.enqueue(ctx, &pkt);
+            retire(&mut w.pool, pkt);
         }
         w.pool.put_packet_vec(pkts);
         if !self.corked {

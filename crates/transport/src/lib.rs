@@ -70,6 +70,7 @@ pub struct World {
 impl World {
     /// Build a world over `net_cfg` with per-host TCP and SCTP stacks.
     pub fn new(net_cfg: NetCfg, tcp_cfg: tcp::TcpCfg, sctp_cfg: sctp::SctpCfg) -> Self {
+        let sctp_cfg = std::rc::Rc::new(sctp_cfg);
         let hosts = (0..net_cfg.hosts)
             .map(|_| Host {
                 tcp: tcp::TcpHost::new(tcp_cfg),

@@ -62,8 +62,6 @@ pub struct Pools {
     trains: Vec<VecDeque<(SimTime, Packet)>>,
     /// Wire-size tables offered to the network's burst call.
     size_vecs: Vec<Vec<u32>>,
-    /// Per-path byte counters (SCTP SACK processing scratch).
-    u64_vecs: Vec<Vec<u64>>,
     /// Assembled-message lists staged between reassembly and delivery.
     msg_vecs: Vec<Vec<RecvMsg>>,
     /// Network verdicts returned by the burst call.
@@ -129,7 +127,6 @@ impl Pools {
         "TCP output staging list"
     );
     pool_accessors!(take_size_vec, put_size_vec, size_vecs, Vec<u32>, "wire-size table");
-    pool_accessors!(take_u64_vec, put_u64_vec, u64_vecs, Vec<u64>, "per-path counter table");
     pool_accessors!(take_msg_vec, put_msg_vec, msg_vecs, Vec<RecvMsg>, "assembled-message list");
     pool_accessors!(take_verdict_vec, put_verdict_vec, verdict_vecs, Vec<Verdict>, "verdict table");
     pool_accessors!(take_proc_vec, put_proc_vec, proc_vecs, Vec<ProcId>, "wake list");

@@ -1,15 +1,18 @@
 //! SCTP association, endpoint, and per-path state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::IfAddr;
+use simcore::fxhash::FxHashMap;
 use simcore::{Dur, ProcId, SimTime};
 
-use crate::ranges::RangeSet;
 use crate::rto::{RtoCfg, RtoEstimator};
 
+use super::receive::RcvWindow;
 use super::sched::{SchedCandidate, SchedKind, StreamScheduler};
+use super::window::SentRing;
 use super::wire::{DataChunk, IDataChunk, EXT_INTERLEAVE, EXT_PR_SCTP};
 
 /// Handle to an SCTP endpoint (socket) on a host.
@@ -372,9 +375,10 @@ impl PathState {
 #[derive(Debug, Default)]
 pub(crate) struct InStream {
     pub next_ssn: u32,
-    /// Fragments awaiting reassembly, keyed by TSN (fragments of one
-    /// message occupy consecutive TSNs). DATA path only.
-    pub frags: BTreeMap<u64, DataChunk>,
+    /// Fragments awaiting reassembly, sorted by TSN (fragments of one
+    /// message occupy consecutive TSNs): in-order arrivals append, a
+    /// finished run leaves in one drain. DATA path only.
+    pub frags: VecDeque<DataChunk>,
     /// RFC 8260 reassembly: fragments keyed (MID, FSN) — fragments of
     /// different messages interleave freely in TSN space, so each message
     /// reassembles independently. I-DATA path only.
@@ -491,7 +495,9 @@ pub(crate) struct Assoc {
     pub peer_cum: u64,
     /// Highest FORWARD-TSN cum point already emitted (dedup between SACKs).
     pub fwd_sent: u64,
-    pub sent: BTreeMap<u64, SentChunk>,
+    /// The send window: every chunk from the lowest TSN not yet
+    /// cumulatively acked up to `next_tsn`, PR-SCTP phantoms included.
+    pub sent: SentRing<SentChunk>,
     pub outstanding_bytes: u64,
     // ---- O(1) SACK accounting: running aggregates over `sent` ----
     /// TSNs queued for retransmission — exactly the `sent` entries with
@@ -520,8 +526,8 @@ pub(crate) struct Assoc {
     pub rtt_probe: Option<u64>,
 
     // ---- receive ----
-    pub cum_tsn: u64,
-    pub rcv_have: RangeSet,
+    /// Cumulative TSN and the TSN ranges held above it.
+    pub rcv: RcvWindow,
     pub in_streams: Vec<InStream>,
     pub rcvbuf_used: u64,
     pub sack_pending_pkts: u32,
@@ -589,7 +595,7 @@ impl Assoc {
             sched_scratch: Vec::new(),
             peer_cum: init_tsn.saturating_sub(1),
             fwd_sent: 0,
-            sent: BTreeMap::new(),
+            sent: SentRing::new(init_tsn),
             outstanding_bytes: 0,
             rtx_queue: BTreeSet::new(),
             unacked_floor: init_tsn,
@@ -598,8 +604,7 @@ impl Assoc {
             assoc_errors: 0,
             rec: Recovery::default(),
             rtt_probe: None,
-            cum_tsn: 0, // set when peer's init_tsn learned
-            rcv_have: RangeSet::new(),
+            rcv: RcvWindow::new(0), // replaced when the peer's init_tsn is learned
             in_streams: Vec::new(),
             rcvbuf_used: 0,
             sack_pending_pkts: 0,
@@ -784,7 +789,7 @@ impl Assoc {
         let mut point = self.peer_cum;
         let mut skips: Vec<(u16, u64)> = Vec::new();
         let mut any_abandoned = false;
-        for (&tsn, c) in self.sent.range(self.peer_cum + 1..) {
+        for (tsn, c) in self.sent.range(self.peer_cum + 1..) {
             if tsn != point + 1 || !(c.abandoned || c.acked) {
                 break;
             }
@@ -834,7 +839,7 @@ pub(crate) struct Endpoint {
     pub listening: bool,
     pub assocs: Vec<Assoc>,
     /// (peer_host, peer_port) → assoc index.
-    pub by_peer: HashMap<(u16, u16), u32>,
+    pub by_peer: FxHashMap<(u16, u16), u32>,
     /// Endpoint-level delivery queue: messages in arrival order across all
     /// associations (the one-to-many receive model, §3.1 of the paper).
     pub deliver_q: VecDeque<RecvMsg>,
@@ -848,17 +853,17 @@ pub(crate) struct Endpoint {
 /// All SCTP state on one host.
 pub struct SctpHost {
     /// Host-wide SCTP tuning (shared by every association).
-    pub cfg: SctpCfg,
+    pub cfg: Rc<SctpCfg>,
     pub(crate) eps: Vec<Endpoint>,
-    pub(crate) by_port: HashMap<u16, u32>,
+    pub(crate) by_port: FxHashMap<u16, u32>,
     /// Cookie-MAC secret (lazily drawn from the simulation RNG).
     pub(crate) secret: Option<u64>,
 }
 
 impl SctpHost {
     /// A host-wide SCTP stack with no endpoints yet.
-    pub fn new(cfg: SctpCfg) -> Self {
-        SctpHost { cfg, eps: Vec::new(), by_port: HashMap::new(), secret: None }
+    pub fn new(cfg: Rc<SctpCfg>) -> Self {
+        SctpHost { cfg, eps: Vec::new(), by_port: FxHashMap::default(), secret: None }
     }
 
     /// Aggregate stats across every association on this host.

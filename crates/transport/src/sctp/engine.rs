@@ -1,6 +1,8 @@
 //! The SCTP protocol engine: handshake, data transfer, SACK processing,
 //! congestion control, retransmission, multihoming, and shutdown.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
 use netsim::IfAddr;
 use rand::Rng;
@@ -13,7 +15,7 @@ use super::assoc::{
     Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, PendingChunk, RecvMsg, Scope,
     SctpCfg, SentChunk, MAX_PATHS,
 };
-use super::receive::{decide_sack, handle_data, handle_forward_tsn, Frag};
+use super::receive::{decide_sack, handle_data, handle_forward_tsn, Frag, RcvWindow};
 use super::window::{check_flight, process_sack};
 use super::wire::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 
@@ -21,7 +23,9 @@ use super::wire::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 // Accessors
 // ---------------------------------------------------------------------------
 
-pub(super) fn cfg_of(w: &World, host: u16) -> SctpCfg {
+/// The host's configuration, shared: a reference-count bump, so callers can
+/// keep it across `&mut World` calls.
+pub(super) fn cfg_of(w: &World, host: u16) -> Rc<SctpCfg> {
     w.hosts[host as usize].sctp.cfg.clone()
 }
 
@@ -168,7 +172,7 @@ pub(super) fn cmt_earliest_on(ak: &mut Assoc, p: usize) -> Option<u64> {
     let hit = ak
         .sent
         .range(floor..)
-        .find_map(|(&tsn, c)| (!c.acked && c.path as usize == p).then_some(tsn));
+        .find_map(|(tsn, c)| (!c.acked && c.path as usize == p).then_some(tsn));
     match hit {
         Some(tsn) => ak.paths[p].cumack_floor = tsn,
         None => ak.paths[p].cumack_floor = ak.next_tsn,
@@ -204,7 +208,7 @@ pub fn socket(w: &mut World, host: u16, port: u16, one_to_many: bool) -> EpId {
         one_to_many,
         listening: false,
         assocs: Vec::new(),
-        by_peer: std::collections::HashMap::new(),
+        by_peer: Default::default(),
         deliver_q: std::collections::VecDeque::new(),
         readers: Vec::new(),
         writers: Vec::new(),
@@ -495,7 +499,7 @@ pub fn dump_all(w: &World) {
                     .in_streams
                     .iter()
                     .map(|st| {
-                        st.frags.values().map(|c| c.data.len() as u64).sum::<u64>()
+                        st.frags.iter().map(|c| c.data.len() as u64).sum::<u64>()
                             + st.ready.values().map(|m| m.len as u64).sum::<u64>()
                     })
                     .sum();
@@ -512,8 +516,8 @@ pub fn dump_all(w: &World) {
                     ak.rcvbuf_used,
                     ep.deliver_q.len(),
                     ak.rec.t3_armed,
-                    ak.cum_tsn,
-                    ak.rcv_have.iter().take(4).collect::<Vec<_>>(),
+                    ak.rcv.cum(),
+                    ak.rcv.gaps().take(4).collect::<Vec<_>>(),
                 );
             }
         }
@@ -572,7 +576,7 @@ fn make_sack(
     max_gaps: usize,
 ) -> Chunk {
     let mut gaps = pool.take_gap_vec();
-    gaps.extend(ak.rcv_have.iter().take(max_gaps));
+    gaps.extend(ak.rcv.gaps().take(max_gaps));
     ak.sack_pending_pkts = 0;
     ak.sack_immediate = false;
     let dups = ak.dup_since_sack;
@@ -584,7 +588,7 @@ fn make_sack(
     }
     ak.last_advertised_rwnd = ak.a_rwnd(rcvbuf);
     ak.stats.sacks_out += 1;
-    Chunk::Sack { cum_tsn: ak.cum_tsn, a_rwnd: ak.last_advertised_rwnd, gaps, dup_count: dups }
+    Chunk::Sack { cum_tsn: ak.rcv.cum(), a_rwnd: ak.last_advertised_rwnd, gaps, dup_count: dups }
 }
 
 pub(super) fn send_sack_now(w: &mut World, ctx: &mut Wx, a: AssocId) {
@@ -701,7 +705,9 @@ fn try_send_inner(
         if burst >= burst_cap {
             return;
         }
-        let mut packet = w.pool.take_chunk_vec();
+        // Taken from the pool only once something is known to go out, so a
+        // pass that sends nothing costs the pool nothing.
+        let mut packet;
         let path;
         let vtag;
         {
@@ -722,7 +728,10 @@ fn try_send_inner(
             let rtx_path = if cfg.cmt {
                 ak.rtx_queue
                     .first()
-                    .map(|&t| cmt_rtx_target(ak, ak.sent[&t].path))
+                    .map(|&t| {
+                        let c = ak.sent.get(t).expect("rtx_queue entries are in sent");
+                        cmt_rtx_target(ak, c.path)
+                    })
                     .unwrap_or(ak.primary)
             } else {
                 ak.rtx_path(cfg.rtx_alternate)
@@ -731,6 +740,7 @@ fn try_send_inner(
                 !ak.rtx_queue.is_empty() && burst_on[rtx_path as usize] < cfg.max_burst;
             if has_marked && ak.paths[rtx_path as usize].flight < ak.paths[rtx_path as usize].cwnd {
                 path = rtx_path;
+                packet = pool.take_chunk_vec();
                 if want_sack {
                     budget -= make_sack_placeholder_len(ak);
                     let sack = make_sack(ctx, ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
@@ -759,6 +769,7 @@ fn try_send_inner(
                 if !cwnd_ok || !(rwnd_ok || probe_ok) {
                     return;
                 }
+                packet = pool.take_chunk_vec();
                 if want_sack {
                     budget -= make_sack_placeholder_len(ak);
                     let sack = make_sack(ctx, ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
@@ -829,7 +840,7 @@ fn try_send_inner(
                         abandoned: false,
                     };
                     packet.push(data_chunk_for(interleave, tsn, &sc));
-                    ak.sent.insert(tsn, sc);
+                    ak.sent.push(tsn, sc);
                     note_assign(ak, &cfg, path, tsn);
                     // Stop bundling if cwnd exhausted (1-byte rule applies
                     // per packet, not per chunk beyond the first).
@@ -842,6 +853,7 @@ fn try_send_inner(
             }
         }
         if packet.is_empty() {
+            w.pool.put_chunk_vec(packet);
             return; // nothing fit, and no pending SACK was consumed either
         }
         let has_data = packet.iter().any(|c| matches!(c, Chunk::Data(_) | Chunk::IData(_)));
@@ -895,7 +907,7 @@ pub(super) fn reemit_marked(
     let mut next = 0;
     while let Some(&tsn) = ak.rtx_queue.range(next..).next() {
         next = tsn + 1;
-        let c = &ak.sent[&tsn];
+        let c = ak.sent.get(tsn).expect("rtx_queue entries are in sent");
         if cfg.cmt && cmt_rtx_target(ak, c.path) != path {
             continue;
         }
@@ -906,7 +918,7 @@ pub(super) fn reemit_marked(
             abandon_message(ak, s, n);
             continue;
         }
-        let c = ak.sent.get_mut(&tsn).expect("rtx_queue entries are in sent");
+        let c = ak.sent.get_mut(tsn).expect("rtx_queue entries are in sent");
         let clen = chunk_wire_len(interleave, &c.data);
         if clen > *budget {
             break;
@@ -944,7 +956,7 @@ fn tx_open(ak: &Assoc) -> bool {
 }
 
 fn make_sack_placeholder_len(ak: &Assoc) -> u32 {
-    16 + 4 * ak.rcv_have.num_ranges() as u32
+    16 + 4 * ak.rcv.num_gaps() as u32
 }
 
 /// Rebuild the wire chunk for a sent fragment: I-DATA when interleaving was
@@ -1003,7 +1015,7 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
         stats,
         ..
     } = ak;
-    for (tsn, c) in sent.iter_mut() {
+    for (tsn, c) in sent.range_mut(..) {
         if c.stream != stream || c.ssn != ssn || c.abandoned {
             continue;
         }
@@ -1011,7 +1023,7 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
             let len = c.data.len() as u64;
             *outstanding_bytes = outstanding_bytes.saturating_sub(len);
             if c.marked_rtx {
-                rtx_queue.remove(tsn);
+                rtx_queue.remove(&tsn);
             } else {
                 paths[c.path as usize].flight = paths[c.path as usize].flight.saturating_sub(len);
             }
@@ -1025,7 +1037,7 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
         dropped += pc.data.len() as u64;
         let tsn = *next_tsn;
         *next_tsn += 1;
-        sent.insert(
+        sent.push(
             tsn,
             SentChunk {
                 stream: pc.stream,
@@ -1152,7 +1164,7 @@ pub(super) fn scope_drained(ak: &Assoc, scope: Scope) -> bool {
 fn earliest_outstanding_path(ak: &mut Assoc) -> u8 {
     let hit = ak.sent.range(ak.unacked_floor..).find(|(_, c)| !c.acked);
     match hit {
-        Some((&tsn, c)) => {
+        Some((tsn, c)) => {
             ak.unacked_floor = tsn;
             c.path
         }
@@ -1283,7 +1295,7 @@ fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, gen: u64) {
         // pseudo-cumack re-arms fresh and re-enables the probe.
         let srtt = ak.paths[p as usize].rto.srtt().unwrap_or(simcore::Dur::ZERO);
         let floor = ak.paths[p as usize].cumack_floor;
-        for (&tsn, c) in ak.sent.range_mut(floor..) {
+        for (tsn, c) in ak.sent.range_mut(floor..) {
             if c.path != p || c.acked || c.marked_rtx || c.txcount > 2 {
                 continue;
             }
@@ -1321,7 +1333,7 @@ fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, gen: u64) {
         // window's base.
         let floor = scope.map_or(ak.unacked_floor, |p| ak.paths[p as usize].cumack_floor);
         let mut marked = 0u32;
-        for (&tsn, c) in ak.sent.range_mut(floor..) {
+        for (tsn, c) in ak.sent.range_mut(floor..) {
             if c.acked || scope.is_some_and(|p| c.path != p) {
                 continue;
             }
@@ -1614,8 +1626,7 @@ fn handle_init_ack(
         }
         ak.peer_tag = init_tag;
         ak.peer_rwnd = a_rwnd;
-        ak.cum_tsn = init_tsn - 1;
-        ak.rcv_have.clear();
+        ak.rcv = RcvWindow::new(init_tsn - 1);
         ak.cookie = Some(cookie);
         ak.state = AssocState::CookieEchoed;
         ak.init_retries = 0;
@@ -1656,7 +1667,7 @@ fn handle_cookie_echo(w: &mut World, ctx: &mut Wx, e: EpId, src: IfAddr, src_por
     );
     ak.peer_tag = cookie.peer_tag;
     ak.peer_rwnd = cookie.peer_rwnd;
-    ak.cum_tsn = cookie.peer_init_tsn - 1;
+    ak.rcv = RcvWindow::new(cookie.peer_init_tsn - 1);
     ak.ext_flags = cookie.ext_flags;
     ak.last_traffic = ctx.now();
     let ep = ep_mut(w, e);
@@ -1854,7 +1865,7 @@ pub(super) fn maybe_progress_shutdown(w: &mut World, ctx: &mut Wx, a: AssocId) {
             let (cum, vtag, path) = {
                 let ak = assoc_mut(w, a);
                 ak.state = AssocState::ShutdownSent;
-                (ak.cum_tsn, ak.peer_tag, ak.primary)
+                (ak.rcv.cum(), ak.peer_tag, ak.primary)
             };
             send_packet(w, ctx, a, path, vtag, vec![Chunk::Shutdown { cum_tsn: cum }]);
             arm_shutdown_timer(w, ctx, a);
@@ -1926,7 +1937,7 @@ fn arm_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
             } else {
                 let p = ak.primary;
                 ak.paths[p as usize].rto.backoff();
-                (true, ak.peer_tag, p, ak.cum_tsn, ak.state)
+                (true, ak.peer_tag, p, ak.rcv.cum(), ak.state)
             }
         };
         if !resend {

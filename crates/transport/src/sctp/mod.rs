@@ -14,7 +14,9 @@ pub use engine::{
     readable, recvmsg, register_reader, register_writer, sendmsg, sendmsg_pr, sendmsg_v,
     set_primary, shutdown, socket, stats, SendErr,
 };
+pub use receive::RcvWindow;
 pub use sched::{SchedCandidate, SchedKind, StreamScheduler};
+pub use window::SentRing;
 pub use wire::{
     Chunk, Cookie, DataChunk, IDataChunk, SctpPacket, COMMON_HEADER, COOKIE_WIRE_LEN,
     EXT_INTERLEAVE, EXT_PR_SCTP,

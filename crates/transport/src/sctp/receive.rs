@@ -1,11 +1,80 @@
 //! The data receive path: TSN admission, reassembly, the ordered-delivery
 //! gate, the endpoint hand-off, and the per-packet SACK decision.
 
+use crate::ranges::RangeSet;
 use crate::{World, Wx};
 
 use super::assoc::{Assoc, AssocId, AssocState, InStream, RecvMsg, SctpCfg};
 use super::engine::{arm_sack_timer, assoc_mut, assoc_pool_mut, cfg_of, ep_mut, send_sack_now};
 use super::wire::{DataChunk, IDataChunk};
+
+/// The receiver's TSN window: the cumulative TSN (everything at or below it
+/// has arrived) and the ranges held above it, which a SACK reports as gap
+/// blocks. The in-order arrival — `cum + 1` with nothing held above — moves
+/// the cumulative point in place and never touches the range set.
+#[derive(Debug)]
+pub struct RcvWindow {
+    cum: u64,
+    have: RangeSet,
+}
+
+impl RcvWindow {
+    /// A window whose next in-order TSN is `cum + 1`.
+    pub fn new(cum: u64) -> Self {
+        RcvWindow { cum, have: RangeSet::new() }
+    }
+
+    /// The cumulative TSN.
+    pub fn cum(&self) -> u64 {
+        self.cum
+    }
+
+    /// Has `tsn` already arrived (a duplicate)?
+    pub fn contains(&self, tsn: u64) -> bool {
+        tsn <= self.cum || self.have.contains(tsn)
+    }
+
+    /// Is `tsn` below the highest TSN held, i.e. does it fill a gap?
+    pub fn fills_gap(&self, tsn: u64) -> bool {
+        self.have.max_end().is_some_and(|e| tsn < e)
+    }
+
+    /// Record the arrival of `tsn` (not [`contains`](Self::contains)ed yet)
+    /// and advance the cumulative TSN over any now-contiguous prefix.
+    pub fn insert(&mut self, tsn: u64) {
+        debug_assert!(!self.contains(tsn), "duplicate TSN {tsn} past the admission check");
+        if tsn == self.cum + 1 && self.have.is_empty() {
+            self.cum = tsn;
+        } else {
+            self.have.insert_point(tsn);
+            self.advance();
+        }
+    }
+
+    /// FORWARD-TSN: jump the cumulative TSN to `new_cum` if that is ahead;
+    /// ranges held above the jump may now be contiguous with it.
+    pub fn forward_to(&mut self, new_cum: u64) {
+        if new_cum > self.cum {
+            self.cum = new_cum;
+            self.advance();
+        }
+    }
+
+    fn advance(&mut self) {
+        self.cum = self.have.first_missing_from(self.cum + 1) - 1;
+        self.have.remove_below(self.cum + 1);
+    }
+
+    /// The held ranges `[start, end)` above the cumulative TSN, ascending.
+    pub fn gaps(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.have.iter()
+    }
+
+    /// How many ranges [`gaps`](Self::gaps) yields.
+    pub fn num_gaps(&self) -> usize {
+        self.have.num_ranges()
+    }
+}
 
 // One pipeline serves DATA, I-DATA and FORWARD-TSN: admit the TSN →
 // reassemble (keyed by TSN run or by (MID, FSN)) → ordered-delivery gate →
@@ -30,9 +99,16 @@ pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
     if rx_open(ak, ctx.now()) && admit_tsn(ak, &cfg, tsn, len) {
         let peer = ak.peer_host;
         let st = ak.in_stream_mut(sid);
+        // A TSN run can only become complete when its E fragment arrives or
+        // a hole below a fragment already held fills, so in-order traffic
+        // scans once per message, not once per fragment.
+        let mut closes_run = false;
         let mid = match f {
-            Frag::Data(d) => {
-                st.frags.insert(d.tsn, d);
+            Frag::Data(mut d) => {
+                d.ssn = widen_ssn(d.ssn, st.next_ssn);
+                let at = st.frags.partition_point(|c| c.tsn < d.tsn);
+                closes_run = d.end || at < st.frags.len();
+                st.frags.insert(at, d);
                 None
             }
             Frag::IData(d) => {
@@ -42,7 +118,8 @@ pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
             }
         };
         while let Some((unordered, msg)) = match mid {
-            None => assemble_run(st, a, sid, pool),
+            None if closes_run => assemble_run(st, a, sid, pool),
+            None => None,
             Some(mid) => assemble_mid(st, mid, a, sid, pool),
         } {
             ordered_gate(st, unordered, msg, &mut delivered);
@@ -84,7 +161,7 @@ fn rx_open(ak: &mut Assoc, now: simcore::SimTime) -> bool {
 /// Pipeline stage 1: TSN-level duplicate and window checks, then account
 /// the chunk and advance the cumulative TSN. False = chunk dropped.
 fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
-    if tsn <= ak.cum_tsn || ak.rcv_have.contains(tsn) {
+    if ak.rcv.contains(tsn) {
         ak.stats.dup_tsns_in += 1;
         ak.dup_since_sack += 1;
         ak.sack_immediate = true;
@@ -95,7 +172,7 @@ fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
     // promised when the surrounding window was advertised, and dropping
     // it would wedge reassembly forever (the sender would retransmit
     // into the same full buffer until the association died).
-    let fills_gap = ak.rcv_have.max_end().is_some_and(|e| tsn < e);
+    let fills_gap = ak.rcv.fills_gap(tsn);
     // Accept a one-PMTU overrun: the §6.1.A probe chunk arrives when the
     // advertised window is (or looks) closed; dropping it would turn
     // every stale-window episode into an RTO ladder. KAME applies the
@@ -107,21 +184,20 @@ fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
         ak.sack_immediate = true;
         return false;
     }
-    ak.rcv_have.insert_point(tsn);
-    advance_cum(ak);
+    ak.rcv.insert(tsn);
     ak.rcvbuf_used += len;
     ak.stats.data_chunks_in += 1;
     ak.stats.bytes_in += len;
     true
 }
 
-/// Advance the cumulative TSN over any now-contiguous prefix.
-fn advance_cum(ak: &mut Assoc) {
-    let first_missing = ak.rcv_have.first_missing_from(ak.cum_tsn + 1);
-    if first_missing > ak.cum_tsn + 1 {
-        ak.cum_tsn = first_missing - 1;
-        ak.rcv_have.remove_below(ak.cum_tsn + 1);
-    }
+/// Widen the 16 SSN bits a DATA chunk carries on the wire to the stream's
+/// 32-bit counter: RFC 1982 serial arithmetic around `next`, the SSN the
+/// ordered gate waits for. A full-width SSN (the sim never truncates it)
+/// widens back to itself while fewer than 32 768 messages of its stream are
+/// in flight.
+fn widen_ssn(ssn: u32, next: u32) -> u32 {
+    next.wrapping_add((ssn as u16).wrapping_sub(next as u16) as i16 as u32)
 }
 
 /// Pipeline stage 3, the ordered-delivery gate: unordered messages pass
@@ -170,15 +246,12 @@ pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cu
     let ak = assoc_mut(w, a);
     if rx_open(ak, ctx.now()) {
         ak.stats.fwd_tsn_in += 1;
-        if new_cum > ak.cum_tsn {
-            ak.cum_tsn = new_cum;
-            ak.rcv_have.remove_below(ak.cum_tsn + 1);
-            // Chunks above the jump may now be contiguous with it.
-            advance_cum(ak);
-        }
+        ak.rcv.forward_to(new_cum);
+        let interleaving = ak.interleaving();
         for &(sid, mid) in &skips {
-            let ssn = mid as u32;
             let st = ak.in_stream_mut(sid);
+            // A DATA stream's entry names a 16-bit SSN; a MID is full-width.
+            let ssn = if interleaving { mid as u32 } else { widen_ssn(mid as u32, st.next_ssn) };
             // Drop the abandoned message's partial reassembly state — and
             // ONLY its own: other messages' fragments at TSNs at or below
             // the jump may belong to complete-but-unacked messages and
@@ -187,7 +260,7 @@ pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cu
                 .i_frags
                 .remove(&mid)
                 .map_or(0, |m| m.values().map(|c| c.data.len() as u64).sum());
-            st.frags.retain(|_, c| {
+            st.frags.retain(|c| {
                 let doomed = c.ssn == ssn;
                 if doomed {
                     freed += c.data.len() as u64;
@@ -212,7 +285,7 @@ pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cu
 }
 
 /// Pipeline stage 2, keyed by TSN run: try to assemble one complete message
-/// from a stream's DATA fragment map. Fragments of a message occupy
+/// from a stream's TSN-sorted DATA fragments. Fragments of a message occupy
 /// consecutive TSNs bracketed by B/E bits. The chunk list comes from the
 /// pool; the middleware retires it after consuming the message. Returns
 /// the message and its U bit.
@@ -222,30 +295,30 @@ fn assemble_run(
     sid: u16,
     pool: &mut crate::pool::Pools,
 ) -> Option<(bool, RecvMsg)> {
-    let mut run_start: Option<u64> = None;
+    // Positions, not TSNs: every step of a run was checked contiguous.
+    let mut run_start: Option<usize> = None;
     let mut prev_tsn: Option<u64> = None;
-    let mut complete: Option<(u64, u64)> = None;
-    for (&tsn, c) in st.frags.iter() {
-        let contiguous = prev_tsn.map(|p| p + 1 == tsn).unwrap_or(true);
+    let mut complete: Option<(usize, usize)> = None;
+    for (i, c) in st.frags.iter().enumerate() {
+        let contiguous = prev_tsn.map(|p| p + 1 == c.tsn).unwrap_or(true);
         if c.begin {
-            run_start = Some(tsn);
+            run_start = Some(i);
         } else if !contiguous {
             run_start = None;
         }
         if let Some(s) = run_start {
             if c.end {
-                complete = Some((s, tsn));
+                complete = Some((s, i));
                 break;
             }
         }
-        prev_tsn = Some(tsn);
+        prev_tsn = Some(c.tsn);
     }
     let (s, e) = complete?;
     let mut msg =
         RecvMsg { assoc: a, stream: sid, ssn: 0, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
     let mut unordered = false;
-    for tsn in s..=e {
-        let c = st.frags.remove(&tsn).expect("complete run present");
+    for c in st.frags.drain(s..=e) {
         (msg.ssn, msg.ppid, unordered) = (c.ssn, c.ppid, c.unordered);
         msg.len += c.data.len() as u32;
         msg.data.push(c.data);
@@ -290,7 +363,7 @@ pub(super) fn decide_sack(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let send_now = {
         let ak = assoc_mut(w, a);
-        let gaps_exist = !ak.rcv_have.is_empty();
+        let gaps_exist = ak.rcv.num_gaps() > 0;
         if ak.sack_immediate || gaps_exist {
             true
         } else {

@@ -1,15 +1,96 @@
-//! The sender's window: SACK processing, fast retransmit, and the
-//! `SCTP_CHECK` flight invariants.
+//! The sender's window: the TSN-offset ring of outstanding chunks, SACK
+//! processing, fast retransmit, and the `SCTP_CHECK` flight invariants.
+
+use std::collections::VecDeque;
+use std::ops::{Bound, RangeBounds};
 
 use crate::{World, Wx};
 
 use super::assoc::{Assoc, AssocId, Scope, SentChunk, MAX_PATHS};
 use super::engine::{
-    arm_t3, assoc_mut, assoc_pool_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
+    arm_t3, assoc_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
     maybe_progress_shutdown, reemit_marked, scope_drained, scope_of, scopes, send_packet,
     trace_cwnd, try_send, wake_writers_after_abandon,
 };
 use super::wire::Chunk;
+
+/// The send window as a ring indexed by TSN offset. TSNs are assigned
+/// consecutively and leave only from the front (the cumulative ack), so the
+/// window is always the run `base .. base + len`: lookup by TSN is a
+/// subtraction, a cumulative ack pops the front, and a gap-ack block is an
+/// index range.
+#[derive(Debug)]
+pub struct SentRing<T> {
+    /// TSN of the front entry — of the next [`push`](Self::push) when empty.
+    base: u64,
+    q: VecDeque<T>,
+}
+
+impl<T> SentRing<T> {
+    /// An empty window whose first entry will be `base`.
+    pub fn new(base: u64) -> Self {
+        SentRing { base, q: VecDeque::new() }
+    }
+
+    /// Append the entry for `tsn`. Panics unless `tsn` directly follows the
+    /// window: an offset-indexed ring cannot represent a hole.
+    pub fn push(&mut self, tsn: u64, v: T) {
+        assert_eq!(tsn, self.base + self.q.len() as u64, "send window must stay TSN-contiguous");
+        self.q.push_back(v);
+    }
+
+    /// The entry for `tsn`, if it is in the window.
+    pub fn get(&self, tsn: u64) -> Option<&T> {
+        self.q.get(tsn.checked_sub(self.base)? as usize)
+    }
+
+    /// Mutable [`get`](Self::get).
+    pub fn get_mut(&mut self, tsn: u64) -> Option<&mut T> {
+        self.q.get_mut(tsn.checked_sub(self.base)? as usize)
+    }
+
+    /// Cumulative ack, one entry at a time: pop the front if its TSN is at
+    /// or below `cum`.
+    pub fn pop_acked(&mut self, cum: u64) -> Option<(u64, T)> {
+        if self.base > cum {
+            return None;
+        }
+        let v = self.q.pop_front()?;
+        self.base += 1;
+        Some((self.base - 1, v))
+    }
+
+    /// `range` clamped to the window, as offsets into `q`. Total: bounds
+    /// outside the window (or inverted) select nothing.
+    fn offsets(&self, range: impl RangeBounds<u64>) -> (usize, usize) {
+        let end = self.base + self.q.len() as u64;
+        let lo = match range.start_bound() {
+            Bound::Included(&s) => s,
+            Bound::Excluded(&s) => s.saturating_add(1),
+            Bound::Unbounded => self.base,
+        }
+        .clamp(self.base, end);
+        let hi = match range.end_bound() {
+            Bound::Included(&e) => e.saturating_add(1),
+            Bound::Excluded(&e) => e,
+            Bound::Unbounded => end,
+        }
+        .clamp(lo, end);
+        ((lo - self.base) as usize, (hi - self.base) as usize)
+    }
+
+    /// Entries whose TSN lies in `range`, ascending.
+    pub fn range(&self, range: impl RangeBounds<u64>) -> impl Iterator<Item = (u64, &T)> {
+        let (lo, hi) = self.offsets(range);
+        (self.base + lo as u64..).zip(self.q.range(lo..hi))
+    }
+
+    /// Mutable [`range`](Self::range).
+    pub fn range_mut(&mut self, range: impl RangeBounds<u64>) -> impl Iterator<Item = (u64, &mut T)> {
+        let (lo, hi) = self.offsets(range);
+        (self.base + lo as u64..).zip(self.q.range_mut(lo..hi))
+    }
+}
 
 /// Debug invariants: per-path flight equals the sum of unacked, unmarked
 /// sent chunks on that path, and the O(1) aggregates (`rtx_queue`,
@@ -21,7 +102,7 @@ pub(super) fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
     }
     let mut per_path = vec![0u64; ak.paths.len()];
     let mut rtx_expect = std::collections::BTreeSet::new();
-    for (&tsn, c) in &ak.sent {
+    for (tsn, c) in ak.sent.range(..) {
         if !c.acked && !c.marked_rtx {
             per_path[c.path as usize] += c.data.len() as u64;
         }
@@ -43,7 +124,7 @@ pub(super) fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
             ak.rtx_queue, rtx_expect, ak.peer_host
         );
     }
-    if let Some((&tsn, _)) = ak.sent.range(..ak.unacked_floor).find(|(_, c)| !c.acked) {
+    if let Some((tsn, _)) = ak.sent.range(..ak.unacked_floor).find(|(_, c)| !c.acked) {
         panic!(
             "[{now}] FLOOR DRIFT at {whence}: unacked tsn {tsn} below floor {} (assoc to peer{})",
             ak.unacked_floor, ak.peer_host
@@ -52,7 +133,7 @@ pub(super) fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
     // CMT cursors: no unacked chunk assigned to a path may sit below that
     // path's pseudo-cumack rescan floor.
     for (i, ps) in ak.paths.iter().enumerate() {
-        if let Some((&tsn, _)) = ak
+        if let Some((tsn, _)) = ak
             .sent
             .range(..ps.cumack_floor)
             .find(|(_, c)| !c.acked && c.path as usize == i)
@@ -72,14 +153,13 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
     let mut do_fast_rtx = false;
     let wake_writers;
     {
-        let (ak, pool) = assoc_pool_mut(w, a);
+        let ak = assoc_mut(w, a);
         ak.stats.sacks_in += 1;
         // PR-SCTP: the peer's cumulative ack is the FORWARD-TSN baseline
         // (Advanced.Peer.Ack.Point walks upward from here).
         ak.peer_cum = ak.peer_cum.max(cum);
         let n_paths = ak.paths.len();
-        let mut newly_acked = pool.take_u64_vec();
-        newly_acked.resize(n_paths, 0);
+        let mut newly_acked = [0u64; MAX_PATHS];
         let mut cum_advanced = false;
         // SFR: highest TSN newly acked per destination path by THIS SACK
         // (0 = none; TSNs start at 1). With CMT, a missing report may only
@@ -109,21 +189,16 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
                 *rtt_probe = None;
             }
         };
-        // Cumulative ack: split the acked prefix off in one O(log n)
-        // tree operation instead of walking (and re-balancing per key)
-        // everything at or below `cum`.
-        if sent.first_key_value().is_some_and(|(&t, _)| t <= cum) {
-            let rest = sent.split_off(&cum.saturating_add(1));
+        // Cumulative ack: the acked prefix leaves from the front of the ring.
+        while let Some((tsn, c)) = sent.pop_acked(cum) {
             cum_advanced = true;
-            for (tsn, c) in std::mem::replace(sent, rest) {
-                if !c.acked {
-                    on_ack(tsn, &c);
-                }
+            if !c.acked {
+                on_ack(tsn, &c);
             }
         }
         // Gap acks: walk each reported block in place.
         for &(g0, g1) in gaps {
-            for (&tsn, c) in sent.range_mut(g0..g1) {
+            for (tsn, c) in sent.range_mut(g0..g1) {
                 if !c.acked {
                     on_ack(tsn, c);
                     c.acked = true;
@@ -168,36 +243,33 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
         // Entries below the earliest-unacked cursor are all acked, so the
         // strike walk starts there, not at the window's base (and is empty
         // when abandonment moved the cursor past every reported block).
-        let floor = ak.unacked_floor;
-        if highest > floor {
-            for (&tsn, c) in ak.sent.range_mut(floor..highest) {
-                // A chunk may be *fast*-retransmitted only once (RFC 4960
-                // §7.2.4); after that, only T3 resends it. Without this,
-                // the per-packet gap SACKs re-mark it every few reports
-                // and the retransmission storm congests the path further.
-                if !c.acked && !c.marked_rtx && c.txcount == 1 {
-                    // SFR (split fast retransmit): only an ack above this
-                    // chunk on its OWN path is evidence of loss there —
-                    // acks of later TSNs striped onto other paths are just
-                    // reordering.
-                    if cfg.cmt && hna[c.path as usize] <= tsn {
-                        continue;
+        for (tsn, c) in ak.sent.range_mut(ak.unacked_floor..highest) {
+            // A chunk may be *fast*-retransmitted only once (RFC 4960
+            // §7.2.4); after that, only T3 resends it. Without this,
+            // the per-packet gap SACKs re-mark it every few reports
+            // and the retransmission storm congests the path further.
+            if !c.acked && !c.marked_rtx && c.txcount == 1 {
+                // SFR (split fast retransmit): only an ack above this
+                // chunk on its OWN path is evidence of loss there —
+                // acks of later TSNs striped onto other paths are just
+                // reordering.
+                if cfg.cmt && hna[c.path as usize] <= tsn {
+                    continue;
+                }
+                c.missing += 1;
+                if c.missing >= cfg.missing_thresh {
+                    c.marked_rtx = true;
+                    // Marked chunks leave the flight (RFC 4960 §6.2.1/7.2.4)
+                    // so the retransmission fits inside the new cwnd.
+                    ak.paths[c.path as usize].flight = ak.paths[c.path as usize]
+                        .flight
+                        .saturating_sub(c.data.len() as u64);
+                    ak.rtx_queue.insert(tsn);
+                    let m = &mut marks[scope_of(&cfg, c.path).unwrap_or(0) as usize];
+                    if m.0 == 0 {
+                        (m.1, m.2) = (tsn, c.path);
                     }
-                    c.missing += 1;
-                    if c.missing >= cfg.missing_thresh {
-                        c.marked_rtx = true;
-                        // Marked chunks leave the flight (RFC 4960 §6.2.1/7.2.4)
-                        // so the retransmission fits inside the new cwnd.
-                        ak.paths[c.path as usize].flight = ak.paths[c.path as usize]
-                            .flight
-                            .saturating_sub(c.data.len() as u64);
-                        ak.rtx_queue.insert(tsn);
-                        let m = &mut marks[scope_of(&cfg, c.path).unwrap_or(0) as usize];
-                        if m.0 == 0 {
-                            (m.1, m.2) = (tsn, c.path);
-                        }
-                        m.0 += 1;
-                    }
+                    m.0 += 1;
                 }
             }
         }
@@ -314,7 +386,6 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
 
         // Send space freed → wake endpoint writers.
         wake_writers = newly_acked.iter().any(|&x| x > 0);
-        pool.put_u64_vec(newly_acked);
         check_flight(ak, "process_sack", now);
     }
     if wake_writers {

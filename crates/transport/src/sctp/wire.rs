@@ -18,7 +18,8 @@ pub struct DataChunk {
     pub tsn: u64,
     /// Stream the fragment belongs to.
     pub stream: u16,
-    /// Stream sequence number (u32: the real u16 wraps, we don't).
+    /// Stream sequence number. The engine counts in 32 bits; the wire
+    /// carries the low 16 and the receiver widens them back (RFC 1982).
     pub ssn: u32,
     /// First fragment of its user message (B bit).
     pub begin: bool,

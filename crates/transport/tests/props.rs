@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use transport::buf::{concat, ByteQueue};
 use transport::crc32c::crc32c;
 use transport::ranges::RangeSet;
+use transport::sctp::{RcvWindow, SentRing};
 
 // ---------------------------------------------------------------------------
 // RangeSet vs a naive point-set model
@@ -100,6 +101,162 @@ proptest! {
         prop_assert!(!rs.contains(m));
         for v in from..m {
             prop_assert!(rs.contains(v));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SentRing vs a BTreeMap<tsn, _> model (the send window it replaced)
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum RingOp {
+    /// Push the next TSN; `true` = a PR-SCTP phantom (born acked).
+    Push(bool),
+    /// Cumulative ack at `base + d` — below, inside and past the window.
+    CumAck(i64),
+    /// Gap-ack `[base + lo, base + lo + len)` — likewise.
+    GapAck(i64, u64),
+    /// Walk `range(base + d..)` and `range(..base + d)`.
+    Walk(i64),
+}
+
+fn ring_ops() -> impl Strategy<Value = Vec<RingOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            any::<bool>().prop_map(RingOp::Push),
+            any::<bool>().prop_map(RingOp::Push),
+            (-3i64..12).prop_map(RingOp::CumAck),
+            (-4i64..30, 0u64..8).prop_map(|(lo, len)| RingOp::GapAck(lo, len)),
+            (-4i64..30).prop_map(RingOp::Walk),
+        ],
+        0..80,
+    )
+}
+
+proptest! {
+    /// Same TSNs, same order, same survivors as the ordered map under any
+    /// interleaving of sends, cumulative acks, gap acks and cursor walks.
+    #[test]
+    fn sent_ring_matches_btreemap_model(first in 1u64..1000, ops in ring_ops()) {
+        let mut ring: SentRing<(u64, bool)> = SentRing::new(first);
+        let mut model: std::collections::BTreeMap<u64, (u64, bool)> = Default::default();
+        let (mut next, mut base) = (first, first);
+        let at = |base: u64, d: i64| base.saturating_add_signed(d);
+        for op in ops {
+            match op {
+                RingOp::Push(phantom) => {
+                    ring.push(next, (next * 7, phantom));
+                    model.insert(next, (next * 7, phantom));
+                    next += 1;
+                }
+                RingOp::CumAck(d) => {
+                    let cum = at(base, d);
+                    let mut popped = Vec::new();
+                    while let Some(e) = ring.pop_acked(cum) {
+                        popped.push(e);
+                    }
+                    let rest = model.split_off(&(cum + 1));
+                    let acked: Vec<_> = std::mem::replace(&mut model, rest).into_iter().collect();
+                    prop_assert_eq!(popped, acked);
+                    base = base.max(cum + 1).min(next);
+                }
+                RingOp::GapAck(lo, len) => {
+                    let (g0, g1) = (at(base, lo), at(base, lo) + len);
+                    let hit: Vec<u64> = ring.range_mut(g0..g1).map(|(t, c)| { c.1 = true; t }).collect();
+                    let want: Vec<u64> = model.range_mut(g0..g1).map(|(&t, c)| { c.1 = true; t }).collect();
+                    prop_assert_eq!(hit, want);
+                }
+                RingOp::Walk(d) => {
+                    let floor = at(base, d);
+                    let got: Vec<_> = ring.range(floor..).map(|(t, c)| (t, *c)).collect();
+                    let want: Vec<_> = model.range(floor..).map(|(&t, c)| (t, *c)).collect();
+                    prop_assert_eq!(got, want);
+                    let got: Vec<_> = ring.range(..floor).map(|(t, c)| (t, *c)).collect();
+                    let want: Vec<_> = model.range(..floor).map(|(&t, c)| (t, *c)).collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(ring.get(floor), model.get(&floor));
+                }
+            }
+            let all: Vec<_> = ring.range(..).map(|(t, c)| (t, *c)).collect();
+            let want: Vec<_> = model.iter().map(|(&t, c)| (t, *c)).collect();
+            prop_assert_eq!(all, want);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "TSN-contiguous")]
+fn sent_ring_rejects_a_non_consecutive_push() {
+    let mut ring = SentRing::new(10);
+    ring.push(10, ());
+    ring.push(12, ());
+}
+
+// ---------------------------------------------------------------------------
+// RcvWindow vs RangeSet + a separate cumulative TSN (what it replaced)
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum RcvOp {
+    /// A TSN arrives at `cum + d` (duplicates and stale ones included).
+    Arrive(i64),
+    /// FORWARD-TSN to `cum + d` (backwards jumps are ignored).
+    Forward(i64),
+}
+
+fn rcv_ops() -> impl Strategy<Value = Vec<RcvOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (1i64..2).prop_map(RcvOp::Arrive),
+            (-2i64..24).prop_map(RcvOp::Arrive),
+            (-2i64..24).prop_map(RcvOp::Arrive),
+            (-3i64..16).prop_map(RcvOp::Forward),
+        ],
+        0..120,
+    )
+}
+
+proptest! {
+    /// Same cumulative point, same gap blocks, same duplicate verdicts on
+    /// any arrival order, across FORWARD-TSN jumps.
+    #[test]
+    fn rcv_window_matches_rangeset_model(first in 0u64..1000, ops in rcv_ops()) {
+        let mut win = RcvWindow::new(first);
+        let (mut cum, mut have) = (first, RangeSet::new());
+        let advance = |cum: &mut u64, have: &mut RangeSet| {
+            let first_missing = have.first_missing_from(*cum + 1);
+            if first_missing > *cum + 1 {
+                *cum = first_missing - 1;
+                have.remove_below(*cum + 1);
+            }
+        };
+        for op in ops {
+            match op {
+                RcvOp::Arrive(d) => {
+                    let tsn = cum.saturating_add_signed(d);
+                    let dup = tsn <= cum || have.contains(tsn);
+                    prop_assert_eq!(win.contains(tsn), dup, "duplicate verdict for {}", tsn);
+                    prop_assert_eq!(win.fills_gap(tsn), have.max_end().is_some_and(|e| tsn < e));
+                    if !dup {
+                        win.insert(tsn);
+                        have.insert_point(tsn);
+                        advance(&mut cum, &mut have);
+                    }
+                }
+                RcvOp::Forward(d) => {
+                    let new_cum = cum.saturating_add_signed(d);
+                    win.forward_to(new_cum);
+                    if new_cum > cum {
+                        cum = new_cum;
+                        have.remove_below(cum + 1);
+                        advance(&mut cum, &mut have);
+                    }
+                }
+            }
+            prop_assert_eq!(win.cum(), cum);
+            prop_assert_eq!(win.gaps().collect::<Vec<_>>(), have.iter().collect::<Vec<_>>());
+            prop_assert_eq!(win.num_gaps(), have.num_ranges());
         }
     }
 }
