@@ -1,14 +1,14 @@
 //! Microbenchmarks for the memory-plane work: the slab pools that make the
-//! packet path allocation-free, and the batched timer rearm that replaced
-//! the abandon-and-reschedule pattern.
+//! packet path allocation-free, and the protocol timer whose restart is a
+//! field write.
 //!
 //! * `pool_cycle` — build-and-retire a representative packet's worth of
 //!   temporaries (payload list, gap list, chunk bundle) through the pool
 //!   against allocating them fresh each round, at steady state where the
 //!   pool always hits its freelists.
-//! * `rearm` — a SACK-storm-shaped timer workload: one live RTO timer
-//!   rearmed thousands of times, batched (`reschedule_in`, ghost-counted
-//!   cancel) versus the open-coded cancel + schedule pair.
+//! * `deadline_restart` — a SACK-storm-shaped timer workload: one RTO
+//!   [`Deadline`] restarted 10 000 times while the clock advances, touching
+//!   the event queue once.
 //! * `end_to_end` — the Figure-10 farm cell the alloc gate meters, as a
 //!   whole-plane regression anchor.
 //!
@@ -18,7 +18,7 @@ use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use bench_harness::{farm_cfg, Scale};
-use simcore::{Dur, ProcEnv, Runtime};
+use simcore::{derive_rng, Ctx, Deadline, Dur, SimTime};
 use workloads::farm;
 
 fn pool_cycle(c: &mut Criterion) {
@@ -66,47 +66,35 @@ fn pool_cycle(c: &mut Criterion) {
     });
 }
 
-fn rearm(c: &mut Criterion) {
-    // One timer rearmed per "ack": the per-SACK RTO pattern. The measured
-    // difference is one combined call (ghost push, one seq draw) against
-    // the cancel + schedule pair.
-    const REARMS: u64 = 4_000;
+fn deadline_restart(c: &mut Criterion) {
+    // One timer restarted per "ack", 100 ns apart: the per-SACK RTO pattern.
+    const RESTARTS: u64 = 10_000;
 
-    fn run_storm(batched: bool) -> u64 {
-        #[derive(Default)]
-        struct W {
-            pending: Option<simcore::TimerId>,
-            fired: u64,
+    #[derive(Default)]
+    struct W {
+        rto: Deadline,
+        timeouts: u64,
+    }
+    fn on_rto(w: &mut W, ctx: &mut Ctx<W>) {
+        if w.rto.expired(ctx, on_rto) {
+            w.timeouts += 1;
+            w.rto.clear();
         }
-        let mut rt = Runtime::new(W::default(), 0xF17E);
-        rt.spawn("storm", move |env: ProcEnv<W>| async move {
-            env.with(|w, ctx| {
-                w.pending = Some(ctx.schedule_in(Dur::from_micros(500), |w: &mut W, _| {
-                    w.fired += 1;
-                }));
-                for i in 0..REARMS {
-                    ctx.schedule_in(Dur::from_nanos(100 * (i + 1)), move |w: &mut W, ctx| {
-                        let prev = w.pending.take();
-                        let f = |w: &mut W, _: &mut simcore::Ctx<W>| w.fired += 1;
-                        let id = if batched {
-                            ctx.reschedule_in(prev, Dur::from_micros(500), f)
-                        } else {
-                            if let Some(p) = prev {
-                                ctx.cancel_counted(p);
-                            }
-                            ctx.schedule_in(Dur::from_micros(500), f)
-                        };
-                        w.pending = Some(id);
-                    });
-                }
-            });
-            env.sleep(Dur::from_millis(10)).await;
-        });
-        rt.run().events
     }
 
-    c.bench_function("rearm/batched", |b| b.iter(|| black_box(run_storm(true))));
-    c.bench_function("rearm/cancel_then_schedule", |b| b.iter(|| black_box(run_storm(false))));
+    c.bench_function("deadline_restart", |b| {
+        b.iter(|| {
+            let mut ctx = Ctx::standalone(derive_rng(0xF17E, 0));
+            let mut w = W::default();
+            for i in 0..RESTARTS {
+                ctx.run_due(&mut w, SimTime::from_nanos(100 * i));
+                w.rto.set(&mut ctx, Dur::from_millis(200), on_rto);
+            }
+            let queued = ctx.counters(0);
+            assert_eq!(queued.wheel_hits + queued.heap_falls, 1, "only the first restart inserts");
+            black_box(ctx.next_seq())
+        })
+    });
 }
 
 fn end_to_end(c: &mut Criterion) {
@@ -120,5 +108,5 @@ fn end_to_end(c: &mut Criterion) {
     });
 }
 
-criterion_group!(alloc_path, pool_cycle, rearm, end_to_end);
+criterion_group!(alloc_path, pool_cycle, deadline_restart, end_to_end);
 criterion_main!(alloc_path);

@@ -468,3 +468,37 @@ impl Mpi {
         self.core.mk_done_send(me, tag, cxt)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{mpirun, MpiCfg};
+
+    /// A taken request gives its slot back: however many messages a rank
+    /// exchanges, its request table holds the most it ever had in flight
+    /// (here a posted receive plus one send), not one entry per message.
+    #[test]
+    fn request_table_is_bounded_by_requests_in_flight() {
+        const ITERS: u32 = 50_000;
+        for cfg in [MpiCfg::tcp(2, 0.0), MpiCfg::sctp(2, 0.0)] {
+            mpirun(cfg, |mpi| {
+                Box::pin(async move {
+                    let peer = 1 - mpi.rank();
+                    let ball = Bytes::from(vec![7u8; 1024]);
+                    for _ in 0..ITERS {
+                        let r = mpi.irecv(Some(peer), Some(0)).await;
+                        if mpi.rank() == 0 {
+                            mpi.send(peer, 0, ball.clone()).await;
+                            mpi.wait(r).await;
+                        } else {
+                            mpi.wait(r).await;
+                            mpi.send(peer, 0, ball.clone()).await;
+                        }
+                    }
+                    let slots = mpi.core.reqs.len();
+                    assert!(slots <= 2, "rank {}: {slots} request slots", mpi.rank());
+                })
+            });
+        }
+    }
+}

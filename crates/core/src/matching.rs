@@ -62,6 +62,8 @@ pub(crate) enum ReqState {
     /// Receive matched; body arriving.
     RecvArriving,
     Done,
+    /// Taken by the application; the slot is on the freelist.
+    Free,
 }
 
 #[derive(Debug)]
@@ -130,6 +132,9 @@ pub struct Core {
     /// Eager/rendezvous switchover (LAM default 64 KB).
     pub short_limit: u32,
     pub(crate) reqs: Vec<Request>,
+    /// Slots of `reqs` whose request was taken, reused by the next `alloc`:
+    /// the table stays as large as the most requests ever held at once.
+    free_reqs: Vec<usize>,
     /// Posted receives, bucketed by filter concreteness. Each queue holds
     /// `(post_seq, req idx)` in post order; an envelope checks at most four
     /// queue fronts and the minimum `post_seq` wins, which reproduces the
@@ -171,6 +176,7 @@ impl Core {
             size,
             short_limit,
             reqs: Vec::new(),
+            free_reqs: Vec::new(),
             posted_st: FxHashMap::default(),
             posted_s: FxHashMap::default(),
             posted_t: FxHashMap::default(),
@@ -191,8 +197,16 @@ impl Core {
     }
 
     fn alloc(&mut self, r: Request) -> usize {
-        self.reqs.push(r);
-        self.reqs.len() - 1
+        match self.free_reqs.pop() {
+            Some(idx) => {
+                self.reqs[idx] = r;
+                idx
+            }
+            None => {
+                self.reqs.push(r);
+                self.reqs.len() - 1
+            }
+        }
     }
 
     pub fn is_done(&self, r: ReqId) -> bool {
@@ -205,11 +219,15 @@ impl Core {
         self.reqs[r.0].state != ReqState::RecvPosted
     }
 
-    /// Take a completed request's payload + status. Panics if not done.
+    /// Take a completed request's payload + status and release its slot:
+    /// `r` is dead afterwards, and the next request may reuse its number.
+    /// Panics if not done (or already taken).
     pub fn take_done(&mut self, r: ReqId) -> (Status, Vec<Bytes>) {
         let req = &mut self.reqs[r.0];
         assert_eq!(req.state, ReqState::Done, "take_done on incomplete request");
         let status = req.status.unwrap_or(Status { src: req.peer.unwrap_or(0), tag: req.tag.unwrap_or(0), len: 0 });
+        req.state = ReqState::Free;
+        self.free_reqs.push(r.0);
         (status, std::mem::take(&mut req.data))
     }
 
@@ -510,7 +528,7 @@ impl Core {
 
     /// Any request still incomplete? (diagnostics)
     pub fn pending_requests(&self) -> usize {
-        self.reqs.iter().filter(|r| r.state != ReqState::Done).count()
+        self.reqs.iter().filter(|r| !matches!(r.state, ReqState::Done | ReqState::Free)).count()
     }
 
     // -----------------------------------------------------------------

@@ -6,6 +6,7 @@
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`], [`Dur`]);
 //! * [`sched`] — the event queue and scheduler context ([`Ctx`]), with
 //!   deterministic tie-breaking and cancellable timers;
+//! * [`deadline`] — a restartable protocol timer as one value ([`Deadline`]);
 //! * [`process`] — a virtual-process runtime ([`Runtime`], [`ProcEnv`]) that
 //!   runs simulated programs as straight-line `async` Rust: every process
 //!   is a `Future` polled by the runtime on the calling thread, so the
@@ -13,8 +14,9 @@
 //! * [`rng`] — seed-derived independent random streams.
 //!
 //! Everything above this crate (network, transports, MPI middleware,
-//! workloads) is built on these four pieces.
+//! workloads) is built on these five pieces.
 
+pub mod deadline;
 pub mod fxhash;
 pub mod process;
 pub mod rng;
@@ -22,6 +24,7 @@ pub mod sched;
 pub mod shard;
 pub mod time;
 
+pub use deadline::Deadline;
 pub use process::{
     reference_discipline, set_reference_discipline, ProcEnv, ProcId, RunOutcome, Runtime,
 };

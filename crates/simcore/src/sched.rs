@@ -239,11 +239,6 @@ struct Slot<W> {
     /// Whether the live key referencing this slot sits in the heap (false:
     /// wheel) — lets `cancel` charge the right tombstone counter.
     in_heap: bool,
-    /// The (time, seq) the live key was inserted under, so
-    /// [`Ctx::cancel_counted`] can reconstruct the ghost key without
-    /// touching the wheel. Valid while `occupied`.
-    at: SimTime,
-    seq: u64,
     ev: MaybeUninit<InlineEvent<W>>,
 }
 
@@ -268,14 +263,6 @@ pub struct Ctx<W> {
     heap: BinaryHeap<Reverse<Key>>,
     /// Stale keys currently in the heap; bounded by compaction.
     heap_dead: usize,
-    /// Ghost keys of batch-cancelled timers ([`Ctx::cancel_counted`] /
-    /// [`Ctx::reschedule_in`]). Under the abandon-and-check discipline each
-    /// of these would still be a queued no-op event that fires, counts in
-    /// `events_fired`, and gates the inline fast paths; the ghost heap
-    /// reproduces all three for the price of a 16-byte key, so figure
-    /// outputs and event counts stay bit-identical while the slab slot and
-    /// the closure dispatch are reclaimed immediately.
-    ghosts: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Conservative lower bound on every queued key: `low <= (at, seq)` for
     /// each live entry in the wheel or heap. Kept valid for free — inserts
     /// `min` it down, pops tighten it to the popped key (the queue minimum,
@@ -307,9 +294,6 @@ pub struct Ctx<W> {
     heap_falls: u64,
     bursts: u64,
     fused_pkts: u64,
-    /// Abandoned-timer fires elided by the ghost heap (each still counted
-    /// in `events_fired`).
-    ghost_fires: u64,
     /// Master RNG for the simulation. Components that need reproducible
     /// independent streams should use [`crate::rng::derive_rng`] instead and
     /// keep their own generator; this one is for ad-hoc draws (e.g. link loss).
@@ -336,7 +320,6 @@ impl<W> Ctx<W> {
             wheel2_len: 0,
             heap: BinaryHeap::new(),
             heap_dead: 0,
-            ghosts: BinaryHeap::new(),
             low: (SimTime::MAX, u64::MAX),
             wake_fifo: VecDeque::new(),
             wake_pending: FxHashSet::default(),
@@ -349,7 +332,6 @@ impl<W> Ctx<W> {
             heap_falls: 0,
             bursts: 0,
             fused_pkts: 0,
-            ghost_fires: 0,
             rng,
             events_fired: 0,
             tracer: None,
@@ -494,8 +476,6 @@ impl<W> Ctx<W> {
                 gen: 0,
                 occupied: true,
                 in_heap,
-                at: SimTime::ZERO,
-                seq: 0,
                 ev: MaybeUninit::new(ev),
             });
             (idx, 0)
@@ -530,11 +510,6 @@ impl<W> Ctx<W> {
             && (at.as_nanos() >> WHEEL2_SHIFT) - (self.now.as_nanos() >> WHEEL2_SHIFT)
                 < WHEEL_SLOTS as u64;
         let (idx, gen) = self.alloc_slot(ev, !(near || far));
-        {
-            let s = &mut self.slots[idx as usize];
-            s.at = at;
-            s.seq = seq;
-        }
         let key = Key { at, seq, idx, gen };
         if (at, seq) < self.low {
             self.low = (at, seq);
@@ -562,6 +537,17 @@ impl<W> Ctx<W> {
         TimerId::pack(idx, gen)
     }
 
+    /// Draw the next sequence number without queueing anything: the
+    /// tie-break position an event scheduled now would get, held for a later
+    /// [`Ctx::schedule_at_seq`]. [`crate::Deadline`] draws one per restart,
+    /// so the handler runs where an eagerly re-queued timer would have.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Schedule `f` to run at absolute time `at` (clamped to be >= now).
     pub fn schedule_at(
         &mut self,
@@ -569,8 +555,7 @@ impl<W> Ctx<W> {
         f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
     ) -> TimerId {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve_seq();
         self.insert(at, seq, InlineEvent::pack(f))
     }
 
@@ -604,9 +589,10 @@ impl<W> Ctx<W> {
     }
 
     /// Schedule `f` at `at` with an explicitly reserved sequence number
-    /// (from [`Ctx::schedule_train_at`]); used when a train falls back to a
-    /// real event mid-delivery, so the continuation keeps the fire-order
-    /// position its packet would have had under per-packet scheduling.
+    /// (from [`Ctx::schedule_train_at`] or [`Ctx::reserve_seq`]); used when a
+    /// train falls back to a real event mid-delivery, or a deadline queues
+    /// its wake late, so the event keeps the fire-order position it would
+    /// have had if scheduled when the seq was drawn.
     pub fn schedule_at_seq(
         &mut self,
         at: SimTime,
@@ -641,70 +627,10 @@ impl<W> Ctx<W> {
         self.maybe_compact_heap();
     }
 
-    /// Cancel a timer while preserving the event-count and fire-order
-    /// accounting an *abandoned* timer would have had.
-    ///
-    /// The transport engines historically rearmed timers by bumping a
-    /// generation counter and letting the stale timer fire as a checked
-    /// no-op: the dead event still occupied a slab slot, still gated the
-    /// inline fast paths, and still counted in `events_fired` when popped.
-    /// `cancel_counted` frees the closure and the slot *now* but pushes the
-    /// timer's (time, seq) key onto the ghost heap, where `Ctx::pop_next`
-    /// drains it with identical accounting — so a converted call site
-    /// changes no simulation output bit, only the work done per event.
-    ///
-    /// Returns `true` if the timer was live (a ghost was queued); a fired or
-    /// already-cancelled id is a generation mismatch and a no-op, exactly
-    /// like [`Ctx::cancel`].
-    pub fn cancel_counted(&mut self, id: TimerId) -> bool {
-        let (idx, gen) = id.unpack();
-        let Some(s) = self.slots.get_mut(idx as usize) else { return false };
-        if !s.occupied || s.gen != gen {
-            return false;
-        }
-        let ghost = (s.at, s.seq);
-        // Safety: occupied ⇒ initialized; moving it out and dropping runs
-        // the closure's destructor exactly once.
-        let ev = unsafe { s.ev.assume_init_read() };
-        drop(ev);
-        if s.in_heap {
-            self.heap_dead += 1;
-        }
-        self.free_slot(idx);
-        self.maybe_compact_heap();
-        self.ghosts.push(Reverse(ghost));
-        true
-    }
-
-    /// Batched cancel + rearm: retire `id` (ghost-counted, see
-    /// [`Ctx::cancel_counted`]) and schedule `f` after `delay` in one call.
-    /// Draws exactly one fresh sequence number — the same draw the
-    /// abandon-and-reschedule pattern made — so every tie against foreign
-    /// events resolves identically. This is the per-SACK RTO rearm path.
-    pub fn reschedule_in(
-        &mut self,
-        id: Option<TimerId>,
-        delay: Dur,
-        f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
-    ) -> TimerId {
-        if let Some(id) = id {
-            self.cancel_counted(id);
-        }
-        self.schedule_in(delay, f)
-    }
-
-    /// Abandoned-timer fires elided by the ghost heap so far (diagnostic;
-    /// each was still counted in [`Ctx::events_fired`]).
-    #[inline]
-    pub fn ghost_fires(&self) -> u64 {
-        self.ghost_fires
-    }
-
     /// Rebuild the heap without stale keys once they outnumber the live
-    /// ones; keeps long timer-churn runs (every SACK re-arms a timer) from
-    /// dragging an ever-growing heap through every push/pop. Wheel buckets
-    /// need no analogue: every bucket is swept within one horizon
-    /// revolution as the pop scan passes it.
+    /// ones; keeps cancel-heavy runs from dragging an ever-growing heap
+    /// through every push/pop. Wheel buckets need no analogue: every bucket
+    /// is swept within one horizon revolution as the pop scan passes it.
     fn maybe_compact_heap(&mut self) {
         if self.heap_dead <= 32 || self.heap_dead * 2 <= self.heap.len() {
             return;
@@ -1004,24 +930,6 @@ impl<W> Ctx<W> {
                 best = Some((k, None));
             }
         }
-        // Drain every ghost that orders before the live minimum, with the
-        // same accounting its no-op event would have had: clock advance,
-        // `low` tightened, one `events_fired` tick. A ghost past `bound`
-        // stays queued and answers `PastBound`, exactly as the no-op would.
-        while let Some(&Reverse(g)) = self.ghosts.peek() {
-            if best.as_ref().is_some_and(|(bk, _)| (bk.at, bk.seq) < g) {
-                break;
-            }
-            if g.0 > bound {
-                return Popped::PastBound;
-            }
-            self.ghosts.pop();
-            debug_assert!(g.0 >= self.now, "ghost predates the clock");
-            self.now = self.now.max(g.0);
-            self.low = g;
-            self.events_fired += 1;
-            self.ghost_fires += 1;
-        }
         let Some((key, loc)) = best else { return Popped::Empty };
         if key.at > bound {
             return Popped::PastBound;
@@ -1125,13 +1033,6 @@ impl<W> Ctx<W> {
             let hk = (k.at, k.seq);
             if best.is_none_or(|b| hk < b) {
                 best = Some(hk);
-            }
-        }
-        // Ghosts gate the fast paths exactly like the abandoned no-op
-        // events they replace: a pending ghost is a queued key.
-        if let Some(&Reverse(g)) = self.ghosts.peek() {
-            if best.is_none_or(|b| g < b) {
-                best = Some(g);
             }
         }
         best
@@ -1350,8 +1251,7 @@ mod tests {
     #[test]
     fn heap_tombstones_are_bounded_under_churn() {
         let mut c = ctx();
-        // Re-arm/cancel churn on far-horizon timers (heap residents), as
-        // the SCTP T3 and SACK timers do on every ack.
+        // Schedule/cancel churn on far-horizon timers (heap residents).
         for i in 0..10_000u64 {
             let id = c.schedule_in(Dur::from_secs(1 + i), |_: &mut Vec<u32>, _| {});
             c.cancel(id);

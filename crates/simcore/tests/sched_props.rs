@@ -215,61 +215,185 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Batched rearm vs the open-coded cancel + schedule it replaces
+// `Deadline` vs the eager cancel + reschedule it stands in for
 // ---------------------------------------------------------------------------
 
-proptest! {
-    /// `reschedule_in(Some(id), d, f)` is observably identical to the
-    /// two-call `cancel_counted(id); schedule_in(d, f)` pattern it batches:
-    /// same live-fire sequence, same `events` total (ghosts included), same
-    /// final simulated time — over arbitrary rearm storms, including rearms
-    /// that land after the target already fired (stale-id no-ops).
-    #[test]
-    fn batched_rearm_matches_cancel_then_schedule(
-        plan in prop::collection::vec((1u64..5_000, 1u64..5_000), 1..24)
-    ) {
-        #[derive(Default)]
-        struct W {
-            fired: Vec<u64>,
-            pending: Option<simcore::TimerId>,
-        }
-        fn target_fire(w: &mut W, ctx: &mut simcore::Ctx<W>) {
-            w.fired.push(ctx.now().as_nanos());
-            w.pending = None;
-        }
-        fn run(plan: &[(u64, u64)], batched: bool) -> (Vec<u64>, u64, u64) {
-            let plan = plan.to_vec();
-            let mut rt = Runtime::new(W::default(), 7);
-            rt.spawn("driver", move |env: ProcEnv<W>| async move {
-                env.with(|w, ctx| {
-                    w.pending = Some(ctx.schedule_in(Dur::from_nanos(500), target_fire));
-                    // Rearm events at cumulative offsets; each retires the
-                    // pending target (if still live) and arms a fresh one.
-                    let mut t = 0u64;
-                    for &(gap, delay) in &plan {
-                        t += gap;
-                        ctx.schedule_in(Dur::from_nanos(t), move |w: &mut W, ctx| {
-                            let prev = w.pending.take();
-                            let id = if batched {
-                                ctx.reschedule_in(prev, Dur::from_nanos(delay), target_fire)
-                            } else {
-                                if let Some(p) = prev {
-                                    ctx.cancel_counted(p);
-                                }
-                                ctx.schedule_in(Dur::from_nanos(delay), target_fire)
-                            };
-                            w.pending = Some(id);
-                        });
-                    }
-                });
-                // Outlive the last possible rearm target.
-                env.sleep(Dur::from_nanos(plan.iter().map(|&(g, _)| g).sum::<u64>() + 10_000)).await;
-            });
-            let out = rt.run();
-            (out.world.fired, out.events, out.sim_time.as_nanos())
-        }
-        let a = run(&plan, true);
-        let b = run(&plan, false);
-        prop_assert_eq!(a, b);
+mod deadline_model {
+    use super::*;
+    use simcore::{Ctx, Deadline, TimerId};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const TIMERS: usize = 3;
+    /// Every delay and gap is a small multiple of this, so restarts, wakes,
+    /// expiries and foreign events keep landing on the same instants.
+    const STEP: u64 = 100;
+
+    #[derive(Debug, Clone, Copy)]
+    pub enum Op {
+        /// Restart timer `.0` to expire `.1` steps from now.
+        Set(usize, u64),
+        Clear(usize),
+        /// A logging event of some other component, `.0` steps from now.
+        Foreign(u64),
     }
+
+    pub fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..TIMERS, 0u64..9).prop_map(|(i, d)| Op::Set(i, d)),
+            (0..TIMERS, 0u64..9).prop_map(|(i, d)| Op::Set(i, d)),
+            (0..TIMERS).prop_map(Op::Clear),
+            (0u64..9).prop_map(Op::Foreign),
+        ]
+    }
+
+    pub struct W {
+        lazy: bool,
+        timers: [Deadline; TIMERS],
+        eager: [Option<TimerId>; TIMERS],
+        /// What each expiry does next: restart itself by that many steps,
+        /// clear itself, or (list exhausted) return still set, as `on_rto`
+        /// does on a closed socket.
+        after: [VecDeque<Option<u64>>; TIMERS],
+        /// `(now, who, seqs drawn so far)` of every handler run and foreign
+        /// event: one log, so it pins the order between them too.
+        log: Vec<(u64, usize, u64)>,
+        /// Wake closures alive per timer — queued ones plus, transiently,
+        /// the one being handed to `set`/`expired`.
+        queued: Arc<[AtomicUsize; TIMERS]>,
+    }
+
+    struct Queued(usize, Arc<[AtomicUsize; TIMERS]>);
+
+    impl Drop for Queued {
+        fn drop(&mut self) {
+            self.1[self.0].fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    fn wake(w: &W, i: usize) -> impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static {
+        w.queued[i].fetch_add(1, Ordering::Relaxed);
+        let token = Queued(i, Arc::clone(&w.queued));
+        move |w: &mut W, ctx: &mut Ctx<W>| {
+            drop(token);
+            on_timer(w, ctx, i)
+        }
+    }
+
+    fn one_queued_at_most(w: &W, i: usize) {
+        assert!(w.queued[i].load(Ordering::Relaxed) <= 1, "timer {i} has two events queued");
+    }
+
+    fn set(w: &mut W, ctx: &mut Ctx<W>, i: usize, steps: u64) {
+        let d = Dur::from_nanos(steps * STEP);
+        if w.lazy {
+            let wake = wake(w, i);
+            w.timers[i].set(ctx, d, wake);
+            one_queued_at_most(w, i);
+        } else {
+            if let Some(id) = w.eager[i].take() {
+                ctx.cancel(id);
+            }
+            let seq = ctx.reserve_seq();
+            let at = ctx.now() + d;
+            w.eager[i] = Some(ctx.schedule_at_seq(at, seq, move |w: &mut W, ctx| on_timer(w, ctx, i)));
+        }
+    }
+
+    fn clear(w: &mut W, ctx: &mut Ctx<W>, i: usize) {
+        if w.lazy {
+            w.timers[i].clear();
+        } else if let Some(id) = w.eager[i].take() {
+            ctx.cancel(id);
+        }
+    }
+
+    fn on_timer(w: &mut W, ctx: &mut Ctx<W>, i: usize) {
+        if w.lazy {
+            let wake = wake(w, i);
+            let expired = w.timers[i].expired(ctx, wake);
+            one_queued_at_most(w, i);
+            if !expired {
+                return;
+            }
+        }
+        w.log.push((ctx.now().as_nanos(), i, ctx.next_seq()));
+        match w.after[i].pop_front() {
+            Some(Some(steps)) => set(w, ctx, i, steps),
+            Some(None) => clear(w, ctx, i),
+            None => {}
+        }
+    }
+
+    /// Run `script` (gap before each op in steps, then the op) and return
+    /// the log and the final clock.
+    pub fn run(script: &[(u64, Op)], after: &[Option<u64>], lazy: bool) -> (Vec<(u64, usize, u64)>, u64) {
+        let mut w = W {
+            lazy,
+            timers: Default::default(),
+            eager: [None; TIMERS],
+            after: Default::default(),
+            log: Vec::new(),
+            queued: Arc::new(Default::default()),
+        };
+        for (k, &a) in after.iter().enumerate() {
+            w.after[k % TIMERS].push_back(a);
+        }
+        let mut rt = Runtime::new(w, 7);
+        let script = script.to_vec();
+        rt.spawn("driver", move |env: ProcEnv<W>| async move {
+            let mut t = 0;
+            env.with(|_, ctx| {
+                for (k, &(gap, op)) in script.iter().enumerate() {
+                    t += gap * STEP;
+                    ctx.schedule_in(Dur::from_nanos(t), move |w: &mut W, ctx| match op {
+                        Op::Set(i, steps) => set(w, ctx, i, steps),
+                        Op::Clear(i) => clear(w, ctx, i),
+                        Op::Foreign(steps) => {
+                            ctx.schedule_in(Dur::from_nanos(steps * STEP), move |w: &mut W, ctx| {
+                                w.log.push((ctx.now().as_nanos(), TIMERS + k, ctx.next_seq()));
+                            });
+                        }
+                    });
+                }
+            });
+            // Outlive every wake, including those of cleared timers.
+            env.sleep(Dur::from_nanos(t + 100 * STEP)).await;
+        });
+        let out = rt.run();
+        (out.world.log, out.sim_time.as_nanos())
+    }
+}
+
+proptest! {
+    /// A lazily re-queued [`simcore::Deadline`] is indistinguishable from
+    /// cancelling and rescheduling on every restart: every handler and every
+    /// foreign event runs at the same time, in the same order, with the same
+    /// number of seqs drawn before it, and the run ends on the same clock —
+    /// while the deadline never has more than one event in the queue.
+    #[test]
+    fn deadline_matches_eager_cancel_then_schedule(
+        script in prop::collection::vec((0u64..4, deadline_model::op()), 1..40),
+        after in prop::collection::vec(prop_oneof![(0u64..9).prop_map(Some), Just(None)], 0..12),
+    ) {
+        let lazy = deadline_model::run(&script, &after, true);
+        let eager = deadline_model::run(&script, &after, false);
+        prop_assert_eq!(lazy, eager);
+    }
+}
+
+/// The one restart that costs a cancel and an insert: to an instant earlier
+/// than the queued wake (the rescue probe armed after a full RTO). The
+/// handler must run at the earlier instant, once, and not again at the old.
+#[test]
+fn deadline_restart_to_an_earlier_instant() {
+    use deadline_model::{run, Op};
+    let script = [(0, Op::Set(0, 8)), (1, Op::Set(0, 2)), (0, Op::Foreign(2))];
+    let lazy = run(&script, &[], true);
+    assert_eq!(lazy, run(&script, &[], false));
+    // Script ops drew seqs 0..3 and the sleep 3; the restarts drew 4 and 5,
+    // the foreign event 6. The expiry at 300 ns precedes the foreign event
+    // scheduled after it for the same instant.
+    assert_eq!(lazy.0, vec![(300, 0, 7), (300, 5, 7)]);
 }

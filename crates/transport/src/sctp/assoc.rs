@@ -6,7 +6,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use netsim::IfAddr;
 use simcore::fxhash::FxHashMap;
-use simcore::{Dur, ProcId, SimTime};
+use simcore::{Deadline, Dur, ProcId, SimTime};
 
 use crate::rto::{RtoCfg, RtoEstimator};
 
@@ -297,8 +297,8 @@ pub struct PathState {
     pub active: bool,
     /// Nonce of the outstanding heartbeat, if any.
     pub hb_nonce: Option<u64>,
-    /// Heartbeat generation counter (stale ACK rejection).
-    pub hb_gen: u64,
+    /// Heartbeat timer of this path.
+    pub hb_timer: Deadline,
     /// Last instant this path carried data (heartbeat scheduling).
     pub last_used: SimTime,
     /// CMT (Iyengar's CUC): earliest TSN still outstanding on this path —
@@ -330,13 +330,9 @@ pub(crate) type Scope = Option<u8>;
 /// [`PathState`] one for its own stripe; the mechanism is the same.
 #[derive(Debug, Default)]
 pub(crate) struct Recovery {
-    /// T3-rtx generation (stale-fire rejection).
-    pub t3_gen: u64,
-    pub t3_armed: bool,
-    /// Live T3-rtx timer, if one is scheduled. Rearms go through
-    /// `Ctx::reschedule_in` so the superseded timer is ghost-cancelled (one
-    /// wheel tombstone) instead of firing later as a checked no-op.
-    pub t3_timer: Option<simcore::TimerId>,
+    /// T3-rtx timer; every SACK that advances the scope's ack point restarts
+    /// it.
+    pub t3_timer: Deadline,
     /// The armed timer is a *rescue probe* (~2·SRTT), not the full RTO —
     /// per-destination scopes only. The probe re-queues the path's aged
     /// chunks without cwnd collapse or backoff — ping-pong tail losses
@@ -362,7 +358,7 @@ impl PathState {
             error_count: 0,
             active: true,
             hb_nonce: None,
-            hb_gen: 0,
+            hb_timer: Deadline::default(),
             last_used: SimTime::ZERO,
             pseudo_cumack: u64::MAX,
             cumack_floor: 0,
@@ -533,20 +529,20 @@ pub(crate) struct Assoc {
     pub sack_pending_pkts: u32,
     pub sack_immediate: bool,
     pub dup_since_sack: u32,
-    pub sack_gen: u64,
-    pub sack_armed: bool,
-    /// Live delayed-SACK timer, ghost-cancelled when a SACK preempts it.
-    pub sack_timer: Option<simcore::TimerId>,
+    /// Delayed-SACK timer, cleared by any SACK that goes out.
+    pub sack_timer: Deadline,
     pub last_advertised_rwnd: u64,
 
     // ---- handshake / lifecycle ----
     pub init_retries: u32,
-    pub init_gen: u64,
+    /// T1-init / T1-cookie retransmission timer.
+    pub init_timer: Deadline,
     /// When the (unretransmitted) INIT / COOKIE-ECHO went out.
     pub hs_sent_at: Option<SimTime>,
     pub cookie: Option<super::wire::Cookie>,
-    pub shutdown_gen: u64,
-    pub autoclose_gen: u64,
+    /// T2-shutdown retransmission timer.
+    pub shutdown_timer: Deadline,
+    pub autoclose_timer: Deadline,
     pub last_traffic: SimTime,
 
     pub stats: AssocStats,
@@ -610,16 +606,14 @@ impl Assoc {
             sack_pending_pkts: 0,
             sack_immediate: false,
             dup_since_sack: 0,
-            sack_gen: 0,
-            sack_armed: false,
-            sack_timer: None,
+            sack_timer: Deadline::default(),
             last_advertised_rwnd: cfg.rcvbuf,
             init_retries: 0,
-            init_gen: 0,
+            init_timer: Deadline::default(),
             hs_sent_at: None,
             cookie: None,
-            shutdown_gen: 0,
-            autoclose_gen: 0,
+            shutdown_timer: Deadline::default(),
+            autoclose_timer: Deadline::default(),
             last_traffic: SimTime::ZERO,
             stats: AssocStats::default(),
         }

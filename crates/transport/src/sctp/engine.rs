@@ -515,7 +515,7 @@ pub fn dump_all(w: &World) {
                     ak.peer_rwnd,
                     ak.rcvbuf_used,
                     ep.deliver_q.len(),
-                    ak.rec.t3_armed,
+                    ak.rec.t3_timer.is_set(),
                     ak.rcv.cum(),
                     ak.rcv.gaps().take(4).collect::<Vec<_>>(),
                 );
@@ -569,7 +569,6 @@ pub(super) fn send_packet(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, vta
 /// Build a SACK chunk from receiver state. The gap-block list comes from
 /// the world's pool (the receiver of the SACK retires it).
 fn make_sack(
-    ctx: &mut Wx,
     ak: &mut Assoc,
     pool: &mut crate::pool::Pools,
     rcvbuf: u64,
@@ -581,11 +580,7 @@ fn make_sack(
     ak.sack_immediate = false;
     let dups = ak.dup_since_sack;
     ak.dup_since_sack = 0;
-    ak.sack_gen += 1; // cancels pending sack timer
-    ak.sack_armed = false;
-    if let Some(id) = ak.sack_timer.take() {
-        ctx.cancel_counted(id);
-    }
+    ak.sack_timer.clear();
     ak.last_advertised_rwnd = ak.a_rwnd(rcvbuf);
     ak.stats.sacks_out += 1;
     Chunk::Sack { cum_tsn: ak.rcv.cum(), a_rwnd: ak.last_advertised_rwnd, gaps, dup_count: dups }
@@ -596,7 +591,7 @@ pub(super) fn send_sack_now(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let (sack, path, vtag) = {
         let (ak, pool) = assoc_pool_mut(w, a);
         let path = ak.last_data_path();
-        (make_sack(ctx, ak, pool, cfg.rcvbuf, cfg.max_gap_blocks), path, ak.peer_tag)
+        (make_sack(ak, pool, cfg.rcvbuf, cfg.max_gap_blocks), path, ak.peer_tag)
     };
     let mut chunks = w.pool.take_chunk_vec();
     chunks.push(sack);
@@ -743,7 +738,7 @@ fn try_send_inner(
                 packet = pool.take_chunk_vec();
                 if want_sack {
                     budget -= make_sack_placeholder_len(ak);
-                    let sack = make_sack(ctx, ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
+                    let sack = make_sack(ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
                     packet.push(sack);
                 }
                 reemit_marked(ak, &cfg, ctx.now(), path, &mut budget, &mut packet);
@@ -772,7 +767,7 @@ fn try_send_inner(
                 packet = pool.take_chunk_vec();
                 if want_sack {
                     budget -= make_sack_placeholder_len(ak);
-                    let sack = make_sack(ctx, ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
+                    let sack = make_sack(ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
                     packet.push(sack);
                 }
                 let now = ctx.now();
@@ -1125,7 +1120,7 @@ fn maybe_send_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId) {
     send_packet(w, ctx, a, path, vtag, vec![chunk]);
     let scope = scope_of(&cfg, path);
     let ak = assoc_ref(w, a);
-    if ak.outstanding_bytes == 0 && !ak.rec(scope).t3_armed {
+    if ak.outstanding_bytes == 0 && !ak.rec(scope).t3_timer.is_set() {
         arm_t3(w, ctx, a, scope, false);
     }
 }
@@ -1182,7 +1177,7 @@ const RESCUE_PTO_FLOOR: simcore::Dur = simcore::Dur::from_micros(200);
 /// Data just left on `path`: make sure the T3 guarding it is running.
 pub(super) fn ensure_t3(w: &mut World, ctx: &mut Wx, a: AssocId, cfg: &SctpCfg, path: u8) {
     let scope = scope_of(cfg, path);
-    if !assoc_ref(w, a).rec(scope).t3_armed {
+    if !assoc_ref(w, a).rec(scope).t3_timer.is_set() {
         arm_t3(w, ctx, a, scope, true);
     }
 }
@@ -1202,10 +1197,8 @@ pub(super) fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fres
     let ak = assoc_mut(w, a);
     let path = scope.unwrap_or_else(|| earliest_outstanding_path(ak));
     let rec = ak.rec_mut(scope);
-    rec.t3_gen += 1;
-    rec.t3_armed = true;
     rec.t3_rescue |= fresh && scope.is_some();
-    let (gen, old, rescue) = (rec.t3_gen, rec.t3_timer.take(), rec.t3_rescue);
+    let rescue = rec.t3_rescue;
     let rto = &ak.paths[path as usize].rto;
     let mut d = rto.current();
     if rescue {
@@ -1235,9 +1228,8 @@ pub(super) fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fres
             rttvar_ns: rto.rttvar().as_nanos() as i64,
         }));
     }
-    let id =
-        ctx.reschedule_in(old, d, move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, scope, gen));
-    assoc_mut(w, a).rec_mut(scope).t3_timer = Some(id);
+    let wake = move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, scope);
+    ak.rec_mut(scope).t3_timer.set(ctx, d, wake);
 }
 
 /// T3-rtx expiry for `scope`. The association-wide timer penalises the
@@ -1245,12 +1237,13 @@ pub(super) fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fres
 /// destination's timer penalises and re-marks only its own stripe: the
 /// other destinations' flights are healthy — yanking them would collapse
 /// the whole aggregate on every single-path incident.
-fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, gen: u64) {
+fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope) {
     let cfg = cfg_of(w, a.host);
     let pmtu = cfg.pmtu as u64;
     let now = ctx.now();
     let ak = assoc_mut(w, a);
-    if ak.rec(scope).t3_gen != gen || !ak.rec(scope).t3_armed {
+    let wake = move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, scope);
+    if !ak.rec_mut(scope).t3_timer.expired(ctx, wake) {
         return;
     }
     if let Some(p) = scope {
@@ -1260,7 +1253,7 @@ fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, gen: u64) {
     }
     if scope_drained(ak, scope) {
         let rec = ak.rec_mut(scope);
-        rec.t3_armed = false;
+        rec.t3_timer.clear();
         rec.t3_rescue = false;
         // PR-SCTP: nothing outstanding but an unconfirmed FORWARD-TSN — its
         // loss leaves no data in flight to clock a resend, so the timer is
@@ -1394,42 +1387,41 @@ fn failover_primary(ak: &mut Assoc, now: simcore::SimTime) {
 pub(super) fn arm_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let ak = assoc_mut(w, a);
-    if ak.sack_armed {
+    if !ak.sack_timer.is_set() {
+        let wake = move |w: &mut World, ctx: &mut Wx| on_sack_timer(w, ctx, a);
+        ak.sack_timer.set(ctx, cfg.sack_delay, wake);
+    }
+}
+
+fn on_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+    let ak = assoc_mut(w, a);
+    if !ak.sack_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_sack_timer(w, ctx, a)) {
         return;
     }
-    ak.sack_gen += 1;
-    ak.sack_armed = true;
-    let gen = ak.sack_gen;
-    let old = ak.sack_timer.take();
-    let id = ctx.reschedule_in(old, cfg.sack_delay, move |w: &mut World, ctx: &mut Wx| {
-        let ak = assoc_mut(w, a);
-        if ak.sack_gen != gen || !ak.sack_armed {
-            return;
-        }
-        ak.sack_armed = false;
-        if ak.sack_pending_pkts > 0 {
-            send_sack_now(w, ctx, a);
-        }
-    });
-    assoc_mut(w, a).sack_timer = Some(id);
+    ak.sack_timer.clear();
+    if ak.sack_pending_pkts > 0 {
+        send_sack_now(w, ctx, a);
+    }
 }
 
 fn arm_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
     let cfg = cfg_of(w, a.host);
     let Some(interval) = cfg.heartbeat_interval else { return };
-    let ak = assoc_mut(w, a);
-    let ps = &mut ak.paths[path as usize];
-    ps.hb_gen += 1;
-    let gen = ps.hb_gen;
-    ctx.schedule_in(interval, move |w: &mut World, ctx: &mut Wx| on_heartbeat(w, ctx, a, path, gen));
+    let wake = move |w: &mut World, ctx: &mut Wx| on_heartbeat(w, ctx, a, path);
+    assoc_mut(w, a).paths[path as usize].hb_timer.set(ctx, interval, wake);
 }
 
-fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, gen: u64) {
+fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
     let cfg = cfg_of(w, a.host);
+    // Drawn before the wake is known to be the expiry: an association that
+    // left Established still consumes one nonce per heartbeat wake.
     let nonce: u64 = draw_nonce(ctx, &cfg);
     let vtag = {
         let ak = assoc_mut(w, a);
-        if ak.paths[path as usize].hb_gen != gen || ak.state != AssocState::Established {
+        let wake = move |w: &mut World, ctx: &mut Wx| on_heartbeat(w, ctx, a, path);
+        if !ak.paths[path as usize].hb_timer.expired(ctx, wake)
+            || ak.state != AssocState::Established
+        {
             return;
         }
         let ps = &mut ak.paths[path as usize];
@@ -1448,26 +1440,27 @@ fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8, gen: u64) {
 fn arm_autoclose(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let Some(d) = cfg.autoclose else { return };
-    let ak = assoc_mut(w, a);
-    ak.autoclose_gen += 1;
-    let gen = ak.autoclose_gen;
-    ctx.schedule_in(d, move |w: &mut World, ctx: &mut Wx| {
-        let cfg = cfg_of(w, a.host);
-        let d = cfg.autoclose.unwrap();
-        let expired = {
-            let ak = assoc_mut(w, a);
-            if ak.autoclose_gen != gen || ak.state != AssocState::Established {
-                return;
-            }
-            let idle = ctx.now().since(ak.last_traffic);
-            idle >= d && ak.outstanding_bytes == 0 && ak.q_is_empty()
-        };
-        if expired {
-            shutdown(w, ctx, a);
-        } else {
-            arm_autoclose(w, ctx, a);
+    let wake = move |w: &mut World, ctx: &mut Wx| on_autoclose(w, ctx, a);
+    assoc_mut(w, a).autoclose_timer.set(ctx, d, wake);
+}
+
+fn on_autoclose(w: &mut World, ctx: &mut Wx, a: AssocId) {
+    let cfg = cfg_of(w, a.host);
+    let d = cfg.autoclose.unwrap();
+    let idle_out = {
+        let ak = assoc_mut(w, a);
+        let wake = move |w: &mut World, ctx: &mut Wx| on_autoclose(w, ctx, a);
+        if !ak.autoclose_timer.expired(ctx, wake) || ak.state != AssocState::Established {
+            return;
         }
-    });
+        let idle = ctx.now().since(ak.last_traffic);
+        idle >= d && ak.outstanding_bytes == 0 && ak.q_is_empty()
+    };
+    if idle_out {
+        shutdown(w, ctx, a);
+    } else {
+        arm_autoclose(w, ctx, a);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1511,35 +1504,34 @@ fn send_cookie_echo(w: &mut World, ctx: &mut Wx, a: AssocId) {
 
 fn arm_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let ak = assoc_mut(w, a);
-    ak.init_gen += 1;
-    let gen = ak.init_gen;
     let d = ak.paths[ak.primary as usize].rto.current();
-    ctx.schedule_in(d, move |w: &mut World, ctx: &mut Wx| {
-        let cfg = cfg_of(w, a.host);
-        let state = {
-            let ak = assoc_mut(w, a);
-            if ak.init_gen != gen {
-                return;
-            }
-            if !matches!(ak.state, AssocState::CookieWait | AssocState::CookieEchoed) {
-                return;
-            }
-            ak.init_retries += 1;
-            if ak.init_retries > cfg.max_init_retrans {
-                AssocState::Aborted
-            } else {
-                let p = ak.primary;
-                ak.paths[p as usize].rto.backoff();
-                ak.state
-            }
-        };
-        match state {
-            AssocState::Aborted => fail_assoc(w, ctx, a),
-            AssocState::CookieWait => send_init(w, ctx, a),
-            AssocState::CookieEchoed => send_cookie_echo(w, ctx, a),
-            _ => {}
+    ak.init_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_init_timer(w, ctx, a));
+}
+
+fn on_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+    let cfg = cfg_of(w, a.host);
+    let state = {
+        let ak = assoc_mut(w, a);
+        let wake = move |w: &mut World, ctx: &mut Wx| on_init_timer(w, ctx, a);
+        let handshaking = matches!(ak.state, AssocState::CookieWait | AssocState::CookieEchoed);
+        if !ak.init_timer.expired(ctx, wake) || !handshaking {
+            return;
         }
-    });
+        ak.init_retries += 1;
+        if ak.init_retries > cfg.max_init_retrans {
+            AssocState::Aborted
+        } else {
+            let p = ak.primary;
+            ak.paths[p as usize].rto.backoff();
+            ak.state
+        }
+    };
+    match state {
+        AssocState::Aborted => fail_assoc(w, ctx, a),
+        AssocState::CookieWait => send_init(w, ctx, a),
+        AssocState::CookieEchoed => send_cookie_echo(w, ctx, a),
+        _ => {}
+    }
 }
 
 /// A passive listener received an INIT: reply statelessly with a signed
@@ -1696,7 +1688,7 @@ fn handle_cookie_ack(w: &mut World, ctx: &mut Wx, a: AssocId) {
             return;
         }
         ak.state = AssocState::Established;
-        ak.init_gen += 1; // cancel init timer
+        ak.init_timer.clear();
         ak.init_retries = 0;
         // COOKIE-ECHO → COOKIE-ACK round trip as an RTT sample.
         if let Some(t0) = ak.hs_sent_at.take() {
@@ -1828,7 +1820,7 @@ pub fn input(w: &mut World, ctx: &mut Wx, src: IfAddr, dst: IfAddr, pkt: SctpPac
                 let ak = assoc_mut(w, a);
                 if ak.state == AssocState::ShutdownAckSent {
                     ak.state = AssocState::Closed;
-                    ak.shutdown_gen += 1; // cancel resend timer
+                    ak.shutdown_timer.clear();
                     wake_endpoint(w, ctx, a.endpoint());
                 }
             }
@@ -1909,7 +1901,7 @@ fn handle_shutdown_ack(w: &mut World, ctx: &mut Wx, a: AssocId) {
         let ok = matches!(ak.state, AssocState::ShutdownSent | AssocState::ShutdownAckSent);
         if ok {
             ak.state = AssocState::Closed;
-            ak.shutdown_gen += 1;
+            ak.shutdown_timer.clear();
         }
         (ak.peer_tag, ak.primary, ok)
     };
@@ -1921,40 +1913,41 @@ fn handle_shutdown_ack(w: &mut World, ctx: &mut Wx, a: AssocId) {
 
 fn arm_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let ak = assoc_mut(w, a);
-    ak.shutdown_gen += 1;
-    let gen = ak.shutdown_gen;
     let d = ak.paths[ak.primary as usize].rto.current();
-    ctx.schedule_in(d, move |w: &mut World, ctx: &mut Wx| {
-        let cfg = cfg_of(w, a.host);
-        let (resend, vtag, path, cum, state) = {
-            let ak = assoc_mut(w, a);
-            if ak.shutdown_gen != gen {
-                return;
-            }
-            ak.init_retries += 1;
-            if ak.init_retries > cfg.assoc_max_retrans {
-                (false, 0, 0, 0, ak.state)
-            } else {
-                let p = ak.primary;
-                ak.paths[p as usize].rto.backoff();
-                (true, ak.peer_tag, p, ak.rcv.cum(), ak.state)
-            }
-        };
-        if !resend {
-            // Give up: close unilaterally.
-            assoc_mut(w, a).state = AssocState::Closed;
+    ak.shutdown_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_shutdown_timer(w, ctx, a));
+}
+
+fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+    let cfg = cfg_of(w, a.host);
+    let (resend, vtag, path, cum, state) = {
+        let ak = assoc_mut(w, a);
+        let wake = move |w: &mut World, ctx: &mut Wx| on_shutdown_timer(w, ctx, a);
+        if !ak.shutdown_timer.expired(ctx, wake) {
             return;
         }
-        match state {
-            AssocState::ShutdownSent => {
-                send_packet(w, ctx, a, path, vtag, vec![Chunk::Shutdown { cum_tsn: cum }]);
-                arm_shutdown_timer(w, ctx, a);
-            }
-            AssocState::ShutdownAckSent => {
-                send_packet(w, ctx, a, path, vtag, vec![Chunk::ShutdownAck]);
-                arm_shutdown_timer(w, ctx, a);
-            }
-            _ => {}
+        ak.init_retries += 1;
+        if ak.init_retries > cfg.assoc_max_retrans {
+            (false, 0, 0, 0, ak.state)
+        } else {
+            let p = ak.primary;
+            ak.paths[p as usize].rto.backoff();
+            (true, ak.peer_tag, p, ak.rcv.cum(), ak.state)
         }
-    });
+    };
+    if !resend {
+        // Give up: close unilaterally.
+        assoc_mut(w, a).state = AssocState::Closed;
+        return;
+    }
+    match state {
+        AssocState::ShutdownSent => {
+            send_packet(w, ctx, a, path, vtag, vec![Chunk::Shutdown { cum_tsn: cum }]);
+            arm_shutdown_timer(w, ctx, a);
+        }
+        AssocState::ShutdownAckSent => {
+            send_packet(w, ctx, a, path, vtag, vec![Chunk::ShutdownAck]);
+            arm_shutdown_timer(w, ctx, a);
+        }
+        _ => {}
+    }
 }

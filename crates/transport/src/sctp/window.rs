@@ -371,16 +371,8 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
             if scope.is_some_and(|p| newly_acked[p as usize] == 0) {
                 continue;
             }
-            let drained = scope_drained(ak, scope);
-            let rec = ak.rec_mut(scope);
-            if drained {
-                rec.t3_gen += 1;
-                rec.t3_armed = false;
-                if let Some(id) = rec.t3_timer.take() {
-                    ctx.cancel_counted(id);
-                }
-            } else if advanced[scope.unwrap_or(0) as usize] {
-                rec.t3_armed = false; // re-armed fresh below
+            if scope_drained(ak, scope) || advanced[scope.unwrap_or(0) as usize] {
+                ak.rec_mut(scope).t3_timer.clear(); // restarted fresh below unless drained
             }
         }
 
@@ -399,7 +391,7 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
     try_send(w, ctx, a);
     for scope in scopes(&cfg, assoc_ref(w, a).paths.len()) {
         let ak = assoc_ref(w, a);
-        if !scope_drained(ak, scope) && !ak.rec(scope).t3_armed {
+        if !scope_drained(ak, scope) && !ak.rec(scope).t3_timer.is_set() {
             arm_t3(w, ctx, a, scope, true);
         }
     }

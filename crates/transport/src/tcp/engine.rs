@@ -99,11 +99,7 @@ fn build_segment(
     sk.last_adv_wnd = wnd;
     sk.adv_edge = sk.adv_edge.max(sk.rcv_nxt + wnd);
     sk.delack_pending = 0;
-    sk.delack_gen += 1; // implicitly cancels any pending delack timer
-    sk.delack_armed = false;
-    if let Some(id) = sk.delack_timer.take() {
-        ctx.cancel_counted(id);
-    }
+    sk.delack_timer.clear();
     sk.stats.segs_out += 1;
     sk.stats.bytes_out += payload_len as u64;
     sk.last_send = ctx.now();
@@ -175,11 +171,7 @@ pub(crate) fn send_ack_now(w: &mut World, ctx: &mut Wx, s: SockId) {
 
 fn arm_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
     let sk = sock_mut(w, s);
-    sk.rto_gen += 1;
-    sk.rto_armed = true;
-    let gen = sk.rto_gen;
     let d = sk.rto.current();
-    let old = sk.rto_timer.take();
     if ctx.tracing() {
         ctx.trace_emit(trace::Event::RtoArm(trace::RtoArmEv {
             proto: trace::Proto8::Tcp,
@@ -191,24 +183,15 @@ fn arm_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
             rttvar_ns: sk.rto.rttvar().as_nanos() as i64,
         }));
     }
-    let id = ctx.reschedule_in(old, d, move |w: &mut World, ctx: &mut Wx| on_rto(w, ctx, s, gen));
-    sock_mut(w, s).rto_timer = Some(id);
+    sk.rto_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_rto(w, ctx, s));
 }
 
-fn disarm_rto(ctx: &mut Wx, sk: &mut TcpSock) {
-    sk.rto_gen += 1;
-    sk.rto_armed = false;
-    if let Some(id) = sk.rto_timer.take() {
-        ctx.cancel_counted(id);
-    }
-}
-
-fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId, gen: u64) {
+fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
     let cfg = cfg_of(w, s);
     let mss = cfg.mss as u64;
     {
         let sk = sock_mut(w, s);
-        if sk.rto_gen != gen || !sk.rto_armed {
+        if !sk.rto_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_rto(w, ctx, s)) {
             return;
         }
         match sk.state {
@@ -234,7 +217,7 @@ fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId, gen: u64) {
         }
         let fin_unacked = sk.fin_sent && sk.snd_una <= sk.snd.end_seq();
         if sk.flight() == 0 && !fin_unacked {
-            sk.rto_armed = false;
+            sk.rto_timer.clear();
             return;
         }
         // Timeout: collapse to one segment, clear the scoreboard, back off.
@@ -277,52 +260,42 @@ fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId, gen: u64) {
 fn arm_delack(w: &mut World, ctx: &mut Wx, s: SockId) {
     let cfg = cfg_of(w, s);
     let sk = sock_mut(w, s);
-    if sk.delack_armed {
+    if !sk.delack_timer.is_set() {
+        sk.delack_timer.set(ctx, cfg.delack, move |w: &mut World, ctx: &mut Wx| on_delack(w, ctx, s));
+    }
+}
+
+fn on_delack(w: &mut World, ctx: &mut Wx, s: SockId) {
+    let sk = sock_mut(w, s);
+    if !sk.delack_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_delack(w, ctx, s)) {
         return;
     }
-    sk.delack_gen += 1;
-    sk.delack_armed = true;
-    let gen = sk.delack_gen;
-    let old = sk.delack_timer.take();
-    let id = ctx.reschedule_in(old, cfg.delack, move |w: &mut World, ctx: &mut Wx| {
-        let sk = sock_mut(w, s);
-        if sk.delack_gen != gen || !sk.delack_armed {
-            return;
-        }
-        sk.delack_armed = false;
-        if sk.delack_pending > 0 {
-            send_ack_now(w, ctx, s);
-        }
-    });
-    sock_mut(w, s).delack_timer = Some(id);
+    sk.delack_timer.clear();
+    if sk.delack_pending > 0 {
+        send_ack_now(w, ctx, s);
+    }
 }
 
 fn arm_persist(w: &mut World, ctx: &mut Wx, s: SockId) {
     let sk = sock_mut(w, s);
-    if sk.persist_armed {
+    if sk.persist_timer.is_set() {
         return;
     }
-    sk.persist_gen += 1;
-    sk.persist_armed = true;
-    let gen = sk.persist_gen;
     let d = sk
         .rto
         .current()
         .saturating_mul(1u64 << sk.persist_shift.min(6))
         .min(Dur::from_secs(60));
-    let old = sk.persist_timer.take();
-    let id =
-        ctx.reschedule_in(old, d, move |w: &mut World, ctx: &mut Wx| on_persist(w, ctx, s, gen));
-    sock_mut(w, s).persist_timer = Some(id);
+    sk.persist_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_persist(w, ctx, s));
 }
 
-fn on_persist(w: &mut World, ctx: &mut Wx, s: SockId, gen: u64) {
+fn on_persist(w: &mut World, ctx: &mut Wx, s: SockId) {
     {
         let sk = sock_mut(w, s);
-        if sk.persist_gen != gen || !sk.persist_armed {
+        if !sk.persist_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_persist(w, ctx, s)) {
             return;
         }
-        sk.persist_armed = false;
+        sk.persist_timer.clear();
         let has_pending = sk.snd.end_seq() > sk.snd_nxt || (sk.fin_queued && !sk.fin_sent);
         if sk.peer_wnd > 0 || !has_pending || sk.state == TcpState::Closed {
             sk.persist_shift = 0;
@@ -471,7 +444,7 @@ pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
     {
         let sk = sock_mut(w, s);
         let outstanding = sk.flight() > 0;
-        if any && outstanding && !sk.rto_armed {
+        if any && outstanding && !sk.rto_timer.is_set() {
             arm_rto(w, ctx, s);
         }
     }
@@ -545,7 +518,7 @@ fn sock_input(w: &mut World, ctx: &mut Wx, s: SockId, seg: TcpSegment) {
                         let now = ctx.now();
                         sk.rto.sample(now.since(t0));
                     }
-                    disarm_rto(ctx, sk);
+                    sk.rto_timer.clear();
                     ctx.wake_all(&sk.writers);
                     sk.writers.clear();
                 }
@@ -559,7 +532,7 @@ fn sock_input(w: &mut World, ctx: &mut Wx, s: SockId, seg: TcpSegment) {
                     sk.snd_una = 1;
                     sk.peer_wnd = seg.wnd;
                     sk.state = TcpState::Established;
-                    disarm_rto(ctx, sk);
+                    sk.rto_timer.clear();
                     sk.local.1
                 };
                 if let Some(l) = w.hosts[s.host as usize].tcp.listeners.get_mut(&port) {
@@ -674,14 +647,9 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
             if ctx.tracing() {
                 trace_cwnd(ctx, s, sk);
             }
-            // Restart (or stop) the retransmission timer.
-            let fin_unacked = sk.fin_sent && sk.snd_una <= sk.snd.end_seq();
-            if sk.flight() > 0 || fin_unacked {
-                // re-armed below (fresh timer)
-                sk.rto_armed = false;
-            } else {
-                disarm_rto(ctx, sk);
-            }
+            // Stop the retransmission timer; it restarts fresh below while
+            // anything is still unacked.
+            sk.rto_timer.clear();
             std::mem::swap(&mut wake_writers, &mut sk.writers);
 
             // FIN acknowledged?
@@ -692,9 +660,6 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
                     TcpState::LastAck => TcpState::Closed,
                     other => other,
                 };
-                if sk.state == TcpState::Closed || sk.state == TcpState::TimeWait {
-                    disarm_rto(ctx, sk);
-                }
             }
         } else if seg.ack == sk.snd_una {
             let is_dup = (sk.flight() > 0
@@ -737,11 +702,7 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
         sk.peer_wnd = seg.wnd;
         if sk.peer_wnd > 0 {
             // Cancel persist probing.
-            sk.persist_gen += 1;
-            sk.persist_armed = false;
-            if let Some(id) = sk.persist_timer.take() {
-                ctx.cancel_counted(id);
-            }
+            sk.persist_timer.clear();
         }
     }
     ctx.wake_all(&wake_writers);
@@ -795,7 +756,7 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
     {
         let sk = sock_mut(w, s);
         let fin_unacked = sk.fin_sent && sk.snd_una <= sk.snd.end_seq();
-        if (sk.flight() > 0 || fin_unacked) && !sk.rto_armed {
+        if (sk.flight() > 0 || fin_unacked) && !sk.rto_timer.is_set() {
             // fresh RTO after forward progress
         } else {
             return;

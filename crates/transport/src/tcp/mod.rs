@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use bytes::Bytes;
 use netsim::IfAddr;
-use simcore::{ProcId, SimTime};
+use simcore::{Deadline, ProcId, SimTime};
 
 use crate::buf::ByteQueue;
 use crate::ranges::RangeSet;
@@ -269,16 +269,10 @@ pub(crate) struct TcpSock {
     /// sequences below this mark are retransmissions (Karn: never sampled).
     pub rtx_until: u64,
     pub rto: RtoEstimator,
-    pub rto_gen: u64,
-    pub rto_armed: bool,
-    /// Live RTO timer, if one is scheduled. Rearms go through
-    /// `Ctx::reschedule_in` so the superseded timer is ghost-cancelled (one
-    /// wheel tombstone) instead of firing later as a checked no-op.
-    pub rto_timer: Option<simcore::TimerId>,
-    pub persist_gen: u64,
-    pub persist_armed: bool,
-    /// Live persist (zero-window probe) timer, ghost-cancelled on rearm.
-    pub persist_timer: Option<simcore::TimerId>,
+    /// Retransmission timer; every ack that makes progress restarts it.
+    pub rto_timer: Deadline,
+    /// Persist (zero-window probe) timer.
+    pub persist_timer: Deadline,
     pub persist_shift: u32,
     /// RTT probe: (seq to be acked, send time); None while a retransmission
     /// poisons the sample (Karn).
@@ -309,10 +303,8 @@ pub(crate) struct TcpSock {
     /// since filled.
     pub adv_edge: u64,
     pub delack_pending: u32,
-    pub delack_gen: u64,
-    pub delack_armed: bool,
-    /// Live delayed-ACK timer, ghost-cancelled when a segment preempts it.
-    pub delack_timer: Option<simcore::TimerId>,
+    /// Delayed-ACK timer, cleared by any segment that carries the ack.
+    pub delack_timer: Deadline,
 
     // --- app interface ---
     pub readers: Vec<ProcId>,
@@ -343,12 +335,8 @@ impl TcpSock {
             hole_rtx: RangeSet::new(),
             rtx_until: 0,
             rto: RtoEstimator::new(cfg.rto),
-            rto_gen: 0,
-            rto_armed: false,
-            rto_timer: None,
-            persist_gen: 0,
-            persist_armed: false,
-            persist_timer: None,
+            rto_timer: Deadline::default(),
+            persist_timer: Deadline::default(),
             persist_shift: 0,
             rtt_probe: None,
             last_send: SimTime::ZERO,
@@ -366,9 +354,7 @@ impl TcpSock {
             last_adv_wnd: cfg.rcvbuf,
             adv_edge: 0,
             delack_pending: 0,
-            delack_gen: 0,
-            delack_armed: false,
-            delack_timer: None,
+            delack_timer: Deadline::default(),
             readers: Vec::new(),
             writers: Vec::new(),
             stats: SockStats::default(),

@@ -351,3 +351,73 @@ fn connect_to_dead_host_fails_after_retries() {
     // 6 retries with exponential backoff from 3 s: tens of seconds.
     assert!(out.sim_time > SimTime::ZERO + Dur::from_secs(10));
 }
+
+/// Refactor guard, the twin of `interleave.rs::engine_cells_are_pinned`:
+/// `(events, sim_ns, sender stats, receiver stats)` of three lossy two-host
+/// cells, one per TCP timer — a transfer that takes retransmission
+/// timeouts, one that recovers by fast retransmit alone, and a 30 s
+/// zero-window stall the persist timer has to probe through (with delayed
+/// ACKs under all three). The simulation is deterministic, so any drift in
+/// `sim_ns` or a counter is a behaviour change; `events` also counts timer
+/// wakes that found nothing to do. On a mismatch the test prints the actual
+/// rows in table form.
+#[test]
+fn tcp_cells_are_pinned() {
+    fn row(st: tcp::SockStats) -> [u64; 8] {
+        [
+            st.segs_out,
+            st.segs_in,
+            st.bytes_out,
+            st.bytes_in,
+            st.retransmits,
+            st.fast_retransmits,
+            st.timeouts,
+            st.dup_acks_in,
+        ]
+    }
+    // (name, loss, seed, bytes, receiver stall before its first read)
+    let cells: [(&str, f64, u64, usize, u64); 3] = [
+        ("rto", 0.02, 4, 300_000, 0),
+        ("fast-retransmit only", 0.003, 5, 2_000_000, 0),
+        ("persist probe", 0.01, 8, 500_000, 30),
+    ];
+    #[rustfmt::skip]
+    let want: [(u64, u64, [u64; 8], [u64; 8]); 3] = [
+        (346, 1006681936, [218, 133, 311584, 0, 8, 7, 1, 38], [136, 209, 0, 300000, 0, 0, 0, 0]),
+        (2212, 17031280, [1387, 828, 2004344, 0, 3, 3, 0, 271], [832, 1383, 0, 2000000, 0, 0, 0, 0]),
+        (545, 33003475024, [354, 181, 501448, 0, 1, 1, 0, 5], [184, 352, 0, 500000, 0, 0, 0, 0]),
+    ];
+    let runs = cells.map(|(name, loss, seed, n, stall)| {
+        let data = pattern(n);
+        let out = run_pair(
+            loss,
+            seed,
+            move |env, s| async move { send_all(&env, s, data).await },
+            move |env, s| async move {
+                env.sleep(Dur::from_secs(stall)).await;
+                let _ = recv_exact(&env, s, n).await;
+            },
+        );
+        let [tx, rx] = [0, 1].map(|h| out.world.hosts[h].tcp.total_stats());
+        (name, out.events, out.sim_time.as_nanos(), tx, rx)
+    });
+    let [rto, fast, persist] = [0, 1, 2].map(|i| runs[i].3);
+    assert!(rto.timeouts > 0, "the rto cell must take a timeout: {rto:?}");
+    assert!(
+        fast.fast_retransmits > 0 && fast.timeouts == 0,
+        "the fast cell must recover without a timeout: {fast:?}"
+    );
+    assert!(
+        persist.segs_out > persist.retransmits + 500_000 / 1460,
+        "the stalled cell must send probes: {persist:?}"
+    );
+    let got = runs.map(|(name, events, sim_ns, tx, rx)| (name, (events, sim_ns, row(tx), row(rx))));
+    let mut drift = false;
+    for ((name, r), w) in got.iter().zip(want) {
+        if *r != w {
+            drift = true;
+            eprintln!("{name}: {r:?},");
+        }
+    }
+    assert!(!drift, "pinned TCP cells drifted (actual rows above)");
+}
