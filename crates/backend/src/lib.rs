@@ -6,8 +6,8 @@
 //! says so. This crate bridges the two with the smallest possible loop:
 //!
 //! 1. advance virtual time to "wall nanoseconds since start", firing every
-//!    timer that came due ([`simcore::Ctx::run_due`] — the same timer
-//!    wheel, heap fallback and all, that the sim uses);
+//!    timer that came due ([`simcore::Ctx::run_due`] — the same event
+//!    queue the sim uses);
 //! 2. drain the installed [`transport::backend::Backend`]'s ingress queue
 //!    and dispatch the decoded packets into the engines
 //!    ([`transport::backend::pump_ingress`]);
@@ -22,7 +22,7 @@
 
 #![warn(missing_docs)]
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use simcore::rng::derive_rng;
 use simcore::SimTime;
@@ -34,7 +34,7 @@ use transport::{World, Wx};
 pub struct LiveNode {
     /// The node's protocol world (stacks + installed backend).
     pub world: World,
-    /// Standalone scheduler context: timer wheel + RNG, no processes.
+    /// Standalone scheduler context: event queue + RNG, no processes.
     pub ctx: Wx,
     t0: Instant,
     /// Total events fired across every poll (timers and deliveries).
@@ -90,19 +90,6 @@ impl LiveNode {
         self.events_fired += fired + tail;
         self.ingress_delivered += arrived as u64;
         fired + tail > 0 || arrived > 0
-    }
-
-    /// How long the node may sleep before its next timer is due (None = no
-    /// timers armed; sleep until the socket turns readable). A reactor
-    /// driving several nodes sleeps the minimum across them, capped so
-    /// ingress latency stays bounded.
-    pub fn idle_for(&self) -> Option<Duration> {
-        let next = {
-            let b = self.world.backend.as_ref().expect("backend installed");
-            b.next_deadline(&self.ctx)?
-        };
-        let now = self.wall();
-        Some(Duration::from_nanos(next.as_nanos().saturating_sub(now.as_nanos())))
     }
 
     /// Virtual seconds this node has run (== wall seconds, by construction).

@@ -12,7 +12,7 @@ use workloads::pingpong::{self, PingPongCfg, PingPongResult, StreamCfg};
 
 use crate::faults::{BURST_LOSS_BAD, BURST_MEAN_PKTS};
 use crate::runner::{self, Cell};
-use crate::{arg, mean, row, Col, FigureOutput, Fmt, Scale, Table, SEED_BASE};
+use crate::{arg, mean, positionals, row, Col, FigureOutput, Fmt, Scale, Table, SEED_BASE};
 
 /// A (workload × path/CMT config × loss) point with the transport counters
 /// that explain it. `workload` is `"stream"` (one-way bulk, the paper-style
@@ -250,13 +250,14 @@ pub fn cmt(scale: Scale) -> FigureOutput {
 /// `args`: `[loss] [paths] [count] [seed] [bufs_kb]` plus flags: `--nocmt`
 /// (multihomed without striping), `--pingpong` (strict alternation instead
 /// of the one-way stream), `--flap` (run under [`cmt_fault_plan`]).
-pub fn probe_cmt(scale: Scale, args: &[String]) -> FigureOutput {
+pub fn probe_cmt(scale: Scale, args: &[String]) -> Result<FigureOutput, String> {
+    let pos = positionals(args, &["--nocmt", "--pingpong", "--flap"], 5)?;
     let flag = |f: &str| args.iter().any(|a| a == f);
-    let loss: f64 = arg(args, 0, 0.0);
-    let paths: u8 = arg(args, 1, 3);
-    let count: u32 = arg(args, 2, 256);
-    let seed: u64 = arg(args, 3, SEED_BASE);
-    let bufs: u64 = arg(args, 4, CMT_BUFS / 1024) * 1024;
+    let loss: f64 = arg(&pos, 0, 0.0)?;
+    let paths: u8 = arg(&pos, 1, 3)?;
+    let count: u32 = arg(&pos, 2, 256)?;
+    let seed: u64 = arg(&pos, 3, SEED_BASE)?;
+    let bufs: u64 = arg(&pos, 4, CMT_BUFS / 1024)? * 1024;
     let cmt = !flag("--nocmt") && paths > 1;
 
     let mut m = cmt_cfg(paths, cmt, loss, seed, bufs);
@@ -268,7 +269,7 @@ pub fn probe_cmt(scale: Scale, args: &[String]) -> FigureOutput {
     let cells = vec![Cell::new(label.clone(), move || cmt_run(m.clone(), stream, count))];
     let (results, report) = runner::run_cells("probe_cmt", scale, cells, None);
     let r = &results[0];
-    FigureOutput::new(report)
+    let out = FigureOutput::new(report)
         .line(&format!(
             "{label}: {:.1} MB/s over {:.4}s sim ({} events)",
             r.throughput / 1e6,
@@ -292,5 +293,6 @@ pub fn probe_cmt(scale: Scale, args: &[String]) -> FigureOutput {
             r.net.drops_loss,
             r.net.drops_queue,
             r.net.drops_down,
-        ))
+        ));
+    Ok(out)
 }

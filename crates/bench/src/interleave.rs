@@ -19,7 +19,7 @@ use workloads::media::{self, MediaCfg, MediaResult};
 use workloads::mixed::{self, MixedCfg, TracedMixedResult};
 
 use crate::runner::{self, Cell};
-use crate::{arg, row, Col, FigureOutput, Fmt, Scale, Table, SEED_BASE};
+use crate::{arg, positionals, row, Col, FigureOutput, Fmt, Scale, Table, SEED_BASE};
 
 /// A (config × loss) point of the fig12-style sweep with the per-side HOL
 /// accounting that explains it. `config` is "nointl-fcfs" (pre-8260
@@ -229,9 +229,10 @@ pub fn interleave(scale: Scale) -> FigureOutput {
 /// ```
 ///
 /// `args`: `[loss] [tasks] [--nointl]`.
-pub fn probe_interleave(scale: Scale, args: &[String]) -> FigureOutput {
-    let loss: f64 = arg(args, 0, 0.0);
-    let tasks: u32 = arg(args, 1, 500);
+pub fn probe_interleave(scale: Scale, args: &[String]) -> Result<FigureOutput, String> {
+    let pos = positionals(args, &["--nointl"], 2)?;
+    let loss: f64 = arg(&pos, 0, 0.0)?;
+    let tasks: u32 = arg(&pos, 1, 500)?;
     let interleave = !args.iter().any(|a| a == "--nointl");
 
     let cfg = MpiCfg::sctp(8, loss).with_seed(7).with_interleave(interleave).with_sched_from_env();
@@ -242,7 +243,7 @@ pub fn probe_interleave(scale: Scale, args: &[String]) -> FigureOutput {
     })];
     let (results, report) = runner::run_cells("probe_interleave", scale, cells, None);
     let r = &results[0];
-    FigureOutput::new(report)
+    let out = FigureOutput::new(report)
         .line(&format!("mixed farm: {label}"))
         .line(&format!(
             "  sim={:.3}s events={} tasks_done={}",
@@ -258,5 +259,6 @@ pub fn probe_interleave(scale: Scale, args: &[String]) -> FigureOutput {
         .line(&format!(
             "  pr-sctp: abandoned={} fwd_tsn_out={}",
             r.result.sctp.msgs_abandoned, r.result.sctp.fwd_tsn_out
-        ))
+        ));
+    Ok(out)
 }

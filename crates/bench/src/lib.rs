@@ -182,9 +182,28 @@ pub struct Figure {
     /// `false`: the wall clock and the kernel drive it, so no two runs
     /// print the same numbers and `bench all` leaves it out.
     pub deterministic: bool,
-    /// Runs the figure; the slice is whatever followed the name on the
-    /// command line, `--quick` removed.
-    pub run: fn(Scale, &[String]) -> FigureOutput,
+    pub run: Run,
+}
+
+/// How an entry runs, and so what may follow its name on the command line.
+pub enum Run {
+    /// Takes nothing but `--quick`.
+    Fixed(fn(Scale) -> FigureOutput),
+    /// Reads what followed its name (`--quick` removed) before it runs
+    /// anything; `Err` says which argument it could not use.
+    Args(fn(Scale, &[String]) -> Result<FigureOutput, String>),
+}
+
+impl Figure {
+    /// Run the entry with `args`. `Err` — an argument the entry does not
+    /// take — means nothing ran and nothing was written.
+    pub fn run(&self, scale: Scale, args: &[String]) -> Result<FigureOutput, String> {
+        match (&self.run, args) {
+            (Run::Fixed(run), []) => Ok(run(scale)),
+            (Run::Fixed(_), [stray, ..]) => Err(format!("takes no argument, got `{stray}`")),
+            (Run::Args(run), _) => run(scale, args),
+        }
+    }
 }
 
 /// Every figure, table, ablation and probe, in `bench all` order.
@@ -193,121 +212,121 @@ pub const FIGURES: &[Figure] = &[
         name: "fig8",
         about: "Figure 8: ping-pong throughput vs message size at 0% loss (crossover ~22 KB)",
         deterministic: true,
-        run: |s, _| paper::fig8(s),
+        run: Run::Fixed(paper::fig8),
     },
     Figure {
         name: "table1",
         about: "Table 1: ping-pong throughput under 1%/2% loss, 30 KB and 300 KB messages",
         deterministic: true,
-        run: |s, _| paper::table1(s),
+        run: Run::Fixed(paper::table1),
     },
     Figure {
         name: "fig9",
         about: "Figure 9: NAS kernels on 8 processes, Mop/s [--class S|W|A|B, default B]",
         deterministic: true,
-        run: paper::fig9,
+        run: Run::Args(paper::fig9),
     },
     Figure {
         name: "fig10",
         about: "Figure 10: Bulk Processor Farm, fanout 1, 0/1/2% loss",
         deterministic: true,
-        run: |s, _| paper::farm_figure(s, 1),
+        run: Run::Fixed(|s| paper::farm_figure(s, 1)),
     },
     Figure {
         name: "fig11",
         about: "Figure 11: Bulk Processor Farm, fanout 10",
         deterministic: true,
-        run: |s, _| paper::farm_figure(s, 10),
+        run: Run::Fixed(|s| paper::farm_figure(s, 10)),
     },
     Figure {
         name: "fig12",
         about: "Figure 12: SCTP 10 streams vs 1 stream (HOL isolation), farm fanout 10",
         deterministic: true,
-        run: |s, _| paper::fig12(s),
+        run: Run::Fixed(paper::fig12),
     },
     Figure {
         name: "ablate_cc",
         about: "A1: SCTP congestion-control features under loss (gap blocks, byte counting, CRC32c)",
         deterministic: true,
-        run: |s, _| paper::ablate_cc(s),
+        run: Run::Fixed(paper::ablate_cc),
     },
     Figure {
         name: "ablate_race",
         about: "A2: the §3.4 long-message race fix, Option A vs Option B",
         deterministic: true,
-        run: |s, _| paper::ablate_race(s),
+        run: Run::Fixed(paper::ablate_race),
     },
     Figure {
         name: "failover",
         about: "A3: §3.5.1 multihoming failover, primary network killed mid-farm",
         deterministic: true,
-        run: |s, _| faults::failover(s),
+        run: Run::Fixed(faults::failover),
     },
     Figure {
         name: "scalability",
         about: "A4: §3.3 select() cost vs process count (ring exchange, TCP vs one-to-many SCTP)",
         deterministic: true,
-        run: |s, _| paper::scalability(s),
+        run: Run::Fixed(paper::scalability),
     },
     Figure {
         name: "cmt",
         about: "A5: Concurrent Multipath Transfer: stream, ping-pong, buffer sweep, fault composition",
         deterministic: true,
-        run: |s, _| cmt::cmt(s),
+        run: Run::Fixed(cmt::cmt),
     },
     Figure {
         name: "fig10_burst",
         about: "E-faults: Figure 10 under Gilbert–Elliott bursty loss at matched average rates",
         deterministic: true,
-        run: |s, _| faults::farm_burst_figure(s, 1),
+        run: Run::Fixed(|s| faults::farm_burst_figure(s, 1)),
     },
     Figure {
         name: "fig11_burst",
         about: "E-faults: Figure 11 (fanout 10) under the same bursty loss",
         deterministic: true,
-        run: |s, _| faults::farm_burst_figure(s, 10),
+        run: Run::Fixed(|s| faults::farm_burst_figure(s, 10)),
     },
     Figure {
         name: "flap",
         about: "E-faults: failover timeline under a scripted primary-interface flap (hb × pmr sweep)",
         deterministic: true,
-        run: |s, _| faults::flap(s),
+        run: Run::Fixed(faults::flap),
     },
     Figure {
         name: "interleave",
         about: "E-interleave: I-DATA stream schedulers on a mixed-size farm + PR-SCTP lifetime sweep",
         deterministic: true,
-        run: |s, _| interleave::interleave(s),
+        run: Run::Fixed(interleave::interleave),
     },
     Figure {
         name: "incast",
         about: "E-scale: synchronized N→1 incast, up to 1024 senders, sharded engine [SHARDS=n]",
         deterministic: true,
-        run: |s, _| scale::incast(s),
+        run: Run::Fixed(scale::incast),
     },
     Figure {
         name: "tenants",
         about: "E-scale: many-tenant fabric sharing, p99/p50 completion tail [SHARDS=n]",
         deterministic: true,
-        run: |s, _| scale::tenants(s),
+        run: Run::Fixed(scale::tenants),
     },
     Figure {
         name: "pingpong_live",
         about: "Figure 8 over real UDP loopback sockets [BACKEND=udp|sim]",
         deterministic: false,
-        run: |s, _| paper::pingpong_live(s),
+        run: Run::Fixed(paper::pingpong_live),
     },
     Figure {
         name: "probe_cmt",
         about: "one CMT cell, full counters: [loss] [paths] [count] [seed] [bufs_kb] [--nocmt] [--pingpong] [--flap]",
         deterministic: true,
-        run: cmt::probe_cmt,
+        run: Run::Args(cmt::probe_cmt),
     },
     Figure {
         name: "probe_interleave",
         about: "one mixed-size farm run, HOL accounting: [loss] [tasks] [--nointl], scheduler from SCTP_SCHED",
         deterministic: true,
-        run: interleave::probe_interleave,
+        run: Run::Args(interleave::probe_interleave),
     },
 ];
 
@@ -345,9 +364,25 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
     out
 }
 
-/// Positional argument `n` of a probe, `default` when absent or unparsable.
-fn arg<T: std::str::FromStr>(args: &[String], n: usize, default: T) -> T {
-    args.get(n).and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The positional arguments of a probe, in order. Refuses a `--flag` not in
+/// `flags` and more than `max` positionals, so a typo cannot pass for a
+/// default.
+fn positionals<'a>(args: &'a [String], flags: &[&str], max: usize) -> Result<Vec<&'a str>, String> {
+    let (dashed, pos): (Vec<&str>, Vec<&str>) =
+        args.iter().map(String::as_str).partition(|a| a.starts_with("--"));
+    if let Some(unknown) = dashed.iter().find(|f| !flags.contains(f)) {
+        return Err(format!("unknown flag `{unknown}`"));
+    }
+    match pos.get(max) {
+        Some(extra) => Err(format!("unexpected argument `{extra}`")),
+        None => Ok(pos),
+    }
+}
+
+/// Positional argument `n` of a probe: `default` when absent, `Err` when
+/// present and unparsable.
+fn arg<T: std::str::FromStr>(pos: &[&str], n: usize, default: T) -> Result<T, String> {
+    pos.get(n).map_or(Ok(default), |s| s.parse().map_err(|_| format!("cannot read argument `{s}`")))
 }
 
 /// Human-readable byte sizes for table cells.
@@ -414,6 +449,34 @@ mod tests {
             })
             .filter(|name| !name.is_empty() && *name != "all")
             .collect()
+    }
+
+    #[test]
+    fn arguments_an_entry_does_not_take_are_refused_before_it_runs() {
+        let args = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let fixed = Figure {
+            name: "fixed",
+            about: "",
+            deterministic: true,
+            run: Run::Fixed(|_| panic!("a refused entry must not run")),
+        };
+        for stray in ["--quik", "-quick", "10"] {
+            let err = fixed.run(Scale::Quick, &args(&[stray])).err().expect(stray);
+            assert!(err.contains(stray), "{err}");
+        }
+        // Every table entry that takes no argument refuses one; none runs.
+        for f in FIGURES.iter().filter(|f| matches!(f.run, Run::Fixed(_))) {
+            assert!(f.run(Scale::Quick, &args(&["--quik"])).is_err(), "{}", f.name);
+        }
+        let run = |name: &str, words: &[&str]| figure(name).unwrap().run(Scale::Quick, &args(words));
+        assert!(run("probe_cmt", &["abc"]).is_err());
+        assert!(run("probe_cmt", &["0.01", "3", "--flpa"]).is_err());
+        assert!(run("probe_cmt", &["0.01", "3", "256", "1", "64", "9"]).is_err(), "a sixth positional");
+        assert!(run("probe_interleave", &["0.01", "many"]).is_err());
+        assert!(run("fig9", &["--class", "Z"]).is_err());
+        assert!(run("fig9", &["--clas", "S"]).is_err());
+        let out = run("probe_cmt", &["0.01", "3"]).expect("`probe_cmt 0.01 3` still parses");
+        assert!(out.stdout.contains("loss=0.01 paths=3"), "{}", out.stdout);
     }
 
     #[test]

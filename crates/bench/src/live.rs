@@ -90,8 +90,8 @@ fn live_pair(seed: u64, tracer: Option<&trace::Tracer>) -> LivePair {
     // a live pcapng holds egress and ingress of both directions.
     if let Some(t) = tracer {
         t.set_topology(2, 1);
-        a.ctx.install_tracer(Some(t.clone()));
-        b.ctx.install_tracer(Some(t.clone()));
+        a.ctx.set_tracer(Some(t.clone()));
+        b.ctx.set_tracer(Some(t.clone()));
     }
     LivePair { a, b }
 }

@@ -186,15 +186,18 @@ const FIG9: &[Col] = &[
 ];
 
 /// `args`: `--class S|W|A|B` (default B; `--quick` always runs class S).
-pub fn fig9(scale: Scale, args: &[String]) -> FigureOutput {
+pub fn fig9(scale: Scale, args: &[String]) -> Result<FigureOutput, String> {
+    let words: Vec<&str> = args.iter().map(String::as_str).collect();
+    let asked = match words[..] {
+        [] | ["--class", "B"] => Class::B,
+        ["--class", "S"] => Class::S,
+        ["--class", "W"] => Class::W,
+        ["--class", "A"] => Class::A,
+        _ => return Err(format!("takes `--class S|W|A|B`, got `{}`", words.join(" "))),
+    };
     let class = match scale {
         Scale::Quick => Class::S,
-        Scale::Paper => match args.iter().skip_while(|a| *a != "--class").nth(1).map(String::as_str) {
-            Some("S") => Class::S,
-            Some("W") => Class::W,
-            Some("A") => Class::A,
-            _ => Class::B,
-        },
+        Scale::Paper => asked,
     };
     let mut cells = Vec::new();
     for &k in Kernel::ALL.iter() {
@@ -210,10 +213,10 @@ pub fn fig9(scale: Scale, args: &[String]) -> FigureOutput {
         row![k.name(), class.name(), sctp, tcp, sctp / tcp]
     });
     let table = Table::new(FIG9, rows);
-    FigureOutput::new(report)
+    Ok(FigureOutput::new(report)
         .table("Figure 9: NAS kernels (Mop/s total)", &table)
         .line("paper: SCTP ~ TCP on average; TCP slightly ahead on MG and BT")
-        .file(scale, "fig9", &table)
+        .file(scale, "fig9", &table))
 }
 
 // ---------------------------------------------------------------------------

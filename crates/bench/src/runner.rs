@@ -82,8 +82,7 @@ fn mpi_groups(s: SchedCounters, net: NetStats, tcp: SockStats, sctp: AssocStats)
             ("wakes_coalesced", &s.wakes_coalesced),
             ("bursts_total", &s.bursts),
             ("pkts_per_burst_avg", &per_burst),
-            ("wheel_hits", &s.wheel_hits),
-            ("heap_falls", &s.heap_falls),
+            ("events_queued", &s.queued),
         ],
     )];
     if sctp.packets_out > 0 {
@@ -180,7 +179,7 @@ impl CellResult for ScaleResult {
     fn meter(&self) -> (f64, u64, Vec<Group>) {
         let s = &self.sched;
         let groups = vec![
-            group("sched", [("wheel_hits", &s.wheel_hits), ("heap_falls", &s.heap_falls)]),
+            group("sched", [("events_queued", &s.queued)]),
             group(
                 "shard",
                 [
@@ -575,13 +574,12 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("formatted panic");
             assert!(msg.contains("cell `size=1024 rpi=sctp`"), "{what}: {msg}");
         }
-        let cost: [Edit; 6] = [
+        let cost: [Edit; 5] = [
             |r| r.sched.polls += 1,
             |r| r.sched.wakes_coalesced += 1,
             |r| r.sched.bursts += 1,
             |r| r.sched.pkts_fused += 1,
-            |r| r.sched.wheel_hits += 1,
-            |r| r.sched.heap_falls += 1,
+            |r| r.sched.queued += 1,
         ];
         for edit in cost {
             let mut fast = sample(3);
@@ -647,8 +645,7 @@ mod tests {
             "\"wakes_coalesced\"",
             "\"bursts_total\"",
             "\"pkts_per_burst_avg\"",
-            "\"wheel_hits\"",
-            "\"heap_falls\"",
+            "\"events_queued\"",
             "\"sctp\": {",
             "\"per_path_pkts\"",
             "\"spurious_frtx_total\"",

@@ -36,7 +36,7 @@ fn different_seeds_change_the_trace_under_loss() {
 
 /// One registry entry at `--quick`, as `bench <name> --quick` runs it.
 fn quick(name: &str) -> FigureOutput {
-    (figure(name).expect(name).run)(Scale::Quick, &[])
+    figure(name).expect(name).run(Scale::Quick, &[]).expect(name)
 }
 
 fn fig10_quick(threads: &str) -> (String, u64) {

@@ -9,24 +9,21 @@
 //!
 //! # Queue structure
 //!
-//! The queue front is a hashed timer wheel: `WHEEL_SLOTS` buckets of
-//! `WHEEL_GRAIN_NS` nanoseconds each, covering a `WHEEL_HORIZON_NS`
-//! look-ahead window. Timers inside the horizon — packet deliveries, CPU
-//! charges, delayed ACKs at LAN scale — insert in O(1); timers beyond it
-//! (RTOs, heartbeats, watchdogs) fall back to a binary heap of small `Copy`
-//! keys. Because every wheel entry lives within one horizon of `now`,
-//! walking the occupancy bitmap circularly from `now`'s bucket visits
-//! buckets in time order, and the earliest event is the (time, seq)-minimum
-//! of the first non-empty bucket versus the heap top.
+//! One binary min-heap of small `Copy` keys, ordered by (time, seq), over a
+//! slab that holds the event payloads. Every timer — a packet delivery
+//! microseconds out, an RTO seconds out — takes the same O(log n) push and
+//! the earliest event is the heap top. The measured queue depth at pop is
+//! tens to a few thousand entries (EXPERIMENTS.md, "One event queue"), where
+//! a 24-byte-key heap stays in cache; nothing here is tuned to a time scale.
 //!
 //! Event payloads live in a slab of reusable slots, with the closure stored
 //! *inline* in the slot when it fits (`INLINE_WORDS` words) — the
-//! dominant short-horizon timers allocate nothing at all; oversized
+//! dominant short-lived timers allocate nothing at all; oversized
 //! closures degrade to one boxed allocation. [`TimerId`] is a
 //! (slot, generation) pair, so `cancel` is O(1): it drops the closure,
 //! frees the slot, and bumps the generation, leaving a stale `Copy` key in
-//! the wheel or heap that is discarded when next encountered (heap
-//! tombstones are additionally bounded by compaction).
+//! the heap that is discarded when it reaches the top (and bounded before
+//! that by compaction once stale keys outnumber live ones).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -57,10 +54,10 @@ pub struct SchedCounters {
     pub bursts: u64,
     /// Packets carried inside those trains; each still counts as one event.
     pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert.
-    pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon that fell back to the heap.
-    pub heap_falls: u64,
+    /// Events pushed onto the queue: one per schedule call, late
+    /// `schedule_at_seq` re-queues included; inline clock advances push
+    /// nothing.
+    pub queued: u64,
 }
 
 impl std::ops::AddAssign for SchedCounters {
@@ -69,8 +66,7 @@ impl std::ops::AddAssign for SchedCounters {
         self.wakes_coalesced += o.wakes_coalesced;
         self.bursts += o.bursts;
         self.pkts_fused += o.pkts_fused;
-        self.wheel_hits += o.wheel_hits;
-        self.heap_falls += o.heap_falls;
+        self.queued += o.queued;
     }
 }
 
@@ -173,7 +169,7 @@ impl<W> FiredEvent<W> {
     }
 }
 
-/// Result of a bound-respecting pop: one scan answers all three questions
+/// Result of a bound-respecting pop: one call answers all three questions
 /// the driver loop asks per event (anything queued? due before the
 /// deadline? then pop it).
 pub(crate) enum Popped<W> {
@@ -186,41 +182,8 @@ pub(crate) enum Popped<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Wheel + heap + slab
+// Heap + slab
 // ---------------------------------------------------------------------------
-
-/// Wheel bucket granularity (2^13 ns ≈ 8.2 µs — a handful of buckets per
-/// LAN packet time).
-const WHEEL_SHIFT: u32 = 13;
-/// Number of wheel buckets (one horizon = one full revolution).
-const WHEEL_SLOTS: usize = 4096;
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-/// Look-ahead the wheel covers (≈ 33.6 ms); anything further heads to the
-/// heap. Public so the equivalence proptests can aim timers at both sides
-/// of the boundary.
-pub const WHEEL_HORIZON_NS: u64 = (WHEEL_SLOTS as u64) << WHEEL_SHIFT;
-/// Exposed for the scheduler equivalence proptests: granularity in ns.
-pub const WHEEL_GRAIN_NS: u64 = 1 << WHEEL_SHIFT;
-
-/// Second-level wheel granularity (2^21 ns ≈ 2.1 ms). Coarse timers — RTO
-/// (hundreds of ms), heartbeats, farm compute sleeps — land here instead
-/// of falling to the heap.
-const WHEEL2_SHIFT: u32 = 21;
-/// Look-ahead of the second-level wheel (≈ 8.6 s). Only timers beyond
-/// *this* still fall to the heap.
-pub const WHEEL2_HORIZON_NS: u64 = (WHEEL_SLOTS as u64) << WHEEL2_SHIFT;
-/// Second-level granularity in ns, exposed for the equivalence proptests.
-pub const WHEEL2_GRAIN_NS: u64 = 1 << WHEEL2_SHIFT;
-
-#[inline]
-fn bucket_of(at: SimTime) -> usize {
-    ((at.as_nanos() >> WHEEL_SHIFT) as usize) & (WHEEL_SLOTS - 1)
-}
-
-#[inline]
-fn bucket2_of(at: SimTime) -> usize {
-    ((at.as_nanos() >> WHEEL2_SHIFT) as usize) & (WHEEL_SLOTS - 1)
-}
 
 /// Ordering key of one queued event. `Copy`, so stale (cancelled) keys cost
 /// nothing to carry and nothing to skip.
@@ -236,41 +199,22 @@ struct Key {
 struct Slot<W> {
     gen: u32,
     occupied: bool,
-    /// Whether the live key referencing this slot sits in the heap (false:
-    /// wheel) — lets `cancel` charge the right tombstone counter.
-    in_heap: bool,
     ev: MaybeUninit<InlineEvent<W>>,
 }
 
 /// Scheduler context: simulated clock, event queue, wake queue, RNG.
+///
+/// The event queue is `heap` (ordering keys) over `slots` (payloads, with
+/// `free` as the slot freelist); a key whose generation no longer matches
+/// its slot is a tombstone.
 pub struct Ctx<W> {
     now: SimTime,
     seq: u64,
     slots: Vec<Slot<W>>,
     free: Vec<u32>,
-    wheel: Box<[Vec<Key>; WHEEL_SLOTS]>,
-    /// Occupancy bitmap over `wheel` (bit set ⇔ bucket non-empty).
-    occ: [u64; WHEEL_WORDS],
-    /// Entries currently in the wheel, stale keys included.
-    wheel_len: usize,
-    /// Second-level wheel: same slot count at a 256× coarser grain, so
-    /// multi-second timers stay O(1) instead of falling to the heap.
-    wheel2: Box<[Vec<Key>; WHEEL_SLOTS]>,
-    /// Occupancy bitmap over `wheel2`.
-    occ2: [u64; WHEEL_WORDS],
-    /// Entries currently in the second-level wheel, stale keys included.
-    wheel2_len: usize,
     heap: BinaryHeap<Reverse<Key>>,
     /// Stale keys currently in the heap; bounded by compaction.
     heap_dead: usize,
-    /// Conservative lower bound on every queued key: `low <= (at, seq)` for
-    /// each live entry in the wheel or heap. Kept valid for free — inserts
-    /// `min` it down, pops tighten it to the popped key (the queue minimum,
-    /// so no smaller key remains), cancels only remove keys — and refreshed
-    /// by a full scan only when a fast-path check cannot be decided from the
-    /// bound alone. Lets `try_advance_to`/`try_advance_sleep` skip the scan
-    /// on the common quiescent path.
-    low: (SimTime, u64),
     wake_fifo: VecDeque<ProcId>,
     wake_pending: FxHashSet<ProcId>,
     /// `sleeping[p]` is true while process `p` is parked inside
@@ -290,8 +234,7 @@ pub struct Ctx<W> {
     deadline: SimTime,
     wakes_suppressed: u64,
     sleep_fastpaths: u64,
-    wheel_hits: u64,
-    heap_falls: u64,
+    queued: u64,
     bursts: u64,
     fused_pkts: u64,
     /// Master RNG for the simulation. Components that need reproducible
@@ -312,15 +255,8 @@ impl<W> Ctx<W> {
             seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            wheel: Box::new(std::array::from_fn(|_| Vec::new())),
-            occ: [0; WHEEL_WORDS],
-            wheel_len: 0,
-            wheel2: Box::new(std::array::from_fn(|_| Vec::new())),
-            occ2: [0; WHEEL_WORDS],
-            wheel2_len: 0,
             heap: BinaryHeap::new(),
             heap_dead: 0,
-            low: (SimTime::MAX, u64::MAX),
             wake_fifo: VecDeque::new(),
             wake_pending: FxHashSet::default(),
             sleeping: Vec::new(),
@@ -328,8 +264,7 @@ impl<W> Ctx<W> {
             deadline: SimTime::MAX,
             wakes_suppressed: 0,
             sleep_fastpaths: 0,
-            wheel_hits: 0,
-            heap_falls: 0,
+            queued: 0,
             bursts: 0,
             fused_pkts: 0,
             rng,
@@ -338,7 +273,10 @@ impl<W> Ctx<W> {
         }
     }
 
-    pub(crate) fn set_tracer(&mut self, tracer: Option<trace::Tracer>) {
+    /// Install (or remove) the flight recorder. `Runtime::set_tracer`
+    /// forwards here; external reactors holding a standalone context call
+    /// it directly.
+    pub fn set_tracer(&mut self, tracer: Option<trace::Tracer>) {
         self.tracer = tracer;
     }
 
@@ -348,13 +286,6 @@ impl<W> Ctx<W> {
     /// nothing here spawns processes or parks threads.
     pub fn standalone(rng: SmallRng) -> Self {
         Ctx::new(rng)
-    }
-
-    /// Install (or remove) the flight recorder on a standalone context.
-    /// Drivers built on [`crate::Runtime`] use `Runtime::set_tracer`
-    /// instead; this is the seam for external reactors.
-    pub fn install_tracer(&mut self, tracer: Option<trace::Tracer>) {
-        self.set_tracer(tracer);
     }
 
     /// Fire every queued event due at or before `bound` (in (time, seq)
@@ -430,8 +361,7 @@ impl<W> Ctx<W> {
             wakes_coalesced: self.wakes_suppressed + self.sleep_fastpaths,
             bursts: self.bursts,
             pkts_fused: self.fused_pkts,
-            wheel_hits: self.wheel_hits,
-            heap_falls: self.heap_falls,
+            queued: self.queued,
         }
     }
 
@@ -462,12 +392,11 @@ impl<W> Ctx<W> {
         self.seq
     }
 
-    fn alloc_slot(&mut self, ev: InlineEvent<W>, in_heap: bool) -> (u32, u32) {
+    fn alloc_slot(&mut self, ev: InlineEvent<W>) -> (u32, u32) {
         if let Some(idx) = self.free.pop() {
             let s = &mut self.slots[idx as usize];
             debug_assert!(!s.occupied, "freelist slot still occupied");
             s.occupied = true;
-            s.in_heap = in_heap;
             s.ev.write(ev);
             (idx, s.gen)
         } else {
@@ -475,7 +404,6 @@ impl<W> Ctx<W> {
             self.slots.push(Slot {
                 gen: 0,
                 occupied: true,
-                in_heap,
                 ev: MaybeUninit::new(ev),
             });
             (idx, 0)
@@ -491,49 +419,13 @@ impl<W> Ctx<W> {
         self.free.push(idx);
     }
 
-    /// Insert an event at (`at`, `seq`): wheel when inside the horizon, heap
-    /// otherwise. `at` must already be clamped to `>= now`.
+    /// Queue an event at (`at`, `seq`). `at` must already be clamped to
+    /// `>= now`.
     fn insert(&mut self, at: SimTime, seq: u64, ev: InlineEvent<W>) -> TimerId {
         debug_assert!(at >= self.now);
-        // Gate on *bucket* distance, not nanosecond distance: from a
-        // non-grain-aligned `now`, a timer with `at - now` just under the
-        // horizon can still lie a full revolution of buckets ahead, which
-        // would wrap into the scan-start bucket and fire before earlier
-        // timers in later buckets. Bucket distance < WHEEL_SLOTS makes a
-        // wrapped-to-start entry unrepresentable.
-        let near = (at.as_nanos() >> WHEEL_SHIFT) - (self.now.as_nanos() >> WHEEL_SHIFT)
-            < WHEEL_SLOTS as u64;
-        // Same gate at the coarse grain: RTOs, heartbeats and compute sleeps
-        // (milliseconds to seconds out) land in the second wheel instead of
-        // the heap; only timers past ~8.6 s still fall.
-        let far = !near
-            && (at.as_nanos() >> WHEEL2_SHIFT) - (self.now.as_nanos() >> WHEEL2_SHIFT)
-                < WHEEL_SLOTS as u64;
-        let (idx, gen) = self.alloc_slot(ev, !(near || far));
-        let key = Key { at, seq, idx, gen };
-        if (at, seq) < self.low {
-            self.low = (at, seq);
-        }
-        if near {
-            let b = bucket_of(at);
-            if self.wheel[b].is_empty() {
-                self.occ[b / 64] |= 1 << (b % 64);
-            }
-            self.wheel[b].push(key);
-            self.wheel_len += 1;
-            self.wheel_hits += 1;
-        } else if far {
-            let b = bucket2_of(at);
-            if self.wheel2[b].is_empty() {
-                self.occ2[b / 64] |= 1 << (b % 64);
-            }
-            self.wheel2[b].push(key);
-            self.wheel2_len += 1;
-            self.wheel_hits += 1;
-        } else {
-            self.heap.push(Reverse(key));
-            self.heap_falls += 1;
-        }
+        let (idx, gen) = self.alloc_slot(ev);
+        self.heap.push(Reverse(Key { at, seq, idx, gen }));
+        self.queued += 1;
         TimerId::pack(idx, gen)
     }
 
@@ -606,10 +498,10 @@ impl<W> Ctx<W> {
     }
 
     /// Cancel a previously scheduled timer. Cancelling an already-fired or
-    /// already-cancelled timer is a generation mismatch and a no-op. O(1):
-    /// the closure is dropped and the slot freed immediately; the stale key
-    /// left in the wheel/heap is skipped (and, in the heap, bounded by
-    /// compaction).
+    /// already-cancelled timer is a generation mismatch and a no-op. O(1)
+    /// amortised: the closure is dropped and the slot freed immediately; the
+    /// stale key left in the heap is a tombstone, peeled off when it reaches
+    /// the top and bounded before that by compaction.
     pub fn cancel(&mut self, id: TimerId) {
         let (idx, gen) = id.unpack();
         let Some(s) = self.slots.get_mut(idx as usize) else { return };
@@ -620,17 +512,14 @@ impl<W> Ctx<W> {
         // the closure's destructor exactly once.
         let ev = unsafe { s.ev.assume_init_read() };
         drop(ev);
-        if s.in_heap {
-            self.heap_dead += 1;
-        }
+        self.heap_dead += 1;
         self.free_slot(idx);
         self.maybe_compact_heap();
     }
 
     /// Rebuild the heap without stale keys once they outnumber the live
-    /// ones; keeps cancel-heavy runs from dragging an ever-growing heap
-    /// through every push/pop. Wheel buckets need no analogue: every bucket
-    /// is swept within one horizon revolution as the pop scan passes it.
+    /// ones (and there are more than a handful); keeps cancel-heavy runs
+    /// from dragging an ever-growing heap through every push/pop.
     fn maybe_compact_heap(&mut self) {
         if self.heap_dead <= 32 || self.heap_dead * 2 <= self.heap.len() {
             return;
@@ -709,13 +598,8 @@ impl<W> Ctx<W> {
         if to > self.deadline {
             return false;
         }
-        // `low.0 > to` proves no queued event fires at or before the target;
-        // otherwise pay one scan to refresh the bound and re-check exactly.
-        if self.low.0 <= to {
-            self.low = self.next_event_key().unwrap_or((SimTime::MAX, u64::MAX));
-            if self.low.0 <= to {
-                return false;
-            }
+        if self.next_event_key().is_some_and(|(at, _)| at <= to) {
+            return false;
         }
         self.now = to;
         self.events_fired += 1;
@@ -736,13 +620,8 @@ impl<W> Ctx<W> {
         if !self.wake_fifo.is_empty() || at > self.deadline {
             return false;
         }
-        // `low > (at, seq)` proves every queued key orders after the fused
-        // packet; otherwise refresh the bound with one scan and re-check.
-        if self.low <= (at, seq) {
-            self.low = self.next_event_key().unwrap_or((SimTime::MAX, u64::MAX));
-            if self.low < (at, seq) {
-                return false;
-            }
+        if self.next_event_key().is_some_and(|key| key < (at, seq)) {
+            return false;
         }
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
@@ -772,188 +651,25 @@ impl<W> Ctx<W> {
         !self.wake_fifo.is_empty()
     }
 
-    /// Visit occupied buckets of `occ` circularly from `start`, calling `f`
-    /// until it returns `true` (stop) or a full revolution completes.
-    /// Associated (not a method) so callers can pass either level's bitmap
-    /// while the closure borrows that level's buckets.
-    fn for_each_occupied_from(
-        occ: &[u64; WHEEL_WORDS],
-        start: usize,
-        mut f: impl FnMut(usize) -> bool,
-    ) {
-        let sw = start / 64;
-        let sb = start % 64;
-        // First (partial) word: bits at or after the start bucket.
-        let mut word = occ[sw] & (!0u64 << sb);
-        let mut wi = sw;
-        for step in 0..=WHEEL_WORDS {
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                let b = wi * 64 + bit;
-                // On the wrap-around revisit of the start word, stop at the
-                // start bucket: one full revolution covers every bucket once.
-                if step == WHEEL_WORDS && b >= start {
-                    return;
-                }
-                if f(b) {
-                    return;
-                }
-                word &= word - 1;
-            }
-            if step == WHEEL_WORDS {
-                return;
-            }
-            wi = (wi + 1) % WHEEL_WORDS;
-            word = occ[wi];
-            if step + 1 == WHEEL_WORDS && wi == sw {
-                // Wrapped back to the start word: only bits before the start
-                // bucket remain unvisited.
-                word &= !(!0u64 << sb);
-                if word == 0 {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Sweep stale keys out of bucket `b` of the chosen level; returns
-    /// (position, key) of the bucket's (time, seq)-minimum, or `None` if it
-    /// swept empty.
-    #[inline]
-    fn sweep_bucket_min(&mut self, b: usize, level2: bool) -> Option<(usize, Key)> {
-        let slots = &self.slots;
-        let (v, len, occ) = if level2 {
-            (&mut self.wheel2[b], &mut self.wheel2_len, &mut self.occ2)
-        } else {
-            (&mut self.wheel[b], &mut self.wheel_len, &mut self.occ)
-        };
-        let mut i = 0;
-        let mut cleaned = 0;
-        while i < v.len() {
-            let k = v[i];
-            if slots[k.idx as usize].gen != k.gen {
-                v.swap_remove(i);
-                cleaned += 1;
-            } else {
-                i += 1;
-            }
-        }
-        let min = if v.is_empty() {
-            None
-        } else {
-            let mut pos = 0;
-            let mut key = v[0];
-            for (j, k) in v.iter().enumerate().skip(1) {
-                if (k.at, k.seq) < (key.at, key.seq) {
-                    pos = j;
-                    key = *k;
-                }
-            }
-            Some((pos, key))
-        };
-        *len -= cleaned;
-        if min.is_none() {
-            occ[b / 64] &= !(1 << (b % 64));
-        }
-        min
-    }
-
-    /// Earliest entry of one wheel level: first non-empty bucket circularly
-    /// from `now`, stale keys swept out as encountered. Returns (bucket,
-    /// position, key).
-    fn wheel_min_clean(&mut self, level2: bool) -> Option<(usize, usize, Key)> {
-        let (mut start, horizon) = if level2 {
-            (bucket2_of(self.now), WHEEL2_HORIZON_NS)
-        } else {
-            (bucket_of(self.now), WHEEL_HORIZON_NS)
-        };
-        loop {
-            let len = if level2 { self.wheel2_len } else { self.wheel_len };
-            if len == 0 {
-                return None;
-            }
-            let occ = if level2 { &self.occ2 } else { &self.occ };
-            let mut found = None;
-            Self::for_each_occupied_from(occ, start, |b| {
-                found = Some(b);
-                true
-            });
-            let b = found?;
-            if let Some((pos, key)) = self.sweep_bucket_min(b, level2) {
-                debug_assert!(
-                    key.at.as_nanos() - self.now.as_nanos() < horizon,
-                    "live wheel entry beyond the horizon: the insert gate is broken"
-                );
-                return Some((b, pos, key));
-            }
-            // The bucket held only stale keys and swept empty (its occupancy
-            // bit is now clear); resume the revolution right after it. Every
-            // bucket between the original start and `b` is already known
-            // empty, so no bucket is visited out of circular time order.
-            start = (b + 1) & (WHEEL_SLOTS - 1);
-        }
-    }
-
-    /// Earliest live heap key, popping stale tops.
-    fn heap_min_clean(&mut self) -> Option<Key> {
-        while let Some(Reverse(k)) = self.heap.peek() {
-            if self.slots[k.idx as usize].gen != k.gen {
-                self.heap.pop();
-                self.heap_dead -= 1;
-            } else {
-                return Some(*k);
-            }
-        }
-        None
-    }
-
     /// Pop the next non-cancelled event no later than `bound`, advancing the
-    /// clock to its timestamp. One scan decides emptiness, the deadline
+    /// clock to its timestamp. One call decides emptiness, the deadline
     /// check, and the pop — the driver loop needs no separate
     /// [`Ctx::next_event_time`] peek per event.
     fn pop_next(&mut self, bound: SimTime) -> Popped<W> {
-        let w1 = self.wheel_min_clean(false);
-        let w2 = self.wheel_min_clean(true);
-        let heap_min = self.heap_min_clean();
-        // Pick the (time, seq) minimum of the three structures without
-        // removing it yet: a key past `bound` must stay queued. Keys are
-        // unique in (at, seq), so strict `<` suffices.
-        let mut best: Option<(Key, Option<(bool, usize, usize)>)> =
-            w1.map(|(b, pos, k)| (k, Some((false, b, pos))));
-        if let Some((b, pos, k)) = w2 {
-            if best.as_ref().is_none_or(|(bk, _)| (k.at, k.seq) < (bk.at, bk.seq)) {
-                best = Some((k, Some((true, b, pos))));
+        // Peel tombstones until a live key tops the heap; a key past `bound`
+        // must stay queued, so peek before popping.
+        let key = loop {
+            let Some(&Reverse(k)) = self.heap.peek() else { return Popped::Empty };
+            if self.slots[k.idx as usize].gen == k.gen {
+                break k;
             }
-        }
-        if let Some(k) = heap_min {
-            if best.as_ref().is_none_or(|(bk, _)| (k.at, k.seq) < (bk.at, bk.seq)) {
-                best = Some((k, None));
-            }
-        }
-        let Some((key, loc)) = best else { return Popped::Empty };
+            self.heap.pop();
+            self.heap_dead -= 1;
+        };
         if key.at > bound {
             return Popped::PastBound;
         }
-        match loc {
-            Some((level2, b, pos)) => {
-                let (wheel, len, occ) = if level2 {
-                    (&mut self.wheel2, &mut self.wheel2_len, &mut self.occ2)
-                } else {
-                    (&mut self.wheel, &mut self.wheel_len, &mut self.occ)
-                };
-                wheel[b].swap_remove(pos);
-                *len -= 1;
-                if wheel[b].is_empty() {
-                    occ[b / 64] &= !(1 << (b % 64));
-                }
-            }
-            None => {
-                self.heap.pop();
-            }
-        }
-        // The popped key was the queue minimum, so no smaller key remains:
-        // it is the tightest free lower bound for the fast paths.
-        self.low = (key.at, key.seq);
+        self.heap.pop();
         let s = &mut self.slots[key.idx as usize];
         debug_assert!(s.occupied && s.gen == key.gen);
         // Safety: a live key ⇒ its slot payload is initialized; the value is
@@ -992,50 +708,7 @@ impl<W> Ctx<W> {
     /// callers using this to gate inline fast paths only ever decline, never
     /// jump the queue.
     pub fn next_event_key(&self) -> Option<(SimTime, u64)> {
-        let mut best: Option<(SimTime, u64)> = None;
-        if self.wheel_len > 0 {
-            let start = bucket_of(self.now);
-            Self::for_each_occupied_from(&self.occ, start, |b| {
-                best = self.wheel[b].iter().map(|k| (k.at, k.seq)).min();
-                best.is_some()
-            });
-            // Stale keys may predate `now`, but nothing (live or stale) can
-            // sit more than one horizon ahead — a wrapped near-horizon entry
-            // here would make the returned key larger than the true queue
-            // minimum and break the fast paths' lower-bound contract.
-            debug_assert!(
-                best.is_none_or(
-                    |(at, _)| at.as_nanos() < self.now.as_nanos().saturating_add(WHEEL_HORIZON_NS)
-                ),
-                "wheel key beyond the horizon: the insert gate is broken"
-            );
-        }
-        if self.wheel2_len > 0 {
-            let start = bucket2_of(self.now);
-            let mut best2: Option<(SimTime, u64)> = None;
-            Self::for_each_occupied_from(&self.occ2, start, |b| {
-                best2 = self.wheel2[b].iter().map(|k| (k.at, k.seq)).min();
-                best2.is_some()
-            });
-            debug_assert!(
-                best2.is_none_or(
-                    |(at, _)| at.as_nanos() < self.now.as_nanos().saturating_add(WHEEL2_HORIZON_NS)
-                ),
-                "second-level wheel key beyond the horizon: the insert gate is broken"
-            );
-            if let Some(k2) = best2 {
-                if best.is_none_or(|b| k2 < b) {
-                    best = Some(k2);
-                }
-            }
-        }
-        if let Some(Reverse(k)) = self.heap.peek() {
-            let hk = (k.at, k.seq);
-            if best.is_none_or(|b| hk < b) {
-                best = Some(hk);
-            }
-        }
-        best
+        self.heap.peek().map(|Reverse(k)| (k.at, k.seq))
     }
 }
 
@@ -1094,17 +767,17 @@ mod tests {
 
     #[test]
     fn near_and_far_timers_interleave_in_order() {
-        // Mix timers across all three backends (L1 wheel, L2 wheel, heap);
+        // Delays from microseconds to tens of seconds, queued out of order:
         // the pop order must be globally (time, seq) sorted.
         let mut c = ctx();
         let mut w = Vec::new();
         let delays = [
-            (20_000_000_000u64, 5u32), // past the L2 horizon (heap)
-            (10_000, 0),               // L1 wheel
-            (1_000_000_000, 3),        // L2 wheel
-            (20_000, 1),               // L1 wheel
-            (40_000_000, 2),           // just past the L1 horizon (L2 wheel)
-            (2_000_000_000, 4),        // L2 wheel
+            (20_000_000_000u64, 5u32),
+            (10_000, 0),
+            (1_000_000_000, 3),
+            (20_000, 1),
+            (40_000_000, 2),
+            (2_000_000_000, 4),
         ];
         for &(d, tag) in &delays {
             c.schedule_in(Dur::from_nanos(d), move |w: &mut Vec<u32>, _| w.push(tag));
@@ -1115,17 +788,14 @@ mod tests {
 
     #[test]
     fn near_horizon_timer_from_unaligned_now_does_not_wrap() {
-        // Regression: with `now` not grain-aligned, a delay just under the
-        // horizon lies a full revolution of buckets ahead. It must fall to
-        // the next level down (today the L2 wheel), not wrap into the
-        // scan-start bucket — which fired it before earlier timers in later
-        // buckets (and tripped the "time went backwards" debug assertion).
+        // A PR 3 regression script, kept: from a nonzero `now`, a ~33.5 ms
+        // timer queued before a 10 µs one must still fire after it.
         let mut c = ctx();
         let mut w = Vec::new();
         c.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u32>, _| w.push(0));
         drain(&mut w, &mut c);
         assert_eq!(c.now(), SimTime::from_nanos(100));
-        c.schedule_in(Dur::from_nanos(WHEEL_HORIZON_NS - 50), |w: &mut Vec<u32>, _| w.push(2));
+        c.schedule_in(Dur::from_nanos(33_554_382), |w: &mut Vec<u32>, _| w.push(2));
         c.schedule_in(Dur::from_micros(10), |w: &mut Vec<u32>, _| w.push(1));
         drain(&mut w, &mut c);
         assert_eq!(w, vec![0, 1, 2]);
@@ -1133,15 +803,14 @@ mod tests {
 
     #[test]
     fn next_event_key_is_a_lower_bound_near_the_horizon() {
-        // Same wrap scenario as above, but through the fast-path probe: the
-        // reported key must be the true queue minimum (the 10 µs timer), not
-        // the wrapped near-horizon one — otherwise `try_advance_to` could
-        // jump the clock past a queued earlier event.
+        // Same script as above, through the fast-path probe: the reported
+        // key must be the true queue minimum (the 10 µs timer) — otherwise
+        // `try_advance_to` could jump the clock past a queued earlier event.
         let mut c = ctx();
         let mut w = Vec::new();
         c.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u32>, _| w.push(0));
         drain(&mut w, &mut c);
-        c.schedule_in(Dur::from_nanos(WHEEL_HORIZON_NS - 50), |_: &mut Vec<u32>, _| {});
+        c.schedule_in(Dur::from_nanos(33_554_382), |_: &mut Vec<u32>, _| {});
         c.schedule_in(Dur::from_micros(10), |_: &mut Vec<u32>, _| {});
         assert_eq!(
             c.next_event_time(),
@@ -1251,7 +920,7 @@ mod tests {
     #[test]
     fn heap_tombstones_are_bounded_under_churn() {
         let mut c = ctx();
-        // Schedule/cancel churn on far-horizon timers (heap residents).
+        // Schedule/cancel churn: every key left behind is a tombstone.
         for i in 0..10_000u64 {
             let id = c.schedule_in(Dur::from_secs(1 + i), |_: &mut Vec<u32>, _| {});
             c.cancel(id);
@@ -1266,21 +935,6 @@ mod tests {
         let mut w = Vec::new();
         drain(&mut w, &mut c);
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_tombstones_are_swept_by_the_pop_scan() {
-        let mut c = ctx();
-        let mut w = Vec::new();
-        for i in 0..100u64 {
-            let id = c.schedule_in(Dur::from_micros(1 + i), |_: &mut Vec<u32>, _| {});
-            c.cancel(id);
-        }
-        c.schedule_in(Dur::from_micros(500), |w: &mut Vec<u32>, _| w.push(1));
-        assert_eq!(c.wheel_len, 101, "stale keys linger until swept");
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![1]);
-        assert_eq!(c.wheel_len, 0, "pop scan sweeps stale keys");
     }
 
     #[test]
@@ -1300,6 +954,10 @@ mod tests {
         }
         drain(&mut w, &mut c);
         assert_eq!(w, keep, "survivors fire in time order after compaction");
+        // Tombstones made after the last compaction were peeled by the
+        // drain, each counted out once.
+        assert_eq!(c.heap_dead, 0);
+        assert!(c.heap.is_empty());
     }
 
     #[test]
@@ -1367,42 +1025,51 @@ mod tests {
     }
 
     #[test]
-    fn coarse_timers_land_in_the_second_wheel_not_the_heap() {
-        // The satellite claim: RTO-scale timers (hundreds of ms) and
-        // compute-farm sleeps (up to seconds) must no longer fall to the
-        // heap. Only the 20 s outlier may.
+    fn stale_top_does_not_hide_the_live_minimum() {
         let mut c = ctx();
         let mut w = Vec::new();
-        for (i, ms) in [200u64, 250, 1_000, 5_000].into_iter().enumerate() {
-            c.schedule_in(Dur::from_millis(ms), move |w: &mut Vec<u32>, _| w.push(i as u32));
-        }
-        assert_eq!(c.counters(0).heap_falls, 0, "coarse timers must stay on a wheel");
-        assert_eq!(c.wheel2_len, 4);
-        assert_eq!(c.counters(0).wheel_hits, 4);
-        c.schedule_in(Dur::from_secs(20), |w: &mut Vec<u32>, _| w.push(9));
-        assert_eq!(c.counters(0).heap_falls, 1, "past the L2 horizon the heap still catches");
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![0, 1, 2, 3, 9]);
-        assert_eq!(c.wheel2_len, 0);
-    }
-
-    #[test]
-    fn second_wheel_cancel_leaves_tombstones_swept_by_the_pop_scan() {
-        let mut c = ctx();
-        let mut w = Vec::new();
-        for i in 0..64u64 {
-            let id = c.schedule_in(Dur::from_millis(100 + i * 10), |_: &mut Vec<u32>, _| {});
-            c.cancel(id);
-        }
-        c.schedule_in(Dur::from_secs(2), |w: &mut Vec<u32>, _| w.push(1));
-        assert_eq!(c.wheel2_len, 65, "stale L2 keys linger until swept");
+        let early = c.schedule_at(SimTime::from_nanos(1_000), |w: &mut Vec<u32>, _| w.push(9));
+        c.schedule_at(SimTime::from_nanos(2_000), |w: &mut Vec<u32>, _| w.push(1));
+        c.cancel(early);
+        // The tombstone still tops the heap: the probe stays a lower bound,
+        // so an inline advance between it and the live minimum declines
+        // (conservative) and one past the live minimum must decline.
+        assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(1_000), 0)));
+        let seq = c.reserve_seq();
+        assert!(!c.try_advance_to(SimTime::from_nanos(1_500), seq));
+        assert!(!c.try_advance_to(SimTime::from_nanos(2_500), seq));
+        assert_eq!(c.now(), SimTime::ZERO, "a declined advance leaves the clock alone");
+        // A pop past the tombstone's instant but short of the live event
+        // peels the tombstone and removes nothing live.
+        assert!(matches!(c.pop_next(SimTime::from_nanos(1_500)), Popped::PastBound));
+        assert_eq!(c.heap_dead, 0);
+        assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(2_000), 1)));
         drain(&mut w, &mut c);
         assert_eq!(w, vec![1]);
-        assert_eq!(c.wheel2_len, 0, "pop scan sweeps stale L2 keys");
     }
 
     #[test]
-    fn next_event_key_sees_second_wheel_entries() {
+    fn queued_counts_one_per_insert() {
+        let mut c = ctx();
+        let mut w = Vec::new();
+        c.schedule_in(Dur::from_micros(1), |_: &mut Vec<u32>, _| {});
+        let id = c.schedule_at(SimTime::from_nanos(500), |_: &mut Vec<u32>, _| {});
+        c.cancel(id); // a cancelled insert was still an insert
+        let base = c.schedule_train_at(SimTime::from_nanos(100), 1, |_: &mut Vec<u32>, c| {
+            // The train's second packet falls back to a real event: a re-queue.
+            c.schedule_at_seq(SimTime::from_nanos(200), 3, |_: &mut Vec<u32>, _| {});
+        });
+        assert_eq!(base, 2);
+        let seq = c.reserve_seq(); // reserving queues nothing
+        assert_eq!(c.counters(0).queued, 3);
+        drain(&mut w, &mut c);
+        assert_eq!(c.counters(0).queued, 4);
+        assert!(c.try_advance_to(SimTime::from_nanos(1_000_000), seq));
+        assert_eq!(c.counters(0).queued, 4, "an inline advance queues nothing");
+    }
+
+    #[test]
+    fn next_event_key_sees_coarse_and_fine_timers() {
         let mut c = ctx();
         let mut w = Vec::new();
         c.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u32>, _| w.push(0));
@@ -1412,7 +1079,7 @@ mod tests {
             c.next_event_time(),
             Some(SimTime::from_nanos(100) + Dur::from_millis(200))
         );
-        // An L1-resident timer in front of it must win the probe.
+        // A microsecond timer queued in front of it must win the probe.
         c.schedule_in(Dur::from_micros(5), |_: &mut Vec<u32>, _| {});
         assert_eq!(
             c.next_event_time(),

@@ -1,10 +1,10 @@
 //! Sharded parallel DES with conservative lookahead.
 //!
-//! The per-event machinery (timer wheel, event slab, token-baton runtime)
+//! The per-event machinery (event heap, event slab, token-baton runtime)
 //! gets the cost of *one* event down to ~1 µs; this module multiplies it.
 //! Nodes are partitioned round-robin across `shards` worker threads
 //! (`shard_of(node) = node % shards`), each shard running its own [`Ctx`] —
-//! its own wheel, slab, clock, and RNG stream. The minimum cross-node
+//! its own heap, slab, clock, and RNG stream. The minimum cross-node
 //! latency `L` (link propagation + switch transit) is the **conservative
 //! lookahead bound**: a message sent at time `t` cannot arrive before
 //! `t + L`, so a shard may execute everything in the epoch `[k·L, (k+1)·L)`

@@ -1,6 +1,8 @@
 //! Property tests for the simulation core: event ordering, determinism,
 //! and runtime scheduling invariants.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 use simcore::{Dur, ProcEnv, Runtime, SimTime};
 
@@ -103,10 +105,9 @@ proptest! {
     }
 }
 
-/// One randomized timer in the wheel-vs-heap equivalence test: a delay that
-/// may land in a wheel bucket (with forced ties), near the horizon boundary,
-/// or far beyond it (heap), plus an optional cancellation — immediate or
-/// scheduled from a separate canceller event.
+/// One randomized timer of the queue model test: a delay from one of five
+/// time scales, plus an optional cancellation — immediate or from a
+/// separate canceller event.
 #[derive(Debug, Clone, Copy)]
 enum Cancel {
     Keep,
@@ -117,62 +118,59 @@ enum Cancel {
 }
 
 fn timer_op() -> impl Strategy<Value = (u64, Cancel)> {
-    use simcore::sched::{WHEEL2_GRAIN_NS, WHEEL2_HORIZON_NS, WHEEL_GRAIN_NS, WHEEL_HORIZON_NS};
     let delay = prop_oneof![
-        // Same-bucket and same-instant collisions inside the L1 wheel.
-        (0u64..48).prop_map(|x| x * (WHEEL_GRAIN_NS / 2)),
-        // Anywhere inside the L1 horizon.
-        0u64..WHEEL_HORIZON_NS,
-        // Straddling the L1 boundary and beyond it (second-level wheel).
-        (WHEEL_HORIZON_NS - 2 * WHEEL_GRAIN_NS)..(4 * WHEEL_HORIZON_NS),
-        // Straddling the L2 boundary and far beyond it (heap fallback).
-        (WHEEL2_HORIZON_NS - 2 * WHEEL2_GRAIN_NS)..(2 * WHEEL2_HORIZON_NS),
+        // Ties: 48 instants 4 µs apart, many timers on each.
+        (0u64..48).prop_map(|x| x * 4_000),
+        // Microseconds: packet deliveries, CPU charges.
+        0u64..500_000,
+        // Tens of milliseconds: delayed acks, short RTOs.
+        5_000_000u64..150_000_000,
+        // Seconds: RTOs, heartbeats, compute sleeps.
+        200_000_000u64..9_000_000_000,
+        // Past 10 s: watchdogs.
+        10_000_000_000u64..40_000_000_000,
     ];
+    // Two timers in three are cancelled, most of them from an event that
+    // fires while the queue drains: tombstones soon outnumber live keys.
     let cancel = prop_oneof![
         Just(Cancel::Keep),
         Just(Cancel::Keep),
-        Just(Cancel::Keep),
         Just(Cancel::Immediate),
-        (0u64..2 * WHEEL_HORIZON_NS).prop_map(Cancel::At),
+        (0u64..400_000).prop_map(Cancel::At),
+        (0u64..400_000).prop_map(Cancel::At),
+        (0u64..100_000_000).prop_map(Cancel::At),
     ];
     (delay, cancel)
 }
 
-proptest! {
-    /// The hierarchical wheel + heap queue fires exactly what a plain
-    /// `BinaryHeap<(time, seq)>` model says it should, in exactly that
-    /// order, under random scheduling and cancellation on both sides of the
-    /// wheel horizon — scheduled from a random, usually non-grain-aligned
-    /// `now` (regression: near-horizon delays from an unaligned `now` used
-    /// to wrap into the scan-start bucket and fire early). Cancelled timers
-    /// never fire; cancelling an already-fired timer is a no-op.
-    #[test]
-    fn wheel_fires_like_a_binary_heap(
-        base in 0u64..2 * simcore::sched::WHEEL_GRAIN_NS,
-        ops in prop::collection::vec(timer_op(), 1..60),
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+/// Compactions the model test saw happen inside a canceller event, over all
+/// its cases.
+static COMPACTIONS_MID_DRAIN: AtomicUsize = AtomicUsize::new(0);
 
+proptest! {
+    /// The queue fires exactly what a sorted model says it should, in
+    /// exactly that order, under random scheduling and cancellation across
+    /// five time scales, from a random nonzero `now`. Cancelled timers never
+    /// fire; cancelling an already-fired timer is a no-op.
+    fn queue_model_case(
+        base in 0u64..16_384,
+        ops in prop::collection::vec(timer_op(), 1..400),
+    ) {
         // Model: timer i gets seq i; canceller k (in op order) gets seq
         // n + k. A cancel is effective iff the canceller's (time, seq)
         // orders before its target's — with seq_c >= n > i, that reduces to
         // a strictly earlier timestamp.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (i, &(d, c)) in ops.iter().enumerate() {
-            let dead = match c {
-                Cancel::Immediate => true,
-                Cancel::At(tc) => tc < d,
-                Cancel::Keep => false,
-            };
-            if !dead {
-                heap.push(Reverse((d, i)));
-            }
-        }
-        let mut expected = Vec::new();
-        while let Some(Reverse((at, i))) = heap.pop() {
-            expected.push((base + at, i));
-        }
+        let mut expected: Vec<(u64, usize)> = ops
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(d, c))| match c {
+                Cancel::Keep => true,
+                Cancel::Immediate => false,
+                Cancel::At(tc) => tc >= d,
+            })
+            .map(|(i, &(d, _))| (base + d, i))
+            .collect();
+        expected.sort_unstable();
 
         struct W {
             fired: Vec<(u64, usize)>,
@@ -181,9 +179,6 @@ proptest! {
         let mut rt = Runtime::new(W { fired: Vec::new(), ids: Vec::new() }, 11);
         let plan = ops.clone();
         rt.spawn("sched", move |env: ProcEnv<W>| async move {
-            // Land on an arbitrary (usually non-grain-aligned) `now` first:
-            // the wheel wrap regression only reproduces when `now` does not
-            // sit on a bucket boundary.
             env.sleep(Dur::from_nanos(base)).await;
             env.with(|w, ctx| {
                 // Targets first: seqs 0..n in op order.
@@ -200,18 +195,38 @@ proptest! {
                         Cancel::Immediate => ctx.cancel(w.ids[i]),
                         Cancel::At(tc) => {
                             ctx.schedule_in(Dur::from_nanos(tc), move |w: &mut W, ctx| {
+                                // A cancel neither queues nor pops, so the
+                                // stale-inclusive probe moves across it
+                                // only if a compaction dropped a tombstone
+                                // from the top of the queue.
+                                let top = ctx.next_event_key();
                                 ctx.cancel(w.ids[i]);
+                                if ctx.next_event_key() != top {
+                                    COMPACTIONS_MID_DRAIN.fetch_add(1, Ordering::Relaxed);
+                                }
                             });
                         }
                     }
                 }
             });
             // Outlive every timer and canceller.
-            env.sleep(Dur::from_nanos(3 * simcore::sched::WHEEL2_HORIZON_NS)).await;
+            env.sleep(Dur::from_secs(50)).await;
         });
         let out = rt.run();
         prop_assert_eq!(out.world.fired, expected);
     }
+}
+
+/// The model above, plus the check that its cancel mix reaches
+/// `maybe_compact_heap` while events are still being popped — the order
+/// must survive a rebuild of the queue mid-drain, not only one before the
+/// first pop.
+#[test]
+fn queue_fires_like_a_sorted_model() {
+    queue_model_case();
+    let seen = COMPACTIONS_MID_DRAIN.load(Ordering::Relaxed);
+    assert!(seen > 0, "no case compacted the queue mid-drain");
+    println!("queue model: {seen} compactions observed mid-drain");
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 //!   decoded packets back for dispatch into the same unmodified engines.
 //!
 //! What is shared between the two backends: the protocol engines (CC, RTO,
-//! SACK, bundling, CMT), the timer wheel, the flight recorder. What is not:
+//! SACK, bundling, CMT), the event queue, the flight recorder. What is not:
 //! the loss/latency model (the real network supplies its own) and
 //! determinism (wall-clock arrival order is not replayable).
 //!
@@ -35,8 +35,6 @@
 //! dispatched. Held or not, packets leave in the order they were sent.
 
 pub mod udp;
-
-use simcore::SimTime;
 
 use crate::ip::Packet;
 use crate::{ip, World, Wx};
@@ -65,20 +63,6 @@ pub trait Backend: Send {
     /// was held back while it was. Nothing to do for a backend that never
     /// holds a packet.
     fn flush(&mut self) {}
-
-    /// The next instant the driver loop must wake for: the earliest queued
-    /// timer by default. A socket backend's reactor sleeps until this (or
-    /// until the socket turns readable).
-    fn next_deadline(&self, ctx: &Wx) -> Option<SimTime> {
-        ctx.next_event_time()
-    }
-
-    /// The clock packets are stamped with: virtual time under the sim,
-    /// wall-derived time under a socket backend (whose reactor keeps the
-    /// virtual clock tracking it).
-    fn now(&self, ctx: &Wx) -> SimTime {
-        ctx.now()
-    }
 
     /// Implementation-specific escape hatch: lets the driver's owner
     /// recover concrete state (e.g. [`udp::UdpStats`]) through the trait

@@ -29,7 +29,7 @@
 //!
 //! The RTO timer is *lazy*: acks just slide a deadline forward; the single
 //! armed timer re-arms itself when it wakes early. A window of acks costs
-//! zero timer-wheel traffic.
+//! zero event-queue traffic.
 
 use std::sync::Arc;
 
@@ -170,7 +170,7 @@ struct Sender {
     ca_cnt: u32,
     dupacks: u32,
     rto: RtoEstimator,
-    /// Lazy RTO deadline; acks slide it forward without touching the wheel.
+    /// Lazy RTO deadline; acks slide it forward without touching the queue.
     rto_deadline: SimTime,
     timer: Option<TimerId>,
     /// Outstanding RTT sample (Karn-clean), `None` when invalidated.
