@@ -1,12 +1,13 @@
-//! Microbenchmarks for the two hot paths the indexed rewrites target:
+//! Microbenchmarks for the hot paths, one group per layer:
 //!
 //! * `sack_storm` — SCTP streaming a large window through 2% loss, so every
 //!   SACK carries gap blocks and the sender's ack/mark bookkeeping (cum-ack
 //!   prefix drop, rtx-queue maintenance, missing-report strikes) dominates.
 //! * `matching_churn` — a farm-style flood of unexpected messages from many
-//!   sources drained by wildcard receives, plus the farm workload itself,
-//!   so the `(cxt, src, tag)`-indexed matcher and its incremental GC are on
-//!   the measured path.
+//!   sources drained by wildcard receives, plus the farm workload itself:
+//!   the matcher's front-to-back scan of an unexpected queue up to 252
+//!   long, each drain's last post missing past everything left, and the
+//!   `VecDeque::remove` that takes a matched entry out of the middle.
 //!
 //! * `park_wake` — the runtime's park/wake primitives themselves: a full
 //!   driver↔process round trip, and a burst of uncontended CPU charges the
@@ -65,7 +66,8 @@ fn sack_storm(c: &mut Criterion) {
 fn matching_churn(c: &mut Criterion) {
     // Pure matcher churn, farm-shaped: bursts of eager messages from many
     // sources pile up unexpected, then wildcard receives drain them in
-    // arrival order. With the naive scan this is quadratic per round.
+    // arrival order, tag by tag: the scan's synthetic bad case, deeper than
+    // any figure's traffic (there no lookup examines more than seven).
     c.bench_function("matching_churn/unexpected_flood", |b| {
         b.iter(|| {
             let mut core = Core::new(0, 64, 64 * 1024);

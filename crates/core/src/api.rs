@@ -177,6 +177,12 @@ impl Mpi {
         self.core.unexpected_peak
     }
 
+    /// Most queue entries any one of this rank's matching lookups examined
+    /// so far (diagnostic: the matcher scans, so this must stay small).
+    pub fn match_scan_peak(&self) -> usize {
+        self.core.match_scan_peak
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.env.now()

@@ -208,6 +208,49 @@ fn flush_trace(tracer: &Option<trace::Tracer>, end: SimTime, seed: u64) {
     let _ = std::fs::write(dir.join(format!("{name}.jsonl")), dump.write_jsonl());
 }
 
+/// What every kind of run starts from: the validated world with its fault
+/// plan and flight recorder installed, the runtime over it (debug env aids
+/// applied), and the per-rank configuration.
+fn build(cfg: &MpiCfg) -> (Runtime<World>, Option<trace::Tracer>, MpiProcCfg) {
+    cfg.validate();
+    let mut sctp_cfg = cfg.sctp.clone();
+    if let TransportSel::Sctp { streams, .. } = cfg.transport {
+        sctp_cfg.out_streams = sctp_cfg.out_streams.max(streams);
+    }
+    let mut world = World::new(cfg.net, cfg.tcp, sctp_cfg);
+    world.net.set_fault_plan(cfg.fault_plan.clone());
+    let tracer = make_tracer(cfg);
+    if let Some(t) = &tracer {
+        t.set_topology(world.net.hosts(), world.net.ifaces());
+        world.net.tracer = Some(t.clone());
+    }
+    let mut rt = Runtime::new(world, cfg.seed);
+    rt.set_tracer(tracer.clone());
+    // Debug aid: abort runaway simulations (panics with diagnostics).
+    if let Ok(s) = std::env::var("SCTP_MPI_DEADLINE_SECS") {
+        if let Ok(secs) = s.parse::<u64>() {
+            rt.set_deadline(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs));
+        }
+    }
+    // Debug aid: dump transport state at a given simulated time.
+    if let Ok(s) = std::env::var("SCTP_MPI_DUMP_AT_SECS") {
+        if let Ok(secs) = s.parse::<u64>() {
+            rt.schedule_at(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs), |w, ctx| {
+                eprintln!("=== watchdog dump at {} ===", ctx.now());
+                transport::sctp::dump_all(w);
+            });
+        }
+    }
+    let proc_cfg = MpiProcCfg {
+        size: cfg.nprocs,
+        transport: cfg.transport,
+        cost: cfg.cost,
+        short_limit: cfg.short_limit,
+        long_piece: cfg.long_piece,
+    };
+    (rt, tracer, proc_cfg)
+}
+
 /// Result of one MPI run.
 #[derive(Debug, Clone, Copy)]
 pub struct MpiReport {
@@ -254,29 +297,9 @@ where
     F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
     use crate::daemon::{daemon_main, DaemonClient, DaemonMsg, JobTable};
-    cfg.validate();
-    let mut sctp_cfg = cfg.sctp.clone();
-    if let TransportSel::Sctp { streams, .. } = cfg.transport {
-        sctp_cfg.out_streams = sctp_cfg.out_streams.max(streams);
-    }
-    let mut world = World::new(cfg.net, cfg.tcp, sctp_cfg);
-    world.net.set_fault_plan(cfg.fault_plan.clone());
-    let tracer = make_tracer(&cfg);
-    if let Some(t) = &tracer {
-        t.set_topology(world.net.hosts(), world.net.ifaces());
-        world.net.tracer = Some(t.clone());
-    }
-    let mut rt = Runtime::new(world, cfg.seed);
-    rt.set_tracer(tracer.clone());
+    let (mut rt, tracer, proc_cfg) = build(&cfg);
     let f = Rc::new(f);
     let table = Rc::new(std::cell::RefCell::new(JobTable::default()));
-    let proc_cfg = MpiProcCfg {
-        size: cfg.nprocs,
-        transport: cfg.transport,
-        cost: cfg.cost,
-        short_limit: cfg.short_limit,
-        long_piece: cfg.long_piece,
-    };
     let n = cfg.nprocs;
     for rank in 0..n {
         let f = Rc::clone(&f);
@@ -380,28 +403,8 @@ fn mpirun_inner<F>(
 where
     F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
-    cfg.validate();
-    let mut sctp_cfg = cfg.sctp.clone();
-    if let TransportSel::Sctp { streams, .. } = cfg.transport {
-        sctp_cfg.out_streams = sctp_cfg.out_streams.max(streams);
-    }
-    let mut world = World::new(cfg.net, cfg.tcp, sctp_cfg);
-    world.net.set_fault_plan(cfg.fault_plan.clone());
-    let tracer = make_tracer(&cfg);
-    if let Some(t) = &tracer {
-        t.set_topology(world.net.hosts(), world.net.ifaces());
-        world.net.tracer = Some(t.clone());
-    }
-    let mut rt = Runtime::new(world, cfg.seed);
-    rt.set_tracer(tracer.clone());
+    let (mut rt, tracer, proc_cfg) = build(&cfg);
     let f = Rc::new(f);
-    let proc_cfg = MpiProcCfg {
-        size: cfg.nprocs,
-        transport: cfg.transport,
-        cost: cfg.cost,
-        short_limit: cfg.short_limit,
-        long_piece: cfg.long_piece,
-    };
     for rank in 0..cfg.nprocs {
         let f = Rc::clone(&f);
         rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| async move {
@@ -409,21 +412,6 @@ where
             f(&mut mpi).await;
             mpi.finalize().await;
         });
-    }
-    // Debug aid: abort runaway simulations (panics with diagnostics).
-    if let Ok(s) = std::env::var("SCTP_MPI_DEADLINE_SECS") {
-        if let Ok(secs) = s.parse::<u64>() {
-            rt.set_deadline(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs));
-        }
-    }
-    // Debug aid: dump transport state at a given simulated time.
-    if let Ok(s) = std::env::var("SCTP_MPI_DUMP_AT_SECS") {
-        if let Ok(secs) = s.parse::<u64>() {
-            rt.schedule_at(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs), |w, ctx| {
-                eprintln!("=== watchdog dump at {} ===", ctx.now());
-                transport::sctp::dump_all(w);
-            });
-        }
     }
     let out = rt.run();
     flush_trace(&tracer, out.sim_time, cfg.seed);

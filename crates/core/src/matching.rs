@@ -12,18 +12,15 @@
 //! `MPI_ANY_TAG` wildcards; posted receives match in post order, unexpected
 //! messages in arrival order.
 //!
-//! Both queues are hash-indexed so the hot paths — an arriving envelope
-//! looking for a posted receive, and a posted receive looking for a
-//! buffered unexpected message — cost a handful of map lookups instead of
-//! a linear scan of every outstanding request. Order ties are broken by
-//! monotonic sequence numbers (post order / arrival order), never by hash
-//! iteration order, so results are identical to the naive scan.
+//! Each queue is one `VecDeque` in that order, scanned from the front. Over
+//! every figure at paper scale 99.97 % of lookups end at the first entry and
+//! none examines more than seven (`Core::match_scan_peak`; EXPERIMENTS.md).
 
 use std::collections::VecDeque;
 
-use simcore::fxhash::FxHashMap;
-
 use bytes::Bytes;
+use simcore::fxhash::FxHashMap;
+use transport::Wx;
 
 use crate::envelope::{EnvKind, Envelope};
 
@@ -89,13 +86,15 @@ pub(crate) struct Request {
 /// An unexpected message (envelope arrived before a matching receive).
 #[derive(Debug)]
 pub(crate) struct Unex {
+    /// Monotonic arrival number: what `Sink::Unex` holds while the body is
+    /// still arriving. The queue is sorted by it by construction.
+    pub id: usize,
     pub env: Envelope,
     pub data: Vec<Bytes>,
     pub got: u32,
     pub complete: bool,
     /// A receive matched this entry while its body was still arriving.
     pub claimed_by: Option<usize>,
-    pub consumed: bool,
 }
 
 /// A control envelope the RPI must transmit to `peer`.
@@ -125,6 +124,21 @@ impl EnvOutcome {
     }
 }
 
+/// Record how inbound `env` paired at `core` (flight recorder; both RPIs).
+pub(crate) fn trace_match(ctx: &Wx, core: &Core, env: &Envelope, out: &EnvOutcome) {
+    if ctx.tracing() {
+        ctx.trace_emit(trace::Event::MpiMatch(trace::MpiMatchEv {
+            rank: core.rank,
+            src: env.src,
+            tag: env.tag,
+            cxt: env.cxt,
+            len: env.len as u64,
+            kind: env.kind.name(),
+            posted: out.matched_posted(env.kind),
+        }));
+    }
+}
+
 /// The per-process matching state.
 pub struct Core {
     pub rank: u16,
@@ -135,38 +149,24 @@ pub struct Core {
     /// Slots of `reqs` whose request was taken, reused by the next `alloc`:
     /// the table stays as large as the most requests ever held at once.
     free_reqs: Vec<usize>,
-    /// Posted receives, bucketed by filter concreteness. Each queue holds
-    /// `(post_seq, req idx)` in post order; an envelope checks at most four
-    /// queue fronts and the minimum `post_seq` wins, which reproduces the
-    /// post-order scan exactly.
-    posted_st: FxHashMap<(u32, u16, i32), VecDeque<(u64, usize)>>,
-    posted_s: FxHashMap<(u32, u16), VecDeque<(u64, usize)>>,
-    posted_t: FxHashMap<(u32, i32), VecDeque<(u64, usize)>>,
-    posted_any: FxHashMap<u32, VecDeque<(u64, usize)>>,
-    next_post_seq: u64,
-    /// Unexpected messages by arrival id (monotonic). An entry stays here
-    /// while body bytes can still arrive for it; fully-consumed entries
-    /// are released immediately, so the table never accumulates garbage.
-    pub(crate) unexpected: FxHashMap<usize, Unex>,
-    /// Unexpected arrival ids bucketed by every filter shape a receive or
-    /// probe can ask with, each queue in arrival (= id) order — the mirror
-    /// of the posted-receive index. A lookup reads exactly one queue front,
-    /// whatever its wildcards; ids that were consumed or claimed since
-    /// being pushed are popped lazily when they surface.
-    ux_st: FxHashMap<(u32, u16, i32), VecDeque<usize>>,
-    ux_s: FxHashMap<(u32, u16), VecDeque<usize>>,
-    ux_t: FxHashMap<(u32, i32), VecDeque<usize>>,
-    ux_any: FxHashMap<u32, VecDeque<usize>>,
+    /// Posted, unmatched receives (indices into `reqs`) in post order; an
+    /// envelope takes the first whose filter accepts it.
+    posted: VecDeque<usize>,
+    /// Unexpected messages in arrival order. An entry leaves the moment a
+    /// receive takes its body or answers its rendezvous, from wherever it
+    /// sits; one claimed while its body is still arriving stays, invisible
+    /// to lookups, until `body_done`.
+    pub(crate) unexpected: VecDeque<Unex>,
     next_unex_id: usize,
-    /// Unexpected entries not yet consumed (drives `unexpected_peak`).
-    unex_live: usize,
     /// (peer, seq) → send request awaiting that peer's ACK.
     pub(crate) await_ack: FxHashMap<(u16, u32), usize>,
     /// (peer, seq) → recv request awaiting that long body.
     pub(crate) rndv_expect: FxHashMap<(u16, u32), usize>,
     next_seq: u32,
-    /// Counters for diagnostics.
+    /// Counters for diagnostics: the unexpected queue's peak length, and the
+    /// most entries any one lookup (either queue) examined.
     pub unexpected_peak: usize,
+    pub match_scan_peak: usize,
 }
 
 impl Core {
@@ -177,22 +177,14 @@ impl Core {
             short_limit,
             reqs: Vec::new(),
             free_reqs: Vec::new(),
-            posted_st: FxHashMap::default(),
-            posted_s: FxHashMap::default(),
-            posted_t: FxHashMap::default(),
-            posted_any: FxHashMap::default(),
-            next_post_seq: 0,
-            unexpected: FxHashMap::default(),
-            ux_st: FxHashMap::default(),
-            ux_s: FxHashMap::default(),
-            ux_t: FxHashMap::default(),
-            ux_any: FxHashMap::default(),
+            posted: VecDeque::new(),
+            unexpected: VecDeque::new(),
             next_unex_id: 0,
-            unex_live: 0,
             await_ack: FxHashMap::default(),
             rndv_expect: FxHashMap::default(),
             next_seq: 0,
             unexpected_peak: 0,
+            match_scan_peak: 0,
         }
     }
 
@@ -314,44 +306,37 @@ impl Core {
         });
         let mut ctrl = Vec::new();
 
-        // Earliest matching unexpected message, via the arrival index.
-        let Some(ui) = self.find_unexpected(src, tag, cxt) else {
-            self.index_posted(idx);
+        let Some(at) = self.find_unexpected(src, tag, cxt) else {
+            self.posted.push_back(idx);
             return (ReqId(idx), ctrl);
         };
-        let env = self.unexpected[&ui].env;
+        let env = self.unexpected[at].env;
+        let req = &mut self.reqs[idx];
         match env.kind {
+            EnvKind::Eager | EnvKind::SyncEager if !self.unexpected[at].complete => {
+                // Body still arriving: claim; completion transfers it.
+                self.unexpected[at].claimed_by = Some(idx);
+                req.state = ReqState::RecvArriving;
+            }
             EnvKind::Eager | EnvKind::SyncEager => {
-                if self.unexpected[&ui].complete {
-                    self.consume_unexpected(ui);
-                    let u = self.unexpected.get_mut(&ui).unwrap();
-                    let data = std::mem::take(&mut u.data);
-                    let req = &mut self.reqs[idx];
-                    req.data = data;
-                    req.got = env.len;
-                    req.status = Some(Status { src: env.src, tag: env.tag, len: env.len });
-                    req.state = ReqState::Done;
-                    if env.kind == EnvKind::SyncEager {
-                        ctrl.push((env.src, sync_ack(self.rank, &env)));
-                    }
-                } else {
-                    // Body still arriving: claim; completion transfers it.
-                    self.unexpected.get_mut(&ui).unwrap().claimed_by = Some(idx);
-                    self.reqs[idx].state = ReqState::RecvArriving;
+                req.data = self.unexpected.remove(at).expect("found above").data;
+                req.got = env.len;
+                req.status = Some(Status { src: env.src, tag: env.tag, len: env.len });
+                req.state = ReqState::Done;
+                if env.kind == EnvKind::SyncEager {
+                    ctrl.push((env.src, sync_ack(self.rank, &env)));
                 }
             }
             EnvKind::RndvReq => {
                 // Clear-to-send; the body will arrive tagged with env.seq.
-                self.consume_unexpected(ui);
-                self.reqs[idx].state = ReqState::RecvArriving;
-                self.reqs[idx].status = Some(Status { src: env.src, tag: env.tag, len: env.len });
+                self.unexpected.remove(at);
+                req.state = ReqState::RecvArriving;
+                req.status = Some(Status { src: env.src, tag: env.tag, len: env.len });
                 self.rndv_expect.insert((env.src, env.seq), idx);
                 ctrl.push((env.src, rndv_ack(self.rank, &env)));
             }
             k => unreachable!("unexpected queue holds {k:?}"),
         }
-        self.release_unexpected(ui);
-        self.purge_unexpected_fronts(&env);
         (ReqId(idx), ctrl)
     }
 
@@ -437,8 +422,9 @@ impl Core {
                 self.reqs[i].got += chunk.len() as u32;
                 self.reqs[i].data.push(chunk);
             }
-            Sink::Unex(i) => {
-                let u = self.unexpected.get_mut(&i).expect("body for released unexpected");
+            Sink::Unex(id) => {
+                let at = self.unex_at(id).expect("body for released unexpected");
+                let u = &mut self.unexpected[at];
                 u.got += chunk.len() as u32;
                 u.data.push(chunk);
             }
@@ -468,14 +454,11 @@ impl Core {
                     ctrl.push((st.src, sync_ack(self.rank, &env)));
                 }
             }
-            Sink::Unex(i) => {
-                let u = self.unexpected.get_mut(&i).expect("body_done for released unexpected");
-                u.complete = true;
-                if let Some(ri) = u.claimed_by {
-                    let env = u.env;
-                    let data = std::mem::take(&mut u.data);
-                    let got = u.got;
-                    self.consume_unexpected(i);
+            Sink::Unex(id) => {
+                let at = self.unex_at(id).expect("body_done for released unexpected");
+                self.unexpected[at].complete = true;
+                if let Some(ri) = self.unexpected[at].claimed_by {
+                    let Unex { env, data, got, .. } = self.unexpected.remove(at).expect("found above");
                     let req = &mut self.reqs[ri];
                     req.data = data;
                     req.got = got;
@@ -485,7 +468,6 @@ impl Core {
                         ctrl.push((env.src, sync_ack(self.rank, &env)));
                     }
                 }
-                self.release_unexpected(i);
             }
         }
         ctrl
@@ -493,10 +475,10 @@ impl Core {
 
     /// Does any buffered unexpected message match `(src, tag, cxt)`?
     /// Returns its envelope metadata without consuming it (MPI_Iprobe).
-    /// `&mut` only for lazy index maintenance; matching state is unchanged.
+    /// `&mut` only for `match_scan_peak`; matching state is unchanged.
     pub fn probe_unexpected(&mut self, src: Option<u16>, tag: Option<i32>, cxt: u32) -> Option<Status> {
-        self.find_unexpected(src, tag, cxt).map(|id| {
-            let env = self.unexpected[&id].env;
+        self.find_unexpected(src, tag, cxt).map(|at| {
+            let env = self.unexpected[at].env;
             Status { src: env.src, tag: env.tag, len: env.len }
         })
     }
@@ -535,131 +517,45 @@ impl Core {
     // Internals
     // -----------------------------------------------------------------
 
-    /// Add a posted receive to the queue matching its filter concreteness.
-    fn index_posted(&mut self, idx: usize) {
-        let r = &self.reqs[idx];
-        let seq = self.next_post_seq;
-        self.next_post_seq += 1;
-        match (r.peer, r.tag) {
-            (Some(s), Some(t)) => {
-                self.posted_st.entry((r.cxt, s, t)).or_default().push_back((seq, idx))
-            }
-            (Some(s), None) => self.posted_s.entry((r.cxt, s)).or_default().push_back((seq, idx)),
-            (None, Some(t)) => self.posted_t.entry((r.cxt, t)).or_default().push_back((seq, idx)),
-            (None, None) => self.posted_any.entry(r.cxt).or_default().push_back((seq, idx)),
-        }
+    /// A lookup ended at `hit` (or missed) in a queue `len` long: record
+    /// how many entries it examined.
+    fn note_scan(&mut self, hit: Option<usize>, len: usize) {
+        self.match_scan_peak = self.match_scan_peak.max(hit.map_or(len, |at| at + 1));
     }
 
-    /// Earliest posted receive matching `env`: at most four queue fronts
-    /// compete, the oldest post wins.
+    /// Take the earliest posted receive whose filter accepts `env`.
     fn match_posted(&mut self, env: &Envelope) -> Option<usize> {
-        let fronts = [
-            self.posted_st.get(&(env.cxt, env.src, env.tag)).and_then(|q| q.front()),
-            self.posted_s.get(&(env.cxt, env.src)).and_then(|q| q.front()),
-            self.posted_t.get(&(env.cxt, env.tag)).and_then(|q| q.front()),
-            self.posted_any.get(&env.cxt).and_then(|q| q.front()),
-        ];
-        let class =
-            fronts.iter().enumerate().filter_map(|(i, f)| f.map(|&(s, _)| (s, i))).min()?.1;
-        macro_rules! pop {
-            ($map:expr, $key:expr) => {{
-                let key = $key;
-                let q = $map.get_mut(&key).unwrap();
-                let (_, idx) = q.pop_front().unwrap();
-                if q.is_empty() {
-                    $map.remove(&key);
-                }
-                idx
-            }};
-        }
-        Some(match class {
-            0 => pop!(self.posted_st, (env.cxt, env.src, env.tag)),
-            1 => pop!(self.posted_s, (env.cxt, env.src)),
-            2 => pop!(self.posted_t, (env.cxt, env.tag)),
-            _ => pop!(self.posted_any, env.cxt),
-        })
+        let reqs = &self.reqs;
+        let at = self.posted.iter().position(|&i| accepts(reqs[i].peer, reqs[i].tag, reqs[i].cxt, env));
+        self.note_scan(at, self.posted.len());
+        self.posted.remove(at?)
     }
 
-    /// Earliest matchable unexpected message for `(src, tag, cxt)`: one
-    /// queue front, whichever wildcard shape the filter has. Ids are
-    /// monotonic and every queue is pushed in arrival order, so a front is
-    /// always the oldest match — hash iteration order is never consulted.
+    /// Position of the earliest unexpected message `(src, tag, cxt)` accepts
+    /// that no receive has claimed yet.
     fn find_unexpected(&mut self, src: Option<u16>, tag: Option<i32>, cxt: u32) -> Option<usize> {
-        match (src, tag) {
-            (Some(s), Some(t)) => front_matchable(&mut self.ux_st, (cxt, s, t), &self.unexpected),
-            (Some(s), None) => front_matchable(&mut self.ux_s, (cxt, s), &self.unexpected),
-            (None, Some(t)) => front_matchable(&mut self.ux_t, (cxt, t), &self.unexpected),
-            (None, None) => front_matchable(&mut self.ux_any, cxt, &self.unexpected),
-        }
+        let at = self.unexpected.iter().position(|u| u.claimed_by.is_none() && accepts(src, tag, cxt, &u.env));
+        self.note_scan(at, self.unexpected.len());
+        at
+    }
+
+    /// Position of the entry `Sink::Unex(id)` names.
+    fn unex_at(&self, id: usize) -> Option<usize> {
+        self.unexpected.binary_search_by_key(&id, |u| u.id).ok()
     }
 
     fn push_unexpected(&mut self, env: Envelope) -> usize {
         let id = self.next_unex_id;
         self.next_unex_id += 1;
-        self.unexpected.insert(
-            id,
-            Unex { env, data: Vec::new(), got: 0, complete: false, claimed_by: None, consumed: false },
-        );
-        self.ux_st.entry((env.cxt, env.src, env.tag)).or_default().push_back(id);
-        self.ux_s.entry((env.cxt, env.src)).or_default().push_back(id);
-        self.ux_t.entry((env.cxt, env.tag)).or_default().push_back(id);
-        self.ux_any.entry(env.cxt).or_default().push_back(id);
-        self.unex_live += 1;
-        self.unexpected_peak = self.unexpected_peak.max(self.unex_live);
+        self.unexpected.push_back(Unex { id, env, data: Vec::new(), got: 0, complete: false, claimed_by: None });
+        self.unexpected_peak = self.unexpected_peak.max(self.unexpected.len());
         id
-    }
-
-    /// After an entry is consumed or claimed, pop any newly-stale ids off
-    /// the fronts of the four queues it lives in. Keeps queue memory
-    /// proportional to live entries; stale ids deeper in a queue are popped
-    /// when they surface in `front_matchable`.
-    fn purge_unexpected_fronts(&mut self, env: &Envelope) {
-        let _ = front_matchable(&mut self.ux_st, (env.cxt, env.src, env.tag), &self.unexpected);
-        let _ = front_matchable(&mut self.ux_s, (env.cxt, env.src), &self.unexpected);
-        let _ = front_matchable(&mut self.ux_t, (env.cxt, env.tag), &self.unexpected);
-        let _ = front_matchable(&mut self.ux_any, env.cxt, &self.unexpected);
-    }
-
-    fn consume_unexpected(&mut self, id: usize) {
-        let u = self.unexpected.get_mut(&id).unwrap();
-        if !u.consumed {
-            u.consumed = true;
-            self.unex_live -= 1;
-        }
-    }
-
-    /// Incremental GC: drop the entry as soon as no more body bytes can
-    /// arrive for it — consumed and either body-complete or a rendezvous
-    /// request (whose body travels separately). Replaces the old
-    /// whole-queue sweep, which only freed memory once *every* entry was
-    /// consumed and so grew without bound under constant churn.
-    fn release_unexpected(&mut self, id: usize) {
-        if let Some(u) = self.unexpected.get(&id) {
-            if u.consumed && (u.complete || u.env.kind == EnvKind::RndvReq) {
-                self.unexpected.remove(&id);
-            }
-        }
     }
 }
 
-/// Front of one unexpected-index queue, lazily popping ids that stopped
-/// being matchable (consumed, claimed, or released) since they were pushed.
-/// Drops the key when the queue empties. A free function over disjoint
-/// `Core` fields so callers can hold `&self.unexpected` alongside the map.
-fn front_matchable<K: Copy + Eq + std::hash::Hash>(
-    map: &mut FxHashMap<K, VecDeque<usize>>,
-    key: K,
-    unexpected: &FxHashMap<usize, Unex>,
-) -> Option<usize> {
-    let q = map.get_mut(&key)?;
-    while let Some(&id) = q.front() {
-        if unexpected.get(&id).is_some_and(|u| !u.consumed && u.claimed_by.is_none()) {
-            return Some(id);
-        }
-        q.pop_front();
-    }
-    map.remove(&key);
-    None
+/// Does the receive filter `(src, tag, cxt)` accept `env`?
+fn accepts(src: Option<u16>, tag: Option<i32>, cxt: u32, env: &Envelope) -> bool {
+    cxt == env.cxt && src.is_none_or(|s| s == env.src) && tag.is_none_or(|t| t == env.tag)
 }
 
 fn rndv_ack(me: u16, req_env: &Envelope) -> Envelope {
@@ -902,5 +798,54 @@ mod tests {
         }
         assert!(c.unexpected.is_empty(), "fully consumed queue must be GC'd");
         assert!(c.unexpected_peak >= 1);
+    }
+
+    /// Buffer a complete one-byte eager message `(src 0, tag, seq)`.
+    fn arrive(c: &mut Core, tag: i32, seq: u32) {
+        let env = Envelope { kind: EnvKind::Eager, src: 0, tag, cxt: 0, len: 1, seq };
+        let sink = c.on_envelope(0, env).sink.unwrap();
+        c.body_chunk(sink, Bytes::from(vec![seq as u8]));
+        c.body_done(sink);
+    }
+
+    #[test]
+    fn unreceived_message_does_not_pin_later_ones() {
+        let mut c = Core::new(1, 2, K64);
+        arrive(&mut c, 99, 0); // never received
+        for seq in 1..=10_000 {
+            arrive(&mut c, 1, seq);
+            let (r, _) = c.post_recv(Some(0), Some(1), 0);
+            assert_eq!(c.take_done(r).1[0][0], seq as u8);
+        }
+        assert_eq!(c.unexpected.len(), 1, "entries behind the old one leave when taken");
+        assert_eq!(c.unexpected_peak, 2);
+        assert_eq!(c.match_scan_peak, 2);
+    }
+
+    #[test]
+    fn body_for_a_middle_entry_survives_removals_around_it() {
+        let mut c = Core::new(1, 2, K64);
+        let sinks: Vec<Sink> = (0..3)
+            .map(|tag| {
+                let env = Envelope { kind: EnvKind::Eager, src: 0, tag, cxt: 0, len: 2, seq: tag as u32 };
+                c.on_envelope(0, env).sink.unwrap()
+            })
+            .collect();
+        // A and C complete and are received; B is still mid-body.
+        c.body_chunk(sinks[1], Bytes::from_static(b"b"));
+        for i in [0, 2] {
+            c.body_chunk(sinks[i], Bytes::from_static(b"xx"));
+            c.body_done(sinks[i]);
+            let (r, _) = c.post_recv(Some(0), Some(i as i32), 0);
+            assert!(c.is_done(r));
+        }
+        assert_eq!(c.unexpected.len(), 1);
+        c.body_chunk(sinks[1], Bytes::from_static(b"B"));
+        c.body_done(sinks[1]);
+        let (r, _) = c.post_recv(Some(0), Some(1), 0);
+        let (st, data) = c.take_done(r);
+        assert_eq!((st.tag, st.len), (1, 2));
+        assert_eq!(data.concat(), b"bB");
+        assert!(c.unexpected.is_empty());
     }
 }

@@ -26,7 +26,7 @@ use transport::{World, Wx};
 
 use crate::cost::{CostCfg, CpuMeter};
 use crate::envelope::{Envelope, ENV_SIZE};
-use crate::matching::{Core, CtrlOut, ReqId, Sink};
+use crate::matching::{trace_match, Core, CtrlOut, ReqId, Sink};
 
 /// SCTP RPI port.
 pub(crate) const SCTP_RPI_PORT: u16 = 5600;
@@ -368,17 +368,7 @@ impl SctpRpi {
         debug_assert!(data[0].len() >= ENV_SIZE, "first chunk must hold the envelope");
         let env = Envelope::from_bytes(&data[0]);
         let out = core.on_envelope(peer, env);
-        if ctx.tracing() {
-            ctx.trace_emit(trace::Event::MpiMatch(trace::MpiMatchEv {
-                rank: core.rank,
-                src: env.src,
-                tag: env.tag,
-                cxt: env.cxt,
-                len: env.len as u64,
-                kind: env.kind.name(),
-                posted: out.matched_posted(env.kind),
-            }));
-        }
+        trace_match(ctx, core, &env, &out);
         self.enqueue_ctrl(out.ctrl);
         if let Some((req, benv, body)) = out.body_send {
             self.enqueue_body_send(peer, req, benv, body);

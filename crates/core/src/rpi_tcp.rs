@@ -16,7 +16,7 @@ use transport::{World, Wx};
 
 use crate::cost::{CostCfg, CpuMeter};
 use crate::envelope::{Envelope, ENV_SIZE};
-use crate::matching::{Core, CtrlOut, ReqId, Sink};
+use crate::matching::{trace_match, Core, CtrlOut, ReqId, Sink};
 
 /// An outbound message: envelope + optional body, written as one byte run.
 struct WriteItem {
@@ -232,17 +232,7 @@ impl TcpRpi {
 
     fn handle_envelope(&mut self, ctx: &Wx, core: &mut Core, peer: u16, env: Envelope) {
         let out = core.on_envelope(peer, env);
-        if ctx.tracing() {
-            ctx.trace_emit(trace::Event::MpiMatch(trace::MpiMatchEv {
-                rank: core.rank,
-                src: env.src,
-                tag: env.tag,
-                cxt: env.cxt,
-                len: env.len as u64,
-                kind: env.kind.name(),
-                posted: out.matched_posted(env.kind),
-            }));
-        }
+        trace_match(ctx, core, &env, &out);
         self.enqueue_ctrl(out.ctrl);
         if let Some((req, benv, body)) = out.body_send {
             self.enqueue_body_send(peer, req, benv, body);

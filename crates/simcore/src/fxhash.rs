@@ -2,8 +2,9 @@
 //!
 //! The standard library's default `RandomState` is SipHash seeded per
 //! process: robust against adversarial keys, but ~10× slower than needed
-//! for the small integer tuples the scheduler and matching engine key by,
-//! and its per-process seed makes map iteration order vary between runs.
+//! for the small integer tuples the transports' demux maps and the
+//! matching engine's rendezvous tables key by, and its per-process seed
+//! makes map iteration order vary between runs.
 //! Nothing in a closed simulation hashes attacker-controlled input, so we
 //! use the multiply-xor scheme popularized by rustc (`FxHasher`): one
 //! rotate, one xor, one multiply per word. The fixed seed also makes
@@ -14,8 +15,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -29,7 +29,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
-use crate::fxhash::FxHashSet;
 
 use rand::rngs::SmallRng;
 
@@ -216,7 +215,9 @@ pub struct Ctx<W> {
     /// Stale keys currently in the heap; bounded by compaction.
     heap_dead: usize,
     wake_fifo: VecDeque<ProcId>,
-    wake_pending: FxHashSet<ProcId>,
+    /// `wake_pending[p]` is true while `p` sits in `wake_fifo`, so duplicate
+    /// wakes coalesce. Grown on demand, like `sleeping`.
+    wake_pending: Vec<bool>,
     /// `sleeping[p]` is true while process `p` is parked inside
     /// [`crate::ProcEnv::sleep`]. A wake delivered to a sleeping process is
     /// provably spurious — the sleep loop only re-checks this mark, which
@@ -258,7 +259,7 @@ impl<W> Ctx<W> {
             heap: BinaryHeap::new(),
             heap_dead: 0,
             wake_fifo: VecDeque::new(),
-            wake_pending: FxHashSet::default(),
+            wake_pending: Vec::new(),
             sleeping: Vec::new(),
             reference: false,
             deadline: SimTime::MAX,
@@ -545,7 +546,10 @@ impl<W> Ctx<W> {
             self.wakes_suppressed += 1;
             return;
         }
-        if self.wake_pending.insert(p) {
+        if self.wake_pending.len() <= p.0 {
+            self.wake_pending.resize(p.0 + 1, false);
+        }
+        if !std::mem::replace(&mut self.wake_pending[p.0], true) {
             self.wake_fifo.push_back(p);
         }
     }
@@ -631,13 +635,15 @@ impl<W> Ctx<W> {
 
     /// Drain the pending wake batch into `out` (cleared first). Reuses the
     /// driver's buffer so the per-batch `Vec` allocation of the old
-    /// `take_wakes` is gone. Batch semantics are load-bearing: the pending
-    /// set is cleared wholesale, so a wake issued *during* the batch — even
-    /// to a process earlier in it — lands in the next batch.
+    /// `take_wakes` is gone. Batch semantics are load-bearing: every drained
+    /// process's pending flag is cleared, so a wake issued *during* the
+    /// batch — even to a process earlier in it — lands in the next batch.
     pub(crate) fn take_wakes_into(&mut self, out: &mut Vec<ProcId>) {
         out.clear();
         out.extend(self.wake_fifo.drain(..));
-        self.wake_pending.clear();
+        for p in out.iter() {
+            self.wake_pending[p.0] = false;
+        }
     }
 
     #[cfg(test)]
@@ -787,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn near_horizon_timer_from_unaligned_now_does_not_wrap() {
+    fn long_timer_queued_first_from_unaligned_now_fires_last() {
         // A PR 3 regression script, kept: from a nonzero `now`, a ~33.5 ms
         // timer queued before a 10 µs one must still fire after it.
         let mut c = ctx();
@@ -802,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn next_event_key_is_a_lower_bound_near_the_horizon() {
+    fn next_event_key_is_the_minimum_when_a_long_timer_was_queued_first() {
         // Same script as above, through the fast-path probe: the reported
         // key must be the true queue minimum (the 10 µs timer) — otherwise
         // `try_advance_to` could jump the clock past a queued earlier event.

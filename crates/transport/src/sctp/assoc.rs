@@ -55,26 +55,10 @@ pub struct SctpCfg {
     pub out_streams: u16,
     /// Delayed-SACK timeout (RFC: 200 ms).
     pub sack_delay: Dur,
-    /// SACK at least every N packets.
-    pub sack_every: u32,
-    /// Missing-report threshold for fast retransmit (RFC 2960 said 4; the
-    /// KAME implementation of the era used 3, like TCP's dup-ACK rule).
-    pub missing_thresh: u32,
     /// RTO parameters.
     pub rto: RtoCfg,
-    /// Initial cwnd in PMTUs (RFC 4960 §7.2.1 ≈ min(4·MTU, max(2·MTU, 4380))).
-    pub init_cwnd_mtu: u32,
-    /// Send retransmissions to an alternate active path when available
-    /// (RFC 4960 §6.4.1; the paper §4.1.1 notes this aids throughput).
-    pub rtx_alternate: bool,
     /// Consecutive timeouts before a path is marked inactive.
     pub path_max_retrans: u32,
-    /// Consecutive timeouts before the whole association fails.
-    pub assoc_max_retrans: u32,
-    /// INIT / COOKIE-ECHO retransmission limit.
-    pub max_init_retrans: u32,
-    /// Signed-cookie lifetime (staleness check).
-    pub cookie_lifetime: Dur,
     /// Heartbeat interval for idle/inactive paths (None = off).
     pub heartbeat_interval: Option<Dur>,
     /// Close idle associations after this long (None = off). §3.5.2.
@@ -144,15 +128,8 @@ impl Default for SctpCfg {
             rcvbuf: 220 * 1024,
             out_streams: 10,
             sack_delay: Dur::from_millis(200),
-            sack_every: 2,
-            missing_thresh: 3,
             rto: RtoCfg::kame_sctp(),
-            init_cwnd_mtu: 3,
-            rtx_alternate: true,
             path_max_retrans: 5,
-            assoc_max_retrans: 10,
-            max_init_retrans: 8,
-            cookie_lifetime: Dur::from_secs(60),
             heartbeat_interval: Some(Dur::from_secs(30)),
             autoclose: None,
             num_paths: 1,
@@ -346,11 +323,14 @@ pub(crate) struct Recovery {
     pub fast_recovery: Option<u64>,
 }
 
+/// Initial cwnd in PMTUs (RFC 4960 §7.2.1 ≈ min(4·MTU, max(2·MTU, 4380))).
+const INIT_CWND_MTU: u64 = 3;
+
 impl PathState {
     pub(crate) fn new(iface: u8, cfg: &SctpCfg) -> Self {
         PathState {
             iface,
-            cwnd: cfg.init_cwnd_mtu as u64 * cfg.pmtu as u64,
+            cwnd: INIT_CWND_MTU * cfg.pmtu as u64,
             ssthresh: u64::MAX / 2,
             partial_bytes_acked: 0,
             flight: 0,
@@ -548,6 +528,10 @@ pub(crate) struct Assoc {
     pub stats: AssocStats,
 }
 
+/// Send retransmissions to an alternate active path when available
+/// (RFC 4960 §6.4.1; the paper §4.1.1 notes this aids throughput).
+const RTX_ALTERNATE: bool = true;
+
 impl Assoc {
     pub(crate) fn new(
         cfg: &SctpCfg,
@@ -642,8 +626,8 @@ impl Assoc {
 
     /// Pick the retransmission path: an active alternate if allowed and
     /// available, else the primary.
-    pub(crate) fn rtx_path(&self, rtx_alternate: bool) -> u8 {
-        if rtx_alternate && self.paths.len() > 1 {
+    pub(crate) fn rtx_path(&self) -> u8 {
+        if RTX_ALTERNATE && self.paths.len() > 1 {
             if let Some((i, _)) = self
                 .paths
                 .iter()

@@ -729,7 +729,7 @@ fn try_send_inner(
                     })
                     .unwrap_or(ak.primary)
             } else {
-                ak.rtx_path(cfg.rtx_alternate)
+                ak.rtx_path()
             };
             let has_marked =
                 !ak.rtx_queue.is_empty() && burst_on[rtx_path as usize] < cfg.max_burst;
@@ -1232,6 +1232,9 @@ pub(super) fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fres
     ak.rec_mut(scope).t3_timer.set(ctx, d, wake);
 }
 
+/// Consecutive timeouts before the whole association fails.
+const ASSOC_MAX_RETRANS: u32 = 10;
+
 /// T3-rtx expiry for `scope`. The association-wide timer penalises the
 /// earliest outstanding chunk's path and re-marks the whole window. A
 /// destination's timer penalises and re-marks only its own stripe: the
@@ -1315,7 +1318,7 @@ fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope) {
         if path_strike(ps, &cfg) && ak.primary == p {
             failover_primary(ak, now);
         }
-        if ak.assoc_errors > cfg.assoc_max_retrans {
+        if ak.assoc_errors > ASSOC_MAX_RETRANS {
             fail_assoc(w, ctx, a);
             return;
         }
@@ -1508,8 +1511,10 @@ fn arm_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     ak.init_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_init_timer(w, ctx, a));
 }
 
+/// INIT / COOKIE-ECHO retransmission limit.
+const MAX_INIT_RETRANS: u32 = 8;
+
 fn on_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let cfg = cfg_of(w, a.host);
     let state = {
         let ak = assoc_mut(w, a);
         let wake = move |w: &mut World, ctx: &mut Wx| on_init_timer(w, ctx, a);
@@ -1518,7 +1523,7 @@ fn on_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
             return;
         }
         ak.init_retries += 1;
-        if ak.init_retries > cfg.max_init_retrans {
+        if ak.init_retries > MAX_INIT_RETRANS {
             AssocState::Aborted
         } else {
             let p = ak.primary;
@@ -1626,6 +1631,9 @@ fn handle_init_ack(
     send_cookie_echo(w, ctx, a);
 }
 
+/// Signed-cookie lifetime (staleness check).
+const COOKIE_LIFETIME: Dur = Dur::from_secs(60);
+
 fn handle_cookie_echo(w: &mut World, ctx: &mut Wx, e: EpId, src: IfAddr, src_port: u16, cookie: Cookie) {
     let cfg = cfg_of(w, e.host);
     let secret = host_secret(w, ctx, e.host);
@@ -1634,7 +1642,7 @@ fn handle_cookie_echo(w: &mut World, ctx: &mut Wx, e: EpId, src: IfAddr, src_por
         ep_mut(w, e).bad_mac_drops += 1;
         return;
     }
-    if ctx.now().since(cookie.created_at) > cfg.cookie_lifetime {
+    if ctx.now().since(cookie.created_at) > COOKIE_LIFETIME {
         ep_mut(w, e).stale_cookie_drops += 1;
         return;
     }
@@ -1918,7 +1926,6 @@ fn arm_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
 }
 
 fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let cfg = cfg_of(w, a.host);
     let (resend, vtag, path, cum, state) = {
         let ak = assoc_mut(w, a);
         let wake = move |w: &mut World, ctx: &mut Wx| on_shutdown_timer(w, ctx, a);
@@ -1926,7 +1933,7 @@ fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
             return;
         }
         ak.init_retries += 1;
-        if ak.init_retries > cfg.assoc_max_retrans {
+        if ak.init_retries > ASSOC_MAX_RETRANS {
             (false, 0, 0, 0, ak.state)
         } else {
             let p = ak.primary;

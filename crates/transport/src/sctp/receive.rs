@@ -356,11 +356,13 @@ fn assemble_mid(
     Some((unordered, msg))
 }
 
+/// SACK at least every N packets.
+const SACK_EVERY: u32 = 2;
+
 /// Per-packet SACK decision: immediate when there are gaps or duplicates
 /// (the fast gap reporting §4.1.1 credits), else delayed (every 2nd packet
 /// or 200 ms).
 pub(super) fn decide_sack(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let cfg = cfg_of(w, a.host);
     let send_now = {
         let ak = assoc_mut(w, a);
         let gaps_exist = ak.rcv.num_gaps() > 0;
@@ -368,7 +370,7 @@ pub(super) fn decide_sack(w: &mut World, ctx: &mut Wx, a: AssocId) {
             true
         } else {
             ak.sack_pending_pkts += 1;
-            ak.sack_pending_pkts >= cfg.sack_every
+            ak.sack_pending_pkts >= SACK_EVERY
         }
     };
     if send_now {

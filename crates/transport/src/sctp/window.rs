@@ -146,6 +146,10 @@ pub(super) fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
     }
 }
 
+/// Missing-report threshold for fast retransmit (RFC 2960 said 4; the
+/// KAME implementation of the era used 3, like TCP's dup-ACK rule).
+const MISSING_THRESH: u32 = 3;
+
 pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, gaps: &[(u64, u64)]) {
     let cfg = cfg_of(w, a.host);
     let pmtu = cfg.pmtu as u64;
@@ -257,7 +261,7 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
                     continue;
                 }
                 c.missing += 1;
-                if c.missing >= cfg.missing_thresh {
+                if c.missing >= MISSING_THRESH {
                     c.marked_rtx = true;
                     // Marked chunks leave the flight (RFC 4960 §6.2.1/7.2.4)
                     // so the retransmission fits inside the new cwnd.
@@ -419,7 +423,7 @@ fn fast_retransmit_burst(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let ak = assoc_mut(w, a);
     let vtag = ak.peer_tag;
     for scope in scopes(&cfg, ak.paths.len()) {
-        let path = scope.unwrap_or_else(|| ak.rtx_path(cfg.rtx_alternate));
+        let path = scope.unwrap_or_else(|| ak.rtx_path());
         let mut packet = Vec::new();
         reemit_marked(ak, &cfg, ctx.now(), path, &mut cfg.packet_budget(), &mut packet);
         if !packet.is_empty() {

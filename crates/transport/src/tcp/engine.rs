@@ -11,7 +11,21 @@ use crate::{World, Wx};
 
 use super::{
     sock, sock_mut, sock_pool_mut, Flags, SockId, TcpCfg, TcpSegment, TcpSock, TcpState,
+    INIT_CWND_MSS,
 };
+
+/// Delayed-ACK timeout.
+const DELACK: Dur = Dur::from_millis(100);
+/// Dup-ACK threshold for fast retransmit.
+const DUPACK_THRESH: u32 = 3;
+/// Max SACK blocks carried per ACK: what is left of TCP's 40 bytes of
+/// option space beside the timestamp option — the limit the paper (§4.1.1)
+/// contrasts with SCTP's PMTU-bounded gap-ack blocks.
+const MAX_SACK_BLOCKS: usize = 3;
+/// Restart cwnd after the connection idles longer than one RTO.
+const IDLE_RESTART: bool = true;
+/// SYN (and SYN-ACK) retransmission limit before the connect fails.
+const MAX_SYN_RETRIES: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -48,9 +62,9 @@ fn adv_wnd(sk: &TcpSock, cfg: &TcpCfg) -> u64 {
 
 /// SACK blocks to attach: most recent ranges first, capped by option space.
 /// Appends into `blocks` (pooled by the caller).
-fn sack_blocks_into(sk: &TcpSock, cfg: &TcpCfg, blocks: &mut Vec<(u64, u64)>) {
+fn sack_blocks_into(sk: &TcpSock, blocks: &mut Vec<(u64, u64)>) {
     for &start in &sk.sack_recent {
-        if blocks.len() >= cfg.max_sack_blocks {
+        if blocks.len() >= MAX_SACK_BLOCKS {
             break;
         }
         // Re-resolve the (possibly merged/extended) containing range.
@@ -81,7 +95,7 @@ fn build_segment(
         Vec::new()
     } else {
         let mut b = pool.take_gap_vec();
-        sack_blocks_into(sk, &cfg, &mut b);
+        sack_blocks_into(sk, &mut b);
         b
     };
     let seg = TcpSegment {
@@ -197,7 +211,7 @@ fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
         match sk.state {
             TcpState::SynSent | TcpState::SynRcvd => {
                 sk.syn_retries += 1;
-                if sk.syn_retries > cfg.max_syn_retries {
+                if sk.syn_retries > MAX_SYN_RETRIES {
                     sk.state = TcpState::Closed;
                     ctx.wake_all(&sk.writers);
                     sk.writers.clear();
@@ -258,10 +272,9 @@ fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
 }
 
 fn arm_delack(w: &mut World, ctx: &mut Wx, s: SockId) {
-    let cfg = cfg_of(w, s);
     let sk = sock_mut(w, s);
     if !sk.delack_timer.is_set() {
-        sk.delack_timer.set(ctx, cfg.delack, move |w: &mut World, ctx: &mut Wx| on_delack(w, ctx, s));
+        sk.delack_timer.set(ctx, DELACK, move |w: &mut World, ctx: &mut Wx| on_delack(w, ctx, s));
     }
 }
 
@@ -358,12 +371,12 @@ pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
             return;
         }
         // Congestion-window restart after idle (4.4BSD behaviour).
-        if cfg.idle_restart
+        if IDLE_RESTART
             && sk.flight() == 0
             && sk.snd_una > 1
             && now.since(sk.last_send) > sk.rto.current()
         {
-            sk.cc.cwnd = sk.cc.cwnd.min(cfg.init_cwnd_mss as u64 * mss);
+            sk.cc.cwnd = sk.cc.cwnd.min(INIT_CWND_MSS * mss);
         }
         loop {
             let wnd = sk.cc.cwnd.min(sk.peer_wnd);
@@ -676,7 +689,7 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
                     }
                 } else {
                     sk.cc.dupacks += 1;
-                    if sk.cc.dupacks >= cfg.dupack_thresh {
+                    if sk.cc.dupacks >= DUPACK_THRESH {
                         // Fast retransmit: enter recovery; the hole-repair
                         // rule below sends the retransmission.
                         sk.cc.ssthresh = (sk.flight() / 2).max(2 * mss);
@@ -721,7 +734,7 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
         // RFC 6675-style loss evidence: enough bytes SACKed above the hole
         // (the dup-ACK threshold expressed in scoreboard terms). Without
         // this, a single out-of-order SACK block would trigger repair.
-        let evidence = sk.sacked.covered() >= cfg.dupack_thresh as u64 * mss;
+        let evidence = sk.sacked.covered() >= DUPACK_THRESH as u64 * mss;
         // During a timeout episode (Karn backoff still in force) the
         // receiver generates no dup-ACK stream, so the scoreboard is the
         // only signal left: repair holes on every cumulative ack or the

@@ -9,8 +9,8 @@
 //! * delayed ACKs (ack-every-2nd or 100 ms), immediate dup-ACKs on
 //!   out-of-order data;
 //! * NewReno congestion control with fast retransmit / fast recovery and a
-//!   SACK scoreboard limited to [`TcpCfg::max_sack_blocks`] blocks per ACK
-//!   (the IP-option-space limit from §4.1.1 of the paper);
+//!   SACK scoreboard limited to three blocks per ACK (the IP-option-space
+//!   limit from §4.1.1 of the paper);
 //! * RFC 6298 RTO with Karn's rule, exponential backoff, and the coarse
 //!   500 ms timer granularity of era BSD stacks;
 //! * Nagle's algorithm, **disabled by default** to match LAM-TCP.
@@ -21,10 +21,11 @@
 
 mod engine;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use netsim::IfAddr;
+use simcore::fxhash::FxHashMap;
 use simcore::{Deadline, ProcId, SimTime};
 
 use crate::buf::ByteQueue;
@@ -55,20 +56,8 @@ pub struct TcpCfg {
     pub rcvbuf: u64,
     /// Nagle's algorithm (LAM-TCP disables it).
     pub nagle: bool,
-    /// Delayed-ACK timeout.
-    pub delack: simcore::Dur,
-    /// Dup-ACK threshold for fast retransmit.
-    pub dupack_thresh: u32,
-    /// Max SACK blocks carried per ACK (IP option space limit).
-    pub max_sack_blocks: usize,
     /// RTO parameters (era BSD defaults).
     pub rto: RtoCfg,
-    /// Initial congestion window, in MSS (RFC 3390 ≈ 3 for MSS 1448).
-    pub init_cwnd_mss: u32,
-    /// Restart cwnd after the connection idles longer than one RTO.
-    pub idle_restart: bool,
-    /// SYN (and SYN-ACK) retransmission limit before the connect fails.
-    pub max_syn_retries: u32,
     /// SACK-scoreboard hole repair (RFC 6675-style). FreeBSD 5.3's SACK
     /// code (brand new in 2004) had nothing like it — set `false` for
     /// era-faithful NewReno-only recovery, which degenerates to RTO chains
@@ -83,17 +72,14 @@ impl Default for TcpCfg {
             sndbuf: 220 * 1024,
             rcvbuf: 220 * 1024,
             nagle: false,
-            delack: simcore::Dur::from_millis(100),
-            dupack_thresh: 3,
-            max_sack_blocks: 3,
             rto: RtoCfg::bsd_tcp(),
-            init_cwnd_mss: 3,
-            idle_restart: true,
-            max_syn_retries: 6,
             sack_hole_repair: true,
         }
     }
 }
+
+/// Initial congestion window, in MSS (RFC 3390 ≈ 3 for MSS 1448).
+const INIT_CWND_MSS: u64 = 3;
 
 /// TCP connection states (RFC 793 subset; LISTEN lives in the engine's
 /// internal `Listener` table).
@@ -176,8 +162,8 @@ pub struct TcpSegment {
     pub ack: u64,
     /// Advertised receive window (bytes).
     pub wnd: u64,
-    /// SACK blocks `[start, end)`, most recent first, at most
-    /// `max_sack_blocks`.
+    /// SACK blocks `[start, end)`, most recent first, at most three (the
+    /// engine's `MAX_SACK_BLOCKS`).
     pub sack: Vec<(u64, u64)>,
     /// Zero-window persist probe: elicits an immediate pure ACK.
     pub probe: bool,
@@ -325,7 +311,7 @@ impl TcpSock {
             fin_queued: false,
             fin_sent: false,
             cc: Cc {
-                cwnd: cfg.init_cwnd_mss as u64 * cfg.mss as u64,
+                cwnd: INIT_CWND_MSS * cfg.mss as u64,
                 ssthresh: u64::MAX / 2,
                 dupacks: 0,
                 in_recovery: false,
@@ -387,9 +373,9 @@ pub struct TcpHost {
     /// Host-wide TCP tuning (shared by every socket).
     pub cfg: TcpCfg,
     pub(crate) socks: Vec<TcpSock>,
-    pub(crate) listeners: HashMap<u16, Listener>,
+    pub(crate) listeners: FxHashMap<u16, Listener>,
     /// (local_port, remote_host, remote_port) → sock index.
-    pub(crate) conn_map: HashMap<(u16, u16, u16), u32>,
+    pub(crate) conn_map: FxHashMap<(u16, u16, u16), u32>,
     next_ephemeral: u16,
 }
 
@@ -399,8 +385,8 @@ impl TcpHost {
         TcpHost {
             cfg,
             socks: Vec::new(),
-            listeners: HashMap::new(),
-            conn_map: HashMap::new(),
+            listeners: FxHashMap::default(),
+            conn_map: FxHashMap::default(),
             next_ephemeral: 49152,
         }
     }

@@ -95,6 +95,8 @@ pub struct FarmResult {
     /// Peak length of the matching layer's unexpected-message queue across
     /// all ranks — must stay bounded for this latency-tolerant workload.
     pub unexpected_peak: usize,
+    /// Most queue entries one matching lookup examined, across all ranks.
+    pub match_scan_peak: usize,
 }
 
 /// Run the farm under `mpi_cfg`; returns total run time (Figures 10–12's
@@ -123,9 +125,10 @@ pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>)
     assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
     let done_count = Rc::new(Cell::new(0u32));
     let peak = Rc::new(Cell::new(0usize));
-    let (dc, pk) = (done_count.clone(), peak.clone());
+    let scan_peak = Rc::new(Cell::new(0usize));
+    let (dc, pk, sp) = (done_count.clone(), peak.clone(), scan_peak.clone());
     let report = mpirun(mpi_cfg, move |mpi| {
-        let (dc, pk) = (dc.clone(), pk.clone());
+        let (dc, pk, sp) = (dc.clone(), pk.clone(), sp.clone());
         Box::pin(async move {
             if mpi.rank() == 0 {
                 manager(mpi, cfg, kill_at_batch).await;
@@ -134,6 +137,7 @@ pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>)
                 dc.set(dc.get() + n);
             }
             pk.set(pk.get().max(mpi.unexpected_peak()));
+            sp.set(sp.get().max(mpi.match_scan_peak()));
         })
     });
     FarmResult {
@@ -145,6 +149,7 @@ pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>)
         tcp: report.tcp,
         sctp: report.sctp,
         unexpected_peak: peak.get(),
+        match_scan_peak: scan_peak.get(),
     }
 }
 

@@ -16,6 +16,9 @@
 //! Operation counts are nominal (order-of-magnitude NPB class B); only the
 //! TCP-vs-SCTP *ratio* per kernel is meaningful, exactly as in the paper.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use mpi_core::{mpirun, Mpi, MpiCfg, ReduceOp};
 use simcore::Dur;
@@ -143,11 +146,21 @@ pub struct NasResult {
     pub net: netsim::NetStats,
     pub tcp: transport::tcp::SockStats,
     pub sctp: transport::sctp::AssocStats,
+    /// Most queue entries one matching lookup examined, across all ranks.
+    pub match_scan_peak: usize,
 }
 
 /// Run one kernel at one class.
 pub fn run(mpi_cfg: MpiCfg, kernel: Kernel, class: Class) -> NasResult {
-    let report = mpirun(mpi_cfg, move |mpi| Box::pin(dispatch(mpi, kernel, class)));
+    let scan_peak = Rc::new(Cell::new(0usize));
+    let sp = scan_peak.clone();
+    let report = mpirun(mpi_cfg, move |mpi| {
+        let sp = sp.clone();
+        Box::pin(async move {
+            dispatch(mpi, kernel, class).await;
+            sp.set(sp.get().max(mpi.match_scan_peak()));
+        })
+    });
     let secs = report.secs();
     let mops_total = kernel.mops(class);
     NasResult {
@@ -161,6 +174,7 @@ pub fn run(mpi_cfg: MpiCfg, kernel: Kernel, class: Class) -> NasResult {
         net: report.net,
         tcp: report.tcp,
         sctp: report.sctp,
+        match_scan_peak: scan_peak.get(),
     }
 }
 

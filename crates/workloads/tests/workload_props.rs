@@ -3,7 +3,36 @@
 use mpi_core::MpiCfg;
 use proptest::prelude::*;
 use workloads::farm::{run, FarmCfg};
+use workloads::nas::{self, Class, Kernel};
 use workloads::pingpong::{run as pp_run, PingPongCfg};
+
+/// The matcher scans its two queues from the front (`mpi_core::matching`),
+/// which is only right while matches sit near the front. They do: a farm
+/// worker's 110 pre-posted `(manager, ANY_TAG)` receives pair with whatever
+/// arrives and the manager takes buffered job requests in arrival order
+/// (longest scan 1), and of the NAS kernels — fig9 is the one figure whose
+/// scans ever pass the first entry — IS peaks at 5 and LU at 3. A workload
+/// that pushes this past 8 is the traffic an index should be sized by.
+#[test]
+fn match_scans_stay_short() {
+    let mut peaks = Vec::new();
+    for (name, mk) in [("sctp", MpiCfg::sctp as fn(u16, f64) -> MpiCfg), ("tcp", MpiCfg::tcp)] {
+        for loss in [0.0, 0.01] {
+            let r = run(mk(8, loss), FarmCfg::small(30 * 1024, 10));
+            peaks.push((format!("farm fanout 10, loss {loss}, {name}"), r.match_scan_peak));
+        }
+        for k in Kernel::ALL {
+            let r = nas::run(mk(8, 0.0), k, Class::S);
+            peaks.push((format!("NAS {}.S, {name}", k.name()), r.match_scan_peak));
+        }
+    }
+    for (what, peak) in peaks {
+        assert!(
+            (1..=8).contains(&peak),
+            "{what}: one lookup examined {peak} queue entries — the matcher scans; this workload needs an index"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
