@@ -157,9 +157,6 @@ mod tests {
         fn send(&mut self, _w: &mut World, _ctx: &mut Wx, _pkt: Packet) {
             self.log.push(Seen::Send);
         }
-        fn send_train(&mut self, _w: &mut World, _ctx: &mut Wx, pkts: Vec<Packet>) {
-            self.log.extend(pkts.iter().map(|_| Seen::Send));
-        }
         fn poll_ingress(&mut self, _ctx: &mut Wx) -> Vec<Packet> {
             let batch = self.batches.pop_front().unwrap_or_default();
             self.log.push(Seen::Poll(batch.len()));

@@ -13,11 +13,6 @@
 //!   driver↔process round trip, and a burst of uncontended CPU charges the
 //!   sleep fast path folds into inline clock advances (zero polls).
 //!
-//! * `burst_path` — packet-train fusion: one `transmit_burst` call against
-//!   the equivalent per-packet `transmit` loop on the raw network model, and
-//!   a fusion-heavy end-to-end transfer whose deliveries ride fused train
-//!   events.
-//!
 //! * `collectives_allreduce` — the collectives layer (and communicators)
 //!   end to end: allreduce + barrier rounds, then a 100 KB broadcast.
 //!
@@ -165,54 +160,6 @@ fn park_wake(c: &mut Criterion) {
     });
 }
 
-fn burst_path(c: &mut Criterion) {
-    use netsim::{IfAddr, Net, NetCfg};
-    use simcore::derive_rng;
-    use simcore::SimTime;
-
-    // The raw network model: one 32-segment train offered in a single
-    // burst call versus the 32 sequential transmits it replaces. Same
-    // verdicts, same RNG draws — the delta is pure per-call overhead.
-    let sizes = [1500u32; 32];
-    c.bench_function("burst_path/transmit_burst_x32", |b| {
-        b.iter(|| {
-            let mut net = Net::new(NetCfg::paper_cluster(0.01));
-            let mut rng = derive_rng(0xB0, 0);
-            let v = net.transmit_burst(
-                SimTime::ZERO,
-                IfAddr::new(0, 0),
-                IfAddr::new(1, 0),
-                black_box(&sizes),
-                &mut rng,
-            );
-            black_box(v.len())
-        })
-    });
-    c.bench_function("burst_path/transmit_seq_x32", |b| {
-        b.iter(|| {
-            let mut net = Net::new(NetCfg::paper_cluster(0.01));
-            let mut rng = derive_rng(0xB0, 0);
-            let mut n = 0usize;
-            for &sz in black_box(&sizes).iter() {
-                let _ = net.transmit(SimTime::ZERO, IfAddr::new(0, 0), IfAddr::new(1, 0), sz, &mut rng);
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    // End to end: a lossless 300 KB ping-pong streams congestion-window
-    // bursts back to back, so most deliveries ride fused train events.
-    c.bench_function("burst_path/pingpong_300k_fused", |b| {
-        b.iter(|| {
-            let r = pingpong::run(
-                MpiCfg::sctp(2, 0.0).with_seed(0xF05E),
-                PingPongCfg { size: 300 * 1024, iters: 4 },
-            );
-            black_box((r.throughput, r.sched.bursts, r.sched.pkts_fused))
-        })
-    });
-}
-
 fn collectives(c: &mut Criterion) {
     c.bench_function("collectives_allreduce", |b| {
         b.iter(|| {
@@ -276,9 +223,6 @@ impl Receiver {
         impl transport::backend::Backend for Sink {
             fn send(&mut self, _w: &mut transport::World, _ctx: &mut transport::Wx, pkt: Packet) {
                 self.0.lock().unwrap().push(pkt);
-            }
-            fn send_train(&mut self, _w: &mut transport::World, _ctx: &mut transport::Wx, pkts: Vec<Packet>) {
-                self.0.lock().unwrap().extend(pkts);
             }
             fn as_any(&mut self) -> &mut dyn std::any::Any {
                 self
@@ -356,7 +300,6 @@ fn sctp_reassembly(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sack_storm, matching_churn, park_wake, burst_path, collectives, sctp_window,
-        sctp_reassembly
+    targets = sack_storm, matching_churn, park_wake, collectives, sctp_window, sctp_reassembly
 }
 criterion_main!(benches);

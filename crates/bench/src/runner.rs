@@ -74,14 +74,11 @@ fn group<const N: usize>(name: &'static str, fields: [(&'static str, &dyn ToJson
 /// The groups of a run under `mpirun`; a transport counts as having run
 /// when it sent anything.
 fn mpi_groups(s: SchedCounters, net: NetStats, tcp: SockStats, sctp: AssocStats) -> Vec<Group> {
-    let per_burst = if s.bursts == 0 { 0.0 } else { s.pkts_fused as f64 / s.bursts as f64 };
     let mut groups = vec![group(
         "sched",
         [
             ("polls_total", &s.polls),
             ("wakes_coalesced", &s.wakes_coalesced),
-            ("bursts_total", &s.bursts),
-            ("pkts_per_burst_avg", &per_burst),
             ("events_queued", &s.queued),
         ],
     )];
@@ -574,11 +571,9 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("formatted panic");
             assert!(msg.contains("cell `size=1024 rpi=sctp`"), "{what}: {msg}");
         }
-        let cost: [Edit; 5] = [
+        let cost: [Edit; 3] = [
             |r| r.sched.polls += 1,
             |r| r.sched.wakes_coalesced += 1,
-            |r| r.sched.bursts += 1,
-            |r| r.sched.pkts_fused += 1,
             |r| r.sched.queued += 1,
         ];
         for edit in cost {
@@ -643,8 +638,6 @@ mod tests {
             "\"sched\": {",
             "\"polls_total\": 7",
             "\"wakes_coalesced\"",
-            "\"bursts_total\"",
-            "\"pkts_per_burst_avg\"",
             "\"events_queued\"",
             "\"sctp\": {",
             "\"per_path_pkts\"",

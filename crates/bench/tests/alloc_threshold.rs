@@ -2,10 +2,10 @@
 //! layer above it.
 //!
 //! The slab pools (`transport::pool`) exist so the steady state allocates
-//! nothing per packet: payload lists, SACK blocks, chunk bundles, trains
-//! and wake lists are all recycled, SCTP's send window, reassembly queue
-//! and receive window are flat, and the matcher's two queues are one
-//! `VecDeque` each. The tests run the Figure-10 farm at `--quick` scale, a
+//! nothing per packet: payload lists, SACK blocks, chunk bundles, the
+//! packet list of a send opportunity and wake lists are all recycled,
+//! SCTP's send window, reassembly queue and receive window are flat, and
+//! the matcher's two queues are one `VecDeque` each. The tests run the Figure-10 farm at `--quick` scale, a
 //! 64 KiB SCTP stream and a 1 KiB ping-pong on both transports under the
 //! counting allocator and fail if allocations creep back up.
 //!
@@ -14,16 +14,16 @@
 //! them measures, and the runner is pinned to one worker thread so every
 //! allocation is attributable to the metered cells.
 //!
-//! Budgets. Farm: 405 223 allocations over the run's 682 026
+//! Budgets. Farm: 403 108 allocations over the run's 682 026
 //! `net.packets_offered`, 0.59 per offered packet; the gate sits at 0.85 —
 //! the count is deterministic, so the 1.4× margin is for rustc and std
-//! drift only, and losing any one pool (payloads, gap lists, trains, wake
-//! lists) trips it. Offered packets are the denominator because the
+//! drift only, and losing any one pool (payloads, gap lists, packet lists,
+//! wake lists) trips it. Offered packets are the denominator because the
 //! protocol fixes them; the event count moves whenever no-op timer wakes
 //! are added or removed, and those allocate nothing. The per-event form is
 //! printed beside the gated one.
 //!
-//! Stream: 10.9 allocations per 64 KiB message over the run's 200
+//! Stream: 10.5 allocations per 64 KiB message over the run's 200
 //! messages, set-up included, none of them in the SCTP engine or the event
 //! queue (the queue is one heap that reaches its working size in the first
 //! few messages); the gate sits at 20. A send window rebuilt per SACK cost
@@ -94,7 +94,7 @@ fn sctp_stream_64k_stays_within_alloc_budget() {
     assert!(
         per_msg <= MAX_ALLOCS_PER_STREAM_MSG,
         "allocation regression: {per_msg:.1} allocs per 64 KiB SCTP message exceeds budget \
-         {MAX_ALLOCS_PER_STREAM_MSG} (baseline ~11). The send window, reassembly queue or \
+         {MAX_ALLOCS_PER_STREAM_MSG} (baseline ~10.5). The send window, reassembly queue or \
          receive window is allocating per chunk again."
     );
 }

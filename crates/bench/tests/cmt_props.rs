@@ -7,10 +7,11 @@
 //!    from the per-run RNG; re-running the same cell must reproduce every
 //!    counter bit-for-bit, or the parallel harness (and `SIM_CHECK`)
 //!    would be unsound.
-//! 2. **Discipline equivalence** — the reference event discipline (one
-//!    event per packet) and the fast discipline (trains + inline clock
-//!    advances) must agree on CMT runs exactly as they do on single-path
-//!    runs; the per-destination timer plane must not depend on pop order.
+//! 2. **Discipline equivalence** — the reference discipline (one timer
+//!    and one poll per sleep, every wake polled) and the fast discipline
+//!    (inline sleep advances, suppressed wakes) must agree on CMT runs
+//!    exactly as they do on single-path runs; the per-destination timer
+//!    plane must not depend on pop order.
 //! 3. **`cmt: false` isolation** — multihoming without CMT keeps the
 //!    original failover-only engine: at zero loss every packet stays on
 //!    the primary path and the run is bit-identical to a single-homed
@@ -63,9 +64,9 @@ proptest! {
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
-    /// Contract 2: reference (per-packet) and fast (train, inline-advance)
-    /// event disciplines agree on CMT runs — the per-destination timer
-    /// plane must not depend on pop order.
+    /// Contract 2: reference (timer per sleep) and fast (inline-advance,
+    /// wake-suppressing) disciplines agree on CMT runs — the
+    /// per-destination timer plane must not depend on pop order.
     #[test]
     fn cmt_matches_reference_discipline(
         loss in prop_oneof![Just(0.0), Just(0.01)],

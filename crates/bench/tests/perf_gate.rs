@@ -3,12 +3,12 @@
 //! The allocation gate (`alloc_threshold.rs`) catches pools falling out of
 //! the packet plane; this gate catches everything else that makes the run
 //! slower — an event queue that degrades with depth, a SACK scan going
-//! quadratic, an accidental per-packet clone. Two cells at `--quick` scale,
-//! each on one worker thread, each failing if its wall-clock cost per unit
-//! of work creeps past a budget of three times what it measures on the
-//! 2-vCPU dev box: enough for a loaded CI box and codegen drift, tight
-//! enough that a 2× hot-path regression stacked on a slow runner trips it.
-//! (A gate relative to a calibration run is ROADMAP 5(d).)
+//! quadratic, an accidental per-packet clone. Three cells, each on one
+//! thread, each failing if its wall-clock cost per unit of work creeps past
+//! a budget of 2.5–3 times what it measures on a 2-vCPU box: enough for a
+//! loaded CI box and codegen drift, tight enough that a 2× hot-path
+//! regression stacked on a slow runner trips it. (A gate relative to a
+//! calibration run is ROADMAP 5(d).)
 //!
 //! **Figure-10 farm**, µs per packet offered to the network. The
 //! denominator is the run's `net.packets_offered` (682 026 here): the
@@ -28,19 +28,32 @@
 //! (the work *is* the timers), so it is gated per event: 32 730 events in
 //! 0.018–0.019 s, 0.54–0.58 µs each; the gate sits at 1.75.
 //!
-//! Lives alone in its own integration-test binary, the two cells
-//! serialized by [`WALL`], so no other test's CPU time pollutes the
-//! wall-clock measurement.
+//! **Lossless 64 KiB SCTP stream**, µs per offered packet: the stream
+//! `alloc_threshold.rs` meters (200 messages, 14 100 packets). Every packet
+//! is one send and one delivery event, and on a lossless stream a send
+//! opportunity emits a dozen packets back to back, so a per-packet cost
+//! that grows in the send or delivery path shows here first. One run takes
+//! under 10 ms, so the gate reads the median of five: measured 0.36–0.68
+//! µs per offered packet, about 0.5 in the median; the gate sits at 1.25.
+//!
+//! Lives alone in its own integration-test binary, the cells serialized by
+//! [`WALL`], so no other test's CPU time pollutes the wall-clock
+//! measurement.
 
 use std::sync::Mutex;
 
+use std::time::Instant;
+
 use bench_harness::runner::BenchReport;
 use bench_harness::{figure, Scale};
+use mpi_core::MpiCfg;
+use workloads::pingpong::{run_stream, StreamCfg};
 
 const MAX_US_PER_PACKET: f64 = 2.0;
 const MAX_US_PER_EVENT_DEEP_QUEUE: f64 = 1.75;
+const MAX_US_PER_STREAM_PACKET: f64 = 1.25;
 
-/// Held while a cell runs: the two must not share the CPU.
+/// Held while a cell runs: no two may share the CPU.
 static WALL: Mutex<()> = Mutex::new(());
 
 /// Run one figure at `--quick` on one worker, or `None` in a debug build:
@@ -98,5 +111,36 @@ fn scalability_quick_stays_within_time_budget() {
         "performance regression: {us_per_event:.3} µs per event exceeds budget \
          {MAX_US_PER_EVENT_DEEP_QUEUE} with a thousand timers pending. Profile with \
          `cargo bench -p bench-harness --bench hot_paths` and check `simcore::sched` first."
+    );
+}
+
+#[test]
+fn sctp_stream_64k_stays_within_time_budget() {
+    const MSGS: u32 = 200;
+    const RUNS: usize = 5;
+    let _alone = WALL.lock().unwrap_or_else(|e| e.into_inner());
+    if cfg!(debug_assertions) {
+        eprintln!("perf gate skipped: debug build (run with --release to enforce)");
+        return;
+    }
+    // Each run takes milliseconds, so one preemption could fail it alone:
+    // the gate reads the median of a few.
+    let mut samples: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let r = run_stream(MpiCfg::sctp(2, 0.0), StreamCfg { size: 64 * 1024, count: MSGS });
+            let wall = t0.elapsed().as_secs_f64();
+            assert!(r.net.packets_offered > 0, "stream offered no packets");
+            wall * 1e6 / r.net.packets_offered as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let us_per_packet = samples[RUNS / 2];
+    eprintln!("sctp stream 64k: {MSGS} msgs, median of {RUNS} us/packet={us_per_packet:.4} {samples:.4?}");
+    assert!(
+        us_per_packet <= MAX_US_PER_STREAM_PACKET,
+        "performance regression: {us_per_packet:.3} µs per offered packet on a lossless 64 KiB \
+         SCTP stream exceeds budget {MAX_US_PER_STREAM_PACKET}. Profile with `cargo bench -p \
+         bench-harness --bench hot_paths` and check the per-packet send and delivery path first."
     );
 }

@@ -50,7 +50,7 @@ proptest! {
         let off = farm::run(mk_cfg(rpi, loss, seed, false), farm);
         let on = farm::run(mk_cfg(rpi, loss, seed, true), farm);
         // The whole report — simulated seconds, events fired, every
-        // runtime/burst meter, unexpected-queue peak — must agree bit for
+        // runtime meter, unexpected-queue peak — must agree bit for
         // bit (FarmResult is Copy + Debug: the format is exhaustive).
         prop_assert_eq!(format!("{off:?}"), format!("{on:?}"));
         prop_assert_eq!(off.secs.to_bits(), on.secs.to_bits());

@@ -31,9 +31,8 @@
 //! already dropped the packet; then the Bernoulli pipe draws (if
 //! configured); then every matching jitter rule draws once, in plan order,
 //! but only if the packet survived to delivery. Flaps and degradation draw
-//! nothing. Because [`Net::transmit`](crate::Net::transmit) and
-//! [`Net::transmit_burst`](crate::Net::transmit_burst) follow the identical
-//! sequence per packet, burst-equivalence holds under any plan.
+//! nothing. [`Net::transmit`](crate::Net::transmit) is the one place that
+//! sequence runs; a train is offered one packet at a time through it.
 //!
 //! An **empty plan is free**: [`FaultState::install`] prunes rules that can
 //! provably never act (zero probabilities, empty windows, zero jitter,
@@ -422,11 +421,6 @@ impl FaultState {
     #[inline]
     pub fn active(&self) -> bool {
         self.active
-    }
-
-    /// The active (post-pruning) plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Is `src → dst` inside any matching flap window at `now`? Emits

@@ -20,7 +20,7 @@ use simcore::{Dur, SimTime};
 
 use crate::addr::IfAddr;
 use crate::fault::{FaultPlan, FaultState};
-use crate::link::{DropReason, Link, LinkCfg, LinkDrop, LinkStats};
+use crate::link::{DropReason, Link, LinkCfg, LinkDrop};
 
 /// Network-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +74,7 @@ pub enum Verdict {
 /// Aggregate counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Packets offered to [`Net::transmit`] / [`Net::transmit_burst`].
+    /// Packets offered to [`Net::transmit`].
     pub packets_offered: u64,
     /// Packets that will arrive at their destination.
     pub packets_delivered: u64,
@@ -125,11 +125,6 @@ impl Net {
     /// instants, and the RNG stream are untouched.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault.install(plan);
-    }
-
-    /// The active (post-pruning) fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.fault.plan()
     }
 
     fn trace_drop(
@@ -209,8 +204,7 @@ impl Net {
         // Fault plane, stage 1: scheduled flap windows (no RNG) and bursty
         // Gilbert–Elliott chains (fixed two draws per matching rule). The
         // evaluation order here — flap, chains, Bernoulli, links, jitter —
-        // is part of the determinism contract and must stay identical to
-        // `transmit_burst`'s per-packet loop.
+        // is part of the determinism contract.
         let faulted = self.fault.active();
         if faulted {
             if self.fault.flap_blocks(&self.tracer, now, src, dst) {
@@ -288,15 +282,8 @@ impl Net {
         Verdict::Drop(r.into())
     }
 
-    /// Offer a train of back-to-back packets at `now`, all `src` → `dst`.
-    ///
-    /// Exactly equivalent to `wire_bytes.len()` sequential [`Net::transmit`]
-    /// calls: the per-packet Bernoulli loss trials are drawn in the same RNG
-    /// order, the delivery instants come from the same `busy_until`
-    /// recurrence, and the returned verdicts are identical element-wise —
-    /// but the links are borrowed once, the stats are updated once, and the
-    /// caller pays one call for the whole train. (The burst-equivalence
-    /// proptests pin this down.)
+    /// Offer a train of back-to-back packets at `now`, all `src` → `dst`:
+    /// one [`Net::transmit`] per packet, verdicts in offer order.
     pub fn transmit_burst(
         &mut self,
         now: SimTime,
@@ -305,124 +292,7 @@ impl Net {
         wire_bytes: &[u32],
         rng: &mut SmallRng,
     ) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(wire_bytes.len());
-        self.transmit_burst_into(now, src, dst, wire_bytes, rng, &mut out);
-        out
-    }
-
-    /// [`transmit_burst`](Self::transmit_burst) appending verdicts into a
-    /// caller-provided (usually pooled) buffer — one verdict per offered
-    /// packet, in offer order.
-    pub fn transmit_burst_into(
-        &mut self,
-        now: SimTime,
-        src: IfAddr,
-        dst: IfAddr,
-        wire_bytes: &[u32],
-        rng: &mut SmallRng,
-        out: &mut Vec<Verdict>,
-    ) {
-        self.check_addr(src);
-        self.check_addr(dst);
-        let n = wire_bytes.len();
-        self.stats.packets_offered += n as u64;
-
-        if src.host == dst.host {
-            // Loopback: no loss, no queueing.
-            self.stats.packets_delivered += n as u64;
-            self.stats.bytes_delivered += wire_bytes.iter().map(|&b| b as u64).sum::<u64>();
-            let at = now + self.cfg.loopback_delay;
-            out.extend(std::iter::repeat(Verdict::Deliver { at }).take(n));
-            return;
-        }
-
-        assert_eq!(
-            src.iface, dst.iface,
-            "networks are independent: cannot route {src} -> {dst}"
-        );
-
-        // Distinct hosts: split the host axis so the uplink and downlink can
-        // be borrowed simultaneously for the whole train.
-        let (a, b) = (src.host as usize, dst.host as usize);
-        let (up, down) = if a < b {
-            let (lo, hi) = self.links.split_at_mut(b);
-            (&mut lo[a][src.iface as usize].0, &mut hi[0][dst.iface as usize].1)
-        } else {
-            let (lo, hi) = self.links.split_at_mut(a);
-            (&mut hi[0][src.iface as usize].0, &mut lo[b][dst.iface as usize].1)
-        };
-
-        let mut delivered = 0u64;
-        let mut bytes = 0u64;
-        let mut loss = 0u64;
-        let mut queue = 0u64;
-        let mut down_drops = 0u64;
-        out.reserve(n);
-        // The links are borrowed out of `self.links` for the whole train;
-        // the tracer and fault state are disjoint fields, so hooks stay
-        // borrow-compatible.
-        let tracer = &self.tracer;
-        let fault = &mut self.fault;
-        let faulted = fault.active();
-        for &wb in wire_bytes {
-            // Identical per-packet fault sequence to `transmit`: flap, GE
-            // chains, Bernoulli, (degraded) links, jitter — same RNG draws
-            // in the same order, so burst-equivalence holds under any plan.
-            if faulted {
-                if fault.flap_blocks(tracer, now, src, dst) {
-                    down_drops += 1;
-                    Self::trace_drop(tracer, now, src, dst, wb, DropReason::LinkDown, 0);
-                    out.push(Verdict::Drop(DropReason::LinkDown));
-                    continue;
-                }
-                if fault.bursty_drop(tracer, now, src, dst, rng) {
-                    loss += 1;
-                    if tracer.is_some() {
-                        Self::trace_drop(tracer, now, src, dst, wb, DropReason::Loss, up.backlog_ns(now));
-                    }
-                    out.push(Verdict::Drop(DropReason::Loss));
-                    continue;
-                }
-            }
-            if self.cfg.loss_prob > 0.0 && rng.gen_bool(self.cfg.loss_prob) {
-                loss += 1;
-                if tracer.is_some() {
-                    Self::trace_drop(tracer, now, src, dst, wb, DropReason::Loss, up.backlog_ns(now));
-                }
-                out.push(Verdict::Drop(DropReason::Loss));
-                continue;
-            }
-            let bps = if faulted {
-                fault.degraded_bps(tracer, now, src, dst, self.cfg.link.bandwidth_bps)
-            } else {
-                self.cfg.link.bandwidth_bps
-            };
-            let backlog = if tracer.is_some() { up.backlog_ns(now) } else { 0 };
-            let v = up.transmit_at_rate(now, wb, bps).and_then(|at_switch| {
-                down.transmit_at_rate(at_switch + self.cfg.switch_latency, wb, bps)
-            });
-            out.push(match v {
-                Ok(at) => {
-                    let at = if faulted { fault.jitter_arrival(at, src, dst, rng) } else { at };
-                    delivered += 1;
-                    bytes += wb as u64;
-                    Verdict::Deliver { at }
-                }
-                Err(r) => {
-                    match r {
-                        LinkDrop::QueueFull => queue += 1,
-                        LinkDrop::LinkDown => down_drops += 1,
-                    }
-                    Self::trace_drop(tracer, now, src, dst, wb, r.into(), backlog);
-                    Verdict::Drop(r.into())
-                }
-            });
-        }
-        self.stats.packets_delivered += delivered;
-        self.stats.bytes_delivered += bytes;
-        self.stats.drops_loss += loss;
-        self.stats.drops_queue += queue;
-        self.stats.drops_down += down_drops;
+        wire_bytes.iter().map(|&wb| self.transmit(now, src, dst, wb, rng)).collect()
     }
 
     /// Administratively set one interface (both directions) up or down —
@@ -445,13 +315,6 @@ impl Net {
     pub fn set_loss(&mut self, loss_prob: f64) {
         assert!((0.0..=1.0).contains(&loss_prob));
         self.cfg.loss_prob = loss_prob;
-    }
-
-    /// Per-link stats of one interface: (uplink, downlink).
-    pub fn iface_stats(&self, addr: IfAddr) -> (LinkStats, LinkStats) {
-        self.check_addr(addr);
-        let (ul, dl) = &self.links[addr.host as usize][addr.iface as usize];
-        (ul.stats, dl.stats)
     }
 }
 
@@ -548,6 +411,48 @@ mod tests {
         }
         assert!(drops > 0, "overload must cause queue drops");
         assert_eq!(n.stats.drops_queue, drops);
+    }
+
+    #[test]
+    fn burst_downlink_drop_traces_the_downlink_backlog() {
+        // Hosts 2..8 flood host 1's downlink until it tail-drops; a train
+        // 0 → 1 then crosses an idle uplink into that full downlink. Its
+        // drops must carry the downlink's backlog, as `transmit` records it.
+        let (mut n, mut rng) = net(0.0);
+        let (src, dst) = (IfAddr::new(0, 0), IfAddr::new(1, 0));
+        'fill: loop {
+            for h in 2..8 {
+                let v = n.transmit(SimTime::ZERO, IfAddr::new(h, 0), dst, 1500, &mut rng);
+                if v == Verdict::Drop(DropReason::QueueFull) {
+                    break 'fill;
+                }
+            }
+        }
+        let mut per_packet = n.clone();
+        let (burst_trace, ref_trace) = (trace::Tracer::new(64, 0), trace::Tracer::new(64, 0));
+        n.tracer = Some(burst_trace.clone());
+        per_packet.tracer = Some(ref_trace.clone());
+        let sizes = [1500u32, 1500, 1500];
+        let (mut burst_rng, mut ref_rng) = (derive_rng(3, 4), derive_rng(3, 4));
+        let got = n.transmit_burst(SimTime::ZERO, src, dst, &sizes, &mut burst_rng);
+        let want: Vec<Verdict> =
+            sizes.iter().map(|&wb| per_packet.transmit(SimTime::ZERO, src, dst, wb, &mut ref_rng)).collect();
+        assert_eq!(got, want);
+        let dump = burst_trace.dump(0);
+        let backlogs: Vec<u64> = dump
+            .recs
+            .iter()
+            .filter_map(|r| match &r.ev {
+                trace::Event::LinkDrop(d) => Some(d.backlog_ns),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(backlogs.len(), sizes.len(), "every train packet meets the full downlink");
+        assert!(
+            backlogs.iter().all(|&b| b > 1_000_000),
+            "downlink backlog, not the idle uplink's: {backlogs:?}"
+        );
+        assert_eq!(dump.write_jsonl(), ref_trace.dump(0).write_jsonl());
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl NodeNic {
         }
     }
 
-    /// This NIC's node id.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// Offer `wire_bytes` to the uplink at `now`, headed for `dst`. The
     /// fault order (flap → GE chain → Bernoulli → degraded rate → queue →
     /// jitter) matches [`crate::net::Net::transmit`] exactly.

@@ -85,7 +85,7 @@ proptest! {
 }
 
 proptest! {
-    /// Burst-path equivalence: offering K packets through `transmit_burst`
+    /// Train equivalence: offering K packets through `transmit_burst`
     /// produces exactly the per-packet verdicts, the same stats, and leaves
     /// the loss RNG at the same stream position as K sequential `transmit`
     /// calls. Loss probability, queue pressure, and packet sizes are all
@@ -125,11 +125,11 @@ proptest! {
         prop_assert_eq!(burst_rng.gen::<u64>(), ref_rng.gen::<u64>());
     }
 
-    /// Burst-path equivalence holds under an installed fault plan too: the
+    /// Train equivalence holds under an installed fault plan too: the
     /// per-packet fault sequence (flap → Gilbert–Elliott → Bernoulli →
-    /// degraded links → jitter) draws from the RNG in the same order on
-    /// both paths, and all per-rule state (chain phase, jitter reorder
-    /// window) advances identically.
+    /// degraded links → jitter) draws from the RNG in the same order both
+    /// ways, and all per-rule state (chain phase, jitter reorder window)
+    /// advances identically.
     #[test]
     fn burst_matches_per_packet_under_fault_plan(
         sizes in prop::collection::vec(40u32..1500, 1..40),

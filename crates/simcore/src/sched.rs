@@ -48,11 +48,6 @@ pub struct SchedCounters {
     /// Wakes that never became a poll: suppressed spurious wakes plus
     /// sleeps satisfied by an inline clock advance.
     pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (zero under the
-    /// reference discipline).
-    pub bursts: u64,
-    /// Packets carried inside those trains; each still counts as one event.
-    pub pkts_fused: u64,
     /// Events pushed onto the queue: one per schedule call, late
     /// `schedule_at_seq` re-queues included; inline clock advances push
     /// nothing.
@@ -63,8 +58,6 @@ impl std::ops::AddAssign for SchedCounters {
     fn add_assign(&mut self, o: Self) {
         self.polls += o.polls;
         self.wakes_coalesced += o.wakes_coalesced;
-        self.bursts += o.bursts;
-        self.pkts_fused += o.pkts_fused;
         self.queued += o.queued;
     }
 }
@@ -225,9 +218,9 @@ pub struct Ctx<W> {
     /// the world — so the fast discipline drops such wakes instead of paying
     /// a poll for them.
     sleeping: Vec<bool>,
-    /// Reference discipline: disable wake suppression, the sleep fast path,
-    /// and packet-train fusion, reproducing the original one-event-per-packet
-    /// accounting. Used by `SIM_CHECK=1` shadow runs and the equivalence
+    /// Reference discipline: disable wake suppression and the sleep fast
+    /// path, so every wake resumes its target and every sleep is one timer
+    /// and one poll. Used by `SIM_CHECK=1` shadow runs and the equivalence
     /// proptests.
     reference: bool,
     /// Runtime deadline, mirrored here so the inline fast paths never advance
@@ -236,8 +229,6 @@ pub struct Ctx<W> {
     wakes_suppressed: u64,
     sleep_fastpaths: u64,
     queued: u64,
-    bursts: u64,
-    fused_pkts: u64,
     /// Master RNG for the simulation. Components that need reproducible
     /// independent streams should use [`crate::rng::derive_rng`] instead and
     /// keep their own generator; this one is for ad-hoc draws (e.g. link loss).
@@ -266,8 +257,6 @@ impl<W> Ctx<W> {
             wakes_suppressed: 0,
             sleep_fastpaths: 0,
             queued: 0,
-            bursts: 0,
-            fused_pkts: 0,
             rng,
             events_fired: 0,
             tracer: None,
@@ -347,30 +336,14 @@ impl<W> Ctx<W> {
         self.deadline = deadline;
     }
 
-    /// Reference discipline active (shadow-verification runs)? The burst
-    /// path consults this to degrade to per-packet events.
-    #[inline]
-    pub fn is_reference(&self) -> bool {
-        self.reference
-    }
-
     /// The run-cost counters of this context, with the driver's own `polls`
     /// count filled in (a context polls nothing itself).
     pub fn counters(&self, polls: u64) -> SchedCounters {
         SchedCounters {
             polls,
             wakes_coalesced: self.wakes_suppressed + self.sleep_fastpaths,
-            bursts: self.bursts,
-            pkts_fused: self.fused_pkts,
             queued: self.queued,
         }
-    }
-
-    /// Record one emitted train of `pkts` fused packets.
-    #[inline]
-    pub fn note_burst(&mut self, pkts: u64) {
-        self.bursts += 1;
-        self.fused_pkts += pkts;
     }
 
     /// Current simulated time.
@@ -385,9 +358,8 @@ impl<W> Ctx<W> {
         self.events_fired
     }
 
-    /// The sequence number the next scheduled event will draw — what
-    /// [`Ctx::schedule_train_at`] is about to return, for closures that must
-    /// capture their own base seq.
+    /// The sequence number the next scheduled event (or
+    /// [`Ctx::reserve_seq`]) will draw.
     #[inline]
     pub fn next_seq(&self) -> u64 {
         self.seq
@@ -461,31 +433,10 @@ impl<W> Ctx<W> {
         self.schedule_at(self.now + delay, f)
     }
 
-    /// Schedule the head event of a packet train and reserve `extra`
-    /// additional sequence numbers for its follow-on deliveries. Returns the
-    /// base sequence number: the train's K surviving packets own seqs
-    /// `base..base + K` (K = extra + 1), exactly the seqs K per-packet
-    /// `schedule_at` calls would have drawn — so every equal-timestamp tie
-    /// against foreign events resolves identically under both disciplines.
-    /// Continuations claim their reserved seq via [`Ctx::schedule_at_seq`].
-    pub fn schedule_train_at(
-        &mut self,
-        at: SimTime,
-        extra: u64,
-        f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
-    ) -> u64 {
-        let at = at.max(self.now);
-        let base = self.seq;
-        self.seq += 1 + extra;
-        self.insert(at, base, InlineEvent::pack(f));
-        base
-    }
-
-    /// Schedule `f` at `at` with an explicitly reserved sequence number
-    /// (from [`Ctx::schedule_train_at`] or [`Ctx::reserve_seq`]); used when a
-    /// train falls back to a real event mid-delivery, or a deadline queues
-    /// its wake late, so the event keeps the fire-order position it would
-    /// have had if scheduled when the seq was drawn.
+    /// Schedule `f` at `at` with a sequence number drawn earlier by
+    /// [`Ctx::reserve_seq`]; used when a deadline queues its wake late, so
+    /// the event keeps the fire-order position it would have had if
+    /// scheduled when the seq was drawn.
     pub fn schedule_at_seq(
         &mut self,
         at: SimTime,
@@ -608,28 +559,6 @@ impl<W> Ctx<W> {
         self.now = to;
         self.events_fired += 1;
         self.sleep_fastpaths += 1;
-        true
-    }
-
-    /// Train-fusion fast path: advance the clock to the next fused packet's
-    /// arrival at (`at`, `seq`) — `seq` being the sequence number the
-    /// packet's own delivery event holds in reserve — iff firing it now is
-    /// exactly what the per-packet discipline would do next: no wake is
-    /// pending (a woken process would run first), no queued event (stale
-    /// keys conservatively included) orders before `(at, seq)`, and the run
-    /// deadline is not crossed. Counts the fused delivery as one fired
-    /// event, keeping `events_fired` bit-identical to per-packet runs.
-    pub fn try_advance_to(&mut self, at: SimTime, seq: u64) -> bool {
-        debug_assert!(!self.reference, "burst path must not run under the reference discipline");
-        if !self.wake_fifo.is_empty() || at > self.deadline {
-            return false;
-        }
-        if self.next_event_key().is_some_and(|key| key < (at, seq)) {
-            return false;
-        }
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.events_fired += 1;
         true
     }
 
@@ -811,7 +740,8 @@ mod tests {
     fn next_event_key_is_the_minimum_when_a_long_timer_was_queued_first() {
         // Same script as above, through the fast-path probe: the reported
         // key must be the true queue minimum (the 10 µs timer) — otherwise
-        // `try_advance_to` could jump the clock past a queued earlier event.
+        // the sleep fast path could jump the clock past a queued earlier
+        // event.
         let mut c = ctx();
         let mut w = Vec::new();
         c.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u32>, _| w.push(0));
@@ -967,70 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn train_seq_reservation_orders_against_foreign_events() {
-        // A train reserving seqs 0..3, then a foreign event (seq 3) at the
-        // same instant as packet 2: the foreign event was scheduled after
-        // the train, so the per-packet discipline fires packet 2 first. The
-        // continuation chain (schedule_at_seq with the reserved seq, then an
-        // inline advance) must win the tie exactly the same way.
-        let mut c = ctx();
-        let mut w = Vec::new();
-        let base = c.schedule_train_at(SimTime::from_nanos(1000), 2, move |w: &mut Vec<u32>, c| {
-            w.push(10); // packet 0, seq 0
-            // Fall back immediately: schedule packet 1's continuation with
-            // its reserved seq 1.
-            c.schedule_at_seq(SimTime::from_nanos(3000), 1, move |w: &mut Vec<u32>, c| {
-                w.push(11); // packet 1
-                // Packet 2 at the same instant as the foreign (3000, seq 3)
-                // event: reserved seq 2 < 3, so the inline advance is legal.
-                assert!(c.try_advance_to(SimTime::from_nanos(3000), 2));
-                w.push(12);
-            });
-        });
-        assert_eq!(base, 0);
-        c.schedule_at(SimTime::from_nanos(3000), |w: &mut Vec<u32>, _| w.push(99));
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![10, 11, 12, 99]);
-    }
-
-    #[test]
-    fn try_advance_to_declines_when_an_earlier_event_is_queued() {
-        let mut c = ctx();
-        let mut w = Vec::new();
-        // Foreign event first (seq 0), then the train (seqs 1..3).
-        c.schedule_at(SimTime::from_nanos(2000), |w: &mut Vec<u32>, _| w.push(5));
-        let base = c.schedule_train_at(SimTime::from_nanos(1000), 1, move |w: &mut Vec<u32>, c| {
-            w.push(0); // packet 0, seq 1
-            // Packet 1 would arrive at 2500, but the foreign event at
-            // (2000, seq 0) orders first: the inline advance must decline
-            // and the packet fall back to a real event with its reserved
-            // seq.
-            assert!(!c.try_advance_to(SimTime::from_nanos(2500), 2));
-            c.schedule_at_seq(SimTime::from_nanos(2500), 2, |w: &mut Vec<u32>, _| w.push(1));
-        });
-        assert_eq!(base, 1);
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![0, 5, 1]);
-    }
-
-    #[test]
-    fn events_fired_counts_inline_advances() {
-        let mut c = ctx();
-        let mut w = Vec::new();
-        let _ = c.schedule_train_at(SimTime::from_nanos(100), 2, move |w: &mut Vec<u32>, c| {
-            w.push(0);
-            assert!(c.try_advance_to(SimTime::from_nanos(200), 1));
-            w.push(1);
-            assert!(c.try_advance_to(SimTime::from_nanos(300), 2));
-            w.push(2);
-        });
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![0, 1, 2]);
-        assert_eq!(c.events_fired(), 3, "each fused packet counts as one event");
-        assert_eq!(c.now(), SimTime::from_nanos(300));
-    }
-
-    #[test]
     fn stale_top_does_not_hide_the_live_minimum() {
         let mut c = ctx();
         let mut w = Vec::new();
@@ -1041,15 +907,17 @@ mod tests {
         // so an inline advance between it and the live minimum declines
         // (conservative) and one past the live minimum must decline.
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(1_000), 0)));
-        let seq = c.reserve_seq();
-        assert!(!c.try_advance_to(SimTime::from_nanos(1_500), seq));
-        assert!(!c.try_advance_to(SimTime::from_nanos(2_500), seq));
+        assert!(!c.try_advance_sleep(Dur::from_nanos(1_500)));
+        assert!(!c.try_advance_sleep(Dur::from_nanos(2_500)));
         assert_eq!(c.now(), SimTime::ZERO, "a declined advance leaves the clock alone");
         // A pop past the tombstone's instant but short of the live event
         // peels the tombstone and removes nothing live.
         assert!(matches!(c.pop_next(SimTime::from_nanos(1_500)), Popped::PastBound));
         assert_eq!(c.heap_dead, 0);
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(2_000), 1)));
+        // With the tombstone gone the advance short of the live event holds.
+        assert!(c.try_advance_sleep(Dur::from_nanos(1_500)));
+        assert_eq!(c.now(), SimTime::from_nanos(1_500));
         drain(&mut w, &mut c);
         assert_eq!(w, vec![1]);
     }
@@ -1061,16 +929,17 @@ mod tests {
         c.schedule_in(Dur::from_micros(1), |_: &mut Vec<u32>, _| {});
         let id = c.schedule_at(SimTime::from_nanos(500), |_: &mut Vec<u32>, _| {});
         c.cancel(id); // a cancelled insert was still an insert
-        let base = c.schedule_train_at(SimTime::from_nanos(100), 1, |_: &mut Vec<u32>, c| {
-            // The train's second packet falls back to a real event: a re-queue.
-            c.schedule_at_seq(SimTime::from_nanos(200), 3, |_: &mut Vec<u32>, _| {});
-        });
-        assert_eq!(base, 2);
         let seq = c.reserve_seq(); // reserving queues nothing
+        assert_eq!(seq, 2);
+        assert_eq!(c.counters(0).queued, 2);
+        c.schedule_at(SimTime::from_nanos(100), move |_: &mut Vec<u32>, c| {
+            // A late wake queued with its reserved seq: a re-queue.
+            c.schedule_at_seq(SimTime::from_nanos(200), seq, |_: &mut Vec<u32>, _| {});
+        });
         assert_eq!(c.counters(0).queued, 3);
         drain(&mut w, &mut c);
         assert_eq!(c.counters(0).queued, 4);
-        assert!(c.try_advance_to(SimTime::from_nanos(1_000_000), seq));
+        assert!(c.try_advance_sleep(Dur::from_millis(1)));
         assert_eq!(c.counters(0).queued, 4, "an inline advance queues nothing");
     }
 

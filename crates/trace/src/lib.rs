@@ -323,8 +323,9 @@ pub struct LinkDropEv {
     pub dst_host: u16,
     pub wire_bytes: u32,
     pub reason: DropKind,
-    /// Sender-side uplink backlog (ns of serialization time queued) at the
-    /// moment of the drop — distinguishes "unlucky" from "congested".
+    /// Backlog (ns of serialization time queued) of the link that refused
+    /// the packet — the receiver's downlink for a downlink tail-drop, else
+    /// the sender's uplink — distinguishes "unlucky" from "congested".
     pub backlog_ns: u64,
 }
 

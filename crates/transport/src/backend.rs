@@ -5,10 +5,11 @@
 //! [`Backend`] installed in the [`World`]:
 //!
 //! * [`SimBackend`] — the deterministic simulator. Egress asks [`netsim`]
-//!   for a verdict and schedules the delivery event; ingress *is* those
-//!   scheduled events, so [`Backend::poll_ingress`] has nothing to do. This
-//!   is the default backend and is bit-identical to the pre-trait code:
-//!   same RNG draws, same (time, seq) event positions, same `events_fired`.
+//!   for a verdict and schedules one delivery event per packet, trains
+//!   included; ingress *is* those scheduled events, so
+//!   [`Backend::poll_ingress`] has nothing to do. This is the default
+//!   backend and is bit-identical to the pre-trait code: same RNG draws,
+//!   same (time, seq) event positions, same `events_fired`.
 //! * [`UdpBackend`](udp::UdpBackend) — real sockets. Egress serializes each
 //!   frame into a tx arena ([`crate::wire_bytes::encode_packet_into`]) and
 //!   writes it as one UDP datagram (RFC 6951-style encapsulation), a run of
@@ -45,10 +46,16 @@ pub trait Backend: Send {
     /// Egress one packet.
     fn send(&mut self, w: &mut World, ctx: &mut Wx, pkt: Packet);
 
-    /// Egress a train of back-to-back packets to one peer. The sim backend
-    /// fuses these into one delivery event; the socket backend writes K
-    /// datagrams, as few syscalls as their sizes allow.
-    fn send_train(&mut self, w: &mut World, ctx: &mut Wx, pkts: Vec<Packet>);
+    /// Egress a train of back-to-back packets to one peer. By default each
+    /// packet goes through [`Backend::send`] in order; the socket backend
+    /// overrides this to write K datagrams in as few syscalls as their
+    /// sizes allow.
+    fn send_train(&mut self, w: &mut World, ctx: &mut Wx, mut pkts: Vec<Packet>) {
+        for pkt in pkts.drain(..) {
+            self.send(w, ctx, pkt);
+        }
+        w.pool.put_packet_vec(pkts);
+    }
 
     /// Drain ingress: frames that arrived since the last poll, decoded into
     /// engine packets (in arrival order). The sim backend returns nothing —
@@ -100,10 +107,6 @@ pub struct SimBackend;
 impl Backend for SimBackend {
     fn send(&mut self, w: &mut World, ctx: &mut Wx, pkt: Packet) {
         ip::sim_send(w, ctx, pkt);
-    }
-
-    fn send_train(&mut self, w: &mut World, ctx: &mut Wx, pkts: Vec<Packet>) {
-        ip::sim_send_train(w, ctx, pkts);
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {

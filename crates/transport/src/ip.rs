@@ -2,25 +2,12 @@
 //!
 //! `send` asks the network for a delivery verdict and, on success, schedules
 //! the matching `deliver` event, which demultiplexes on protocol back into
-//! the TCP or SCTP input routines.
-//!
-//! `send_train` is the burst path: K back-to-back packets to one peer are
-//! offered to the network in one [`netsim::Net::transmit_burst`] call and the
-//! survivors delivered through **one** scheduled event that walks the train,
-//! advancing the clock inline between per-packet arrival instants
-//! ([`simcore::Ctx::try_advance_to`]). The fusion is invisible to the
-//! protocols: packet j's delivery runs at exactly its arrival time, under
-//! exactly the (time, seq) fire-order position its own per-packet event
-//! would have had — the head event reserves one sequence number per
-//! surviving packet, and whenever an inline advance would reorder against a
-//! foreign event or a wake, the rest of the train falls back to a real
-//! event carrying its reserved seq. Under the reference discipline
-//! (`SIM_CHECK=1`) trains degrade to per-packet sends outright.
-
-use std::collections::VecDeque;
+//! the TCP or SCTP input routines. Every packet is one verdict and one
+//! delivery event; `send_train` hands the backend K back-to-back packets to
+//! one peer at once, which the socket backend writes with one syscall and
+//! the simulator offers one `send` at a time.
 
 use netsim::{DropReason, IfAddr, Verdict};
-use simcore::SimTime;
 
 use crate::{sctp, tcp, wire_bytes, World, Wx};
 
@@ -172,99 +159,65 @@ fn deliver(w: &mut World, ctx: &mut Wx, pkt: Packet) {
     }
 }
 
-/// Offer a train of back-to-back packets (one source, one destination) to
-/// the network and schedule delivery of the survivors as one fused event.
-///
-/// Exactly equivalent to `pkts.len()` sequential [`sim_send`] calls: same
-/// RNG draw order, same verdicts, same per-packet delivery instants, same
-/// (time, seq) fire positions, same `events_fired` count.
-pub(crate) fn sim_send_train(w: &mut World, ctx: &mut Wx, mut pkts: Vec<Packet>) {
-    if pkts.len() < 2 || ctx.is_reference() {
-        for pkt in pkts.drain(..) {
-            sim_send(w, ctx, pkt);
-        }
-        w.pool.put_packet_vec(pkts);
-        return;
-    }
-    let (src, dst) = (pkts[0].src, pkts[0].dst);
-    debug_assert!(
-        pkts.iter().all(|p| p.src == src && p.dst == dst),
-        "a train must not cross a peer boundary"
-    );
-    let mut sizes = w.pool.take_size_vec();
-    sizes.extend(pkts.iter().map(|p| IP_HEADER + p.body.wire_len()));
-    let caps: Option<Vec<PktCapture>> = if ctx.tracing() {
-        Some(pkts.iter().map(|p| capture(ctx, p).expect("tracer present")).collect())
-    } else {
-        None
-    };
-    let mut verdicts = w.pool.take_verdict_vec();
-    w.net.transmit_burst_into(ctx.now(), src, dst, &sizes, &mut ctx.rng, &mut verdicts);
-    if let Some(caps) = caps {
-        for ((cap, &v), &size) in caps.into_iter().zip(&verdicts).zip(&sizes) {
-            emit_pkt(ctx, src, dst, size, v, cap);
-        }
-    }
-    let mut train = w.pool.take_train();
-    for (pkt, v) in pkts.drain(..).zip(verdicts.iter()) {
-        match *v {
-            Verdict::Deliver { at } => train.push_back((at, pkt)),
-            Verdict::Drop(_) => {} // the network recorded the drop
-        }
-    }
-    w.pool.put_size_vec(sizes);
-    w.pool.put_verdict_vec(verdicts);
-    w.pool.put_packet_vec(pkts);
-    // A fault boundary splits the train: delay jitter can hand later train
-    // members *earlier* arrival instants, and the fused walk below requires
-    // monotone arrivals. Degrading to one event per survivor is exactly what
-    // per-packet `send` would have scheduled (same order, same seq draws).
-    if train.iter().zip(train.iter().skip(1)).any(|(a, b)| b.0 < a.0) {
-        for (at, pkt) in train.drain(..) {
-            ctx.schedule_at(at, move |w: &mut World, ctx: &mut Wx| deliver(w, ctx, pkt));
-        }
-        w.pool.put_train(train);
-        return;
-    }
-    match train.len() {
-        0 | 1 => {
-            if let Some((at, pkt)) = train.pop_front() {
-                ctx.schedule_at(at, move |w: &mut World, ctx: &mut Wx| deliver(w, ctx, pkt));
-            }
-            w.pool.put_train(train);
-        }
-        k => {
-            ctx.note_burst(k as u64);
-            // The head event owns the first survivor's seq and reserves one
-            // more per remaining survivor — the seqs k per-packet
-            // `schedule_at` calls would have drawn (drops allocate none).
-            let at0 = train.front().unwrap().0;
-            let base = ctx.next_seq();
-            let got = ctx.schedule_train_at(at0, (k - 1) as u64, move |w, ctx| {
-                deliver_train(w, ctx, train, base)
-            });
-            debug_assert_eq!(got, base);
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+    use simcore::{derive_rng, Ctx, SimTime};
 
-/// Deliver the train's packets in sequence, each at its own arrival instant,
-/// advancing the clock inline when legal and falling back to a real event
-/// (with the packet's reserved seq) when not. `seq` is the front packet's
-/// reserved sequence number.
-fn deliver_train(w: &mut World, ctx: &mut Wx, mut train: VecDeque<(SimTime, Packet)>, mut seq: u64) {
-    while let Some((_, pkt)) = train.pop_front() {
-        deliver(w, ctx, pkt);
-        seq += 1;
-        let Some(&(next_at, _)) = train.front() else { break };
-        if !ctx.try_advance_to(next_at, seq) {
-            // A wake or an earlier-ordered event intervenes: the rest of the
-            // train becomes a real event in its reserved fire position.
-            ctx.schedule_at_seq(next_at, seq, move |w: &mut World, ctx: &mut Wx| {
-                deliver_train(w, ctx, train, seq)
-            });
-            return;
-        }
+    use super::*;
+    use crate::sctp::{Chunk, DataChunk, SctpPacket};
+
+    fn data_pkt(src: IfAddr, dst: IfAddr, tsn: u64, payload: usize) -> Packet {
+        let chunk = Chunk::Data(DataChunk {
+            tsn,
+            stream: 0,
+            ssn: 0,
+            begin: true,
+            end: true,
+            unordered: false,
+            ppid: 0,
+            data: Bytes::from(vec![0u8; payload]),
+        });
+        let body = Proto::Sctp(SctpPacket { src_port: 1, dst_port: 1, vtag: 1, chunks: vec![chunk] });
+        Packet { src, dst, body }
     }
-    w.pool.put_train(train);
+
+    #[test]
+    fn traced_train_records_each_drop_before_its_packet() {
+        // Fill host 0's uplink to within one MTU packet of its capacity:
+        // a small packet still fits, a full-size one tail-drops.
+        let (src, dst) = (IfAddr::new(0, 0), IfAddr::new(1, 0));
+        let mut w = World::paper_cluster(0.0);
+        let mut ctx: Wx = Ctx::standalone(derive_rng(5, 0));
+        let full = Verdict::Drop(DropReason::QueueFull);
+        while w.net.transmit(SimTime::ZERO, src, IfAddr::new(2, 0), 1500, &mut ctx.rng) != full {}
+        let tracer = trace::Tracer::new(64, 0);
+        w.net.tracer = Some(tracer.clone());
+        ctx.set_tracer(Some(tracer.clone()));
+
+        let train = [(1, 100), (2, 1400), (3, 1400), (4, 100)].map(|(tsn, len)| data_pkt(src, dst, tsn, len));
+        send_train(&mut w, &mut ctx, train.into());
+
+        let dump = tracer.dump(0);
+        let seen: Vec<(&str, Option<u64>)> = dump
+            .recs
+            .iter()
+            .map(|r| match &r.ev {
+                trace::Event::Pkt(p) => {
+                    ("pkt", Some(p.tsn).filter(|_| matches!(p.verdict, trace::PktVerdict::Drop(_))))
+                }
+                trace::Event::LinkDrop(_) => ("linkdrop", None),
+                _ => ("other", None),
+            })
+            .collect();
+        let want = [
+            ("pkt", None),
+            ("linkdrop", None),
+            ("pkt", Some(2)),
+            ("linkdrop", None),
+            ("pkt", Some(3)),
+            ("pkt", None),
+        ];
+        assert_eq!(seen, want, "each dropped packet's linkdrop record directly precedes its pkt record");
+    }
 }

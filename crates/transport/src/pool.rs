@@ -3,7 +3,7 @@
 //!
 //! The data plane's steady state builds the same handful of temporaries for
 //! every packet — a payload slice list, a SACK/gap block list, an SCTP
-//! chunk bundle, a train of packets and its size table — and dropped each
+//! chunk bundle, the packet list of one send opportunity — and dropped each
 //! of them on delivery. [`Pools`] keeps the retired buffers on per-world
 //! freelists so the steady state allocates nothing: `take_*` hands back a
 //! previously retired buffer (empty, capacity intact) and `put_*` retires
@@ -28,11 +28,8 @@
 //! is single-threaded by construction (a world belongs to one scheduler),
 //! so `take`/`put` are plain `Vec` push/pop — no atomics, no locks.
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
-use netsim::Verdict;
-use simcore::{ProcId, SimTime};
+use simcore::ProcId;
 
 use crate::ip::Packet;
 use crate::sctp::{Chunk, RecvMsg};
@@ -53,19 +50,12 @@ pub struct Pools {
     gap_vecs: Vec<Vec<(u64, u64)>>,
     /// SCTP chunk bundles (`SctpPacket::chunks`).
     chunk_vecs: Vec<Vec<Chunk>>,
-    /// Packet trains under construction (`ip::send_train` input).
+    /// Packets of one send opportunity (`ip::send_train` input).
     packet_vecs: Vec<Vec<Packet>>,
     /// TCP output-burst staging lists (`(seq, payload, fin)` per segment).
     seg_vecs: Vec<Vec<(u64, Vec<Bytes>, bool)>>,
-    /// In-flight trains (arrival instant + packet, walked by the fused
-    /// delivery event).
-    trains: Vec<VecDeque<(SimTime, Packet)>>,
-    /// Wire-size tables offered to the network's burst call.
-    size_vecs: Vec<Vec<u32>>,
     /// Assembled-message lists staged between reassembly and delivery.
     msg_vecs: Vec<Vec<RecvMsg>>,
-    /// Network verdicts returned by the burst call.
-    verdict_vecs: Vec<Vec<Verdict>>,
     /// Wake lists (blocked reader/writer process ids) swapped out of a
     /// socket while a deferred wake is staged.
     proc_vecs: Vec<Vec<ProcId>>,
@@ -126,35 +116,8 @@ impl Pools {
         Vec<(u64, Vec<Bytes>, bool)>,
         "TCP output staging list"
     );
-    pool_accessors!(take_size_vec, put_size_vec, size_vecs, Vec<u32>, "wire-size table");
     pool_accessors!(take_msg_vec, put_msg_vec, msg_vecs, Vec<RecvMsg>, "assembled-message list");
-    pool_accessors!(take_verdict_vec, put_verdict_vec, verdict_vecs, Vec<Verdict>, "verdict table");
     pool_accessors!(take_proc_vec, put_proc_vec, proc_vecs, Vec<ProcId>, "wake list");
-
-    /// Take an empty in-flight train (recycled when available).
-    #[inline]
-    pub fn take_train(&mut self) -> VecDeque<(SimTime, Packet)> {
-        match self.trains.pop() {
-            Some(t) => {
-                self.stats.reused += 1;
-                debug_assert!(t.is_empty(), "pooled train retired dirty");
-                t
-            }
-            None => {
-                self.stats.fresh += 1;
-                VecDeque::new()
-            }
-        }
-    }
-
-    /// Retire an exhausted train.
-    #[inline]
-    pub fn put_train(&mut self, mut t: VecDeque<(SimTime, Packet)>) {
-        t.clear();
-        if self.trains.len() < MAX_POOLED {
-            self.trains.push(t);
-        }
-    }
 
     /// Take empty byte scratch. In debug builds the buffer arrives filled
     /// with [`POISON`] up to its capacity *watermark* from the previous
@@ -226,9 +189,9 @@ mod tests {
     fn freelist_is_capped() {
         let mut p = Pools::default();
         for _ in 0..(MAX_POOLED + 10) {
-            p.put_size_vec(Vec::with_capacity(8));
+            p.put_gap_vec(Vec::with_capacity(8));
         }
-        assert_eq!(p.size_vecs.len(), MAX_POOLED);
+        assert_eq!(p.gap_vecs.len(), MAX_POOLED);
     }
 
     #[cfg(debug_assertions)]

@@ -610,18 +610,7 @@ impl Assoc {
 /// respecting per-path cwnd and the peer's rwnd. Implements the
 /// "full PMTU at one byte of cwnd space" rule (§4.1.1).
 ///
-/// The packets of one send opportunity leave back-to-back for one peer, so
-/// they are accumulated into a train and offered to the network in one
-/// [`ip::send_train`] call. Equivalence with per-packet emission: nothing
-/// between two emissions in this loop touches the network or the RNG, so
-/// the batched loss trials and `busy_until` arithmetic happen in the same
-/// order at the same instant; a path change flushes (a train must not span
-/// interfaces); and the CRC-delay model falls back to per-packet emission
-/// (each packet needs its own delay event). The T3 timer armed mid-loop
-/// orders after the whole train in the seq stream where the reference
-/// discipline puts it after the first packet, but its deadline is RTO-far
-/// (≥ 1 s) while train arrivals are queue-bounded (≪ 1 s), so no
-/// (time, seq) tie between them is possible and fire order is unchanged.
+/// The packets of one send opportunity leave as one [`ip::send_train`] per path.
 pub(super) fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let pr = assoc_ref(w, a).pr_active();
     let abandoned_before = if pr { assoc_ref(w, a).stats.msgs_abandoned } else { 0 };
@@ -853,7 +842,7 @@ fn try_send_inner(
         }
         let has_data = packet.iter().any(|c| matches!(c, Chunk::Data(_) | Chunk::IData(_)));
         if crc {
-            // CRC cost model delays each packet individually; no fusion.
+            // CRC cost model delays each packet individually; no train.
             send_packet(w, ctx, a, path, vtag, packet);
         } else {
             if !train.is_empty() && *train_path != path {

@@ -440,12 +440,7 @@ pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
         }
     }
     let any = !segs.is_empty();
-    // A cwnd's worth of segments leaves back-to-back for one peer: emit as
-    // one train. Nothing between two emissions here touches the network or
-    // the RNG, so the fused path is step-for-step equivalent to per-segment
-    // emission (see `ip::send_train`); the RTO armed below is seconds out
-    // while train arrivals are queue-bounded, so its seq position cannot
-    // produce a (time, seq) tie either way.
+    // A cwnd's worth of segments leaves as one train (one syscall on the socket backend).
     let mut train = w.pool.take_packet_vec();
     train.reserve(segs.len());
     for (seq, payload, fin) in segs.drain(..) {

@@ -29,9 +29,6 @@ impl Backend for Capture {
     fn send(&mut self, _w: &mut World, _ctx: &mut Wx, pkt: Packet) {
         self.0.lock().unwrap().push(pkt);
     }
-    fn send_train(&mut self, _w: &mut World, _ctx: &mut Wx, pkts: Vec<Packet>) {
-        self.0.lock().unwrap().extend(pkts);
-    }
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
     }
