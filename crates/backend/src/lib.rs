@@ -157,7 +157,7 @@ mod tests {
         fn send(&mut self, _w: &mut World, _ctx: &mut Wx, _pkt: Packet) {
             self.log.push(Seen::Send);
         }
-        fn poll_ingress(&mut self, _ctx: &mut Wx) -> Vec<Packet> {
+        fn poll_ingress(&mut self, _ctx: &mut Wx, _pool: &mut transport::pool::Pools) -> Vec<Packet> {
             let batch = self.batches.pop_front().unwrap_or_default();
             self.log.push(Seen::Poll(batch.len()));
             batch

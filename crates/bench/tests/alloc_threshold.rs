@@ -34,17 +34,30 @@
 //! what the MPI layer allocates per message shows. The gates sit at 5.5
 //! and 8.5, half an allocation above: one queue or map entry per posted
 //! receive (6.03 / 9.03) trips them.
+//!
+//! Live ingress: one 44-frame receive train (the most full-size frames one
+//! UDP_GRO read returns), SCTP and TCP, decoded with warmed pools costs the
+//! one copy of the train and its refcount — 2 allocations, however many
+//! chunks it carries. A payload copied per chunk costs 88 more.
 
 use std::sync::Mutex;
 
 use bench_harness::{alloc_meter, figure, Scale};
+use bytes::Bytes;
 use mpi_core::MpiCfg;
+use netsim::IfAddr;
+use transport::ip::{Packet, Proto};
+use transport::pool::Pools;
+use transport::sctp::{Chunk, DataChunk, SctpPacket};
+use transport::tcp::{Flags, TcpSegment};
+use transport::wire_bytes::{decode_frame, encode_packet_into};
 use workloads::pingpong::{run, run_stream, PingPongCfg, StreamCfg};
 
 const MAX_ALLOCS_PER_PACKET: f64 = 0.85;
 const MAX_ALLOCS_PER_STREAM_MSG: f64 = 20.0;
 const MAX_ALLOCS_PER_PINGPONG_MSG_SCTP: f64 = 5.5;
 const MAX_ALLOCS_PER_PINGPONG_MSG_TCP: f64 = 8.5;
+const MAX_ALLOCS_PER_INGRESS_TRAIN: u64 = 2;
 
 /// Held while a test meters: the allocation counter is process-global.
 static METER: Mutex<()> = Mutex::new(());
@@ -119,6 +132,114 @@ fn pingpong_1k_stays_within_alloc_budget() {
             "allocation regression: {per_msg:.2} allocs per 1 KiB {name} message exceeds budget \
              {budget}. The MPI layer is allocating per message again — a queue or map entry \
              per posted receive or per unexpected arrival in mpi_core::matching?"
+        );
+    }
+}
+
+/// Frames in one gated receive train: 44 × 1 452 B fits one 65 507-byte
+/// UDP_GRO read.
+const TRAIN_FRAMES: u64 = 44;
+const FRAME: usize = 1452;
+
+/// Frame `i` of a full-size SCTP train: a SACK with one gap block bundled
+/// ahead of a DATA chunk, padded to [`FRAME`] bytes.
+fn sctp_frame(i: u64) -> Packet {
+    // IP 20 + common header 12 + SACK 20 + DATA header 16.
+    let data = vec![i as u8; FRAME - 68];
+    let chunks = vec![
+        Chunk::Sack { cum_tsn: 10, a_rwnd: 1 << 16, gaps: vec![(12, 14)], dup_count: 0 },
+        Chunk::Data(DataChunk {
+            tsn: 100 + i,
+            stream: 0,
+            ssn: 0,
+            begin: i == 0,
+            end: false,
+            unordered: false,
+            ppid: 0,
+            data: Bytes::from(data),
+        }),
+    ];
+    Packet {
+        src: IfAddr::new(0, 0),
+        dst: IfAddr::new(1, 0),
+        body: Proto::Sctp(SctpPacket { src_port: 5000, dst_port: 5000, vtag: 7, chunks }),
+    }
+}
+
+/// Frame `i` of a full-size TCP train, with one SACK block.
+fn tcp_frame(i: u64) -> Packet {
+    // IP 20 + TCP 20 + timestamps 12 + SACK option 12.
+    let len = FRAME - 64;
+    let seg = TcpSegment {
+        src_port: 5001,
+        dst_port: 5001,
+        flags: Flags::ACK,
+        seq: 1 + i * len as u64,
+        ack: 1,
+        wnd: 65_535,
+        sack: vec![(3000, 4000)],
+        probe: false,
+        payload: vec![Bytes::from(vec![i as u8; len])],
+        payload_len: len as u32,
+    };
+    Packet { src: IfAddr::new(0, 0), dst: IfAddr::new(1, 0), body: Proto::Tcp(seg) }
+}
+
+/// What the engines do with a delivered packet's carriers.
+fn retire(pool: &mut Pools, pkt: Packet) {
+    match pkt.body {
+        Proto::Tcp(seg) => {
+            pool.put_bytes_vec(seg.payload);
+            pool.put_gap_vec(seg.sack);
+        }
+        Proto::Sctp(mut p) => {
+            for chunk in p.chunks.drain(..) {
+                if let Chunk::Sack { gaps, .. } = chunk {
+                    pool.put_gap_vec(gaps);
+                }
+            }
+            pool.put_chunk_vec(p.chunks);
+        }
+    }
+}
+
+/// Ingress of one receive train, as the socket backend does it: one copy
+/// into a shared buffer, then every frame decoded as a slice of it.
+fn ingest(raw: &[u8], pool: &mut Pools) {
+    let train = Bytes::copy_from_slice(raw);
+    for at in (0..train.len()).step_by(FRAME) {
+        let pkt = decode_frame(&train.slice(at..at + FRAME), pool).expect("own frames decode");
+        retire(pool, pkt);
+    }
+}
+
+#[test]
+fn live_ingress_train_costs_one_copy_not_one_per_chunk() {
+    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
+    alloc_meter::enable(true);
+    for (name, frame) in [("sctp", sctp_frame as fn(u64) -> Packet), ("tcp", tcp_frame)] {
+        let mut raw = Vec::new();
+        for i in 0..TRAIN_FRAMES {
+            assert_eq!(encode_packet_into(&frame(i), 0, &mut raw), FRAME);
+        }
+        let mut pool = Pools::default();
+        ingest(&raw, &mut pool); // warm the pools
+        // Fewest of five: the counter is process-global, and the harness's
+        // own threads may allocate while one train is metered.
+        let allocs = (0..5)
+            .map(|_| {
+                let before = alloc_meter::allocs();
+                ingest(&raw, &mut pool);
+                alloc_meter::allocs() - before
+            })
+            .min()
+            .expect("five samples");
+        eprintln!("{name}: {allocs} allocations per {TRAIN_FRAMES}-frame train");
+        assert!(
+            allocs <= MAX_ALLOCS_PER_INGRESS_TRAIN,
+            "allocation regression: decoding a {TRAIN_FRAMES}-frame {name} train cost {allocs} \
+             allocations, budget {MAX_ALLOCS_PER_INGRESS_TRAIN} (the train's one shared buffer and \
+             its refcount). Is the decoder copying payloads, or taking carriers outside the pool?"
         );
     }
 }

@@ -639,47 +639,6 @@ pub struct HolTotals {
     pub rcv_ns: u64,
 }
 
-/// Merge per-shard captures (one ring per worker of the sharded engine)
-/// into a single chronological dump at sink time.
-///
-/// Records are ordered by `(t_ns, shard index, seq)` — the same
-/// time-then-owner-then-sequence discipline the engine uses for cross-shard
-/// delivery — and re-sequenced globally, so the merged file is byte-stable
-/// for a given set of inputs and a sequential (1-shard) capture merges to
-/// itself. Ring truncation (`dropped`) sums; per-shard drops are still
-/// visible in the inputs if a caller needs them.
-pub fn merge_dumps(dumps: Vec<TraceDump>) -> TraceDump {
-    let mut hosts = 0u16;
-    let mut ifaces = 0u8;
-    let mut dropped = 0u64;
-    let mut tagged: Vec<(u64, usize, u64, Rec)> = Vec::new();
-    let mut series = SeriesStore::default();
-    for (shard, d) in dumps.into_iter().enumerate() {
-        hosts = hosts.max(d.hosts);
-        ifaces = ifaces.max(d.ifaces);
-        dropped += d.dropped;
-        for r in d.recs {
-            tagged.push((r.t_ns, shard, r.seq, r));
-        }
-        for (key, pts) in d.series.cwnd {
-            series.cwnd.entry(key).or_default().extend(pts);
-        }
-    }
-    tagged.sort_by_key(|(t, shard, seq, _)| (*t, *shard, *seq));
-    let recs = tagged
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, _, _, mut r))| {
-            r.seq = i as u64 + 1;
-            r
-        })
-        .collect();
-    for pts in series.cwnd.values_mut() {
-        pts.sort_by_key(|p| p.t_ns);
-    }
-    TraceDump { hosts, ifaces, dropped, recs, series }
-}
-
 thread_local! {
     static RUN_LABEL: RefCell<Option<String>> = const { RefCell::new(None) };
 }
@@ -782,46 +741,6 @@ mod tests {
         assert_eq!(d.series.total_points(), 2);
         let key = series::SeriesKey { proto: 1, host: 0, peer: 1, path: 0 };
         assert_eq!(d.series.cwnd[&key][1].cwnd, 5840);
-    }
-
-    #[test]
-    fn merge_interleaves_shard_dumps_chronologically() {
-        let mk = |events: &[(u64, u16)]| {
-            let tr = Tracer::new(64, 64);
-            for &(t, host) in events {
-                tr.emit(t, Event::HolBegin(HolEv { host, peer: 0, stream: 0, side: HolSide::Rcv }));
-            }
-            tr.dump(10_000)
-        };
-        // Shard 0 owns even instants, shard 1 odd ones, with one tie at 300.
-        let a = mk(&[(100, 0), (300, 0), (400, 0)]);
-        let b = mk(&[(250, 1), (300, 1)]);
-        let m = merge_dumps(vec![a, b]);
-        let got: Vec<(u64, u16)> = m
-            .recs
-            .iter()
-            .map(|r| match &r.ev {
-                Event::HolBegin(h) => (r.t_ns, h.host),
-                other => panic!("unexpected: {other:?}"),
-            })
-            .collect();
-        // Time-ordered; the tie at 300 resolves to the lower shard first.
-        assert_eq!(got, vec![(100, 0), (250, 1), (300, 0), (300, 1), (400, 0)]);
-        // Re-sequenced globally, 1..=n.
-        assert_eq!(m.recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn merge_of_a_single_dump_is_identity_shaped() {
-        let tr = Tracer::new(64, 64);
-        tr.emit(10, Event::HolBegin(HolEv { host: 3, peer: 0, stream: 1, side: HolSide::Rcv }));
-        tr.emit(20, Event::HolBegin(HolEv { host: 4, peer: 0, stream: 1, side: HolSide::Rcv }));
-        let d = tr.dump(100);
-        let (hosts, n) = (d.hosts, d.recs.len());
-        let m = merge_dumps(vec![d]);
-        assert_eq!(m.recs.len(), n);
-        assert_eq!(m.hosts, hosts);
-        assert!(m.recs.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]

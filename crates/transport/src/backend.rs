@@ -14,8 +14,10 @@
 //!   frame into a tx arena ([`crate::wire_bytes::encode_packet_into`]) and
 //!   writes it as one UDP datagram (RFC 6951-style encapsulation), a run of
 //!   like-sized datagrams per syscall; ingress drains the socket a train
-//!   per syscall, verifies the checksums of every datagram, and hands
-//!   decoded packets back for dispatch into the same unmodified engines.
+//!   per syscall, copies each train once into a shared buffer, verifies the
+//!   checksums of every datagram in it, and hands decoded packets — their
+//!   payloads slices of that buffer — back for dispatch into the same
+//!   unmodified engines.
 //!
 //! What is shared between the two backends: the protocol engines (CC, RTO,
 //! SACK, bundling, CMT), the event queue, the flight recorder. What is not:
@@ -38,6 +40,7 @@
 pub mod udp;
 
 use crate::ip::Packet;
+use crate::pool::Pools;
 use crate::{ip, World, Wx};
 
 /// A network driver under the transport engines. See the module docs for
@@ -59,10 +62,13 @@ pub trait Backend: Send {
 
     /// Drain ingress: frames that arrived since the last poll, decoded into
     /// engine packets (in arrival order). The sim backend returns nothing —
-    /// its deliveries ride scheduled events. The caller dispatches the
-    /// result via [`ip::deliver_now`] with the backend back in place, then
-    /// calls [`Backend::flush`] if there was anything to dispatch.
-    fn poll_ingress(&mut self, _ctx: &mut Wx) -> Vec<Packet> {
+    /// its deliveries ride scheduled events. `pool` is the world's: the
+    /// returned list and each packet's carriers (chunk bundle, gap and SACK
+    /// lists, payload list) should come from it, since the caller and the
+    /// engines retire them there. The caller dispatches the result via
+    /// [`ip::deliver_now`] with the backend back in place, then calls
+    /// [`Backend::flush`] if there was anything to dispatch.
+    fn poll_ingress(&mut self, _ctx: &mut Wx, _pool: &mut Pools) -> Vec<Packet> {
         Vec::new()
     }
 
@@ -86,16 +92,16 @@ pub trait Backend: Send {
 /// sim backend it is a no-op.
 pub fn pump_ingress(w: &mut World, ctx: &mut Wx) -> usize {
     let mut b = w.backend.take().expect("backend re-entered pump_ingress from its own dispatch");
-    let pkts = b.poll_ingress(ctx);
+    let mut pkts = b.poll_ingress(ctx, &mut w.pool);
     w.backend = Some(b);
     let n = pkts.len();
-    if n == 0 {
-        return 0;
-    }
-    for pkt in pkts {
+    for pkt in pkts.drain(..) {
         ip::deliver_now(w, ctx, pkt);
     }
-    w.backend.as_mut().expect("backend restored above").flush();
+    w.pool.put_packet_vec(pkts);
+    if n > 0 {
+        w.backend.as_mut().expect("backend restored above").flush();
+    }
     n
 }
 

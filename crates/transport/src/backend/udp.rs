@@ -29,12 +29,17 @@
 //!   of DATA, and the DATA those SACKs release, therefore leave in one or
 //!   two calls. The arena also flushes itself once it holds 256 KiB.
 //! * **Ingress** enables `UDP_GRO`, so one `recvmsg` returns a whole train
-//!   and the segment size in a cmsg; the buffer is split at that stride and
-//!   every segment goes through [`wire_bytes::decode_packet`] on its own
-//!   (IP length, IP checksum, CRC32c / TCP checksum). Malformed or corrupted
-//!   segments are counted and dropped, never delivered: the CRC32c gate
-//!   rejects before any chunk parsing, exactly the discard rule RFC 4960
-//!   §6.8 prescribes.
+//!   and the segment size in a cmsg. The train is copied once out of the
+//!   receive scratch into one shared [`Bytes`] buffer (one allocation and
+//!   its refcount), split at that stride, and every segment goes through
+//!   [`wire_bytes::decode_frame`] on its own (IP length, IP checksum,
+//!   CRC32c / TCP checksum). DATA, I-DATA and TCP payloads come back as
+//!   slices of the shared buffer, and the decoder's carriers come from the
+//!   world's pool, so a train costs two allocations however many chunks it
+//!   holds. Malformed or corrupted segments are counted and dropped, never
+//!   delivered: the CRC32c gate rejects before any chunk parsing, exactly
+//!   the discard rule RFC 4960 §6.8 prescribes. A payload slice keeps its
+//!   whole train alive while the engine holds it (see [`wire_bytes`]).
 //!
 //! Where the kernel offers neither option (the probe at `bind` fails, a
 //! segmented send is refused with `EIO`/`EINVAL`, or the OS is not Linux)
@@ -49,6 +54,7 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::AddAssign;
 
+use bytes::Bytes;
 use netsim::IfAddr;
 
 use crate::backend::Backend;
@@ -162,29 +168,41 @@ fn next_run(frames: &[Queued], seg_limit: usize) -> (usize, usize) {
     (n, bytes)
 }
 
-/// Split what one receive returned into datagrams `stride` bytes apart (the
-/// last may be shorter), decode each on its own and append the survivors to
-/// `out`; rejects are counted in `stats`.
-fn ingest_train(train: &[u8], stride: usize, ctx: &mut Wx, stats: &mut UdpStats, out: &mut Vec<Packet>) {
-    let mut rest = train;
+/// Copy what one receive returned into one shared buffer, split it into
+/// datagrams `stride` bytes apart (the last may be shorter), decode each on
+/// its own and append the survivors to `out`; rejects are counted in
+/// `stats`. Payloads are slices of the shared buffer, so `train` may be
+/// overwritten as soon as this returns.
+fn ingest_train(
+    train: &[u8],
+    stride: usize,
+    ctx: &mut Wx,
+    pool: &mut Pools,
+    stats: &mut UdpStats,
+    out: &mut Vec<Packet>,
+) {
+    let train = Bytes::copy_from_slice(train);
+    let stride = stride.max(1);
+    let mut at = 0;
     loop {
-        let (frame, tail) = rest.split_at(stride.max(1).min(rest.len()));
-        match wire_bytes::decode_packet(frame) {
+        let end = (at + stride).min(train.len());
+        let frame = train.slice(at..end);
+        match wire_bytes::decode_frame(&frame, pool) {
             Ok(pkt) => {
                 stats.rx_frames += 1;
                 stats.rx_bytes += frame.len() as u64;
                 // Mirror the arrived bytes into this node's flight recorder,
                 // so a live pcapng holds both directions as the wire had them.
-                ip::trace_wire(ctx, &pkt, frame);
+                ip::trace_wire(ctx, &pkt, &frame);
                 out.push(pkt);
             }
             Err(wire_bytes::DecodeError::BadCrc(..)) => stats.rx_bad_crc += 1,
             Err(_) => stats.rx_bad_frame += 1,
         }
-        if tail.is_empty() {
+        if end == train.len() {
             return;
         }
-        rest = tail;
+        at = end;
     }
 }
 
@@ -203,6 +221,7 @@ pub struct UdpBackend {
     /// Most frames one send may carry: [`MAX_SEGMENTS`] while the kernel
     /// takes `UDP_SEGMENT`, 1 once it is known not to.
     seg_limit: usize,
+    /// Receive scratch: one train at a time, copied out before the next.
     buf: Box<[u8; RECV_BUF]>,
     /// Counters (see [`UdpStats`]).
     pub stats: UdpStats,
@@ -331,12 +350,12 @@ impl Backend for UdpBackend {
         }
     }
 
-    fn poll_ingress(&mut self, ctx: &mut Wx) -> Vec<Packet> {
-        let mut out = Vec::new();
+    fn poll_ingress(&mut self, ctx: &mut Wx, pool: &mut Pools) -> Vec<Packet> {
+        let mut out = pool.take_packet_vec();
         loop {
             self.stats.rx_calls += 1;
             match sys::recv_train(&self.sock, &mut self.buf[..]) {
-                Ok((n, stride)) => ingest_train(&self.buf[..n], stride, ctx, &mut self.stats, &mut out),
+                Ok((n, stride)) => ingest_train(&self.buf[..n], stride, ctx, pool, &mut self.stats, &mut out),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => self.stats.rx_errors += 1,
             }
@@ -530,8 +549,7 @@ mod sys {
 mod tests {
     use super::*;
     use crate::ip::Proto;
-    use crate::sctp::{Chunk, DataChunk, SctpPacket};
-    use bytes::Bytes;
+    use crate::sctp::{Chunk, DataChunk, IDataChunk, SctpPacket};
     use netsim::NetCfg;
     use simcore::rng::derive_rng;
 
@@ -610,8 +628,9 @@ mod tests {
         train[stride + 60] ^= 0x01; // one payload bit of the second segment
 
         let mut ctx = Wx::standalone(derive_rng(1, 0));
+        let mut pool = Pools::default();
         let (mut stats, mut out) = (UdpStats::default(), Vec::new());
-        ingest_train(&train, stride, &mut ctx, &mut stats, &mut out);
+        ingest_train(&train, stride, &mut ctx, &mut pool, &mut stats, &mut out);
         assert_eq!(out.iter().map(tsn_of).collect::<Vec<_>>(), [1, 3, 4], "neighbours of the bad segment survive");
         assert_eq!((stats.rx_bad_crc, stats.rx_bad_frame), (1, 0));
         assert_eq!(stats.rx_frames, 3);
@@ -619,11 +638,152 @@ mod tests {
 
         // No cmsg: the stride is the whole length and the buffer one datagram.
         let (mut stats, mut out) = (UdpStats::default(), Vec::new());
-        ingest_train(&train[..stride], stride, &mut ctx, &mut stats, &mut out);
+        ingest_train(&train[..stride], stride, &mut ctx, &mut pool, &mut stats, &mut out);
         assert_eq!((out.len(), stats.rx_frames), (1, 1));
         // An empty datagram is a malformed frame, not nothing.
-        ingest_train(&[], 0, &mut ctx, &mut stats, &mut out);
+        ingest_train(&[], 0, &mut ctx, &mut pool, &mut stats, &mut out);
         assert_eq!(stats.rx_bad_frame, 1);
+    }
+
+    /// Length of every frame [`mixed_train`] builds.
+    const STRIDE: usize = 364;
+
+    /// One [`STRIDE`]-byte frame of every payload-carrying shape — two
+    /// bundled DATA chunks, one I-DATA chunk, one TCP segment — back to back
+    /// as one `UDP_GRO` receive would return them. Returns the train and
+    /// `(offset in train, bytes)` of every payload in decode order. `seed`
+    /// varies the payload bytes.
+    fn mixed_train(seed: u8) -> (Vec<u8>, Vec<(usize, Vec<u8>)>) {
+        let bytes = |len: usize, salt: u8| -> Vec<u8> {
+            (0..len).map(|i| (i as u8).wrapping_mul(7) ^ salt ^ seed).collect()
+        };
+        let data = |tsn: u64, payload: &[u8]| {
+            Chunk::Data(DataChunk {
+                tsn,
+                stream: 1,
+                ssn: 0,
+                begin: true,
+                end: true,
+                unordered: false,
+                ppid: 0,
+                data: Bytes::from(payload.to_vec()),
+            })
+        };
+        let sctp = |chunks: Vec<Chunk>| Packet {
+            src: IfAddr::new(0, 0),
+            dst: IfAddr::new(1, 0),
+            body: Proto::Sctp(SctpPacket { src_port: 5000, dst_port: 5000, vtag: 77, chunks }),
+        };
+        let (d1, d2, idata, tcp) = (bytes(100, 1), bytes(200, 2), bytes(312, 3), bytes(312, 4));
+        // IP 20 + common header 12 + DATA headers 16 each; I-DATA header
+        // 20; TCP header 20 + timestamps 12.
+        let frames = [
+            (sctp(vec![data(1, &d1), data(2, &d2)]), vec![(48, d1), (164, d2)]),
+            (
+                sctp(vec![Chunk::IData(IDataChunk {
+                    tsn: 3,
+                    stream: 1,
+                    mid: 0,
+                    fsn: 0,
+                    begin: true,
+                    end: true,
+                    unordered: false,
+                    ppid: 0,
+                    data: Bytes::from(idata.clone()),
+                })]),
+                vec![(52, idata)],
+            ),
+            (
+                Packet {
+                    src: IfAddr::new(0, 0),
+                    dst: IfAddr::new(1, 0),
+                    body: Proto::Tcp(crate::tcp::TcpSegment {
+                        src_port: 5001,
+                        dst_port: 5001,
+                        flags: crate::tcp::Flags::ACK,
+                        seq: 1,
+                        ack: 1,
+                        wnd: 65_535,
+                        sack: vec![],
+                        probe: false,
+                        payload: vec![Bytes::from(tcp.clone())],
+                        payload_len: 312,
+                    }),
+                },
+                vec![(52, tcp)],
+            ),
+        ];
+        let (mut train, mut payloads) = (Vec::new(), Vec::new());
+        for (pkt, at) in frames {
+            let start = train.len();
+            assert_eq!(wire_bytes::encode_packet_into(&pkt, 0, &mut train), STRIDE);
+            payloads.extend(at.into_iter().map(|(off, b)| (start + off, b)));
+        }
+        (train, payloads)
+    }
+
+    /// Every DATA, I-DATA and TCP payload of `pkts`, in order.
+    fn payloads_of(pkts: &[Packet]) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        for pkt in pkts {
+            match &pkt.body {
+                Proto::Sctp(p) => out.extend(p.chunks.iter().filter_map(|c| match c {
+                    Chunk::Data(d) => Some(d.data.clone()),
+                    Chunk::IData(d) => Some(d.data.clone()),
+                    _ => None,
+                })),
+                Proto::Tcp(seg) => out.extend(seg.payload.iter().cloned()),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ingress_payloads_alias_one_shared_copy_of_the_train() {
+        let (train, want) = mixed_train(0);
+        // The backend's receive scratch, as `recv_train` leaves it.
+        let mut scratch = vec![0u8; RECV_BUF];
+        scratch[..train.len()].copy_from_slice(&train);
+        let mut ctx = Wx::standalone(derive_rng(3, 0));
+        let mut pool = Pools::default();
+        let (mut stats, mut out) = (UdpStats::default(), Vec::new());
+        ingest_train(&scratch[..train.len()], STRIDE, &mut ctx, &mut pool, &mut stats, &mut out);
+        assert_eq!((stats.rx_frames, stats.rx_bad_crc + stats.rx_bad_frame), (3, 0));
+
+        let got = payloads_of(&out);
+        assert_eq!(got.len(), want.len());
+        // Every payload sits at its frame offset from one common base: they
+        // are slices of one buffer holding the whole train, and that buffer
+        // is a copy, not the scratch.
+        let base = got[0].as_ptr() as usize - want[0].0;
+        for (g, (off, bytes)) in got.iter().zip(&want) {
+            assert_eq!(&g[..], &bytes[..]);
+            assert_eq!(g.as_ptr() as usize, base + off, "payload at offset {off} is not a slice of the train copy");
+        }
+        let scratch_at = scratch.as_ptr() as usize;
+        assert!(base + train.len() <= scratch_at || base >= scratch_at + scratch.len(), "payloads alias the scratch");
+    }
+
+    #[test]
+    fn ingress_payloads_survive_the_next_receive_into_the_scratch() {
+        let (first, want) = mixed_train(0);
+        let (second, _) = mixed_train(0x5A);
+        assert_ne!(first, second);
+        let mut scratch = vec![0u8; RECV_BUF];
+        let mut ctx = Wx::standalone(derive_rng(4, 0));
+        let mut pool = Pools::default();
+        let (mut stats, mut kept, mut next) = (UdpStats::default(), Vec::new(), Vec::new());
+        scratch[..first.len()].copy_from_slice(&first);
+        ingest_train(&scratch[..first.len()], STRIDE, &mut ctx, &mut pool, &mut stats, &mut kept);
+        scratch[..second.len()].copy_from_slice(&second);
+        ingest_train(&scratch[..second.len()], STRIDE, &mut ctx, &mut pool, &mut stats, &mut next);
+        assert_eq!((kept.len(), next.len()), (3, 3));
+        let got = payloads_of(&kept);
+        assert_eq!(got.len(), want.len());
+        for (g, (_, bytes)) in got.iter().zip(&want) {
+            assert_eq!(&g[..], &bytes[..], "a payload changed when the scratch was reused");
+        }
+        assert_ne!(payloads_of(&next), got);
     }
 
     /// 100 frames of mixed sizes to two peers, sent inside one corked batch,
@@ -667,7 +827,7 @@ mod tests {
         }
 
         for (rx, sent) in rx.iter_mut().zip(&sent) {
-            let got = rx.poll_ingress(&mut ctx);
+            let got = rx.poll_ingress(&mut ctx, &mut w.pool);
             let got: Vec<Vec<u8>> = got.iter().map(|p| wire_bytes::encode_packet(p, 0)).collect();
             assert_eq!(&got, sent, "frames reordered, lost or altered");
             assert_eq!(rx.stats.rx_bad_crc + rx.stats.rx_bad_frame + rx.stats.rx_errors, 0);
@@ -680,7 +840,7 @@ mod tests {
         let calls = tx.stats.tx_calls;
         tx.send(&mut w, &mut ctx, data_packet(1000, 64));
         assert_eq!((tx.stats.tx_calls, tx.stats.tx_frames), (calls + 1, 101));
-        assert_eq!(rx[0].poll_ingress(&mut ctx).len(), 1);
+        assert_eq!(rx[0].poll_ingress(&mut ctx, &mut w.pool).len(), 1);
     }
 
     #[test]

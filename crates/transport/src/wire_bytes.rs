@@ -27,12 +27,27 @@
 //! round-trip property suite pins this). Fields the wire cannot carry
 //! (SACK `dup_count`, the TCP `probe` flag) decode to their neutral values;
 //! heartbeat `path` is recovered from the addressing.
+//!
+//! There is one decoder, [`decode_frame`], over a frame that already sits in
+//! a shared [`Bytes`] buffer: DATA, I-DATA and TCP payloads come back as
+//! slices of that buffer, the CRC32c is folded over the same bytes, and the
+//! chunk bundle, gap and SACK lists and TCP payload list come from the
+//! caller's [`Pools`]. The socket backend copies each receive train into one
+//! buffer and decodes every datagram in it this way; [`decode_packet`]
+//! copies a lone frame and does the same. The cost of not copying is
+//! retention: a payload slice keeps its whole buffer alive. A chunk parked
+//! out of order, or queued for a reader, pins its train (at most 64 KiB)
+//! until it is delivered and dropped, so the memory held is at most one
+//! train per chunk the receive window admits.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use netsim::IfAddr;
 
 use crate::crc32c::{crc32c, Crc32c};
 use crate::ip::{Packet, Proto, IP_HEADER};
+use crate::pool::Pools;
 use crate::sctp::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
 use crate::tcp::{Flags, TcpSegment};
 
@@ -138,20 +153,29 @@ pub fn host_ip(host: u16, iface: u8) -> [u8; 4] {
     [10, iface, (host >> 8) as u8, (host & 0xff) as u8]
 }
 
-/// Ones-complement sum over `data` (big-endian 16-bit words), folded.
+/// Ones-complement sum over `data` (big-endian 16-bit words, an odd last
+/// byte padded with zero) plus `init`, folded to 16 bits.
+///
+/// Computed a word at a time: native-endian `u32` words summed into a
+/// `u64`, folded, then byte-swapped once into big-endian order. RFC 1071
+/// §2(B): the ones-complement sum is byte-order independent up to that one
+/// swap, and `2^16 ≡ 1` makes a `u32` word count as its two halves.
 fn ones_complement_sum(data: &[u8], init: u32) -> u16 {
-    let mut sum = init;
-    let mut chunks = data.chunks_exact(2);
-    for w in &mut chunks {
-        sum += u16::from_be_bytes([w[0], w[1]]) as u32;
-    }
-    if let [b] = chunks.remainder() {
-        sum += (*b as u32) << 8;
-    }
+    let mut words = data.chunks_exact(4);
+    let mut sum: u64 = (&mut words).map(|w| u32::from_ne_bytes([w[0], w[1], w[2], w[3]]) as u64).sum();
+    let mut last = [0u8; 4];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    sum += u32::from_ne_bytes(last) as u64;
+    let native = fold16(sum) as u16;
+    fold16(u16::from_be(native) as u64 + init as u64) as u16
+}
+
+/// End-around-carry fold of a sum to at most 16 bits.
+fn fold16(mut sum: u64) -> u64 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    sum as u16
+    sum
 }
 
 fn encode_tcp(out: &mut Vec<u8>, seg: &TcpSegment, src_ip: [u8; 4], dst_ip: [u8; 4], now_ns: u64) {
@@ -489,7 +513,19 @@ fn be64(b: &[u8], at: usize) -> u64 {
 /// Parse a full IPv4 frame (as produced by [`encode_packet`]) back into a
 /// [`Packet`], verifying every checksum on the way. Snapped captures do not
 /// decode — the frame must carry its full declared length.
+///
+/// The frame is copied once into a fresh buffer and handed to
+/// [`decode_frame`]; the live ingress path skips this copy's per-frame
+/// allocation by decoding slices of one copied receive train instead.
 pub fn decode_packet(frame: &[u8]) -> Result<Packet, DecodeError> {
+    decode_frame(&Bytes::copy_from_slice(frame), &mut Pools::default())
+}
+
+/// [`decode_packet`] over a frame already in a shared buffer: DATA, I-DATA
+/// and TCP payloads come back as [`Bytes::slice`]s of `frame`, not copies,
+/// and the chunk bundle, gap-ack / SACK block lists and TCP payload list
+/// are taken from `pool` (the engines retire them there after input).
+pub fn decode_frame(frame: &Bytes, pool: &mut Pools) -> Result<Packet, DecodeError> {
     if frame.len() < IP_HEADER as usize {
         return Err(DecodeError::Truncated);
     }
@@ -506,11 +542,10 @@ pub fn decode_packet(frame: &[u8]) -> Result<Packet, DecodeError> {
     let dst_ip = [frame[16], frame[17], frame[18], frame[19]];
     let src = addr_of_ip(src_ip)?;
     let dst = addr_of_ip(dst_ip)?;
-    let body = &frame[IP_HEADER as usize..];
     let body = match frame[9] {
-        6 => Proto::Tcp(decode_tcp(body, src_ip, dst_ip)?),
+        6 => Proto::Tcp(decode_tcp(frame, src_ip, dst_ip, pool)?),
         132 => {
-            let mut p = decode_sctp(body)?;
+            let mut p = decode_sctp(frame, pool)?;
             // The heartbeat `path` index is not on the wire ("implicit in
             // the addresses"): path i runs over interface i on both ends,
             // so the sending interface recovers it.
@@ -529,10 +564,12 @@ pub fn decode_packet(frame: &[u8]) -> Result<Packet, DecodeError> {
     Ok(Packet { src, dst, body })
 }
 
-/// Parse an SCTP packet (common header + chunks), verifying the CRC32c
-/// stored per RFC 4960 Appendix B (little-endian, computed with the
-/// checksum field zeroed).
-pub fn decode_sctp(b: &[u8]) -> Result<SctpPacket, DecodeError> {
+/// Parse the SCTP packet (common header + chunks) after `frame`'s IP
+/// header, verifying the CRC32c stored per RFC 4960 Appendix B
+/// (little-endian, computed with the checksum field zeroed) before any
+/// chunk is parsed.
+fn decode_sctp(frame: &Bytes, pool: &mut Pools) -> Result<SctpPacket, DecodeError> {
+    let b = &frame[IP_HEADER as usize..];
     if b.len() < 12 {
         return Err(DecodeError::Truncated);
     }
@@ -547,31 +584,37 @@ pub fn decode_sctp(b: &[u8]) -> Result<SctpPacket, DecodeError> {
     if stored != computed {
         return Err(DecodeError::BadCrc(stored, computed));
     }
-    let mut p = SctpPacket {
-        src_port: be16(b, 0),
-        dst_port: be16(b, 2),
-        vtag: be32(b, 4) as u64,
-        chunks: Vec::new(),
-    };
-    let mut off = 12usize;
-    while off < b.len() {
-        if off + 4 > b.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let ty = b[off];
-        let flags = b[off + 1];
-        let len = be16(b, off + 2) as usize;
-        if len < 4 || off + len > b.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let v = &b[off + 4..off + len];
-        p.chunks.push(decode_chunk(ty, flags, v)?);
-        off += len.div_ceil(4) * 4;
+    let mut chunks = pool.take_chunk_vec();
+    if let Err(e) = decode_chunks(frame, pool, &mut chunks) {
+        pool.put_chunk_vec(chunks);
+        return Err(e);
     }
-    Ok(p)
+    Ok(SctpPacket { src_port: be16(b, 0), dst_port: be16(b, 2), vtag: be32(b, 4) as u64, chunks })
 }
 
-fn decode_chunk(ty: u8, flags: u8, v: &[u8]) -> Result<Chunk, DecodeError> {
+/// Append every chunk after `frame`'s SCTP common header to `out`.
+fn decode_chunks(frame: &Bytes, pool: &mut Pools, out: &mut Vec<Chunk>) -> Result<(), DecodeError> {
+    let mut off = IP_HEADER as usize + 12;
+    while off < frame.len() {
+        if off + 4 > frame.len() {
+            return Err(DecodeError::Truncated);
+        }
+        let ty = frame[off];
+        let flags = frame[off + 1];
+        let len = be16(frame, off + 2) as usize;
+        if len < 4 || off + len > frame.len() {
+            return Err(DecodeError::Truncated);
+        }
+        out.push(decode_chunk(ty, flags, frame, off + 4..off + len, pool)?);
+        off += len.div_ceil(4) * 4;
+    }
+    Ok(())
+}
+
+/// Decode the chunk whose value is `frame[at]`; a DATA or I-DATA payload is
+/// a slice of `frame`.
+fn decode_chunk(ty: u8, flags: u8, frame: &Bytes, at: Range<usize>, pool: &mut Pools) -> Result<Chunk, DecodeError> {
+    let v = &frame[at.clone()];
     let short = || DecodeError::BadChunk(ty);
     Ok(match ty {
         0 => {
@@ -586,7 +629,7 @@ fn decode_chunk(ty: u8, flags: u8, v: &[u8]) -> Result<Chunk, DecodeError> {
                 begin: flags & 0x02 != 0,
                 end: flags & 0x01 != 0,
                 unordered: flags & 0x04 != 0,
-                data: Bytes::copy_from_slice(&v[12..]),
+                data: frame.slice(at.start + 12..at.end),
             })
         }
         3 => {
@@ -598,13 +641,12 @@ fn decode_chunk(ty: u8, flags: u8, v: &[u8]) -> Result<Chunk, DecodeError> {
             if v.len() < 12 + 4 * ngaps {
                 return Err(short());
             }
-            let gaps = (0..ngaps)
-                .map(|i| {
-                    let s = be16(v, 12 + 4 * i) as u64;
-                    let e = be16(v, 14 + 4 * i) as u64;
-                    (cum_tsn + s, cum_tsn + e + 1)
-                })
-                .collect();
+            let mut gaps = pool.take_gap_vec();
+            gaps.extend((0..ngaps).map(|i| {
+                let s = be16(v, 12 + 4 * i) as u64;
+                let e = be16(v, 14 + 4 * i) as u64;
+                (cum_tsn + s, cum_tsn + e + 1)
+            }));
             // The wire carries the number of duplicate-TSN entries (the
             // encoder writes none); the model's "duplicates seen since the
             // last SACK" count decodes to its neutral zero.
@@ -680,7 +722,7 @@ fn decode_chunk(ty: u8, flags: u8, v: &[u8]) -> Result<Chunk, DecodeError> {
                 begin,
                 end: flags & 0x01 != 0,
                 unordered: flags & 0x04 != 0,
-                data: Bytes::copy_from_slice(&v[16..]),
+                data: frame.slice(at.start + 16..at.end),
             })
         }
         194 => {
@@ -734,10 +776,12 @@ fn decode_cookie(v: &[u8]) -> Cookie {
     }
 }
 
-/// Parse a TCP segment, verifying the ones-complement checksum over the
-/// pseudo-header. Fields the wire cannot carry come back neutral: `probe`
-/// is false, the payload arrives as one contiguous slice.
-pub fn decode_tcp(b: &[u8], src_ip: [u8; 4], dst_ip: [u8; 4]) -> Result<TcpSegment, DecodeError> {
+/// Parse the TCP segment after `frame`'s IP header, verifying the
+/// ones-complement checksum over the pseudo-header. Fields the wire cannot
+/// carry come back neutral: `probe` is false, the payload arrives as one
+/// contiguous slice of `frame`.
+fn decode_tcp(frame: &Bytes, src_ip: [u8; 4], dst_ip: [u8; 4], pool: &mut Pools) -> Result<TcpSegment, DecodeError> {
+    let b = &frame[IP_HEADER as usize..];
     if b.len() < 20 {
         return Err(DecodeError::Truncated);
     }
@@ -768,7 +812,7 @@ pub fn decode_tcp(b: &[u8], src_ip: [u8; 4], dst_ip: [u8; 4]) -> Result<TcpSegme
     if wire_flags & 0x10 != 0 {
         flags = flags | Flags::ACK;
     }
-    let mut sack = Vec::new();
+    let mut sack = pool.take_gap_vec();
     let opts = &b[20..header_len];
     let mut i = 0usize;
     while i < opts.len() {
@@ -777,10 +821,12 @@ pub fn decode_tcp(b: &[u8], src_ip: [u8; 4], dst_ip: [u8; 4]) -> Result<TcpSegme
             1 => i += 1,   // NOP
             kind => {
                 if i + 1 >= opts.len() {
+                    pool.put_gap_vec(sack);
                     return Err(DecodeError::Truncated);
                 }
                 let olen = opts[i + 1] as usize;
                 if olen < 2 || i + olen > opts.len() {
+                    pool.put_gap_vec(sack);
                     return Err(DecodeError::Truncated);
                 }
                 if kind == 5 {
@@ -793,10 +839,11 @@ pub fn decode_tcp(b: &[u8], src_ip: [u8; 4], dst_ip: [u8; 4]) -> Result<TcpSegme
             }
         }
     }
-    let payload_bytes = &b[header_len..];
-    let payload_len = payload_bytes.len() as u32;
-    let payload =
-        if payload_bytes.is_empty() { vec![] } else { vec![Bytes::copy_from_slice(payload_bytes)] };
+    let payload_len = (b.len() - header_len) as u32;
+    let mut payload = pool.take_bytes_vec();
+    if payload_len > 0 {
+        payload.push(frame.slice(IP_HEADER as usize + header_len..));
+    }
     Ok(TcpSegment {
         src_port: be16(b, 0),
         dst_port: be16(b, 2),
@@ -896,6 +943,56 @@ mod tests {
         // And it is a real CRC: flipping any byte breaks it.
         zeroed[0] ^= 0xFF;
         assert_ne!(stored, crc32c(&zeroed));
+    }
+
+    /// The 16-bit big-endian loop the word-wide sum replaced: the oracle.
+    fn ones_complement_sum_by_u16(data: &[u8], init: u32) -> u16 {
+        let mut sum = init;
+        let mut chunks = data.chunks_exact(2);
+        for w in &mut chunks {
+            sum += u16::from_be_bytes([w[0], w[1]]) as u32;
+        }
+        if let [b] = chunks.remainder() {
+            sum += (*b as u32) << 8;
+        }
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        sum as u16
+    }
+
+    #[test]
+    fn ones_complement_sum_matches_rfc1071_example() {
+        // RFC 1071 §3: 0001 + f203 + f4f5 + f6f7 = 2ddf0, folded ddf2.
+        assert_eq!(ones_complement_sum(&[0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7], 0), 0xddf2);
+    }
+
+    #[test]
+    fn word_wide_sum_matches_the_u16_loop() {
+        let mut x: u32 = 0x9E37_79B9;
+        let noise: Vec<u8> = (0..1600 + 4)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        // All-zero and all-ones data hit the fold's 0 / 0xFFFF edges.
+        for backing in [noise, vec![0u8; 1604], vec![0xFFu8; 1604]] {
+            for align in 0..4 {
+                for len in 0..=1600 {
+                    let data = &backing[align..align + len];
+                    for init in [0, 0xFFFF, 0x2_FFFD] {
+                        assert_eq!(
+                            ones_complement_sum(data, init),
+                            ones_complement_sum_by_u16(data, init),
+                            "align={align} len={len} init={init:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
