@@ -4,36 +4,45 @@
 //! The slab pools (`transport::pool`) exist so the steady state allocates
 //! nothing per packet: payload lists, SACK blocks, chunk bundles, the
 //! packet list of a send opportunity and wake lists are all recycled,
-//! SCTP's send window, reassembly queue and receive window are flat, and
-//! the matcher's two queues are one `VecDeque` each. The tests run the Figure-10 farm at `--quick` scale, a
-//! 64 KiB SCTP stream and a 1 KiB ping-pong on both transports under the
-//! counting allocator and fail if allocations creep back up.
+//! SCTP's send window, reassembly queue and receive window are flat, TCP
+//! hands in-order segments to the reader as slices of their payload, and
+//! the matcher's two queues are one `VecDeque` each. The tests run the
+//! Figure-10 farm at `--quick` scale, a 64 KiB stream and a 1 KiB ping-pong
+//! on both transports under the counting allocator and fail if allocations
+//! creep back up.
 //!
 //! Alone in their own integration-test binary and serialized by [`METER`]:
 //! the counter is process-global, so nothing else may allocate while one of
 //! them measures, and the runner is pinned to one worker thread so every
 //! allocation is attributable to the metered cells.
 //!
-//! Budgets. Farm: 403 108 allocations over the run's 682 026
-//! `net.packets_offered`, 0.59 per offered packet; the gate sits at 0.85 —
-//! the count is deterministic, so the 1.4× margin is for rustc and std
-//! drift only, and losing any one pool (payloads, gap lists, packet lists,
-//! wake lists) trips it. Offered packets are the denominator because the
-//! protocol fixes them; the event count moves whenever no-op timer wakes
-//! are added or removed, and those allocate nothing. The per-event form is
-//! printed beside the gated one.
+//! Budgets. Every count is deterministic (debug and release alike), so each
+//! gate sits 5 % above its measured count: the margin is for rustc and std
+//! drift only.
 //!
-//! Stream: 10.5 allocations per 64 KiB message over the run's 200
-//! messages, set-up included, none of them in the SCTP engine or the event
-//! queue (the queue is one heap that reaches its working size in the first
-//! few messages); the gate sits at 20. A send window rebuilt per SACK cost
-//! 137 here, per-bucket growth in a bucketed event queue 32.
+//! Farm: 186 616 allocations over the run's 682 026 `net.packets_offered`,
+//! 0.274 per offered packet; gate 0.287. Losing any one pool (payloads, gap
+//! lists, packet lists, wake lists) trips it, and so does TCP parking
+//! in-order segments in its out-of-order store again (0.59). Offered packets
+//! are the denominator because the protocol fixes them; the event count
+//! moves whenever no-op timer wakes are added or removed, and those
+//! allocate nothing. The per-event form is printed beside the gated one.
 //!
-//! Ping-pong: 5.03 (SCTP) and 8.03 (TCP) allocations per 1 KiB message
+//! Stream: 10.5 (SCTP) and 26.1 (TCP) allocations per 64 KiB message over
+//! the run's 200 messages, set-up included. None of SCTP's are in the engine
+//! or the event queue (the queue is one heap that reaches its working size
+//! in the first few messages); its gate sits at 20. A send window rebuilt
+//! per SACK cost 137 here, per-bucket growth in a bucketed event queue 32.
+//! TCP's gate is 27.4: an in-order segment inserted into and removed from
+//! the reassembly tree, or copied when it spans two send-queue chunks,
+//! costs 40.
+//!
+//! Ping-pong: 5.03 (SCTP) and 5.02 (TCP) allocations per 1 KiB message
 //! over 2 000 round trips, set-up included — few packets per message, so
-//! what the MPI layer allocates per message shows. The gates sit at 5.5
-//! and 8.5, half an allocation above: one queue or map entry per posted
-//! receive (6.03 / 9.03) trips them.
+//! what the MPI layer allocates per message shows. SCTP's gate sits at
+//! 5.5, TCP's at 5.27: one queue or map entry per posted receive (6.03)
+//! trips both, and so does a heap-allocated envelope buffer per TCP
+//! message.
 //!
 //! Live ingress: one 44-frame receive train (the most full-size frames one
 //! UDP_GRO read returns), SCTP and TCP, decoded with warmed pools costs the
@@ -53,10 +62,11 @@ use transport::tcp::{Flags, TcpSegment};
 use transport::wire_bytes::{decode_frame, encode_packet_into};
 use workloads::pingpong::{run, run_stream, PingPongCfg, StreamCfg};
 
-const MAX_ALLOCS_PER_PACKET: f64 = 0.85;
+const MAX_ALLOCS_PER_PACKET: f64 = 0.287;
 const MAX_ALLOCS_PER_STREAM_MSG: f64 = 20.0;
+const MAX_ALLOCS_PER_STREAM_MSG_TCP: f64 = 27.4;
 const MAX_ALLOCS_PER_PINGPONG_MSG_SCTP: f64 = 5.5;
-const MAX_ALLOCS_PER_PINGPONG_MSG_TCP: f64 = 8.5;
+const MAX_ALLOCS_PER_PINGPONG_MSG_TCP: f64 = 5.27;
 const MAX_ALLOCS_PER_INGRESS_TRAIN: u64 = 2;
 
 /// Held while a test meters: the allocation counter is process-global.
@@ -93,22 +103,41 @@ fn farm_quick_stays_within_alloc_budget() {
     );
 }
 
-#[test]
-fn sctp_stream_64k_stays_within_alloc_budget() {
+/// Allocations per message of a 200-message one-way 64 KiB stream on
+/// `cfg`, set-up included.
+fn stream_64k_allocs_per_msg(cfg: MpiCfg) -> f64 {
     const MSGS: u32 = 200;
-    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
     alloc_meter::enable(true);
     let before = alloc_meter::allocs();
-    let r = run_stream(MpiCfg::sctp(2, 0.0), StreamCfg { size: 64 * 1024, count: MSGS });
+    let r = run_stream(cfg, StreamCfg { size: 64 * 1024, count: MSGS });
     let allocs = alloc_meter::allocs() - before;
     assert!(r.throughput > 0.0, "stream moved no data");
     let per_msg = allocs as f64 / MSGS as f64;
     eprintln!("allocs={allocs} msgs={MSGS} allocs/msg={per_msg:.2}");
+    per_msg
+}
+
+#[test]
+fn sctp_stream_64k_stays_within_alloc_budget() {
+    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let per_msg = stream_64k_allocs_per_msg(MpiCfg::sctp(2, 0.0));
     assert!(
         per_msg <= MAX_ALLOCS_PER_STREAM_MSG,
         "allocation regression: {per_msg:.1} allocs per 64 KiB SCTP message exceeds budget \
          {MAX_ALLOCS_PER_STREAM_MSG} (baseline ~10.5). The send window, reassembly queue or \
          receive window is allocating per chunk again."
+    );
+}
+
+#[test]
+fn tcp_stream_64k_stays_within_alloc_budget() {
+    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let per_msg = stream_64k_allocs_per_msg(MpiCfg::tcp(2, 0.0));
+    assert!(
+        per_msg <= MAX_ALLOCS_PER_STREAM_MSG_TCP,
+        "allocation regression: {per_msg:.1} allocs per 64 KiB TCP message exceeds budget \
+         {MAX_ALLOCS_PER_STREAM_MSG_TCP}. Are in-order segments going through the out-of-order \
+         store again, or being copied instead of sliced?"
     );
 }
 

@@ -26,10 +26,16 @@ struct WriteItem {
 }
 
 enum ReadState {
-    /// Accumulating the fixed-size envelope.
-    Env { buf: Vec<u8> },
+    /// Accumulating the fixed-size envelope in place: `len` bytes of `buf`
+    /// have arrived.
+    Env { buf: [u8; ENV_SIZE], len: usize },
     /// Streaming `remaining` of `total` body bytes into `sink`.
     Body { sink: Sink, remaining: usize, total: usize },
+}
+
+impl ReadState {
+    /// Waiting for the next envelope, none of it read yet.
+    const ENV: ReadState = ReadState::Env { buf: [0; ENV_SIZE], len: 0 };
 }
 
 pub(crate) struct TcpRpi {
@@ -93,7 +99,7 @@ impl TcpRpi {
             socks[peer as usize] = Some(s);
         }
 
-        let rd = (0..n).map(|_| ReadState::Env { buf: Vec::with_capacity(ENV_SIZE) }).collect();
+        let rd = (0..n).map(|_| ReadState::ENV).collect();
         let wq = (0..n).map(|_| VecDeque::new()).collect();
         let nlive = socks.iter().flatten().count();
         TcpRpi { me, socks, rd, wq, wq_items: 0, nlive, rd_scratch: Vec::new() }
@@ -189,7 +195,7 @@ impl TcpRpi {
         let mut progressed = false;
         loop {
             let want = match &self.rd[peer as usize] {
-                ReadState::Env { buf } => ENV_SIZE - buf.len(),
+                ReadState::Env { len, .. } => ENV_SIZE - len,
                 ReadState::Body { remaining, .. } => (*remaining).min(220 * 1024),
             };
             tcp::recv_into(w, ctx, s, want, &mut self.rd_scratch);
@@ -200,11 +206,12 @@ impl TcpRpi {
             meter.charge(cost.syscall + cost.tcp_rx_bytes(got));
             progressed = true;
             match &mut self.rd[peer as usize] {
-                ReadState::Env { buf } => {
+                ReadState::Env { buf, len } => {
                     for c in self.rd_scratch.drain(..) {
-                        buf.extend_from_slice(&c);
+                        buf[*len..*len + c.len()].copy_from_slice(&c);
+                        *len += c.len();
                     }
-                    if buf.len() == ENV_SIZE {
+                    if *len == ENV_SIZE {
                         let env = Envelope::from_bytes(buf);
                         self.handle_envelope(ctx, core, peer, env);
                     }
@@ -222,7 +229,7 @@ impl TcpRpi {
                         meter.charge(cost.tcp_frame_bytes(total));
                         let ctrl = core.body_done(sink);
                         self.enqueue_ctrl(ctrl);
-                        self.rd[peer as usize] = ReadState::Env { buf: Vec::with_capacity(ENV_SIZE) };
+                        self.rd[peer as usize] = ReadState::ENV;
                     }
                 }
             }
@@ -245,9 +252,9 @@ impl TcpRpi {
                 // Zero-length body completes immediately.
                 let ctrl = core.body_done(sink);
                 self.enqueue_ctrl(ctrl);
-                ReadState::Env { buf: Vec::with_capacity(ENV_SIZE) }
+                ReadState::ENV
             }
-            None => ReadState::Env { buf: Vec::with_capacity(ENV_SIZE) },
+            None => ReadState::ENV,
         };
         self.rd[peer as usize] = next;
     }

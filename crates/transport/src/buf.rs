@@ -11,11 +11,16 @@ use bytes::{Buf, Bytes};
 /// A FIFO of bytes addressed by an absolute, monotonically increasing
 /// sequence number — the retained send window of a TCP socket.
 ///
-/// `head_seq` is the sequence number of the first retained byte; bytes below
-/// it have been acknowledged and dropped.
+/// Each chunk is stored beside the sequence number of its first byte, so
+/// [`slice_into`](Self::slice_into) finds the chunk holding any sequence
+/// number by binary search instead of walking from the head. `head_seq` is
+/// the sequence number of the first retained byte (the front chunk's
+/// start); bytes below it have been acknowledged and dropped.
 #[derive(Debug, Default)]
 pub struct ByteQueue {
-    chunks: VecDeque<Bytes>,
+    /// `(start_seq, bytes)`, contiguous: each start is the previous one's
+    /// end.
+    chunks: VecDeque<(u64, Bytes)>,
     head_seq: u64,
     len: u64,
 }
@@ -55,8 +60,9 @@ impl ByteQueue {
         if data.is_empty() {
             return;
         }
+        let start = self.end_seq();
         self.len += data.len() as u64;
-        self.chunks.push_back(data);
+        self.chunks.push_back((start, data));
     }
 
     /// Drop all bytes below `seq` (they were acknowledged). `seq` values at
@@ -64,12 +70,13 @@ impl ByteQueue {
     pub fn advance_to(&mut self, seq: u64) {
         assert!(seq <= self.end_seq(), "ack beyond buffered data");
         while self.head_seq < seq {
-            let front = self.chunks.front_mut().expect("length invariant");
-            let drop = ((seq - self.head_seq) as usize).min(front.len());
+            let (start, front) = self.chunks.front_mut().expect("length invariant");
+            let drop = ((seq - *start) as usize).min(front.len());
             if drop == front.len() {
                 self.chunks.pop_front();
             } else {
                 front.advance(drop);
+                *start += drop as u64;
             }
             self.head_seq += drop as u64;
             self.len -= drop as u64;
@@ -86,18 +93,16 @@ impl ByteQueue {
 
     /// [`slice`](Self::slice) appended into a caller-provided (usually
     /// pooled) list, so the per-segment emit path reuses one buffer instead
-    /// of allocating a fresh `Vec` per packet.
+    /// of allocating a fresh `Vec` per packet. O(log n) to find the first
+    /// chunk, then one slice per chunk covered.
     pub fn slice_into(&self, seq: u64, want: usize, out: &mut Vec<Bytes>) {
         assert!(seq >= self.head_seq, "slice below retained window");
-        let mut skip = (seq - self.head_seq) as usize;
         let mut want = want.min((self.end_seq() - seq) as usize);
-        for c in &self.chunks {
+        let first = self.chunks.partition_point(|(start, c)| start + c.len() as u64 <= seq);
+        let mut skip = self.chunks.get(first).map_or(0, |(start, _)| (seq - start) as usize);
+        for (_, c) in self.chunks.range(first..) {
             if want == 0 {
                 break;
-            }
-            if skip >= c.len() {
-                skip -= c.len();
-                continue;
             }
             let take = (c.len() - skip).min(want);
             out.push(c.slice(skip..skip + take));
@@ -167,6 +172,16 @@ mod tests {
         // Old acks are no-ops.
         q.advance_to(50);
         assert_eq!(q.head_seq(), 107);
+    }
+
+    #[test]
+    fn slice_after_a_partial_advance_starts_in_the_trimmed_chunk() {
+        let mut q = bq(&[b"abcd", b"efgh", b"ijkl"]);
+        q.advance_to(106); // "abcd" gone, "ef" trimmed off the second chunk
+        assert_eq!(concat(&q.slice(106, 3))[..], b"ghi"[..]);
+        assert_eq!(concat(&q.slice(107, 100))[..], b"hijkl"[..]);
+        q.push(Bytes::from_static(b"mn"));
+        assert_eq!(concat(&q.slice(111, 3))[..], b"lmn"[..]);
     }
 
     #[test]

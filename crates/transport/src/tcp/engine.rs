@@ -798,32 +798,44 @@ fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> boo
                 ack_now = true;
             } else {
                 let had_gap = !sk.have.is_empty();
-                // Clamp to window and insert the missing sub-ranges.
+                let out_of_order = seq > sk.rcv_nxt;
+                // Clamp to window; only the sub-ranges not yet held are new.
                 let lo = seq.max(sk.rcv_nxt);
                 let hi = end.min(wnd_edge);
                 let mut holes = pool.take_gap_vec();
                 sk.have.holes_within_into(lo, hi, &mut holes);
                 if holes.is_empty() {
-                    // Nothing new (complete duplicate of buffered data).
+                    // Nothing new (a duplicate of buffered data, or a
+                    // segment the window clamps to nothing).
                     ack_now = true;
                 } else {
+                    let mut drained = false;
                     for &(h0, h1) in &holes {
                         let off = (h0 - seq) as usize;
-                        let piece = slice_payload(&seg.payload, off, (h1 - h0) as usize);
-                        sk.store.insert(h0, piece);
-                        sk.have.insert(h0, h1);
-                        sk.ooo_bytes += h1 - h0;
+                        let n = (h1 - h0) as usize;
                         sk.stats.bytes_in += h1 - h0;
+                        if h0 == sk.rcv_nxt {
+                            // In order: straight to the reader, as slices of
+                            // the payload. Only bytes above `rcv_nxt` are
+                            // ever parked.
+                            sk.in_order.extend(payload_slices(&seg.payload, off, n));
+                            sk.in_order_bytes += h1 - h0;
+                            sk.rcv_nxt = h1;
+                            drained = true;
+                        } else {
+                            sk.store.insert(h0, slice_payload(&seg.payload, off, n));
+                            sk.have.insert(h0, h1);
+                            sk.ooo_bytes += h1 - h0;
+                        }
                     }
-                    if lo > sk.rcv_nxt {
+                    if out_of_order {
                         // Out of order: remember recency for SACK, ack now.
                         sk.sack_recent.retain(|&r| r != lo);
                         sk.sack_recent.insert(0, lo);
                         sk.sack_recent.truncate(8);
                         ack_now = true;
                     }
-                    // Drain whatever is now contiguous.
-                    let mut drained = false;
+                    // Parked pieces the delivery made contiguous follow it.
                     while sk.have.contains(sk.rcv_nxt) {
                         let chunk = sk
                             .store
@@ -876,28 +888,35 @@ fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> boo
     ack_now
 }
 
-/// Slice `len` bytes at `off` out of a chunked payload. Single-chunk slices
-/// are zero-copy; cross-chunk slices copy (rare: only overlap trimming).
+/// Zero-copy slices of the `len` bytes at `off` of a chunked payload, one
+/// per chunk they touch.
+fn payload_slices(chunks: &[Bytes], mut off: usize, mut len: usize) -> impl Iterator<Item = Bytes> + '_ {
+    chunks.iter().filter_map(move |c| {
+        if len == 0 {
+            return None;
+        }
+        if off >= c.len() {
+            off -= c.len();
+            return None;
+        }
+        let take = (c.len() - off).min(len);
+        let piece = c.slice(off..off + take);
+        len -= take;
+        off = 0;
+        Some(piece)
+    })
+}
+
+/// The `len` bytes at `off` of a chunked payload as one buffer, for the
+/// out-of-order store: zero-copy when they lie in one chunk, copied when
+/// they span several (a segment cut across two send-queue chunks).
 fn slice_payload(chunks: &[Bytes], off: usize, len: usize) -> Bytes {
-    let mut skip = off;
-    let mut need = len;
-    let mut v: Vec<u8> = Vec::new();
-    for c in chunks {
-        if need == 0 {
-            break;
-        }
-        if skip >= c.len() {
-            skip -= c.len();
-            continue;
-        }
-        let take = (c.len() - skip).min(need);
-        if v.is_empty() && take == need {
-            return c.slice(skip..skip + take);
-        }
-        v.reserve(need);
-        v.extend_from_slice(&c[skip..skip + take]);
-        need -= take;
-        skip = 0;
+    let mut parts = payload_slices(chunks, off, len);
+    let first = parts.next().unwrap_or_default();
+    let Some(second) = parts.next() else { return first };
+    let mut v = Vec::with_capacity(len);
+    for p in [first, second].into_iter().chain(parts) {
+        v.extend_from_slice(&p);
     }
     Bytes::from(v)
 }

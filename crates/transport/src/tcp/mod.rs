@@ -270,12 +270,15 @@ pub(crate) struct TcpSock {
 
     // --- receive side ---
     pub rcv_nxt: u64,
+    /// Readable bytes, in order. An in-order segment lands here directly,
+    /// as zero-copy slices of its payload.
     pub in_order: VecDeque<Bytes>,
     pub in_order_bytes: u64,
-    /// Out-of-order chunks keyed by start seq; chunk boundaries partition
-    /// `have`.
+    /// Out-of-order chunks keyed by start seq, all above `rcv_nxt`; chunk
+    /// boundaries partition `have`. Only loss or reordering reaches it.
     pub store: BTreeMap<u64, Bytes>,
-    /// Received byte ranges at or above `rcv_nxt`.
+    /// Received byte ranges above `rcv_nxt` (never containing it): empty
+    /// whenever the stream has no hole.
     pub have: RangeSet,
     pub ooo_bytes: u64,
     /// Recency-ordered out-of-order range *starts* for SACK generation.
@@ -625,4 +628,72 @@ pub fn peer_of(w: &World, s: SockId) -> (u16, u16) {
 /// Per-socket stats (tests/diagnostics).
 pub fn stats(w: &World, s: SockId) -> SockStats {
     sock(w, s).stats
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use super::*;
+    use crate::backend::Backend;
+    use crate::ip::{self, Packet};
+
+    /// Swallows everything the engines send.
+    struct Capture(Arc<Mutex<Vec<Packet>>>);
+
+    impl Backend for Capture {
+        fn send(&mut self, _w: &mut World, _ctx: &mut Wx, pkt: Packet) {
+            self.0.lock().unwrap().push(pkt);
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn in_order_segments_bypass_the_reassembly_store() {
+        let mut w = World::paper_cluster(0.0);
+        let mut ctx: Wx = simcore::Ctx::standalone(simcore::derive_rng(3, 0));
+        let wire = Arc::new(Mutex::new(Vec::new()));
+        w.install_backend(Box::new(Capture(wire.clone())));
+        listen(&mut w, 1, 80);
+        connect(&mut w, &mut ctx, 0, 1, 80);
+        loop {
+            let Some(pkt) = wire.lock().unwrap().pop() else { break };
+            ip::deliver_now(&mut w, &mut ctx, pkt);
+        }
+        let server = accept(&mut w, 1, 80).expect("handshake completed");
+        let (_, cport) = peer_of(&w, server);
+
+        // Each segment is two payload chunks, as when it spans two chunks
+        // of the sender's queue.
+        let data: Bytes = (0..64 * 1448).map(|i| i as u8).collect();
+        for k in 0..64 {
+            let (a, b) = (k * 1448, (k + 1) * 1448);
+            let cut = a + 24 + k % 7 * 100;
+            let payload = vec![data.slice(a..cut), data.slice(cut..b)];
+            let seg = TcpSegment {
+                src_port: cport,
+                dst_port: 80,
+                flags: Flags::ACK,
+                seq: 1 + a as u64,
+                ack: 1,
+                wnd: 65_535,
+                sack: Vec::new(),
+                probe: false,
+                payload,
+                payload_len: 1448,
+            };
+            input(&mut w, &mut ctx, IfAddr::new(0, 0), IfAddr::new(1, 0), seg);
+            wire.lock().unwrap().clear();
+            let sk = sock(&w, server);
+            assert!(sk.store.is_empty() && sk.have.is_empty(), "segment {k} was parked");
+            assert_eq!((sk.rcv_nxt, sk.ooo_bytes), (1 + b as u64, 0));
+            // Delivered as the segment's own chunks, not a copy.
+            let tail: Vec<*const u8> = sk.in_order.iter().rev().take(2).map(|c| c.as_ptr()).collect();
+            assert_eq!(tail, [data[cut..].as_ptr(), data[a..].as_ptr()], "segment {k} was copied");
+        }
+        let got = crate::buf::concat(&recv(&mut w, &mut ctx, server, usize::MAX));
+        assert_eq!(got, data);
+    }
 }

@@ -265,35 +265,65 @@ proptest! {
 // ByteQueue vs a Vec<u8> model
 // ---------------------------------------------------------------------------
 
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Append a chunk of this many bytes (0 is a no-op).
+    Push(usize),
+    /// Acknowledge up to `head + d`, clamped to the end: as likely to stop
+    /// inside a chunk as on a boundary.
+    Advance(u64),
+    /// Slice `want` bytes at `head + off % (len + 1)`.
+    Slice(u64, usize),
+}
+
+fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0usize..50).prop_map(QueueOp::Push),
+            (0usize..50).prop_map(QueueOp::Push),
+            (0u64..60).prop_map(QueueOp::Advance),
+            (any::<u64>(), 0usize..300).prop_map(|(off, want)| QueueOp::Slice(off, want)),
+            (any::<u64>(), 0usize..300).prop_map(|(off, want)| QueueOp::Slice(off, want)),
+        ],
+        0..500,
+    )
+}
+
 proptest! {
+    /// Pushes, partial acks and slices interleaved over up to ~200 chunks:
+    /// a chunk index that went stale after a partial `advance_to` would
+    /// slice from the wrong place.
     #[test]
-    fn bytequeue_slices_match_model(
-        chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..50), 0..10),
-        advances in prop::collection::vec(0u64..30, 0..5),
-        reads in prop::collection::vec((0u64..300, 0usize..100), 0..10),
-    ) {
+    fn bytequeue_slices_match_model(ops in queue_ops()) {
         let mut q = ByteQueue::new(1000);
         let mut model: Vec<u8> = Vec::new();
-        for c in &chunks {
-            q.push(Bytes::from(c.clone()));
-            model.extend_from_slice(c);
-        }
-        let mut head = 1000u64;
-        for adv in advances {
-            let target = (head + adv).min(q.end_seq());
-            q.advance_to(target);
-            let drop = (target - head) as usize;
-            model.drain(..drop.min(model.len()));
-            head = target;
-        }
-        prop_assert_eq!(q.head_seq(), head);
-        prop_assert_eq!(q.len() as usize, model.len());
-        for (off, want) in reads {
-            let seq = head + (off % (model.len() as u64 + 1));
-            let got = concat(&q.slice(seq, want));
-            let m_off = (seq - head) as usize;
-            let m_end = (m_off + want).min(model.len());
-            prop_assert_eq!(&got[..], &model[m_off..m_end]);
+        let (mut head, mut pushed) = (1000u64, 0usize);
+        for op in ops {
+            match op {
+                QueueOp::Push(n) => {
+                    let c: Vec<u8> = (pushed..pushed + n).map(|i| (i * 7 + i / 256) as u8).collect();
+                    pushed += n;
+                    q.push(Bytes::from(c.clone()));
+                    model.extend_from_slice(&c);
+                }
+                QueueOp::Advance(d) => {
+                    let target = (head + d).min(q.end_seq());
+                    q.advance_to(target);
+                    model.drain(..(target - head) as usize);
+                    head = target;
+                }
+                QueueOp::Slice(off, want) => {
+                    let seq = head + off % (model.len() as u64 + 1);
+                    let pieces = q.slice(seq, want);
+                    prop_assert!(pieces.iter().all(|p| !p.is_empty()), "empty piece at {}", seq);
+                    let m_off = (seq - head) as usize;
+                    let m_end = (m_off + want).min(model.len());
+                    prop_assert_eq!(&concat(&pieces)[..], &model[m_off..m_end]);
+                }
+            }
+            prop_assert_eq!(q.head_seq(), head);
+            prop_assert_eq!(q.len() as usize, model.len());
+            prop_assert_eq!(q.end_seq(), head + model.len() as u64);
         }
     }
 }
