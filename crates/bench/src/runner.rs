@@ -525,6 +525,7 @@ mod tests {
             sctp: AssocStats { packets_out: 9, ..AssocStats::default() },
             tcp: SockStats::default(),
             net: NetStats::default(),
+            mpi: mpi_core::MpiStats::default(),
         }
     }
 

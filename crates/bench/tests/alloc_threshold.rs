@@ -20,7 +20,7 @@
 //! gate sits 5 % above its measured count: the margin is for rustc and std
 //! drift only.
 //!
-//! Farm: 186 616 allocations over the run's 682 026 `net.packets_offered`,
+//! Farm: 186 615 allocations over the run's 682 026 `net.packets_offered`,
 //! 0.274 per offered packet; gate 0.287. Losing any one pool (payloads, gap
 //! lists, packet lists, wake lists) trips it, and so does TCP parking
 //! in-order segments in its out-of-order store again (0.59). Offered packets
@@ -28,19 +28,19 @@
 //! moves whenever no-op timer wakes are added or removed, and those
 //! allocate nothing. The per-event form is printed beside the gated one.
 //!
-//! Stream: 10.5 (SCTP) and 26.1 (TCP) allocations per 64 KiB message over
-//! the run's 200 messages, set-up included. None of SCTP's are in the engine
-//! or the event queue (the queue is one heap that reaches its working size
-//! in the first few messages); its gate sits at 20. A send window rebuilt
-//! per SACK cost 137 here, per-bucket growth in a bucketed event queue 32.
-//! TCP's gate is 27.4: an in-order segment inserted into and removed from
-//! the reassembly tree, or copied when it spans two send-queue chunks,
-//! costs 40.
+//! Stream: 10.48 (SCTP) and 26.06 (TCP) allocations per 64 KiB message
+//! over the run's 200 messages, set-up included. None of SCTP's are in the
+//! engine or the event queue (the queue is one heap that reaches its
+//! working size in the first few messages); its gate is 11.0. A send window
+//! rebuilt per SACK cost 137 here, per-bucket growth in a bucketed event
+//! queue 32. TCP's gate is 27.4: an in-order segment inserted into and
+//! removed from the reassembly tree, or copied when it spans two send-queue
+//! chunks, costs 40.
 //!
 //! Ping-pong: 5.03 (SCTP) and 5.02 (TCP) allocations per 1 KiB message
 //! over 2 000 round trips, set-up included — few packets per message, so
 //! what the MPI layer allocates per message shows. SCTP's gate sits at
-//! 5.5, TCP's at 5.27: one queue or map entry per posted receive (6.03)
+//! 5.28, TCP's at 5.27: one queue or map entry per posted receive (6.03)
 //! trips both, and so does a heap-allocated envelope buffer per TCP
 //! message.
 //!
@@ -63,9 +63,9 @@ use transport::wire_bytes::{decode_frame, encode_packet_into};
 use workloads::pingpong::{run, run_stream, PingPongCfg, StreamCfg};
 
 const MAX_ALLOCS_PER_PACKET: f64 = 0.287;
-const MAX_ALLOCS_PER_STREAM_MSG: f64 = 20.0;
+const MAX_ALLOCS_PER_STREAM_MSG: f64 = 11.0;
 const MAX_ALLOCS_PER_STREAM_MSG_TCP: f64 = 27.4;
-const MAX_ALLOCS_PER_PINGPONG_MSG_SCTP: f64 = 5.5;
+const MAX_ALLOCS_PER_PINGPONG_MSG_SCTP: f64 = 5.28;
 const MAX_ALLOCS_PER_PINGPONG_MSG_TCP: f64 = 5.27;
 const MAX_ALLOCS_PER_INGRESS_TRAIN: u64 = 2;
 
@@ -124,7 +124,7 @@ fn sctp_stream_64k_stays_within_alloc_budget() {
     assert!(
         per_msg <= MAX_ALLOCS_PER_STREAM_MSG,
         "allocation regression: {per_msg:.1} allocs per 64 KiB SCTP message exceeds budget \
-         {MAX_ALLOCS_PER_STREAM_MSG} (baseline ~10.5). The send window, reassembly queue or \
+         {MAX_ALLOCS_PER_STREAM_MSG} (baseline 10.48). The send window, reassembly queue or \
          receive window is allocating per chunk again."
     );
 }

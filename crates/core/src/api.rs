@@ -99,6 +99,20 @@ pub struct MpiStats {
     pub bytes_received: u64,
     /// Simulated time spent parked waiting for progress.
     pub blocked: Dur,
+    /// Progression passes that moved nothing before the rank parked:
+    /// every wake that bought no progress shows up here.
+    pub idle_passes: u64,
+}
+
+impl std::ops::AddAssign for MpiStats {
+    fn add_assign(&mut self, o: Self) {
+        self.sends += o.sends;
+        self.recvs += o.recvs;
+        self.bytes_sent += o.bytes_sent;
+        self.bytes_received += o.bytes_received;
+        self.blocked += o.blocked;
+        self.idle_passes += o.idle_passes;
+    }
 }
 
 /// An MPI process handle: rank, middleware state, and the RPI.
@@ -403,6 +417,7 @@ impl Mpi {
                 if block_start.is_none() {
                     block_start = Some(self.env.now());
                 }
+                self.stats.idle_passes += 1;
                 let Mpi { env, rpi, .. } = self;
                 env.with(|w, _| rpi.register(w, me));
                 env.park().await;
@@ -432,6 +447,7 @@ impl Mpi {
                 self.env.sleep(charge).await;
             }
             if !progressed {
+                self.stats.idle_passes += 1;
                 let Mpi { env, rpi, .. } = self;
                 env.with(|w, _| rpi.register(w, me));
                 env.park().await;

@@ -1,6 +1,7 @@
 //! `mpirun` — build a simulated cluster, spawn one virtual process per
 //! rank, run the program, and collect a report.
 
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -11,7 +12,7 @@ use transport::sctp::{AssocStats, SctpCfg};
 use transport::tcp::{SockStats, TcpCfg};
 use transport::World;
 
-use crate::api::{Mpi, MpiProcCfg, TransportSel};
+use crate::api::{Mpi, MpiProcCfg, MpiStats, TransportSel};
 use crate::cost::CostCfg;
 use crate::rpi_sctp::{ContextMap, RaceFix};
 
@@ -265,10 +266,14 @@ pub struct MpiReport {
     pub tcp: SockStats,
     /// Aggregate SCTP association stats across hosts (zero for TCP runs).
     pub sctp: AssocStats,
+    /// Middleware counters summed over every rank, finalize included (zero
+    /// for runs without ranks).
+    pub mpi: MpiStats,
 }
 
 impl MpiReport {
-    /// Every layer's counters out of a finished run, each block copied whole.
+    /// Every layer's counters out of a finished run, each block copied whole
+    /// (`mpi` stays zero: ranks hand theirs over as they exit).
     pub fn collect(out: &RunOutcome<World>) -> MpiReport {
         let hosts = &out.world.hosts;
         MpiReport {
@@ -278,6 +283,7 @@ impl MpiReport {
             net: out.world.net.stats,
             tcp: hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp),
             sctp: hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp),
+            mpi: MpiStats::default(),
         }
     }
 
@@ -298,12 +304,13 @@ where
 {
     use crate::daemon::{daemon_main, DaemonClient, DaemonMsg, JobTable};
     let (mut rt, tracer, proc_cfg) = build(&cfg);
-    let f = Rc::new(f);
+    let shared = Rc::new((f, Cell::new(MpiStats::default())));
     let table = Rc::new(std::cell::RefCell::new(JobTable::default()));
     let n = cfg.nprocs;
     for rank in 0..n {
-        let f = Rc::clone(&f);
+        let shared = Rc::clone(&shared);
         rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| async move {
+            let (f, totals) = &*shared;
             // Report to the local daemon over SCTP (stock LAM used UDP).
             let client = DaemonClient::connect(&env, rank, rank).await;
             client.report(&env, DaemonMsg::JobStart { rank }).await;
@@ -313,6 +320,7 @@ where
             client.report(mpi.proc_env(), DaemonMsg::Heartbeat { rank, msgs_sent: sent }).await;
             client.report(mpi.proc_env(), DaemonMsg::JobEnd { rank }).await;
             mpi.finalize().await;
+            add_stats(totals, mpi.stats);
         });
     }
     for host in 0..n {
@@ -321,9 +329,16 @@ where
     }
     let out = rt.run();
     flush_trace(&tracer, out.sim_time, cfg.seed);
-    let report = MpiReport::collect(&out);
+    let report = MpiReport { mpi: shared.1.get(), ..MpiReport::collect(&out) };
     let table = Rc::try_unwrap(table).expect("daemons exited").into_inner();
     (report, table)
+}
+
+/// Fold one exiting rank's middleware counters into the run's total.
+fn add_stats(totals: &Cell<MpiStats>, s: MpiStats) {
+    let mut t = totals.get();
+    t += s;
+    totals.set(t);
 }
 
 fn fold_tcp(mut a: SockStats, s: SockStats) -> SockStats {
@@ -404,13 +419,17 @@ where
     F: for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static,
 {
     let (mut rt, tracer, proc_cfg) = build(&cfg);
-    let f = Rc::new(f);
+    // The program and the counters each rank adds as it exits share one
+    // allocation.
+    let shared = Rc::new((f, Cell::new(MpiStats::default())));
     for rank in 0..cfg.nprocs {
-        let f = Rc::clone(&f);
+        let shared = Rc::clone(&shared);
         rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| async move {
+            let (f, totals) = &*shared;
             let mut mpi = Mpi::init(env, proc_cfg).await;
             f(&mut mpi).await;
             mpi.finalize().await;
+            add_stats(totals, mpi.stats);
         });
     }
     let out = rt.run();
@@ -418,5 +437,5 @@ where
     if let Some(slot) = dump_slot {
         *slot = tracer.as_ref().map(|t| t.dump(out.sim_time.as_nanos()));
     }
-    MpiReport::collect(&out)
+    MpiReport { mpi: shared.1.get(), ..MpiReport::collect(&out) }
 }

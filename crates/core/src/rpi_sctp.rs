@@ -57,6 +57,8 @@ pub enum RaceFix {
 /// One unit the writer can pass to `sctp_sendmsg`.
 struct OutMsg {
     chunks: Vec<Bytes>,
+    /// Total bytes of `chunks`, summed once at enqueue.
+    len: usize,
     /// Advance this request when the final piece of its item is written.
     req: Option<ReqId>,
     /// Last piece of a multi-piece item?
@@ -191,8 +193,9 @@ impl SctpRpi {
         let mut chunks = Vec::with_capacity(1 + body.len());
         chunks.push(env.to_bytes());
         chunks.extend(body.into_iter().filter(|b| !b.is_empty()));
+        let len = chunks.iter().map(|c| c.len()).sum();
         let ppid = self.ppid_of(env.cxt);
-        self.wq[peer as usize][sid as usize].push_back(OutMsg { chunks, req, last: true, ppid });
+        self.wq[peer as usize][sid as usize].push_back(OutMsg { chunks, len, req, last: true, ppid });
         self.note_queued(peer, 1);
     }
 
@@ -208,9 +211,10 @@ impl SctpRpi {
         let sid = self.stream_of(env.cxt, env.tag) as usize;
         let ppid = self.ppid_of(env.cxt);
         let q = &mut self.wq[peer as usize][sid];
-        q.push_back(OutMsg { chunks: vec![env.to_bytes()], req: None, last: false, ppid });
+        let header = OutMsg { chunks: vec![env.to_bytes()], len: ENV_SIZE, req: None, last: false, ppid };
+        q.push_back(header);
         // Split at RPI level into sendmsg-sized pieces.
-        let mut pieces: Vec<Vec<Bytes>> = Vec::new();
+        let mut pieces: Vec<(Vec<Bytes>, usize)> = Vec::new();
         let mut cur: Vec<Bytes> = Vec::new();
         let mut cur_len = 0usize;
         for chunk in body {
@@ -221,17 +225,17 @@ impl SctpRpi {
                 cur_len += take;
                 off += take;
                 if cur_len == self.piece {
-                    pieces.push(std::mem::take(&mut cur));
+                    pieces.push((std::mem::take(&mut cur), cur_len));
                     cur_len = 0;
                 }
             }
         }
         if !cur.is_empty() {
-            pieces.push(cur);
+            pieces.push((cur, cur_len));
         }
         let n = pieces.len();
-        for (i, p) in pieces.into_iter().enumerate() {
-            q.push_back(OutMsg { chunks: p, req: Some(req), last: i + 1 == n, ppid });
+        for (i, (chunks, len)) in pieces.into_iter().enumerate() {
+            q.push_back(OutMsg { chunks, len, req: Some(req), last: i + 1 == n, ppid });
         }
         // env.to_bytes() header message + n body pieces.
         self.note_queued(peer, 1 + n);
@@ -308,27 +312,30 @@ impl SctpRpi {
                 }
             }
             while let Some(front) = self.wq[peer as usize][sid as usize].front() {
-                let len: usize = front.chunks.iter().map(|c| c.len()).sum();
-                match sctp::sendmsg_v(w, ctx, a, sid, front.ppid, &front.chunks) {
-                    Ok(()) => {
-                        meter.charge(cost.syscall + cost.sctp_per_msg + cost.sctp_bytes(len));
-                        progressed = true;
-                        let item = self.wq[peer as usize][sid as usize].pop_front().unwrap();
-                        self.wq_total -= 1;
-                        self.wq_peer[peer as usize] -= 1;
-                        if self.race_fix == RaceFix::OptionA {
-                            self.a_lock = if item.last { None } else { Some((peer, sid)) };
-                        }
-                        if item.last {
-                            if let Some(r) = item.req {
-                                core.send_written(r);
-                            }
-                        }
+                // Ask first: a message that does not fit waits for the wake
+                // sized to it (see `register`) instead of probing with a
+                // sendmsg that fails. Any other error falls through to
+                // sendmsg, which reports it.
+                if sctp::check_send(w, a, sid, front.len as u64) == Err(SendErr::WouldBlock) {
+                    break; // this stream is blocked; try the next one
+                }
+                let sent = sctp::sendmsg_v(w, ctx, a, sid, front.ppid, &front.chunks);
+                debug_assert_ne!(sent, Err(SendErr::WouldBlock), "check_send admitted it");
+                if let Err(e) = sent {
+                    panic!("sctp sendmsg failed: {e:?}");
+                }
+                meter.charge(cost.syscall + cost.sctp_per_msg + cost.sctp_bytes(front.len));
+                progressed = true;
+                let item = self.wq[peer as usize][sid as usize].pop_front().unwrap();
+                self.wq_total -= 1;
+                self.wq_peer[peer as usize] -= 1;
+                if self.race_fix == RaceFix::OptionA {
+                    self.a_lock = if item.last { None } else { Some((peer, sid)) };
+                }
+                if item.last {
+                    if let Some(r) = item.req {
+                        core.send_written(r);
                     }
-                    Err(SendErr::WouldBlock) => {
-                        break; // this stream is blocked; try the next one
-                    }
-                    Err(e) => panic!("sctp sendmsg failed: {e:?}"),
                 }
             }
         }
@@ -407,11 +414,19 @@ impl SctpRpi {
         self.wq_total > 0
     }
 
-    /// Register for wakeups: one endpoint covers every peer (§3.3).
+    /// Register for wakeups: one endpoint covers every peer (§3.3). A
+    /// blocked writer asks each association for the free space its
+    /// smallest queued front message needs, so a SACK that frees less
+    /// wakes nobody: the pass it would start could send nothing there.
     pub(crate) fn register(&self, w: &mut World, me: ProcId) {
         sctp::register_reader(w, self.ep, me);
-        if self.has_pending_writes() {
-            sctp::register_writer(w, self.ep, me);
+        if !self.has_pending_writes() {
+            return;
+        }
+        for (q, a) in self.wq.iter().zip(&self.assocs) {
+            let Some(a) = *a else { continue };
+            let need = q.iter().filter_map(|s| s.front()).map(|m| m.len as u64).min();
+            sctp::register_writer_for(w, a, need.unwrap_or(u64::MAX), me);
         }
     }
 }

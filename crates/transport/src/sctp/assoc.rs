@@ -447,6 +447,11 @@ pub(crate) struct Assoc {
     pub out_ssn: Vec<u32>,
     pub pending: VecDeque<PendingChunk>,
     pub pending_bytes: u64,
+    /// Free send space the endpoint's blocked writer needs on this
+    /// association: a SACK here wakes the writers only once
+    /// [`snd_space`](Self::snd_space) reaches it. 0 (the default) = any
+    /// freed space; `u64::MAX` = nothing to send here.
+    pub writer_need: u64,
     // ---- stream machinery (I-DATA / schedulers / PR-SCTP) ----
     /// Negotiated extension bits: intersection of both ends' offers
     /// (EXT_INTERLEAVE | EXT_PR_SCTP). 0 until the handshake settles.
@@ -567,6 +572,7 @@ impl Assoc {
             out_ssn: vec![0; cfg.out_streams as usize],
             pending: VecDeque::new(),
             pending_bytes: 0,
+            writer_need: 0,
             ext_flags: 0,
             per_stream_q,
             out_q,

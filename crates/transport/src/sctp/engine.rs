@@ -271,11 +271,35 @@ pub fn stats(w: &World, a: AssocId) -> AssocStats {
     assoc_ref(w, a).stats
 }
 
-/// Would a `len`-byte message be accepted right now?
+/// Would a `len`-byte message on stream 0 be accepted right now?
 pub fn can_send(w: &World, a: AssocId, len: u32) -> bool {
-    let cfg = &w.hosts[a.host as usize].sctp.cfg;
-    let ak = assoc_ref(w, a);
-    sendable_state(ak.state) && ak.snd_space(cfg.sndbuf) >= len as u64
+    check_send(w, a, 0, len as u64).is_ok()
+}
+
+/// What [`sendmsg`] would answer for a `len`-byte message on `stream`
+/// right now, without queueing anything: the same checks, in the same
+/// order, so a caller that skips the send on `WouldBlock` never skips an
+/// error.
+pub fn check_send(w: &World, a: AssocId, stream: u16, len: u64) -> Result<(), SendErr> {
+    admit(&w.hosts[a.host as usize].sctp.cfg, assoc_ref(w, a), stream, len)
+}
+
+/// The admission checks of the `sendmsg` family: NotConnected, BadStream,
+/// MsgTooBig, then WouldBlock.
+fn admit(cfg: &SctpCfg, ak: &Assoc, stream: u16, len: u64) -> Result<(), SendErr> {
+    if !sendable_state(ak.state) {
+        return Err(SendErr::NotConnected);
+    }
+    if stream >= cfg.out_streams {
+        return Err(SendErr::BadStream);
+    }
+    if len > cfg.sndbuf {
+        return Err(SendErr::MsgTooBig);
+    }
+    if ak.snd_space(cfg.sndbuf) < len {
+        return Err(SendErr::WouldBlock);
+    }
+    Ok(())
 }
 
 fn sendable_state(s: AssocState) -> bool {
@@ -342,19 +366,8 @@ fn sendmsg_impl(
     let cfg = cfg_of(w, a.host);
     {
         let ak = assoc_mut(w, a);
-        if !sendable_state(ak.state) {
-            return Err(SendErr::NotConnected);
-        }
-        if stream >= cfg.out_streams {
-            return Err(SendErr::BadStream);
-        }
         let len: u64 = data.iter().map(|c| c.len() as u64).sum();
-        if len > cfg.sndbuf {
-            return Err(SendErr::MsgTooBig);
-        }
-        if ak.snd_space(cfg.sndbuf) < len {
-            return Err(SendErr::WouldBlock);
-        }
+        admit(&cfg, ak, stream, len)?;
         let expires = lifetime.unwrap_or(cfg.pr_lifetime).map(|d| ctx.now() + d);
         // Flight recorder, sender side: the message starts life blocked if
         // it is at the head of its own stream (nothing of `stream` queued
@@ -472,9 +485,27 @@ pub fn register_reader(w: &mut World, e: EpId, p: ProcId) {
 }
 
 /// Register `p` to be woken when send space frees or association state
-/// changes on this endpoint.
+/// changes on this endpoint: a SACK that frees any space wakes it. Clears
+/// every need [`register_writer_for`] recorded on the endpoint.
 pub fn register_writer(w: &mut World, e: EpId, p: ProcId) {
     let ep = ep_mut(w, e);
+    for ak in &mut ep.assocs {
+        ak.writer_need = 0;
+    }
+    add_writer(ep, p);
+}
+
+/// Register `p` as a writer that needs `need` bytes of free send space on
+/// `a` before it can move there: a SACK on `a` that leaves less wakes
+/// nobody. `u64::MAX` means nothing waits on `a`. State changes and PR-SCTP
+/// abandonment wake the endpoint's writers whatever the need.
+pub fn register_writer_for(w: &mut World, a: AssocId, need: u64, p: ProcId) {
+    let ep = ep_mut(w, a.endpoint());
+    ep.assocs[a.idx as usize].writer_need = need;
+    add_writer(ep, p);
+}
+
+fn add_writer(ep: &mut Endpoint, p: ProcId) {
     if !ep.writers.contains(&p) {
         ep.writers.push(p);
     }
@@ -657,8 +688,8 @@ pub(super) fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
 /// to trigger the usual writer wake in `process_sack` — a sender blocked on
 /// a full buffer would sleep forever while heartbeats keep the association
 /// (and the simulation) alive. Wake blocked writers whenever a call
-/// abandoned anything; a spurious wake is benign (a still-blocked sender
-/// re-checks and re-registers).
+/// abandoned anything, whatever their recorded need; a spurious wake is
+/// benign (a still-blocked sender re-checks and re-registers).
 pub(super) fn wake_writers_after_abandon(w: &mut World, ctx: &mut Wx, a: AssocId, abandoned_before: u64) {
     if assoc_ref(w, a).stats.msgs_abandoned == abandoned_before {
         return;

@@ -10,9 +10,9 @@ mod wire;
 
 pub use assoc::{AssocId, AssocState, AssocStats, EpId, PathState, RecvMsg, SctpCfg, SctpHost};
 pub use engine::{
-    assoc_state, can_send, connect, dump_all, input, listen, lookup_peer, peer_addrs, primary_path,
-    readable, recvmsg, register_reader, register_writer, sendmsg, sendmsg_pr, sendmsg_v,
-    set_primary, shutdown, socket, stats, SendErr,
+    assoc_state, can_send, check_send, connect, dump_all, input, listen, lookup_peer, peer_addrs,
+    primary_path, readable, recvmsg, register_reader, register_writer, register_writer_for,
+    sendmsg, sendmsg_pr, sendmsg_v, set_primary, shutdown, socket, stats, SendErr,
 };
 pub use receive::RcvWindow;
 pub use sched::{SchedCandidate, SchedKind, StreamScheduler};

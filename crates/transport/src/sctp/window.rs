@@ -380,8 +380,10 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
             }
         }
 
-        // Send space freed → wake endpoint writers.
-        wake_writers = newly_acked.iter().any(|&x| x > 0);
+        // Send space freed → wake endpoint writers, once there is as much
+        // free space as their smallest blocked message here needs.
+        wake_writers =
+            newly_acked.iter().any(|&x| x > 0) && ak.snd_space(cfg.sndbuf) >= ak.writer_need;
         check_flight(ak, "process_sack", now);
     }
     if wake_writers {

@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mpi_core::{mpirun, Mpi, MpiCfg, RankFut, ANY_SOURCE, ANY_TAG};
+use mpi_core::{mpirun, Mpi, MpiCfg, MpiStats, RankFut, ANY_SOURCE, ANY_TAG};
 use simcore::Dur;
 
 use crate::zeros;
@@ -97,6 +97,8 @@ pub struct FarmResult {
     pub unexpected_peak: usize,
     /// Most queue entries one matching lookup examined, across all ranks.
     pub match_scan_peak: usize,
+    /// Middleware counters summed over every rank.
+    pub mpi: MpiStats,
 }
 
 /// Run the farm under `mpi_cfg`; returns total run time (Figures 10–12's
@@ -150,6 +152,7 @@ pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>)
         sctp: report.sctp,
         unexpected_peak: peak.get(),
         match_scan_peak: scan_peak.get(),
+        mpi: report.mpi,
     }
 }
 

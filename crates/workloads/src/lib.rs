@@ -23,15 +23,18 @@ pub mod scale;
 
 use bytes::Bytes;
 
-/// A shared zero buffer for payloads: slicing it is allocation-free, so
-/// workloads can "send N bytes" without per-message allocations.
+/// `n` zero bytes for a payload, borrowed from one leaked buffer: no
+/// allocation per call and no shared refcount, so ranks and threads that
+/// "send N bytes" per message write nothing in common. (A zeroed `static`
+/// array would sit in read-only data: 4 MiB more binary, paged in from
+/// the file as payloads are read.)
 pub fn zeros(n: usize) -> Bytes {
     use std::sync::OnceLock;
-    static ZEROS: OnceLock<Bytes> = OnceLock::new();
     const CAP: usize = 4 << 20;
-    let z = ZEROS.get_or_init(|| Bytes::from(vec![0u8; CAP]));
+    static ZEROS: OnceLock<&'static [u8]> = OnceLock::new();
+    let z = ZEROS.get_or_init(|| Vec::leak(vec![0u8; CAP]));
     assert!(n <= CAP, "payload over {CAP} bytes; raise the cap");
-    z.slice(0..n)
+    Bytes::from_static(&z[..n])
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! messages on a single tag. The reported metric is throughput: one-way
 //! payload bytes divided by total time.
 
-use mpi_core::{mpirun, MpiCfg};
+use mpi_core::{mpirun, MpiCfg, MpiStats};
 
 use crate::zeros;
 
@@ -38,6 +38,8 @@ pub struct PingPongResult {
     pub tcp: transport::tcp::SockStats,
     /// Network-wide counters (loss/queue/down drop taxonomy).
     pub net: netsim::NetStats,
+    /// Middleware counters summed over both ranks.
+    pub mpi: MpiStats,
 }
 
 /// Run the ping-pong between ranks 0 and 1 of a 2-process job.
@@ -79,6 +81,7 @@ pub fn run(mpi_cfg: MpiCfg, cfg: PingPongCfg) -> PingPongResult {
         sctp: report.sctp,
         tcp: report.tcp,
         net: report.net,
+        mpi: report.mpi,
     }
 }
 
@@ -132,6 +135,7 @@ pub fn run_stream(mpi_cfg: MpiCfg, cfg: StreamCfg) -> PingPongResult {
         sctp: report.sctp,
         tcp: report.tcp,
         net: report.net,
+        mpi: report.mpi,
     }
 }
 
