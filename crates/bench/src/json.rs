@@ -8,8 +8,8 @@
 /// * v1 (implicit): no `schema_version` field — reports through PR 3.
 /// * v2: adds `schema_version`; cells carry one flat meter set, zero
 ///   where a layer never ran.
-/// * v3: cells group their counters by layer (`sched`, `shard`, `sctp`,
-///   `tcp`, `net`, `udp`, `hol`) and carry a group only for a layer that
+/// * v3: cells group their counters by layer (`sched`, `sctp`, `tcp`,
+///   `net`, `udp`, `hol`) and carry a group only for a layer that
 ///   ran; the runtime's poll count is `sched.polls_total`.
 ///
 /// Bump this when a field changes meaning or disappears; adding fields is

@@ -300,13 +300,13 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "incast",
-        about: "E-scale: synchronized N→1 incast, up to 1024 senders, sharded engine [SHARDS=n]",
+        about: "E-scale: synchronized N→1 incast, up to 1024 senders, one SCTP association / TCP connection each",
         deterministic: true,
         run: Run::Fixed(scale::incast),
     },
     Figure {
         name: "tenants",
-        about: "E-scale: many-tenant fabric sharing, p99/p50 completion tail [SHARDS=n]",
+        about: "E-scale: many-tenant fabric sharing on SCTP and TCP, p99/p50 completion tail",
         deterministic: true,
         run: Run::Fixed(scale::tenants),
     },

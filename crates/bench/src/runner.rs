@@ -34,7 +34,7 @@ use workloads::media::MediaResult;
 use workloads::mixed::TracedMixedResult;
 use workloads::nas::NasResult;
 use workloads::pingpong::PingPongResult;
-use workloads::scale::ScaleResult;
+use workloads::scale::FanInResult;
 
 use crate::json::{Json, ToJson};
 use crate::Scale;
@@ -62,8 +62,7 @@ pub trait CellResult: std::fmt::Debug + Clone + Send {
     /// not (a TCP cell has no `sctp`, a live cell no `sched`), so a report
     /// never shows a structural zero.
     fn meter(&self) -> (f64, u64, Vec<Group>);
-    /// Zero what the wakeup discipline (or the shard partition) changes by
-    /// design; `SIM_CHECK` compares everything that is left.
+    /// Zero what the wakeup discipline changes by design; `SIM_CHECK` compares everything that is left.
     fn strip_cost(&mut self);
 }
 
@@ -137,7 +136,7 @@ macro_rules! mpi_cell_result {
         }
     )*};
 }
-mpi_cell_result!(PingPongResult, FarmResult, NasResult);
+mpi_cell_result!(PingPongResult, FarmResult, NasResult, FanInResult);
 
 impl CellResult for MpiReport {
     fn meter(&self) -> (f64, u64, Vec<Group>) {
@@ -167,34 +166,6 @@ impl CellResult for TracedMixedResult {
     }
     fn strip_cost(&mut self) {
         self.result.sched = SchedCounters::default();
-    }
-}
-
-/// The sharded engine runs flat state machines: nothing polls, and the
-/// transport and network counters are the result's own semantic fields.
-impl CellResult for ScaleResult {
-    fn meter(&self) -> (f64, u64, Vec<Group>) {
-        let s = &self.sched;
-        let groups = vec![
-            group("sched", [("events_queued", &s.queued)]),
-            group(
-                "shard",
-                [
-                    ("shards", &self.shards),
-                    ("epochs_total", &self.epochs),
-                    ("cross_shard_pkts", &self.cross_shard_pkts),
-                    ("lookahead_ns", &self.lookahead_ns),
-                ],
-            ),
-        ];
-        (self.end_ns as f64 / 1e9, self.events, groups)
-    }
-    /// The shadow run is forced onto one shard, so the partition meters go
-    /// with the scheduler's.
-    fn strip_cost(&mut self) {
-        self.sched = SchedCounters::default();
-        self.shards = 0;
-        self.cross_shard_pkts = 0;
     }
 }
 
@@ -393,18 +364,6 @@ pub fn sim_check() -> bool {
     std::env::var("SIM_CHECK").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Worker shards for the sharded-engine experiments: `SHARDS` env override,
-/// default 1 (sequential). Results are bit-identical at any value; only
-/// wall-clock changes.
-pub fn shards() -> u32 {
-    shards_from_env(std::env::var("SHARDS").ok().as_deref())
-}
-
-/// Parse a `SHARDS` override; unset, unparsable, or zero means sequential.
-fn shards_from_env(var: Option<&str>) -> u32 {
-    var.and_then(|v| v.parse::<u32>().ok()).map(|n| n.max(1)).unwrap_or(1)
-}
-
 /// Packet driver of `pingpong_live`: the `BACKEND` env override selects the
 /// simulated comparison path with `sim`; the default is the real-socket
 /// driver the entry exists to exercise.
@@ -414,7 +373,7 @@ pub fn backend_is_sim() -> bool {
 
 /// Parse a `BACKEND` override. Unset, empty, or unrecognized values fall
 /// back to the default (udp) rather than erroring, the same
-/// garbage-tolerant posture as `SHARDS`/`BENCH_THREADS`: an env knob must
+/// garbage-tolerant posture as `BENCH_THREADS`: an env knob must
 /// never turn a benchmark run into a parse failure.
 fn sim_from_env(var: Option<&str>) -> bool {
     var.is_some_and(|v| v.trim().eq_ignore_ascii_case("sim"))
@@ -600,15 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_override_parsing_defaults_to_sequential() {
-        assert_eq!(shards_from_env(None), 1);
-        assert_eq!(shards_from_env(Some("")), 1);
-        assert_eq!(shards_from_env(Some("many")), 1);
-        assert_eq!(shards_from_env(Some("0")), 1);
-        assert_eq!(shards_from_env(Some("4")), 4);
-    }
-
-    #[test]
     fn backend_override_parsing_defaults_to_udp_on_bad_values() {
         for udp in [None, Some(""), Some("tcp"), Some("0"), Some("udp"), Some(" UDP ")] {
             assert!(!sim_from_env(udp), "{udp:?}");
@@ -652,12 +602,12 @@ mod tests {
             assert!(sim.contains(key), "missing {key} in {sim}");
         }
         // A layer that did not run leaves no group behind: no TCP in an
-        // SCTP cell, no scheduler, shard or simulated network in a live one.
-        for group in ["\"tcp\"", "\"shard\"", "\"udp\"", "\"hol\""] {
+        // SCTP cell, no scheduler or simulated network in a live one.
+        for group in ["\"tcp\"", "\"udp\"", "\"hol\""] {
             assert!(!sim.contains(group), "structural {group} group in {sim}");
         }
         assert!(live.contains("\"udp\": {") && live.contains("\"tx_frames\": 5"), "{live}");
-        for group in ["\"sched\"", "\"shard\"", "\"net\"", "\"sctp\"", "\"tcp\""] {
+        for group in ["\"sched\"", "\"net\"", "\"sctp\"", "\"tcp\""] {
             assert!(!live.contains(group), "structural {group} group in {live}");
         }
 

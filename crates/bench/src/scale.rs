@@ -1,21 +1,18 @@
-//! E-scale — incast fan-in and many-tenant fabrics on the sharded engine.
-//!
-//! `SHARDS=<n>` partitions the nodes across n worker threads; the figure
-//! output and every semantic counter are bit-identical at any value.
-//! `SIM_CHECK=1` forces the reference run onto one shard, so it
-//! cross-checks the sharded engine against the sequential discipline on
-//! the whole [`ScaleResult`] bar its partition and scheduler-cost meters.
+//! E-scale — incast fan-in and many-tenant sharing on the real SCTP and
+//! TCP engines, one association or connection per flow
+//! ([`workloads::scale`]). Every cell size is run once per transport.
 
-use workloads::scale::{run_scale, ScaleCfg, ScaleResult};
+use workloads::scale::{run, FanInCfg, FanInResult, Transport};
 
 use crate::runner::{self, Cell};
 use crate::{row, Col, FigureOutput, Fmt, Scale, Table, SEED_BASE};
 
-/// N synchronized senders into one victim: aggregate goodput over the run
-/// (the 1 Gb/s downlink is the ceiling), completion instant of the last
-/// flow, and tail drops at the victim downlink — the collapse signal.
+/// N synchronized senders into one receiver: aggregate goodput over the
+/// run (the 1 Gb/s downlink is the ceiling), completion instant of the
+/// last flow, and tail drops at the victim downlink — the collapse signal.
 const INCAST: &[Col] = &[
     Col("senders", "senders", Fmt::Plain),
+    Col("transport", "transport", Fmt::Plain),
     Col("block_kb", "block", Fmt::Fix(0, "K")),
     Col("goodput_mbps", "goodput Mb/s", Fmt::Fix(1, "")),
     Col("last_done_ms", "done ms", Fmt::Fix(2, "")),
@@ -28,6 +25,7 @@ const INCAST: &[Col] = &[
 const TENANTS: &[Col] = &[
     Col("tenants", "tenants", Fmt::Plain),
     Col("servers", "servers", Fmt::Plain),
+    Col("transport", "transport", Fmt::Plain),
     Col("block_kb", "block", Fmt::Fix(0, "K")),
     Col("completion_p50_ms", "p50 ms", Fmt::Fix(2, "")),
     Col("completion_p99_ms", "p99 ms", Fmt::Fix(2, "")),
@@ -36,13 +34,19 @@ const TENANTS: &[Col] = &[
     Col("timeouts", "RTOs", Fmt::Plain),
 ];
 
-/// One `run_scale` invocation as a harness cell.
-fn scale_cell(label: String, cfg: ScaleCfg, shards: usize, expect_flows: u32) -> Cell<ScaleResult> {
-    Cell::new(label, move || {
-        let r = run_scale(cfg.clone(), shards);
-        assert_eq!(r.completed, expect_flows, "every flow must complete");
-        r
-    })
+const TRANSPORTS: [Transport; 2] = [Transport::Sctp, Transport::Tcp];
+
+/// One cell per (configuration, transport), SCTP first.
+fn cells(configs: &[(String, FanInCfg)]) -> Vec<Cell<FanInResult>> {
+    configs
+        .iter()
+        .flat_map(|(label, cfg)| {
+            TRANSPORTS.map(|t| {
+                let cfg = cfg.clone();
+                Cell::new(format!("{label} transport={}", t.name()), move || run(&cfg, t))
+            })
+        })
+        .collect()
 }
 
 /// Percentile (nearest-rank) over per-flow completion instants, ms.
@@ -57,39 +61,31 @@ fn completion_pct_ms(done_ns: &[u64], pct: f64) -> f64 {
 }
 
 /// The incast sweep: N senders (up to 1024) each push one block at the same
-/// instant into a single 1 Gb/s victim downlink. The FIFO overflows,
-/// synchronized windows collapse into RTO stalls, and goodput craters — the
-/// classic data-centre incast signature, at a rank count the sequential
-/// engine cannot sweep in reasonable wall time.
+/// instant into a single 1 Gb/s victim downlink. The queue overflows and
+/// lost data waits out retransmission timeouts — the classic data-centre
+/// incast signature.
 pub fn incast(scale: Scale) -> FigureOutput {
-    let shards = runner::shards() as usize;
-    let sweep: [u32; 3] = [64, 256, 1024];
-    let block: u64 = match scale {
+    let sweep: [u16; 3] = [64, 256, 1024];
+    let block = match scale {
         Scale::Paper => 256 * 1024,
         Scale::Quick => 16 * 1024,
     };
-    let cells = sweep
+    let configs: Vec<_> = sweep
         .iter()
-        .map(|&n| {
-            scale_cell(
-                format!("senders={n} block={block} shards={shards}"),
-                ScaleCfg::incast(n, block, SEED_BASE),
-                shards,
-                n,
-            )
-        })
+        .map(|&n| (format!("senders={n} block={block}"), FanInCfg::incast(n, block, SEED_BASE)))
         .collect();
-    let (results, report) = runner::run_cells("incast", scale, cells, None);
-    let rows = sweep.iter().zip(&results).map(|(&n, r)| {
+    let (results, report) = runner::run_cells("incast", scale, cells(&configs), None);
+    let rows = sweep.iter().flat_map(|&n| TRANSPORTS.map(|t| (n, t))).zip(&results).map(|((n, t), r)| {
         row![
             n,
+            t.name(),
             block / 1024,
-            r.goodput_mbps(n as u64 * block),
-            r.last_done_ns as f64 / 1e6,
-            r.drops_queue,
-            r.timeouts,
-            r.retrans,
-            r.fast_rtx
+            r.goodput_mbps(n as u64 * block as u64),
+            r.last_done_ns() as f64 / 1e6,
+            r.net.drops_queue,
+            r.timeouts(),
+            r.retransmits(),
+            r.fast_retransmits()
         ]
     });
     let table = Table::new(INCAST, rows);
@@ -103,34 +99,31 @@ pub fn incast(scale: Scale) -> FigureOutput {
 /// server downlinks round-robin. The tail of the completion distribution —
 /// p99 vs p50 — is the multi-tenant interference signal.
 pub fn tenants(scale: Scale) -> FigureOutput {
-    let shards = runner::shards() as usize;
-    let (sweep, servers, block): ([u32; 2], u32, u64) = match scale {
+    let (sweep, servers, block): ([u16; 2], u16, usize) = match scale {
         Scale::Paper => ([256, 1024], 32, 128 * 1024),
         Scale::Quick => ([64, 256], 8, 16 * 1024),
     };
-    let stagger = simcore::Dur::from_micros(50);
-    let cells = sweep
+    let configs: Vec<_> = sweep
         .iter()
         .map(|&t| {
-            scale_cell(
-                format!("tenants={t} servers={servers} block={block} shards={shards}"),
-                ScaleCfg::tenants(t, servers, block, stagger, SEED_BASE),
-                shards,
-                t,
+            (
+                format!("tenants={t} servers={servers} block={block}"),
+                FanInCfg::tenants(t, servers, block, SEED_BASE),
             )
         })
         .collect();
-    let (results, report) = runner::run_cells("tenants", scale, cells, None);
-    let rows = sweep.iter().zip(&results).map(|(&t, r)| {
+    let (results, report) = runner::run_cells("tenants", scale, cells(&configs), None);
+    let rows = sweep.iter().flat_map(|&n| TRANSPORTS.map(|t| (n, t))).zip(&results).map(|((n, t), r)| {
         row![
-            t,
+            n,
             servers,
+            t.name(),
             block / 1024,
             completion_pct_ms(&r.flow_done_ns, 50.0),
             completion_pct_ms(&r.flow_done_ns, 99.0),
-            r.goodput_mbps(t as u64 * block),
-            r.drops_queue,
-            r.timeouts
+            r.goodput_mbps(n as u64 * block as u64),
+            r.net.drops_queue,
+            r.timeouts()
         ]
     });
     let table = Table::new(TENANTS, rows);

@@ -95,14 +95,12 @@ fn cheap_figures_match_the_committed_quick_transcript() {
         assert_eq!(section(name, &out.stdout), golden_section(golden, name), "{name} --quick drifted");
         // No structural zeros: a group only for a layer that ran in the
         // cell, and every run under the process runtime was polled.
-        let sharded = matches!(name, "incast" | "tenants");
         for c in &out.report.cells {
             let has = |layer: &str| c.layers.iter().any(|(name, _)| *name == layer);
             assert!(has("sched") && !has("udp"), "{name} `{}`: {:?}", c.label, c.layers);
-            assert_eq!(has("shard"), sharded, "{name} `{}`", c.label);
-            assert_eq!(has("net") && (has("sctp") || has("tcp")), !sharded, "{name} `{}`", c.label);
+            assert!(has("net") && (has("sctp") || has("tcp")), "{name} `{}`", c.label);
             let polls = c.counter("sched", "polls_total");
-            assert!(if sharded { polls.is_none() } else { polls > Some(0) }, "{name} `{}`: {polls:?}", c.label);
+            assert!(polls > Some(0), "{name} `{}`: {polls:?}", c.label);
         }
     }
 }

@@ -20,10 +20,8 @@ pub mod addr;
 pub mod fault;
 pub mod link;
 pub mod net;
-pub mod shardnet;
 
 pub use addr::{HostId, IfAddr};
 pub use fault::{BurstLossRule, DegradeRule, FaultPlan, FlapRule, JitterRule, Scope};
 pub use link::{DropReason, LinkCfg, LinkStats};
 pub use net::{Net, NetCfg, NetStats, Verdict};
-pub use shardnet::{NicStats, NodeNic, SendVerdict, ShardNetCfg};

@@ -21,17 +21,10 @@ pub mod fxhash;
 pub mod process;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod time;
 
 pub use deadline::Deadline;
-pub use process::{
-    reference_discipline, set_reference_discipline, ProcEnv, ProcId, RunOutcome, Runtime,
-};
+pub use process::{set_reference_discipline, ProcEnv, ProcId, RunOutcome, Runtime};
 pub use rng::{derive_rng, stream_id};
 pub use sched::{Ctx, SchedCounters, TimerId};
-pub use shard::{
-    effective_shards, local_ix, run_sharded, shard_of, Inbound, Mailbox, ShardCfg, ShardOutcome,
-    ShardSim, ShardWorld,
-};
 pub use time::{transmission_time, Dur, SimTime};

@@ -46,7 +46,7 @@ pub fn set_reference_discipline(on: bool) {
 }
 
 /// The discipline `Runtime::run` would pick up on this thread.
-pub fn reference_discipline() -> bool {
+fn reference_discipline() -> bool {
     REFERENCE_DISCIPLINE.with(|c| c.get())
 }
 

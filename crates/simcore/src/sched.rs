@@ -36,14 +36,13 @@ use crate::process::ProcId;
 use crate::time::{Dur, SimTime};
 
 /// What one run cost the scheduler and the process driver: wall-clock
-/// diagnostics with no simulated-time meaning. The wakeup discipline (and,
-/// on the sharded engine, the partition) changes them by design, so
+/// diagnostics with no simulated-time meaning. The wakeup discipline
+/// changes them by design, so
 /// `SIM_CHECK` compares everything in a result *except* this block. Outcome
 /// and result structs carry it whole, by value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// Polls of process futures by the driver (0 on the sharded engine,
-    /// which runs flat state machines, not processes).
+    /// Polls of process futures by the driver.
     pub polls: u64,
     /// Wakes that never became a poll: suppressed spurious wakes plus
     /// sleeps satisfied by an inline clock advance.
@@ -52,14 +51,6 @@ pub struct SchedCounters {
     /// `schedule_at_seq` re-queues included; inline clock advances push
     /// nothing.
     pub queued: u64,
-}
-
-impl std::ops::AddAssign for SchedCounters {
-    fn add_assign(&mut self, o: Self) {
-        self.polls += o.polls;
-        self.wakes_coalesced += o.wakes_coalesced;
-        self.queued += o.queued;
-    }
 }
 
 /// Identifies a scheduled timer so it can be cancelled. Packs the slab slot

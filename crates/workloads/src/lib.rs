@@ -8,11 +8,13 @@
 //! * [`mixed`] — the farm with mixed task sizes, the RFC 8260 interleaving
 //!   study (sender-side HOL blocking);
 //! * [`media`] — a deadline-driven frame source on the raw SCTP API, the
-//!   PR-SCTP (RFC 3758) study.
+//!   PR-SCTP (RFC 3758) study;
+//! * [`scale`] — incast and many-tenant fan-in, one SCTP association or
+//!   TCP connection per flow.
 //!
-//! All workloads except [`media`] are plain functions over
+//! All workloads except [`media`] and [`scale`] are plain functions over
 //! [`mpi_core::Mpi`], runnable under [`mpi_core::mpirun`] on either
-//! transport; [`media`] drives the raw `transport::sctp` socket API.
+//! transport; those two drive the raw `transport` socket API.
 
 pub mod farm;
 pub mod media;
