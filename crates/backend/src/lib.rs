@@ -21,6 +21,7 @@
 //! network — the node only talks through its backend's socket.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::Instant;
 

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use bench_harness::{farm_cfg, Scale};
-use simcore::{derive_rng, Ctx, Deadline, Dur, SimTime};
+use simcore::{derive_rng, Ctx, Deadline, Dur, Model, SimTime};
 use workloads::farm;
 
 fn pool_cycle(c: &mut Criterion) {
@@ -75,8 +75,18 @@ fn deadline_restart(c: &mut Criterion) {
         rto: Deadline,
         timeouts: u64,
     }
+    impl Model for W {
+        type Packet = std::convert::Infallible;
+        type Timer = ();
+        fn deliver(&mut self, _: &mut Ctx<Self>, pkt: Self::Packet) {
+            match pkt {}
+        }
+        fn timer(&mut self, ctx: &mut Ctx<Self>, (): ()) {
+            on_rto(self, ctx)
+        }
+    }
     fn on_rto(w: &mut W, ctx: &mut Ctx<W>) {
-        if w.rto.expired(ctx, on_rto) {
+        if w.rto.expired(ctx, ()) {
             w.timeouts += 1;
             w.rto.clear();
         }
@@ -88,7 +98,7 @@ fn deadline_restart(c: &mut Criterion) {
             let mut w = W::default();
             for i in 0..RESTARTS {
                 ctx.run_due(&mut w, SimTime::from_nanos(100 * i));
-                w.rto.set(&mut ctx, Dur::from_millis(200), on_rto);
+                w.rto.set(&mut ctx, Dur::from_millis(200), ());
             }
             assert_eq!(ctx.counters(0).queued, 1, "only the first restart inserts");
             black_box(ctx.next_seq())

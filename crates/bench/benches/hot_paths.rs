@@ -30,7 +30,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mpi_core::envelope::{EnvKind, Envelope};
 use mpi_core::matching::Core;
 use mpi_core::{mpirun, MpiCfg, ReduceOp};
-use simcore::{Dur, ProcEnv, ProcId, Runtime};
+use simcore::{Ctx, Dur, Model, ProcEnv, ProcId, Runtime};
 use transport::sctp::{self, Chunk, DataChunk, SentRing};
 use workloads::farm::{self, FarmCfg};
 use workloads::pingpong::{self, PingPongCfg};
@@ -108,6 +108,23 @@ fn matching_churn(c: &mut Criterion) {
 }
 
 fn park_wake(c: &mut Criterion) {
+    /// Two mailbox counters; the processes queue no events of their own.
+    #[derive(Default)]
+    struct W {
+        a: u32,
+        b: u32,
+    }
+    impl Model for W {
+        type Packet = std::convert::Infallible;
+        type Timer = std::convert::Infallible;
+        fn deliver(&mut self, _: &mut Ctx<Self>, pkt: Self::Packet) {
+            match pkt {}
+        }
+        fn timer(&mut self, _: &mut Ctx<Self>, key: Self::Timer) {
+            match key {}
+        }
+    }
+
     // Two processes ping-pong through park/wake 256 times: each exchange is
     // one deposit + wake + block_on, i.e. one `Pending` return and one poll
     // in each direction. The measured per-iteration cost divided by the
@@ -115,11 +132,6 @@ fn park_wake(c: &mut Criterion) {
     // became an executor: two thread switches).
     c.bench_function("park_wake/round_trip_x256", |b| {
         b.iter(|| {
-            #[derive(Default)]
-            struct W {
-                a: u32,
-                b: u32,
-            }
             const N: u32 = 256;
             let mut rt = Runtime::new(W::default(), 1);
             rt.spawn("a", |env: ProcEnv<W>| async move {
@@ -148,8 +160,8 @@ fn park_wake(c: &mut Criterion) {
     // clock inline and never yields for the whole batch.
     c.bench_function("park_wake/charge_batch_x64", |b| {
         b.iter(|| {
-            let mut rt = Runtime::new((), 1);
-            rt.spawn("p", |env: ProcEnv<()>| async move {
+            let mut rt = Runtime::new(W::default(), 1);
+            rt.spawn("p", |env: ProcEnv<W>| async move {
                 for _ in 0..64 {
                     env.sleep(Dur::from_nanos(100)).await;
                 }
@@ -212,17 +224,18 @@ struct Receiver {
     ep: sctp::EpId,
     vtag: u64,
     /// What the receiver sent (its SACKs); the caller empties it.
-    wire: std::sync::Arc<std::sync::Mutex<Vec<transport::ip::Packet>>>,
+    wire: std::rc::Rc<std::cell::RefCell<Vec<transport::ip::Packet>>>,
 }
 
 impl Receiver {
     fn established() -> Receiver {
-        use std::sync::{Arc, Mutex};
+        use std::cell::RefCell;
+use std::rc::Rc;
         use transport::ip::{Packet, Proto};
-        struct Sink(Arc<Mutex<Vec<Packet>>>);
+        struct Sink(Rc<RefCell<Vec<Packet>>>);
         impl transport::backend::Backend for Sink {
             fn send(&mut self, _w: &mut transport::World, _ctx: &mut transport::Wx, pkt: Packet) {
-                self.0.lock().unwrap().push(pkt);
+                self.0.borrow_mut().push(pkt);
             }
             fn as_any(&mut self) -> &mut dyn std::any::Any {
                 self
@@ -231,7 +244,7 @@ impl Receiver {
         const PORT: u16 = 4000;
         let mut w = transport::World::paper_cluster(0.0);
         let mut ctx: transport::Wx = simcore::Ctx::standalone(simcore::derive_rng(7, 0));
-        let wire = Arc::new(Mutex::new(Vec::new()));
+        let wire = Rc::new(RefCell::new(Vec::new()));
         w.install_backend(Box::new(Sink(wire.clone())));
         let client = sctp::socket(&mut w, 0, PORT, false);
         let ep = sctp::socket(&mut w, 1, PORT, true);
@@ -241,7 +254,7 @@ impl Receiver {
         // is addressed with the tag host 1 chose.
         let mut vtag = 0;
         loop {
-            let Some(pkt) = wire.lock().unwrap().pop() else { break };
+            let Some(pkt) = wire.borrow_mut().pop() else { break };
             let Proto::Sctp(p) = pkt.body else { unreachable!("SCTP only") };
             if matches!(p.chunks[0], Chunk::CookieEcho { .. }) {
                 vtag = p.vtag;
@@ -286,7 +299,7 @@ fn sctp_reassembly(c: &mut Criterion) {
                     (tsn, ssn) = (tsn + FRAGS, ssn + 1);
                     let pkt = sctp::SctpPacket { src_port: 4000, dst_port: 4000, vtag: rx.vtag, chunks };
                     sctp::input(&mut rx.w, &mut rx.ctx, IfAddr::new(0, 0), IfAddr::new(1, 0), pkt);
-                    rx.wire.lock().unwrap().clear();
+                    rx.wire.borrow_mut().clear();
                     let msg = sctp::recvmsg(&mut rx.w, &mut rx.ctx, rx.ep).expect("message complete");
                     bytes += msg.len as u64;
                     rx.w.pool.put_bytes_vec(msg.data);

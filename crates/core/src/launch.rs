@@ -233,15 +233,6 @@ fn build(cfg: &MpiCfg) -> (Runtime<World>, Option<trace::Tracer>, MpiProcCfg) {
             rt.set_deadline(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs));
         }
     }
-    // Debug aid: dump transport state at a given simulated time.
-    if let Ok(s) = std::env::var("SCTP_MPI_DUMP_AT_SECS") {
-        if let Ok(secs) = s.parse::<u64>() {
-            rt.schedule_at(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs), |w, ctx| {
-                eprintln!("=== watchdog dump at {} ===", ctx.now());
-                transport::sctp::dump_all(w);
-            });
-        }
-    }
     let proc_cfg = MpiProcCfg {
         size: cfg.nprocs,
         transport: cfg.transport,

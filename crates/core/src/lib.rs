@@ -15,6 +15,8 @@
 //! * [`cost`] — the middleware CPU cost model behind Figure 8's crossover;
 //! * [`launch`] — `mpirun` over the simulated cluster.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod collectives;
 pub mod comm;

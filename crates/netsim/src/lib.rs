@@ -15,6 +15,7 @@
 //! windows — installed per-[`Net`] via [`Net::set_fault_plan`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod fault;

@@ -9,13 +9,17 @@
 //! Only a restart to an *earlier* instant pays a [`Ctx::cancel`] and an
 //! insert.
 //!
+//! The queued event is a timer key, `W::Timer`: the world's
+//! [`Model::timer`] maps it to the timer's handler, which begins with
+//! [`Deadline::expired`].
+//!
 //! The handler still runs at exactly the `(time, seq)` an eager cancel-and-
 //! reschedule would give it: `set` draws the tie-break with
 //! [`Ctx::reserve_seq`] at the moment of the restart and every (re-)queue
-//! goes through [`Ctx::schedule_at_seq`]. A wake that is not the expiry
-//! draws no seq and no random number; only the event count sees it.
+//! goes through [`Ctx::schedule_timer_at_seq`]. A wake that is not the
+//! expiry draws no seq and no random number; only the event count sees it.
 
-use crate::sched::{Ctx, TimerId};
+use crate::sched::{Ctx, Model, TimerId};
 use crate::time::{Dur, SimTime};
 
 /// One restartable timer. `Default` is unset with nothing queued.
@@ -36,14 +40,9 @@ impl Deadline {
         self.due.is_some()
     }
 
-    /// (Re)start the timer to expire `d` from now. `wake` must call the
-    /// timer's handler, which must begin with [`Deadline::expired`].
-    pub fn set<W>(
-        &mut self,
-        ctx: &mut Ctx<W>,
-        d: Dur,
-        wake: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
-    ) {
+    /// (Re)start the timer to expire `d` from now. `key` is what
+    /// [`Model::timer`] receives when the queued wake fires.
+    pub fn set<W: Model>(&mut self, ctx: &mut Ctx<W>, d: Dur, key: W::Timer) {
         let at = ctx.now() + d;
         let seq = ctx.reserve_seq();
         self.due = Some((at, seq));
@@ -53,7 +52,7 @@ impl Deadline {
             Some((_, _, id)) => ctx.cancel(id),
             None => {}
         }
-        self.queued = Some((at, seq, ctx.schedule_at_seq(at, seq, wake)));
+        self.queued = Some((at, seq, ctx.schedule_timer_at_seq(at, seq, key)));
     }
 
     /// Stop the timer. The queued event, if any, wakes to nothing.
@@ -64,20 +63,16 @@ impl Deadline {
 
     /// First call of the timer's handler: has the deadline been reached?
     /// `false` means this wake predates the deadline (it has been re-queued
-    /// with `wake`) or the timer was cleared, and the handler must return
+    /// with `key`) or the timer was cleared, and the handler must return
     /// without doing anything else.
-    pub fn expired<W>(
-        &mut self,
-        ctx: &mut Ctx<W>,
-        wake: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
-    ) -> bool {
+    pub fn expired<W: Model>(&mut self, ctx: &mut Ctx<W>, key: W::Timer) -> bool {
         let woke = self.queued.take().map(|(at, seq, _)| (at, seq));
         debug_assert!(woke.is_some_and(|(at, _)| at == ctx.now()), "handler ran without its wake");
         match self.due {
             None => false,
             Some(due) if Some(due) == woke => true,
             Some((at, seq)) => {
-                self.queued = Some((at, seq, ctx.schedule_at_seq(at, seq, wake)));
+                self.queued = Some((at, seq, ctx.schedule_timer_at_seq(at, seq, key)));
                 false
             }
         }
@@ -98,10 +93,21 @@ mod tests {
         wakes: u32,
     }
 
+    impl Model for W {
+        type Packet = std::convert::Infallible;
+        type Timer = ();
+        fn deliver(&mut self, _: &mut Ctx<Self>, pkt: Self::Packet) {
+            match pkt {}
+        }
+        fn timer(&mut self, ctx: &mut Ctx<Self>, (): ()) {
+            on_timer(self, ctx)
+        }
+    }
+
     const D: Dur = Dur::from_micros(100);
 
     fn arm(w: &mut W, ctx: &mut Ctx<W>) {
-        w.t.set(ctx, D, on_timer);
+        w.t.set(ctx, D, ());
     }
 
     /// What `output`/`try_send` do: arm the timer unless it is running.
@@ -113,7 +119,7 @@ mod tests {
 
     fn on_timer(w: &mut W, ctx: &mut Ctx<W>) {
         w.wakes += 1;
-        if !w.t.expired(ctx, on_timer) {
+        if !w.t.expired(ctx, ()) {
             return;
         }
         w.expiries.push(ctx.now().as_nanos());
@@ -128,7 +134,7 @@ mod tests {
 
     fn drain(w: &mut W, ctx: &mut Ctx<W>) {
         while let Some(ev) = ctx.pop_event() {
-            ev.call(w, ctx);
+            ev.fire(w, ctx);
         }
     }
 

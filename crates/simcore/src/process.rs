@@ -29,7 +29,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::rng::derive_rng;
-use crate::sched::{Ctx, Popped, SchedCounters};
+use crate::sched::{Ctx, Model, SchedCounters};
 use crate::time::{Dur, SimTime};
 
 thread_local! {
@@ -58,12 +58,12 @@ pub struct ProcId(pub usize);
 /// World + scheduler, shared by the driver and every process. Only one of
 /// them runs at a time by construction, so the `RefCell` never sees a
 /// conflicting borrow unless user code re-enters [`ProcEnv::with`].
-struct Sim<W> {
+struct Sim<W: Model> {
     world: W,
     ctx: Ctx<W>,
 }
 
-struct Shared<W> {
+struct Shared<W: Model> {
     sim: RefCell<Sim<W>>,
     /// Wakes of the current driver batch not yet polled. The batch lives in
     /// the driver's private buffer, invisible to the scheduler's wake queue,
@@ -75,7 +75,7 @@ struct Shared<W> {
 
 /// A handle a simulated process uses to touch the shared world, sleep, and
 /// block. Each process gets exactly one.
-pub struct ProcEnv<W> {
+pub struct ProcEnv<W: Model> {
     id: ProcId,
     shared: Rc<Shared<W>>,
 }
@@ -96,7 +96,7 @@ impl Future for Park {
     }
 }
 
-impl<W: 'static> ProcEnv<W> {
+impl<W: Model> ProcEnv<W> {
     /// This process's id (== its MPI rank in the middleware).
     #[inline]
     pub fn id(&self) -> ProcId {
@@ -158,7 +158,7 @@ impl<W: 'static> ProcEnv<W> {
         let id = self.id;
         self.with(|_, ctx| {
             ctx.begin_sleep(id);
-            ctx.schedule_in(d, move |_, ctx| ctx.finish_sleep_and_wake(id));
+            ctx.schedule_wake_in(d, id);
         });
         while self.with(|_, ctx| ctx.is_sleeping(id)) {
             self.park().await;
@@ -200,12 +200,12 @@ struct Proc {
 
 /// Builds and drives one simulation: a world, a scheduler, and a set of
 /// virtual processes.
-pub struct Runtime<W> {
+pub struct Runtime<W: Model> {
     shared: Rc<Shared<W>>,
     procs: Vec<Proc>,
 }
 
-impl<W: 'static> Runtime<W> {
+impl<W: Model> Runtime<W> {
     /// Create a runtime over `world`, deriving all randomness from `seed`.
     pub fn new(world: W, seed: u64) -> Self {
         let ctx = Ctx::new(derive_rng(seed, u64::MAX));
@@ -241,11 +241,6 @@ impl<W: 'static> Runtime<W> {
         let env = ProcEnv { id, shared: Rc::clone(&self.shared) };
         self.procs.push(Proc { name: name.into(), fut: Some(Box::pin(f(env))) });
         id
-    }
-
-    /// Schedule an event before the run starts (watchdogs, fault injection).
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static) {
-        self.shared.sim.borrow_mut().ctx.schedule_at(at, f);
     }
 
     /// Drive the simulation to completion: all processes finished, or
@@ -307,18 +302,15 @@ impl<W: 'static> Runtime<W> {
             let mut g = shared.sim.borrow_mut();
             let mut fired_any = false;
             while !g.ctx.has_wakes() {
-                match g.ctx.pop_event_due() {
-                    Popped::Fired(f) => {
-                        let Sim { world, ctx } = &mut *g;
-                        f.call(world, ctx);
-                        fired_any = true;
-                    }
-                    Popped::PastBound => {
-                        hit_deadline = true;
-                        break;
-                    }
-                    Popped::Empty => break,
-                }
+                let Sim { world, ctx } = &mut *g;
+                let Some(ev) = ctx.pop_event_due() else {
+                    // Nothing due: either the queue is empty or its live
+                    // minimum lies past the deadline.
+                    hit_deadline |= ctx.next_event_time().is_some();
+                    break;
+                };
+                ev.fire(world, ctx);
+                fired_any = true;
             }
             if fired_any {
                 continue;
@@ -357,6 +349,7 @@ mod tests {
     struct W {
         log: Vec<String>,
     }
+    crate::closure_world!(W);
 
     #[test]
     fn single_process_runs_to_completion() {
@@ -406,6 +399,7 @@ mod tests {
         struct Flag {
             ready: bool,
         }
+        crate::closure_world!(Flag);
         let mut rt = Runtime::new(Flag { ready: false }, 1);
         rt.spawn("waiter", |env: ProcEnv<Flag>| async move {
             let id = env.id();
@@ -432,6 +426,7 @@ mod tests {
             to_p0: Option<u32>,
             to_p1: Option<u32>,
         }
+        crate::closure_world!(Mailbox);
         let mut rt = Runtime::new(Mailbox::default(), 3);
         rt.spawn("p0", |env: ProcEnv<Mailbox>| async move {
             let v = env.block_on(|w, _| w.to_p0.take()).await;

@@ -7,33 +7,64 @@
 //! Determinism: events at equal timestamps fire in insertion order (a
 //! monotonic sequence number breaks ties), and process wakeups drain FIFO.
 //!
+//! # What an event is
+//!
+//! The world `W` is a [`Model`]: it names its packet type and its timer-key
+//! type, and handles both. A queued event is one variant of a closed enum:
+//! a packet delivery (`Deliver`, handed to [`Model::deliver`]), a protocol
+//! timer wake (`Timer`, handed to [`Model::timer`]), a process's sleep wake
+//! (`Wake`), or — the open case — a boxed closure (`Call`). Firing an event
+//! is one match arm; only `Call` allocates.
+//!
 //! # Queue structure
 //!
 //! One binary min-heap of small `Copy` keys, ordered by (time, seq), over a
-//! slab that holds the event payloads. Every timer — a packet delivery
-//! microseconds out, an RTO seconds out — takes the same O(log n) push and
-//! the earliest event is the heap top. The measured queue depth at pop is
-//! tens to a few thousand entries (EXPERIMENTS.md, "One event queue"), where
-//! a 24-byte-key heap stays in cache; nothing here is tuned to a time scale.
+//! slab of reusable slots that hold the events. Every timer — a packet
+//! delivery microseconds out, an RTO seconds out — takes the same O(log n)
+//! push and the earliest event is the heap top. The measured queue depth at
+//! pop is tens to a few thousand entries (EXPERIMENTS.md, "One event
+//! queue"), where a 24-byte-key heap stays in cache; nothing here is tuned
+//! to a time scale.
 //!
-//! Event payloads live in a slab of reusable slots, with the closure stored
-//! *inline* in the slot when it fits (`INLINE_WORDS` words) — the
-//! dominant short-lived timers allocate nothing at all; oversized
-//! closures degrade to one boxed allocation. [`TimerId`] is a
-//! (slot, generation) pair, so `cancel` is O(1): it drops the closure,
-//! frees the slot, and bumps the generation, leaving a stale `Copy` key in
-//! the heap that is discarded when it reaches the top (and bounded before
-//! that by compaction once stale keys outnumber live ones).
+//! [`TimerId`] is a (slot, generation) pair, so `cancel` is O(1): it drops
+//! the event, frees the slot, and bumps the generation, leaving a stale
+//! `Copy` key in the heap that is discarded when it reaches the top (and
+//! bounded before that by compaction once stale keys outnumber live ones).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-
 
 use rand::rngs::SmallRng;
 
 use crate::process::ProcId;
 use crate::time::{Dur, SimTime};
+
+/// A simulated world: the state every event mutates, plus the two kinds of
+/// typed event it handles. Everything else queued is a boxed closure.
+pub trait Model: Sized + 'static {
+    /// What a [`Ctx::schedule_deliver`] event carries to [`Model::deliver`].
+    type Packet;
+    /// Which protocol timer a [`Ctx::schedule_timer_at_seq`] event wakes.
+    type Timer: Copy;
+    /// A packet arrives.
+    fn deliver(&mut self, ctx: &mut Ctx<Self>, pkt: Self::Packet);
+    /// A protocol timer's queued wake fires.
+    fn timer(&mut self, ctx: &mut Ctx<Self>, key: Self::Timer);
+}
+
+/// A world of one counter that only ever queues closures. It exists for the
+/// frozen benchmark's scheduler probe (`benchmark/src/probes/simcore.rs`),
+/// which times `Ctx<u64>`; it has no packets and no timers.
+impl Model for u64 {
+    type Packet = std::convert::Infallible;
+    type Timer = std::convert::Infallible;
+    fn deliver(&mut self, _: &mut Ctx<Self>, pkt: Self::Packet) {
+        match pkt {}
+    }
+    fn timer(&mut self, _: &mut Ctx<Self>, key: Self::Timer) {
+        match key {}
+    }
+}
 
 /// What one run cost the scheduler and the process driver: wall-clock
 /// diagnostics with no simulated-time meaning. The wakeup discipline
@@ -47,9 +78,8 @@ pub struct SchedCounters {
     /// Wakes that never became a poll: suppressed spurious wakes plus
     /// sleeps satisfied by an inline clock advance.
     pub wakes_coalesced: u64,
-    /// Events pushed onto the queue: one per schedule call, late
-    /// `schedule_at_seq` re-queues included; inline clock advances push
-    /// nothing.
+    /// Events pushed onto the queue: one per schedule call, late re-queues
+    /// under a reserved seq included; inline clock advances push nothing.
     pub queued: u64,
 }
 
@@ -69,99 +99,24 @@ impl TimerId {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Inline event storage
-// ---------------------------------------------------------------------------
-
-/// Words of inline closure storage per slab slot. Sized so a packet-delivery
-/// closure (which captures the packet by value) fits; larger captures fall
-/// back to one boxed allocation.
-const INLINE_WORDS: usize = 18;
-
-type Buf = [MaybeUninit<usize>; INLINE_WORDS];
-
-type BoxedFn<W> = Box<dyn FnOnce(&mut W, &mut Ctx<W>) + Send>;
-
-/// A type-erased `FnOnce(&mut W, &mut Ctx<W>)` stored inline when it fits.
-///
-/// Invariant: `buf` holds an initialized value of the closure type the two
-/// function pointers were instantiated for. `invoke` consumes it; `Drop`
-/// runs its destructor if it was never invoked (cancelled timers).
-struct InlineEvent<W> {
-    call: unsafe fn(*mut Buf, &mut W, &mut Ctx<W>),
-    drop_in_place: unsafe fn(*mut Buf),
-    buf: Buf,
+/// One queued event.
+pub(crate) enum Event<W: Model> {
+    Deliver(W::Packet),
+    Timer(W::Timer),
+    /// A process's `ProcEnv::sleep` timer.
+    Wake(ProcId),
+    Call(Box<dyn FnOnce(&mut W, &mut Ctx<W>)>),
 }
 
-unsafe fn call_thunk<W, F: FnOnce(&mut W, &mut Ctx<W>)>(buf: *mut Buf, w: &mut W, ctx: &mut Ctx<W>) {
-    // Safety: caller guarantees `buf` holds an initialized `F`; the value is
-    // moved out here and must not be dropped again.
-    let f: F = unsafe { (buf as *mut F).read() };
-    f(w, ctx)
-}
-
-unsafe fn drop_thunk<F>(buf: *mut Buf) {
-    // Safety: caller guarantees `buf` holds an initialized `F`.
-    unsafe { std::ptr::drop_in_place(buf as *mut F) }
-}
-
-impl<W> InlineEvent<W> {
-    fn pack<F: FnOnce(&mut W, &mut Ctx<W>) + Send + 'static>(f: F) -> InlineEvent<W> {
-        // Safety: an array of `MaybeUninit` needs no initialization.
-        let mut buf: Buf = unsafe { MaybeUninit::uninit().assume_init() };
-        if size_of::<F>() <= size_of::<Buf>() && align_of::<F>() <= align_of::<Buf>() {
-            // Safety: size/align checked; `buf` owns the value from here on.
-            unsafe { (buf.as_mut_ptr() as *mut F).write(f) };
-            InlineEvent { call: call_thunk::<W, F>, drop_in_place: drop_thunk::<F>, buf }
-        } else {
-            let b: BoxedFn<W> = Box::new(f);
-            debug_assert!(size_of::<BoxedFn<W>>() <= size_of::<Buf>());
-            // Safety: a fat Box pointer always fits the buffer.
-            unsafe { (buf.as_mut_ptr() as *mut BoxedFn<W>).write(b) };
-            InlineEvent {
-                call: call_thunk::<W, BoxedFn<W>>,
-                drop_in_place: drop_thunk::<BoxedFn<W>>,
-                buf,
-            }
+impl<W: Model> Event<W> {
+    pub(crate) fn fire(self, w: &mut W, ctx: &mut Ctx<W>) {
+        match self {
+            Event::Deliver(pkt) => w.deliver(ctx, pkt),
+            Event::Timer(key) => w.timer(ctx, key),
+            Event::Wake(p) => ctx.finish_sleep_and_wake(p),
+            Event::Call(f) => f(w, ctx),
         }
     }
-
-    fn invoke(self, w: &mut W, ctx: &mut Ctx<W>) {
-        let mut this = ManuallyDrop::new(self);
-        // Safety: the invariant says `buf` is initialized for `call`'s type;
-        // `ManuallyDrop` prevents the destructor from double-dropping the
-        // value `call` moves out.
-        unsafe { (this.call)(&mut this.buf, w, ctx) }
-    }
-}
-
-impl<W> Drop for InlineEvent<W> {
-    fn drop(&mut self) {
-        // Safety: only reached when `invoke` never ran, so `buf` still holds
-        // the initialized closure.
-        unsafe { (self.drop_in_place)(&mut self.buf) }
-    }
-}
-
-/// An event popped from the queue, ready to run exactly once.
-pub(crate) struct FiredEvent<W>(InlineEvent<W>);
-
-impl<W> FiredEvent<W> {
-    pub(crate) fn call(self, w: &mut W, ctx: &mut Ctx<W>) {
-        self.0.invoke(w, ctx)
-    }
-}
-
-/// Result of a bound-respecting pop: one call answers all three questions
-/// the driver loop asks per event (anything queued? due before the
-/// deadline? then pop it).
-pub(crate) enum Popped<W> {
-    /// The queue minimum, removed; the clock has advanced to it.
-    Fired(FiredEvent<W>),
-    /// The queue minimum lies past the bound; nothing was removed.
-    PastBound,
-    /// No live events queued.
-    Empty,
 }
 
 // ---------------------------------------------------------------------------
@@ -178,11 +133,10 @@ struct Key {
     gen: u32,
 }
 
-/// One slab slot: generation tag plus the (possibly inline) event payload.
-struct Slot<W> {
+/// One slab slot: generation tag plus the event, `None` while free.
+struct Slot<W: Model> {
     gen: u32,
-    occupied: bool,
-    ev: MaybeUninit<InlineEvent<W>>,
+    ev: Option<Event<W>>,
 }
 
 /// Scheduler context: simulated clock, event queue, wake queue, RNG.
@@ -190,7 +144,7 @@ struct Slot<W> {
 /// The event queue is `heap` (ordering keys) over `slots` (payloads, with
 /// `free` as the slot freelist); a key whose generation no longer matches
 /// its slot is a tombstone.
-pub struct Ctx<W> {
+pub struct Ctx<W: Model> {
     now: SimTime,
     seq: u64,
     slots: Vec<Slot<W>>,
@@ -231,7 +185,7 @@ pub struct Ctx<W> {
     tracer: Option<trace::Tracer>,
 }
 
-impl<W> Ctx<W> {
+impl<W: Model> Ctx<W> {
     pub(crate) fn new(rng: SmallRng) -> Self {
         Ctx {
             now: SimTime::ZERO,
@@ -281,14 +235,9 @@ impl<W> Ctx<W> {
     /// same call when they fall inside `bound`.
     pub fn run_due(&mut self, w: &mut W, bound: SimTime) -> u64 {
         let mut fired = 0u64;
-        loop {
-            match self.pop_next(bound) {
-                Popped::Fired(ev) => {
-                    ev.call(w, self);
-                    fired += 1;
-                }
-                Popped::PastBound | Popped::Empty => break,
-            }
+        while let Some(ev) = self.pop_next(bound) {
+            ev.fire(w, self);
+            fired += 1;
         }
         if bound > self.now {
             self.now = bound;
@@ -356,36 +305,31 @@ impl<W> Ctx<W> {
         self.seq
     }
 
-    fn alloc_slot(&mut self, ev: InlineEvent<W>) -> (u32, u32) {
+    fn alloc_slot(&mut self, ev: Event<W>) -> (u32, u32) {
         if let Some(idx) = self.free.pop() {
             let s = &mut self.slots[idx as usize];
-            debug_assert!(!s.occupied, "freelist slot still occupied");
-            s.occupied = true;
-            s.ev.write(ev);
+            debug_assert!(s.ev.is_none(), "freelist slot still occupied");
+            s.ev = Some(ev);
             (idx, s.gen)
         } else {
             let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                gen: 0,
-                occupied: true,
-                ev: MaybeUninit::new(ev),
-            });
+            self.slots.push(Slot { gen: 0, ev: Some(ev) });
             (idx, 0)
         }
     }
 
-    /// Release a slot whose payload has been moved out or dropped.
-    fn free_slot(&mut self, idx: u32) {
+    /// Take the event out of a live slot and free the slot.
+    fn take_slot(&mut self, idx: u32) -> Event<W> {
         let s = &mut self.slots[idx as usize];
-        debug_assert!(s.occupied);
-        s.occupied = false;
+        let ev = s.ev.take().expect("live key over an empty slot");
         s.gen = s.gen.wrapping_add(1);
         self.free.push(idx);
+        ev
     }
 
     /// Queue an event at (`at`, `seq`). `at` must already be clamped to
     /// `>= now`.
-    fn insert(&mut self, at: SimTime, seq: u64, ev: InlineEvent<W>) -> TimerId {
+    fn insert(&mut self, at: SimTime, seq: u64, ev: Event<W>) -> TimerId {
         debug_assert!(at >= self.now);
         let (idx, gen) = self.alloc_slot(ev);
         self.heap.push(Reverse(Key { at, seq, idx, gen }));
@@ -395,8 +339,9 @@ impl<W> Ctx<W> {
 
     /// Draw the next sequence number without queueing anything: the
     /// tie-break position an event scheduled now would get, held for a later
-    /// [`Ctx::schedule_at_seq`]. [`crate::Deadline`] draws one per restart,
-    /// so the handler runs where an eagerly re-queued timer would have.
+    /// [`Ctx::schedule_timer_at_seq`]. [`crate::Deadline`] draws one per
+    /// restart, so the handler runs where an eagerly re-queued timer would
+    /// have.
     #[inline]
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
@@ -404,60 +349,81 @@ impl<W> Ctx<W> {
         seq
     }
 
-    /// Schedule `f` to run at absolute time `at` (clamped to be >= now).
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
-    ) -> TimerId {
+    /// Queue `ev` at absolute time `at` (clamped to be >= now) with a
+    /// fresh sequence number.
+    fn schedule_event(&mut self, at: SimTime, ev: Event<W>) -> TimerId {
         let at = at.max(self.now);
         let seq = self.reserve_seq();
-        self.insert(at, seq, InlineEvent::pack(f))
+        self.insert(at, seq, ev)
+    }
+
+    /// Schedule `f` to run at absolute time `at` (clamped to be >= now).
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static) -> TimerId {
+        self.schedule_event(at, Event::Call(Box::new(f)))
     }
 
     /// Schedule `f` to run after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: Dur,
-        f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
-    ) -> TimerId {
+    pub fn schedule_in(&mut self, delay: Dur, f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static) -> TimerId {
         self.schedule_at(self.now + delay, f)
     }
 
     /// Schedule `f` at `at` with a sequence number drawn earlier by
-    /// [`Ctx::reserve_seq`]; used when a deadline queues its wake late, so
-    /// the event keeps the fire-order position it would have had if
-    /// scheduled when the seq was drawn.
+    /// [`Ctx::reserve_seq`], so the event keeps the fire-order position it
+    /// would have had if scheduled when the seq was drawn.
     pub fn schedule_at_seq(
         &mut self,
         at: SimTime,
         seq: u64,
-        f: impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static,
+        f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static,
     ) -> TimerId {
+        self.insert_reserved(at, seq, Event::Call(Box::new(f)))
+    }
+
+    /// Hand `pkt` to [`Model::deliver`] at `at` (clamped to be >= now).
+    pub fn schedule_deliver(&mut self, at: SimTime, pkt: W::Packet) -> TimerId {
+        self.schedule_event(at, Event::Deliver(pkt))
+    }
+
+    /// Hand `key` to [`Model::timer`] at `at`, with a sequence number drawn
+    /// earlier by [`Ctx::reserve_seq`]: the typed form of
+    /// [`Ctx::schedule_at_seq`], which [`crate::Deadline`] queues its wakes
+    /// with.
+    pub fn schedule_timer_at_seq(&mut self, at: SimTime, seq: u64, key: W::Timer) -> TimerId {
+        self.insert_reserved(at, seq, Event::Timer(key))
+    }
+
+    /// Queue `ev` at (`at`, `seq`) for a `seq` already reserved.
+    fn insert_reserved(&mut self, at: SimTime, seq: u64, ev: Event<W>) -> TimerId {
         debug_assert!(seq < self.seq, "seq {seq} was never reserved");
         debug_assert!(at >= self.now);
         let at = at.max(self.now);
-        self.insert(at, seq, InlineEvent::pack(f))
+        self.insert(at, seq, ev)
+    }
+
+    /// Queue process `p`'s sleep wake after `d`.
+    pub(crate) fn schedule_wake_in(&mut self, d: Dur, p: ProcId) {
+        self.schedule_event(self.now + d, Event::Wake(p));
     }
 
     /// Cancel a previously scheduled timer. Cancelling an already-fired or
     /// already-cancelled timer is a generation mismatch and a no-op. O(1)
-    /// amortised: the closure is dropped and the slot freed immediately; the
+    /// amortised: the event is dropped and the slot freed immediately; the
     /// stale key left in the heap is a tombstone, peeled off when it reaches
     /// the top and bounded before that by compaction.
     pub fn cancel(&mut self, id: TimerId) {
         let (idx, gen) = id.unpack();
-        let Some(s) = self.slots.get_mut(idx as usize) else { return };
-        if !s.occupied || s.gen != gen {
+        let Some(s) = self.slots.get(idx as usize) else { return };
+        if s.ev.is_none() || s.gen != gen {
             return;
         }
-        // Safety: occupied ⇒ initialized; moving it out and dropping runs
-        // the closure's destructor exactly once.
-        let ev = unsafe { s.ev.assume_init_read() };
-        drop(ev);
+        drop(self.take_slot(idx));
         self.heap_dead += 1;
-        self.free_slot(idx);
         self.maybe_compact_heap();
+    }
+
+    /// Events queued and neither fired nor cancelled yet.
+    pub fn pending_events(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
     /// Rebuild the heap without stale keys once they outnumber the live
@@ -578,14 +544,14 @@ impl<W> Ctx<W> {
     }
 
     /// Pop the next non-cancelled event no later than `bound`, advancing the
-    /// clock to its timestamp. One call decides emptiness, the deadline
-    /// check, and the pop — the driver loop needs no separate
-    /// [`Ctx::next_event_time`] peek per event.
-    fn pop_next(&mut self, bound: SimTime) -> Popped<W> {
+    /// clock to its timestamp. `None` means the queue is empty or its live
+    /// minimum lies past `bound` — the tombstones above it are peeled either
+    /// way, so [`Ctx::next_event_time`] then tells the two apart.
+    fn pop_next(&mut self, bound: SimTime) -> Option<Event<W>> {
         // Peel tombstones until a live key tops the heap; a key past `bound`
         // must stay queued, so peek before popping.
         let key = loop {
-            let Some(&Reverse(k)) = self.heap.peek() else { return Popped::Empty };
+            let &Reverse(k) = self.heap.peek()?;
             if self.slots[k.idx as usize].gen == k.gen {
                 break k;
             }
@@ -593,35 +559,27 @@ impl<W> Ctx<W> {
             self.heap_dead -= 1;
         };
         if key.at > bound {
-            return Popped::PastBound;
+            return None;
         }
         self.heap.pop();
-        let s = &mut self.slots[key.idx as usize];
-        debug_assert!(s.occupied && s.gen == key.gen);
-        // Safety: a live key ⇒ its slot payload is initialized; the value is
-        // moved out exactly once and the slot freed below.
-        let ev = unsafe { s.ev.assume_init_read() };
-        self.free_slot(key.idx);
+        let ev = self.take_slot(key.idx);
         debug_assert!(key.at >= self.now, "time went backwards");
         self.now = key.at;
         self.events_fired += 1;
-        Popped::Fired(FiredEvent(ev))
+        Some(ev)
     }
 
     /// Driver entry point: pop the next event unless it lies past the run
     /// deadline or the queue is exhausted.
-    pub(crate) fn pop_event_due(&mut self) -> Popped<W> {
+    pub(crate) fn pop_event_due(&mut self) -> Option<Event<W>> {
         self.pop_next(self.deadline)
     }
 
     /// Pop the next non-cancelled event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     #[cfg(test)]
-    pub(crate) fn pop_event(&mut self) -> Option<FiredEvent<W>> {
-        match self.pop_next(SimTime::MAX) {
-            Popped::Fired(f) => Some(f),
-            _ => None,
-        }
+    pub(crate) fn pop_event(&mut self) -> Option<Event<W>> {
+        self.pop_next(SimTime::MAX)
     }
 
     /// Timestamp of the next pending (possibly cancelled) event, if any.
@@ -638,33 +596,22 @@ impl<W> Ctx<W> {
     }
 }
 
-impl<W> Drop for Ctx<W> {
-    fn drop(&mut self) {
-        for s in &mut self.slots {
-            if s.occupied {
-                s.occupied = false;
-                // Safety: occupied ⇒ initialized; run the closure's
-                // destructor (never-fired timers at end of run).
-                unsafe { s.ev.assume_init_drop() };
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::derive_rng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    crate::closure_world!(Vec<u32>);
 
     fn ctx() -> Ctx<Vec<u32>> {
         Ctx::new(derive_rng(0, 0))
     }
 
     fn drain(world: &mut Vec<u32>, ctx: &mut Ctx<Vec<u32>>) {
-        while let Some(f) = ctx.pop_event() {
-            f.call(world, ctx);
+        while let Some(ev) = ctx.pop_event() {
+            ev.fire(world, ctx);
         }
     }
 
@@ -799,32 +746,31 @@ mod tests {
 
     #[test]
     fn cancel_runs_the_closure_destructor_immediately() {
-        let alive = Arc::new(AtomicUsize::new(0));
+        let alive = Rc::new(Cell::new(1));
         let mut c = ctx();
-        let token = Arc::clone(&alive);
-        alive.fetch_add(1, Ordering::SeqCst);
-        struct Dec(Arc<AtomicUsize>);
+        struct Dec(Rc<Cell<i32>>);
         impl Drop for Dec {
             fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
+                self.0.set(self.0.get() - 1);
             }
         }
-        let guard = Dec(token);
+        let guard = Dec(Rc::clone(&alive));
         let id = c.schedule_in(Dur::from_secs(1), move |_: &mut Vec<u32>, _| {
             let _g = &guard;
         });
-        assert_eq!(alive.load(Ordering::SeqCst), 1);
+        assert_eq!(alive.get(), 1);
         c.cancel(id);
-        assert_eq!(alive.load(Ordering::SeqCst), 0, "cancel must drop the capture eagerly");
+        assert_eq!(alive.get(), 0, "cancel must drop the capture eagerly");
     }
 
     #[test]
     fn oversized_closures_fall_back_to_boxing() {
-        // A capture larger than the inline buffer must still schedule, fire,
-        // and deliver its payload intact.
+        // A `Call` is boxed whatever its size: a capture far larger than any
+        // typed event must still schedule, fire, and deliver its payload
+        // intact.
         let mut c = ctx();
         let mut w = Vec::new();
-        let big = [7u64; 64]; // 512 B > inline capacity
+        let big = [7u64; 64]; // 512 B
         c.schedule_in(Dur::from_micros(1), move |w: &mut Vec<u32>, _| {
             w.push(big.iter().sum::<u64>() as u32)
         });
@@ -903,7 +849,7 @@ mod tests {
         assert_eq!(c.now(), SimTime::ZERO, "a declined advance leaves the clock alone");
         // A pop past the tombstone's instant but short of the live event
         // peels the tombstone and removes nothing live.
-        assert!(matches!(c.pop_next(SimTime::from_nanos(1_500)), Popped::PastBound));
+        assert!(c.pop_next(SimTime::from_nanos(1_500)).is_none());
         assert_eq!(c.heap_dead, 0);
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(2_000), 1)));
         // With the tombstone gone the advance short of the live event holds.

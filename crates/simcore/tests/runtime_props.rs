@@ -10,7 +10,23 @@
 //! disciplines over random programs and demand exactly that.
 
 use proptest::prelude::*;
-use simcore::{set_reference_discipline, Dur, ProcEnv, ProcId, Runtime};
+use simcore::{set_reference_discipline, Ctx, Dur, Model, ProcEnv, ProcId, Runtime};
+
+/// `impl Model` for a test world that only queues closures.
+macro_rules! closure_world {
+    ($w:ty) => {
+        impl Model for $w {
+            type Packet = std::convert::Infallible;
+            type Timer = std::convert::Infallible;
+            fn deliver(&mut self, _: &mut Ctx<Self>, pkt: Self::Packet) {
+                match pkt {}
+            }
+            fn timer(&mut self, _: &mut Ctx<Self>, key: Self::Timer) {
+                match key {}
+            }
+        }
+    };
+}
 
 /// One step of a process's scripted behaviour.
 #[derive(Debug, Clone, Copy)]
@@ -43,6 +59,7 @@ struct W {
     log: Vec<(usize, usize, u64)>,
     pings: Vec<u32>,
 }
+closure_world!(W);
 
 /// Runs the scripted program once and returns everything observable:
 /// the log, the ping counters, final sim time, and events fired.
@@ -103,6 +120,7 @@ fn ten_thousand_process_token_ring() {
         tokens: Vec<u32>,
         hops: u64,
     }
+    closure_world!(Ring);
     let mut tokens = vec![0; N];
     tokens[0] = 1;
     let mut rt = Runtime::new(Ring { tokens, hops: 0 }, 3);

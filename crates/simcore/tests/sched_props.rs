@@ -6,6 +6,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use simcore::{Dur, ProcEnv, Runtime, SimTime};
 
+/// `impl Model` for a test world that only queues closures.
+macro_rules! closure_world {
+    ($w:ty) => {
+        impl simcore::Model for $w {
+            type Packet = std::convert::Infallible;
+            type Timer = std::convert::Infallible;
+            fn deliver(&mut self, _: &mut simcore::Ctx<Self>, pkt: Self::Packet) {
+                match pkt {}
+            }
+            fn timer(&mut self, _: &mut simcore::Ctx<Self>, key: Self::Timer) {
+                match key {}
+            }
+        }
+    };
+}
+
 proptest! {
     /// Events always fire in (time, insertion) order, regardless of the
     /// insertion order of their deadlines.
@@ -15,6 +31,7 @@ proptest! {
         struct W {
             fired: Vec<(u64, usize)>,
         }
+        closure_world!(W);
         let mut rt = Runtime::new(W::default(), 9);
         let expect = delays.clone();
         rt.spawn("driver", move |env: ProcEnv<W>| async move {
@@ -62,6 +79,7 @@ proptest! {
         struct W {
             ends: Vec<(usize, u64)>,
         }
+        closure_world!(W);
         let mut rt = Runtime::new(W { ends: Vec::new() }, 10);
         for (i, &d) in durs.iter().enumerate() {
             rt.spawn(format!("p{i}"), move |env: ProcEnv<W>| async move {
@@ -86,6 +104,7 @@ proptest! {
             struct W {
                 log: Vec<u32>,
             }
+            closure_world!(W);
             let mut rt = Runtime::new(W::default(), 11);
             for p in 0..3usize {
                 let steps: Vec<_> = steps.to_vec();
@@ -176,6 +195,7 @@ proptest! {
             fired: Vec<(u64, usize)>,
             ids: Vec<simcore::TimerId>,
         }
+        closure_world!(W);
         let mut rt = Runtime::new(W { fired: Vec::new(), ids: Vec::new() }, 11);
         let plan = ops.clone();
         rt.spawn("sched", move |env: ProcEnv<W>| async move {
@@ -235,10 +255,10 @@ fn queue_fires_like_a_sorted_model() {
 
 mod deadline_model {
     use super::*;
-    use simcore::{Ctx, Deadline, TimerId};
+    use simcore::{Ctx, Deadline, Model, TimerId};
+    use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     const TIMERS: usize = 3;
     /// Every delay and gap is a small multiple of this, so restarts, wakes,
@@ -252,6 +272,11 @@ mod deadline_model {
         Clear(usize),
         /// A logging event of some other component, `.0` steps from now.
         Foreign(u64),
+        /// A packet delivered `.0` steps from now, or (`None`) after the run
+        /// has ended, so it is still queued when the context is dropped.
+        Deliver(Option<u64>),
+        /// Cancel the latest packet (a no-op if it was delivered already).
+        Cancel,
     }
 
     pub fn op() -> impl Strategy<Value = Op> {
@@ -260,6 +285,9 @@ mod deadline_model {
             (0..TIMERS, 0u64..9).prop_map(|(i, d)| Op::Set(i, d)),
             (0..TIMERS).prop_map(Op::Clear),
             (0u64..9).prop_map(Op::Foreign),
+            (0u64..9).prop_map(|d| Op::Deliver(Some(d))),
+            Just(Op::Deliver(None)),
+            Just(Op::Cancel),
         ]
     }
 
@@ -267,52 +295,74 @@ mod deadline_model {
         lazy: bool,
         timers: [Deadline; TIMERS],
         eager: [Option<TimerId>; TIMERS],
+        /// Wakes queued per timer (lazy runs): what `set` and `expired`
+        /// added to the queue, less the wakes that fired.
+        queued: [usize; TIMERS],
         /// What each expiry does next: restart itself by that many steps,
         /// clear itself, or (list exhausted) return still set, as `on_rto`
         /// does on a closed socket.
         after: [VecDeque<Option<u64>>; TIMERS],
-        /// `(now, who, seqs drawn so far)` of every handler run and foreign
-        /// event: one log, so it pins the order between them too.
+        /// `(now, who, seqs drawn so far)` of every handler run, foreign
+        /// event and delivery: one log, so it pins the order between them
+        /// too.
         log: Vec<(u64, usize, u64)>,
-        /// Wake closures alive per timer — queued ones plus, transiently,
-        /// the one being handed to `set`/`expired`.
-        queued: Arc<[AtomicUsize; TIMERS]>,
+        /// Queued packets, by packet id.
+        pkts: Vec<TimerId>,
+        /// Times each packet has been dropped, by packet id.
+        drops: Rc<RefCell<Vec<u32>>>,
     }
 
-    struct Queued(usize, Arc<[AtomicUsize; TIMERS]>);
+    /// A packet that counts its drops: queued, it must be dropped exactly
+    /// once whether it is delivered, cancelled, or still queued when the
+    /// context goes.
+    pub struct Pkt {
+        id: usize,
+        who: usize,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
 
-    impl Drop for Queued {
+    impl Drop for Pkt {
         fn drop(&mut self) {
-            self.1[self.0].fetch_sub(1, Ordering::Relaxed);
+            self.drops.borrow_mut()[self.id] += 1;
         }
     }
 
-    fn wake(w: &W, i: usize) -> impl FnOnce(&mut W, &mut Ctx<W>) + Send + 'static {
-        w.queued[i].fetch_add(1, Ordering::Relaxed);
-        let token = Queued(i, Arc::clone(&w.queued));
-        move |w: &mut W, ctx: &mut Ctx<W>| {
-            drop(token);
-            on_timer(w, ctx, i)
+    impl Model for W {
+        type Packet = Pkt;
+        type Timer = usize;
+        fn deliver(&mut self, ctx: &mut Ctx<Self>, pkt: Pkt) {
+            assert_eq!(self.drops.borrow()[pkt.id], 0, "packet {} dropped before delivery", pkt.id);
+            self.log.push((ctx.now().as_nanos(), pkt.who, ctx.next_seq()));
+        }
+        fn timer(&mut self, ctx: &mut Ctx<Self>, i: usize) {
+            if self.lazy {
+                self.queued[i] -= 1;
+            }
+            on_timer(self, ctx, i)
         }
     }
 
-    fn one_queued_at_most(w: &W, i: usize) {
-        assert!(w.queued[i].load(Ordering::Relaxed) <= 1, "timer {i} has two events queued");
+    /// Run `f` on timer `i` and account for what it queued: never more than
+    /// one wake per timer.
+    fn counted<R>(w: &mut W, ctx: &mut Ctx<W>, i: usize, f: impl FnOnce(&mut Deadline, &mut Ctx<W>) -> R) -> R {
+        let before = ctx.pending_events();
+        let r = f(&mut w.timers[i], ctx);
+        w.queued[i] = w.queued[i] + ctx.pending_events() - before;
+        assert!(w.queued[i] <= 1, "timer {i} has two events queued");
+        r
     }
 
     fn set(w: &mut W, ctx: &mut Ctx<W>, i: usize, steps: u64) {
         let d = Dur::from_nanos(steps * STEP);
         if w.lazy {
-            let wake = wake(w, i);
-            w.timers[i].set(ctx, d, wake);
-            one_queued_at_most(w, i);
+            counted(w, ctx, i, |t, ctx| t.set(ctx, d, i));
         } else {
             if let Some(id) = w.eager[i].take() {
                 ctx.cancel(id);
             }
             let seq = ctx.reserve_seq();
             let at = ctx.now() + d;
-            w.eager[i] = Some(ctx.schedule_at_seq(at, seq, move |w: &mut W, ctx| on_timer(w, ctx, i)));
+            w.eager[i] = Some(ctx.schedule_timer_at_seq(at, seq, i));
         }
     }
 
@@ -325,13 +375,8 @@ mod deadline_model {
     }
 
     fn on_timer(w: &mut W, ctx: &mut Ctx<W>, i: usize) {
-        if w.lazy {
-            let wake = wake(w, i);
-            let expired = w.timers[i].expired(ctx, wake);
-            one_queued_at_most(w, i);
-            if !expired {
-                return;
-            }
+        if w.lazy && !counted(w, ctx, i, |t, ctx| t.expired(ctx, i)) {
+            return;
         }
         w.log.push((ctx.now().as_nanos(), i, ctx.next_seq()));
         match w.after[i].pop_front() {
@@ -344,13 +389,16 @@ mod deadline_model {
     /// Run `script` (gap before each op in steps, then the op) and return
     /// the log and the final clock.
     pub fn run(script: &[(u64, Op)], after: &[Option<u64>], lazy: bool) -> (Vec<(u64, usize, u64)>, u64) {
+        let drops = Rc::new(RefCell::new(Vec::new()));
         let mut w = W {
             lazy,
             timers: Default::default(),
             eager: [None; TIMERS],
+            queued: [0; TIMERS],
             after: Default::default(),
             log: Vec::new(),
-            queued: Arc::new(Default::default()),
+            pkts: Vec::new(),
+            drops: Rc::clone(&drops),
         };
         for (k, &a) in after.iter().enumerate() {
             w.after[k % TIMERS].push_back(a);
@@ -370,6 +418,19 @@ mod deadline_model {
                                 w.log.push((ctx.now().as_nanos(), TIMERS + k, ctx.next_seq()));
                             });
                         }
+                        Op::Deliver(steps) => {
+                            let id = w.pkts.len();
+                            w.drops.borrow_mut().push(0);
+                            let pkt = Pkt { id, who: TIMERS + k, drops: Rc::clone(&w.drops) };
+                            let at = ctx.now() + Dur::from_nanos(steps.unwrap_or(1_000) * STEP);
+                            w.pkts.push(ctx.schedule_deliver(at, pkt));
+                        }
+                        Op::Cancel => {
+                            if let Some((id, &tid)) = w.pkts.iter().enumerate().last() {
+                                ctx.cancel(tid);
+                                assert_eq!(w.drops.borrow()[id], 1, "a cancel drops the packet at once");
+                            }
+                        }
                     });
                 }
             });
@@ -377,6 +438,9 @@ mod deadline_model {
             env.sleep(Dur::from_nanos(t + 100 * STEP)).await;
         });
         let out = rt.run();
+        // The context is gone: every packet, delivered, cancelled or still
+        // queued, was dropped once.
+        assert!(drops.borrow().iter().all(|&n| n == 1), "packet drop counts {:?}", drops.borrow());
         (out.world.log, out.sim_time.as_nanos())
     }
 }
@@ -386,7 +450,9 @@ proptest! {
     /// cancelling and rescheduling on every restart: every handler and every
     /// foreign event runs at the same time, in the same order, with the same
     /// number of seqs drawn before it, and the run ends on the same clock —
-    /// while the deadline never has more than one event in the queue.
+    /// while the deadline never has more than one event in the queue. The
+    /// packets queued among them are each dropped exactly once: delivered,
+    /// cancelled, or left queued when the run ends.
     #[test]
     fn deadline_matches_eager_cancel_then_schedule(
         script in prop::collection::vec((0u64..4, deadline_model::op()), 1..40),

@@ -18,10 +18,12 @@
 //!
 //! **Zero-cost-when-off, side-effect-free-when-on.** Hooks are guarded by a
 //! cheap `Option` check; when tracing they only *read* simulation state and
-//! never touch the RNG, never schedule events, and never take a lock the
-//! simulation also takes. Figure outputs are therefore bit-identical with
-//! tracing on or off — enforced by a proptest the same way SIM_CHECK
+//! never touch the RNG, never schedule events, and never borrow anything
+//! the simulation also borrows. Figure outputs are therefore bit-identical
+//! with tracing on or off — enforced by a proptest the same way SIM_CHECK
 //! enforces discipline equivalence.
+
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod json;
@@ -32,7 +34,7 @@ pub mod series;
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use ring::Ring;
 use series::{SeriesKey, SeriesPoint, SeriesStore};
@@ -383,15 +385,15 @@ struct Inner {
     ifaces: u8,
 }
 
-/// Shared flight-recorder handle. Clones are cheap (Arc). The mutex is
-/// uncontended in practice: the simulation runs exactly one runnable
-/// process at a time, so hooks never block each other.
+/// Shared flight-recorder handle. Clones are cheap (`Rc`): a simulation and
+/// every hook in it run on one thread, one at a time, and no hook holds the
+/// recorder across a call into another.
 #[derive(Debug, Clone)]
-pub struct Tracer(Arc<Mutex<Inner>>);
+pub struct Tracer(Rc<RefCell<Inner>>);
 
 impl Tracer {
     pub fn new(cap: usize, snaplen: usize) -> Tracer {
-        Tracer(Arc::new(Mutex::new(Inner {
+        Tracer(Rc::new(RefCell::new(Inner {
             ring: Ring::new(cap),
             seq: 0,
             series: SeriesStore::default(),
@@ -420,18 +422,18 @@ impl Tracer {
     /// Record the simulated topology so the pcapng sink can emit one
     /// interface block per link up front.
     pub fn set_topology(&self, hosts: u16, ifaces: u8) {
-        let mut g = self.0.lock().unwrap();
+        let mut g = self.0.borrow_mut();
         g.hosts = hosts;
         g.ifaces = ifaces;
     }
 
     /// Frame snap length for hooks that serialize wire bytes.
     pub fn snaplen(&self) -> usize {
-        self.0.lock().unwrap().snaplen
+        self.0.borrow().snaplen
     }
 
     pub fn emit(&self, t_ns: u64, ev: Event) {
-        let mut g = self.0.lock().unwrap();
+        let mut g = self.0.borrow_mut();
         g.seq += 1;
         let seq = g.seq;
         if let Event::Cwnd(c) = &ev {
@@ -458,7 +460,7 @@ impl Tracer {
         released: u32,
     ) {
         let key = (host, peer, stream, side);
-        let mut g = self.0.lock().unwrap();
+        let mut g = self.0.borrow_mut();
         match (blocked, g.hol_open.contains_key(&key)) {
             (true, false) => {
                 // A sender-side episode born inside a stall window starts
@@ -500,7 +502,7 @@ impl Tracer {
     /// the frozen clocks. Blocked *duration* is affected; the
     /// `HolBegin`/`HolEnd` edge timestamps are not.
     pub fn hol_snd_stall(&self, t_ns: u64, host: u16, peer: u16, stalled: bool) {
-        let mut g = self.0.lock().unwrap();
+        let mut g = self.0.borrow_mut();
         if stalled {
             if !g.hol_snd_stalled.insert((host, peer)) {
                 return;
@@ -525,7 +527,7 @@ impl Tracer {
     /// Snapshot the capture. Still-open HOL blocks are closed at the given
     /// end-of-run timestamp so their time is not silently lost.
     pub fn dump(&self, end_ns: u64) -> TraceDump {
-        let mut g = self.0.lock().unwrap();
+        let mut g = self.0.borrow_mut();
         let mut open: Vec<((u16, u16, u16, HolSide), HolClock)> = g.hol_open.drain().collect();
         open.sort_unstable_by_key(|&(key, _)| key);
         for ((host, peer, stream, side), clock) in open {

@@ -45,7 +45,7 @@ use crate::{ip, World, Wx};
 
 /// A network driver under the transport engines. See the module docs for
 /// the dispatch discipline.
-pub trait Backend: Send {
+pub trait Backend {
     /// Egress one packet.
     fn send(&mut self, w: &mut World, ctx: &mut Wx, pkt: Packet);
 

@@ -146,13 +146,17 @@ pub(crate) fn sim_send(w: &mut World, ctx: &mut Wx, pkt: Packet) {
     }
     match verdict {
         Verdict::Deliver { at } => {
-            ctx.schedule_at(at, move |w: &mut World, ctx: &mut Wx| deliver(w, ctx, pkt));
+            ctx.schedule_deliver(at, pkt);
         }
         Verdict::Drop(_) => { /* the network recorded the drop */ }
     }
 }
 
-fn deliver(w: &mut World, ctx: &mut Wx, pkt: Packet) {
+/// A packet arrives: demultiplex on protocol into the engine's input
+/// routine. The sim path's delivery events land here through
+/// [`simcore::Model::deliver`].
+#[inline]
+pub(crate) fn deliver(w: &mut World, ctx: &mut Wx, pkt: Packet) {
     match pkt.body {
         Proto::Tcp(seg) => tcp::input(w, ctx, pkt.src, pkt.dst, seg),
         Proto::Sctp(p) => sctp::input(w, ctx, pkt.src, pkt.dst, p),

@@ -40,10 +40,60 @@ pub mod tcp;
 pub mod wire_bytes;
 
 use netsim::{Net, NetCfg};
-use simcore::Ctx;
+use simcore::{Ctx, Model};
 
 /// Scheduler context specialized to the transport world.
 pub type Wx = Ctx<World>;
+
+/// One protocol timer of either engine: what a [`simcore::Deadline`] queues,
+/// and which handler [`World`]'s [`Model::timer`] runs when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timer {
+    /// TCP retransmission timeout.
+    Rto(tcp::SockId),
+    /// TCP delayed ACK.
+    Delack(tcp::SockId),
+    /// TCP zero-window persist probe.
+    Persist(tcp::SockId),
+    /// SCTP T3-rtx of one recovery scope: association-wide (`None`) or one
+    /// destination's (`Some(path)`, CMT).
+    T3(sctp::AssocId, Option<u8>),
+    /// SCTP delayed SACK.
+    Sack(sctp::AssocId),
+    /// SCTP heartbeat of one path.
+    Hb(sctp::AssocId, u8),
+    /// SCTP INIT / COOKIE-ECHO retransmission.
+    Init(sctp::AssocId),
+    /// SCTP SHUTDOWN retransmission.
+    Shutdown(sctp::AssocId),
+    /// SCTP autoclose idle check.
+    Autoclose(sctp::AssocId),
+}
+
+impl Model for World {
+    type Packet = ip::Packet;
+    type Timer = Timer;
+
+    #[inline]
+    fn deliver(&mut self, ctx: &mut Wx, pkt: ip::Packet) {
+        ip::deliver(self, ctx, pkt)
+    }
+
+    #[inline]
+    fn timer(&mut self, ctx: &mut Wx, key: Timer) {
+        match key {
+            Timer::Rto(s) => tcp::on_rto(self, ctx, s),
+            Timer::Delack(s) => tcp::on_delack(self, ctx, s),
+            Timer::Persist(s) => tcp::on_persist(self, ctx, s),
+            Timer::T3(a, scope) => sctp::on_t3(self, ctx, a, scope),
+            Timer::Sack(a) => sctp::on_sack_timer(self, ctx, a),
+            Timer::Hb(a, path) => sctp::on_heartbeat(self, ctx, a, path),
+            Timer::Init(a) => sctp::on_init_timer(self, ctx, a),
+            Timer::Shutdown(a) => sctp::on_shutdown_timer(self, ctx, a),
+            Timer::Autoclose(a) => sctp::on_autoclose(self, ctx, a),
+        }
+    }
+}
 
 /// Per-host protocol state.
 pub struct Host {

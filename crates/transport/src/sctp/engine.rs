@@ -9,7 +9,7 @@ use rand::Rng;
 use simcore::{Dur, ProcId};
 
 use crate::ip::{self, Packet, Proto};
-use crate::{World, Wx};
+use crate::{Timer, World, Wx};
 
 use super::assoc::{
     Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, PendingChunk, RecvMsg, Scope,
@@ -519,40 +519,6 @@ pub fn shutdown(w: &mut World, ctx: &mut Wx, a: AssocId) {
     }
     assoc_mut(w, a).state = AssocState::ShutdownPending;
     maybe_progress_shutdown(w, ctx, a);
-}
-
-/// Dump every association's state to stderr (debug watchdog).
-pub fn dump_all(w: &World) {
-    for (h, host) in w.hosts.iter().enumerate() {
-        for (e, ep) in host.sctp.eps.iter().enumerate() {
-            for (i, ak) in ep.assocs.iter().enumerate() {
-                let frag_bytes: u64 = ak
-                    .in_streams
-                    .iter()
-                    .map(|st| {
-                        st.frags.iter().map(|c| c.data.len() as u64).sum::<u64>()
-                            + st.ready.values().map(|m| m.len as u64).sum::<u64>()
-                    })
-                    .sum();
-                let ready: usize = ak.in_streams.iter().map(|st| st.ready.len()).sum();
-                let frags: usize = ak.in_streams.iter().map(|st| st.frags.len()).sum();
-                eprintln!(
-                    "h{h} ep{e} a{i} -> peer{} state={:?} out={} pend={}({}B) rwnd={} rcvused={} dq={} frags={frags} ready={ready} gated={frag_bytes}B t3={} cum={} have={:?}",
-                    ak.peer_host,
-                    ak.state,
-                    ak.outstanding_bytes,
-                    ak.pending.len(),
-                    ak.pending_bytes,
-                    ak.peer_rwnd,
-                    ak.rcvbuf_used,
-                    ep.deliver_q.len(),
-                    ak.rec.t3_timer.is_set(),
-                    ak.rcv.cum(),
-                    ak.rcv.gaps().take(4).collect::<Vec<_>>(),
-                );
-            }
-        }
-    }
 }
 
 /// Manually set the primary path (sockopt equivalent).
@@ -1248,8 +1214,7 @@ pub(super) fn arm_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope, fres
             rttvar_ns: rto.rttvar().as_nanos() as i64,
         }));
     }
-    let wake = move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, scope);
-    ak.rec_mut(scope).t3_timer.set(ctx, d, wake);
+    ak.rec_mut(scope).t3_timer.set(ctx, d, Timer::T3(a, scope));
 }
 
 /// Consecutive timeouts before the whole association fails.
@@ -1260,13 +1225,12 @@ const ASSOC_MAX_RETRANS: u32 = 10;
 /// destination's timer penalises and re-marks only its own stripe: the
 /// other destinations' flights are healthy — yanking them would collapse
 /// the whole aggregate on every single-path incident.
-fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope) {
+pub(crate) fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope) {
     let cfg = cfg_of(w, a.host);
     let pmtu = cfg.pmtu as u64;
     let now = ctx.now();
     let ak = assoc_mut(w, a);
-    let wake = move |w: &mut World, ctx: &mut Wx| on_t3(w, ctx, a, scope);
-    if !ak.rec_mut(scope).t3_timer.expired(ctx, wake) {
+    if !ak.rec_mut(scope).t3_timer.expired(ctx, Timer::T3(a, scope)) {
         return;
     }
     if let Some(p) = scope {
@@ -1411,14 +1375,13 @@ pub(super) fn arm_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let ak = assoc_mut(w, a);
     if !ak.sack_timer.is_set() {
-        let wake = move |w: &mut World, ctx: &mut Wx| on_sack_timer(w, ctx, a);
-        ak.sack_timer.set(ctx, cfg.sack_delay, wake);
+        ak.sack_timer.set(ctx, cfg.sack_delay, Timer::Sack(a));
     }
 }
 
-fn on_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(crate) fn on_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let ak = assoc_mut(w, a);
-    if !ak.sack_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_sack_timer(w, ctx, a)) {
+    if !ak.sack_timer.expired(ctx, Timer::Sack(a)) {
         return;
     }
     ak.sack_timer.clear();
@@ -1430,19 +1393,17 @@ fn on_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
 fn arm_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
     let cfg = cfg_of(w, a.host);
     let Some(interval) = cfg.heartbeat_interval else { return };
-    let wake = move |w: &mut World, ctx: &mut Wx| on_heartbeat(w, ctx, a, path);
-    assoc_mut(w, a).paths[path as usize].hb_timer.set(ctx, interval, wake);
+    assoc_mut(w, a).paths[path as usize].hb_timer.set(ctx, interval, Timer::Hb(a, path));
 }
 
-fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
+pub(crate) fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
     let cfg = cfg_of(w, a.host);
     // Drawn before the wake is known to be the expiry: an association that
     // left Established still consumes one nonce per heartbeat wake.
     let nonce: u64 = draw_nonce(ctx, &cfg);
     let vtag = {
         let ak = assoc_mut(w, a);
-        let wake = move |w: &mut World, ctx: &mut Wx| on_heartbeat(w, ctx, a, path);
-        if !ak.paths[path as usize].hb_timer.expired(ctx, wake)
+        if !ak.paths[path as usize].hb_timer.expired(ctx, Timer::Hb(a, path))
             || ak.state != AssocState::Established
         {
             return;
@@ -1463,17 +1424,15 @@ fn on_heartbeat(w: &mut World, ctx: &mut Wx, a: AssocId, path: u8) {
 fn arm_autoclose(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let Some(d) = cfg.autoclose else { return };
-    let wake = move |w: &mut World, ctx: &mut Wx| on_autoclose(w, ctx, a);
-    assoc_mut(w, a).autoclose_timer.set(ctx, d, wake);
+    assoc_mut(w, a).autoclose_timer.set(ctx, d, Timer::Autoclose(a));
 }
 
-fn on_autoclose(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(crate) fn on_autoclose(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let d = cfg.autoclose.unwrap();
     let idle_out = {
         let ak = assoc_mut(w, a);
-        let wake = move |w: &mut World, ctx: &mut Wx| on_autoclose(w, ctx, a);
-        if !ak.autoclose_timer.expired(ctx, wake) || ak.state != AssocState::Established {
+        if !ak.autoclose_timer.expired(ctx, Timer::Autoclose(a)) || ak.state != AssocState::Established {
             return;
         }
         let idle = ctx.now().since(ak.last_traffic);
@@ -1528,18 +1487,17 @@ fn send_cookie_echo(w: &mut World, ctx: &mut Wx, a: AssocId) {
 fn arm_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let ak = assoc_mut(w, a);
     let d = ak.paths[ak.primary as usize].rto.current();
-    ak.init_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_init_timer(w, ctx, a));
+    ak.init_timer.set(ctx, d, Timer::Init(a));
 }
 
 /// INIT / COOKIE-ECHO retransmission limit.
 const MAX_INIT_RETRANS: u32 = 8;
 
-fn on_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(crate) fn on_init_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let state = {
         let ak = assoc_mut(w, a);
-        let wake = move |w: &mut World, ctx: &mut Wx| on_init_timer(w, ctx, a);
         let handshaking = matches!(ak.state, AssocState::CookieWait | AssocState::CookieEchoed);
-        if !ak.init_timer.expired(ctx, wake) || !handshaking {
+        if !ak.init_timer.expired(ctx, Timer::Init(a)) || !handshaking {
             return;
         }
         ak.init_retries += 1;
@@ -1942,14 +1900,13 @@ fn handle_shutdown_ack(w: &mut World, ctx: &mut Wx, a: AssocId) {
 fn arm_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let ak = assoc_mut(w, a);
     let d = ak.paths[ak.primary as usize].rto.current();
-    ak.shutdown_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_shutdown_timer(w, ctx, a));
+    ak.shutdown_timer.set(ctx, d, Timer::Shutdown(a));
 }
 
-fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
+pub(crate) fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let (resend, vtag, path, cum, state) = {
         let ak = assoc_mut(w, a);
-        let wake = move |w: &mut World, ctx: &mut Wx| on_shutdown_timer(w, ctx, a);
-        if !ak.shutdown_timer.expired(ctx, wake) {
+        if !ak.shutdown_timer.expired(ctx, Timer::Shutdown(a)) {
             return;
         }
         ak.init_retries += 1;

@@ -10,9 +10,12 @@ mod wire;
 
 pub use assoc::{AssocId, AssocState, AssocStats, EpId, PathState, RecvMsg, SctpCfg, SctpHost};
 pub use engine::{
-    assoc_state, can_send, check_send, connect, dump_all, input, listen, lookup_peer, peer_addrs,
+    assoc_state, can_send, check_send, connect, input, listen, lookup_peer, peer_addrs,
     primary_path, readable, recvmsg, register_reader, register_writer, register_writer_for,
     sendmsg, sendmsg_pr, sendmsg_v, set_primary, shutdown, socket, stats, SendErr,
+};
+pub(crate) use engine::{
+    on_autoclose, on_heartbeat, on_init_timer, on_sack_timer, on_shutdown_timer, on_t3,
 };
 pub use receive::RcvWindow;
 pub use sched::{SchedCandidate, SchedKind, StreamScheduler};

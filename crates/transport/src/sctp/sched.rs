@@ -42,7 +42,7 @@ pub struct SchedCandidate {
 ///
 /// The engine keeps one boxed scheduler per association and consults it
 /// once per chunk-transmission slot.
-pub trait StreamScheduler: Send {
+pub trait StreamScheduler {
     /// Choose which candidate stream supplies the next chunk. Returns an
     /// index into `candidates`. Must be deterministic and side-effect free
     /// (see the module docs for the peek/pop contract).

@@ -7,7 +7,7 @@ use simcore::Dur;
 
 use crate::buf::total_len;
 use crate::ip::{self, Packet, Proto};
-use crate::{World, Wx};
+use crate::{Timer, World, Wx};
 
 use super::{
     sock, sock_mut, sock_pool_mut, Flags, SockId, TcpCfg, TcpSegment, TcpSock, TcpState,
@@ -197,15 +197,15 @@ fn arm_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
             rttvar_ns: sk.rto.rttvar().as_nanos() as i64,
         }));
     }
-    sk.rto_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_rto(w, ctx, s));
+    sk.rto_timer.set(ctx, d, Timer::Rto(s));
 }
 
-fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
+pub(crate) fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
     let cfg = cfg_of(w, s);
     let mss = cfg.mss as u64;
     {
         let sk = sock_mut(w, s);
-        if !sk.rto_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_rto(w, ctx, s)) {
+        if !sk.rto_timer.expired(ctx, Timer::Rto(s)) {
             return;
         }
         match sk.state {
@@ -274,13 +274,13 @@ fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
 fn arm_delack(w: &mut World, ctx: &mut Wx, s: SockId) {
     let sk = sock_mut(w, s);
     if !sk.delack_timer.is_set() {
-        sk.delack_timer.set(ctx, DELACK, move |w: &mut World, ctx: &mut Wx| on_delack(w, ctx, s));
+        sk.delack_timer.set(ctx, DELACK, Timer::Delack(s));
     }
 }
 
-fn on_delack(w: &mut World, ctx: &mut Wx, s: SockId) {
+pub(crate) fn on_delack(w: &mut World, ctx: &mut Wx, s: SockId) {
     let sk = sock_mut(w, s);
-    if !sk.delack_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_delack(w, ctx, s)) {
+    if !sk.delack_timer.expired(ctx, Timer::Delack(s)) {
         return;
     }
     sk.delack_timer.clear();
@@ -299,13 +299,13 @@ fn arm_persist(w: &mut World, ctx: &mut Wx, s: SockId) {
         .current()
         .saturating_mul(1u64 << sk.persist_shift.min(6))
         .min(Dur::from_secs(60));
-    sk.persist_timer.set(ctx, d, move |w: &mut World, ctx: &mut Wx| on_persist(w, ctx, s));
+    sk.persist_timer.set(ctx, d, Timer::Persist(s));
 }
 
-fn on_persist(w: &mut World, ctx: &mut Wx, s: SockId) {
+pub(crate) fn on_persist(w: &mut World, ctx: &mut Wx, s: SockId) {
     {
         let sk = sock_mut(w, s);
-        if !sk.persist_timer.expired(ctx, move |w: &mut World, ctx: &mut Wx| on_persist(w, ctx, s)) {
+        if !sk.persist_timer.expired(ctx, Timer::Persist(s)) {
             return;
         }
         sk.persist_timer.clear();

@@ -33,7 +33,7 @@ use crate::ranges::RangeSet;
 use crate::rto::{RtoCfg, RtoEstimator};
 use crate::{World, Wx};
 
-pub(crate) use engine::input;
+pub(crate) use engine::{input, on_delack, on_persist, on_rto};
 
 /// Handle to a TCP socket on a given host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -632,18 +632,19 @@ pub fn stats(w: &World, s: SockId) -> SockStats {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     use super::*;
     use crate::backend::Backend;
     use crate::ip::{self, Packet};
 
     /// Swallows everything the engines send.
-    struct Capture(Arc<Mutex<Vec<Packet>>>);
+    struct Capture(Rc<RefCell<Vec<Packet>>>);
 
     impl Backend for Capture {
         fn send(&mut self, _w: &mut World, _ctx: &mut Wx, pkt: Packet) {
-            self.0.lock().unwrap().push(pkt);
+            self.0.borrow_mut().push(pkt);
         }
         fn as_any(&mut self) -> &mut dyn std::any::Any {
             self
@@ -654,12 +655,12 @@ mod tests {
     fn in_order_segments_bypass_the_reassembly_store() {
         let mut w = World::paper_cluster(0.0);
         let mut ctx: Wx = simcore::Ctx::standalone(simcore::derive_rng(3, 0));
-        let wire = Arc::new(Mutex::new(Vec::new()));
+        let wire = Rc::new(RefCell::new(Vec::new()));
         w.install_backend(Box::new(Capture(wire.clone())));
         listen(&mut w, 1, 80);
         connect(&mut w, &mut ctx, 0, 1, 80);
         loop {
-            let Some(pkt) = wire.lock().unwrap().pop() else { break };
+            let Some(pkt) = wire.borrow_mut().pop() else { break };
             ip::deliver_now(&mut w, &mut ctx, pkt);
         }
         let server = accept(&mut w, 1, 80).expect("handshake completed");
@@ -685,7 +686,7 @@ mod tests {
                 payload_len: 1448,
             };
             input(&mut w, &mut ctx, IfAddr::new(0, 0), IfAddr::new(1, 0), seg);
-            wire.lock().unwrap().clear();
+            wire.borrow_mut().clear();
             let sk = sock(&w, server);
             assert!(sk.store.is_empty() && sk.have.is_empty(), "segment {k} was parked");
             assert_eq!((sk.rcv_nxt, sk.ooo_bytes), (1 + b as u64, 0));

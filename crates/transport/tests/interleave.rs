@@ -3,8 +3,9 @@
 //! FORWARD-TSN vs SACK-accounting invariants, and the pinned engine cells
 //! that hold every timer-scope / reassembly-keying combination bit-identical.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::NetCfg;
@@ -179,7 +180,7 @@ fn run_mixed(cfg: SctpCfg, loss: f64, seed: u64, n_msgs: u32, streams: u16) -> M
     let world = World::new(NetCfg::paper_cluster(loss), TcpCfg::default(), cfg);
     let mut rt = Runtime::new(world, seed);
     rt.set_deadline(DEADLINE);
-    let delivered: Arc<Mutex<Delivered>> = Arc::new(Mutex::new(BTreeMap::new()));
+    let delivered: Rc<RefCell<Delivered>> = Rc::new(RefCell::new(BTreeMap::new()));
 
     rt.spawn("client", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
@@ -200,14 +201,14 @@ fn run_mixed(cfg: SctpCfg, loss: f64, seed: u64, n_msgs: u32, streams: u16) -> M
         });
         recv_until_sentinels(&env, ep, streams, |m| {
             let rec = (m.ssn, m.ppid, m.len, digest(&m.data));
-            d.lock().unwrap().entry(m.stream).or_default().push(rec);
+            d.borrow_mut().entry(m.stream).or_default().push(rec);
         }).await;
     });
 
     let out = rt.run();
     assert!(!out.hit_deadline, "{what}: deadline passed with a process still blocked");
     MixedRun {
-        delivered: Arc::try_unwrap(delivered).unwrap().into_inner().unwrap(),
+        delivered: Rc::try_unwrap(delivered).unwrap().into_inner(),
         events: out.events,
         sim_ns: out.sim_time.as_nanos(),
         stats: stat_vec(&out.world),
@@ -430,7 +431,7 @@ fn forward_tsn_accounting(paths: SctpCfg, blackout: bool) {
     let world = World::new(NetCfg::paper_cluster(0.02), TcpCfg::default(), cfg);
     let mut rt = Runtime::new(world, 31);
     rt.set_deadline(DEADLINE);
-    let delivered = Arc::new(Mutex::new(Vec::<u32>::new()));
+    let delivered = Rc::new(RefCell::new(Vec::<u32>::new()));
 
     rt.spawn("client", move |env: Env| async move {
         let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
@@ -482,12 +483,12 @@ fn forward_tsn_accounting(paths: SctpCfg, blackout: bool) {
             sctp::listen(w, ep);
             ep
         });
-        recv_until_sentinels(&env, ep, 4, |m| d.lock().unwrap().push(m.ppid)).await;
+        recv_until_sentinels(&env, ep, 4, |m| d.borrow_mut().push(m.ppid)).await;
     });
 
     let out = rt.run();
     assert!(!out.hit_deadline, "{what}: deadline passed with a process still blocked");
-    let got = delivered.lock().unwrap().clone();
+    let got = delivered.borrow_mut().clone();
     let stats = out
         .world
         .hosts

@@ -273,7 +273,7 @@ fn head_of_line_blocking_is_per_stream_only() {
             sctp::sendmsg(w, ctx, a, 1, 0, pattern(1000, 2)).unwrap();
         });
     });
-    let order = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let order = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let order2 = order.clone();
     rt.spawn("receiver", move |env: Env| async move {
         let ep = env.with(|w, _| {
@@ -283,11 +283,11 @@ fn head_of_line_blocking_is_per_stream_only() {
         });
         for _ in 0..2 {
             let m = recvmsg_blocking(&env, ep).await;
-            order2.lock().unwrap().push((m.stream, env.now()));
+            order2.borrow_mut().push((m.stream, env.now()));
         }
     });
     rt.run();
-    let order = order.lock().unwrap();
+    let order = order.borrow_mut();
     assert_eq!(order[0].0, 1, "stream-1 message must NOT wait for lost stream-0 message");
     assert_eq!(order[1].0, 0);
     assert!(
@@ -524,7 +524,7 @@ fn sender_blocks_on_receiver_flow_control_then_resumes() {
     // Receiver sleeps; sender pushes 2 MB through a 220 KB window pair.
     let n_msgs = 20;
     let size = 100_000;
-    let done_at = std::sync::Arc::new(std::sync::Mutex::new(SimTime::ZERO));
+    let done_at = std::rc::Rc::new(std::cell::RefCell::new(SimTime::ZERO));
     let done2 = done_at.clone();
     run_pair(
         0.0,
@@ -534,7 +534,7 @@ fn sender_blocks_on_receiver_flow_control_then_resumes() {
             for i in 0..n_msgs {
                 sendmsg_blocking(&env, a, 0, pattern(size, i as u8)).await;
             }
-            *done2.lock().unwrap() = env.now();
+            *done2.borrow_mut() = env.now();
         },
         move |env, ep, _a| async move {
             env.sleep(Dur::from_secs(3)).await;
@@ -545,7 +545,7 @@ fn sender_blocks_on_receiver_flow_control_then_resumes() {
         },
     );
     assert!(
-        *done_at.lock().unwrap() > SimTime::ZERO + Dur::from_secs(3),
+        *done_at.borrow_mut() > SimTime::ZERO + Dur::from_secs(3),
         "a_rwnd flow control failed to block the sender"
     );
 }

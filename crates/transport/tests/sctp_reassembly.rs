@@ -9,7 +9,8 @@
 //! a real DATA chunk carries, so every case also exercises the widening to
 //! the engine's 32-bit counter.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::IfAddr;
@@ -23,11 +24,11 @@ use transport::{World, Wx};
 const PORT: u16 = 4000;
 
 /// Egress sink: every packet an engine sends lands in a shared list.
-struct Capture(Arc<Mutex<Vec<Packet>>>);
+struct Capture(Rc<RefCell<Vec<Packet>>>);
 
 impl Backend for Capture {
     fn send(&mut self, _w: &mut World, _ctx: &mut Wx, pkt: Packet) {
-        self.0.lock().unwrap().push(pkt);
+        self.0.borrow_mut().push(pkt);
     }
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
@@ -53,14 +54,14 @@ struct Rig {
     server: EpId,
     /// The verification tag host 1 expects.
     vtag: u64,
-    wire: Arc<Mutex<Vec<Packet>>>,
+    wire: Rc<RefCell<Vec<Packet>>>,
 }
 
 impl Rig {
     fn new() -> Rig {
         let mut w = World::paper_cluster(0.0);
         let mut ctx: Wx = Ctx::standalone(derive_rng(7, 0));
-        let wire = Arc::new(Mutex::new(Vec::new()));
+        let wire = Rc::new(RefCell::new(Vec::new()));
         w.install_backend(Box::new(Capture(wire.clone())));
         let client = sctp::socket(&mut w, 0, PORT, false);
         let server = sctp::socket(&mut w, 1, PORT, true);
@@ -70,7 +71,7 @@ impl Rig {
         // The COOKIE-ECHO is addressed with the tag host 1 chose.
         let mut vtag = None;
         loop {
-            let Some(pkt) = wire.lock().unwrap().pop() else { break };
+            let Some(pkt) = wire.borrow_mut().pop() else { break };
             let Proto::Sctp(p) = pkt.body else { panic!("SCTP only") };
             if matches!(p.chunks[0], Chunk::CookieEcho { .. }) {
                 vtag = Some(p.vtag);
@@ -95,7 +96,7 @@ impl Rig {
         });
         let pkt = SctpPacket { src_port: PORT, dst_port: PORT, vtag: self.vtag, chunks: vec![chunk] };
         sctp::input(&mut self.w, &mut self.ctx, IfAddr::new(0, 0), IfAddr::new(1, 0), pkt);
-        self.wire.lock().unwrap().clear(); // the SACKs
+        self.wire.borrow_mut().clear(); // the SACKs
     }
 
     fn read_all(&mut self) -> Vec<RecvMsg> {

@@ -2,11 +2,10 @@
 //! independence, stats plumbing, and edge cases not covered by the big
 //! end-to-end suites.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use netsim::IfAddr;
@@ -261,11 +260,11 @@ fn security_drop_counters_are_exposed() {
 // ---------------------------------------------------------------------------
 
 /// Egress sink: every packet an engine sends lands in a shared list.
-struct Capture(Arc<Mutex<Vec<Packet>>>);
+struct Capture(Rc<RefCell<Vec<Packet>>>);
 
 impl Backend for Capture {
     fn send(&mut self, _w: &mut World, _ctx: &mut Wx, pkt: Packet) {
-        self.0.lock().unwrap().push(pkt);
+        self.0.borrow_mut().push(pkt);
     }
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
@@ -279,7 +278,7 @@ const A: usize = 0;
 const B: usize = 1;
 
 struct WakeRig {
-    wire: Arc<Mutex<Vec<Packet>>>,
+    wire: Rc<RefCell<Vec<Packet>>>,
     ep: sctp::EpId,
     /// A, then B.
     assocs: [sctp::AssocId; 2],
@@ -296,7 +295,7 @@ impl WakeRig {
         let pkt = SctpPacket { src_port: PORT, dst_port: PORT, vtag: self.tags[i], chunks: vec![chunk] };
         env.with(|w, ctx| {
             sctp::input(w, ctx, IfAddr::new(i as u16 + 1, 0), IfAddr::new(0, 0), pkt);
-            self.wire.lock().unwrap().clear(); // whatever host 0 sent in reply
+            self.wire.borrow_mut().clear(); // whatever host 0 sent in reply
         });
         env.yield_now().await;
     }
@@ -313,7 +312,7 @@ impl WakeRig {
         env.with(|w, ctx| {
             let data = Bytes::from(vec![7u8; len as usize]);
             sctp::sendmsg_pr(w, ctx, self.assocs[i], 0, 0, data, lifetime).expect("message fits");
-            self.wire.lock().unwrap().clear();
+            self.wire.borrow_mut().clear();
         });
     }
 
@@ -333,7 +332,7 @@ type Steps = for<'a> fn(&'a Env, &'a WakeRig) -> Pin<Box<dyn Future<Output = ()>
 /// Run `steps` against a freshly established [`WakeRig`] built with `cfg`.
 fn wake_rig(cfg: SctpCfg, steps: Steps) {
     let mut w = world(cfg);
-    let wire = Arc::new(Mutex::new(Vec::new()));
+    let wire = Rc::new(RefCell::new(Vec::new()));
     w.install_backend(Box::new(Capture(wire.clone())));
     let mut rt = Runtime::new(w, 9);
     let (wakes, stop) = (Rc::new(Cell::new(0u32)), Rc::new(Cell::new(false)));
@@ -359,7 +358,7 @@ fn wake_rig(cfg: SctpCfg, steps: Steps) {
             // peer writes on its packets to host 0.
             let mut tags = [0u64; 2];
             loop {
-                let Some(pkt) = wire.lock().unwrap().pop() else { break };
+                let Some(pkt) = wire.borrow_mut().pop() else { break };
                 let Proto::Sctp(p) = pkt.body else { panic!("SCTP only") };
                 if pkt.dst.host == 0 {
                     tags[pkt.src.host as usize - 1] = p.vtag;

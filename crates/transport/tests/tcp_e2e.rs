@@ -234,14 +234,14 @@ fn flow_control_blocks_sender_until_receiver_drains() {
     // the receiver drains (220 KB rcvbuf + 220 KB sndbuf << 1 MB).
     let n = 1_000_000;
     let data = pattern(n);
-    let done_at = std::sync::Arc::new(std::sync::Mutex::new(SimTime::ZERO));
+    let done_at = std::rc::Rc::new(std::cell::RefCell::new(SimTime::ZERO));
     let done2 = done_at.clone();
     let out = run_pair(
         0.0,
         7,
         move |env, s| async move {
             send_all(&env, s, data).await;
-            *done2.lock().unwrap() = env.now();
+            *done2.borrow_mut() = env.now();
         },
         move |env, s| async move {
             env.sleep(Dur::from_secs(2)).await;
@@ -249,7 +249,7 @@ fn flow_control_blocks_sender_until_receiver_drains() {
             assert_eq!(got.len(), n);
         },
     );
-    let sender_done = *done_at.lock().unwrap();
+    let sender_done = *done_at.borrow_mut();
     assert!(
         sender_done > SimTime::ZERO + Dur::from_secs(2),
         "sender finished at {sender_done} — flow control did not block it"

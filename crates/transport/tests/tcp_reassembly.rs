@@ -10,7 +10,8 @@
 //! injected byte ranges, never from engine state. Every case ends with a
 //! read that must return the stream byte for byte.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::{IfAddr, NetCfg};
@@ -26,11 +27,11 @@ use transport::{World, Wx};
 const PORT: u16 = 6000;
 
 /// Egress sink: every packet an engine sends lands in a shared list.
-struct Capture(Arc<Mutex<Vec<Packet>>>);
+struct Capture(Rc<RefCell<Vec<Packet>>>);
 
 impl Backend for Capture {
     fn send(&mut self, _w: &mut World, _ctx: &mut Wx, pkt: Packet) {
-        self.0.lock().unwrap().push(pkt);
+        self.0.borrow_mut().push(pkt);
     }
     fn as_any(&mut self) -> &mut dyn std::any::Any {
         self
@@ -51,20 +52,20 @@ struct Rig {
     ctx: Wx,
     server: SockId,
     client_port: u16,
-    wire: Arc<Mutex<Vec<Packet>>>,
+    wire: Rc<RefCell<Vec<Packet>>>,
 }
 
 impl Rig {
     fn new(cfg: TcpCfg) -> Rig {
         let mut w = World::new(NetCfg::paper_cluster(0.0), cfg, SctpCfg::default());
         let mut ctx: Wx = Ctx::standalone(derive_rng(7, 0));
-        let wire = Arc::new(Mutex::new(Vec::new()));
+        let wire = Rc::new(RefCell::new(Vec::new()));
         w.install_backend(Box::new(Capture(wire.clone())));
         tcp::listen(&mut w, 1, PORT);
         tcp::connect(&mut w, &mut ctx, 0, 1, PORT);
         // Shuttle SYN, SYN|ACK and the final ACK across by hand.
         loop {
-            let Some(pkt) = wire.lock().unwrap().pop() else { break };
+            let Some(pkt) = wire.borrow_mut().pop() else { break };
             ip::deliver_now(&mut w, &mut ctx, pkt);
         }
         let server = tcp::accept(&mut w, 1, PORT).expect("handshake completed");
@@ -95,7 +96,7 @@ impl Rig {
 
     /// Drain the capture: every reply must be a pure ACK.
     fn replies(&mut self) -> Vec<Ack> {
-        let sent = std::mem::take(&mut *self.wire.lock().unwrap());
+        let sent = std::mem::take(&mut *self.wire.borrow_mut());
         sent.into_iter()
             .map(|pkt| match pkt.body {
                 Proto::Tcp(s) => {
@@ -118,7 +119,7 @@ impl Rig {
     /// Read everything readable, then drop any window-update ACK.
     fn read_all(&mut self) -> Bytes {
         let got = concat(&tcp::recv(&mut self.w, &mut self.ctx, self.server, usize::MAX));
-        self.wire.lock().unwrap().clear();
+        self.wire.borrow_mut().clear();
         got
     }
 }

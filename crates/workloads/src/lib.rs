@@ -16,6 +16,8 @@
 //! [`mpi_core::Mpi`], runnable under [`mpi_core::mpirun`] on either
 //! transport; those two drive the raw `transport` socket API.
 
+#![forbid(unsafe_code)]
+
 pub mod farm;
 pub mod media;
 pub mod mixed;

@@ -99,8 +99,8 @@ const PORT: u16 = 5_004;
 
 /// Run the media source host 0 → host 1 and collect delivery metrics.
 pub fn run(cfg: MediaCfg) -> MediaResult {
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     let mut sctp_cfg = SctpCfg {
         pr_sctp: true,
@@ -116,11 +116,11 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
     let world = World::new(NetCfg::paper_cluster(cfg.loss), TcpCfg::default(), sctp_cfg);
     let mut rt = Runtime::new(world, cfg.seed);
 
-    let sent = Arc::new(AtomicU32::new(0));
-    let skipped = Arc::new(AtomicU32::new(0));
-    let delivered = Arc::new(AtomicU32::new(0));
-    let max_stale = Arc::new(AtomicU64::new(0));
-    let sum_stale = Arc::new(AtomicU64::new(0));
+    let sent = Rc::new(Cell::new(0u32));
+    let skipped = Rc::new(Cell::new(0u32));
+    let delivered = Rc::new(Cell::new(0u32));
+    let max_stale = Rc::new(Cell::new(0u64));
+    let sum_stale = Rc::new(Cell::new(0u64));
 
     let (s_sent, s_skip) = (sent.clone(), skipped.clone());
     rt.spawn("source", move |env: Env| async move {
@@ -149,12 +149,12 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
             let r = env.with(|w, ctx| sctp::sendmsg_pr(w, ctx, a, 0, i, frame, cfg.lifetime));
             match r {
                 Ok(()) => {
-                    s_sent.fetch_add(1, Ordering::Relaxed);
+                    s_sent.set(s_sent.get() + 1);
                 }
                 // Encoder semantics: a full buffer drops the frame at the
                 // source rather than stalling the capture pipeline.
                 Err(sctp::SendErr::WouldBlock) => {
-                    s_skip.fetch_add(1, Ordering::Relaxed);
+                    s_skip.set(s_skip.get() + 1);
                 }
                 Err(e) => panic!("sendmsg_pr failed: {e:?}"),
             }
@@ -196,22 +196,21 @@ pub fn run(cfg: MediaCfg) -> MediaResult {
             }
             let due_ns = interval_ns * m.ppid as u64;
             let stale = env.with(|_, ctx| ctx.now().as_nanos()).saturating_sub(due_ns);
-            r_del.fetch_add(1, Ordering::Relaxed);
-            r_max.fetch_max(stale, Ordering::Relaxed);
-            r_sum.fetch_add(stale, Ordering::Relaxed);
+            r_del.set(r_del.get() + 1);
+            r_max.set(r_max.get().max(stale));
+            r_sum.set(r_sum.get() + stale);
         }
     });
 
     let out = rt.run();
     let report = mpi_core::MpiReport::collect(&out);
-    let n_del = delivered.load(std::sync::atomic::Ordering::Relaxed);
+    let n_del = delivered.get();
     MediaResult {
-        frames_sent: sent.load(std::sync::atomic::Ordering::Relaxed),
-        frames_skipped: skipped.load(std::sync::atomic::Ordering::Relaxed),
+        frames_sent: sent.get(),
+        frames_skipped: skipped.get(),
         frames_delivered: n_del,
-        max_staleness_ns: max_stale.load(std::sync::atomic::Ordering::Relaxed),
-        mean_staleness_ns: sum_stale.load(std::sync::atomic::Ordering::Relaxed)
-            / n_del.max(1) as u64,
+        max_staleness_ns: max_stale.get(),
+        mean_staleness_ns: sum_stale.get() / n_del.max(1) as u64,
         secs: report.secs(),
         events: report.events,
         sched: report.sched,
