@@ -180,8 +180,10 @@ impl CellResult for crate::live::LiveCell {
             [
                 ("tx_frames", &u.tx_frames),
                 ("tx_calls", &u.tx_calls),
+                ("tx_copied", &u.tx_copied),
                 ("rx_frames", &u.rx_frames),
                 ("rx_calls", &u.rx_calls),
+                ("rx_copied", &u.rx_copied),
                 ("rx_errors", &u.rx_errors),
                 ("rx_bad_crc", &u.rx_bad_crc),
                 ("rx_bad_frame", &u.rx_bad_frame),

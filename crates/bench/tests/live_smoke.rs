@@ -98,3 +98,30 @@ fn live_frames_flow_through_the_pcapng_sink() {
     assert!(pcap.len() > 1024, "pcapng capture looks empty: {} bytes", pcap.len());
     assert!(!dump.write_jsonl().is_empty());
 }
+
+#[test]
+fn payload_copies_are_counted_each_way() {
+    // Egress copies every payload byte once, into the arena it sends from.
+    // Ingress decodes a train of half its 64 KiB receive buffer or more
+    // where the kernel wrote it and copies out only shorter trains: at
+    // 1 KiB every frame, at 128 KiB the runs under 32 KiB (about half the
+    // bytes of a 20-round-trip cell, while the windows open) but not the
+    // rest.
+    const ITERS: u64 = 20;
+    for size in [128 * 1024, 1024] {
+        for (name, c) in [
+            ("sctp", live::sctp_cell(size, ITERS as u32, 0xC097, None)),
+            ("tcp", live::tcp_cell(size, ITERS as u32, 0xC097, None)),
+        ] {
+            let u = c.udp;
+            assert_eq!(u.rx_bad_crc + u.rx_bad_frame + u.tx_errors, 0, "{name} {size} B");
+            // Both directions, plus whatever was retransmitted.
+            assert!(u.tx_copied >= 2 * ITERS * size as u64, "{name} {size} B: {u:?}");
+            if size >= 64 * 1024 {
+                assert!(u.rx_copied < u.rx_bytes, "{name} {size} B: no train decoded in place: {u:?}");
+            } else {
+                assert_eq!(u.rx_copied, u.rx_bytes, "{name} {size} B: every short train is copied: {u:?}");
+            }
+        }
+    }
+}

@@ -13,11 +13,11 @@
 //! * [`UdpBackend`](udp::UdpBackend) — real sockets. Egress serializes each
 //!   frame into a tx arena ([`crate::wire_bytes::encode_packet_into`]) and
 //!   writes it as one UDP datagram (RFC 6951-style encapsulation), a run of
-//!   like-sized datagrams per syscall; ingress drains the socket a train
-//!   per syscall, copies each train once into a shared buffer, verifies the
-//!   checksums of every datagram in it, and hands decoded packets — their
-//!   payloads slices of that buffer — back for dispatch into the same
-//!   unmodified engines.
+//!   like-sized datagrams per syscall; ingress reads the socket a train per
+//!   syscall, straight into the buffer the train's payloads will slice
+//!   (a short train is copied out instead), verifies the checksums of every
+//!   datagram in it, and hands decoded packets back for dispatch into the
+//!   same unmodified engines.
 //!
 //! What is shared between the two backends: the protocol engines (CC, RTO,
 //! SACK, bundling, CMT), the event queue, the flight recorder. What is not:

@@ -9,8 +9,9 @@
 //! the real path end to end.
 //!
 //! The driver has no loss model, no latency model and no reordering — the
-//! real network supplies those. What it does own is how frames reach the
-//! socket, and it writes **trains, not frames**:
+//! real network supplies those. It writes **trains, not frames**, and user
+//! space reads each payload byte once for its checksum and copies it at
+//! most once:
 //!
 //! * **Egress** encodes each packet straight into one reusable tx arena
 //!   ([`wire_bytes::encode_packet_into`]) and notes `(len, peer)`. A flush
@@ -29,17 +30,24 @@
 //!   of DATA, and the DATA those SACKs release, therefore leave in one or
 //!   two calls. The arena also flushes itself once it holds 256 KiB.
 //! * **Ingress** enables `UDP_GRO`, so one `recvmsg` returns a whole train
-//!   and the segment size in a cmsg. The train is copied once out of the
-//!   receive scratch into one shared [`Bytes`] buffer (one allocation and
-//!   its refcount), split at that stride, and every segment goes through
+//!   and the segment size in a cmsg. The kernel writes the train straight
+//!   into a 64 KiB buffer. A train that fills at least half of it becomes
+//!   the shared [`Bytes`] its payloads slice, and a fresh, unzeroed buffer
+//!   takes its place; a smaller train is copied into a buffer of its own
+//!   size and the receive buffer is reused. Either way a payload pins at
+//!   most twice its train (see [`wire_bytes`]). The train is split at the
+//!   segment size and every segment goes through
 //!   [`wire_bytes::decode_frame`] on its own (IP length, IP checksum,
-//!   CRC32c / TCP checksum). DATA, I-DATA and TCP payloads come back as
-//!   slices of the shared buffer, and the decoder's carriers come from the
-//!   world's pool, so a train costs two allocations however many chunks it
-//!   holds. Malformed or corrupted segments are counted and dropped, never
-//!   delivered: the CRC32c gate rejects before any chunk parsing, exactly
-//!   the discard rule RFC 4960 §6.8 prescribes. A payload slice keeps its
-//!   whole train alive while the engine holds it (see [`wire_bytes`]).
+//!   CRC32c / TCP checksum); payloads come back as slices, and the
+//!   decoder's carriers come from the world's pool. Malformed or corrupted
+//!   segments are counted and dropped, never delivered: the CRC32c gate
+//!   rejects before any chunk parsing, exactly the discard rule RFC 4960
+//!   §6.8 prescribes. One poll makes at most 64 receives, so a peer that
+//!   keeps the socket busy can neither hold the node's timers off nor make
+//!   it hold trains without bound.
+//!
+//! [`UdpStats::tx_copied`] and [`UdpStats::rx_copied`] count the bytes this
+//! backend copies in user space.
 //!
 //! Where the kernel offers neither option (the probe at `bind` fails, a
 //! segmented send is refused with `EIO`/`EINVAL`, or the OS is not Linux)
@@ -67,6 +75,10 @@ use crate::{wire_bytes, World, Wx};
 /// the UDP payload limit, rounded up.
 const RECV_BUF: usize = 64 * 1024;
 
+/// Most receives one [`Backend::poll_ingress`] makes; what is left waits
+/// for the next poll.
+const MAX_RECVS_PER_POLL: usize = 64;
+
 /// Most segments the kernel accepts in one `UDP_SEGMENT` send.
 const MAX_SEGMENTS: usize = 64;
 
@@ -91,6 +103,8 @@ pub struct UdpStats {
     pub tx_bytes: u64,
     /// Send syscalls made; each carries one run of `tx_frames`.
     pub tx_calls: u64,
+    /// DATA, I-DATA and TCP payload bytes egress copied into the tx arena.
+    pub tx_copied: u64,
     /// Egress packets dropped: no route for the destination address.
     pub tx_no_route: u64,
     /// Frames not written because their send failed (including `WouldBlock`
@@ -104,6 +118,10 @@ pub struct UdpStats {
     pub rx_bytes: u64,
     /// Receive syscalls made, the `WouldBlock` that ends each drain included.
     pub rx_calls: u64,
+    /// Received bytes ingress copied out of the receive buffer: whole
+    /// trains under half of it. Larger trains are decoded where the kernel
+    /// put them.
+    pub rx_copied: u64,
     /// Receive errors other than `WouldBlock` (e.g. `ECONNREFUSED` relayed
     /// from a vanished peer); the drain continues past them.
     pub rx_errors: u64,
@@ -122,11 +140,13 @@ impl AddAssign for UdpStats {
             tx_frames,
             tx_bytes,
             tx_calls,
+            tx_copied,
             tx_no_route,
             tx_errors,
             rx_frames,
             rx_bytes,
             rx_calls,
+            rx_copied,
             rx_errors,
             rx_bad_crc,
             rx_bad_frame,
@@ -134,11 +154,13 @@ impl AddAssign for UdpStats {
         self.tx_frames += tx_frames;
         self.tx_bytes += tx_bytes;
         self.tx_calls += tx_calls;
+        self.tx_copied += tx_copied;
         self.tx_no_route += tx_no_route;
         self.tx_errors += tx_errors;
         self.rx_frames += rx_frames;
         self.rx_bytes += rx_bytes;
         self.rx_calls += rx_calls;
+        self.rx_copied += rx_copied;
         self.rx_errors += rx_errors;
         self.rx_bad_crc += rx_bad_crc;
         self.rx_bad_frame += rx_bad_frame;
@@ -168,20 +190,33 @@ fn next_run(frames: &[Queued], seg_limit: usize) -> (usize, usize) {
     (n, bytes)
 }
 
-/// Copy what one receive returned into one shared buffer, split it into
-/// datagrams `stride` bytes apart (the last may be shorter), decode each on
-/// its own and append the survivors to `out`; rejects are counted in
-/// `stats`. Payloads are slices of the shared buffer, so `train` may be
-/// overwritten as soon as this returns.
-fn ingest_train(
-    train: &[u8],
+/// Decode the train the kernel left in `buf`, then leave `buf` empty, with
+/// [`RECV_BUF`] capacity, for the next receive. The train is split into
+/// datagrams `stride` bytes apart (the last may be shorter), each decoded
+/// on its own, and the survivors appended to `out`; rejects are counted in
+/// `stats`.
+///
+/// A train of at least half the buffer becomes the shared buffer its
+/// payloads slice, and `buf` gets a fresh allocation (not zeroed: the
+/// kernel writes before anything reads). A smaller train is copied into a
+/// buffer of its own size and `buf` is reused, so no payload pins more than
+/// twice its train.
+fn ingest(
+    buf: &mut Vec<u8>,
     stride: usize,
     ctx: &mut Wx,
     pool: &mut Pools,
     stats: &mut UdpStats,
     out: &mut Vec<Packet>,
 ) {
-    let train = Bytes::copy_from_slice(train);
+    let train = if buf.len() >= RECV_BUF / 2 {
+        Bytes::from(std::mem::replace(buf, Vec::with_capacity(RECV_BUF)))
+    } else {
+        stats.rx_copied += buf.len() as u64;
+        let train = Bytes::copy_from_slice(buf);
+        buf.clear();
+        train
+    };
     let stride = stride.max(1);
     let mut at = 0;
     loop {
@@ -221,8 +256,8 @@ pub struct UdpBackend {
     /// Most frames one send may carry: [`MAX_SEGMENTS`] while the kernel
     /// takes `UDP_SEGMENT`, 1 once it is known not to.
     seg_limit: usize,
-    /// Receive scratch: one train at a time, copied out before the next.
-    buf: Box<[u8; RECV_BUF]>,
+    /// Receive buffer: empty with [`RECV_BUF`] capacity between receives.
+    buf: Vec<u8>,
     /// Counters (see [`UdpStats`]).
     pub stats: UdpStats,
 }
@@ -241,7 +276,7 @@ impl UdpBackend {
             queued: Vec::new(),
             corked: false,
             seg_limit,
-            buf: Box::new([0u8; RECV_BUF]),
+            buf: Vec::with_capacity(RECV_BUF),
             stats: UdpStats::default(),
         })
     }
@@ -273,6 +308,7 @@ impl UdpBackend {
         };
         let start = self.arena.len();
         let len = wire_bytes::encode_packet_into(pkt, ctx.now().as_nanos(), &mut self.arena);
+        self.stats.tx_copied += payload_len(pkt) as u64;
         // Flight-recorder parity with the sim path: the frame is captured
         // as offered.
         ip::trace_wire(ctx, pkt, &self.arena[start..]);
@@ -307,6 +343,22 @@ impl UdpBackend {
         }
         self.queued.clear();
         self.arena.clear();
+    }
+}
+
+/// DATA, I-DATA and TCP payload bytes in `pkt`.
+fn payload_len(pkt: &Packet) -> usize {
+    match &pkt.body {
+        Proto::Tcp(seg) => seg.payload_len as usize,
+        Proto::Sctp(p) => p
+            .chunks
+            .iter()
+            .map(|c| match c {
+                Chunk::Data(d) => d.data.len(),
+                Chunk::IData(d) => d.data.len(),
+                _ => 0,
+            })
+            .sum(),
     }
 }
 
@@ -352,10 +404,10 @@ impl Backend for UdpBackend {
 
     fn poll_ingress(&mut self, ctx: &mut Wx, pool: &mut Pools) -> Vec<Packet> {
         let mut out = pool.take_packet_vec();
-        loop {
+        for _ in 0..MAX_RECVS_PER_POLL {
             self.stats.rx_calls += 1;
-            match sys::recv_train(&self.sock, &mut self.buf[..]) {
-                Ok((n, stride)) => ingest_train(&self.buf[..n], stride, ctx, pool, &mut self.stats, &mut out),
+            match sys::recv_into(&self.sock, &mut self.buf) {
+                Ok(stride) => ingest(&mut self.buf, stride, ctx, pool, &mut self.stats, &mut out),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => self.stats.rx_errors += 1,
             }
@@ -379,7 +431,7 @@ impl Backend for UdpBackend {
 /// hand (std already links libc): `sendmsg` with a `UDP_SEGMENT` cmsg,
 /// `recvmsg` with a `UDP_GRO` cmsg, and the `setsockopt` that enables the
 /// latter. The only `unsafe` in the backend lives here, behind safe
-/// functions over slices the caller owns for the duration of the call.
+/// functions over buffers the caller owns for the duration of the call.
 #[cfg(target_os = "linux")]
 mod sys {
     use std::ffi::{c_int, c_void};
@@ -494,11 +546,14 @@ mod sys {
         Ok(())
     }
 
-    /// Receive into `buf`. Returns the bytes received and the distance
-    /// between the datagrams in them (`UDP_GRO`), which is the whole length
-    /// when the kernel delivered a single datagram.
-    pub fn recv_train(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, usize)> {
-        let mut iov = IoVec { base: buf.as_mut_ptr().cast(), len: buf.len() };
+    /// Receive into the spare capacity of `buf`, which must be empty, and
+    /// set its length to the bytes received. Returns the distance between
+    /// the datagrams in them (`UDP_GRO`), which is the whole length when
+    /// the kernel delivered a single datagram.
+    pub fn recv_into(sock: &UdpSocket, buf: &mut Vec<u8>) -> io::Result<usize> {
+        assert!(buf.is_empty(), "a receive overwrites the whole buffer");
+        let spare = buf.spare_capacity_mut();
+        let mut iov = IoVec { base: spare.as_mut_ptr().cast(), len: spare.len() };
         let mut ctl = Cmsg { hdr: CmsgHdr { len: 0, level: 0, ty: 0 }, data: [0; 8] };
         let mut msg = MsgHdr {
             name: ptr::null_mut(),
@@ -510,18 +565,22 @@ mod sys {
             flags: 0,
         };
         // SAFETY: `msg` points at `iov` and `ctl`, locals that outlive the
-        // call; `iov` covers exactly `buf`, borrowed mutably for the call;
-        // `controllen` is the size of `ctl`, so the kernel writes inside both.
+        // call; `iov` covers exactly the spare capacity of `buf`, borrowed
+        // mutably for the call; `controllen` is the size of `ctl`, so the
+        // kernel writes inside both.
         let rc = unsafe { recvmsg(sock.as_raw_fd(), &mut msg, 0) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
         let n = rc as usize;
+        // SAFETY: the kernel initialised the first `n` bytes of the spare
+        // capacity (`n` never exceeds `iov.len`), and `buf` was empty.
+        unsafe { buf.set_len(n) };
         let gro = msg.controllen >= size_of::<CmsgHdr>() + size_of::<c_int>()
             && ctl.hdr.level == SOL_UDP
             && ctl.hdr.ty == UDP_GRO;
         let stride = if gro { c_int::from_ne_bytes([ctl.data[0], ctl.data[1], ctl.data[2], ctl.data[3]]) } else { 0 };
-        Ok((n, if stride > 0 { stride as usize } else { n }))
+        Ok(if stride > 0 { stride as usize } else { n })
     }
 }
 
@@ -540,8 +599,11 @@ mod sys {
         sock.send_to(bytes, to).map(|_| ())
     }
 
-    pub fn recv_train(sock: &UdpSocket, buf: &mut [u8]) -> io::Result<(usize, usize)> {
-        sock.recv_from(buf).map(|(n, _)| (n, n))
+    pub fn recv_into(sock: &UdpSocket, buf: &mut Vec<u8>) -> io::Result<usize> {
+        buf.resize(buf.capacity(), 0);
+        let got = sock.recv_from(buf).map(|(n, _)| n);
+        buf.truncate(*got.as_ref().unwrap_or(&0));
+        got
     }
 }
 
@@ -609,6 +671,13 @@ mod tests {
         }
     }
 
+    /// The receive buffer as `recv_into` leaves it holding `train`.
+    fn received(train: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(RECV_BUF);
+        buf.extend_from_slice(train);
+        buf
+    }
+
     fn tsn_of(pkt: &Packet) -> u64 {
         let Proto::Sctp(p) = &pkt.body else { panic!("SCTP expected") };
         let Chunk::Data(d) = &p.chunks[0] else { panic!("DATA expected") };
@@ -630,7 +699,7 @@ mod tests {
         let mut ctx = Wx::standalone(derive_rng(1, 0));
         let mut pool = Pools::default();
         let (mut stats, mut out) = (UdpStats::default(), Vec::new());
-        ingest_train(&train, stride, &mut ctx, &mut pool, &mut stats, &mut out);
+        ingest(&mut received(&train), stride, &mut ctx, &mut pool, &mut stats, &mut out);
         assert_eq!(out.iter().map(tsn_of).collect::<Vec<_>>(), [1, 3, 4], "neighbours of the bad segment survive");
         assert_eq!((stats.rx_bad_crc, stats.rx_bad_frame), (1, 0));
         assert_eq!(stats.rx_frames, 3);
@@ -638,10 +707,10 @@ mod tests {
 
         // No cmsg: the stride is the whole length and the buffer one datagram.
         let (mut stats, mut out) = (UdpStats::default(), Vec::new());
-        ingest_train(&train[..stride], stride, &mut ctx, &mut pool, &mut stats, &mut out);
+        ingest(&mut received(&train[..stride]), stride, &mut ctx, &mut pool, &mut stats, &mut out);
         assert_eq!((out.len(), stats.rx_frames), (1, 1));
         // An empty datagram is a malformed frame, not nothing.
-        ingest_train(&[], 0, &mut ctx, &mut pool, &mut stats, &mut out);
+        ingest(&mut received(&[]), 0, &mut ctx, &mut pool, &mut stats, &mut out);
         assert_eq!(stats.rx_bad_frame, 1);
     }
 
@@ -738,52 +807,106 @@ mod tests {
         out
     }
 
+    /// [`mixed_train`]s of `seeds` back to back, and where each payload
+    /// sits in the whole.
+    fn mixed_trains(seeds: std::ops::Range<u8>) -> (Vec<u8>, Vec<(usize, Vec<u8>)>) {
+        let (mut train, mut want) = (Vec::new(), Vec::new());
+        for seed in seeds {
+            let (t, w) = mixed_train(seed);
+            want.extend(w.into_iter().map(|(off, b)| (train.len() + off, b)));
+            train.extend_from_slice(&t);
+        }
+        (train, want)
+    }
+
+    /// Ingest `train` from a receive buffer; return the decoded packets, the
+    /// counters and the buffer as ingest leaves it, and where the buffer
+    /// was before.
+    fn ingest_one(train: &[u8]) -> (Vec<Packet>, UdpStats, Vec<u8>, usize) {
+        let mut buf = received(train);
+        let at = buf.as_ptr() as usize;
+        let mut ctx = Wx::standalone(derive_rng(3, 0));
+        let (mut stats, mut out) = (UdpStats::default(), Vec::new());
+        ingest(&mut buf, STRIDE, &mut ctx, &mut Pools::default(), &mut stats, &mut out);
+        assert_eq!((stats.rx_frames as usize, stats.rx_bad_crc + stats.rx_bad_frame), (train.len() / STRIDE, 0));
+        assert!(buf.is_empty() && buf.capacity() >= RECV_BUF, "the buffer is ready for the next receive");
+        (out, stats, buf, at)
+    }
+
+    /// Check every payload of `pkts` against `want` and return the address
+    /// of the buffer they all slice.
+    fn payload_base(pkts: &[Packet], want: &[(usize, Vec<u8>)]) -> usize {
+        let got = payloads_of(pkts);
+        assert_eq!(got.len(), want.len());
+        let base = got[0].as_ptr() as usize - want[0].0;
+        for (g, (off, bytes)) in got.iter().zip(want) {
+            assert_eq!(&g[..], &bytes[..]);
+            assert_eq!(g.as_ptr() as usize, base + off, "payload at offset {off} is not a slice of one buffer");
+        }
+        base
+    }
+
     #[test]
     fn ingress_payloads_alias_one_shared_copy_of_the_train() {
+        // A train under half the buffer is copied out once; the receive
+        // buffer is kept for the next train.
         let (train, want) = mixed_train(0);
-        // The backend's receive scratch, as `recv_train` leaves it.
-        let mut scratch = vec![0u8; RECV_BUF];
-        scratch[..train.len()].copy_from_slice(&train);
-        let mut ctx = Wx::standalone(derive_rng(3, 0));
-        let mut pool = Pools::default();
-        let (mut stats, mut out) = (UdpStats::default(), Vec::new());
-        ingest_train(&scratch[..train.len()], STRIDE, &mut ctx, &mut pool, &mut stats, &mut out);
-        assert_eq!((stats.rx_frames, stats.rx_bad_crc + stats.rx_bad_frame), (3, 0));
+        assert!(train.len() < RECV_BUF / 2);
+        let (out, stats, buf, at) = ingest_one(&train);
+        let base = payload_base(&out, &want);
+        assert!(base + train.len() <= at || base >= at + RECV_BUF, "payloads alias the receive buffer");
+        assert_eq!(buf.as_ptr() as usize, at, "the receive buffer is reused");
+        assert_eq!(stats.rx_copied as usize, train.len());
+    }
 
-        let got = payloads_of(&out);
-        assert_eq!(got.len(), want.len());
-        // Every payload sits at its frame offset from one common base: they
-        // are slices of one buffer holding the whole train, and that buffer
-        // is a copy, not the scratch.
-        let base = got[0].as_ptr() as usize - want[0].0;
-        for (g, (off, bytes)) in got.iter().zip(&want) {
-            assert_eq!(&g[..], &bytes[..]);
-            assert_eq!(g.as_ptr() as usize, base + off, "payload at offset {off} is not a slice of the train copy");
-        }
-        let scratch_at = scratch.as_ptr() as usize;
-        assert!(base + train.len() <= scratch_at || base >= scratch_at + scratch.len(), "payloads alias the scratch");
+    #[test]
+    fn ingress_decodes_a_train_of_half_the_buffer_in_place() {
+        // From half the buffer on, the kernel's bytes are the payloads' own:
+        // no copy, and the receive buffer is replaced.
+        let (train, want) = mixed_trains(0..31);
+        assert!(train.len() >= RECV_BUF / 2);
+        let (out, stats, buf, at) = ingest_one(&train);
+        assert_eq!(payload_base(&out, &want), at, "payloads are slices of the receive buffer");
+        assert_ne!(buf.as_ptr() as usize, at, "a pinned buffer is not received into again");
+        assert_eq!(stats.rx_copied, 0);
     }
 
     #[test]
     fn ingress_payloads_survive_the_next_receive_into_the_scratch() {
-        let (first, want) = mixed_train(0);
-        let (second, _) = mixed_train(0x5A);
-        assert_ne!(first, second);
-        let mut scratch = vec![0u8; RECV_BUF];
-        let mut ctx = Wx::standalone(derive_rng(4, 0));
-        let mut pool = Pools::default();
-        let (mut stats, mut kept, mut next) = (UdpStats::default(), Vec::new(), Vec::new());
-        scratch[..first.len()].copy_from_slice(&first);
-        ingest_train(&scratch[..first.len()], STRIDE, &mut ctx, &mut pool, &mut stats, &mut kept);
-        scratch[..second.len()].copy_from_slice(&second);
-        ingest_train(&scratch[..second.len()], STRIDE, &mut ctx, &mut pool, &mut stats, &mut next);
-        assert_eq!((kept.len(), next.len()), (3, 3));
-        let got = payloads_of(&kept);
-        assert_eq!(got.len(), want.len());
-        for (g, (_, bytes)) in got.iter().zip(&want) {
-            assert_eq!(&g[..], &bytes[..], "a payload changed when the scratch was reused");
+        // Below half the buffer (copied out) and above it (handed over):
+        // the next receive must not touch the payloads already delivered.
+        for trains in [1, 31] {
+            let (first, want) = mixed_trains(0..trains);
+            let (second, _) = mixed_trains(100..100 + trains);
+            assert_ne!(first, second);
+            let mut buf = Vec::with_capacity(RECV_BUF);
+            let mut ctx = Wx::standalone(derive_rng(4, 0));
+            let mut pool = Pools::default();
+            let (mut stats, mut kept, mut next) = (UdpStats::default(), Vec::new(), Vec::new());
+            buf.extend_from_slice(&first);
+            ingest(&mut buf, STRIDE, &mut ctx, &mut pool, &mut stats, &mut kept);
+            buf.extend_from_slice(&second);
+            ingest(&mut buf, STRIDE, &mut ctx, &mut pool, &mut stats, &mut next);
+            assert_eq!(kept.len(), next.len());
+            let got = payloads_of(&kept);
+            assert_eq!(got.len(), want.len());
+            for (g, (_, bytes)) in got.iter().zip(&want) {
+                assert_eq!(&g[..], &bytes[..], "a payload changed when the buffer was received into again");
+            }
+            assert_ne!(payloads_of(&next), got);
         }
-        assert_ne!(payloads_of(&next), got);
+    }
+
+    /// Every frame `rx` receives until a poll comes back empty, re-encoded.
+    fn drain(rx: &mut UdpBackend, ctx: &mut Wx, pool: &mut Pools) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        loop {
+            let pkts = rx.poll_ingress(ctx, pool);
+            if pkts.is_empty() {
+                return got;
+            }
+            got.extend(pkts.iter().map(|p| wire_bytes::encode_packet(p, 0)));
+        }
     }
 
     /// 100 frames of mixed sizes to two peers, sent inside one corked batch,
@@ -818,6 +941,8 @@ mod tests {
             tx.send(&mut w, &mut ctx, pkt);
         }
         assert_eq!(tx.stats.tx_calls, 0, "a corked backend holds its frames");
+        // Every payload byte was copied into the arena once.
+        assert_eq!(tx.stats.tx_copied, 10 * (16 + 333) + 80 * 1400);
         tx.flush();
         assert_eq!((tx.stats.tx_frames, tx.stats.tx_errors), (100, 0));
         if batching {
@@ -827,13 +952,15 @@ mod tests {
         }
 
         for (rx, sent) in rx.iter_mut().zip(&sent) {
-            let got = rx.poll_ingress(&mut ctx, &mut w.pool);
-            let got: Vec<Vec<u8>> = got.iter().map(|p| wire_bytes::encode_packet(p, 0)).collect();
+            let got = drain(rx, &mut ctx, &mut w.pool);
             assert_eq!(&got, sent, "frames reordered, lost or altered");
             assert_eq!(rx.stats.rx_bad_crc + rx.stats.rx_bad_frame + rx.stats.rx_errors, 0);
             if batching {
                 assert!(rx.stats.rx_calls < rx.stats.rx_frames, "{:?}", rx.stats);
             }
+            // Runs of at most nine frames: every train is under half the
+            // receive buffer, so every byte was copied out.
+            assert_eq!(rx.stats.rx_copied, rx.stats.rx_bytes, "{:?}", rx.stats);
         }
 
         // Outside a batch a send is written before it returns.
@@ -853,5 +980,30 @@ mod tests {
     #[ignore = "opens loopback sockets; CI's live-smoke job runs it"]
     fn udp_loopback_segment_limit_one_sends_frame_by_frame() {
         corked_batch_arrives_intact(true);
+    }
+
+    #[test]
+    #[ignore = "opens loopback sockets; CI's live-smoke job runs it"]
+    fn udp_loopback_poll_is_capped_and_the_rest_waits_in_order() {
+        // Datagrams of rising length, so no receive can coalesce two: each
+        // is one receive, and the first poll stops at the cap.
+        let lo = peer(0);
+        let (mut tx, mut rx) = (UdpBackend::bind(lo).expect("bind"), UdpBackend::bind(lo).expect("bind"));
+        tx.add_peer(IfAddr::new(1, 0), rx.local_addr().unwrap());
+        let mut w = World::new(NetCfg::paper_cluster(0.0), Default::default(), Default::default());
+        let mut ctx = Wx::standalone(derive_rng(5, 0));
+        let total = MAX_RECVS_PER_POLL + 20;
+        let mut sent = Vec::new();
+        for i in 0..total {
+            let pkt = data_packet(i as u64, 16 + i);
+            sent.push(wire_bytes::encode_packet(&pkt, 0));
+            tx.send(&mut w, &mut ctx, pkt);
+        }
+        assert_eq!((tx.stats.tx_frames, tx.stats.tx_errors), (total as u64, 0));
+        let first = rx.poll_ingress(&mut ctx, &mut w.pool);
+        assert_eq!((first.len(), rx.stats.rx_calls), (MAX_RECVS_PER_POLL, MAX_RECVS_PER_POLL as u64));
+        let mut got: Vec<Vec<u8>> = first.iter().map(|p| wire_bytes::encode_packet(p, 0)).collect();
+        got.extend(drain(&mut rx, &mut ctx, &mut w.pool));
+        assert_eq!(got, sent, "the rest arrives on the next poll, in order and intact");
     }
 }

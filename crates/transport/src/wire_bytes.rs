@@ -32,13 +32,15 @@
 //! a shared [`Bytes`] buffer: DATA, I-DATA and TCP payloads come back as
 //! slices of that buffer, the CRC32c is folded over the same bytes, and the
 //! chunk bundle, gap and SACK lists and TCP payload list come from the
-//! caller's [`Pools`]. The socket backend copies each receive train into one
-//! buffer and decodes every datagram in it this way; [`decode_packet`]
-//! copies a lone frame and does the same. The cost of not copying is
-//! retention: a payload slice keeps its whole buffer alive. A chunk parked
-//! out of order, or queued for a reader, pins its train (at most 64 KiB)
-//! until it is delivered and dropped, so the memory held is at most one
-//! train per chunk the receive window admits.
+//! caller's [`Pools`]. The socket backend decodes every datagram of a
+//! receive train this way, from the buffer the kernel wrote it into (or,
+//! for a train under half that buffer, from one copy of it);
+//! [`decode_packet`] copies a lone frame and does the same. The cost of not
+//! copying is retention: a payload slice keeps its whole buffer alive. A
+//! chunk parked out of order, or queued for a reader, pins its buffer (at
+//! most twice its train, at most 64 KiB) until it is delivered and dropped,
+//! so the memory held is at most one buffer per chunk the receive window
+//! admits.
 
 use std::ops::Range;
 
@@ -156,11 +158,39 @@ pub fn host_ip(host: u16, iface: u8) -> [u8; 4] {
 /// Ones-complement sum over `data` (big-endian 16-bit words, an odd last
 /// byte padded with zero) plus `init`, folded to 16 bits.
 ///
+/// Inputs of [`WIDE_SUM_MIN`] bytes or more run [`sum_words`] compiled for
+/// AVX-512 where the machine has it; shorter ones (IP headers, ACKs) run
+/// the baseline build, which is faster below that size.
+fn ones_complement_sum(data: &[u8], init: u32) -> u16 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if data.len() >= WIDE_SUM_MIN && has!("avx512f") && has!("avx512bw") {
+            // SAFETY: both target features of `sum_words_wide` were detected.
+            return unsafe { sum_words_wide(data, init) };
+        }
+    }
+    sum_words(data, init)
+}
+
+/// Shortest input that takes the AVX-512 build of [`sum_words`].
+#[cfg(target_arch = "x86_64")]
+const WIDE_SUM_MIN: usize = 256;
+
+/// [`sum_words`] compiled with AVX-512 enabled: the same arithmetic, in
+/// 512-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn sum_words_wide(data: &[u8], init: u32) -> u16 {
+    sum_words(data, init)
+}
+
 /// Computed a word at a time: native-endian `u32` words summed into a
 /// `u64`, folded, then byte-swapped once into big-endian order. RFC 1071
 /// §2(B): the ones-complement sum is byte-order independent up to that one
 /// swap, and `2^16 ≡ 1` makes a `u32` word count as its two halves.
-fn ones_complement_sum(data: &[u8], init: u32) -> u16 {
+#[inline(always)]
+fn sum_words(data: &[u8], init: u32) -> u16 {
     let mut words = data.chunks_exact(4);
     let mut sum: u64 = (&mut words).map(|w| u32::from_ne_bytes([w[0], w[1], w[2], w[3]]) as u64).sum();
     let mut last = [0u8; 4];
@@ -967,6 +997,19 @@ mod tests {
         assert_eq!(ones_complement_sum(&[0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7], 0), 0xddf2);
     }
 
+    /// Both builds of the word-wide sum this machine runs, and the
+    /// dispatcher over them.
+    fn sum_forms() -> Vec<(&'static str, fn(&[u8], u32) -> u16)> {
+        let mut v: Vec<(&'static str, fn(&[u8], u32) -> u16)> =
+            vec![("baseline", |d, i| sum_words(d, i)), ("dispatched", ones_complement_sum)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512bw") {
+            // SAFETY: both of its target features were detected just above.
+            v.push(("avx-512", |d, i| unsafe { sum_words_wide(d, i) }));
+        }
+        v
+    }
+
     #[test]
     fn word_wide_sum_matches_the_u16_loop() {
         let mut x: u32 = 0x9E37_79B9;
@@ -984,11 +1027,10 @@ mod tests {
                 for len in 0..=1600 {
                     let data = &backing[align..align + len];
                     for init in [0, 0xFFFF, 0x2_FFFD] {
-                        assert_eq!(
-                            ones_complement_sum(data, init),
-                            ones_complement_sum_by_u16(data, init),
-                            "align={align} len={len} init={init:#x}"
-                        );
+                        let want = ones_complement_sum_by_u16(data, init);
+                        for (form, sum) in sum_forms() {
+                            assert_eq!(sum(data, init), want, "{form}: align={align} len={len} init={init:#x}");
+                        }
                     }
                 }
             }
