@@ -1,9 +1,9 @@
 //! Counting global allocator: makes heap traffic a first-class meter.
 //!
-//! The whole harness (every figure binary, test, and Criterion bench in
-//! this crate) runs under [`CountingAlloc`], a thin wrapper around the
-//! system allocator. When metering is **off** (the default) the only cost
-//! is one relaxed atomic load per allocation; when **on** (`ALLOC_METER=1`,
+//! The whole harness (every figure binary and test in this crate) runs
+//! under [`CountingAlloc`], a thin wrapper around the system allocator.
+//! When metering is **off** (the default) the only cost is one relaxed
+//! atomic load per allocation; when **on** (`ALLOC_METER=1`,
 //! or [`enable`] from a test) every `alloc`/`alloc_zeroed`/`realloc` bumps
 //! a process-wide counter. Frees are not counted: the meter tracks
 //! *allocator pressure*, and the pools this PR adds eliminate the malloc,

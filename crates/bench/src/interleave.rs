@@ -101,7 +101,7 @@ pub fn interleave(scale: Scale) -> FigureOutput {
                 cells.push(Cell::new(format!("mixed config={name} loss={loss} seed={s}"), move || {
                     let mut cfg = MpiCfg::sctp(8, loss).with_seed(SEED_BASE + s);
                     if let Some(k) = sched {
-                        cfg = cfg.with_interleave(true).with_scheduler(k, &[]);
+                        cfg = cfg.with_interleave(true).with_scheduler(k);
                     }
                     let r = mixed::run_traced(cfg, mixed_cfg);
                     assert_eq!(r.result.tasks_done, mixed_cfg.num_tasks, "tasks lost in {name}");
@@ -220,23 +220,25 @@ pub fn interleave(scale: Scale) -> FigureOutput {
 }
 
 /// The mixed-size farm once, flight recorder forced on, with the per-side
-/// HOL accounting and the PR-SCTP counters. The scheduler comes from the
-/// `SCTP_SCHED` env knob (`fcfs` | `rr` | `wfq` | `prio`; unknown values
-/// fall back to FCFS), so one shell loop compares all four:
+/// HOL accounting and the PR-SCTP counters. The scheduler is the third
+/// argument (`fcfs` | `rr` | `wfq` | `prio`, read by `SchedKind::parse`;
+/// unknown names fall back to FCFS and the label names the one that ran),
+/// so one shell loop compares all four:
 ///
 /// ```sh
-/// for s in fcfs rr wfq prio; do SCTP_SCHED=$s bench probe_interleave 0.01; done
+/// for s in fcfs rr wfq prio; do bench probe_interleave 0.01 500 $s; done
 /// ```
 ///
-/// `args`: `[loss] [tasks] [--nointl]`.
+/// `args`: `[loss] [tasks] [sched] [--nointl]`.
 pub fn probe_interleave(scale: Scale, args: &[String]) -> Result<FigureOutput, String> {
-    let pos = positionals(args, &["--nointl"], 2)?;
+    let pos = positionals(args, &["--nointl"], 3)?;
     let loss: f64 = arg(&pos, 0, 0.0)?;
     let tasks: u32 = arg(&pos, 1, 500)?;
+    let sched = pos.get(2).map_or(SchedKind::Fcfs, |s| SchedKind::parse(s));
     let interleave = !args.iter().any(|a| a == "--nointl");
 
-    let cfg = MpiCfg::sctp(8, loss).with_seed(7).with_interleave(interleave).with_sched_from_env();
-    let sched = cfg.sctp.sched.name();
+    let cfg = MpiCfg::sctp(8, loss).with_seed(7).with_interleave(interleave).with_scheduler(sched);
+    let sched = sched.name();
     let label = format!("loss={loss} tasks={tasks} interleave={interleave} sched={sched}");
     let cells = vec![Cell::new(label.clone(), move || {
         mixed::run_traced(cfg.clone(), MixedCfg::default_mix(tasks))

@@ -312,7 +312,7 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "pingpong_live",
-        about: "Figure 8 over real UDP loopback sockets [BACKEND=udp|sim]",
+        about: "Figure 8 over real UDP loopback sockets",
         deterministic: false,
         run: Run::Fixed(paper::pingpong_live),
     },
@@ -324,7 +324,7 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "probe_interleave",
-        about: "one mixed-size farm run, HOL accounting: [loss] [tasks] [--nointl], scheduler from SCTP_SCHED",
+        about: "one mixed-size farm run, HOL accounting: [loss] [tasks] [fcfs|rr|wfq|prio] [--nointl]",
         deterministic: true,
         run: Run::Args(interleave::probe_interleave),
     },
@@ -473,6 +473,7 @@ mod tests {
         assert!(run("probe_cmt", &["0.01", "3", "--flpa"]).is_err());
         assert!(run("probe_cmt", &["0.01", "3", "256", "1", "64", "9"]).is_err(), "a sixth positional");
         assert!(run("probe_interleave", &["0.01", "many"]).is_err());
+        assert!(run("probe_interleave", &["0.01", "10", "rr", "9"]).is_err(), "a fourth positional");
         assert!(run("fig9", &["--class", "Z"]).is_err());
         assert!(run("fig9", &["--clas", "S"]).is_err());
         let out = run("probe_cmt", &["0.01", "3"]).expect("`probe_cmt 0.01 3` still parses");
@@ -500,5 +501,53 @@ mod tests {
             }
         }
         assert!(seen >= FIGURES.len(), "the scan found only {seen} `bench <name>` mentions");
+    }
+
+    /// Every environment variable a crate reads is a row of README's
+    /// "Environment variables" table, and every row is read somewhere: a
+    /// knob nobody documents, or a documented one nothing reads, fails here.
+    #[test]
+    fn env_vars_read_are_exactly_the_readme_table() {
+        use std::collections::BTreeSet;
+        use std::path::Path;
+
+        fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).expect("readable source dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    sources(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+            let src = krate.expect("dir entry").path().join("src");
+            if src.is_dir() {
+                sources(&src, &mut files);
+            }
+        }
+        let call = "env::var(\"";
+        let mut read = BTreeSet::new();
+        for file in &files {
+            let text = std::fs::read_to_string(file).expect("readable source");
+            for (at, _) in text.match_indices(call) {
+                let rest = &text[at + call.len()..];
+                read.insert(rest[..rest.find('"').expect("closing quote")].to_string());
+            }
+        }
+
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+        let table = readme.split("## Environment variables").nth(1).expect("the README section");
+        let documented: BTreeSet<String> = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.strip_prefix("| `"))
+            .map(|l| l[..l.find(['=', '`']).expect("a closing backtick")].to_string())
+            .collect();
+        assert_eq!(read, documented, "variables read under crates/*/src vs README's table");
     }
 }

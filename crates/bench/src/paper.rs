@@ -88,16 +88,11 @@ pub fn fig8(scale: Scale) -> FigureOutput {
         .file(scale, "fig8", &table)
 }
 
-/// The Figure 8 sweep over real UDP sockets on loopback (`BACKEND=udp`, the
-/// default), or through the simulator for comparison (`BACKEND=sim`): same
-/// sizes, iteration counts, metric and report schema as [`fig8`].
+/// The Figure 8 sweep over real UDP sockets on loopback: same sizes,
+/// iteration counts, metric and report schema as [`fig8`], which is the
+/// simulated twin.
 pub fn pingpong_live(scale: Scale) -> FigureOutput {
-    let (title, tag, (points, report)) = if runner::backend_is_sim() {
-        ("Simulated ping-pong, 0% loss (SCTP normalized to TCP)", "pingpong_sim", pingpong_sweep(scale))
-    } else {
-        let title = "Live ping-pong over UDP loopback (SCTP normalized to TCP)";
-        (title, "pingpong_live", crate::live::live_fig8(scale))
-    };
+    let (points, report) = crate::live::live_fig8(scale);
     // How well the socket path batched: 1.0 is a syscall per frame.
     let batching: Vec<String> = report
         .cells
@@ -119,7 +114,8 @@ pub fn pingpong_live(scale: Scale) -> FigureOutput {
         .collect();
     let table = fig8_table(&points);
     let out = batching.iter().fold(FigureOutput::new(report), |out, line| out.line(line));
-    out.table(title, &table).file(scale, tag, &table)
+    out.table("Live ping-pong over UDP loopback (SCTP normalized to TCP)", &table)
+        .file(scale, "pingpong_live", &table)
 }
 
 // ---------------------------------------------------------------------------

@@ -366,21 +366,6 @@ pub fn sim_check() -> bool {
     std::env::var("SIM_CHECK").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Packet driver of `pingpong_live`: the `BACKEND` env override selects the
-/// simulated comparison path with `sim`; the default is the real-socket
-/// driver the entry exists to exercise.
-pub fn backend_is_sim() -> bool {
-    sim_from_env(std::env::var("BACKEND").ok().as_deref())
-}
-
-/// Parse a `BACKEND` override. Unset, empty, or unrecognized values fall
-/// back to the default (udp) rather than erroring, the same
-/// garbage-tolerant posture as `BENCH_THREADS`: an env knob must
-/// never turn a benchmark run into a parse failure.
-fn sim_from_env(var: Option<&str>) -> bool {
-    var.is_some_and(|v| v.trim().eq_ignore_ascii_case("sim"))
-}
-
 /// Panics, naming the cell, unless its reference-discipline and
 /// fast-discipline runs agree on the whole typed result once the run-cost
 /// counters are stripped: those exist precisely to differ. The `Debug`
@@ -431,7 +416,7 @@ pub fn run_cells<R: CellResult>(
             // `TRACE=1 bench fig10 --quick` run leaves one
             // `traces/<fig>_<label>.{pcapng,jsonl}` pair per cell. The
             // label is thread-local; clearing it keeps later non-cell
-            // runs (e.g. Criterion) on the seed-derived default name.
+            // runs on the seed-derived default name.
             trace::set_run_label(Some(&format!("{fig} {}", cell.label)));
             // Shadow run first so the metered (fast) run below is
             // undisturbed. The discipline flag is thread-local, so
@@ -558,14 +543,6 @@ mod tests {
         // ...and zero clamps to one sequential worker instead of a pool
         // that would never run any cell.
         assert_eq!(threads_from_env(Some("0")), Some(1));
-    }
-
-    #[test]
-    fn backend_override_parsing_defaults_to_udp_on_bad_values() {
-        for udp in [None, Some(""), Some("tcp"), Some("0"), Some("udp"), Some(" UDP ")] {
-            assert!(!sim_from_env(udp), "{udp:?}");
-        }
-        assert!(sim_from_env(Some("sim")) && sim_from_env(Some(" Sim ")));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The slab pools (`transport::pool`) exist so the steady state allocates
 //! nothing per packet: payload lists, SACK blocks, chunk bundles, the
-//! packet list of a send opportunity and wake lists are all recycled,
-//! SCTP's send window, reassembly queue and receive window are flat, TCP
+//! packet list of a send opportunity and assembled-message lists are all
+//! recycled, blocked readers and writers are woken in place, SCTP's send
+//! window, reassembly queue and receive window are flat, TCP
 //! hands in-order segments to the reader as slices of their payload, and
 //! the matcher's two queues are one `VecDeque` each. The tests run the
 //! Figure-10 farm at `--quick` scale, a 64 KiB stream and a 1 KiB ping-pong
@@ -22,7 +23,7 @@
 //!
 //! Farm: 186 615 allocations over the run's 682 026 `net.packets_offered`,
 //! 0.274 per offered packet; gate 0.287. Losing any one pool (payloads, gap
-//! lists, packet lists, wake lists) trips it, and so does TCP parking
+//! lists, packet lists) trips it, and so does TCP parking
 //! in-order segments in its out-of-order store again (0.59). Offered packets
 //! are the denominator because the protocol fixes them; the event count
 //! moves whenever no-op timer wakes are added or removed, and those
@@ -177,7 +178,7 @@ fn sctp_frame(i: u64) -> Packet {
     // IP 20 + common header 12 + SACK 20 + DATA header 16.
     let data = vec![i as u8; FRAME - 68];
     let chunks = vec![
-        Chunk::Sack { cum_tsn: 10, a_rwnd: 1 << 16, gaps: vec![(12, 14)], dup_count: 0 },
+        Chunk::Sack { cum_tsn: 10, a_rwnd: 1 << 16, gaps: vec![(12, 14)] },
         Chunk::Data(DataChunk {
             tsn: 100 + i,
             stream: 0,

@@ -90,8 +90,8 @@ fn farm_quick_stays_within_time_budget() {
     assert!(
         us_per_packet <= MAX_US_PER_PACKET,
         "performance regression: {us_per_packet:.3} µs per offered packet exceeds budget \
-         {MAX_US_PER_PACKET}. Profile with `cargo bench -p bench-harness --bench hot_paths` \
-         and check the event queue, SACK fast paths, and pool coverage first."
+         {MAX_US_PER_PACKET}. Compare the per-layer probes of `bash benchmark/run.sh` and \
+         check the event queue, SACK fast paths, and pool coverage first."
     );
 }
 
@@ -109,8 +109,8 @@ fn scalability_quick_stays_within_time_budget() {
     assert!(
         us_per_event <= MAX_US_PER_EVENT_DEEP_QUEUE,
         "performance regression: {us_per_event:.3} µs per event exceeds budget \
-         {MAX_US_PER_EVENT_DEEP_QUEUE} with a thousand timers pending. Profile with \
-         `cargo bench -p bench-harness --bench hot_paths` and check `simcore::sched` first."
+         {MAX_US_PER_EVENT_DEEP_QUEUE} with a thousand timers pending. Compare the per-layer \
+         probes of `bash benchmark/run.sh` and check `simcore::sched` first."
     );
 }
 
@@ -140,7 +140,7 @@ fn sctp_stream_64k_stays_within_time_budget() {
     assert!(
         us_per_packet <= MAX_US_PER_STREAM_PACKET,
         "performance regression: {us_per_packet:.3} µs per offered packet on a lossless 64 KiB \
-         SCTP stream exceeds budget {MAX_US_PER_STREAM_PACKET}. Profile with `cargo bench -p \
-         bench-harness --bench hot_paths` and check the per-packet send and delivery path first."
+         SCTP stream exceeds budget {MAX_US_PER_STREAM_PACKET}. Compare the per-layer probes of \
+         `bash benchmark/run.sh` and check the per-packet send and delivery path first."
     );
 }

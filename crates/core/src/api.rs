@@ -135,9 +135,10 @@ pub struct MpiProcCfg {
     pub size: u16,
     pub transport: TransportSel,
     pub cost: CostCfg,
-    pub short_limit: u32,
-    pub long_piece: u32,
 }
+
+/// Eager/rendezvous switchover: LAM's default 64 KiB.
+pub(crate) const SHORT_LIMIT: u32 = 64 * 1024;
 
 /// Transport selection for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,14 +156,13 @@ impl Mpi {
         let rank = env.id().0 as u16;
         let rpi = match cfg.transport {
             TransportSel::Tcp => Rpi::Tcp(TcpRpi::init(&env, rank, cfg.size).await),
-            TransportSel::Sctp { streams, race_fix, ctx_map } => Rpi::Sctp(
-                SctpRpi::init(&env, rank, cfg.size, streams, cfg.long_piece as usize, race_fix, ctx_map)
-                    .await,
-            ),
+            TransportSel::Sctp { streams, race_fix, ctx_map } => {
+                Rpi::Sctp(SctpRpi::init(&env, rank, cfg.size, streams, race_fix, ctx_map).await)
+            }
         };
         let mut mpi = Mpi {
             env,
-            core: Core::new(rank, cfg.size, cfg.short_limit),
+            core: Core::new(rank, cfg.size, SHORT_LIMIT),
             rpi,
             cost: cfg.cost,
             meter: CpuMeter::default(),

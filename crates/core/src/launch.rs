@@ -31,10 +31,6 @@ pub struct MpiCfg {
     pub sctp: SctpCfg,
     pub cost: CostCfg,
     pub seed: u64,
-    /// Eager/rendezvous switchover (LAM default 64 KB).
-    pub short_limit: u32,
-    /// RPI-level long-message piece size for SCTP (§3.4).
-    pub long_piece: u32,
     /// Enable the flight recorder (crates/trace) for this run. `TRACE=1`
     /// in the environment also turns it on; this flag lets tests toggle
     /// tracing in-process without env races. File sinks (traces/*.pcapng,
@@ -58,8 +54,6 @@ impl MpiCfg {
             sctp: SctpCfg::default(),
             cost: CostCfg::default(),
             seed: 1,
-            short_limit: 64 * 1024,
-            long_piece: 64 * 1024,
             trace: false,
             fault_plan: netsim::FaultPlan::default(),
         }
@@ -144,31 +138,8 @@ impl MpiCfg {
     /// Select the sender-side stream scheduler (effective only with
     /// interleaving negotiated; without I-DATA the engine forces FCFS so
     /// fragments stay TSN-contiguous for the legacy reassembler).
-    /// `weights` configures weighted-fair (stream id indexes it).
-    pub fn with_scheduler(mut self, sched: transport::sctp::SchedKind, weights: &[u32]) -> Self {
+    pub fn with_scheduler(mut self, sched: transport::sctp::SchedKind) -> Self {
         self.sctp.sched = sched;
-        self.sctp.sched_weights = weights.to_vec();
-        self
-    }
-
-    /// Offer RFC 3758 PR-SCTP and set a default per-message lifetime.
-    /// Messages older than the lifetime when (re)transmission comes due
-    /// are abandoned and skipped past with FORWARD-TSN. `None` lifetime
-    /// offers the extension but sends everything reliably unless a send
-    /// names its own lifetime.
-    pub fn with_pr_lifetime(mut self, lifetime: Option<simcore::Dur>) -> Self {
-        self.sctp.pr_sctp = true;
-        self.sctp.pr_lifetime = lifetime;
-        self
-    }
-
-    /// Apply the `SCTP_SCHED` env knob (garbage-tolerant: unknown values
-    /// fall back to FCFS). Used by bench binaries so scheduler sweeps
-    /// don't need a recompile.
-    pub fn with_sched_from_env(mut self) -> Self {
-        if let Ok(s) = std::env::var("SCTP_SCHED") {
-            self.sctp.sched = transport::sctp::SchedKind::parse(&s);
-        }
         self
     }
 
@@ -227,19 +198,7 @@ fn build(cfg: &MpiCfg) -> (Runtime<World>, Option<trace::Tracer>, MpiProcCfg) {
     }
     let mut rt = Runtime::new(world, cfg.seed);
     rt.set_tracer(tracer.clone());
-    // Debug aid: abort runaway simulations (panics with diagnostics).
-    if let Ok(s) = std::env::var("SCTP_MPI_DEADLINE_SECS") {
-        if let Ok(secs) = s.parse::<u64>() {
-            rt.set_deadline(simcore::SimTime::ZERO + simcore::Dur::from_secs(secs));
-        }
-    }
-    let proc_cfg = MpiProcCfg {
-        size: cfg.nprocs,
-        transport: cfg.transport,
-        cost: cfg.cost,
-        short_limit: cfg.short_limit,
-        long_piece: cfg.long_piece,
-    };
+    let proc_cfg = MpiProcCfg { size: cfg.nprocs, transport: cfg.transport, cost: cfg.cost };
     (rt, tracer, proc_cfg)
 }
 

@@ -508,11 +508,6 @@ impl Core {
         ReqId(idx)
     }
 
-    /// Any request still incomplete? (diagnostics)
-    pub fn pending_requests(&self) -> usize {
-        self.reqs.iter().filter(|r| !matches!(r.state, ReqState::Done | ReqState::Free)).count()
-    }
-
     // -----------------------------------------------------------------
     // Internals
     // -----------------------------------------------------------------

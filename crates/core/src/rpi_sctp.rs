@@ -31,6 +31,10 @@ use crate::matching::{trace_match, Core, CtrlOut, ReqId, Sink};
 /// SCTP RPI port.
 pub(crate) const SCTP_RPI_PORT: u16 = 5600;
 
+/// Long-message piece size (≤ SO_SNDBUF; LAM splits long bodies into
+/// 64 KiB `sendmsg` calls at the RPI level, §3.4).
+const LONG_PIECE: usize = 64 * 1024;
+
 /// How MPI contexts map onto SCTP (§2.3): either fold the context into the
 /// stream hash (the paper's shipped design), or carry the context in the
 /// packet's PPID field and hash only the tag onto the stream pool — the
@@ -83,8 +87,6 @@ pub(crate) struct SctpRpi {
     wq: Vec<Vec<VecDeque<OutMsg>>>,
     /// Inbound body state per (peer, stream).
     rd: Vec<Vec<InBody>>,
-    /// Long-message piece size (≤ SO_SNDBUF; LAM splits at the RPI level).
-    piece: usize,
     race_fix: RaceFix,
     ctx_map: ContextMap,
     /// Total queued [`OutMsg`]s, so `has_pending_writes` (checked on every
@@ -109,7 +111,6 @@ impl SctpRpi {
         me: u16,
         n: u16,
         nstreams: u16,
-        piece: usize,
         race_fix: RaceFix,
         ctx_map: ContextMap,
     ) -> SctpRpi {
@@ -158,7 +159,6 @@ impl SctpRpi {
             nstreams,
             wq,
             rd,
-            piece,
             race_fix,
             ctx_map,
             wq_total: 0,
@@ -205,7 +205,7 @@ impl SctpRpi {
         }
     }
 
-    /// Queue a long body: the RndvBody envelope, then pieces ≤ `piece`
+    /// Queue a long body: the RndvBody envelope, then pieces ≤ `LONG_PIECE`
     /// bytes, all on one stream (in-order), per §3.4.
     fn enqueue_body_send(&mut self, peer: u16, req: ReqId, env: Envelope, body: Vec<Bytes>) {
         let sid = self.stream_of(env.cxt, env.tag) as usize;
@@ -220,11 +220,11 @@ impl SctpRpi {
         for chunk in body {
             let mut off = 0;
             while off < chunk.len() {
-                let take = (self.piece - cur_len).min(chunk.len() - off);
+                let take = (LONG_PIECE - cur_len).min(chunk.len() - off);
                 cur.push(chunk.slice(off..off + take));
                 cur_len += take;
                 off += take;
-                if cur_len == self.piece {
+                if cur_len == LONG_PIECE {
                     pieces.push((std::mem::take(&mut cur), cur_len));
                     cur_len = 0;
                 }

@@ -24,5 +24,5 @@ pub mod net;
 
 pub use addr::{HostId, IfAddr};
 pub use fault::{BurstLossRule, DegradeRule, FaultPlan, FlapRule, JitterRule, Scope};
-pub use link::{DropReason, LinkCfg, LinkStats};
-pub use net::{Net, NetCfg, NetStats, Verdict};
+pub use link::{DropReason, LinkCfg, LinkStats, LINK_BPS, PROP_DELAY};
+pub use net::{Net, NetCfg, NetStats, Verdict, LOOPBACK_DELAY, SWITCH_LATENCY};

@@ -11,25 +11,23 @@
 
 use simcore::{transmission_time, Dur, SimTime};
 
+/// Line rate of every link in bits per second (paper: 1 Gb/s Ethernet).
+pub const LINK_BPS: u64 = 1_000_000_000;
+
+/// One-way propagation delay of every link.
+pub const PROP_DELAY: Dur = Dur::from_micros(20);
+
 /// Static link parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkCfg {
-    /// Line rate in bits per second (paper: 1 Gb/s).
-    pub bandwidth_bps: u64,
-    /// One-way propagation delay.
-    pub prop_delay: Dur,
     /// FIFO capacity in bytes (switch/NIC buffer).
     pub queue_cap_bytes: u64,
 }
 
 impl Default for LinkCfg {
     fn default() -> Self {
-        LinkCfg {
-            bandwidth_bps: 1_000_000_000,
-            prop_delay: Dur::from_micros(20),
-            // 256 KB per port: generous for a LAN switch of the era.
-            queue_cap_bytes: 256 * 1024,
-        }
+        // 256 KB per port: generous for a LAN switch of the era.
+        LinkCfg { queue_cap_bytes: 256 * 1024 }
     }
 }
 
@@ -82,7 +80,7 @@ pub struct LinkStats {
 /// Mutable link state.
 #[derive(Debug, Clone)]
 pub struct Link {
-    /// Static parameters (rate, delay, queue capacity).
+    /// Static parameters (queue capacity).
     pub cfg: LinkCfg,
     /// Administrative status; a down link refuses every packet.
     pub up: bool,
@@ -108,17 +106,17 @@ impl Link {
     pub fn backlog_bytes(&self, now: SimTime) -> u64 {
         let backlog = self.busy_until.since(now);
         // bytes = time * bps / 8e9 (ns)
-        (backlog.as_nanos() as u128 * self.cfg.bandwidth_bps as u128 / 8_000_000_000) as u64
+        (backlog.as_nanos() as u128 * LINK_BPS as u128 / 8_000_000_000) as u64
     }
 
     /// Offer a packet of `wire_bytes` to the link at `now`. On success,
     /// returns the instant the last bit arrives at the far end.
     pub fn transmit(&mut self, now: SimTime, wire_bytes: u32) -> Result<SimTime, LinkDrop> {
-        self.transmit_at_rate(now, wire_bytes, self.cfg.bandwidth_bps)
+        self.transmit_at_rate(now, wire_bytes, LINK_BPS)
     }
 
     /// Like [`Link::transmit`] but serializing at `bandwidth_bps` instead
-    /// of the configured line rate — the fault plane's bandwidth-degradation
+    /// of the line rate — the fault plane's bandwidth-degradation
     /// windows slow a link down without mutating its configuration. The
     /// implied queue occupancy is measured at the same effective rate, so a
     /// degraded link also tail-drops sooner.
@@ -143,7 +141,7 @@ impl Link {
         self.busy_until = depart;
         self.stats.packets += 1;
         self.stats.bytes += wire_bytes as u64;
-        Ok(depart + self.cfg.prop_delay)
+        Ok(depart + PROP_DELAY)
     }
 }
 
@@ -152,11 +150,7 @@ mod tests {
     use super::*;
 
     fn gig_link() -> Link {
-        Link::new(LinkCfg {
-            bandwidth_bps: 1_000_000_000,
-            prop_delay: Dur::from_micros(20),
-            queue_cap_bytes: 10_000,
-        })
+        Link::new(LinkCfg { queue_cap_bytes: 10_000 })
     }
 
     #[test]

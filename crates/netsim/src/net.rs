@@ -20,7 +20,7 @@ use simcore::{Dur, SimTime};
 
 use crate::addr::IfAddr;
 use crate::fault::{FaultPlan, FaultState};
-use crate::link::{DropReason, Link, LinkCfg, LinkDrop};
+use crate::link::{DropReason, Link, LinkCfg, LinkDrop, LINK_BPS};
 
 /// Network-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -31,13 +31,15 @@ pub struct NetCfg {
     pub ifaces_per_host: u8,
     /// Parameters shared by every link.
     pub link: LinkCfg,
-    /// Store-and-forward latency of the switch.
-    pub switch_latency: Dur,
     /// Dummynet pipe loss probability (applied once per packet per path).
     pub loss_prob: f64,
-    /// Loopback delivery delay for self-addressed packets.
-    pub loopback_delay: Dur,
 }
+
+/// Store-and-forward latency of the switch.
+pub const SWITCH_LATENCY: Dur = Dur::from_micros(2);
+
+/// Loopback delivery delay for self-addressed packets.
+pub const LOOPBACK_DELAY: Dur = Dur::from_micros(5);
 
 impl Default for NetCfg {
     fn default() -> Self {
@@ -45,9 +47,7 @@ impl Default for NetCfg {
             hosts: 8,
             ifaces_per_host: 3,
             link: LinkCfg::default(),
-            switch_latency: Dur::from_micros(2),
             loss_prob: 0.0,
-            loopback_delay: Dur::from_micros(5),
         }
     }
 }
@@ -193,7 +193,7 @@ impl Net {
             // Loopback: no loss, no queueing.
             self.stats.packets_delivered += 1;
             self.stats.bytes_delivered += wire_bytes as u64;
-            return Verdict::Deliver { at: now + self.cfg.loopback_delay };
+            return Verdict::Deliver { at: now + LOOPBACK_DELAY };
         }
 
         assert_eq!(
@@ -235,9 +235,9 @@ impl Net {
 
         // Fault plane, stage 2: time-windowed bandwidth degradation (no RNG).
         let bps = if faulted {
-            self.fault.degraded_bps(&self.tracer, now, src, dst, self.cfg.link.bandwidth_bps)
+            self.fault.degraded_bps(&self.tracer, now, src, dst, LINK_BPS)
         } else {
-            self.cfg.link.bandwidth_bps
+            LINK_BPS
         };
 
         // Uplink: src host -> switch.
@@ -252,7 +252,7 @@ impl Net {
         };
 
         // Downlink: switch -> dst host (store-and-forward).
-        let start = at_switch + self.cfg.switch_latency;
+        let start = at_switch + SWITCH_LATENCY;
         let down = &mut self.links[dst.host as usize][dst.iface as usize].1;
         let backlog = if self.tracer.is_some() { down.backlog_ns(start) } else { 0 };
         match down.transmit_at_rate(start, wire_bytes, bps) {

@@ -40,8 +40,8 @@ proptest! {
         if let Verdict::Deliver { at } =
             net.transmit(now, IfAddr::new(2, 1), IfAddr::new(5, 1), sz, &mut rng)
         {
-            let ser = simcore::transmission_time(sz as u64, cfg.link.bandwidth_bps);
-            let floor = ser + ser + cfg.link.prop_delay + cfg.link.prop_delay + cfg.switch_latency;
+            let ser = simcore::transmission_time(sz as u64, netsim::LINK_BPS);
+            let floor = ser + ser + netsim::PROP_DELAY + netsim::PROP_DELAY + netsim::SWITCH_LATENCY;
             prop_assert!(at.since(now) >= floor);
         }
     }
@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn stats_balance(ops in prop::collection::vec((0u16..8, 0u16..8, 40u32..1500), 0..100)) {
         let mut cfg = NetCfg::paper_cluster(0.3);
-        cfg.link = LinkCfg { queue_cap_bytes: 5_000, ..LinkCfg::default() };
+        cfg.link = LinkCfg { queue_cap_bytes: 5_000 };
         let mut net = Net::new(cfg);
         let mut rng = derive_rng(4, 4);
         for (src, dst, sz) in ops {
@@ -100,7 +100,7 @@ proptest! {
         loopback in any::<bool>(),
     ) {
         let mut cfg = NetCfg::paper_cluster(loss_pm as f64 / 1000.0);
-        cfg.link = LinkCfg { queue_cap_bytes: cap as u64, ..LinkCfg::default() };
+        cfg.link = LinkCfg { queue_cap_bytes: cap as u64 };
         let mut ref_net = Net::new(cfg);
         let mut burst_net = ref_net.clone();
         let mut ref_rng = derive_rng(7, seed);
@@ -147,7 +147,7 @@ proptest! {
     ) {
         use netsim::{BurstLossRule, DegradeRule, FaultPlan, FlapRule, JitterRule, Scope};
         let mut cfg = NetCfg::paper_cluster(loss_pm as f64 / 1000.0);
-        cfg.link = LinkCfg { queue_cap_bytes: 20_000, ..LinkCfg::default() };
+        cfg.link = LinkCfg { queue_cap_bytes: 20_000 };
         let plan = FaultPlan {
             burst_loss: vec![BurstLossRule { scope: Scope::ALL, p_gb, p_bg, loss_good: 0.0, loss_bad }],
             flaps: vec![FlapRule { scope: Scope::on_iface(0), from_ns: flap_from, until_ns: flap_from + flap_len }],

@@ -39,11 +39,11 @@ use std::rc::Rc;
 use ring::Ring;
 use series::{SeriesKey, SeriesPoint, SeriesStore};
 
-/// Default ring capacity (records) when `TRACE_CAP` is unset.
+/// Ring capacity (records) of the run recorders `mpirun` installs.
 pub const DEFAULT_CAP: usize = 1 << 20;
-/// Default per-frame snap length (bytes) when `TRACE_SNAP` is unset.
-/// Headers plus the first chunk are what the dissector and the analyzer
-/// need; full payload capture is available with `TRACE_SNAP=0`.
+/// Per-frame snap length (bytes) of those recorders. Headers plus the
+/// first chunk are what the dissector and the analyzer need;
+/// `Tracer::new(cap, 0)` captures full payloads.
 pub const DEFAULT_SNAP: usize = 192;
 
 /// Protocol discriminant kept to one byte so events stay small.
@@ -405,18 +405,15 @@ impl Tracer {
         })))
     }
 
-    /// `TRACE=1` turns the recorder on; `TRACE_CAP` / `TRACE_SNAP` tune it.
+    /// `TRACE=1` turns the recorder on.
     pub fn env_enabled() -> bool {
         std::env::var("TRACE").map(|v| v == "1").unwrap_or(false)
     }
 
+    /// A recorder of [`DEFAULT_CAP`] records and [`DEFAULT_SNAP`]-byte
+    /// frames under `TRACE=1`, else `None`.
     pub fn from_env() -> Option<Tracer> {
-        if !Self::env_enabled() {
-            return None;
-        }
-        let cap = std::env::var("TRACE_CAP").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_CAP);
-        let snap = std::env::var("TRACE_SNAP").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SNAP);
-        Some(Tracer::new(cap, snap))
+        Self::env_enabled().then(|| Tracer::new(DEFAULT_CAP, DEFAULT_SNAP))
     }
 
     /// Record the simulated topology so the pcapng sink can emit one

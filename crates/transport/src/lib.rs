@@ -3,8 +3,8 @@
 //! This crate provides the two transports the paper compares:
 //!
 //! * [`tcp`] — a 4.4BSD-lineage TCP: 3-way handshake, sliding window with
-//!   advertised-window flow control, delayed ACKs, Nagle (disabled by
-//!   default, as in the paper's LAM-TCP), NewReno congestion control with
+//!   advertised-window flow control, delayed ACKs, no Nagle (as in the
+//!   paper's LAM-TCP), NewReno congestion control with
 //!   limited SACK (≤ 3 blocks per ACK — the option-space limit the paper
 //!   cites), RFC 6298 RTO with coarse timer granularity, zero-window
 //!   persist probing, and orderly close including the half-closed state.

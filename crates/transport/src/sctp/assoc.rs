@@ -45,16 +45,12 @@ impl AssocId {
 /// SCTP configuration.
 #[derive(Debug, Clone)]
 pub struct SctpCfg {
-    /// Path MTU (IP packet size ceiling).
-    pub pmtu: u32,
     /// Send buffer: pending + outstanding user bytes per association.
     pub sndbuf: u64,
     /// Receive buffer per association (a_rwnd base).
     pub rcvbuf: u64,
     /// Outbound streams requested per association (the paper's pool of 10).
     pub out_streams: u16,
-    /// Delayed-SACK timeout (RFC: 200 ms).
-    pub sack_delay: Dur,
     /// RTO parameters.
     pub rto: RtoCfg,
     /// Consecutive timeouts before a path is marked inactive.
@@ -115,19 +111,14 @@ pub struct SctpCfg {
     /// negotiated; otherwise FCFS order is forced to keep each message's
     /// fragments TSN-contiguous for the peer's sequential reassembler).
     pub sched: SchedKind,
-    /// Per-stream weights for [`SchedKind::WeightedFair`] (stream id
-    /// indexes it; missing entries weigh 1).
-    pub sched_weights: Vec<u32>,
 }
 
 impl Default for SctpCfg {
     fn default() -> Self {
         SctpCfg {
-            pmtu: 1500,
             sndbuf: 220 * 1024,
             rcvbuf: 220 * 1024,
             out_streams: 10,
-            sack_delay: Dur::from_millis(200),
             rto: RtoCfg::kame_sctp(),
             path_max_retrans: 5,
             heartbeat_interval: Some(Dur::from_secs(30)),
@@ -143,30 +134,28 @@ impl Default for SctpCfg {
             pr_sctp: false,
             pr_lifetime: None,
             sched: SchedKind::Fcfs,
-            sched_weights: Vec::new(),
         }
     }
 }
 
+/// Path MTU (IP packet size ceiling): the paper's 1500-byte Ethernet.
+pub(crate) const PMTU: u32 = 1500;
+
+/// Chunk budget per packet: PMTU − IP(20) − common header(12).
+pub(crate) const PACKET_BUDGET: u32 = PMTU - 20 - 12;
+
+/// User data bytes that fit in one DATA chunk: the budget − DATA header(16).
+pub(crate) const MAX_CHUNK_DATA: u32 = PACKET_BUDGET - 16;
+
+/// User data bytes that fit in one I-DATA chunk: the RFC 8260 header is 4
+/// bytes longer than DATA's (MID u32 + FSN u32 replace SSN u16 + 2
+/// reserved, plus the 32-bit PPID/FSN union).
+pub(crate) const MAX_CHUNK_DATA_IDATA: u32 = PACKET_BUDGET - 20;
+
+/// Delayed-SACK timeout (RFC 4960: 200 ms).
+pub(crate) const SACK_DELAY: Dur = Dur::from_millis(200);
+
 impl SctpCfg {
-    /// User data bytes that fit in one DATA chunk:
-    /// PMTU − IP(20) − common(12) − DATA header(16).
-    pub fn max_chunk_data(&self) -> u32 {
-        self.pmtu - 20 - 12 - 16
-    }
-
-    /// User data bytes that fit in one I-DATA chunk: the RFC 8260 header
-    /// is 4 bytes longer than DATA's (MID u32 + FSN u32 replace SSN u16 +
-    /// 2 reserved, plus the 32-bit PPID/FSN union).
-    pub fn max_chunk_data_idata(&self) -> u32 {
-        self.pmtu - 20 - 12 - 20
-    }
-
-    /// Chunk budget per packet (bytes available for chunks).
-    pub fn packet_budget(&self) -> u32 {
-        self.pmtu - 20 - 12
-    }
-
     /// Extension bits this host offers in INIT / INIT-ACK.
     pub(crate) fn ext_offer(&self) -> u8 {
         (if self.interleave { EXT_INTERLEAVE } else { 0 })
@@ -330,7 +319,7 @@ impl PathState {
     pub(crate) fn new(iface: u8, cfg: &SctpCfg) -> Self {
         PathState {
             iface,
-            cwnd: INIT_CWND_MTU * cfg.pmtu as u64,
+            cwnd: INIT_CWND_MTU * PMTU as u64,
             ssthresh: u64::MAX / 2,
             partial_bytes_acked: 0,
             flight: 0,
@@ -513,7 +502,6 @@ pub(crate) struct Assoc {
     pub rcvbuf_used: u64,
     pub sack_pending_pkts: u32,
     pub sack_immediate: bool,
-    pub dup_since_sack: u32,
     /// Delayed-SACK timer, cleared by any SACK that goes out.
     pub sack_timer: Deadline,
     pub last_advertised_rwnd: u64,
@@ -576,7 +564,7 @@ impl Assoc {
             ext_flags: 0,
             per_stream_q,
             out_q,
-            sched: cfg.sched.build(cfg.out_streams, &cfg.sched_weights),
+            sched: cfg.sched.build(cfg.out_streams),
             msg_seq: 0,
             sched_scratch: Vec::new(),
             peer_cum: init_tsn.saturating_sub(1),
@@ -595,7 +583,6 @@ impl Assoc {
             rcvbuf_used: 0,
             sack_pending_pkts: 0,
             sack_immediate: false,
-            dup_since_sack: 0,
             sack_timer: Deadline::default(),
             last_advertised_rwnd: cfg.rcvbuf,
             init_retries: 0,

@@ -13,7 +13,7 @@ use crate::{Timer, World, Wx};
 
 use super::assoc::{
     Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, PendingChunk, RecvMsg, Scope,
-    SctpCfg, SentChunk, MAX_PATHS,
+    SctpCfg, SentChunk, MAX_CHUNK_DATA, MAX_CHUNK_DATA_IDATA, MAX_PATHS, PACKET_BUDGET, PMTU, SACK_DELAY,
 };
 use super::receive::{decide_sack, handle_data, handle_forward_tsn, Frag, RcvWindow};
 use super::window::{check_flight, process_sack};
@@ -395,9 +395,9 @@ fn sendmsg_impl(
         let ssn = ak.out_ssn[stream as usize];
         ak.out_ssn[stream as usize] += 1;
         let max = if cfg.interleave {
-            cfg.max_chunk_data_idata() as usize
+            MAX_CHUNK_DATA_IDATA as usize
         } else {
-            cfg.max_chunk_data() as usize
+            MAX_CHUNK_DATA as usize
         };
         if len == 0 {
             let seq = ak.msg_seq;
@@ -463,7 +463,7 @@ pub fn recvmsg(w: &mut World, ctx: &mut Wx, e: EpId) -> Option<RecvMsg> {
         ak.rcvbuf_used = ak.rcvbuf_used.saturating_sub(msg.len as u64);
         ak.last_traffic = ctx.now();
         // Window-update SACK if we were pinching the sender.
-        before < cfg.pmtu as u64 && ak.a_rwnd(cfg.rcvbuf) >= cfg.pmtu as u64
+        before < PMTU as u64 && ak.a_rwnd(cfg.rcvbuf) >= PMTU as u64
     };
     if send_update && assoc_ref(w, a).state == AssocState::Established {
         send_sack_now(w, ctx, a);
@@ -575,12 +575,10 @@ fn make_sack(
     gaps.extend(ak.rcv.gaps().take(max_gaps));
     ak.sack_pending_pkts = 0;
     ak.sack_immediate = false;
-    let dups = ak.dup_since_sack;
-    ak.dup_since_sack = 0;
     ak.sack_timer.clear();
     ak.last_advertised_rwnd = ak.a_rwnd(rcvbuf);
     ak.stats.sacks_out += 1;
-    Chunk::Sack { cum_tsn: ak.rcv.cum(), a_rwnd: ak.last_advertised_rwnd, gaps, dup_count: dups }
+    Chunk::Sack { cum_tsn: ak.rcv.cum(), a_rwnd: ak.last_advertised_rwnd, gaps }
 }
 
 pub(super) fn send_sack_now(w: &mut World, ctx: &mut Wx, a: AssocId) {
@@ -697,7 +695,7 @@ fn try_send_inner(
                 return;
             }
             vtag = ak.peer_tag;
-            let mut budget = cfg.packet_budget();
+            let mut budget = PACKET_BUDGET;
 
             // Piggyback a pending SACK on outbound data.
             let want_sack = ak.sack_immediate || ak.sack_pending_pkts > 0;
@@ -1227,7 +1225,7 @@ const ASSOC_MAX_RETRANS: u32 = 10;
 /// the whole aggregate on every single-path incident.
 pub(crate) fn on_t3(w: &mut World, ctx: &mut Wx, a: AssocId, scope: Scope) {
     let cfg = cfg_of(w, a.host);
-    let pmtu = cfg.pmtu as u64;
+    let pmtu = PMTU as u64;
     let now = ctx.now();
     let ak = assoc_mut(w, a);
     if !ak.rec_mut(scope).t3_timer.expired(ctx, Timer::T3(a, scope)) {
@@ -1372,10 +1370,9 @@ fn failover_primary(ak: &mut Assoc, now: simcore::SimTime) {
 }
 
 pub(super) fn arm_sack_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let cfg = cfg_of(w, a.host);
     let ak = assoc_mut(w, a);
     if !ak.sack_timer.is_set() {
-        ak.sack_timer.set(ctx, cfg.sack_delay, Timer::Sack(a));
+        ak.sack_timer.set(ctx, SACK_DELAY, Timer::Sack(a));
     }
 }
 

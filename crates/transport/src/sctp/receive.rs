@@ -4,7 +4,7 @@
 use crate::ranges::RangeSet;
 use crate::{World, Wx};
 
-use super::assoc::{Assoc, AssocId, AssocState, InStream, RecvMsg, SctpCfg};
+use super::assoc::{Assoc, AssocId, AssocState, InStream, RecvMsg, SctpCfg, PMTU};
 use super::engine::{arm_sack_timer, assoc_mut, assoc_pool_mut, cfg_of, ep_mut, send_sack_now};
 use super::wire::{DataChunk, IDataChunk};
 
@@ -163,7 +163,6 @@ fn rx_open(ak: &mut Assoc, now: simcore::SimTime) -> bool {
 fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
     if ak.rcv.contains(tsn) {
         ak.stats.dup_tsns_in += 1;
-        ak.dup_since_sack += 1;
         ak.sack_immediate = true;
         return false;
     }
@@ -177,7 +176,7 @@ fn admit_tsn(ak: &mut Assoc, cfg: &SctpCfg, tsn: u64, len: u64) -> bool {
     // advertised window is (or looks) closed; dropping it would turn
     // every stale-window episode into an RTO ladder. KAME applies the
     // same slop.
-    let cap = cfg.rcvbuf + cfg.pmtu as u64;
+    let cap = cfg.rcvbuf + PMTU as u64;
     if ak.rcvbuf_used + len > cap && !fills_gap {
         // No receive window: silently drop (the sender's rwnd tracking
         // or its probe logic will retry).

@@ -53,8 +53,7 @@ pub trait StreamScheduler {
     fn on_send(&mut self, sid: u16, bytes: u32);
 }
 
-/// Which scheduler policy an association uses. Parsed from the
-/// `SCTP_SCHED` env knob or set via `MpiCfg`.
+/// Which scheduler policy an association uses, set via `MpiCfg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedKind {
     /// First-come-first-served: pop fragments in global enqueue order.
@@ -65,16 +64,16 @@ pub enum SchedKind {
     Fcfs,
     /// Round-robin over streams with queued data, one fragment per turn.
     RoundRobin,
-    /// Weighted-fair: pick the stream with the least `bytes_sent / weight`
-    /// virtual time. Unconfigured streams weigh 1.
+    /// Fair queueing: pick the stream with the fewest bytes sent (every
+    /// stream weighs the same).
     WeightedFair,
     /// Strict priority: lowest stream id always wins.
     StrictPriority,
 }
 
 impl SchedKind {
-    /// Parse an env-knob string. Unrecognized or empty values fall back to
-    /// [`SchedKind::Fcfs`] (garbage-tolerant, like the other env knobs).
+    /// Parse a policy name (`fcfs`, `rr`, `wfq`, `prio` and spellings).
+    /// Unrecognized or empty values fall back to [`SchedKind::Fcfs`].
     pub fn parse(s: &str) -> SchedKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "rr" | "round-robin" | "round_robin" | "roundrobin" => SchedKind::RoundRobin,
@@ -97,21 +96,12 @@ impl SchedKind {
     }
 
     /// Build a fresh scheduler instance for an association with
-    /// `out_streams` outbound streams. `weights` configures
-    /// [`SchedKind::WeightedFair`] (stream id indexes it; missing entries
-    /// and zeros weigh 1) and is ignored by the other policies.
-    pub fn build(self, out_streams: u16, weights: &[u32]) -> Box<dyn StreamScheduler> {
+    /// `out_streams` outbound streams.
+    pub fn build(self, out_streams: u16) -> Box<dyn StreamScheduler> {
         match self {
             SchedKind::Fcfs => Box::new(Fcfs),
             SchedKind::RoundRobin => Box::new(RoundRobin { last: None }),
-            SchedKind::WeightedFair => {
-                let n = out_streams as usize;
-                let mut w = vec![1u32; n];
-                for (i, &wi) in weights.iter().take(n).enumerate() {
-                    w[i] = wi.max(1);
-                }
-                Box::new(WeightedFair { sent: vec![0; n], weights: w })
-            }
+            SchedKind::WeightedFair => Box::new(WeightedFair { sent: vec![0; out_streams as usize] }),
             SchedKind::StrictPriority => Box::new(StrictPriority),
         }
     }
@@ -159,29 +149,18 @@ impl StreamScheduler for RoundRobin {
     }
 }
 
-/// Weighted-fair queueing: serve the stream with the smallest
-/// `bytes_sent / weight`, compared exactly via cross-multiplication (no
-/// floats in the simulation).
+/// Fair queueing with unit weights: serve the stream with the fewest bytes
+/// sent so far; ties go to the lowest stream id.
 #[derive(Debug)]
 pub struct WeightedFair {
     sent: Vec<u64>,
-    weights: Vec<u32>,
-}
-
-impl WeightedFair {
-    fn vt_lt(&self, a: u16, b: u16) -> bool {
-        let (sa, wa) = (self.sent[a as usize] as u128, self.weights[a as usize] as u128);
-        let (sb, wb) = (self.sent[b as usize] as u128, self.weights[b as usize] as u128);
-        // sa/wa < sb/wb  ⇔  sa·wb < sb·wa
-        sa * wb < sb * wa
-    }
 }
 
 impl StreamScheduler for WeightedFair {
     fn pick(&self, candidates: &[SchedCandidate]) -> usize {
         let mut best = 0;
         for (i, c) in candidates.iter().enumerate().skip(1) {
-            if self.vt_lt(c.sid, candidates[best].sid) {
+            if self.sent[c.sid as usize] < self.sent[candidates[best].sid as usize] {
                 best = i;
             }
         }
@@ -248,19 +227,19 @@ mod tests {
 
     #[test]
     fn weighted_fair_respects_weights() {
-        // Stream 0 weight 3, stream 1 weight 1: over 8 sends stream 0
-        // should get ~6.
-        let mut s = WeightedFair { sent: vec![0, 0], weights: vec![3, 1] };
-        let c = cands(&[(0, 0, 10), (1, 1, 10)]);
-        let mut count0 = 0;
-        for _ in 0..8 {
+        // Unit weights: the stream with fewer bytes sent is served first,
+        // whatever its id or queue position; equal counts go to the lower id.
+        let mut s = WeightedFair { sent: vec![0, 0, 0] };
+        s.on_send(0, 30);
+        s.on_send(1, 10);
+        let c = cands(&[(0, 0, 10), (1, 1, 10), (2, 2, 10)]);
+        let mut order = Vec::new();
+        for _ in 0..6 {
             let i = s.pick(&c);
-            if c[i].sid == 0 {
-                count0 += 1;
-            }
+            order.push(c[i].sid);
             s.on_send(c[i].sid, 10);
         }
-        assert_eq!(count0, 6);
+        assert_eq!(order, vec![2, 1, 2, 1, 2, 0]);
     }
 
     #[test]

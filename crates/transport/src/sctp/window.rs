@@ -6,7 +6,7 @@ use std::ops::{Bound, RangeBounds};
 
 use crate::{World, Wx};
 
-use super::assoc::{Assoc, AssocId, Scope, SentChunk, MAX_PATHS};
+use super::assoc::{Assoc, AssocId, Scope, SentChunk, MAX_PATHS, PACKET_BUDGET, PMTU};
 use super::engine::{
     arm_t3, assoc_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
     maybe_progress_shutdown, reemit_marked, scope_drained, scope_of, scopes, send_packet,
@@ -152,7 +152,7 @@ const MISSING_THRESH: u32 = 3;
 
 pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_rwnd: u64, gaps: &[(u64, u64)]) {
     let cfg = cfg_of(w, a.host);
-    let pmtu = cfg.pmtu as u64;
+    let pmtu = PMTU as u64;
     let now = ctx.now();
     let mut do_fast_rtx = false;
     let wake_writers;
@@ -426,8 +426,8 @@ fn fast_retransmit_burst(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let vtag = ak.peer_tag;
     for scope in scopes(&cfg, ak.paths.len()) {
         let path = scope.unwrap_or_else(|| ak.rtx_path());
-        let mut packet = Vec::new();
-        reemit_marked(ak, &cfg, ctx.now(), path, &mut cfg.packet_budget(), &mut packet);
+        let (mut packet, mut budget) = (Vec::new(), PACKET_BUDGET);
+        reemit_marked(ak, &cfg, ctx.now(), path, &mut budget, &mut packet);
         if !packet.is_empty() {
             packets.push((path, packet));
         }

@@ -175,8 +175,6 @@ pub enum Chunk {
         /// Gap-ack blocks, absolute `[start, end)` — unlike TCP's SACK
         /// option, the count is bounded only by the PMTU (§4.1.1).
         gaps: Vec<(u64, u64)>,
-        /// Count of duplicate TSNs seen since the last SACK.
-        dup_count: u32,
     },
     /// Association initiation (first handshake leg).
     Init {
@@ -351,7 +349,7 @@ mod tests {
         });
         assert_eq!(d.wire_len(), 20, "16 hdr + 3 data padded to 20");
         assert_eq!(Chunk::CookieAck.wire_len(), 4);
-        let s = Chunk::Sack { cum_tsn: 5, a_rwnd: 1, gaps: vec![(7, 9), (12, 13)], dup_count: 0 };
+        let s = Chunk::Sack { cum_tsn: 5, a_rwnd: 1, gaps: vec![(7, 9), (12, 13)] };
         assert_eq!(s.wire_len(), 24);
     }
 

@@ -3,15 +3,16 @@
 
 use bytes::Bytes;
 use netsim::IfAddr;
-use simcore::Dur;
+use simcore::{Dur, SimTime};
 
 use crate::buf::total_len;
 use crate::ip::{self, Packet, Proto};
+use crate::pool::Pools;
 use crate::{Timer, World, Wx};
 
 use super::{
     sock, sock_mut, sock_pool_mut, Flags, SockId, TcpCfg, TcpSegment, TcpSock, TcpState,
-    INIT_CWND_MSS,
+    INIT_CWND_MSS, MSS,
 };
 
 /// Delayed-ACK timeout.
@@ -53,7 +54,7 @@ fn trace_cwnd(ctx: &Wx, s: SockId, sk: &TcpSock) {
 /// never advertise a dribble smaller than one MSS.
 fn adv_wnd(sk: &TcpSock, cfg: &TcpCfg) -> u64 {
     let w = sk.rcv_wnd(cfg.rcvbuf);
-    if w < cfg.mss as u64 {
+    if w < MSS as u64 {
         0
     } else {
         w
@@ -78,19 +79,21 @@ fn sack_blocks_into(sk: &TcpSock, blocks: &mut Vec<(u64, u64)>) {
 
 /// Build one segment's wire packet; updates stats and delayed-ACK state.
 /// Emission is the caller's business (immediate or buffered into a train).
+/// Reads only receive-side state, so the output loop may build each
+/// segment as it cuts it.
+#[allow(clippy::too_many_arguments)]
 fn build_segment(
-    w: &mut World,
-    ctx: &mut Wx,
-    s: SockId,
+    sk: &mut TcpSock,
+    pool: &mut Pools,
+    cfg: &TcpCfg,
+    now: SimTime,
     flags: Flags,
     seq: u64,
     payload: Vec<Bytes>,
     probe: bool,
 ) -> Packet {
-    let cfg = cfg_of(w, s);
-    let (sk, pool) = sock_pool_mut(w, s);
     let payload_len = total_len(&payload) as u32;
-    let wnd = adv_wnd(sk, &cfg);
+    let wnd = adv_wnd(sk, cfg);
     let sack = if flags.contains(Flags::SYN) {
         Vec::new()
     } else {
@@ -116,14 +119,16 @@ fn build_segment(
     sk.delack_timer.clear();
     sk.stats.segs_out += 1;
     sk.stats.bytes_out += payload_len as u64;
-    sk.last_send = ctx.now();
+    sk.last_send = now;
     let (src, dst) = (sk.local.0, sk.remote.0);
     Packet { src, dst, body: Proto::Tcp(seg) }
 }
 
 /// Build and transmit one segment.
 fn emit(w: &mut World, ctx: &mut Wx, s: SockId, flags: Flags, seq: u64, payload: Vec<Bytes>, probe: bool) {
-    let pkt = build_segment(w, ctx, s, flags, seq, payload, probe);
+    let cfg = cfg_of(w, s);
+    let (sk, pool) = sock_pool_mut(w, s);
+    let pkt = build_segment(sk, pool, &cfg, ctx.now(), flags, seq, payload, probe);
     ip::send(w, ctx, pkt);
 }
 
@@ -201,8 +206,7 @@ fn arm_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
 }
 
 pub(crate) fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
-    let cfg = cfg_of(w, s);
-    let mss = cfg.mss as u64;
+    let mss = MSS as u64;
     {
         let sk = sock_mut(w, s);
         if !sk.rto_timer.expired(ctx, Timer::Rto(s)) {
@@ -330,7 +334,6 @@ pub(crate) fn on_persist(w: &mut World, ctx: &mut Wx, s: SockId) {
 /// Retransmit up to `max_len` bytes starting at `seq` (clamped to one MSS
 /// and to the buffered data). Poisons the RTT probe per Karn's rule.
 fn retransmit_seg(w: &mut World, ctx: &mut Wx, s: SockId, seq: u64, max_len: usize) {
-    let cfg = cfg_of(w, s);
     let (payload, fin_now) = {
         let (sk, pool) = sock_pool_mut(w, s);
         sk.rtt_probe = None;
@@ -340,7 +343,7 @@ fn retransmit_seg(w: &mut World, ctx: &mut Wx, s: SockId, seq: u64, max_len: usi
             // Only the FIN is outstanding.
             (Vec::new(), sk.fin_sent)
         } else {
-            let len = (cfg.mss as usize).min(max_len).min((data_end - seq) as usize);
+            let len = (MSS as usize).min(max_len).min((data_end - seq) as usize);
             let mut p = pool.take_bytes_vec();
             sk.snd.slice_into(seq, len, &mut p);
             let covers_end = seq + len as u64 == data_end;
@@ -358,11 +361,11 @@ fn retransmit_seg(w: &mut World, ctx: &mut Wx, s: SockId, seq: u64, max_len: usi
 /// Transmit as much queued data as the congestion and peer windows allow.
 pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
     let cfg = cfg_of(w, s);
-    let mss = cfg.mss as u64;
+    let mss = MSS as u64;
     let now = ctx.now();
     let mut need_persist = false;
-    let mut segs = w.pool.take_seg_vec();
-    {
+    // A cwnd's worth of segments leaves as one train (one syscall on the socket backend).
+    let train = {
         let (sk, pool) = sock_pool_mut(w, s);
         if !matches!(
             sk.state,
@@ -370,6 +373,7 @@ pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
         ) {
             return;
         }
+        let mut train = pool.take_packet_vec();
         // Congestion-window restart after idle (4.4BSD behaviour).
         if IDLE_RESTART
             && sk.flight() == 0
@@ -399,10 +403,6 @@ pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
                 // dribble while data is outstanding.
                 let window_limited = len < mss && len < avail;
                 if window_limited && flight > 0 {
-                    break;
-                }
-                // Nagle: one outstanding small segment at a time.
-                if cfg.nagle && len < mss && flight > 0 {
                     break;
                 }
             }
@@ -436,18 +436,12 @@ pub(crate) fn output(w: &mut World, ctx: &mut Wx, s: SockId) {
             if seq < sk.rtx_until {
                 sk.stats.retransmits += 1;
             }
-            segs.push((seq, payload, fin_now));
+            let flags = if fin_now { Flags::FIN } else { Flags::EMPTY };
+            train.push(build_segment(sk, pool, &cfg, now, flags, seq, payload, false));
         }
-    }
-    let any = !segs.is_empty();
-    // A cwnd's worth of segments leaves as one train (one syscall on the socket backend).
-    let mut train = w.pool.take_packet_vec();
-    train.reserve(segs.len());
-    for (seq, payload, fin) in segs.drain(..) {
-        let flags = if fin { Flags::FIN } else { Flags::EMPTY };
-        train.push(build_segment(w, ctx, s, flags, seq, payload, false));
-    }
-    w.pool.put_seg_vec(segs);
+        train
+    };
+    let any = !train.is_empty();
     ip::send_train(w, ctx, train);
     {
         let sk = sock_mut(w, s);
@@ -596,9 +590,8 @@ fn established_input(w: &mut World, ctx: &mut Wx, s: SockId, seg: TcpSegment) {
 
 fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
     let cfg = cfg_of(w, s);
-    let mss = cfg.mss as u64;
+    let mss = MSS as u64;
     let now = ctx.now();
-    let mut wake_writers = w.pool.take_proc_vec();
     let mut new_ack = false;
     {
         let sk = sock_mut(w, s);
@@ -658,7 +651,8 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
             // Stop the retransmission timer; it restarts fresh below while
             // anything is still unacked.
             sk.rto_timer.clear();
-            std::mem::swap(&mut wake_writers, &mut sk.writers);
+            ctx.wake_all(&sk.writers);
+            sk.writers.clear();
 
             // FIN acknowledged?
             if sk.fin_sent && seg.ack == sk.snd.end_seq() + 1 {
@@ -713,8 +707,6 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
             sk.persist_timer.clear();
         }
     }
-    ctx.wake_all(&wake_writers);
-    w.pool.put_proc_vec(wake_writers);
 
     // SACK-scoreboard hole repair: when the scoreboard proves a hole at
     // snd_una (data above it was received) and we are either in fast
@@ -777,7 +769,6 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
 fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> bool {
     let cfg = cfg_of(w, s);
     let mut ack_now = false;
-    let mut wake_readers = w.pool.take_proc_vec();
     {
         let (sk, pool) = sock_pool_mut(w, s);
         let seq = seg.seq;
@@ -851,7 +842,8 @@ fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> boo
                     if drained {
                         sk.have.remove_below(sk.rcv_nxt);
                         sk.sack_recent.retain(|&r| r >= sk.rcv_nxt);
-                        std::mem::swap(&mut wake_readers, &mut sk.readers);
+                        ctx.wake_all(&sk.readers);
+                        sk.readers.clear();
                         if had_gap {
                             // Filling a gap: ack immediately (RFC 5681).
                             ack_now = true;
@@ -879,12 +871,11 @@ fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> boo
                     TcpState::FinWait2 => TcpState::TimeWait,
                     other => other,
                 };
-                wake_readers.append(&mut sk.readers);
+                ctx.wake_all(&sk.readers);
+                sk.readers.clear();
             }
         }
     }
-    ctx.wake_all(&wake_readers);
-    w.pool.put_proc_vec(wake_readers);
     ack_now
 }
 

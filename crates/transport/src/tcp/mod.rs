@@ -13,7 +13,7 @@
 //!   limit from §4.1.1 of the paper);
 //! * RFC 6298 RTO with Karn's rule, exponential backoff, and the coarse
 //!   500 ms timer granularity of era BSD stacks;
-//! * Nagle's algorithm, **disabled by default** to match LAM-TCP.
+//! * no Nagle: LAM-TCP sets `TCP_NODELAY`, so small writes leave at once.
 //!
 //! Public API mirrors nonblocking BSD sockets: `listen` / `connect` /
 //! `accept` / `send` / `recv` / `close`, plus readiness queries and waiter
@@ -48,14 +48,10 @@ pub struct SockId {
 /// eight nodes).
 #[derive(Debug, Clone, Copy)]
 pub struct TcpCfg {
-    /// Maximum segment size (1448 = 1500 MTU − 40 hdrs − 12 timestamp opt).
-    pub mss: u32,
     /// SO_SNDBUF. The paper pins both buffers to 220 KB on both stacks.
     pub sndbuf: u64,
     /// SO_RCVBUF.
     pub rcvbuf: u64,
-    /// Nagle's algorithm (LAM-TCP disables it).
-    pub nagle: bool,
     /// RTO parameters (era BSD defaults).
     pub rto: RtoCfg,
     /// SACK-scoreboard hole repair (RFC 6675-style). FreeBSD 5.3's SACK
@@ -68,15 +64,19 @@ pub struct TcpCfg {
 impl Default for TcpCfg {
     fn default() -> Self {
         TcpCfg {
-            mss: 1448,
             sndbuf: 220 * 1024,
             rcvbuf: 220 * 1024,
-            nagle: false,
             rto: RtoCfg::bsd_tcp(),
             sack_hole_repair: true,
         }
     }
 }
+
+/// Maximum segment size: 1500 MTU − 40 header bytes − 12 timestamp option.
+pub(crate) const MSS: u32 = 1448;
+
+/// First port of the ephemeral range (IANA: 49152..=65535).
+const EPHEMERAL_FIRST: u16 = 49152;
 
 /// Initial congestion window, in MSS (RFC 3390 ≈ 3 for MSS 1448).
 const INIT_CWND_MSS: u64 = 3;
@@ -314,7 +314,7 @@ impl TcpSock {
             fin_queued: false,
             fin_sent: false,
             cc: Cc {
-                cwnd: INIT_CWND_MSS * cfg.mss as u64,
+                cwnd: INIT_CWND_MSS * MSS as u64,
                 ssthresh: u64::MAX / 2,
                 dupacks: 0,
                 in_recovery: false,
@@ -390,14 +390,25 @@ impl TcpHost {
             socks: Vec::new(),
             listeners: FxHashMap::default(),
             conn_map: FxHashMap::default(),
-            next_ephemeral: 49152,
+            next_ephemeral: EPHEMERAL_FIRST,
         }
     }
 
-    fn alloc_port(&mut self) -> u16 {
-        let p = self.next_ephemeral;
-        self.next_ephemeral = self.next_ephemeral.checked_add(1).expect("ephemeral ports exhausted");
-        p
+    /// The next ephemeral port (49152..=65535, wrapping) whose connection
+    /// key toward `(dst_host, dst_port)` names no live socket. `TimeWait`
+    /// counts as free: the model keeps no 2·MSL timer, so it is terminal.
+    fn alloc_port(&mut self, dst_host: u16, dst_port: u16) -> u16 {
+        for _ in EPHEMERAL_FIRST..=u16::MAX {
+            let p = self.next_ephemeral;
+            self.next_ephemeral = if p == u16::MAX { EPHEMERAL_FIRST } else { p + 1 };
+            let live = self.conn_map.get(&(p, dst_host, dst_port)).is_some_and(|&idx| {
+                !matches!(self.socks[idx as usize].state, TcpState::Closed | TcpState::TimeWait)
+            });
+            if !live {
+                return p;
+            }
+        }
+        panic!("ephemeral ports exhausted toward host {dst_host} port {dst_port}");
     }
 
     /// Aggregate stats across all sockets on this host.
@@ -449,7 +460,7 @@ pub fn listen(w: &mut World, host: u16, port: u16) {
 /// [`is_established`] / [`is_failed`]; register via [`register_writer`].
 pub fn connect(w: &mut World, ctx: &mut Wx, host: u16, dst_host: u16, dst_port: u16) -> SockId {
     let cfg = w.hosts[host as usize].tcp.cfg;
-    let lport = w.hosts[host as usize].tcp.alloc_port();
+    let lport = w.hosts[host as usize].tcp.alloc_port(dst_host, dst_port);
     let local = (IfAddr::new(host, 0), lport);
     let remote = (IfAddr::new(dst_host, 0), dst_port);
     let sock = TcpSock::new(local, remote, TcpState::SynSent, &cfg);
@@ -536,7 +547,7 @@ pub fn recv(w: &mut World, ctx: &mut Wx, s: SockId, max: usize) -> Vec<Bytes> {
 /// allocating a fresh `Vec` per readiness pass.
 pub fn recv_into(w: &mut World, ctx: &mut Wx, s: SockId, max: usize, out: &mut Vec<Bytes>) {
     let rcvbuf = w.hosts[s.host as usize].tcp.cfg.rcvbuf;
-    let mss = w.hosts[s.host as usize].tcp.cfg.mss as u64;
+    let mss = MSS as u64;
     let sk = sock_mut(w, s);
     let before = out.len();
     let mut want = max;
@@ -696,5 +707,27 @@ mod tests {
         }
         let got = crate::buf::concat(&recv(&mut w, &mut ctx, server, usize::MAX));
         assert_eq!(got, data);
+    }
+
+    #[test]
+    fn ephemeral_ports_wrap_and_skip_live_connections() {
+        let mut w = World::paper_cluster(0.0);
+        let mut ctx: Wx = simcore::Ctx::standalone(simcore::derive_rng(4, 0));
+        w.install_backend(Box::new(Capture(Rc::new(RefCell::new(Vec::new())))));
+        let mut port = |w: &mut World| {
+            let s = connect(w, &mut ctx, 0, 1, 80);
+            sock(w, s).local.1
+        };
+        w.hosts[0].tcp.next_ephemeral = u16::MAX;
+        let first: Vec<u16> = (0..3).map(|_| port(&mut w)).collect();
+        assert_eq!(first, [65535, 49152, 49153]);
+        // All three are still connecting: the next pass skips their keys.
+        w.hosts[0].tcp.next_ephemeral = u16::MAX;
+        assert_eq!(port(&mut w), 49154);
+        // A closed or TIME-WAIT socket frees its key for reuse.
+        let s = SockId { host: 0, idx: 0 };
+        sock_mut(&mut w, s).state = TcpState::TimeWait;
+        w.hosts[0].tcp.next_ephemeral = u16::MAX;
+        assert_eq!(port(&mut w), 65535);
     }
 }

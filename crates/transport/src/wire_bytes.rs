@@ -24,9 +24,9 @@
 //! IP header checksum, the TCP ones-complement checksum, and the SCTP CRC32c
 //! on the way in. Decoding is a right inverse of encoding: for every frame
 //! `f` this module emits, `encode(decode(f)) == f` byte for byte (the
-//! round-trip property suite pins this). Fields the wire cannot carry
-//! (SACK `dup_count`, the TCP `probe` flag) decode to their neutral values;
-//! heartbeat `path` is recovered from the addressing.
+//! round-trip property suite pins this). The one field the wire cannot
+//! carry, the TCP `probe` flag, decodes to `false`; heartbeat `path` is
+//! recovered from the addressing.
 //!
 //! There is one decoder, [`decode_frame`], over a frame that already sits in
 //! a shared [`Bytes`] buffer: DATA, I-DATA and TCP payloads come back as
@@ -329,7 +329,7 @@ fn encode_chunk(out: &mut Vec<u8>, c: &Chunk) {
             out.extend_from_slice(&d.ppid.to_be_bytes());
             out.extend_from_slice(&d.data);
         }
-        Chunk::Sack { cum_tsn, a_rwnd, gaps, dup_count: _ } => {
+        Chunk::Sack { cum_tsn, a_rwnd, gaps } => {
             put_chunk_header(out, 3, 0, (16 + 4 * gaps.len()) as u16);
             out.extend_from_slice(&(*cum_tsn as u32).to_be_bytes());
             out.extend_from_slice(&((*a_rwnd).min(u32::MAX as u64) as u32).to_be_bytes());
@@ -680,7 +680,7 @@ fn decode_chunk(ty: u8, flags: u8, frame: &Bytes, at: Range<usize>, pool: &mut P
             // The wire carries the number of duplicate-TSN entries (the
             // encoder writes none); the model's "duplicates seen since the
             // last SACK" count decodes to its neutral zero.
-            Chunk::Sack { cum_tsn, a_rwnd: be32(v, 4) as u64, gaps, dup_count: 0 }
+            Chunk::Sack { cum_tsn, a_rwnd: be32(v, 4) as u64, gaps }
         }
         1 => {
             if v.len() < 16 {
@@ -914,7 +914,7 @@ mod tests {
                         ppid: 9,
                         data: Bytes::from_static(b"hello world"),
                     }),
-                    Chunk::Sack { cum_tsn: 41, a_rwnd: 220 * 1024, gaps: vec![(44, 46)], dup_count: 1 },
+                    Chunk::Sack { cum_tsn: 41, a_rwnd: 220 * 1024, gaps: vec![(44, 46)] },
                 ],
             }),
         }
@@ -1127,10 +1127,10 @@ mod tests {
         assert_eq!((d.tsn, d.stream, d.ssn, d.ppid), (42, 3, 7, 9));
         assert!(d.begin && !d.end && !d.unordered);
         assert_eq!(&d.data[..], b"hello world");
-        let Chunk::Sack { cum_tsn, a_rwnd, gaps, dup_count } = &p.chunks[1] else {
+        let Chunk::Sack { cum_tsn, a_rwnd, gaps } = &p.chunks[1] else {
             panic!("SACK second")
         };
-        assert_eq!((*cum_tsn, *a_rwnd, *dup_count), (41, 220 * 1024, 0));
+        assert_eq!((*cum_tsn, *a_rwnd), (41, 220 * 1024));
         assert_eq!(gaps, &vec![(44, 46)], "absolute [start, end) reconstructed from offsets");
         // Byte-level: re-encoding the decoded packet reproduces the frame.
         assert_eq!(encode_packet(&back, 5_000_000), frame);

@@ -227,7 +227,7 @@ fn base_cfg() -> SctpCfg {
 /// With interleaving off the engine forces FCFS regardless of the
 /// configured scheduler — a non-FIFO scheduler must not change one event of
 /// the run (the bit-identity guarantee that keeps pre-8260 experiments
-/// reproducible whatever `SCTP_SCHED` is set to).
+/// reproducible whatever scheduler `with_scheduler` names).
 #[test]
 fn interleave_off_ignores_scheduler_bit_identically() {
     let mut runs = Vec::new();

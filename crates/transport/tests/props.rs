@@ -444,17 +444,4 @@ proptest! {
             prop_assert!(pool.take_bytes_vec().is_empty());
         }
     }
-
-    /// Byte scratch round-trips empty as well; in debug builds the pool
-    /// additionally poisons retired scratch (covered by the crate's unit
-    /// tests, which can see the freelist).
-    #[test]
-    fn byte_scratch_round_trips_empty(fill in prop::collection::vec(any::<u8>(), 0..64)) {
-        let mut pool = transport::pool::Pools::default();
-        let mut b = pool.take_byte_scratch();
-        b.extend_from_slice(&fill);
-        pool.put_byte_scratch(b);
-        let again = pool.take_byte_scratch();
-        prop_assert!(again.is_empty(), "scratch arrived non-empty after dirty put");
-    }
 }

@@ -302,7 +302,7 @@ impl WakeRig {
 
     /// The peer of association `i` acknowledges every TSN up to `cum`.
     async fn sack(&self, env: &Env, i: usize, cum: u64) {
-        let sack = Chunk::Sack { cum_tsn: cum, a_rwnd: 220 * 1024, gaps: Vec::new(), dup_count: 0 };
+        let sack = Chunk::Sack { cum_tsn: cum, a_rwnd: 220 * 1024, gaps: Vec::new() };
         self.inject(env, i, sack).await;
     }
 

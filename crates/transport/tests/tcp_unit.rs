@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use simcore::{Dur, ProcEnv, Runtime};
-use transport::tcp::{self, Flags, TcpCfg, TcpSegment, TcpState};
+use transport::tcp::{self, Flags, TcpSegment, TcpState};
 use transport::World;
 
 type Env = ProcEnv<World>;
@@ -150,65 +150,6 @@ fn state_transitions_through_a_whole_connection() {
         }).await;
     });
     rt.run();
-}
-
-#[test]
-fn nagle_coalesces_small_writes() {
-    // With Nagle on, many 10-byte writes produce far fewer segments than
-    // with Nagle off.
-    fn segs(nagle: bool) -> u64 {
-        let cfg = TcpCfg { nagle, ..TcpCfg::default() };
-        let world = World::new(netsim::NetCfg::paper_cluster(0.0), cfg, Default::default());
-        let mut rt = Runtime::new(world, 4);
-        rt.spawn("tx", |env: Env| async move {
-            let s = env.with(|w, ctx| tcp::connect(w, ctx, 0, 1, 9100));
-            let me = env.id();
-            env.block_on(|w, _| {
-                if tcp::is_established(w, s) {
-                    Some(())
-                } else {
-                    tcp::register_writer(w, s, me);
-                    None
-                }
-            }).await;
-            for _ in 0..50 {
-                env.with(|w, ctx| {
-                    tcp::send(w, ctx, s, &[Bytes::from_static(b"0123456789")]);
-                });
-                // A little pacing so un-Nagled writes become segments.
-                env.sleep(Dur::from_micros(30)).await;
-            }
-        });
-        rt.spawn("rx", |env: Env| async move {
-            env.with(|w, _| tcp::listen(w, 1, 9100));
-            let me = env.id();
-            let s = env.block_on(|w, _| match tcp::accept(w, 1, 9100) {
-                Some(s) => Some(s),
-                None => {
-                    tcp::register_acceptor(w, 1, 9100, me);
-                    None
-                }
-            }).await;
-            let mut got = 0usize;
-            while got < 500 {
-                let chunks = env.with(|w, ctx| tcp::recv(w, ctx, s, 500));
-                if chunks.is_empty() {
-                    env.with(|w, _| tcp::register_reader(w, s, me));
-                    env.park().await;
-                } else {
-                    got += chunks.iter().map(|c| c.len()).sum::<usize>();
-                }
-            }
-        });
-        let out = rt.run();
-        out.world.hosts[0].tcp.total_stats().segs_out
-    }
-    let with_nagle = segs(true);
-    let without = segs(false);
-    assert!(
-        with_nagle < without / 2,
-        "Nagle on: {with_nagle} segs, off: {without} segs — expected strong coalescing"
-    );
 }
 
 #[test]

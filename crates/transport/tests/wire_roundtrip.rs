@@ -97,13 +97,11 @@ fn arb_sack() -> impl Strategy<Value = Chunk> {
         0u64..1_000_000,
         any::<u64>(),
         prop::collection::vec((1u64..60_000, 1u64..1_000), 0..8),
-        any::<u32>(),
     )
-        .prop_map(|(cum_tsn, a_rwnd, rel, dup_count)| Chunk::Sack {
+        .prop_map(|(cum_tsn, a_rwnd, rel)| Chunk::Sack {
             cum_tsn,
             a_rwnd,
             gaps: rel.into_iter().map(|(s, l)| (cum_tsn + s, cum_tsn + s + l)).collect(),
-            dup_count,
         })
 }
 
@@ -256,7 +254,7 @@ proptest! {
                         ppid,
                         data: Bytes::from(data.clone()),
                     }),
-                    Chunk::Sack { cum_tsn: cum, a_rwnd: 220 * 1024, gaps: gaps.clone(), dup_count: 0 },
+                    Chunk::Sack { cum_tsn: cum, a_rwnd: 220 * 1024, gaps: gaps.clone() },
                 ],
             }),
         };
@@ -388,7 +386,7 @@ fn encode_packet_output_is_pinned() {
                     ppid: 9,
                     data: Bytes::from_static(b"hello world"),
                 }),
-                Chunk::Sack { cum_tsn: 41, a_rwnd: 220 * 1024, gaps: vec![(44, 46), (50, 51)], dup_count: 1 },
+                Chunk::Sack { cum_tsn: 41, a_rwnd: 220 * 1024, gaps: vec![(44, 46), (50, 51)] },
                 Chunk::Heartbeat { path: 1, nonce: 0xFEED_FACE },
             ],
         }),

@@ -68,7 +68,7 @@ impl FarmCfg {
         }
     }
 
-    /// A scaled-down configuration for tests and Criterion benches.
+    /// A scaled-down configuration for tests.
     pub fn small(task_bytes: usize, fanout: u32) -> FarmCfg {
         FarmCfg { num_tasks: 200, ..FarmCfg::paper(task_bytes, fanout) }
     }

@@ -254,7 +254,7 @@ mod tests {
             MpiCfg::sctp(4, 0.0),
             MpiCfg::sctp(4, 0.0)
                 .with_interleave(true)
-                .with_scheduler(transport::sctp::SchedKind::RoundRobin, &[]),
+                .with_scheduler(transport::sctp::SchedKind::RoundRobin),
         ] {
             let r = run(cfg, MixedCfg::small());
             assert_eq!(r.tasks_done, 200);
@@ -275,7 +275,7 @@ mod tests {
         let intl = run_traced(
             MpiCfg::sctp(3, 0.0)
                 .with_interleave(true)
-                .with_scheduler(transport::sctp::SchedKind::RoundRobin, &[]),
+                .with_scheduler(transport::sctp::SchedKind::RoundRobin),
             MixedCfg::small(),
         );
         assert_eq!(intl.result.tasks_done, 200);
