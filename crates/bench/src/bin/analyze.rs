@@ -41,7 +41,7 @@ fn mean_ms(total_ns: u64, count: u64) -> String {
 /// One capture = one figure cell's JSONL file.
 struct Capture {
     name: String,
-    events: Vec<trace::json::JVal>,
+    events: Vec<trace::json::Json>,
 }
 
 fn load_captures(dir: &std::path::Path) -> Result<Vec<Capture>, String> {

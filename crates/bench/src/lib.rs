@@ -169,7 +169,7 @@ impl Table {
 impl ToJson for Table {
     fn to_json(&self) -> Json {
         let saved = || self.cols.iter().enumerate().filter(|(_, c)| !c.0.is_empty());
-        let row = |r: &Vec<Json>| Json::Obj(saved().map(|(i, c)| (c.0, r[i].clone())).collect());
+        let row = |r: &Vec<Json>| Json::obj(saved().map(|(i, c)| (c.0, r[i].clone())));
         Json::Arr(self.rows.iter().map(row).collect())
     }
 }

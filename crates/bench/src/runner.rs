@@ -67,7 +67,7 @@ pub trait CellResult: std::fmt::Debug + Clone + Send {
 }
 
 fn group<const N: usize>(name: &'static str, fields: [(&'static str, &dyn ToJson); N]) -> Group {
-    (name, Json::Obj(fields.iter().map(|(k, v)| (*k, v.to_json())).collect()))
+    (name, Json::obj(fields.iter().map(|(k, v)| (*k, v.to_json()))))
 }
 
 /// The groups of a run under `mpirun`; a transport counts as having run
@@ -160,7 +160,7 @@ impl CellResult for MediaResult {
 impl CellResult for TracedMixedResult {
     fn meter(&self) -> (f64, u64, Vec<Group>) {
         let r = &self.result;
-        let mut groups = mpi_groups(r.sched, r.net, SockStats::default(), r.sctp);
+        let mut groups = mpi_groups(r.sched, r.net, r.tcp, r.sctp);
         groups.push(group("hol", [("snd_hol_blocks", &self.snd_hol_blocks), ("snd_hol_ns", &self.snd_hol_ns)]));
         (r.secs, r.events, groups)
     }
@@ -239,7 +239,7 @@ impl ToJson for CellMeter {
             ("allocs_per_event", (self.allocs_total as f64 / events).to_json()),
         ];
         fields.extend(self.layers.iter().cloned());
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 }
 
@@ -273,7 +273,7 @@ impl ToJson for BenchReport {
             fields.push(("fault_plan", Json::Raw(plan.clone())));
         }
         fields.push(("cells", self.cells.to_json()));
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 }
 
@@ -324,7 +324,7 @@ impl BenchReport {
         }
         let path = dir.join(format!("BENCH_{}.json", self.fig));
         if let Ok(old) = std::fs::read_to_string(&path) {
-            if crate::json::sniff_schema_version(&old) != crate::json::SCHEMA_VERSION {
+            if crate::json::schema_version(&old) != Some(crate::json::SCHEMA_VERSION) {
                 let _ = std::fs::rename(&path, path.with_extension("json.bak"));
             }
         }
@@ -636,7 +636,7 @@ mod tests {
             report.save_to(&dir);
             assert_eq!(std::fs::read_to_string(&bak).unwrap(), old, "retired, not overwritten");
             let new = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(crate::json::sniff_schema_version(&new), crate::json::SCHEMA_VERSION);
+            assert_eq!(crate::json::schema_version(&new), Some(crate::json::SCHEMA_VERSION));
         }
 
         // Same-schema overwrite keeps the old backup untouched.

@@ -4,11 +4,11 @@
 //! hermetic tier-1 `cargo test`. CI's `live-smoke` job runs it. Covers the
 //! three live-path promises: the quick fig8 sweep completes over real
 //! sockets, per-iteration latency is sane for loopback, and the emitted
-//! BENCH record round-trips through the schema_version sniffer.
+//! BENCH record declares the schema version the sim harness writes.
 
 #![cfg(feature = "live-tests")]
 
-use bench_harness::json::{sniff_schema_version, SCHEMA_VERSION};
+use bench_harness::json::{schema_version, SCHEMA_VERSION};
 use bench_harness::live;
 use bench_harness::Scale;
 
@@ -27,14 +27,14 @@ fn quick_sweep_completes_over_real_sockets() {
     );
     assert_eq!(report.cells.len(), 2 * rows.len(), "one TCP and one SCTP cell per size");
 
-    // The record must survive the schema sniffer: same version the sim
+    // The record must declare the same schema version the sim
     // harness writes, so `results/` diffing treats live and sim runs alike.
     let dir = std::env::temp_dir().join(format!("live_smoke_{}", std::process::id()));
     report.save_to(&dir);
     assert_eq!(report.fig, "pingpong_live_quick", "a quick run must not claim the paper-scale file");
     let path = dir.join("BENCH_pingpong_live_quick.json");
     let text = std::fs::read_to_string(&path).expect("report written");
-    assert_eq!(sniff_schema_version(&text), SCHEMA_VERSION);
+    assert_eq!(schema_version(&text), Some(SCHEMA_VERSION));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

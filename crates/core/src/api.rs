@@ -58,7 +58,7 @@ impl Rpi {
     ) -> bool {
         match self {
             Rpi::Tcp(r) => r.progress(w, ctx, core, cost, meter),
-            Rpi::Sctp(r) => r.progress(w, ctx, core, cost, meter),
+            Rpi::Sctp(r) => r.progress(w, ctx, core, meter),
         }
     }
 
@@ -91,7 +91,7 @@ impl Rpi {
 }
 
 /// Per-process middleware statistics.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MpiStats {
     pub sends: u64,
     pub recvs: u64,
@@ -105,13 +105,16 @@ pub struct MpiStats {
 }
 
 impl std::ops::AddAssign for MpiStats {
-    fn add_assign(&mut self, o: Self) {
-        self.sends += o.sends;
-        self.recvs += o.recvs;
-        self.bytes_sent += o.bytes_sent;
-        self.bytes_received += o.bytes_received;
-        self.blocked += o.blocked;
-        self.idle_passes += o.idle_passes;
+    fn add_assign(&mut self, other: Self) {
+        // Destructured so that a new counter does not compile until it is
+        // summed here.
+        let MpiStats { sends, recvs, bytes_sent, bytes_received, blocked, idle_passes } = other;
+        self.sends += sends;
+        self.recvs += recvs;
+        self.bytes_sent += bytes_sent;
+        self.bytes_received += bytes_received;
+        self.blocked += blocked;
+        self.idle_passes += idle_passes;
     }
 }
 
@@ -495,6 +498,14 @@ impl Mpi {
 mod tests {
     use super::*;
     use crate::{mpirun, MpiCfg};
+
+    #[test]
+    fn stats_add_field_by_field() {
+        let mut t = MpiStats { sends: 1, blocked: Dur::from_nanos(5), ..Default::default() };
+        t += MpiStats { sends: 2, recvs: 3, bytes_sent: 4, bytes_received: 6, blocked: Dur::from_nanos(7), idle_passes: 8 };
+        let want = MpiStats { sends: 3, recvs: 3, bytes_sent: 4, bytes_received: 6, blocked: Dur::from_nanos(12), idle_passes: 8 };
+        assert_eq!(t, want);
+    }
 
     /// A taken request gives its slot back: however many messages a rank
     /// exchanges, its request table holds the most it ever had in flight

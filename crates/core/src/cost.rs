@@ -8,98 +8,73 @@
 //! and per-call overhead. We model both mechanistically and charge them as
 //! simulated CPU time on the calling process.
 //!
-//! The default constants are calibrated (see EXPERIMENTS.md E1) so the
-//! no-loss ping-pong crossover lands near the paper's 22 KB. They are
-//! configuration, not magic: the crossover *position* is a calibrated
-//! output; the crossover's *existence* follows from the model shape.
+//! The constants are calibrated (see EXPERIMENTS.md E1) so the no-loss
+//! ping-pong crossover lands near the paper's 22 KB: the crossover
+//! *position* is a calibrated output; the crossover's *existence* follows
+//! from the model shape. Only the `select()` charge is configuration
+//! ([`CostCfg`]), because the scalability ablation turns it off.
 
 use simcore::Dur;
 
-/// Per-operation CPU costs charged to the calling process.
+/// Any socket syscall (read/write/sendmsg/recvmsg/accept/connect).
+pub const SYSCALL: Dur = Dur::from_nanos(1200);
+/// SCTP fixed extra cost per sendmsg/recvmsg (young-stack per-message
+/// overhead: chunk walk, control handling).
+pub const SCTP_PER_MSG: Dur = Dur::from_micros(45);
+/// TCP middleware framing/copy cost on receive, ns per 8 bytes (the stream
+/// must be scanned and copied out of the socket buffer).
+const TCP_COPY_RX_PER_8_BYTES_NS: u64 = 4;
+/// TCP middleware cost on send (staging write), ns per 8 bytes.
+const TCP_COPY_TX_PER_8_BYTES_NS: u64 = 4;
+/// LAM-TCP's *serial* re-framing cost, ns per 8 bytes, charged when a
+/// message body completes: the byte stream has to be scanned for
+/// boundaries and the body staged into the request buffer (§3.2.4 —
+/// `sctp_recvmsg` "frees us from having to look through the receive buffer
+/// to locate the message boundaries"). Unlike the incremental copy above,
+/// this cannot overlap reception of the same message.
+const TCP_FRAME_PER_8_BYTES_NS: u64 = 20;
+/// SCTP handling cost, ns per 8 bytes (lower: no middleware re-framing).
+const SCTP_PER_8_BYTES_NS: u64 = 4;
+
+/// Cost of moving `n` payload bytes through the TCP middleware's receive path.
+pub fn tcp_rx_bytes(n: usize) -> Dur {
+    Dur::from_nanos(n as u64 * TCP_COPY_RX_PER_8_BYTES_NS / 8)
+}
+
+/// Cost of moving `n` payload bytes through the TCP middleware's send path.
+pub fn tcp_tx_bytes(n: usize) -> Dur {
+    Dur::from_nanos(n as u64 * TCP_COPY_TX_PER_8_BYTES_NS / 8)
+}
+
+/// Serial message-completion re-framing cost (TCP only).
+pub fn tcp_frame_bytes(n: usize) -> Dur {
+    Dur::from_nanos(n as u64 * TCP_FRAME_PER_8_BYTES_NS / 8)
+}
+
+/// Cost of moving `n` payload bytes through the SCTP middleware path.
+pub fn sctp_bytes(n: usize) -> Dur {
+    Dur::from_nanos(n as u64 * SCTP_PER_8_BYTES_NS / 8)
+}
+
+/// The `select()` charge LAM-TCP pays on every progression pass: a base
+/// cost plus a linear per-descriptor term (§3.3 cites the linear growth;
+/// LAM-TCP polls every socket).
 #[derive(Debug, Clone, Copy)]
 pub struct CostCfg {
-    /// Any socket syscall (read/write/sendmsg/recvmsg/accept/connect).
-    pub syscall: Dur,
-    /// `select()` base cost plus linear per-descriptor term (§3.3 cites the
-    /// linear growth; LAM-TCP polls every socket).
     pub select_base: Dur,
     pub select_per_sock: Dur,
-    /// TCP middleware per-byte framing/copy cost on receive (the stream
-    /// must be scanned and copied out of the socket buffer).
-    pub tcp_copy_rx_per_byte_ns: u64,
-    /// TCP middleware per-byte cost on send (staging write).
-    pub tcp_copy_tx_per_byte_ns: u64,
-    /// LAM-TCP's *serial* re-framing cost, charged when a message body
-    /// completes: the byte stream has to be scanned for boundaries and the
-    /// body staged into the request buffer (§3.2.4 — `sctp_recvmsg`
-    /// "frees us from having to look through the receive buffer to locate
-    /// the message boundaries"). Unlike the incremental copy above, this
-    /// cannot overlap reception of the same message.
-    pub tcp_frame_per_byte_ns: u64,
-    /// SCTP fixed extra cost per sendmsg/recvmsg (young-stack per-message
-    /// overhead: chunk walk, control handling).
-    pub sctp_per_msg: Dur,
-    /// SCTP per-byte handling cost (lower: no middleware re-framing).
-    pub sctp_per_byte_ns: u64,
-    /// Modelled cost of matching/progressing one request (both stacks).
-    pub progress_step: Dur,
 }
 
 impl Default for CostCfg {
     fn default() -> Self {
-        CostCfg {
-            syscall: Dur::from_nanos(1200),
-            select_base: Dur::from_nanos(1500),
-            select_per_sock: Dur::from_nanos(150),
-            tcp_copy_rx_per_byte_ns: 4, // per 8 bytes — see tcp_rx_bytes
-            tcp_copy_tx_per_byte_ns: 4,
-            tcp_frame_per_byte_ns: 20,
-            sctp_per_msg: Dur::from_micros(45),
-            sctp_per_byte_ns: 4, // per 8 bytes — see sctp_bytes
-            progress_step: Dur::from_nanos(300),
-        }
+        CostCfg { select_base: Dur::from_nanos(1500), select_per_sock: Dur::from_nanos(150) }
     }
 }
 
 impl CostCfg {
-    /// Cost of moving `n` payload bytes through the TCP middleware path.
-    pub fn tcp_rx_bytes(&self, n: usize) -> Dur {
-        Dur::from_nanos(n as u64 * self.tcp_copy_rx_per_byte_ns / 8)
-    }
-
-    pub fn tcp_tx_bytes(&self, n: usize) -> Dur {
-        Dur::from_nanos(n as u64 * self.tcp_copy_tx_per_byte_ns / 8)
-    }
-
-    /// Serial message-completion re-framing cost (TCP only).
-    pub fn tcp_frame_bytes(&self, n: usize) -> Dur {
-        Dur::from_nanos(n as u64 * self.tcp_frame_per_byte_ns / 8)
-    }
-
-    /// Cost of moving `n` payload bytes through the SCTP middleware path.
-    pub fn sctp_bytes(&self, n: usize) -> Dur {
-        Dur::from_nanos(n as u64 * self.sctp_per_byte_ns / 8)
-    }
-
     /// One `select()` call over `n` descriptors.
     pub fn select(&self, n: usize) -> Dur {
         self.select_base + self.select_per_sock * n as u64
-    }
-
-    /// A cost model with all charges zeroed (for tests that want pure
-    /// protocol behaviour).
-    pub fn free() -> Self {
-        CostCfg {
-            syscall: Dur::ZERO,
-            select_base: Dur::ZERO,
-            select_per_sock: Dur::ZERO,
-            tcp_copy_rx_per_byte_ns: 0,
-            tcp_copy_tx_per_byte_ns: 0,
-            tcp_frame_per_byte_ns: 0,
-            sctp_per_msg: Dur::ZERO,
-            sctp_per_byte_ns: 0,
-            progress_step: Dur::ZERO,
-        }
     }
 }
 
@@ -129,12 +104,11 @@ mod tests {
 
     #[test]
     fn byte_costs_scale_linearly() {
-        let c = CostCfg::default();
-        assert_eq!(c.tcp_rx_bytes(8000), Dur::from_nanos(8000 * 4 / 8));
-        assert_eq!(c.sctp_bytes(8000), Dur::from_nanos(8000 * 4 / 8));
-        assert_eq!(c.tcp_frame_bytes(8000), Dur::from_nanos(8000 * 20 / 8));
+        assert_eq!(tcp_rx_bytes(8000), Dur::from_nanos(8000 * 4 / 8));
+        assert_eq!(sctp_bytes(8000), Dur::from_nanos(8000 * 4 / 8));
+        assert_eq!(tcp_frame_bytes(8000), Dur::from_nanos(8000 * 20 / 8));
         assert!(
-            c.tcp_rx_bytes(1 << 20) + c.tcp_frame_bytes(1 << 20) > c.sctp_bytes(1 << 20),
+            tcp_rx_bytes(1 << 20) + tcp_frame_bytes(1 << 20) > sctp_bytes(1 << 20),
             "TCP re-framing costs more per byte overall"
         );
     }
@@ -155,13 +129,5 @@ mod tests {
         m.charge(Dur::from_nanos(7));
         assert_eq!(m.take(), Dur::from_nanos(12));
         assert_eq!(m.take(), Dur::ZERO);
-    }
-
-    #[test]
-    fn free_model_charges_nothing() {
-        let c = CostCfg::free();
-        assert_eq!(c.select(100), Dur::ZERO);
-        assert_eq!(c.tcp_rx_bytes(1000), Dur::ZERO);
-        assert_eq!(c.sctp_bytes(1000) + c.sctp_per_msg, Dur::ZERO);
     }
 }

@@ -225,14 +225,18 @@ impl MpiReport {
     /// Every layer's counters out of a finished run, each block copied whole
     /// (`mpi` stays zero: ranks hand theirs over as they exit).
     pub fn collect(out: &RunOutcome<World>) -> MpiReport {
-        let hosts = &out.world.hosts;
+        let (mut tcp, mut sctp) = (SockStats::default(), AssocStats::default());
+        for h in &out.world.hosts {
+            tcp += h.tcp.total_stats();
+            sctp += h.sctp.total_stats();
+        }
         MpiReport {
             sim_time: out.sim_time,
             events: out.events,
             sched: out.sched,
             net: out.world.net.stats,
-            tcp: hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp),
-            sctp: hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp),
+            tcp,
+            sctp,
             mpi: MpiStats::default(),
         }
     }
@@ -289,49 +293,6 @@ fn add_stats(totals: &Cell<MpiStats>, s: MpiStats) {
     let mut t = totals.get();
     t += s;
     totals.set(t);
-}
-
-fn fold_tcp(mut a: SockStats, s: SockStats) -> SockStats {
-    a.segs_out += s.segs_out;
-    a.segs_in += s.segs_in;
-    a.bytes_out += s.bytes_out;
-    a.bytes_in += s.bytes_in;
-    a.retransmits += s.retransmits;
-    a.fast_retransmits += s.fast_retransmits;
-    a.timeouts += s.timeouts;
-    a.dup_acks_in += s.dup_acks_in;
-    a
-}
-
-fn fold_sctp(mut a: AssocStats, s: AssocStats) -> AssocStats {
-    a.packets_out += s.packets_out;
-    a.packets_in += s.packets_in;
-    a.data_chunks_out += s.data_chunks_out;
-    a.data_chunks_in += s.data_chunks_in;
-    a.bytes_out += s.bytes_out;
-    a.bytes_in += s.bytes_in;
-    a.retransmits += s.retransmits;
-    a.fast_retransmits += s.fast_retransmits;
-    a.timeouts += s.timeouts;
-    a.dup_tsns_in += s.dup_tsns_in;
-    a.sacks_out += s.sacks_out;
-    a.sacks_in += s.sacks_in;
-    a.msgs_delivered += s.msgs_delivered;
-    a.failovers += s.failovers;
-    for (i, &n) in s.per_path_pkts.iter().enumerate() {
-        a.per_path_pkts[i] += n;
-    }
-    a.spurious_frtx += s.spurious_frtx;
-    a.rescue_rtx += s.rescue_rtx;
-    a.msgs_abandoned += s.msgs_abandoned;
-    a.fwd_tsn_out += s.fwd_tsn_out;
-    a.fwd_tsn_in += s.fwd_tsn_in;
-    if s.first_failover_ns != 0
-        && (a.first_failover_ns == 0 || s.first_failover_ns < a.first_failover_ns)
-    {
-        a.first_failover_ns = s.first_failover_ns;
-    }
-    a
 }
 
 /// Like [`mpirun`], but force the flight recorder on and hand the caller

@@ -24,7 +24,7 @@ use simcore::ProcId;
 use transport::sctp::{self, AssocId, AssocState, EpId, SendErr};
 use transport::{World, Wx};
 
-use crate::cost::{CostCfg, CpuMeter};
+use crate::cost::{self, CpuMeter};
 use crate::envelope::{Envelope, ENV_SIZE};
 use crate::matching::{trace_match, Core, CtrlOut, ReqId, Sink};
 
@@ -253,19 +253,21 @@ impl SctpRpi {
         w: &mut World,
         ctx: &mut Wx,
         core: &mut Core,
-        cost: &CostCfg,
         meter: &mut CpuMeter,
     ) -> bool {
         let mut progressed = false;
         // Reads first: sctp_recvmsg until EAGAIN (no select, §3.3).
         loop {
             let Some(mut msg) = sctp::recvmsg(w, ctx, self.ep) else { break };
-            meter.charge(cost.syscall + cost.sctp_per_msg + cost.sctp_bytes(msg.len as usize));
+            meter.charge(cost::SYSCALL + cost::SCTP_PER_MSG + cost::sctp_bytes(msg.len as usize));
             progressed = true;
-            let peer = self.peer_of_assoc(msg.assoc);
-            self.handle_message(ctx, core, peer, msg.stream, &mut msg.data, msg.len as usize);
+            // Any host can associate with the RPI port; a message that did
+            // not come from a rank's association is dropped unread.
+            if let Some(peer) = self.peer_of_assoc(msg.assoc) {
+                self.handle_message(ctx, core, peer, msg.stream, &mut msg.data, msg.len as usize);
+            }
             // The chunk list came from the transport's pool (reassembly);
-            // its contents were consumed above, so retire the carrier.
+            // its contents were consumed or dropped above, so retire the carrier.
             w.pool.put_bytes_vec(msg.data);
         }
         // Writes: every peer, every stream — a blocked stream does not
@@ -278,17 +280,15 @@ impl SctpRpi {
                 {
                     continue;
                 }
-                progressed |= self.progress_writes(w, ctx, core, cost, meter, peer);
+                progressed |= self.progress_writes(w, ctx, core, meter, peer);
             }
         }
         progressed
     }
 
-    fn peer_of_assoc(&self, a: AssocId) -> u16 {
-        self.assocs
-            .iter()
-            .position(|x| *x == Some(a))
-            .expect("message from unknown association") as u16
+    /// The rank at the far end of `a`, if `a` is one of the job's associations.
+    fn peer_of_assoc(&self, a: AssocId) -> Option<u16> {
+        self.assocs.iter().position(|x| *x == Some(a)).map(|p| p as u16)
     }
 
     fn progress_writes(
@@ -296,7 +296,6 @@ impl SctpRpi {
         w: &mut World,
         ctx: &mut Wx,
         core: &mut Core,
-        cost: &CostCfg,
         meter: &mut CpuMeter,
         peer: u16,
     ) -> bool {
@@ -324,7 +323,7 @@ impl SctpRpi {
                 if let Err(e) = sent {
                     panic!("sctp sendmsg failed: {e:?}");
                 }
-                meter.charge(cost.syscall + cost.sctp_per_msg + cost.sctp_bytes(front.len));
+                meter.charge(cost::SYSCALL + cost::SCTP_PER_MSG + cost::sctp_bytes(front.len));
                 progressed = true;
                 let item = self.wq[peer as usize][sid as usize].pop_front().unwrap();
                 self.wq_total -= 1;

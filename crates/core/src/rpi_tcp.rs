@@ -14,7 +14,7 @@ use simcore::ProcId;
 use transport::tcp::{self, SockId};
 use transport::{World, Wx};
 
-use crate::cost::{CostCfg, CpuMeter};
+use crate::cost::{self, CostCfg, CpuMeter};
 use crate::envelope::{Envelope, ENV_SIZE};
 use crate::matching::{trace_match, Core, CtrlOut, ReqId, Sink};
 
@@ -146,8 +146,8 @@ impl TcpRpi {
             if self.socks[peer as usize].is_none() || peer == self.me {
                 continue;
             }
-            progressed |= self.progress_writes(w, ctx, core, cost, meter, peer);
-            progressed |= self.progress_reads(w, ctx, core, cost, meter, peer);
+            progressed |= self.progress_writes(w, ctx, core, meter, peer);
+            progressed |= self.progress_reads(w, ctx, core, meter, peer);
         }
         progressed
     }
@@ -157,7 +157,6 @@ impl TcpRpi {
         w: &mut World,
         ctx: &mut Wx,
         core: &mut Core,
-        cost: &CostCfg,
         meter: &mut CpuMeter,
         peer: u16,
     ) -> bool {
@@ -168,7 +167,7 @@ impl TcpRpi {
             if accepted == 0 {
                 break; // EAGAIN
             }
-            meter.charge(cost.syscall + cost.tcp_tx_bytes(accepted));
+            meter.charge(cost::SYSCALL + cost::tcp_tx_bytes(accepted));
             progressed = true;
             advance_chunks(&mut front.chunks, accepted);
             if front.chunks.is_empty() {
@@ -187,7 +186,6 @@ impl TcpRpi {
         w: &mut World,
         ctx: &mut Wx,
         core: &mut Core,
-        cost: &CostCfg,
         meter: &mut CpuMeter,
         peer: u16,
     ) -> bool {
@@ -203,7 +201,7 @@ impl TcpRpi {
                 break; // EAGAIN
             }
             let got: usize = self.rd_scratch.iter().map(|c| c.len()).sum();
-            meter.charge(cost.syscall + cost.tcp_rx_bytes(got));
+            meter.charge(cost::SYSCALL + cost::tcp_rx_bytes(got));
             progressed = true;
             match &mut self.rd[peer as usize] {
                 ReadState::Env { buf, len } => {
@@ -226,7 +224,7 @@ impl TcpRpi {
                     }
                     if finished {
                         // Serial re-framing/staging copy at completion.
-                        meter.charge(cost.tcp_frame_bytes(total));
+                        meter.charge(cost::tcp_frame_bytes(total));
                         let ctrl = core.body_done(sink);
                         self.enqueue_ctrl(ctrl);
                         self.rd[peer as usize] = ReadState::ENV;

@@ -319,7 +319,7 @@ impl FaultPlan {
     /// exactly for every finite plan.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let v = trace::json::parse(text)?;
-        fn scope_of(v: &trace::json::JVal) -> Result<Scope, String> {
+        fn scope_of(v: &trace::json::Json) -> Result<Scope, String> {
             let sc = v.get("scope").ok_or("rule missing scope")?;
             let host = sc.get("host").and_then(|h| h.as_i64()).ok_or("scope missing host")?;
             let iface = sc.get("iface").and_then(|i| i.as_i64()).ok_or("scope missing iface")?;
@@ -328,10 +328,10 @@ impl FaultPlan {
                 iface: (iface >= 0).then_some(iface as u8),
             })
         }
-        fn f64_of(v: &trace::json::JVal, key: &str) -> Result<f64, String> {
+        fn f64_of(v: &trace::json::Json, key: &str) -> Result<f64, String> {
             v.get(key).and_then(|x| x.as_f64()).ok_or_else(|| format!("missing {key}"))
         }
-        fn u64_of(v: &trace::json::JVal, key: &str) -> Result<u64, String> {
+        fn u64_of(v: &trace::json::Json, key: &str) -> Result<u64, String> {
             v.get(key).and_then(|x| x.as_u64()).ok_or_else(|| format!("missing {key}"))
         }
         let mut plan = FaultPlan::default();

@@ -5,18 +5,18 @@
 //! from: per-stream HOL-block time, recovery time split fast-rtx vs RTO,
 //! cwnd evolution, and a per-cell "where did the bytes stall" summary.
 
-use crate::json::JVal;
+use crate::json::Json;
 use std::collections::BTreeMap;
 
-fn u(v: &JVal, k: &str) -> u64 {
+fn u(v: &Json, k: &str) -> u64 {
     v.get(k).and_then(|x| x.as_u64()).unwrap_or(0)
 }
 
-fn i(v: &JVal, k: &str) -> i64 {
+fn i(v: &Json, k: &str) -> i64 {
     v.get(k).and_then(|x| x.as_i64()).unwrap_or(0)
 }
 
-fn s<'a>(v: &'a JVal, k: &str) -> &'a str {
+fn s<'a>(v: &'a Json, k: &str) -> &'a str {
     v.get(k).and_then(|x| x.as_str()).unwrap_or("")
 }
 
@@ -45,7 +45,7 @@ pub struct HolRow {
 }
 
 /// Per-(host, peer, stream, side) HOL-block aggregation, sorted by key.
-pub fn hol_rows(events: &[JVal]) -> Vec<HolRow> {
+pub fn hol_rows(events: &[Json]) -> Vec<HolRow> {
     let mut map: BTreeMap<(u16, u16, u16, String), HolRow> = BTreeMap::new();
     for ev in events {
         if s(ev, "ev") != "hol_end" {
@@ -107,7 +107,7 @@ pub struct Recovery {
 /// payload range covers the dropped packet's first unit (TSN for SCTP,
 /// sequence byte for TCP). The event is classified "rto" when the sender
 /// armed timer fired on that flow inside the gap, else "fast-rtx".
-pub fn recovery(events: &[JVal]) -> Recovery {
+pub fn recovery(events: &[Json]) -> Recovery {
     // flow key: (proto, src, dst)
     type Flow = (u8, u16, u16);
     let proto_code = |p: &str| if p == "sctp" { 1u8 } else { 0u8 };
@@ -194,7 +194,7 @@ pub struct CwndCurve {
 }
 
 /// Cwnd evolution summary per (proto, host, peer, path), sorted by key.
-pub fn cwnd_curves(events: &[JVal]) -> Vec<CwndCurve> {
+pub fn cwnd_curves(events: &[Json]) -> Vec<CwndCurve> {
     let mut map: BTreeMap<(String, u16, u16, u16), CwndCurve> = BTreeMap::new();
     for ev in events {
         if s(ev, "ev") != "cwnd" {
@@ -249,7 +249,7 @@ pub struct Stall {
 }
 
 /// The "where did the bytes stall" roll-up for one capture (= one cell).
-pub fn stall(events: &[JVal]) -> Stall {
+pub fn stall(events: &[Json]) -> Stall {
     let mut st = Stall::default();
     let mut t_min = u64::MAX;
     let mut t_max = 0u64;
@@ -287,7 +287,7 @@ pub fn stall(events: &[JVal]) -> Stall {
             "fast_rtx" => st.fast_rtx += 1,
             "fault" => st.fault_edges += 1,
             "mpi_match" => {
-                if ev.get("posted") == Some(&JVal::Bool(true)) {
+                if ev.get("posted") == Some(&Json::Bool(true)) {
                     st.mpi_matched_posted += 1;
                 } else {
                     st.mpi_unexpected += 1;
@@ -329,7 +329,7 @@ pub struct FaultWindow {
 /// that *saw* the state, not the scripted boundary — exactly the span that
 /// could have affected traffic. A window still open when the capture ends
 /// is closed at the last event's timestamp.
-pub fn fault_windows(events: &[JVal]) -> Vec<FaultWindow> {
+pub fn fault_windows(events: &[Json]) -> Vec<FaultWindow> {
     let mut open: BTreeMap<(&str, u64), u64> = BTreeMap::new();
     let mut windows: Vec<FaultWindow> = Vec::new();
     let mut drops: Vec<u64> = Vec::new();
@@ -393,7 +393,7 @@ mod tests {
     use super::*;
     use crate::jsonl::parse_lines;
 
-    fn evs(text: &str) -> Vec<JVal> {
+    fn evs(text: &str) -> Vec<Json> {
         parse_lines(text).unwrap()
     }
 

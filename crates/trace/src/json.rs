@@ -1,56 +1,169 @@
-//! Minimal JSON parser, sufficient for the JSONL event log this crate emits
-//! and for the BENCH `results/*.json` schema check. No dependencies, no
-//! allocations beyond the output value tree.
+//! The one JSON value type: [`parse`] reads the JSONL event log this crate
+//! emits, the BENCH `results/*.json` reports and fault plans, and
+//! [`Json::render`] pretty-prints the BENCH reports. No dependencies, no
+//! allocations beyond the value tree.
 
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JVal {
+pub enum Json {
     Null,
     Bool(bool),
+    /// Finite floats render as shortest-roundtrip; NaN/inf render as null.
     Num(f64),
+    /// An unsigned integer: [`parse`] reads every unsigned integer literal
+    /// that fits in a `u64` as one.
+    UInt(u64),
     Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
+    Arr(Vec<Json>),
+    /// Fields in insertion order.
+    Obj(Vec<(String, Json)>),
+    /// Pre-rendered JSON embedded verbatim (no re-indentation); [`parse`]
+    /// never yields it. Splices a fault plan's own serialization into a
+    /// report, so the plan text in `results/BENCH_*.json` is byte for byte
+    /// what `FaultPlan::from_json` replays.
+    Raw(String),
 }
 
-impl JVal {
-    pub fn get(&self, key: &str) -> Option<&JVal> {
+impl Json {
+    /// An object of `fields`, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// The value under `key` of an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JVal::Num(n) => Some(*n),
+            Json::Num(n) => Some(*n),
+            Json::UInt(n) => Some(*n as f64),
             _ => None,
         }
     }
 
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(|n| if n >= 0.0 { Some(n as u64) } else { None })
+        match self {
+            Json::UInt(n) => Some(*n),
+            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
+            _ => None,
+        }
     }
 
     pub fn as_i64(&self) -> Option<i64> {
-        self.as_f64().map(|n| n as i64)
+        match self {
+            Json::UInt(n) => Some(*n as i64),
+            Json::Num(n) => Some(*n as i64),
+            _ => None,
+        }
     }
 
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            JVal::Str(s) => Some(s),
+            Json::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub fn as_arr(&self) -> Option<&[JVal]> {
+    pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
-            JVal::Arr(v) => Some(v),
+            Json::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// Pretty-prints with 2-space indentation (the layout
+    /// `serde_json::to_string_pretty` gave the first result files).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out
+    }
+
+    fn render_into(&self, out: &mut String, indent: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => {
+                if x.is_finite() {
+                    // Keep integral floats distinguishable from ints, as
+                    // serde_json does (`1.0`, not `1`).
+                    if *x == x.trunc() && x.abs() < 1e15 {
+                        out.push_str(&format!("{x:.1}"));
+                    } else {
+                        out.push_str(&format!("{x}"));
+                    }
+                } else {
+                    out.push_str("null");
+                }
+            }
+            Json::UInt(u) => out.push_str(&u.to_string()),
+            Json::Raw(s) => out.push_str(s),
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    pad(out, indent + 1);
+                    item.render_into(out, indent + 1);
+                    if i + 1 < items.len() {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                }
+                pad(out, indent);
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                if fields.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push_str("{\n");
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    pad(out, indent + 1);
+                    out.push_str(&format!("\"{k}\": "));
+                    v.render_into(out, indent + 1);
+                    if i + 1 < fields.len() {
+                        out.push(',');
+                    }
+                    out.push('\n');
+                }
+                pad(out, indent);
+                out.push('}');
+            }
         }
     }
 }
 
-pub fn parse(s: &str) -> Result<JVal, String> {
+fn pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+}
+
+pub fn parse(s: &str) -> Result<Json, String> {
     let b = s.as_bytes();
     let mut p = Parser { b, i: 0 };
     p.skip_ws();
@@ -87,20 +200,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JVal, String> {
+    fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.lit("true", JVal::Bool(true)),
-            Some(b'f') => self.lit("false", JVal::Bool(false)),
-            Some(b'n') => self.lit("null", JVal::Null),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'n') => self.lit("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.i)),
         }
     }
 
-    fn lit(&mut self, word: &str, v: JVal) -> Result<JVal, String> {
+    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
@@ -109,7 +222,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<JVal, String> {
+    fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -118,7 +231,10 @@ impl<'a> Parser<'a> {
             self.i += 1;
         }
         let txt = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "utf8".to_string())?;
-        txt.parse::<f64>().map(JVal::Num).map_err(|e| format!("bad number '{txt}': {e}"))
+        if let Ok(u) = txt.parse::<u64>() {
+            return Ok(Json::UInt(u));
+        }
+        txt.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number '{txt}': {e}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -172,13 +288,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JVal, String> {
+    fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(JVal::Obj(fields));
+            return Ok(Json::Obj(fields));
         }
         loop {
             self.skip_ws();
@@ -193,20 +309,20 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(JVal::Obj(fields));
+                    return Ok(Json::Obj(fields));
                 }
                 _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JVal, String> {
+    fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.i += 1;
-            return Ok(JVal::Arr(out));
+            return Ok(Json::Arr(out));
         }
         loop {
             self.skip_ws();
@@ -216,7 +332,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.i += 1,
                 Some(b']') => {
                     self.i += 1;
-                    return Ok(JVal::Arr(out));
+                    return Ok(Json::Arr(out));
                 }
                 _ => return Err(format!("expected ',' or ']' at offset {}", self.i)),
             }
@@ -236,14 +352,53 @@ mod tests {
         assert_eq!(v.get("verdict").unwrap().as_str(), Some("loss"));
         assert_eq!(v.get("nested").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("nested").unwrap().as_arr().unwrap()[2].as_i64(), Some(-3));
-        assert_eq!(v.get("ok"), Some(&JVal::Bool(true)));
-        assert_eq!(v.get("none"), Some(&JVal::Null));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("none"), Some(&Json::Null));
     }
 
     #[test]
     fn strings_escape() {
         let v = parse(r#"{"k":"a\"b\\c\nd"}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn unsigned_integers_parse_exactly() {
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), Some(9_007_199_254_740_993));
+        // Past u64, signed or fractional: a float, read as before.
+        assert_eq!(parse("18446744073709551616").unwrap(), Json::Num(18446744073709551616.0));
+        assert_eq!(parse("-3").unwrap(), Json::Num(-3.0));
+        assert_eq!(parse("2.5").unwrap().as_u64(), Some(2));
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+    }
+
+    #[test]
+    fn renders_nested_pretty() {
+        let v = Json::obj([
+            ("name", Json::Str("fig\"8\"".into())),
+            ("vals", Json::Arr(vec![Json::UInt(1), Json::Num(2.5), Json::Num(3.0)])),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        let s = v.render();
+        assert!(s.contains("\"name\": \"fig\\\"8\\\"\""));
+        assert!(s.contains("2.5"));
+        assert!(s.contains("3.0"), "integral float keeps decimal: {s}");
+        assert!(s.contains("\"empty\": []"));
+    }
+
+    #[test]
+    fn render_then_parse_round_trips() {
+        let v = Json::obj([
+            ("schema_version", Json::UInt(3)),
+            ("s", Json::Str("tab\there \"q\" \\ \u{1}".into())),
+            ("cells", Json::Arr(vec![Json::obj([("x", Json::Num(0.25)), ("n", Json::Null)]), Json::Bool(false)])),
+            ("obj", Json::obj([])),
+        ]);
+        assert_eq!(parse(&v.render()).unwrap(), v);
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn render_record(out: &mut String, rec: &Rec) {
 }
 
 /// Parse a JSONL document into per-line values, skipping blank lines.
-pub fn parse_lines(text: &str) -> Result<Vec<crate::json::JVal>, String> {
+pub fn parse_lines(text: &str) -> Result<Vec<crate::json::Json>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -158,7 +158,7 @@ mod tests {
         assert_eq!(vals[6].get("side").unwrap().as_str(), Some("snd"));
         assert_eq!(vals[7].get("side").unwrap().as_str(), Some("rcv"));
         assert_eq!(vals[7].get("dur").unwrap().as_u64(), Some(123));
-        assert_eq!(vals[9].get("posted"), Some(&crate::json::JVal::Bool(false)));
+        assert_eq!(vals[9].get("posted"), Some(&crate::json::Json::Bool(false)));
         assert_eq!(vals[10].get("kind").unwrap().as_str(), Some("flap_down"));
         assert_eq!(vals[10].get("host").unwrap().as_i64(), Some(-1));
         // The frame never leaks into the JSONL sink (it lives in the pcapng).

@@ -4,17 +4,15 @@
 //! The tracer is a shared handle (`Tracer`) installed into the scheduler
 //! context at runtime startup. Instrumentation hooks throughout `netsim`,
 //! `transport`, and `core` emit structured [`Event`]s into a preallocated
-//! overwrite-oldest ring buffer ([`ring::Ring`]); congestion-window events
-//! are additionally folded into an in-memory time-series store
-//! ([`series::SeriesStore`]).
+//! overwrite-oldest ring buffer ([`ring::Ring`]).
 //!
-//! Three sinks drain a finished capture:
+//! Two sinks drain a finished capture:
 //! - [`TraceDump::write_pcapng`] — a dissectable capture of the simulated
 //!   wire (raw IPv4 frames carrying real SCTP chunks / TCP segments, one
 //!   interface block per link),
 //! - [`TraceDump::write_jsonl`] — one JSON object per event, consumed by
-//!   the analyzer binary,
-//! - the time-series store itself, cloned out for in-process consumers.
+//!   the analyzer binary (which rebuilds cwnd curves from it,
+//!   [`analyze::cwnd_curves`]).
 //!
 //! **Zero-cost-when-off, side-effect-free-when-on.** Hooks are guarded by a
 //! cheap `Option` check; when tracing they only *read* simulation state and
@@ -30,14 +28,12 @@ pub mod json;
 pub mod jsonl;
 pub mod pcapng;
 pub mod ring;
-pub mod series;
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use ring::Ring;
-use series::{SeriesKey, SeriesPoint, SeriesStore};
 
 /// Ring capacity (records) of the run recorders `mpirun` installs.
 pub const DEFAULT_CAP: usize = 1 << 20;
@@ -58,13 +54,6 @@ impl Proto8 {
         match self {
             Proto8::Tcp => "tcp",
             Proto8::Sctp => "sctp",
-        }
-    }
-
-    pub fn code(self) -> u8 {
-        match self {
-            Proto8::Tcp => 0,
-            Proto8::Sctp => 1,
         }
     }
 }
@@ -374,7 +363,6 @@ impl HolClock {
 struct Inner {
     ring: Ring,
     seq: u64,
-    series: SeriesStore,
     /// (observing host, peer host, stream, side) → episode clock.
     hol_open: HashMap<(u16, u16, u16, HolSide), HolClock>,
     /// (host, peer) pairs whose sender is currently transmission-stalled
@@ -396,7 +384,6 @@ impl Tracer {
         Tracer(Rc::new(RefCell::new(Inner {
             ring: Ring::new(cap),
             seq: 0,
-            series: SeriesStore::default(),
             hol_open: HashMap::new(),
             hol_snd_stalled: HashSet::new(),
             snaplen: if snaplen == 0 { usize::MAX } else { snaplen },
@@ -433,11 +420,6 @@ impl Tracer {
         let mut g = self.0.borrow_mut();
         g.seq += 1;
         let seq = g.seq;
-        if let Event::Cwnd(c) = &ev {
-            let key = SeriesKey { proto: c.proto.code(), host: c.host, peer: c.peer, path: c.path };
-            let pt = SeriesPoint { t_ns, cwnd: c.cwnd, ssthresh: c.ssthresh, flight: c.flight };
-            g.series.push(key, pt);
-        }
         g.ring.push(Rec { t_ns, seq, ev });
     }
 
@@ -542,7 +524,6 @@ impl Tracer {
             ifaces: g.ifaces,
             dropped: g.ring.dropped(),
             recs: g.ring.to_vec(),
-            series: g.series.clone(),
         }
     }
 }
@@ -555,7 +536,6 @@ pub struct TraceDump {
     /// Records overwritten in the ring (capture truncated from the front).
     pub dropped: u64,
     pub recs: Vec<Rec>,
-    pub series: SeriesStore,
 }
 
 impl TraceDump {
@@ -728,18 +708,6 @@ mod tests {
             Event::HolEnd(e) => assert_eq!(e.dur_ns, 300),
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn cwnd_events_feed_series() {
-        let tr = Tracer::new(16, 64);
-        let ev = CwndEv { proto: Proto8::Sctp, host: 0, peer: 1, path: 0, cwnd: 4380, ssthresh: 65535, flight: 0 };
-        tr.emit(10, Event::Cwnd(ev));
-        tr.emit(20, Event::Cwnd(CwndEv { cwnd: 5840, ..ev }));
-        let d = tr.dump(30);
-        assert_eq!(d.series.total_points(), 2);
-        let key = series::SeriesKey { proto: 1, host: 0, peer: 1, path: 0 };
-        assert_eq!(d.series.cwnd[&key][1].cwnd, 5840);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The data plane's steady state builds the same handful of temporaries for
 //! every packet — a payload slice list, a SACK/gap block list, an SCTP
-//! chunk bundle, the packet list of one send opportunity, the messages one
-//! reassembly pass completes — and dropped each of them on delivery.
+//! chunk bundle, the packet list of one send opportunity — and dropped each
+//! of them on delivery.
 //! [`Pools`] keeps the retired buffers on per-world freelists so the steady
 //! state allocates nothing: `take_*` hands back a previously retired buffer
 //! (empty, capacity intact) and `put_*` retires one after its contents have
@@ -28,7 +28,7 @@
 use bytes::Bytes;
 
 use crate::ip::Packet;
-use crate::sctp::{Chunk, RecvMsg};
+use crate::sctp::Chunk;
 
 /// Freelist length cap per buffer kind.
 const MAX_POOLED: usize = 256;
@@ -45,8 +45,6 @@ pub struct Pools {
     chunk_vecs: Vec<Vec<Chunk>>,
     /// Packets of one send opportunity (`ip::send_train` input).
     packet_vecs: Vec<Vec<Packet>>,
-    /// Assembled-message lists staged between reassembly and delivery.
-    msg_vecs: Vec<Vec<RecvMsg>>,
     /// Take/put traffic, for diagnostics.
     pub stats: PoolStats,
 }
@@ -94,7 +92,6 @@ impl Pools {
     pool_accessors!(take_gap_vec, put_gap_vec, gap_vecs, Vec<(u64, u64)>, "gap/SACK block list");
     pool_accessors!(take_chunk_vec, put_chunk_vec, chunk_vecs, Vec<Chunk>, "chunk bundle");
     pool_accessors!(take_packet_vec, put_packet_vec, packet_vecs, Vec<Packet>, "packet train");
-    pool_accessors!(take_msg_vec, put_msg_vec, msg_vecs, Vec<RecvMsg>, "assembled-message list");
 }
 
 #[cfg(test)]

@@ -370,7 +370,7 @@ pub struct RecvMsg {
 }
 
 /// Association counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AssocStats {
     /// Packets sent.
     pub packets_out: u64,
@@ -419,6 +419,63 @@ pub struct AssocStats {
     pub fwd_tsn_out: u64,
     /// FORWARD-TSN chunks received.
     pub fwd_tsn_in: u64,
+}
+
+impl std::ops::AddAssign for AssocStats {
+    /// Counters add; `per_path_pkts` adds path by path; `first_failover_ns`
+    /// keeps the earliest nonzero instant of the two.
+    fn add_assign(&mut self, other: Self) {
+        // Destructured so that a new counter does not compile until it is
+        // summed here.
+        let AssocStats {
+            packets_out,
+            packets_in,
+            data_chunks_out,
+            data_chunks_in,
+            bytes_out,
+            bytes_in,
+            retransmits,
+            fast_retransmits,
+            timeouts,
+            dup_tsns_in,
+            sacks_out,
+            sacks_in,
+            msgs_delivered,
+            failovers,
+            first_failover_ns,
+            per_path_pkts,
+            spurious_frtx,
+            rescue_rtx,
+            msgs_abandoned,
+            fwd_tsn_out,
+            fwd_tsn_in,
+        } = other;
+        self.packets_out += packets_out;
+        self.packets_in += packets_in;
+        self.data_chunks_out += data_chunks_out;
+        self.data_chunks_in += data_chunks_in;
+        self.bytes_out += bytes_out;
+        self.bytes_in += bytes_in;
+        self.retransmits += retransmits;
+        self.fast_retransmits += fast_retransmits;
+        self.timeouts += timeouts;
+        self.dup_tsns_in += dup_tsns_in;
+        self.sacks_out += sacks_out;
+        self.sacks_in += sacks_in;
+        self.msgs_delivered += msgs_delivered;
+        self.failovers += failovers;
+        if first_failover_ns != 0 && (self.first_failover_ns == 0 || first_failover_ns < self.first_failover_ns) {
+            self.first_failover_ns = first_failover_ns;
+        }
+        for (t, n) in self.per_path_pkts.iter_mut().zip(per_path_pkts) {
+            *t += n;
+        }
+        self.spurious_frtx += spurious_frtx;
+        self.rescue_rtx += rescue_rtx;
+        self.msgs_abandoned += msgs_abandoned;
+        self.fwd_tsn_out += fwd_tsn_out;
+        self.fwd_tsn_in += fwd_tsn_in;
+    }
 }
 
 pub(crate) struct Assoc {
@@ -840,37 +897,8 @@ impl SctpHost {
     /// Aggregate stats across every association on this host.
     pub fn total_stats(&self) -> AssocStats {
         let mut t = AssocStats::default();
-        for ep in &self.eps {
-            for a in &ep.assocs {
-                let s = a.stats;
-                t.packets_out += s.packets_out;
-                t.packets_in += s.packets_in;
-                t.data_chunks_out += s.data_chunks_out;
-                t.data_chunks_in += s.data_chunks_in;
-                t.bytes_out += s.bytes_out;
-                t.bytes_in += s.bytes_in;
-                t.retransmits += s.retransmits;
-                t.fast_retransmits += s.fast_retransmits;
-                t.timeouts += s.timeouts;
-                t.dup_tsns_in += s.dup_tsns_in;
-                t.sacks_out += s.sacks_out;
-                t.sacks_in += s.sacks_in;
-                t.msgs_delivered += s.msgs_delivered;
-                t.failovers += s.failovers;
-                for (i, &n) in s.per_path_pkts.iter().enumerate() {
-                    t.per_path_pkts[i] += n;
-                }
-                t.spurious_frtx += s.spurious_frtx;
-                t.rescue_rtx += s.rescue_rtx;
-                t.msgs_abandoned += s.msgs_abandoned;
-                t.fwd_tsn_out += s.fwd_tsn_out;
-                t.fwd_tsn_in += s.fwd_tsn_in;
-                if s.first_failover_ns != 0
-                    && (t.first_failover_ns == 0 || s.first_failover_ns < t.first_failover_ns)
-                {
-                    t.first_failover_ns = s.first_failover_ns;
-                }
-            }
+        for a in self.eps.iter().flat_map(|ep| &ep.assocs) {
+            t += a.stats;
         }
         t
     }

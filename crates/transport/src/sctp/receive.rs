@@ -1,11 +1,16 @@
 //! The data receive path: TSN admission, reassembly, the ordered-delivery
 //! gate, the endpoint hand-off, and the per-packet SACK decision.
 
+use std::collections::VecDeque;
+
+use simcore::ProcId;
+
+use crate::pool::Pools;
 use crate::ranges::RangeSet;
 use crate::{World, Wx};
 
-use super::assoc::{Assoc, AssocId, AssocState, InStream, RecvMsg, SctpCfg, PMTU};
-use super::engine::{arm_sack_timer, assoc_mut, assoc_pool_mut, cfg_of, ep_mut, send_sack_now};
+use super::assoc::{Assoc, AssocId, AssocState, Endpoint, InStream, RecvMsg, SctpCfg, PMTU};
+use super::engine::{arm_sack_timer, assoc_mut, cfg_of, send_sack_now};
 use super::wire::{DataChunk, IDataChunk};
 
 /// The receiver's TSN window: the cumulative TSN (everything at or below it
@@ -90,8 +95,8 @@ pub(super) enum Frag {
 
 pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
     let cfg = cfg_of(w, a.host);
-    let mut delivered = w.pool.take_msg_vec();
-    let (ak, pool) = assoc_pool_mut(w, a);
+    let (ak, deliver_q, readers, pool) = rx_parts(w, a);
+    let queued = deliver_q.len();
     let (tsn, sid, len) = match &f {
         Frag::Data(d) => (d.tsn, d.stream, d.data.len() as u64),
         Frag::IData(d) => (d.tsn, d.stream, d.data.len() as u64),
@@ -122,7 +127,7 @@ pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
             None => None,
             Some(mid) => assemble_mid(st, mid, a, sid, pool),
         } {
-            ordered_gate(st, unordered, msg, &mut delivered);
+            ordered_gate(st, unordered, msg, deliver_q);
         }
         // Flight recorder: a stream is head-of-line blocked while complete
         // messages sit in `ready`, gated on an earlier SSN (or MID) whose
@@ -139,11 +144,11 @@ pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
                 sid,
                 trace::HolSide::Rcv,
                 blocked,
-                delivered.len() as u32,
+                (deliver_q.len() - queued) as u32,
             );
         }
     }
-    deliver(w, ctx, a, delivered);
+    handed_over(ak, ctx, readers, deliver_q.len() - queued);
 }
 
 /// May inbound data be accepted in this state? Notes the traffic if so.
@@ -204,12 +209,12 @@ fn widen_ssn(ssn: u32, next: u32) -> u32 {
 /// MID doubles as the SSN: both count messages per stream, so ordered
 /// delivery gates on the same counter — the semantic stream order, not a
 /// reassembly artifact.)
-fn ordered_gate(st: &mut InStream, unordered: bool, msg: RecvMsg, out: &mut Vec<RecvMsg>) {
+fn ordered_gate(st: &mut InStream, unordered: bool, msg: RecvMsg, out: &mut VecDeque<RecvMsg>) {
     if unordered {
-        out.push(msg);
+        out.push_back(msg);
     } else if msg.ssn == st.next_ssn {
         st.next_ssn += 1;
-        out.push(msg);
+        out.push_back(msg);
         drain_ready(st, out);
     } else {
         st.ready.insert(msg.ssn, msg);
@@ -217,32 +222,38 @@ fn ordered_gate(st: &mut InStream, unordered: bool, msg: RecvMsg, out: &mut Vec<
 }
 
 /// Release the queued successors of the message just let through the gate.
-fn drain_ready(st: &mut InStream, out: &mut Vec<RecvMsg>) {
+fn drain_ready(st: &mut InStream, out: &mut VecDeque<RecvMsg>) {
     while let Some(m) = st.ready.remove(&st.next_ssn) {
-        out.push(m);
+        out.push_back(m);
         st.next_ssn += 1;
     }
 }
 
-/// Pipeline stage 4, the endpoint hand-off: messages join the endpoint's
-/// queue in arrival order across all associations and streams.
-fn deliver(w: &mut World, ctx: &mut Wx, a: AssocId, mut delivered: Vec<RecvMsg>) {
-    if !delivered.is_empty() {
-        assoc_mut(w, a).stats.msgs_delivered += delivered.len() as u64;
-        let ep = ep_mut(w, a.endpoint());
-        ep.deliver_q.extend(delivered.drain(..));
-        ctx.wake_all(&ep.readers);
-        ep.readers.clear();
+/// Split borrow for the receive path: the association, its endpoint's
+/// delivery queue and blocked readers, and the world's buffer pools.
+fn rx_parts(w: &mut World, a: AssocId) -> (&mut Assoc, &mut VecDeque<RecvMsg>, &mut Vec<ProcId>, &mut Pools) {
+    let World { hosts, pool, .. } = w;
+    let Endpoint { assocs, deliver_q, readers, .. } = &mut hosts[a.host as usize].sctp.eps[a.ep as usize];
+    (&mut assocs[a.idx as usize], deliver_q, readers, pool)
+}
+
+/// Pipeline stage 4, the endpoint hand-off: the gate appended `n` messages
+/// straight onto the endpoint's queue, which holds them in arrival order
+/// across all associations and streams; count them and wake the readers.
+fn handed_over(ak: &mut Assoc, ctx: &mut Wx, readers: &mut Vec<ProcId>, n: usize) {
+    if n > 0 {
+        ak.stats.msgs_delivered += n as u64;
+        ctx.wake_all(readers);
+        readers.clear();
     }
-    w.pool.put_msg_vec(delivered);
 }
 
 /// RFC 3758 receive path: the peer abandoned messages; jump the cumulative
 /// TSN over their chunks and drop any partial reassembly state they left,
 /// then move the ordered gate past each skipped (stream, MID).
 pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cum: u64, skips: Vec<(u16, u64)>) {
-    let mut delivered = w.pool.take_msg_vec();
-    let ak = assoc_mut(w, a);
+    let (ak, deliver_q, readers, _) = rx_parts(w, a);
+    let queued = deliver_q.len();
     if rx_open(ak, ctx.now()) {
         ak.stats.fwd_tsn_in += 1;
         ak.rcv.forward_to(new_cum);
@@ -270,17 +281,17 @@ pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cu
             // message was blocking (in order), then skip past it.
             if ssn >= st.next_ssn {
                 while let Some(e) = st.ready.first_entry().filter(|e| *e.key() <= ssn) {
-                    delivered.push(e.remove());
+                    deliver_q.push_back(e.remove());
                 }
                 st.next_ssn = ssn + 1;
-                drain_ready(st, &mut delivered);
+                drain_ready(st, deliver_q);
             }
             ak.rcvbuf_used = ak.rcvbuf_used.saturating_sub(freed);
         }
         // Ack the jump promptly so the sender stops re-emitting it.
         ak.sack_immediate = true;
     }
-    deliver(w, ctx, a, delivered);
+    handed_over(ak, ctx, readers, deliver_q.len() - queued);
 }
 
 /// Pipeline stage 2, keyed by TSN run: try to assemble one complete message

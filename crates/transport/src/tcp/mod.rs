@@ -201,7 +201,7 @@ impl TcpSegment {
 }
 
 /// Per-socket counters (aggregated for EXPERIMENTS diagnostics).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SockStats {
     /// Segments transmitted (including retransmissions).
     pub segs_out: u64,
@@ -219,6 +219,23 @@ pub struct SockStats {
     pub timeouts: u64,
     /// Duplicate ACKs received.
     pub dup_acks_in: u64,
+}
+
+impl std::ops::AddAssign for SockStats {
+    fn add_assign(&mut self, other: Self) {
+        // Destructured so that a new counter does not compile until it is
+        // summed here.
+        let SockStats { segs_out, segs_in, bytes_out, bytes_in, retransmits, fast_retransmits, timeouts, dup_acks_in } =
+            other;
+        self.segs_out += segs_out;
+        self.segs_in += segs_in;
+        self.bytes_out += bytes_out;
+        self.bytes_in += bytes_in;
+        self.retransmits += retransmits;
+        self.fast_retransmits += fast_retransmits;
+        self.timeouts += timeouts;
+        self.dup_acks_in += dup_acks_in;
+    }
 }
 
 /// Sender-side congestion control + recovery state.
@@ -415,14 +432,7 @@ impl TcpHost {
     pub fn total_stats(&self) -> SockStats {
         let mut t = SockStats::default();
         for s in &self.socks {
-            t.segs_out += s.stats.segs_out;
-            t.segs_in += s.stats.segs_in;
-            t.bytes_out += s.stats.bytes_out;
-            t.bytes_in += s.stats.bytes_in;
-            t.retransmits += s.stats.retransmits;
-            t.fast_retransmits += s.stats.fast_retransmits;
-            t.timeouts += s.stats.timeouts;
-            t.dup_acks_in += s.stats.dup_acks_in;
+            t += s.stats;
         }
         t
     }

@@ -12,7 +12,7 @@ use netsim::IfAddr;
 use simcore::{Dur, ProcEnv, ProcId, Runtime};
 use transport::backend::Backend;
 use transport::ip::{Packet, Proto};
-use transport::sctp::{self, AssocState, Chunk, SctpCfg, SctpPacket, SendErr};
+use transport::sctp::{self, AssocState, AssocStats, Chunk, SctpCfg, SctpPacket, SendErr};
 use transport::tcp::TcpCfg;
 use transport::{World, Wx};
 
@@ -471,4 +471,24 @@ fn check_send_answers_what_sendmsg_would() {
             }
         })
     });
+}
+
+#[test]
+fn assoc_stats_add_path_by_path_and_keep_the_earliest_failover() {
+    let mut t = AssocStats { packets_out: 3, retransmits: 1, per_path_pkts: [1, 2, 0, 0], ..Default::default() };
+    t += AssocStats { packets_out: 4, timeouts: 2, first_failover_ns: 700, per_path_pkts: [0, 5, 6, 0], ..Default::default() };
+    let want = AssocStats {
+        packets_out: 7,
+        retransmits: 1,
+        timeouts: 2,
+        first_failover_ns: 700,
+        per_path_pkts: [1, 7, 6, 0],
+        ..Default::default()
+    };
+    assert_eq!(t, want, "0 means never failed over: the nonzero instant wins");
+    t += AssocStats { first_failover_ns: 500, ..Default::default() };
+    assert_eq!(t.first_failover_ns, 500, "the earlier instant wins");
+    t += AssocStats { first_failover_ns: 900, ..Default::default() };
+    t += AssocStats::default();
+    assert_eq!(t.first_failover_ns, 500, "a later or absent failover changes nothing");
 }

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use simcore::{Dur, ProcEnv, Runtime};
-use transport::tcp::{self, Flags, TcpSegment, TcpState};
+use transport::tcp::{self, Flags, SockStats, TcpSegment, TcpState};
 use transport::World;
 
 type Env = ProcEnv<World>;
@@ -186,4 +186,21 @@ fn send_respects_buffer_and_reports_partial_accept() {
         env.sleep(Dur::from_millis(50)).await;
     });
     rt.run();
+}
+
+#[test]
+fn sock_stats_add_field_by_field() {
+    let mut t = SockStats { segs_out: 2, bytes_in: 10, dup_acks_in: 1, ..Default::default() };
+    t += SockStats { segs_out: 3, segs_in: 5, bytes_out: 7, retransmits: 2, fast_retransmits: 1, timeouts: 4, ..Default::default() };
+    let want = SockStats {
+        segs_out: 5,
+        segs_in: 5,
+        bytes_out: 7,
+        bytes_in: 10,
+        retransmits: 2,
+        fast_retransmits: 1,
+        timeouts: 4,
+        dup_acks_in: 1,
+    };
+    assert_eq!(t, want);
 }

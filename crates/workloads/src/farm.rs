@@ -12,12 +12,15 @@
 //!   streams — the mechanism behind Figures 10–12.
 //! * When the task pool is exhausted, each further request is answered
 //!   with a termination message.
+//!
+//! [`crate::mixed`] runs this same loop with a mixed size/tag schedule:
+//! the manager asks a closure for each task's (size, tag).
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mpi_core::{mpirun, Mpi, MpiCfg, MpiStats, RankFut, ANY_SOURCE, ANY_TAG};
+use mpi_core::{mpirun, Mpi, MpiCfg, MpiReport, MpiStats, RankFut, ANY_SOURCE, ANY_TAG};
 use simcore::Dur;
 
 use crate::zeros;
@@ -72,6 +75,12 @@ impl FarmCfg {
     pub fn small(task_bytes: usize, fanout: u32) -> FarmCfg {
         FarmCfg { num_tasks: 200, ..FarmCfg::paper(task_bytes, fanout) }
     }
+
+    /// Size and tag of task number `task_no`: every task is `task_bytes`,
+    /// and the types take turns.
+    pub fn task_shape(&self, task_no: u32) -> (usize, i32) {
+        (self.task_bytes, (task_no % self.max_work_tags) as i32)
+    }
 }
 
 /// Per-run results.
@@ -112,7 +121,7 @@ pub fn run(mpi_cfg: MpiCfg, cfg: FarmCfg) -> FarmResult {
 pub fn run_inline(mpi: &mut Mpi, cfg: FarmCfg) -> RankFut<'_> {
     Box::pin(async move {
         if mpi.rank() == 0 {
-            manager(mpi, cfg, None).await;
+            manager(mpi, cfg, move |n| cfg.task_shape(n), None).await;
         } else {
             worker(mpi, cfg).await;
         }
@@ -123,40 +132,65 @@ pub fn run_inline(mpi: &mut Mpi, cfg: FarmCfg) -> RankFut<'_> {
 /// `kill_at_batch` batches have been distributed — the §3.5.1 failover
 /// experiment. Requires `mpi_cfg.sctp.num_paths > 1` to survive.
 pub fn run_with_fault(mpi_cfg: MpiCfg, cfg: FarmCfg, kill_at_batch: Option<u32>) -> FarmResult {
-    assert!(mpi_cfg.nprocs >= 2, "farm needs a manager and a worker");
-    assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
-    let done_count = Rc::new(Cell::new(0u32));
-    let peak = Rc::new(Cell::new(0usize));
-    let scan_peak = Rc::new(Cell::new(0usize));
-    let (dc, pk, sp) = (done_count.clone(), peak.clone(), scan_peak.clone());
-    let report = mpirun(mpi_cfg, move |mpi| {
-        let (dc, pk, sp) = (dc.clone(), pk.clone(), sp.clone());
-        Box::pin(async move {
-            if mpi.rank() == 0 {
-                manager(mpi, cfg, kill_at_batch).await;
-            } else {
-                let n = worker(mpi, cfg).await;
-                dc.set(dc.get() + n);
-            }
-            pk.set(pk.get().max(mpi.unexpected_peak()));
-            sp.set(sp.get().max(mpi.match_scan_peak()));
-        })
-    });
-    FarmResult {
-        secs: report.secs(),
-        tasks_done: done_count.get(),
-        events: report.events,
-        sched: report.sched,
-        net: report.net,
-        tcp: report.tcp,
-        sctp: report.sctp,
-        unexpected_peak: peak.get(),
-        match_scan_peak: scan_peak.get(),
-        mpi: report.mpi,
+    let tally = Rc::default();
+    let report = mpirun(mpi_cfg, program(cfg, move |n| cfg.task_shape(n), kill_at_batch, &tally));
+    tally.result(report)
+}
+
+/// What the farm's ranks hand back as they exit.
+#[derive(Default)]
+pub(crate) struct Tally {
+    tasks_done: Cell<u32>,
+    unexpected_peak: Cell<usize>,
+    match_scan_peak: Cell<usize>,
+}
+
+impl Tally {
+    /// The run's [`FarmResult`]: the report's counters plus the tally.
+    pub(crate) fn result(&self, report: MpiReport) -> FarmResult {
+        FarmResult {
+            secs: report.secs(),
+            tasks_done: self.tasks_done.get(),
+            events: report.events,
+            sched: report.sched,
+            net: report.net,
+            tcp: report.tcp,
+            sctp: report.sctp,
+            unexpected_peak: self.unexpected_peak.get(),
+            match_scan_peak: self.match_scan_peak.get(),
+            mpi: report.mpi,
+        }
     }
 }
 
-async fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {
+/// The farm as an `mpirun` program: rank 0 manages, every other rank
+/// works, and task `n` has the (size, tag) `shape(n)`. Network 0 dies after
+/// `kill_at_batch` batches. The ranks count into `tally`.
+pub(crate) fn program(
+    cfg: FarmCfg,
+    shape: impl Fn(u32) -> (usize, i32) + Copy + 'static,
+    kill_at_batch: Option<u32>,
+    tally: &Rc<Tally>,
+) -> impl for<'a> Fn(&'a mut Mpi) -> RankFut<'a> + 'static {
+    let tally = Rc::clone(tally);
+    move |mpi| {
+        let t = tally.clone();
+        Box::pin(async move {
+            if mpi.rank() == 0 {
+                manager(mpi, cfg, shape, kill_at_batch).await;
+            } else {
+                let n = worker(mpi, cfg).await;
+                t.tasks_done.set(t.tasks_done.get() + n);
+            }
+            t.unexpected_peak.set(t.unexpected_peak.get().max(mpi.unexpected_peak()));
+            t.match_scan_peak.set(t.match_scan_peak.get().max(mpi.match_scan_peak()));
+        })
+    }
+}
+
+async fn manager(mpi: &mut Mpi, cfg: FarmCfg, shape: impl Fn(u32) -> (usize, i32), kill_at_batch: Option<u32>) {
+    assert!(mpi.size() >= 2, "farm needs a manager and a worker");
+    assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
     let workers = (mpi.size() - 1) as u32;
     let batches = cfg.num_tasks / cfg.fanout;
     let total_requests = batches + cfg.outstanding * workers;
@@ -174,11 +208,11 @@ async fn manager(mpi: &mut Mpi, cfg: FarmCfg, kill_at_batch: Option<u32>) {
                 // Fault injection (A3): the primary network dies.
                 mpi.with_world(|w| w.net.set_network_up(0, false));
             }
-            // One batch: `fanout` tasks, each with its own type tag.
+            // One batch: `fanout` tasks, each sized and typed by the schedule.
             for _ in 0..cfg.fanout {
-                let tag = (task_no % cfg.max_work_tags) as i32;
+                let (bytes, tag) = shape(task_no);
                 task_no += 1;
-                inflight.push(mpi.isend(worker, tag, zeros(cfg.task_bytes)).await);
+                inflight.push(mpi.isend(worker, tag, zeros(bytes)).await);
             }
             remaining -= cfg.fanout;
             mpi.reap_sends(&mut inflight).await;

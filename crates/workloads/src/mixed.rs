@@ -14,24 +14,17 @@
 //! the blocked time collapses.
 //!
 //! The workload is the farm manager/worker loop of [`crate::farm`] with a
-//! deterministic task-size schedule: every `bulk_every`-th task is bulk
-//! (tag 0 → one stream), the rest are urgent on the remaining tags.
+//! deterministic task-size schedule ([`MixedCfg::task_shape`]): every
+//! `bulk_every`-th task is bulk (tag 0 → one stream), the rest are urgent
+//! on the remaining tags. A batch's bulk task lands first, so the urgent
+//! tasks behind it are exactly the sender-HOL victims.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
-use bytes::Bytes;
-use mpi_core::{mpirun, mpirun_traced, Mpi, MpiCfg, MpiReport, ANY_SOURCE, ANY_TAG};
+use mpi_core::{mpirun, mpirun_traced, MpiCfg};
 use simcore::Dur;
 
-use crate::zeros;
-
-/// Tag of worker→manager job requests.
-const REQ_TAG: i32 = 1_000;
-/// Tag of manager→worker termination messages.
-const DONE_TAG: i32 = 1_001;
-/// Size of a request message.
-const REQ_BYTES: usize = 64;
+use crate::farm::{self, FarmCfg, FarmResult, Tally};
 
 /// Mixed-size farm parameters.
 #[derive(Debug, Clone, Copy)]
@@ -86,42 +79,25 @@ impl MixedCfg {
             (self.urgent_bytes, (1 + task_no % urgent_tags) as i32)
         }
     }
-}
 
-/// Per-run results.
-#[derive(Debug, Clone, Copy)]
-pub struct MixedResult {
-    /// Total run time in seconds.
-    pub secs: f64,
-    /// Tasks completed by the workers (sanity: must equal `num_tasks`).
-    pub tasks_done: u32,
-    /// Simulator events fired (self-metering).
-    pub events: u64,
-    /// Scheduler/driver cost of the run (self-metering).
-    pub sched: simcore::SchedCounters,
-    /// Network and SCTP counters of the run, each copied whole
-    /// (`msgs_abandoned` stays 0 unless the run sets a lifetime).
-    pub net: netsim::NetStats,
-    pub sctp: transport::sctp::AssocStats,
-}
-
-impl MixedResult {
-    fn new(report: MpiReport, tasks_done: u32) -> MixedResult {
-        MixedResult {
-            secs: report.secs(),
-            tasks_done,
-            events: report.events,
-            sched: report.sched,
-            net: report.net,
-            sctp: report.sctp,
+    /// The farm loop's settings. The schedule sizes and tags each task, so
+    /// `task_bytes` (the bulk size) is read by nothing.
+    fn farm(&self) -> FarmCfg {
+        FarmCfg {
+            num_tasks: self.num_tasks,
+            task_bytes: self.bulk_bytes,
+            fanout: self.fanout,
+            max_work_tags: self.max_work_tags,
+            outstanding: self.outstanding,
+            compute_per_task: self.compute_per_task,
         }
     }
 }
 
-/// [`MixedResult`] plus the per-side HOL accounting from a forced trace.
+/// [`FarmResult`] plus the per-side HOL accounting from a forced trace.
 #[derive(Debug, Clone, Copy)]
 pub struct TracedMixedResult {
-    pub result: MixedResult,
+    pub result: FarmResult,
     /// Sender-side HOL blocks / total blocked ns across the run.
     pub snd_hol_blocks: u64,
     pub snd_hol_ns: u64,
@@ -131,104 +107,26 @@ pub struct TracedMixedResult {
 }
 
 /// Run the mixed farm under `mpi_cfg`.
-pub fn run(mpi_cfg: MpiCfg, cfg: MixedCfg) -> MixedResult {
-    let done = Rc::new(Cell::new(0u32));
-    let dc = done.clone();
-    let report = mpirun(mpi_cfg, move |mpi| {
-        let dc = dc.clone();
-        Box::pin(async move { body(mpi, cfg, &dc).await })
-    });
-    MixedResult::new(report, done.get())
+pub fn run(mpi_cfg: MpiCfg, cfg: MixedCfg) -> FarmResult {
+    let tally: Rc<Tally> = Rc::default();
+    let report = mpirun(mpi_cfg, farm::program(cfg.farm(), move |n| cfg.task_shape(n), None, &tally));
+    tally.result(report)
 }
 
 /// Run the mixed farm with the flight recorder forced on, returning the
 /// per-side HOL totals the interleave experiment asserts on.
 pub fn run_traced(mpi_cfg: MpiCfg, cfg: MixedCfg) -> TracedMixedResult {
-    let done = Rc::new(Cell::new(0u32));
-    let dc = done.clone();
-    let (report, dump) = mpirun_traced(mpi_cfg, move |mpi| {
-        let dc = dc.clone();
-        Box::pin(async move { body(mpi, cfg, &dc).await })
-    });
+    let tally: Rc<Tally> = Rc::default();
+    let (report, dump) =
+        mpirun_traced(mpi_cfg, farm::program(cfg.farm(), move |n| cfg.task_shape(n), None, &tally));
     let hol = dump.hol_totals();
     TracedMixedResult {
-        result: MixedResult::new(report, done.get()),
+        result: tally.result(report),
         snd_hol_blocks: hol.snd_blocks,
         snd_hol_ns: hol.snd_ns,
         rcv_hol_blocks: hol.rcv_blocks,
         rcv_hol_ns: hol.rcv_ns,
     }
-}
-
-async fn body(mpi: &mut Mpi, cfg: MixedCfg, done: &Cell<u32>) {
-    if mpi.rank() == 0 {
-        manager(mpi, cfg).await;
-    } else {
-        let n = worker(mpi, cfg).await;
-        done.set(done.get() + n);
-    }
-}
-
-async fn manager(mpi: &mut Mpi, cfg: MixedCfg) {
-    assert!(mpi.size() >= 2, "mixed farm needs a manager and a worker");
-    assert_eq!(cfg.num_tasks % cfg.fanout, 0, "tasks must divide evenly into batches");
-    let workers = (mpi.size() - 1) as u32;
-    let batches = cfg.num_tasks / cfg.fanout;
-    let total_requests = batches + cfg.outstanding * workers;
-    let mut remaining = cfg.num_tasks;
-    let mut task_no: u32 = 0;
-    let mut inflight: Vec<mpi_core::ReqId> = Vec::new();
-    for _ in 0..total_requests {
-        let (st, _req) = mpi.recv(ANY_SOURCE, Some(REQ_TAG)).await;
-        let worker = st.src;
-        if remaining > 0 {
-            // One batch: `fanout` tasks off the deterministic size/tag
-            // schedule. A batch's bulk task lands first, so the urgent
-            // tasks behind it are exactly the sender-HOL victims.
-            for _ in 0..cfg.fanout {
-                let (bytes, tag) = cfg.task_shape(task_no);
-                task_no += 1;
-                inflight.push(mpi.isend(worker, tag, zeros(bytes)).await);
-            }
-            remaining -= cfg.fanout;
-            mpi.reap_sends(&mut inflight).await;
-        } else {
-            mpi.send(worker, DONE_TAG, Bytes::new()).await;
-        }
-    }
-    let leftovers: Vec<_> = std::mem::take(&mut inflight);
-    mpi.waitall(&leftovers).await;
-}
-
-/// Returns the number of tasks this worker processed.
-async fn worker(mpi: &mut Mpi, cfg: MixedCfg) -> u32 {
-    let pool = (cfg.outstanding * cfg.fanout + cfg.outstanding) as usize;
-    let mut recvs = Vec::with_capacity(pool);
-    for _ in 0..pool {
-        recvs.push(mpi.irecv(Some(0), ANY_TAG).await);
-    }
-    for _ in 0..cfg.outstanding {
-        mpi.send(0, REQ_TAG, zeros(REQ_BYTES)).await;
-    }
-    let mut tasks_in_batch = 0u32;
-    let mut tasks_done = 0u32;
-    let mut dones = 0u32;
-    while dones < cfg.outstanding {
-        let (idx, st, _msg) = mpi.waitany(&recvs).await;
-        recvs[idx] = mpi.irecv(Some(0), ANY_TAG).await;
-        if st.tag == DONE_TAG {
-            dones += 1;
-            continue;
-        }
-        tasks_done += 1;
-        tasks_in_batch += 1;
-        mpi.compute(cfg.compute_per_task).await;
-        if tasks_in_batch == cfg.fanout {
-            tasks_in_batch = 0;
-            mpi.send(0, REQ_TAG, zeros(REQ_BYTES)).await;
-        }
-    }
-    tasks_done
 }
 
 #[cfg(test)]
