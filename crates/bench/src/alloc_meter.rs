@@ -2,33 +2,48 @@
 //!
 //! The whole harness (every figure binary and test in this crate) runs
 //! under [`CountingAlloc`], a thin wrapper around the system allocator.
-//! When metering is **off** (the default) the only cost is one relaxed
-//! atomic load per allocation; when **on** (`ALLOC_METER=1`,
-//! or [`enable`] from a test) every `alloc`/`alloc_zeroed`/`realloc` bumps
-//! a process-wide counter. Frees are not counted: the meter tracks
-//! *allocator pressure*, and the pools this PR adds eliminate the malloc,
-//! not just the free.
+//! Metering is per thread: [`enable`] turns it on for the calling thread
+//! only, and the figure runner turns it on in every cell worker it spawns
+//! from a metered thread (`ALLOC_METER=1` meters the runner's thread). On a
+//! thread that is not metered (the default) the only cost is one
+//! thread-local load per allocation; on a metered one every
+//! `alloc`/`alloc_zeroed`/`realloc` bumps one process-wide counter. Threads
+//! the harness does not own, such as the test runner's, are never counted,
+//! so a metered region's count repeats exactly from run to run. Frees are
+//! not counted: the meter tracks *allocator pressure*, and the pools
+//! eliminate the malloc, not just the free.
 //!
-//! The counter is process-global, so per-cell deltas are only
+//! The metered threads share the counter, so per-cell deltas are only
 //! attributable when one cell runs at a time — the runner records
 //! them for any `BENCH_THREADS`, but the numbers are meaningful (and the
 //! regression test asserts) at `BENCH_THREADS=1`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Wraps [`System`], counting allocation calls while metering is enabled.
+/// Wraps [`System`], counting allocation calls made on metered threads.
 pub struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ENABLED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// This thread's allocations are counted. Const-initialised and without
+    /// a destructor, so reading it never allocates.
+    static METERED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Is the calling thread metered? `false` once its thread-locals are gone.
+fn metered() -> bool {
+    METERED.try_with(Cell::get).unwrap_or(false)
+}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
+        if metered() {
             let n = ALLOCS.fetch_add(1, Ordering::Relaxed);
             sample_backtrace(n, layout.size());
         }
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
+        if metered() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
@@ -44,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow/shrink is fresh allocator pressure too (it may move).
-        if ENABLED.load(Ordering::Relaxed) {
+        if metered() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -61,7 +76,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// `alloc_threshold` gate trips. Costs nothing unless both `ALLOC_METER=1`
 /// and `ALLOC_SAMPLE` are set.
 fn sample_backtrace(n: u64, size: usize) {
-    use std::cell::Cell;
     thread_local! { static IN_HOOK: Cell<bool> = const { Cell::new(false) }; }
     static PERIOD: AtomicU64 = AtomicU64::new(0);
     let mut p = PERIOD.load(Ordering::Relaxed);
@@ -93,14 +107,15 @@ fn sample_backtrace(n: u64, size: usize) {
     });
 }
 
-/// Turn metering on or off (idempotent; also flipped by `ALLOC_METER=1`).
+/// Turn metering on or off for the calling thread (idempotent; also
+/// flipped by `ALLOC_METER=1`).
 pub fn enable(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    METERED.with(|m| m.set(on));
 }
 
-/// Is metering currently on?
+/// Is metering on for the calling thread?
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    metered()
 }
 
 /// `ALLOC_METER=1` in the environment requests metering.
@@ -108,8 +123,8 @@ pub fn env_enabled() -> bool {
     std::env::var("ALLOC_METER").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Allocation calls counted so far (monotone; sample before/after a region
-/// and subtract).
+/// Allocation calls counted so far on every metered thread (monotone;
+/// sample before/after a region and subtract).
 pub fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }

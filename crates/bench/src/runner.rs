@@ -405,6 +405,8 @@ pub fn run_cells<R: CellResult>(
     let start = Instant::now();
     let next = AtomicUsize::new(0);
     let worker = || {
+        // Metering is per thread: a metered caller meters its workers.
+        crate::alloc_meter::enable(metering_allocs);
         let mut done: Vec<(usize, R, CellMeter)> = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);

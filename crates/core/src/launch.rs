@@ -135,9 +135,10 @@ impl MpiCfg {
         self
     }
 
-    /// Select the sender-side stream scheduler (effective only with
-    /// interleaving negotiated; without I-DATA the engine forces FCFS so
-    /// fragments stay TSN-contiguous for the legacy reassembler).
+    /// Select the sender-side stream scheduler's policy (effective only
+    /// with interleaving negotiated; without I-DATA the scheduler picks
+    /// FCFS so each message's fragments stay TSN-contiguous for the
+    /// receiver's DATA reassembly, which joins consecutive TSNs).
     pub fn with_scheduler(mut self, sched: transport::sctp::SchedKind) -> Self {
         self.sctp.sched = sched;
         self

@@ -262,9 +262,14 @@ impl SctpRpi {
             meter.charge(cost::SYSCALL + cost::SCTP_PER_MSG + cost::sctp_bytes(msg.len as usize));
             progressed = true;
             // Any host can associate with the RPI port; a message that did
-            // not come from a rank's association is dropped unread.
-            if let Some(peer) = self.peer_of_assoc(msg.assoc) {
-                self.handle_message(ctx, core, peer, msg.stream, &mut msg.data, msg.len as usize);
+            // not come from a rank's association is dropped unread, and the
+            // association is shut down so that its state and heartbeats do
+            // not outlive the message.
+            match self.peer_of_assoc(msg.assoc) {
+                Some(peer) => {
+                    self.handle_message(ctx, core, peer, msg.stream, &mut msg.data, msg.len as usize)
+                }
+                None => sctp::shutdown(w, ctx, msg.assoc),
             }
             // The chunk list came from the transport's pool (reassembly);
             // its contents were consumed or dropped above, so retire the carrier.

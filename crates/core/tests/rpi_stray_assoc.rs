@@ -1,9 +1,12 @@
 //! The SCTP RPI listens on a well-known port, so a host that is not one of
 //! the job's ranks can associate with it and send. Such a message must be
-//! dropped, not crash the rank, and ordinary traffic must carry on.
+//! dropped, not crash the rank, and ordinary traffic must carry on. The
+//! rank then shuts the association down, so it does not stay up (window
+//! state, heartbeats) for the rest of the job.
 
 use bytes::Bytes;
 use mpi_core::{mpirun, MpiCfg};
+use simcore::Dur;
 use transport::sctp::{self, AssocState};
 
 /// The port every rank's RPI endpoint listens on.
@@ -43,6 +46,10 @@ fn message_from_a_non_rank_association_is_dropped() {
                     let (st, msg) = mpi.recv(Some(0), Some(8)).await;
                     assert_eq!((st.src, st.tag), (0, 8));
                     assert_eq!(msg.to_vec(), b"pong");
+                    // The SHUTDOWN exchange takes one round trip; 500 ms is
+                    // far more, and far less than the heartbeat interval.
+                    mpi.compute(Dur::from_millis(500)).await;
+                    assert_eq!(mpi.with_world(|w| sctp::assoc_state(w, a)), AssocState::Closed);
                 }
                 _ => {}
             }

@@ -11,7 +11,7 @@ use simcore::{Deadline, Dur, ProcId, SimTime};
 use crate::rto::{RtoCfg, RtoEstimator};
 
 use super::receive::RcvWindow;
-use super::sched::{SchedCandidate, SchedKind, StreamScheduler};
+use super::sched::{SchedKind, Scheduler};
 use super::window::SentRing;
 use super::wire::{DataChunk, IDataChunk, EXT_INTERLEAVE, EXT_PR_SCTP};
 
@@ -96,8 +96,8 @@ pub struct SctpCfg {
     /// decoded packet fail vtag validation.
     pub wire_safe_ids: bool,
     /// Offer RFC 8260 user-message interleaving (I-DATA). When both ends
-    /// offer it, senders queue per stream, a [`SchedKind`] scheduler picks
-    /// the next chunk's stream, and receivers reassemble per (stream, MID).
+    /// offer it, the [`SchedKind`] policy picks which stream's queue
+    /// supplies the next chunk, and receivers reassemble per (stream, MID).
     /// `false` leaves the engine bit-identical to the pre-I-DATA code.
     pub interleave: bool,
     /// Offer RFC 3758 timed reliability (PR-SCTP): expired messages are
@@ -195,7 +195,6 @@ pub(crate) struct PendingChunk {
     pub ssn: u32,
     pub begin: bool,
     pub end: bool,
-    pub unordered: bool,
     pub ppid: u32,
     pub data: Bytes,
     /// RFC 8260 fragment sequence number within the message (0-based).
@@ -215,7 +214,6 @@ pub(crate) struct SentChunk {
     pub ssn: u32,
     pub begin: bool,
     pub end: bool,
-    pub unordered: bool,
     pub ppid: u32,
     pub data: Bytes,
     pub path: u8,
@@ -491,7 +489,12 @@ pub(crate) struct Assoc {
     // ---- transmit ----
     pub next_tsn: u64,
     pub out_ssn: Vec<u32>,
-    pub pending: VecDeque<PendingChunk>,
+    /// Unsent fragments, one queue per outbound stream (indexed by stream
+    /// id), each in enqueue order.
+    pub out_q: Vec<VecDeque<PendingChunk>>,
+    /// Fragments queued across `out_q`.
+    pub queued: usize,
+    /// Payload bytes queued across `out_q`.
     pub pending_bytes: u64,
     /// Free send space the endpoint's blocked writer needs on this
     /// association: a SACK here wakes the writers only once
@@ -502,21 +505,12 @@ pub(crate) struct Assoc {
     /// Negotiated extension bits: intersection of both ends' offers
     /// (EXT_INTERLEAVE | EXT_PR_SCTP). 0 until the handshake settles.
     pub ext_flags: u8,
-    /// Structural queue mode, fixed at creation from `cfg.interleave`:
-    /// fragments queue per stream in `out_q` instead of the single
-    /// `pending` FIFO. If the peer then fails to negotiate interleaving,
-    /// picks are forced FCFS so wire order matches the FIFO exactly.
-    pub per_stream_q: bool,
-    /// Per-stream send queues (`per_stream_q` mode; indexed by stream id).
-    pub out_q: Vec<VecDeque<PendingChunk>>,
-    /// Sender-side stream scheduler (consulted only when interleaving was
-    /// actually negotiated).
-    pub sched: Box<dyn StreamScheduler>,
+    /// Picks which stream's queue supplies the next fragment: the
+    /// configured policy once interleaving is negotiated, FCFS otherwise.
+    pub sched: Scheduler,
     /// Global fragment enqueue counter — FCFS key; fragments of one
     /// message take consecutive values.
     pub msg_seq: u64,
-    /// Reused candidate buffer so per-chunk scheduling stays alloc-free.
-    pub sched_scratch: Vec<SchedCandidate>,
     /// Peer's cumulative ack as of the last SACK processed — the
     /// FORWARD-TSN baseline.
     pub peer_cum: u64,
@@ -598,12 +592,6 @@ impl Assoc {
             cfg.num_paths
         );
         let paths = (0..cfg.num_paths).map(|i| PathState::new(i, cfg)).collect();
-        let per_stream_q = cfg.interleave;
-        let out_q = if per_stream_q {
-            (0..cfg.out_streams).map(|_| VecDeque::new()).collect()
-        } else {
-            Vec::new()
-        };
         Assoc {
             state,
             local_port,
@@ -615,15 +603,13 @@ impl Assoc {
             primary: 0,
             next_tsn: init_tsn,
             out_ssn: vec![0; cfg.out_streams as usize],
-            pending: VecDeque::new(),
+            out_q: (0..cfg.out_streams).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             pending_bytes: 0,
             writer_need: 0,
             ext_flags: 0,
-            per_stream_q,
-            out_q,
-            sched: cfg.sched.build(cfg.out_streams),
+            sched: Scheduler::new(cfg.sched, cfg.out_streams),
             msg_seq: 0,
-            sched_scratch: Vec::new(),
             peer_cum: init_tsn.saturating_sub(1),
             fwd_sent: 0,
             sent: SentRing::new(init_tsn),
@@ -701,97 +687,46 @@ impl Assoc {
         self.ext_flags & EXT_PR_SCTP != 0
     }
 
-    /// True when no user fragment is queued for first transmission (both
-    /// queue modes).
+    /// True when no user fragment is queued for first transmission.
     pub(crate) fn q_is_empty(&self) -> bool {
-        self.pending.is_empty() && self.out_q.iter().all(|q| q.is_empty())
+        self.queued == 0
     }
 
-    /// Enqueue a fragment in whichever queue structure this association
-    /// uses.
+    /// Enqueue a fragment at the back of its stream's queue (`admit` has
+    /// checked the stream id).
     pub(crate) fn q_push(&mut self, pc: PendingChunk) {
-        if self.per_stream_q {
-            let sid = pc.stream as usize;
-            if self.out_q.len() <= sid {
-                self.out_q.resize_with(sid + 1, VecDeque::new);
-            }
-            self.out_q[sid].push_back(pc);
-        } else {
-            self.pending.push_back(pc);
-        }
+        self.out_q[pc.stream as usize].push_back(pc);
+        self.queued += 1;
     }
 
-    /// Which stream the scheduler would serve next (`per_stream_q` mode).
-    /// Deterministic and repeatable: queues unchanged ⇒ same answer, so
-    /// the engine can gate (peek) several times before one pop. When the
-    /// peer did not negotiate interleaving, FCFS is forced regardless of
-    /// the configured policy so each message's fragments stay
-    /// TSN-contiguous for the peer's sequential reassembler.
-    pub(crate) fn sched_pick(&mut self) -> Option<u16> {
-        self.sched_scratch.clear();
-        for (sid, q) in self.out_q.iter().enumerate() {
-            if let Some(front) = q.front() {
-                self.sched_scratch.push(SchedCandidate {
-                    sid: sid as u16,
-                    front_seq: front.seq,
-                    front_len: front.data.len() as u32,
-                });
-            }
-        }
-        if self.sched_scratch.is_empty() {
+    /// Front fragment the next pop would take, with its stream id.
+    /// Repeatable: queues unchanged ⇒ same answer, so the engine can gate
+    /// (peek) several times before one pop. When the peer did not
+    /// negotiate interleaving, FCFS is forced regardless of the configured
+    /// policy so each message's fragments stay TSN-contiguous for the
+    /// peer's sequential reassembler.
+    pub(crate) fn q_front(&self) -> Option<(u16, &PendingChunk)> {
+        if self.queued == 0 {
             return None;
         }
-        let i = if self.interleaving() {
-            self.sched.pick(&self.sched_scratch)
-        } else {
-            let mut best = 0;
-            for (j, c) in self.sched_scratch.iter().enumerate().skip(1) {
-                if c.front_seq < self.sched_scratch[best].front_seq {
-                    best = j;
-                }
-            }
-            best
-        };
-        Some(self.sched_scratch[i].sid)
-    }
-
-    /// Front fragment the next pop would take, with its stream id
-    /// (`None` stream = legacy FIFO mode).
-    pub(crate) fn q_front(&mut self) -> Option<(Option<u16>, &PendingChunk)> {
-        if self.per_stream_q {
-            let sid = self.sched_pick()?;
-            self.out_q[sid as usize].front().map(|pc| (Some(sid), pc))
-        } else {
-            self.pending.front().map(|pc| (None, pc))
-        }
+        let sid = self.sched.pick(&self.out_q, !self.interleaving())?;
+        self.out_q[sid as usize].front().map(|pc| (sid, pc))
     }
 
     /// Pop the fragment previously peeked via `q_front` and update the
     /// scheduler's accounting.
-    pub(crate) fn q_pop(&mut self, sid: Option<u16>) -> Option<PendingChunk> {
-        match sid {
-            Some(s) => {
-                let pc = self.out_q[s as usize].pop_front();
-                if let Some(ref pc) = pc {
-                    if self.interleaving() {
-                        self.sched.on_send(s, pc.data.len() as u32);
-                    }
-                }
-                pc
-            }
-            None => self.pending.pop_front(),
-        }
+    pub(crate) fn q_pop(&mut self, sid: u16) -> Option<PendingChunk> {
+        let pc = self.out_q[sid as usize].pop_front()?;
+        self.queued -= 1;
+        self.sched.on_pop(sid, &pc);
+        Some(pc)
     }
 
     /// Any fragment of a *different* stream currently queued? (The
     /// sender-side head-of-line condition at enqueue time; only evaluated
     /// when a tracer is attached.)
     pub(crate) fn other_stream_queued(&self, sid: u16) -> bool {
-        if self.per_stream_q {
-            self.out_q.iter().enumerate().any(|(i, q)| i != sid as usize && !q.is_empty())
-        } else {
-            self.pending.iter().any(|pc| pc.stream != sid)
-        }
+        self.queued > self.out_q[sid as usize].len()
     }
 
     /// Any fragment of `sid` itself currently queued? A message enqueued
@@ -801,11 +736,7 @@ impl Assoc {
     /// only opens an episode for head-of-stream messages, where the wait
     /// is purely other streams' fragments holding the wire.
     pub(crate) fn own_stream_queued(&self, sid: u16) -> bool {
-        if self.per_stream_q {
-            !self.out_q[sid as usize].is_empty()
-        } else {
-            self.pending.iter().any(|pc| pc.stream == sid)
-        }
+        !self.out_q[sid as usize].is_empty()
     }
 
     /// PR-SCTP Advanced.Peer.Ack.Point: walk the contiguous `sent` prefix

@@ -407,7 +407,6 @@ fn sendmsg_impl(
                 ssn,
                 begin: true,
                 end: true,
-                unordered: false,
                 ppid,
                 data: Bytes::new(),
                 fsn: 0,
@@ -431,7 +430,6 @@ fn sendmsg_impl(
                         ssn,
                         begin,
                         end: remaining == 0,
-                        unordered: false,
                         ppid,
                         data: chunk.slice(off..off + take),
                         fsn,
@@ -735,8 +733,7 @@ fn try_send_inner(
                 } else {
                     ak.primary
                 };
-                // Peek the scheduler's next fragment before borrowing the
-                // path (`q_front` needs `&mut` for the candidate scratch).
+                // Peek the scheduler's next fragment.
                 let front_len = ak.q_front().map(|(_, pc)| pc.data.len() as u64).unwrap_or(0);
                 let p = &ak.paths[path as usize];
                 let cwnd_ok = p.flight < p.cwnd; // the 1-byte rule
@@ -768,7 +765,7 @@ fn try_send_inner(
                     if ak.peer_rwnd < len && (ak.outstanding_bytes != 0 || sent_any_probe) {
                         break;
                     }
-                    let pc = ak.q_pop(qsid).unwrap();
+                    let pc = ak.q_pop(qsid).expect("q_front peeked this fragment");
                     // Flight recorder, sender side: this stream got its
                     // turn on the wire — close any open sender-HOL episode
                     // (message-granular: begin fragments only).
@@ -805,7 +802,6 @@ fn try_send_inner(
                         ssn: pc.ssn,
                         begin: pc.begin,
                         end: pc.end,
-                        unordered: pc.unordered,
                         ppid: pc.ppid,
                         data: pc.data,
                         path,
@@ -950,7 +946,7 @@ fn data_chunk_for(interleave: bool, tsn: u64, c: &SentChunk) -> Chunk {
             fsn: c.fsn,
             begin: c.begin,
             end: c.end,
-            unordered: c.unordered,
+            unordered: false,
             ppid: c.ppid,
             data: c.data.clone(),
         })
@@ -961,7 +957,7 @@ fn data_chunk_for(interleave: bool, tsn: u64, c: &SentChunk) -> Chunk {
             ssn: c.ssn,
             begin: c.begin,
             end: c.end,
-            unordered: c.unordered,
+            unordered: false,
             ppid: c.ppid,
             data: c.data.clone(),
         })
@@ -986,10 +982,9 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
         rtx_queue,
         paths,
         outstanding_bytes,
-        pending,
         out_q,
+        queued,
         pending_bytes,
-        per_stream_q,
         next_tsn,
         stats,
         ..
@@ -1012,8 +1007,12 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
         c.abandoned = true;
     }
     let mut dropped = 0u64;
-    let mut phantom = |pc: &PendingChunk| {
+    out_q[stream as usize].retain(|pc| {
+        if pc.ssn != ssn {
+            return true;
+        }
         dropped += pc.data.len() as u64;
+        *queued -= 1;
         let tsn = *next_tsn;
         *next_tsn += 1;
         sent.push(
@@ -1023,7 +1022,6 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
                 ssn: pc.ssn,
                 begin: pc.begin,
                 end: pc.end,
-                unordered: pc.unordered,
                 ppid: pc.ppid,
                 data: bytes::Bytes::new(), // never transmitted
                 path: 0,
@@ -1037,46 +1035,30 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
                 abandoned: true,
             },
         );
-    };
-    let queue = if *per_stream_q { out_q.get_mut(stream as usize) } else { Some(pending) };
-    if let Some(q) = queue {
-        q.retain(|pc| {
-            let doomed = pc.stream == stream && pc.ssn == ssn;
-            if doomed {
-                phantom(pc);
-            }
-            !doomed
-        });
-    }
+        false
+    });
     *pending_bytes = pending_bytes.saturating_sub(dropped);
     stats.msgs_abandoned += 1;
 }
 
 /// PR-SCTP: abandon queued messages whose lifetime lapsed before their
-/// first transmission. Lazy and front-of-queue only — O(streams) per send
-/// opportunity; a fragment buried deeper gets the same check when it
-/// reaches the front (or, once sent, at retransmission time).
+/// first transmission. Lazy and front-of-queue only: with interleaving every
+/// stream's front, O(streams) per send opportunity; without it only the
+/// fragment FCFS sends next. A fragment buried deeper gets the same check
+/// when it reaches the front (or, once sent, at retransmission time).
 fn reap_expired(ak: &mut Assoc, now: simcore::SimTime) {
     if !ak.pr_active() {
         return;
     }
-    if ak.per_stream_q {
+    let expired = |pc: &PendingChunk| pc.expires.is_some_and(|e| now > e).then_some((pc.stream, pc.ssn));
+    if ak.interleaving() {
         for sid in 0..ak.out_q.len() {
-            while let Some((s, n)) = ak.out_q[sid]
-                .front()
-                .filter(|pc| pc.expires.is_some_and(|e| now > e))
-                .map(|pc| (pc.stream, pc.ssn))
-            {
+            while let Some((s, n)) = ak.out_q[sid].front().and_then(expired) {
                 abandon_message(ak, s, n);
             }
         }
     } else {
-        while let Some((s, n)) = ak
-            .pending
-            .front()
-            .filter(|pc| pc.expires.is_some_and(|e| now > e))
-            .map(|pc| (pc.stream, pc.ssn))
-        {
+        while let Some((s, n)) = ak.q_front().and_then(|(_, pc)| expired(pc)) {
             abandon_message(ak, s, n);
         }
     }
@@ -1930,5 +1912,63 @@ pub(crate) fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
             arm_shutdown_timer(w, ctx, a);
         }
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Queue message `ssn` of `frags` fragments on `stream`, as `sendmsg`
+    /// does: consecutive `seq`s, one `ssn` for the whole message.
+    fn queue_msg(ak: &mut Assoc, stream: u16, ssn: u32, frags: u32) {
+        for fsn in 0..frags {
+            let seq = ak.msg_seq;
+            ak.msg_seq += 1;
+            ak.q_push(PendingChunk {
+                stream,
+                ssn,
+                begin: fsn == 0,
+                end: fsn + 1 == frags,
+                ppid: 0,
+                data: Bytes::from(vec![0u8; 100]),
+                fsn,
+                seq,
+                expires: None,
+            });
+            ak.pending_bytes += 100;
+        }
+    }
+
+    /// Peek and pop the next fragment, as the send pass does; its `seq`.
+    fn pop(ak: &mut Assoc) -> Option<u64> {
+        let (sid, _) = ak.q_front()?;
+        let pc = ak.q_pop(sid)?;
+        ak.pending_bytes -= pc.data.len() as u64;
+        Some(pc.seq)
+    }
+
+    #[test]
+    fn abandoning_mid_message_keeps_enqueue_order_without_interleaving() {
+        let cfg = SctpCfg { sched: super::super::SchedKind::RoundRobin, ..SctpCfg::default() };
+        let mut ak = Assoc::new(&cfg, 1, 2, 3, 4, AssocState::Established, 100);
+        assert!(!ak.interleaving(), "no interleaving negotiated: FCFS is forced");
+        // seq 0-2 on stream 0, 3-4 on stream 1, 5-7 on stream 2, 8-9 on
+        // stream 0 again, 10 on stream 1.
+        queue_msg(&mut ak, 0, 0, 3);
+        queue_msg(&mut ak, 1, 0, 2);
+        queue_msg(&mut ak, 2, 0, 3);
+        queue_msg(&mut ak, 0, 1, 2);
+        queue_msg(&mut ak, 1, 1, 1);
+        assert_eq!((pop(&mut ak), pop(&mut ak)), (Some(0), Some(1)));
+        // Abandon stream 0's first message with its last fragment unsent:
+        // that fragment becomes a phantom TSN, and the stream's front is now
+        // seq 8, so the fast path's check misses and the pick scans.
+        abandon_message(&mut ak, 0, 0);
+        assert_eq!((ak.queued, ak.pending_bytes, ak.next_tsn), (8, 800, 101));
+        assert!(ak.sent.get(100).is_some_and(|c| c.abandoned && c.acked && c.fsn == 2));
+        let rest: Vec<u64> = std::iter::from_fn(|| pop(&mut ak)).collect();
+        assert_eq!(rest, vec![3, 4, 5, 6, 7, 8, 9, 10]);
+        assert!(ak.q_is_empty());
     }
 }

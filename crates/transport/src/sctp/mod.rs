@@ -4,7 +4,7 @@
 mod assoc;
 mod engine;
 mod receive;
-pub mod sched;
+mod sched;
 mod window;
 mod wire;
 
@@ -18,7 +18,7 @@ pub(crate) use engine::{
     on_autoclose, on_heartbeat, on_init_timer, on_sack_timer, on_shutdown_timer, on_t3,
 };
 pub use receive::RcvWindow;
-pub use sched::{SchedCandidate, SchedKind, StreamScheduler};
+pub use sched::SchedKind;
 pub use window::SentRing;
 pub use wire::{
     Chunk, Cookie, DataChunk, IDataChunk, SctpPacket, COMMON_HEADER, COOKIE_WIRE_LEN,

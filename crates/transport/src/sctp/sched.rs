@@ -1,57 +1,34 @@
-//! Sender-side stream schedulers for RFC 8260 message interleaving.
+//! Sender-side stream scheduling for RFC 8260 message interleaving.
 //!
-//! With I-DATA negotiated, fragments of different user messages may
-//! interleave on the wire, so "which stream supplies the next chunk?"
-//! becomes a real policy question. This module defines the
-//! [`StreamScheduler`] trait the engine consults once per chunk slot, plus
-//! the four deterministic policies the experiments compare
+//! Every association queues its unsent fragments per stream (`Assoc::out_q`,
+//! one queue per outbound stream, each in enqueue order), and one
+//! [`Scheduler`] value decides which stream's front fragment goes out next
+//! by reading the queue fronts directly. With I-DATA negotiated, fragments
+//! of different user messages may interleave on the wire, so that choice is
+//! a real policy: one of the four [`SchedKind`]s the experiments compare
 //! (first-come-first-served, round-robin, weighted-fair, strict-priority).
+//! Without interleaving the pick is always FCFS, which over per-stream
+//! queues is the single-FIFO order exactly: each message's fragments stay
+//! TSN-contiguous for the peer's sequential reassembler.
 //!
 //! # Determinism contract
 //!
-//! Schedulers run inside the discrete-event simulation, so every
-//! implementation MUST be a pure function of its own explicit state and the
-//! candidate list: no RNG, no `HashMap` iteration order, no wall-clock
-//! reads. Ties MUST break toward the lowest stream id. The engine
-//! guarantees the candidate slice is sorted by ascending stream id and
-//! non-empty.
+//! The scheduler runs inside the discrete-event simulation, so a pick is a
+//! pure function of the scheduler's own state and the queue fronts: no RNG,
+//! no `HashMap` iteration order, no wall-clock reads. Ties break toward the
+//! lowest stream id.
 //!
 //! # Peek/pop consistency
 //!
-//! The engine calls [`StreamScheduler::pick`] (a `&self` peek) while
-//! deciding whether the next chunk fits the congestion window, and only
-//! after committing to transmit calls [`StreamScheduler::on_send`] (the
-//! `&mut self` state update). A `pick` therefore MUST NOT mutate: the
-//! engine may peek several times (cwnd gate, rwnd gate, budget gate)
-//! before one pop, and repeated peeks must agree.
+//! The engine calls [`Scheduler::pick`] (a `&self` peek) while deciding
+//! whether the next chunk fits the congestion window, and only after
+//! committing to transmit pops the fragment and calls [`Scheduler::on_pop`]
+//! (the `&mut self` state update). The engine may peek several times (cwnd
+//! gate, rwnd gate, budget gate) before one pop, and repeated peeks agree.
 
-/// One schedulable stream, as presented to [`StreamScheduler::pick`].
-#[derive(Debug, Clone, Copy)]
-pub struct SchedCandidate {
-    /// Stream id with at least one queued fragment.
-    pub sid: u16,
-    /// Global enqueue sequence number of the stream's front fragment
-    /// (monotone across the association; FCFS order).
-    pub front_seq: u64,
-    /// Payload length of the stream's front fragment, bytes.
-    pub front_len: u32,
-}
+use std::collections::VecDeque;
 
-/// A sender-side stream scheduling policy (RFC 8260 §4 / SCTP_SS_* socket
-/// options in usrsctp).
-///
-/// The engine keeps one boxed scheduler per association and consults it
-/// once per chunk-transmission slot.
-pub trait StreamScheduler {
-    /// Choose which candidate stream supplies the next chunk. Returns an
-    /// index into `candidates`. Must be deterministic and side-effect free
-    /// (see the module docs for the peek/pop contract).
-    fn pick(&self, candidates: &[SchedCandidate]) -> usize;
-
-    /// Record that `bytes` of stream `sid`'s front fragment were committed
-    /// for transmission. Called exactly once per popped fragment.
-    fn on_send(&mut self, sid: u16, bytes: u32);
-}
+use super::assoc::PendingChunk;
 
 /// Which scheduler policy an association uses, set via `MpiCfg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,159 +71,186 @@ impl SchedKind {
             SchedKind::StrictPriority => "prio",
         }
     }
-
-    /// Build a fresh scheduler instance for an association with
-    /// `out_streams` outbound streams.
-    pub fn build(self, out_streams: u16) -> Box<dyn StreamScheduler> {
-        match self {
-            SchedKind::Fcfs => Box::new(Fcfs),
-            SchedKind::RoundRobin => Box::new(RoundRobin { last: None }),
-            SchedKind::WeightedFair => Box::new(WeightedFair { sent: vec![0; out_streams as usize] }),
-            SchedKind::StrictPriority => Box::new(StrictPriority),
-        }
-    }
 }
 
-/// FCFS: lowest global enqueue sequence first — the single-FIFO order.
-#[derive(Debug)]
-pub struct Fcfs;
+/// The stream scheduler of one association: its policy and the state the
+/// policies keep.
+pub(crate) struct Scheduler {
+    kind: SchedKind,
+    /// Round-robin cursor: the stream served last (`None` on a fresh
+    /// association, which starts at the lowest stream with data).
+    rr_last: Option<u16>,
+    /// Weighted-fair: payload bytes popped per stream (sized only for
+    /// [`SchedKind::WeightedFair`]).
+    wfq_sent: Vec<u64>,
+    /// FCFS fast path: stream of the last popped fragment.
+    last_sid: u16,
+    /// FCFS fast path: `seq` of the last popped fragment plus one.
+    next_seq: u64,
+}
 
-impl StreamScheduler for Fcfs {
-    fn pick(&self, candidates: &[SchedCandidate]) -> usize {
-        let mut best = 0;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if c.front_seq < candidates[best].front_seq {
-                best = i;
+impl Scheduler {
+    /// A fresh scheduler running `kind` over `out_streams` stream queues.
+    pub(crate) fn new(kind: SchedKind, out_streams: u16) -> Self {
+        let wfq_sent =
+            if kind == SchedKind::WeightedFair { vec![0; out_streams as usize] } else { Vec::new() };
+        Scheduler { kind, rr_last: None, wfq_sent, last_sid: 0, next_seq: 0 }
+    }
+
+    /// Which stream supplies the next fragment, given the per-stream
+    /// queues; `None` when every queue is empty. `fcfs` forces FCFS
+    /// whatever the policy (interleaving was not negotiated).
+    pub(crate) fn pick(&self, queues: &[VecDeque<PendingChunk>], fcfs: bool) -> Option<u16> {
+        let mut fronts =
+            queues.iter().enumerate().filter_map(|(sid, q)| q.front().map(|pc| (sid as u16, pc)));
+        match if fcfs { SchedKind::Fcfs } else { self.kind } {
+            SchedKind::Fcfs => {
+                // Each queue is in `seq` order and every pop took the lowest
+                // queued `seq`, so a front one past the last popped `seq`
+                // is the lowest: inside a message no front is scanned. A
+                // PR-SCTP abandonment only removes fragments, so the check
+                // stays sound; it just misses and falls back to the scan.
+                let last = queues.get(self.last_sid as usize).and_then(|q| q.front());
+                if last.is_some_and(|pc| pc.seq == self.next_seq) {
+                    return Some(self.last_sid);
+                }
+                fronts.min_by_key(|(_, pc)| pc.seq).map(|(sid, _)| sid)
             }
-        }
-        best
-    }
-
-    fn on_send(&mut self, _sid: u16, _bytes: u32) {}
-}
-
-/// Round-robin: the next stream (by id, wrapping) after the last-served
-/// one. A fresh association starts at the lowest candidate.
-#[derive(Debug)]
-pub struct RoundRobin {
-    last: Option<u16>,
-}
-
-impl StreamScheduler for RoundRobin {
-    fn pick(&self, candidates: &[SchedCandidate]) -> usize {
-        match self.last {
-            None => 0,
-            Some(last) => {
-                // First candidate with sid strictly above the cursor, else
-                // wrap to the lowest (candidates are sorted by sid).
-                candidates.iter().position(|c| c.sid > last).unwrap_or(0)
+            SchedKind::RoundRobin => {
+                // The first stream above the cursor, else wrap to the lowest.
+                let mut sids = fronts.map(|(sid, _)| sid);
+                let lowest = sids.next()?;
+                match self.rr_last {
+                    Some(last) if lowest <= last => sids.find(|&s| s > last).or(Some(lowest)),
+                    _ => Some(lowest),
+                }
             }
-        }
-    }
-
-    fn on_send(&mut self, sid: u16, _bytes: u32) {
-        self.last = Some(sid);
-    }
-}
-
-/// Fair queueing with unit weights: serve the stream with the fewest bytes
-/// sent so far; ties go to the lowest stream id.
-#[derive(Debug)]
-pub struct WeightedFair {
-    sent: Vec<u64>,
-}
-
-impl StreamScheduler for WeightedFair {
-    fn pick(&self, candidates: &[SchedCandidate]) -> usize {
-        let mut best = 0;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if self.sent[c.sid as usize] < self.sent[candidates[best].sid as usize] {
-                best = i;
+            SchedKind::WeightedFair => {
+                fronts.min_by_key(|&(sid, _)| self.wfq_sent[sid as usize]).map(|(sid, _)| sid)
             }
+            SchedKind::StrictPriority => fronts.next().map(|(sid, _)| sid),
         }
-        best
     }
 
-    fn on_send(&mut self, sid: u16, bytes: u32) {
-        self.sent[sid as usize] += bytes as u64;
+    /// Record that `pc`, the front of stream `sid`, was popped for
+    /// transmission. Called exactly once per popped fragment.
+    pub(crate) fn on_pop(&mut self, sid: u16, pc: &PendingChunk) {
+        self.last_sid = sid;
+        self.next_seq = pc.seq + 1;
+        match self.kind {
+            SchedKind::RoundRobin => self.rr_last = Some(sid),
+            SchedKind::WeightedFair => self.wfq_sent[sid as usize] += pc.data.len() as u64,
+            SchedKind::Fcfs | SchedKind::StrictPriority => {}
+        }
     }
-}
-
-/// Strict priority: the lowest stream id with queued data always wins
-/// (stream id doubles as priority level; 0 is most urgent).
-#[derive(Debug)]
-pub struct StrictPriority;
-
-impl StreamScheduler for StrictPriority {
-    fn pick(&self, _candidates: &[SchedCandidate]) -> usize {
-        0 // candidates are sorted by ascending sid
-    }
-
-    fn on_send(&mut self, _sid: u16, _bytes: u32) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
-    fn cands(v: &[(u16, u64, u32)]) -> Vec<SchedCandidate> {
-        v.iter()
-            .map(|&(sid, front_seq, front_len)| SchedCandidate { sid, front_seq, front_len })
+    /// One single-fragment message with enqueue sequence `seq` and `len`
+    /// payload bytes.
+    fn frag(stream: u16, seq: u64, len: usize) -> PendingChunk {
+        PendingChunk {
+            stream,
+            ssn: 0,
+            begin: true,
+            end: true,
+            ppid: 0,
+            data: Bytes::from(vec![0u8; len]),
+            fsn: 0,
+            seq,
+            expires: None,
+        }
+    }
+
+    /// Ten stream queues holding `frags` as `(stream, seq, len)`, pushed in
+    /// the order given.
+    fn queues(frags: &[(u16, u64, usize)]) -> Vec<VecDeque<PendingChunk>> {
+        let mut q: Vec<VecDeque<PendingChunk>> = (0..10).map(|_| VecDeque::new()).collect();
+        for &(sid, seq, len) in frags {
+            q[sid as usize].push_back(frag(sid, seq, len));
+        }
+        q
+    }
+
+    /// Pick and pop `n` times; the streams served, in order.
+    fn drain(s: &mut Scheduler, q: &mut [VecDeque<PendingChunk>], fcfs: bool, n: usize) -> Vec<u16> {
+        (0..n)
+            .map(|_| {
+                let sid = s.pick(q, fcfs).expect("a queue holds data");
+                let pc = q[sid as usize].pop_front().unwrap();
+                s.on_pop(sid, &pc);
+                sid
+            })
             .collect()
     }
 
     #[test]
     fn fcfs_follows_global_sequence() {
-        let s = Fcfs;
-        let c = cands(&[(0, 9, 100), (3, 2, 100), (7, 5, 100)]);
-        assert_eq!(s.pick(&c), 1);
+        let s = Scheduler::new(SchedKind::Fcfs, 10);
+        let q = queues(&[(0, 9, 100), (3, 2, 100), (7, 5, 100)]);
+        assert_eq!(s.pick(&q, false), Some(3));
+        assert_eq!(Scheduler::new(SchedKind::Fcfs, 10).pick(&queues(&[]), false), None);
     }
 
     #[test]
     fn round_robin_cycles_and_wraps() {
-        let mut s = RoundRobin { last: None };
-        let c = cands(&[(1, 0, 10), (4, 1, 10), (9, 2, 10)]);
-        let mut order = Vec::new();
-        for _ in 0..6 {
-            let i = s.pick(&c);
-            order.push(c[i].sid);
-            s.on_send(c[i].sid, 10);
-        }
-        assert_eq!(order, vec![1, 4, 9, 1, 4, 9]);
+        let mut s = Scheduler::new(SchedKind::RoundRobin, 10);
+        let mut q = queues(&[(1, 0, 10), (4, 1, 10), (9, 2, 10), (1, 3, 10), (4, 4, 10), (9, 5, 10)]);
+        assert_eq!(drain(&mut s, &mut q, false, 6), vec![1, 4, 9, 1, 4, 9]);
     }
 
     #[test]
     fn round_robin_skips_empty_streams() {
-        let mut s = RoundRobin { last: Some(4) };
-        // Stream 4 vanished from the candidates; next above 4 is 9.
-        let c = cands(&[(1, 0, 10), (9, 2, 10)]);
-        assert_eq!(c[s.pick(&c)].sid, 9);
-        s.on_send(9, 10);
-        assert_eq!(c[s.pick(&c)].sid, 1, "wraps past the top");
+        let mut s = Scheduler::new(SchedKind::RoundRobin, 10);
+        s.rr_last = Some(4);
+        // Stream 4 holds nothing; the next stream above 4 is 9.
+        let mut q = queues(&[(1, 0, 10), (9, 2, 10), (9, 3, 10)]);
+        assert_eq!(drain(&mut s, &mut q, false, 1), vec![9]);
+        assert_eq!(s.pick(&q, false), Some(1), "wraps past the top");
     }
 
     #[test]
     fn weighted_fair_respects_weights() {
         // Unit weights: the stream with fewer bytes sent is served first,
         // whatever its id or queue position; equal counts go to the lower id.
-        let mut s = WeightedFair { sent: vec![0, 0, 0] };
-        s.on_send(0, 30);
-        s.on_send(1, 10);
-        let c = cands(&[(0, 0, 10), (1, 1, 10), (2, 2, 10)]);
-        let mut order = Vec::new();
-        for _ in 0..6 {
-            let i = s.pick(&c);
-            order.push(c[i].sid);
-            s.on_send(c[i].sid, 10);
-        }
-        assert_eq!(order, vec![2, 1, 2, 1, 2, 0]);
+        let mut s = Scheduler::new(SchedKind::WeightedFair, 10);
+        s.on_pop(0, &frag(0, 0, 30));
+        s.on_pop(1, &frag(1, 1, 10));
+        let mut q = queues(&[
+            (0, 2, 10),
+            (1, 3, 10),
+            (2, 4, 10),
+            (0, 5, 10),
+            (1, 6, 10),
+            (2, 7, 10),
+            (0, 8, 10),
+            (1, 9, 10),
+            (2, 10, 10),
+        ]);
+        assert_eq!(drain(&mut s, &mut q, false, 6), vec![2, 1, 2, 1, 2, 0]);
     }
 
     #[test]
     fn strict_priority_starves_high_ids() {
-        let s = StrictPriority;
-        let c = cands(&[(2, 50, 10), (5, 1, 10)]);
-        assert_eq!(c[s.pick(&c)].sid, 2);
+        let s = Scheduler::new(SchedKind::StrictPriority, 10);
+        let q = queues(&[(2, 50, 10), (5, 1, 10)]);
+        assert_eq!(s.pick(&q, false), Some(2));
+    }
+
+    #[test]
+    fn forced_fcfs_overrides_the_policy() {
+        // Without negotiated interleaving every policy serves enqueue
+        // order, and its own state still advances on each pop.
+        for kind in [SchedKind::RoundRobin, SchedKind::WeightedFair, SchedKind::StrictPriority] {
+            let mut s = Scheduler::new(kind, 10);
+            let mut q = queues(&[(5, 1, 10), (2, 2, 10), (5, 3, 10), (2, 50, 10)]);
+            assert_eq!(s.pick(&q, false), Some(2), "{kind:?} picks by policy");
+            assert_eq!(drain(&mut s, &mut q, true, 4), vec![5, 2, 5, 2], "{kind:?} forced FCFS");
+        }
     }
 
     #[test]
