@@ -505,8 +505,8 @@ pub(crate) struct Assoc {
     /// Negotiated extension bits: intersection of both ends' offers
     /// (EXT_INTERLEAVE | EXT_PR_SCTP). 0 until the handshake settles.
     pub ext_flags: u8,
-    /// Picks which stream's queue supplies the next fragment: the
-    /// configured policy once interleaving is negotiated, FCFS otherwise.
+    /// Picks which stream's queue supplies the next fragment: FCFS until
+    /// [`negotiate`](Self::negotiate) settles the policy.
     pub sched: Scheduler,
     /// Global fragment enqueue counter — FCFS key; fragments of one
     /// message take consecutive values.
@@ -608,7 +608,7 @@ impl Assoc {
             pending_bytes: 0,
             writer_need: 0,
             ext_flags: 0,
-            sched: Scheduler::new(cfg.sched, cfg.out_streams),
+            sched: Scheduler::new(SchedKind::Fcfs, 0),
             msg_seq: 0,
             peer_cum: init_tsn.saturating_sub(1),
             fwd_sent: 0,
@@ -687,6 +687,16 @@ impl Assoc {
         self.ext_flags & EXT_PR_SCTP != 0
     }
 
+    /// Settle the handshake's outcome: the negotiated extension bits and,
+    /// with them, the scheduler policy. `sched` runs only once interleaving
+    /// is negotiated; otherwise FCFS keeps each message's fragments
+    /// TSN-contiguous for the peer's sequential reassembler.
+    pub(crate) fn negotiate(&mut self, ext_flags: u8, sched: SchedKind) {
+        self.ext_flags = ext_flags;
+        let kind = if self.interleaving() { sched } else { SchedKind::Fcfs };
+        self.sched = Scheduler::new(kind, self.out_q.len());
+    }
+
     /// True when no user fragment is queued for first transmission.
     pub(crate) fn q_is_empty(&self) -> bool {
         self.queued == 0
@@ -701,15 +711,12 @@ impl Assoc {
 
     /// Front fragment the next pop would take, with its stream id.
     /// Repeatable: queues unchanged ⇒ same answer, so the engine can gate
-    /// (peek) several times before one pop. When the peer did not
-    /// negotiate interleaving, FCFS is forced regardless of the configured
-    /// policy so each message's fragments stay TSN-contiguous for the
-    /// peer's sequential reassembler.
+    /// (peek) several times before one pop.
     pub(crate) fn q_front(&self) -> Option<(u16, &PendingChunk)> {
         if self.queued == 0 {
             return None;
         }
-        let sid = self.sched.pick(&self.out_q, !self.interleaving())?;
+        let sid = self.sched.pick(&self.out_q)?;
         self.out_q[sid as usize].front().map(|pc| (sid, pc))
     }
 

@@ -1571,7 +1571,7 @@ fn handle_init_ack(
             return; // duplicate INIT-ACK
         }
         // Extensions usable on this association: peer's offer ∩ ours.
-        ak.ext_flags = peer_ext & cfg.ext_offer();
+        ak.negotiate(peer_ext & cfg.ext_offer(), cfg.sched);
         // Handshake RTT sample (unretransmitted INITs only).
         if let Some(t0) = ak.hs_sent_at.take() {
             let now = ctx.now();
@@ -1625,7 +1625,7 @@ fn handle_cookie_echo(w: &mut World, ctx: &mut Wx, e: EpId, src: IfAddr, src_por
     ak.peer_tag = cookie.peer_tag;
     ak.peer_rwnd = cookie.peer_rwnd;
     ak.rcv = RcvWindow::new(cookie.peer_init_tsn - 1);
-    ak.ext_flags = cookie.ext_flags;
+    ak.negotiate(cookie.ext_flags, cfg.sched);
     ak.last_traffic = ctx.now();
     let ep = ep_mut(w, e);
     let idx = ep.assocs.len() as u32;
@@ -1917,6 +1917,7 @@ pub(crate) fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{SchedKind, EXT_INTERLEAVE};
     use super::*;
 
     /// Queue message `ssn` of `frags` fragments on `stream`, as `sendmsg`
@@ -1948,10 +1949,36 @@ mod tests {
         Some(pc.seq)
     }
 
+    /// An established association configured for round-robin that
+    /// negotiated `ext_flags` with its peer.
+    fn rr_assoc(ext_flags: u8) -> Assoc {
+        let cfg = SctpCfg { sched: SchedKind::RoundRobin, ..SctpCfg::default() };
+        let mut ak = Assoc::new(&cfg, 1, 2, 3, 4, AssocState::Established, 100);
+        ak.negotiate(ext_flags, cfg.sched);
+        ak
+    }
+
+    #[test]
+    fn forced_fcfs_overrides_the_policy() {
+        // seq 0-1 on stream 2, 2-3 on stream 1, 4 on stream 0.
+        let queue = |ak: &mut Assoc| {
+            queue_msg(ak, 2, 0, 2);
+            queue_msg(ak, 1, 0, 2);
+            queue_msg(ak, 0, 0, 1);
+        };
+        let mut ak = rr_assoc(EXT_INTERLEAVE);
+        queue(&mut ak);
+        let rr: Vec<u64> = std::iter::from_fn(|| pop(&mut ak)).collect();
+        assert_eq!(rr, vec![4, 2, 0, 3, 1], "interleaving negotiated: round-robin");
+        let mut ak = rr_assoc(0);
+        queue(&mut ak);
+        let fcfs: Vec<u64> = std::iter::from_fn(|| pop(&mut ak)).collect();
+        assert_eq!(fcfs, vec![0, 1, 2, 3, 4], "not negotiated: enqueue order");
+    }
+
     #[test]
     fn abandoning_mid_message_keeps_enqueue_order_without_interleaving() {
-        let cfg = SctpCfg { sched: super::super::SchedKind::RoundRobin, ..SctpCfg::default() };
-        let mut ak = Assoc::new(&cfg, 1, 2, 3, 4, AssocState::Established, 100);
+        let mut ak = rr_assoc(0);
         assert!(!ak.interleaving(), "no interleaving negotiated: FCFS is forced");
         // seq 0-2 on stream 0, 3-4 on stream 1, 5-7 on stream 2, 8-9 on
         // stream 0 again, 10 on stream 1.

@@ -7,9 +7,10 @@
 //! of different user messages may interleave on the wire, so that choice is
 //! a real policy: one of the four [`SchedKind`]s the experiments compare
 //! (first-come-first-served, round-robin, weighted-fair, strict-priority).
-//! Without interleaving the pick is always FCFS, which over per-stream
-//! queues is the single-FIFO order exactly: each message's fragments stay
-//! TSN-contiguous for the peer's sequential reassembler.
+//! Without interleaving the association runs FCFS whatever policy it was
+//! configured with (the handshake settles the policy once), and FCFS over
+//! per-stream queues is the single-FIFO order exactly: each message's
+//! fragments stay TSN-contiguous for the peer's sequential reassembler.
 //!
 //! # Determinism contract
 //!
@@ -77,33 +78,29 @@ impl SchedKind {
 /// policies keep.
 pub(crate) struct Scheduler {
     kind: SchedKind,
-    /// Round-robin cursor: the stream served last (`None` on a fresh
-    /// association, which starts at the lowest stream with data).
-    rr_last: Option<u16>,
+    /// Stream of the last popped fragment: the round-robin cursor and the
+    /// FCFS fast path's guess. Meaningless while `next_seq` is 0.
+    last_sid: u16,
+    /// `seq` of the last popped fragment plus one; 0 before the first pop.
+    next_seq: u64,
     /// Weighted-fair: payload bytes popped per stream (sized only for
     /// [`SchedKind::WeightedFair`]).
     wfq_sent: Vec<u64>,
-    /// FCFS fast path: stream of the last popped fragment.
-    last_sid: u16,
-    /// FCFS fast path: `seq` of the last popped fragment plus one.
-    next_seq: u64,
 }
 
 impl Scheduler {
     /// A fresh scheduler running `kind` over `out_streams` stream queues.
-    pub(crate) fn new(kind: SchedKind, out_streams: u16) -> Self {
-        let wfq_sent =
-            if kind == SchedKind::WeightedFair { vec![0; out_streams as usize] } else { Vec::new() };
-        Scheduler { kind, rr_last: None, wfq_sent, last_sid: 0, next_seq: 0 }
+    pub(crate) fn new(kind: SchedKind, out_streams: usize) -> Self {
+        let wfq_sent = if kind == SchedKind::WeightedFair { vec![0; out_streams] } else { Vec::new() };
+        Scheduler { kind, last_sid: 0, next_seq: 0, wfq_sent }
     }
 
     /// Which stream supplies the next fragment, given the per-stream
-    /// queues; `None` when every queue is empty. `fcfs` forces FCFS
-    /// whatever the policy (interleaving was not negotiated).
-    pub(crate) fn pick(&self, queues: &[VecDeque<PendingChunk>], fcfs: bool) -> Option<u16> {
+    /// queues; `None` when every queue is empty.
+    pub(crate) fn pick(&self, queues: &[VecDeque<PendingChunk>]) -> Option<u16> {
         let mut fronts =
             queues.iter().enumerate().filter_map(|(sid, q)| q.front().map(|pc| (sid as u16, pc)));
-        match if fcfs { SchedKind::Fcfs } else { self.kind } {
+        match self.kind {
             SchedKind::Fcfs => {
                 // Each queue is in `seq` order and every pop took the lowest
                 // queued `seq`, so a front one past the last popped `seq`
@@ -117,12 +114,15 @@ impl Scheduler {
                 fronts.min_by_key(|(_, pc)| pc.seq).map(|(sid, _)| sid)
             }
             SchedKind::RoundRobin => {
-                // The first stream above the cursor, else wrap to the lowest.
+                // The first stream above the cursor, else wrap to the lowest;
+                // a fresh association starts at the lowest.
                 let mut sids = fronts.map(|(sid, _)| sid);
                 let lowest = sids.next()?;
-                match self.rr_last {
-                    Some(last) if lowest <= last => sids.find(|&s| s > last).or(Some(lowest)),
-                    _ => Some(lowest),
+                let last = self.last_sid;
+                if self.next_seq > 0 && lowest <= last {
+                    sids.find(|&s| s > last).or(Some(lowest))
+                } else {
+                    Some(lowest)
                 }
             }
             SchedKind::WeightedFair => {
@@ -137,10 +137,8 @@ impl Scheduler {
     pub(crate) fn on_pop(&mut self, sid: u16, pc: &PendingChunk) {
         self.last_sid = sid;
         self.next_seq = pc.seq + 1;
-        match self.kind {
-            SchedKind::RoundRobin => self.rr_last = Some(sid),
-            SchedKind::WeightedFair => self.wfq_sent[sid as usize] += pc.data.len() as u64,
-            SchedKind::Fcfs | SchedKind::StrictPriority => {}
+        if self.kind == SchedKind::WeightedFair {
+            self.wfq_sent[sid as usize] += pc.data.len() as u64;
         }
     }
 }
@@ -177,10 +175,10 @@ mod tests {
     }
 
     /// Pick and pop `n` times; the streams served, in order.
-    fn drain(s: &mut Scheduler, q: &mut [VecDeque<PendingChunk>], fcfs: bool, n: usize) -> Vec<u16> {
+    fn drain(s: &mut Scheduler, q: &mut [VecDeque<PendingChunk>], n: usize) -> Vec<u16> {
         (0..n)
             .map(|_| {
-                let sid = s.pick(q, fcfs).expect("a queue holds data");
+                let sid = s.pick(q).expect("a queue holds data");
                 let pc = q[sid as usize].pop_front().unwrap();
                 s.on_pop(sid, &pc);
                 sid
@@ -192,25 +190,25 @@ mod tests {
     fn fcfs_follows_global_sequence() {
         let s = Scheduler::new(SchedKind::Fcfs, 10);
         let q = queues(&[(0, 9, 100), (3, 2, 100), (7, 5, 100)]);
-        assert_eq!(s.pick(&q, false), Some(3));
-        assert_eq!(Scheduler::new(SchedKind::Fcfs, 10).pick(&queues(&[]), false), None);
+        assert_eq!(s.pick(&q), Some(3));
+        assert_eq!(Scheduler::new(SchedKind::Fcfs, 10).pick(&queues(&[])), None);
     }
 
     #[test]
     fn round_robin_cycles_and_wraps() {
         let mut s = Scheduler::new(SchedKind::RoundRobin, 10);
         let mut q = queues(&[(1, 0, 10), (4, 1, 10), (9, 2, 10), (1, 3, 10), (4, 4, 10), (9, 5, 10)]);
-        assert_eq!(drain(&mut s, &mut q, false, 6), vec![1, 4, 9, 1, 4, 9]);
+        assert_eq!(drain(&mut s, &mut q, 6), vec![1, 4, 9, 1, 4, 9]);
     }
 
     #[test]
     fn round_robin_skips_empty_streams() {
         let mut s = Scheduler::new(SchedKind::RoundRobin, 10);
-        s.rr_last = Some(4);
+        s.on_pop(4, &frag(4, 0, 10));
         // Stream 4 holds nothing; the next stream above 4 is 9.
         let mut q = queues(&[(1, 0, 10), (9, 2, 10), (9, 3, 10)]);
-        assert_eq!(drain(&mut s, &mut q, false, 1), vec![9]);
-        assert_eq!(s.pick(&q, false), Some(1), "wraps past the top");
+        assert_eq!(drain(&mut s, &mut q, 1), vec![9]);
+        assert_eq!(s.pick(&q), Some(1), "wraps past the top");
     }
 
     #[test]
@@ -231,26 +229,14 @@ mod tests {
             (1, 9, 10),
             (2, 10, 10),
         ]);
-        assert_eq!(drain(&mut s, &mut q, false, 6), vec![2, 1, 2, 1, 2, 0]);
+        assert_eq!(drain(&mut s, &mut q, 6), vec![2, 1, 2, 1, 2, 0]);
     }
 
     #[test]
     fn strict_priority_starves_high_ids() {
         let s = Scheduler::new(SchedKind::StrictPriority, 10);
         let q = queues(&[(2, 50, 10), (5, 1, 10)]);
-        assert_eq!(s.pick(&q, false), Some(2));
-    }
-
-    #[test]
-    fn forced_fcfs_overrides_the_policy() {
-        // Without negotiated interleaving every policy serves enqueue
-        // order, and its own state still advances on each pop.
-        for kind in [SchedKind::RoundRobin, SchedKind::WeightedFair, SchedKind::StrictPriority] {
-            let mut s = Scheduler::new(kind, 10);
-            let mut q = queues(&[(5, 1, 10), (2, 2, 10), (5, 3, 10), (2, 50, 10)]);
-            assert_eq!(s.pick(&q, false), Some(2), "{kind:?} picks by policy");
-            assert_eq!(drain(&mut s, &mut q, true, 4), vec![5, 2, 5, 2], "{kind:?} forced FCFS");
-        }
+        assert_eq!(s.pick(&q), Some(2));
     }
 
     #[test]
