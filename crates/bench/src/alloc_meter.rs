@@ -3,8 +3,9 @@
 //! The whole harness (every figure binary and test in this crate) runs
 //! under [`CountingAlloc`], a thin wrapper around the system allocator.
 //! Metering is per thread: [`enable`] turns it on for the calling thread
-//! only, and the figure runner turns it on in every cell worker it spawns
-//! from a metered thread (`ALLOC_METER=1` meters the runner's thread). On a
+//! only, until the guard it returns drops, and the figure runner turns it
+//! on in every cell worker it spawns from a metered thread
+//! (`ALLOC_METER=1` meters the runner's thread while it runs cells). On a
 //! thread that is not metered (the default) the only cost is one
 //! thread-local load per allocation; on a metered one every
 //! `alloc`/`alloc_zeroed`/`realloc` bumps one process-wide counter. Threads
@@ -107,10 +108,27 @@ fn sample_backtrace(n: u64, size: usize) {
     });
 }
 
-/// Turn metering on or off for the calling thread (idempotent; also
-/// flipped by `ALLOC_METER=1`).
-pub fn enable(on: bool) {
-    METERED.with(|m| m.set(on));
+/// Turn metering on or off for the calling thread (also flipped by
+/// `ALLOC_METER=1`) until the returned guard drops, which restores the
+/// thread's previous setting. A metered region ends with its guard, so a
+/// test that holds the guard inside its lock stops counting before the
+/// next test may start: what its thread allocates after that, such as the
+/// test runner's teardown, lands in no other region's count.
+#[must_use = "metering ends when the guard drops"]
+pub fn enable(on: bool) -> Metering {
+    Metering { was: METERED.with(|m| m.replace(on)) }
+}
+
+/// Keeps the calling thread's metering setting until dropped; see [`enable`].
+pub struct Metering {
+    was: bool,
+}
+
+impl Drop for Metering {
+    fn drop(&mut self) {
+        // `try_with`: a guard may drop while its thread's locals are torn down.
+        let _ = METERED.try_with(|m| m.set(self.was));
+    }
 }
 
 /// Is metering on for the calling thread?
@@ -135,18 +153,20 @@ mod tests {
 
     #[test]
     fn counter_moves_only_while_enabled() {
-        enable(false);
+        let off = enable(false);
         let a0 = allocs();
         let v: Vec<u8> = Vec::with_capacity(4096);
         drop(v);
         assert_eq!(allocs(), a0, "disabled meter must not count");
 
-        enable(true);
+        let on = enable(true);
         let a1 = allocs();
         let v: Vec<u8> = Vec::with_capacity(4096);
         let a2 = allocs();
         drop(v);
-        enable(false);
         assert!(a2 > a1, "enabled meter must count a fresh Vec");
+        drop(on);
+        assert!(!enabled(), "the guard restores the setting it replaced");
+        drop(off);
     }
 }

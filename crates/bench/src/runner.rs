@@ -398,15 +398,13 @@ pub fn run_cells<R: CellResult>(
     let n = cells.len();
     let threads = pool_threads().min(n.max(1));
     let check = sim_check();
-    if crate::alloc_meter::env_enabled() {
-        crate::alloc_meter::enable(true);
-    }
+    let _env_metering = crate::alloc_meter::env_enabled().then(|| crate::alloc_meter::enable(true));
     let metering_allocs = crate::alloc_meter::enabled();
     let start = Instant::now();
     let next = AtomicUsize::new(0);
     let worker = || {
         // Metering is per thread: a metered caller meters its workers.
-        crate::alloc_meter::enable(metering_allocs);
+        let _metering = crate::alloc_meter::enable(metering_allocs);
         let mut done: Vec<(usize, R, CellMeter)> = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);

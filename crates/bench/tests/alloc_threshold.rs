@@ -16,25 +16,31 @@
 //! metering counts only the thread that turns it on and the cell workers
 //! the figure runner spawns from it, into one shared counter, so no two
 //! tests may meter at once, and the runner is pinned to one worker thread
-//! so every allocation is attributable to the metered cells. The test
-//! runner's own threads are never counted, so every printed count repeats
-//! exactly from run to run, under the default parallel runner too.
+//! so every allocation is attributable to the metered cells. A test meters
+//! for as long as it holds its [`Turn`], which ends metering before it
+//! releases the lock: what the test runner allocates while it tears the
+//! finished test's thread down is never counted in the next test's window.
+//! The one process-wide lazy buffer the workloads share (`workloads::zeros`)
+//! is built before any window opens, so no count depends on which test
+//! runs first. So every printed count repeats exactly from run to run,
+//! under the default parallel runner too.
 //!
 //! Budgets. Every count is deterministic (debug and release alike), so each
 //! gate sits 5 % above its measured count: the margin is for rustc and std
 //! drift only.
 //!
-//! Farm: 188 803 allocations over the run's 682 026 `net.packets_offered`,
-//! 0.277 per offered packet; gate 0.287. Of these, SCTP's per-stream send
+//! Farm: 187 184 allocations over the run's 682 026 `net.packets_offered`,
+//! 0.2745 per offered packet; gate 0.287. Of these, SCTP's per-stream send
 //! queues cost a few per association (the queue table, and each used
-//! stream's queue growing to its peak), not any per message. Losing any
+//! stream's queue growing to its peak in messages), and a few piece lists
+//! join the payload-list pool, not any per message. Losing any
 //! one pool (payloads, gap lists, packet lists) trips it, and so does TCP
 //! parking in-order segments in its out-of-order store again (0.59). Offered packets
 //! are the denominator because the protocol fixes them; the event count
 //! moves whenever no-op timer wakes are added or removed, and those
 //! allocate nothing. The per-event form is printed beside the gated one.
 //!
-//! Stream: 10.49 (SCTP) and 26.02 (TCP) allocations per 64 KiB message
+//! Stream: 10.47 (SCTP) and 26.02 (TCP) allocations per 64 KiB message
 //! over the run's 200 messages, set-up included. None of SCTP's are in the
 //! engine or the event queue (the queue is one heap that reaches its
 //! working size in the first few messages); its gate is 11.0. A send window
@@ -56,7 +62,7 @@
 //! buffer that replaces it — 2 allocations, however many chunks it carries.
 //! A payload copied per chunk costs 88 more.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use bench_harness::{alloc_meter, figure, Scale};
 use bytes::Bytes;
@@ -79,14 +85,28 @@ const MAX_ALLOCS_PER_INGRESS_TRAIN: u64 = 2;
 /// Held while a test meters: the allocation counter is process-global.
 static METER: Mutex<()> = Mutex::new(());
 
+/// One test's turn at the meter: [`METER`] held and the calling thread
+/// metered. Fields drop in declaration order, so metering ends before the
+/// lock is released.
+struct Turn {
+    _metering: alloc_meter::Metering,
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// Wait for the meter, then meter the calling thread until the turn drops.
+fn turn() -> Turn {
+    let lock = METER.lock().unwrap_or_else(|e| e.into_inner());
+    workloads::zeros(0);
+    Turn { _metering: alloc_meter::enable(true), _lock: lock }
+}
+
 #[test]
 fn farm_quick_stays_within_alloc_budget() {
-    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     // One worker: the counting allocator is process-global, so parallel
     // cells would still meter correctly in aggregate, but the per-cell
     // deltas (and this test's determinism) want a single thread.
     std::env::set_var("BENCH_THREADS", "1");
-    alloc_meter::enable(true);
 
     let bench =
         figure("fig10").expect("registered").run(Scale::Quick, &[]).expect("no arguments").report;
@@ -114,7 +134,7 @@ fn farm_quick_stays_within_alloc_budget() {
 /// `cfg`, set-up included.
 fn stream_64k_allocs_per_msg(cfg: MpiCfg) -> f64 {
     const MSGS: u32 = 200;
-    alloc_meter::enable(true);
+    let _turn = turn();
     let before = alloc_meter::allocs();
     let r = run_stream(cfg, StreamCfg { size: 64 * 1024, count: MSGS });
     let allocs = alloc_meter::allocs() - before;
@@ -126,19 +146,17 @@ fn stream_64k_allocs_per_msg(cfg: MpiCfg) -> f64 {
 
 #[test]
 fn sctp_stream_64k_stays_within_alloc_budget() {
-    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
     let per_msg = stream_64k_allocs_per_msg(MpiCfg::sctp(2, 0.0));
     assert!(
         per_msg <= MAX_ALLOCS_PER_STREAM_MSG,
         "allocation regression: {per_msg:.1} allocs per 64 KiB SCTP message exceeds budget \
-         {MAX_ALLOCS_PER_STREAM_MSG} (baseline 10.49). The send window, reassembly queue or \
+         {MAX_ALLOCS_PER_STREAM_MSG} (baseline 10.47). The send window, reassembly queue or \
          receive window is allocating per chunk again."
     );
 }
 
 #[test]
 fn tcp_stream_64k_stays_within_alloc_budget() {
-    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
     let per_msg = stream_64k_allocs_per_msg(MpiCfg::tcp(2, 0.0));
     assert!(
         per_msg <= MAX_ALLOCS_PER_STREAM_MSG_TCP,
@@ -151,8 +169,7 @@ fn tcp_stream_64k_stays_within_alloc_budget() {
 #[test]
 fn pingpong_1k_stays_within_alloc_budget() {
     const ROUND_TRIPS: u32 = 2_000;
-    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
-    alloc_meter::enable(true);
+    let _turn = turn();
     for (name, cfg, budget) in [
         ("sctp", MpiCfg::sctp(2, 0.0), MAX_ALLOCS_PER_PINGPONG_MSG_SCTP),
         ("tcp", MpiCfg::tcp(2, 0.0), MAX_ALLOCS_PER_PINGPONG_MSG_TCP),
@@ -258,8 +275,7 @@ fn ingest(buf: &mut Vec<u8>, pool: &mut Pools) {
 
 #[test]
 fn live_ingress_train_costs_one_copy_not_one_per_chunk() {
-    let _metering = METER.lock().unwrap_or_else(|e| e.into_inner());
-    alloc_meter::enable(true);
+    let _turn = turn();
     for (name, frame) in [("sctp", sctp_frame as fn(u64) -> Packet), ("tcp", tcp_frame)] {
         let mut raw = Vec::new();
         for i in 0..TRAIN_FRAMES {

@@ -8,6 +8,7 @@ use netsim::IfAddr;
 use simcore::fxhash::FxHashMap;
 use simcore::{Deadline, Dur, ProcId, SimTime};
 
+use crate::pool::Pools;
 use crate::rto::{RtoCfg, RtoEstimator};
 
 use super::receive::RcvWindow;
@@ -186,25 +187,79 @@ pub enum AssocState {
     Aborted,
 }
 
-/// A user message fragment queued for (re)transmission.
+/// An unsent user message (or the unsent rest of one) on its stream's
+/// queue, with the cursor where its next chunk starts. DATA chunks are cut
+/// from it only as they go out ([`Assoc::q_pop`]): at most the negotiated
+/// chunk size, never across an input piece, and one empty chunk for a
+/// zero-length message.
 #[derive(Debug)]
-pub(crate) struct PendingChunk {
-    pub stream: u16,
+pub(crate) struct OutMsg {
     /// Stream sequence number; doubles as the RFC 8260 MID when the
-    /// fragment goes out as I-DATA (both count messages per stream).
+    /// message goes out as I-DATA (both count messages per stream).
     pub ssn: u32,
-    pub begin: bool,
-    pub end: bool,
-    pub ppid: u32,
-    pub data: Bytes,
-    /// RFC 8260 fragment sequence number within the message (0-based).
-    pub fsn: u32,
-    /// Global enqueue sequence — FCFS scheduling key; fragments of one
-    /// message hold consecutive values.
+    ppid: u32,
+    /// Global enqueue sequence — the FCFS scheduling key.
     pub seq: u64,
     /// PR-SCTP: abandon the whole message if still unsent/unacked past
     /// this instant (`None` = fully reliable).
     pub expires: Option<SimTime>,
+    /// The body's non-empty input pieces, in order: a pooled list, retired
+    /// when the last chunk is cut or the message is abandoned.
+    pieces: Vec<Bytes>,
+    /// Cursor: the piece and the byte offset in it where the next chunk
+    /// starts, and that chunk's RFC 8260 fragment sequence number.
+    piece: u32,
+    off: u32,
+    fsn: u32,
+}
+
+impl OutMsg {
+    /// A message with nothing cut yet; `pieces` holds no empty piece.
+    pub(crate) fn new(ssn: u32, ppid: u32, seq: u64, expires: Option<SimTime>, pieces: Vec<Bytes>) -> Self {
+        OutMsg { ssn, ppid, seq, expires, pieces, piece: 0, off: 0, fsn: 0 }
+    }
+
+    /// Some chunk of this message has been cut.
+    pub(crate) fn started(&self) -> bool {
+        self.fsn > 0
+    }
+
+    /// Payload bytes of the next chunk, for chunks of at most `max` bytes.
+    pub(crate) fn next_len(&self, max: usize) -> usize {
+        self.pieces.get(self.piece as usize).map_or(0, |p| (p.len() - self.off as usize).min(max))
+    }
+
+    /// Cut the next chunk, of at most `max` bytes, as sent on `stream`
+    /// toward `path` at `now`, and advance the cursor past it.
+    fn cut(&mut self, stream: u16, max: usize, path: u8, now: SimTime) -> SentChunk {
+        let (fsn, begin) = (self.fsn, self.fsn == 0);
+        self.fsn += 1;
+        let mut data = Bytes::new();
+        if let Some(p) = self.pieces.get(self.piece as usize) {
+            let off = self.off as usize;
+            let to = off + self.next_len(max);
+            data = p.slice(off..to);
+            (self.piece, self.off) =
+                if to == p.len() { (self.piece + 1, 0) } else { (self.piece, to as u32) };
+        }
+        SentChunk {
+            stream,
+            ssn: self.ssn,
+            begin,
+            end: self.piece as usize >= self.pieces.len(),
+            ppid: self.ppid,
+            data,
+            path,
+            sent_at: now,
+            txcount: 1,
+            missing: 0,
+            acked: false,
+            marked_rtx: false,
+            fsn,
+            expires: self.expires,
+            abandoned: false,
+        }
+    }
 }
 
 /// An outstanding (sent, not cumulatively acked) chunk.
@@ -489,10 +544,11 @@ pub(crate) struct Assoc {
     // ---- transmit ----
     pub next_tsn: u64,
     pub out_ssn: Vec<u32>,
-    /// Unsent fragments, one queue per outbound stream (indexed by stream
-    /// id), each in enqueue order.
-    pub out_q: Vec<VecDeque<PendingChunk>>,
-    /// Fragments queued across `out_q`.
+    /// Unsent messages, one queue per outbound stream (indexed by stream
+    /// id), each in enqueue order; only a queue's front message can have
+    /// chunks cut already.
+    pub out_q: Vec<VecDeque<OutMsg>>,
+    /// Messages queued across `out_q`.
     pub queued: usize,
     /// Payload bytes queued across `out_q`.
     pub pending_bytes: u64,
@@ -505,11 +561,10 @@ pub(crate) struct Assoc {
     /// Negotiated extension bits: intersection of both ends' offers
     /// (EXT_INTERLEAVE | EXT_PR_SCTP). 0 until the handshake settles.
     pub ext_flags: u8,
-    /// Picks which stream's queue supplies the next fragment: FCFS until
+    /// Picks which stream's queue supplies the next chunk: FCFS until
     /// [`negotiate`](Self::negotiate) settles the policy.
     pub sched: Scheduler,
-    /// Global fragment enqueue counter — FCFS key; fragments of one
-    /// message take consecutive values.
+    /// Global message enqueue counter — the FCFS key.
     pub msg_seq: u64,
     /// Peer's cumulative ack as of the last SACK processed — the
     /// FORWARD-TSN baseline.
@@ -697,51 +752,91 @@ impl Assoc {
         self.sched = Scheduler::new(kind, self.out_q.len());
     }
 
-    /// True when no user fragment is queued for first transmission.
+    /// Largest chunk payload: the negotiated chunk type's share of the
+    /// packet budget.
+    pub(crate) fn max_chunk(&self) -> usize {
+        (if self.interleaving() { MAX_CHUNK_DATA_IDATA } else { MAX_CHUNK_DATA }) as usize
+    }
+
+    /// True when no user message is queued for first transmission.
     pub(crate) fn q_is_empty(&self) -> bool {
         self.queued == 0
     }
 
-    /// Enqueue a fragment at the back of its stream's queue (`admit` has
-    /// checked the stream id).
-    pub(crate) fn q_push(&mut self, pc: PendingChunk) {
-        self.out_q[pc.stream as usize].push_back(pc);
+    /// Enqueue the next message of `stream` at the back of its queue, under
+    /// the stream's next SSN (`admit` has checked the stream id). `pieces`
+    /// is a pooled list of the body's non-empty pieces.
+    pub(crate) fn q_push(&mut self, stream: u16, ppid: u32, expires: Option<SimTime>, pieces: Vec<Bytes>) {
+        let ssn = self.out_ssn[stream as usize];
+        self.out_ssn[stream as usize] += 1;
+        self.pending_bytes += pieces.iter().map(|p| p.len() as u64).sum::<u64>();
+        self.out_q[stream as usize].push_back(OutMsg::new(ssn, ppid, self.msg_seq, expires, pieces));
+        self.msg_seq += 1;
         self.queued += 1;
     }
 
-    /// Front fragment the next pop would take, with its stream id.
+    /// Stream and payload length of the chunk the next pop would cut.
     /// Repeatable: queues unchanged ⇒ same answer, so the engine can gate
     /// (peek) several times before one pop.
-    pub(crate) fn q_front(&self) -> Option<(u16, &PendingChunk)> {
+    pub(crate) fn q_front(&self) -> Option<(u16, u64)> {
         if self.queued == 0 {
             return None;
         }
         let sid = self.sched.pick(&self.out_q)?;
-        self.out_q[sid as usize].front().map(|pc| (sid, pc))
+        self.out_q[sid as usize].front().map(|m| (sid, m.next_len(self.max_chunk()) as u64))
     }
 
-    /// Pop the fragment previously peeked via `q_front` and update the
-    /// scheduler's accounting.
-    pub(crate) fn q_pop(&mut self, sid: u16) -> Option<PendingChunk> {
-        let pc = self.out_q[sid as usize].pop_front()?;
-        self.queued -= 1;
-        self.sched.on_pop(sid, &pc);
-        Some(pc)
+    /// Cut the chunk previously peeked via `q_front`, as sent now toward
+    /// `path`, and update the scheduler's accounting.
+    pub(crate) fn q_pop(&mut self, sid: u16, pool: &mut Pools, path: u8, now: SimTime) -> SentChunk {
+        let sc = self.cut_front(sid, pool, path, now);
+        self.sched.on_pop(sid, sc.data.len());
+        sc
     }
 
-    /// Any fragment of a *different* stream currently queued? (The
+    /// Cut the next chunk from stream `sid`'s front message. The message's
+    /// last chunk takes it off the queue, and its piece list goes back to
+    /// `pool`.
+    fn cut_front(&mut self, sid: u16, pool: &mut Pools, path: u8, now: SimTime) -> SentChunk {
+        let max = self.max_chunk();
+        let q = &mut self.out_q[sid as usize];
+        let sc = q.front_mut().expect("a message is queued on this stream").cut(sid, max, path, now);
+        if sc.end {
+            pool.put_bytes_vec(q.pop_front().expect("just cut").pieces);
+            self.queued -= 1;
+        }
+        self.pending_bytes -= sc.data.len() as u64;
+        sc
+    }
+
+    /// PR-SCTP: take message `ssn` off `stream`'s queue, giving each chunk
+    /// it had left a TSN, cut as [`q_pop`](Self::q_pop) would cut it,
+    /// recorded as an `acked && abandoned` phantom that never goes out. A
+    /// queued message that is abandoned is its stream's front: only a front
+    /// message can have had chunks sent, and reaping tests fronts only.
+    pub(crate) fn q_abandon(&mut self, pool: &mut Pools, stream: u16, ssn: u32) {
+        while self.out_q[stream as usize].front().is_some_and(|m| m.ssn == ssn) {
+            let sc = self.cut_front(stream, pool, 0, SimTime::ZERO);
+            let tsn = self.next_tsn;
+            self.next_tsn += 1;
+            let phantom = SentChunk { data: Bytes::new(), txcount: 0, acked: true, abandoned: true, ..sc };
+            self.sent.push(tsn, phantom);
+        }
+    }
+
+    /// Any message of a *different* stream currently queued? (The
     /// sender-side head-of-line condition at enqueue time; only evaluated
     /// when a tracer is attached.)
     pub(crate) fn other_stream_queued(&self, sid: u16) -> bool {
         self.queued > self.out_q[sid as usize].len()
     }
 
-    /// Any fragment of `sid` itself currently queued? A message enqueued
+    /// Any message of `sid` itself currently queued? A message enqueued
     /// behind its *own* stream's backlog waits the same under any
     /// scheduler (delivery is FIFO within a stream), so that wait is
     /// self-queueing, not head-of-line blocking — the sender-HOL trace
     /// only opens an episode for head-of-stream messages, where the wait
-    /// is purely other streams' fragments holding the wire.
+    /// is purely other streams' chunks holding the wire.
     pub(crate) fn own_stream_queued(&self, sid: u16) -> bool {
         !self.out_q[sid as usize].is_empty()
     }

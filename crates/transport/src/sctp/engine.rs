@@ -9,11 +9,12 @@ use rand::Rng;
 use simcore::{Dur, ProcId};
 
 use crate::ip::{self, Packet, Proto};
+use crate::pool::Pools;
 use crate::{Timer, World, Wx};
 
 use super::assoc::{
-    Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, PendingChunk, RecvMsg, Scope,
-    SctpCfg, SentChunk, MAX_CHUNK_DATA, MAX_CHUNK_DATA_IDATA, MAX_PATHS, PACKET_BUDGET, PMTU, SACK_DELAY,
+    Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, RecvMsg, Scope, SctpCfg,
+    SentChunk, MAX_PATHS, PACKET_BUDGET, PMTU, SACK_DELAY,
 };
 use super::receive::{decide_sack, handle_data, handle_forward_tsn, Frag, RcvWindow};
 use super::window::{check_flight, process_sack};
@@ -47,7 +48,7 @@ pub(super) fn assoc_ref(w: &World, a: AssocId) -> &Assoc {
 
 /// Split borrow: the association *and* the world's buffer pools, so hot
 /// paths can recycle buffers while mutating association state.
-pub(super) fn assoc_pool_mut(w: &mut World, a: AssocId) -> (&mut Assoc, &mut crate::pool::Pools) {
+pub(super) fn assoc_pool_mut(w: &mut World, a: AssocId) -> (&mut Assoc, &mut Pools) {
     let World { hosts, pool, .. } = w;
     (&mut hosts[a.host as usize].sctp.eps[a.ep as usize].assocs[a.idx as usize], pool)
 }
@@ -365,7 +366,7 @@ fn sendmsg_impl(
 ) -> Result<(), SendErr> {
     let cfg = cfg_of(w, a.host);
     {
-        let ak = assoc_mut(w, a);
+        let (ak, pool) = assoc_pool_mut(w, a);
         let len: u64 = data.iter().map(|c| c.len() as u64).sum();
         admit(&cfg, ak, stream, len)?;
         let expires = lifetime.unwrap_or(cfg.pr_lifetime).map(|d| ctx.now() + d);
@@ -390,58 +391,10 @@ fn sendmsg_impl(
                 );
             }
         }
-        // Fragment into DATA chunks, all on `stream` with one SSN (the SSN
-        // doubles as the RFC 8260 MID on the I-DATA path).
-        let ssn = ak.out_ssn[stream as usize];
-        ak.out_ssn[stream as usize] += 1;
-        let max = if cfg.interleave {
-            MAX_CHUNK_DATA_IDATA as usize
-        } else {
-            MAX_CHUNK_DATA as usize
-        };
-        if len == 0 {
-            let seq = ak.msg_seq;
-            ak.msg_seq += 1;
-            ak.q_push(PendingChunk {
-                stream,
-                ssn,
-                begin: true,
-                end: true,
-                ppid,
-                data: Bytes::new(),
-                fsn: 0,
-                seq,
-                expires,
-            });
-        } else {
-            let mut remaining = len;
-            let mut fsn = 0u32;
-            for chunk in data {
-                let total: usize = chunk.len();
-                let mut off = 0;
-                while off < total {
-                    let take = max.min(total - off);
-                    let begin = remaining == len;
-                    remaining -= take as u64;
-                    let seq = ak.msg_seq;
-                    ak.msg_seq += 1;
-                    ak.q_push(PendingChunk {
-                        stream,
-                        ssn,
-                        begin,
-                        end: remaining == 0,
-                        ppid,
-                        data: chunk.slice(off..off + take),
-                        fsn,
-                        seq,
-                        expires,
-                    });
-                    fsn += 1;
-                    off += take;
-                }
-            }
-        }
-        ak.pending_bytes += len;
+        // One queue entry per message; its chunks are cut as they go out.
+        let mut pieces = pool.take_bytes_vec();
+        pieces.extend(data.iter().filter(|p| !p.is_empty()).cloned());
+        ak.q_push(stream, ppid, expires, pieces);
         ak.last_traffic = ctx.now();
     }
     try_send(w, ctx, a);
@@ -608,12 +561,13 @@ pub(super) fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let pr = assoc_ref(w, a).pr_active();
     let abandoned_before = if pr { assoc_ref(w, a).stats.msgs_abandoned } else { 0 };
     if pr {
-        // PR-SCTP housekeeping rides the send path: reap queued fragments
-        // whose lifetime lapsed before first transmission (lazily,
+        // PR-SCTP housekeeping rides the send path: reap queued messages
+        // whose lifetime lapsed before their first transmission (lazily,
         // front-of-queue only), then advance the peer past anything
         // abandoned so far.
         let now = ctx.now();
-        reap_expired(assoc_mut(w, a), now);
+        let (ak, pool) = assoc_pool_mut(w, a);
+        reap_expired(ak, pool, now);
         maybe_send_forward_tsn(w, ctx, a);
     }
     let crc = cfg_of(w, a.host).crc_enabled;
@@ -624,7 +578,7 @@ pub(super) fn try_send(w: &mut World, ctx: &mut Wx, a: AssocId) {
     try_send_inner(w, ctx, a, crc, &mut train, &mut train_path);
     ip::send_train(w, ctx, train);
     // Flight recorder, sender side: gate the HOL clocks on transmission
-    // progress. A pass that moved no queued fragment while fragments
+    // progress. A pass that moved no queued byte while bytes
     // remain is a stall (cwnd full / zero rwnd / RTO recovery) — freeze
     // the open sender-HOL episodes so window-closure time is not charged
     // to stream scheduling; a pass that shipped something restarts them.
@@ -723,7 +677,7 @@ fn try_send_inner(
                     let sack = make_sack(ak, pool, cfg.rcvbuf, cfg.max_gap_blocks);
                     packet.push(sack);
                 }
-                reemit_marked(ak, &cfg, ctx.now(), path, &mut budget, &mut packet);
+                reemit_marked(ak, pool, &cfg, ctx.now(), path, &mut budget, &mut packet);
             } else if !ak.q_is_empty() {
                 // Phase 2: new data. Normally on the primary path; with CMT
                 // enabled, pick the active path with the most free cwnd,
@@ -733,8 +687,8 @@ fn try_send_inner(
                 } else {
                     ak.primary
                 };
-                // Peek the scheduler's next fragment.
-                let front_len = ak.q_front().map(|(_, pc)| pc.data.len() as u64).unwrap_or(0);
+                // Peek the scheduler's next chunk.
+                let front_len = ak.q_front().map_or(0, |(_, len)| len);
                 let p = &ak.paths[path as usize];
                 let cwnd_ok = p.flight < p.cwnd; // the 1-byte rule
                 // RFC 4960 §6.1.A: regardless of rwnd, one DATA chunk may
@@ -754,28 +708,25 @@ fn try_send_inner(
                 let now = ctx.now();
                 let interleave = ak.interleaving();
                 let mut sent_any_probe = false;
-                loop {
-                    let (qsid, len, clen) = {
-                        let Some((qsid, front)) = ak.q_front() else { break };
-                        (qsid, front.data.len() as u64, chunk_wire_len(interleave, &front.data))
-                    };
+                while let Some((qsid, len)) = ak.q_front() {
+                    let clen = chunk_wire_len(interleave, len);
                     if clen > budget {
                         break;
                     }
                     if ak.peer_rwnd < len && (ak.outstanding_bytes != 0 || sent_any_probe) {
                         break;
                     }
-                    let pc = ak.q_pop(qsid).expect("q_front peeked this fragment");
+                    let sc = ak.q_pop(qsid, pool, path, now);
                     // Flight recorder, sender side: this stream got its
                     // turn on the wire — close any open sender-HOL episode
-                    // (message-granular: begin fragments only).
-                    if pc.begin {
+                    // (message-granular: begin chunks only).
+                    if sc.begin {
                         if let Some(t) = ctx.tracer() {
                             t.hol_update(
                                 now.as_nanos(),
                                 a.host,
                                 ak.peer_host,
-                                pc.stream,
+                                sc.stream,
                                 trace::HolSide::Snd,
                                 false,
                                 0,
@@ -785,7 +736,6 @@ fn try_send_inner(
                     let tsn = ak.next_tsn;
                     ak.next_tsn += 1;
                     budget -= clen;
-                    ak.pending_bytes -= len;
                     ak.outstanding_bytes += len;
                     ak.peer_rwnd = ak.peer_rwnd.saturating_sub(len);
                     ak.paths[path as usize].flight += len;
@@ -797,23 +747,6 @@ fn try_send_inner(
                     }
                     ak.stats.data_chunks_out += 1;
                     ak.stats.bytes_out += len;
-                    let sc = SentChunk {
-                        stream: pc.stream,
-                        ssn: pc.ssn,
-                        begin: pc.begin,
-                        end: pc.end,
-                        ppid: pc.ppid,
-                        data: pc.data,
-                        path,
-                        sent_at: now,
-                        txcount: 1,
-                        missing: 0,
-                        acked: false,
-                        marked_rtx: false,
-                        fsn: pc.fsn,
-                        expires: pc.expires,
-                        abandoned: false,
-                    };
                     packet.push(data_chunk_for(interleave, tsn, &sc));
                     ak.sent.push(tsn, sc);
                     note_assign(ak, &cfg, path, tsn);
@@ -867,6 +800,7 @@ fn try_send_inner(
 /// path are left for that path's turn.
 pub(super) fn reemit_marked(
     ak: &mut Assoc,
+    pool: &mut Pools,
     cfg: &SctpCfg,
     now: simcore::SimTime,
     path: u8,
@@ -890,11 +824,11 @@ pub(super) fn reemit_marked(
         // abandon the message, never resend.
         if pr && c.expires.is_some_and(|e| now > e) {
             let (s, n) = (c.stream, c.ssn);
-            abandon_message(ak, s, n);
+            abandon_message(ak, pool, s, n);
             continue;
         }
         let c = ak.sent.get_mut(tsn).expect("rtx_queue entries are in sent");
-        let clen = chunk_wire_len(interleave, &c.data);
+        let clen = chunk_wire_len(interleave, c.data.len() as u64);
         if clen > *budget {
             break;
         }
@@ -916,10 +850,10 @@ pub(super) fn reemit_marked(
     }
 }
 
-/// Bytes a (I-)DATA chunk carrying `data` takes on the wire: header plus
-/// payload padded to 4.
-fn chunk_wire_len(interleave: bool, data: &Bytes) -> u32 {
-    (if interleave { 20 } else { 16 }) + (data.len() as u32).div_ceil(4) * 4
+/// Bytes a (I-)DATA chunk carrying `len` payload bytes takes on the wire:
+/// header plus payload padded to 4.
+fn chunk_wire_len(interleave: bool, len: u64) -> u32 {
+    (if interleave { 20 } else { 16 }) + (len as u32).div_ceil(4) * 4
 }
 
 /// May DATA or FORWARD-TSN go on the wire in this state?
@@ -964,31 +898,21 @@ fn data_chunk_for(interleave: bool, tsn: u64, c: &SentChunk) -> Chunk {
     }
 }
 
-/// PR-SCTP: abandon every fragment of message `(stream, ssn)`. Sent chunks
+/// PR-SCTP: abandon every chunk of message `(stream, ssn)`. Sent chunks
 /// become `acked && abandoned` — acked so the flight/rtx-queue/floor
 /// invariants hold without a special case anywhere in SACK processing,
 /// abandoned so `adv_peer_ack` knows to put them in a FORWARD-TSN's skip
 /// list.
 ///
-/// Queued (never-sent) fragments leave the send queue but are *assigned
-/// TSNs* and recorded as `acked && abandoned` phantoms (RFC 3758 §3.5 C2:
-/// unsent fragments of an abandoned message still consume sequence space).
-/// The message's SSN was consumed at `sendmsg` time — without a TSN the
-/// FORWARD-TSN machinery could never tell the peer to skip that SSN, and
-/// the peer's ordered-delivery gate would wait on it forever.
-fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
-    let Assoc {
-        sent,
-        rtx_queue,
-        paths,
-        outstanding_bytes,
-        out_q,
-        queued,
-        pending_bytes,
-        next_tsn,
-        stats,
-        ..
-    } = ak;
+/// The message's unsent rest leaves the send queue but its chunks are
+/// *assigned TSNs* and recorded as `acked && abandoned` phantoms
+/// ([`Assoc::q_abandon`]; RFC 3758 §3.5 C2: unsent fragments of an abandoned
+/// message still consume sequence space). The message's SSN was consumed at
+/// `sendmsg` time — without a TSN the FORWARD-TSN machinery could never
+/// tell the peer to skip that SSN, and the peer's ordered-delivery gate
+/// would wait on it forever.
+fn abandon_message(ak: &mut Assoc, pool: &mut Pools, stream: u16, ssn: u32) {
+    let Assoc { sent, rtx_queue, paths, outstanding_bytes, .. } = ak;
     for (tsn, c) in sent.range_mut(..) {
         if c.stream != stream || c.ssn != ssn || c.abandoned {
             continue;
@@ -1006,60 +930,31 @@ fn abandon_message(ak: &mut Assoc, stream: u16, ssn: u32) {
         }
         c.abandoned = true;
     }
-    let mut dropped = 0u64;
-    out_q[stream as usize].retain(|pc| {
-        if pc.ssn != ssn {
-            return true;
-        }
-        dropped += pc.data.len() as u64;
-        *queued -= 1;
-        let tsn = *next_tsn;
-        *next_tsn += 1;
-        sent.push(
-            tsn,
-            SentChunk {
-                stream: pc.stream,
-                ssn: pc.ssn,
-                begin: pc.begin,
-                end: pc.end,
-                ppid: pc.ppid,
-                data: bytes::Bytes::new(), // never transmitted
-                path: 0,
-                sent_at: simcore::SimTime::ZERO,
-                txcount: 0,
-                missing: 0,
-                acked: true,
-                marked_rtx: false,
-                fsn: pc.fsn,
-                expires: pc.expires,
-                abandoned: true,
-            },
-        );
-        false
-    });
-    *pending_bytes = pending_bytes.saturating_sub(dropped);
-    stats.msgs_abandoned += 1;
+    ak.q_abandon(pool, stream, ssn);
+    ak.stats.msgs_abandoned += 1;
 }
 
 /// PR-SCTP: abandon queued messages whose lifetime lapsed before their
 /// first transmission. Lazy and front-of-queue only: with interleaving every
 /// stream's front, O(streams) per send opportunity; without it only the
-/// fragment FCFS sends next. A fragment buried deeper gets the same check
+/// message FCFS sends next. A message queued deeper gets the same check
 /// when it reaches the front (or, once sent, at retransmission time).
-fn reap_expired(ak: &mut Assoc, now: simcore::SimTime) {
+fn reap_expired(ak: &mut Assoc, pool: &mut Pools, now: simcore::SimTime) {
     if !ak.pr_active() {
         return;
     }
-    let expired = |pc: &PendingChunk| pc.expires.is_some_and(|e| now > e).then_some((pc.stream, pc.ssn));
+    let expired = |ak: &Assoc, sid: u16| {
+        ak.out_q[sid as usize].front().filter(|m| m.expires.is_some_and(|e| now > e)).map(|m| m.ssn)
+    };
     if ak.interleaving() {
-        for sid in 0..ak.out_q.len() {
-            while let Some((s, n)) = ak.out_q[sid].front().and_then(expired) {
-                abandon_message(ak, s, n);
+        for sid in 0..ak.out_q.len() as u16 {
+            while let Some(n) = expired(ak, sid) {
+                abandon_message(ak, pool, sid, n);
             }
         }
     } else {
-        while let Some((s, n)) = ak.q_front().and_then(|(_, pc)| expired(pc)) {
-            abandon_message(ak, s, n);
+        while let Some((sid, n)) = ak.q_front().and_then(|(sid, _)| Some((sid, expired(ak, sid)?))) {
+            abandon_message(ak, pool, sid, n);
         }
     }
 }
@@ -1920,33 +1815,19 @@ mod tests {
     use super::super::{SchedKind, EXT_INTERLEAVE};
     use super::*;
 
-    /// Queue message `ssn` of `frags` fragments on `stream`, as `sendmsg`
-    /// does: consecutive `seq`s, one `ssn` for the whole message.
-    fn queue_msg(ak: &mut Assoc, stream: u16, ssn: u32, frags: u32) {
-        for fsn in 0..frags {
-            let seq = ak.msg_seq;
-            ak.msg_seq += 1;
-            ak.q_push(PendingChunk {
-                stream,
-                ssn,
-                begin: fsn == 0,
-                end: fsn + 1 == frags,
-                ppid: 0,
-                data: Bytes::from(vec![0u8; 100]),
-                fsn,
-                seq,
-                expires: None,
-            });
-            ak.pending_bytes += 100;
-        }
+    /// Queue the next message on `stream` as `sendmsg_v` does, with one
+    /// input piece per length in `pieces`.
+    fn queue_msg(ak: &mut Assoc, stream: u16, pieces: &[usize]) {
+        let pieces = pieces.iter().filter(|&&n| n > 0).map(|&n| Bytes::from(vec![0u8; n])).collect();
+        ak.q_push(stream, 0, None, pieces);
     }
 
-    /// Peek and pop the next fragment, as the send pass does; its `seq`.
-    fn pop(ak: &mut Assoc) -> Option<u64> {
+    /// Peek and cut the next chunk, as the send pass does; its
+    /// `(stream, ssn, fsn)`.
+    fn pop(ak: &mut Assoc) -> Option<(u16, u32, u32)> {
         let (sid, _) = ak.q_front()?;
-        let pc = ak.q_pop(sid)?;
-        ak.pending_bytes -= pc.data.len() as u64;
-        Some(pc.seq)
+        let c = ak.q_pop(sid, &mut Pools::default(), 0, simcore::SimTime::ZERO);
+        Some((c.stream, c.ssn, c.fsn))
     }
 
     /// An established association configured for round-robin that
@@ -1960,42 +1841,96 @@ mod tests {
 
     #[test]
     fn forced_fcfs_overrides_the_policy() {
-        // seq 0-1 on stream 2, 2-3 on stream 1, 4 on stream 0.
+        // Two chunks on stream 2, then two on stream 1, then one on stream 0.
         let queue = |ak: &mut Assoc| {
-            queue_msg(ak, 2, 0, 2);
-            queue_msg(ak, 1, 0, 2);
-            queue_msg(ak, 0, 0, 1);
+            queue_msg(ak, 2, &[100, 100]);
+            queue_msg(ak, 1, &[100, 100]);
+            queue_msg(ak, 0, &[100]);
         };
         let mut ak = rr_assoc(EXT_INTERLEAVE);
         queue(&mut ak);
-        let rr: Vec<u64> = std::iter::from_fn(|| pop(&mut ak)).collect();
-        assert_eq!(rr, vec![4, 2, 0, 3, 1], "interleaving negotiated: round-robin");
+        let rr: Vec<_> = std::iter::from_fn(|| pop(&mut ak)).collect();
+        let order = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 1), (2, 0, 1)];
+        assert_eq!(rr, order, "interleaving negotiated: round-robin");
         let mut ak = rr_assoc(0);
         queue(&mut ak);
-        let fcfs: Vec<u64> = std::iter::from_fn(|| pop(&mut ak)).collect();
-        assert_eq!(fcfs, vec![0, 1, 2, 3, 4], "not negotiated: enqueue order");
+        let fcfs: Vec<_> = std::iter::from_fn(|| pop(&mut ak)).collect();
+        let order = [(2, 0, 0), (2, 0, 1), (1, 0, 0), (1, 0, 1), (0, 0, 0)];
+        assert_eq!(fcfs, order, "not negotiated: enqueue order");
     }
 
     #[test]
     fn abandoning_mid_message_keeps_enqueue_order_without_interleaving() {
         let mut ak = rr_assoc(0);
         assert!(!ak.interleaving(), "no interleaving negotiated: FCFS is forced");
-        // seq 0-2 on stream 0, 3-4 on stream 1, 5-7 on stream 2, 8-9 on
-        // stream 0 again, 10 on stream 1.
-        queue_msg(&mut ak, 0, 0, 3);
-        queue_msg(&mut ak, 1, 0, 2);
-        queue_msg(&mut ak, 2, 0, 3);
-        queue_msg(&mut ak, 0, 1, 2);
-        queue_msg(&mut ak, 1, 1, 1);
-        assert_eq!((pop(&mut ak), pop(&mut ak)), (Some(0), Some(1)));
-        // Abandon stream 0's first message with its last fragment unsent:
-        // that fragment becomes a phantom TSN, and the stream's front is now
-        // seq 8, so the fast path's check misses and the pick scans.
-        abandon_message(&mut ak, 0, 0);
-        assert_eq!((ak.queued, ak.pending_bytes, ak.next_tsn), (8, 800, 101));
-        assert!(ak.sent.get(100).is_some_and(|c| c.abandoned && c.acked && c.fsn == 2));
-        let rest: Vec<u64> = std::iter::from_fn(|| pop(&mut ak)).collect();
-        assert_eq!(rest, vec![3, 4, 5, 6, 7, 8, 9, 10]);
+        // Chunks of 100 B: three on stream 0, two on stream 1, three on
+        // stream 2, two more on stream 0, one more on stream 1.
+        queue_msg(&mut ak, 0, &[100, 100, 100]);
+        queue_msg(&mut ak, 1, &[100, 100]);
+        queue_msg(&mut ak, 2, &[100, 100, 100]);
+        queue_msg(&mut ak, 0, &[100, 100]);
+        queue_msg(&mut ak, 1, &[100]);
+        assert_eq!((pop(&mut ak), pop(&mut ak)), (Some((0, 0, 0)), Some((0, 0, 1))));
+        // Abandon stream 0's first message with its last chunk unsent: that
+        // chunk becomes a phantom TSN, and the stream's front is now a
+        // message nothing was cut from, so FCFS scans the fronts.
+        abandon_message(&mut ak, &mut Pools::default(), 0, 0);
+        assert_eq!((ak.queued, ak.pending_bytes, ak.next_tsn), (4, 800, 101));
+        assert!(ak.sent.get(100).is_some_and(|c| c.abandoned && c.acked && c.fsn == 2 && c.end));
+        let rest: Vec<_> = std::iter::from_fn(|| pop(&mut ak)).collect();
+        let order = [(1, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 0, 2), (0, 1, 0), (0, 1, 1), (1, 1, 0)];
+        assert_eq!(rest, order);
         assert!(ak.q_is_empty());
+    }
+
+    /// The chunks the fragmenter that ran at `sendmsg` cut from a message of
+    /// `pieces`, as `(len, begin, end, fsn)`.
+    fn fragmented_at_send(pieces: &[usize], max: usize) -> Vec<(usize, bool, bool, u32)> {
+        let len: usize = pieces.iter().sum();
+        if len == 0 {
+            return vec![(0, true, true, 0)];
+        }
+        let (mut out, mut remaining, mut fsn) = (Vec::new(), len, 0);
+        for &total in pieces {
+            let mut off = 0;
+            while off < total {
+                let take = max.min(total - off);
+                let begin = remaining == len;
+                remaining -= take;
+                out.push((take, begin, remaining == 0, fsn));
+                fsn += 1;
+                off += take;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_queue_entry_per_message_cut_as_the_fragmenter_cut() {
+        for (ext, max) in [(0, 1452), (EXT_INTERLEAVE, 1448)] {
+            let mut ak = rr_assoc(ext);
+            assert_eq!(ak.max_chunk(), max);
+            // A 64 KiB body behind a 16-byte envelope, a zero-length
+            // message, and a body with empty pieces around a piece
+            // boundary that falls inside the size limit.
+            for pieces in [&[16, 65536][..], &[], &[0, 100, 0, 3000, 0]] {
+                queue_msg(&mut ak, 3, pieces);
+                assert_eq!((ak.queued, ak.out_q[3].len()), (1, 1), "one entry per message");
+                let mut cut = Vec::new();
+                while let Some((sid, len)) = ak.q_front() {
+                    let c = ak.q_pop(sid, &mut Pools::default(), 0, simcore::SimTime::ZERO);
+                    assert_eq!(c.data.len() as u64, len, "q_front reports the cut's length");
+                    cut.push((c.data.len(), c.begin, c.end, c.fsn));
+                }
+                assert_eq!(cut, fragmented_at_send(pieces, max), "pieces {pieces:?}, max {max}");
+                assert_eq!((ak.queued, ak.pending_bytes), (0, 0));
+            }
+        }
+        // The 64 KiB message without interleaving: the envelope alone, then
+        // 45 full chunks and a 196-byte tail, ending the message.
+        let cut = fragmented_at_send(&[16, 65536], 1452);
+        assert_eq!(cut.len(), 47);
+        let ends = ((16, true, false, 0), (1452, false, false, 1), (196, false, true, 46));
+        assert_eq!((cut[0], cut[1], cut[46]), ends);
     }
 }

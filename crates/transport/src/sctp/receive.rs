@@ -327,6 +327,8 @@ fn assemble_run(
     let (s, e) = complete?;
     let mut msg =
         RecvMsg { assoc: a, stream: sid, ssn: 0, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
+    // Sized once: a pooled list may come back from a short message.
+    msg.data.reserve(e + 1 - s);
     let mut unordered = false;
     for c in st.frags.drain(s..=e) {
         (msg.ssn, msg.ppid, unordered) = (c.ssn, c.ppid, c.unordered);

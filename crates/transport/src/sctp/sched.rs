@@ -1,16 +1,18 @@
 //! Sender-side stream scheduling for RFC 8260 message interleaving.
 //!
-//! Every association queues its unsent fragments per stream (`Assoc::out_q`,
-//! one queue per outbound stream, each in enqueue order), and one
-//! [`Scheduler`] value decides which stream's front fragment goes out next
-//! by reading the queue fronts directly. With I-DATA negotiated, fragments
-//! of different user messages may interleave on the wire, so that choice is
-//! a real policy: one of the four [`SchedKind`]s the experiments compare
+//! Every association queues its unsent messages per stream (`Assoc::out_q`,
+//! one queue per outbound stream, each in enqueue order), and DATA chunks
+//! are cut from a stream's front message only as they go out. One
+//! [`Scheduler`] value decides which stream supplies the next chunk by
+//! reading the queue fronts directly. With I-DATA negotiated, chunks of
+//! different user messages may interleave on the wire, so that choice is a
+//! real policy: one of the four [`SchedKind`]s the experiments compare
 //! (first-come-first-served, round-robin, weighted-fair, strict-priority).
 //! Without interleaving the association runs FCFS whatever policy it was
 //! configured with (the handshake settles the policy once), and FCFS over
-//! per-stream queues is the single-FIFO order exactly: each message's
-//! fragments stay TSN-contiguous for the peer's sequential reassembler.
+//! per-stream queues is the single-FIFO order exactly: it finishes the
+//! started message, then starts the oldest queued one, so each message's
+//! chunks stay TSN-contiguous for the peer's sequential reassembler.
 //!
 //! # Determinism contract
 //!
@@ -23,24 +25,24 @@
 //!
 //! The engine calls [`Scheduler::pick`] (a `&self` peek) while deciding
 //! whether the next chunk fits the congestion window, and only after
-//! committing to transmit pops the fragment and calls [`Scheduler::on_pop`]
+//! committing to transmit cuts the chunk and calls [`Scheduler::on_pop`]
 //! (the `&mut self` state update). The engine may peek several times (cwnd
 //! gate, rwnd gate, budget gate) before one pop, and repeated peeks agree.
 
 use std::collections::VecDeque;
 
-use super::assoc::PendingChunk;
+use super::assoc::OutMsg;
 
 /// Which scheduler policy an association uses, set via `MpiCfg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedKind {
-    /// First-come-first-served: pop fragments in global enqueue order.
-    /// This reproduces the pre-interleaving single-FIFO wire order exactly
-    /// (fragments of one message stay contiguous), and is the forced
+    /// First-come-first-served: send messages whole, in global enqueue
+    /// order. This reproduces the pre-interleaving single-FIFO wire order
+    /// exactly (chunks of one message stay contiguous), and is the forced
     /// fallback when the peer did not negotiate interleaving.
     #[default]
     Fcfs,
-    /// Round-robin over streams with queued data, one fragment per turn.
+    /// Round-robin over streams with queued data, one chunk per turn.
     RoundRobin,
     /// Fair queueing: pick the stream with the fewest bytes sent (every
     /// stream weighs the same).
@@ -78,11 +80,9 @@ impl SchedKind {
 /// policies keep.
 pub(crate) struct Scheduler {
     kind: SchedKind,
-    /// Stream of the last popped fragment: the round-robin cursor and the
-    /// FCFS fast path's guess. Meaningless while `next_seq` is 0.
-    last_sid: u16,
-    /// `seq` of the last popped fragment plus one; 0 before the first pop.
-    next_seq: u64,
+    /// Stream of the last popped chunk (`None` before the first pop): the
+    /// round-robin cursor, and where FCFS continues a started message.
+    last_sid: Option<u16>,
     /// Weighted-fair: payload bytes popped per stream (sized only for
     /// [`SchedKind::WeightedFair`]).
     wfq_sent: Vec<u64>,
@@ -92,37 +92,34 @@ impl Scheduler {
     /// A fresh scheduler running `kind` over `out_streams` stream queues.
     pub(crate) fn new(kind: SchedKind, out_streams: usize) -> Self {
         let wfq_sent = if kind == SchedKind::WeightedFair { vec![0; out_streams] } else { Vec::new() };
-        Scheduler { kind, last_sid: 0, next_seq: 0, wfq_sent }
+        Scheduler { kind, last_sid: None, wfq_sent }
     }
 
-    /// Which stream supplies the next fragment, given the per-stream
+    /// Which stream supplies the next chunk, given the per-stream message
     /// queues; `None` when every queue is empty.
-    pub(crate) fn pick(&self, queues: &[VecDeque<PendingChunk>]) -> Option<u16> {
+    pub(crate) fn pick(&self, queues: &[VecDeque<OutMsg>]) -> Option<u16> {
         let mut fronts =
-            queues.iter().enumerate().filter_map(|(sid, q)| q.front().map(|pc| (sid as u16, pc)));
+            queues.iter().enumerate().filter_map(|(sid, q)| q.front().map(|m| (sid as u16, m)));
         match self.kind {
             SchedKind::Fcfs => {
-                // Each queue is in `seq` order and every pop took the lowest
-                // queued `seq`, so a front one past the last popped `seq`
-                // is the lowest: inside a message no front is scanned. A
-                // PR-SCTP abandonment only removes fragments, so the check
-                // stays sound; it just misses and falls back to the scan.
-                let last = queues.get(self.last_sid as usize).and_then(|q| q.front());
-                if last.is_some_and(|pc| pc.seq == self.next_seq) {
-                    return Some(self.last_sid);
+                // FCFS starts a message only when it holds the lowest queued
+                // `seq`, and every later message holds a higher one, so a
+                // started message is the lowest until its last chunk is cut
+                // or it is abandoned: continue it without a scan.
+                let started = |&sid: &u16| queues[sid as usize].front().is_some_and(OutMsg::started);
+                if let Some(sid) = self.last_sid.filter(started) {
+                    return Some(sid);
                 }
-                fronts.min_by_key(|(_, pc)| pc.seq).map(|(sid, _)| sid)
+                fronts.min_by_key(|(_, m)| m.seq).map(|(sid, _)| sid)
             }
             SchedKind::RoundRobin => {
                 // The first stream above the cursor, else wrap to the lowest;
                 // a fresh association starts at the lowest.
                 let mut sids = fronts.map(|(sid, _)| sid);
                 let lowest = sids.next()?;
-                let last = self.last_sid;
-                if self.next_seq > 0 && lowest <= last {
-                    sids.find(|&s| s > last).or(Some(lowest))
-                } else {
-                    Some(lowest)
+                match self.last_sid {
+                    Some(last) if lowest <= last => sids.find(|&s| s > last).or(Some(lowest)),
+                    _ => Some(lowest),
                 }
             }
             SchedKind::WeightedFair => {
@@ -132,13 +129,12 @@ impl Scheduler {
         }
     }
 
-    /// Record that `pc`, the front of stream `sid`, was popped for
-    /// transmission. Called exactly once per popped fragment.
-    pub(crate) fn on_pop(&mut self, sid: u16, pc: &PendingChunk) {
-        self.last_sid = sid;
-        self.next_seq = pc.seq + 1;
+    /// Record that a chunk of `len` payload bytes was cut from the front
+    /// message of stream `sid`. Called exactly once per popped chunk.
+    pub(crate) fn on_pop(&mut self, sid: u16, len: usize) {
+        self.last_sid = Some(sid);
         if self.kind == SchedKind::WeightedFair {
-            self.wfq_sent[sid as usize] += pc.data.len() as u64;
+            self.wfq_sent[sid as usize] += len as u64;
         }
     }
 }
@@ -148,39 +144,29 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    /// One single-fragment message with enqueue sequence `seq` and `len`
+    /// One single-chunk message with enqueue sequence `seq` and `len`
     /// payload bytes.
-    fn frag(stream: u16, seq: u64, len: usize) -> PendingChunk {
-        PendingChunk {
-            stream,
-            ssn: 0,
-            begin: true,
-            end: true,
-            ppid: 0,
-            data: Bytes::from(vec![0u8; len]),
-            fsn: 0,
-            seq,
-            expires: None,
-        }
+    fn msg(seq: u64, len: usize) -> OutMsg {
+        OutMsg::new(0, 0, seq, None, vec![Bytes::from(vec![0u8; len])])
     }
 
-    /// Ten stream queues holding `frags` as `(stream, seq, len)`, pushed in
+    /// Ten stream queues holding `msgs` as `(stream, seq, len)`, pushed in
     /// the order given.
-    fn queues(frags: &[(u16, u64, usize)]) -> Vec<VecDeque<PendingChunk>> {
-        let mut q: Vec<VecDeque<PendingChunk>> = (0..10).map(|_| VecDeque::new()).collect();
-        for &(sid, seq, len) in frags {
-            q[sid as usize].push_back(frag(sid, seq, len));
+    fn queues(msgs: &[(u16, u64, usize)]) -> Vec<VecDeque<OutMsg>> {
+        let mut q: Vec<VecDeque<OutMsg>> = (0..10).map(|_| VecDeque::new()).collect();
+        for &(sid, seq, len) in msgs {
+            q[sid as usize].push_back(msg(seq, len));
         }
         q
     }
 
     /// Pick and pop `n` times; the streams served, in order.
-    fn drain(s: &mut Scheduler, q: &mut [VecDeque<PendingChunk>], n: usize) -> Vec<u16> {
+    fn drain(s: &mut Scheduler, q: &mut [VecDeque<OutMsg>], n: usize) -> Vec<u16> {
         (0..n)
             .map(|_| {
                 let sid = s.pick(q).expect("a queue holds data");
-                let pc = q[sid as usize].pop_front().unwrap();
-                s.on_pop(sid, &pc);
+                let m = q[sid as usize].pop_front().unwrap();
+                s.on_pop(sid, m.next_len(usize::MAX));
                 sid
             })
             .collect()
@@ -204,7 +190,7 @@ mod tests {
     #[test]
     fn round_robin_skips_empty_streams() {
         let mut s = Scheduler::new(SchedKind::RoundRobin, 10);
-        s.on_pop(4, &frag(4, 0, 10));
+        s.on_pop(4, 10);
         // Stream 4 holds nothing; the next stream above 4 is 9.
         let mut q = queues(&[(1, 0, 10), (9, 2, 10), (9, 3, 10)]);
         assert_eq!(drain(&mut s, &mut q, 1), vec![9]);
@@ -216,8 +202,8 @@ mod tests {
         // Unit weights: the stream with fewer bytes sent is served first,
         // whatever its id or queue position; equal counts go to the lower id.
         let mut s = Scheduler::new(SchedKind::WeightedFair, 10);
-        s.on_pop(0, &frag(0, 0, 30));
-        s.on_pop(1, &frag(1, 1, 10));
+        s.on_pop(0, 30);
+        s.on_pop(1, 10);
         let mut q = queues(&[
             (0, 2, 10),
             (1, 3, 10),

@@ -8,7 +8,7 @@ use crate::{World, Wx};
 
 use super::assoc::{Assoc, AssocId, Scope, SentChunk, MAX_PATHS, PACKET_BUDGET, PMTU};
 use super::engine::{
-    arm_t3, assoc_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
+    arm_t3, assoc_mut, assoc_pool_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
     maybe_progress_shutdown, reemit_marked, scope_drained, scope_of, scopes, send_packet,
     trace_cwnd, try_send, wake_writers_after_abandon,
 };
@@ -422,12 +422,12 @@ fn fast_retransmit_burst(w: &mut World, ctx: &mut Wx, a: AssocId) {
     let cfg = cfg_of(w, a.host);
     let abandoned_before = assoc_ref(w, a).stats.msgs_abandoned;
     let mut packets: Vec<(u8, Vec<Chunk>)> = Vec::new();
-    let ak = assoc_mut(w, a);
+    let (ak, pool) = assoc_pool_mut(w, a);
     let vtag = ak.peer_tag;
     for scope in scopes(&cfg, ak.paths.len()) {
         let path = scope.unwrap_or_else(|| ak.rtx_path());
         let (mut packet, mut budget) = (Vec::new(), PACKET_BUDGET);
-        reemit_marked(ak, &cfg, ctx.now(), path, &mut budget, &mut packet);
+        reemit_marked(ak, pool, &cfg, ctx.now(), path, &mut budget, &mut packet);
         if !packet.is_empty() {
             packets.push((path, packet));
         }

@@ -172,12 +172,34 @@ struct MixedRun {
 /// large enough to fragment (70 KB > sndbuf-independent PMTU), the rest
 /// 1 KB, under the config's default lifetime; then the reliable sentinels.
 fn run_mixed(cfg: SctpCfg, loss: f64, seed: u64, n_msgs: u32, streams: u16) -> MixedRun {
+    run_mixed_offers(cfg.clone(), cfg, loss, seed, n_msgs, streams, |_| None)
+}
+
+/// Two hosts, host 0 on `client`'s config and host 1 on `server`'s.
+fn offer_world(client: SctpCfg, server: SctpCfg, loss: f64) -> World {
+    let mut world = World::new(NetCfg::paper_cluster(loss), TcpCfg::default(), client);
+    world.hosts[1].sctp.cfg = Rc::new(server);
+    world
+}
+
+/// [`run_mixed`] from host 0 on `client`'s config to host 1 on `server`'s,
+/// message `i` sent with lifetime `lifetime(i)` (as `sendmsg_blocking`
+/// takes it).
+fn run_mixed_offers(
+    client: SctpCfg,
+    server: SctpCfg,
+    loss: f64,
+    seed: u64,
+    n_msgs: u32,
+    streams: u16,
+    lifetime: fn(u32) -> Option<Option<Dur>>,
+) -> MixedRun {
     let what = format!(
-        "run_mixed(interleave={} sched={:?} cmt={} num_paths={} pr_lifetime={:?}, loss={loss}, \
+        "run_mixed(interleave={}/{} sched={:?} cmt={} num_paths={} pr_lifetime={:?}, loss={loss}, \
          seed={seed}, n_msgs={n_msgs}, streams={streams})",
-        cfg.interleave, cfg.sched, cfg.cmt, cfg.num_paths, cfg.pr_lifetime
+        client.interleave, server.interleave, client.sched, client.cmt, client.num_paths, client.pr_lifetime
     );
-    let world = World::new(NetCfg::paper_cluster(loss), TcpCfg::default(), cfg);
+    let world = offer_world(client, server, loss);
     let mut rt = Runtime::new(world, seed);
     rt.set_deadline(DEADLINE);
     let delivered: Rc<RefCell<Delivered>> = Rc::new(RefCell::new(BTreeMap::new()));
@@ -187,7 +209,7 @@ fn run_mixed(cfg: SctpCfg, loss: f64, seed: u64, n_msgs: u32, streams: u16) -> M
         let a = connect_blocking(&env, ep, 1, 4000).await;
         for i in 0..n_msgs {
             let sid = (i % streams as u32) as u16;
-            sendmsg_blocking(&env, a, sid, i, mixed_payload(i, sid), None).await;
+            sendmsg_blocking(&env, a, sid, i, mixed_payload(i, sid), lifetime(i)).await;
         }
         send_sentinels(&env, a, 0..streams).await;
     });
@@ -293,18 +315,82 @@ fn reassembly_equivalent_interleave_on_vs_off() {
     }
     let pr = SctpCfg { pr_sctp: true, pr_lifetime: Some(Dur::from_millis(2)), ..base_cfg() };
     for run in off_and_on(pr, 0.02) {
-        let survivors: usize = run.delivered.values().map(Vec::len).sum();
-        assert!(survivors < 64, "2 ms lifetimes at 2% loss must abandon something");
-        for (&sid, recs) in &run.delivered {
-            for pair in recs.windows(2) {
-                assert!(pair[0].1 < pair[1].1, "stream {sid} delivered out of order: {pair:?}");
-            }
-            for &(ssn, ppid, len, dig) in recs {
-                let want = mixed_payload(ppid, sid);
-                assert_eq!((ssn, len), (ppid / 4, want.len() as u32), "message {ppid}");
-                assert_eq!(dig, digest([&want]), "payload of message {ppid} on stream {sid}");
-            }
+        assert_survivors_in_order(&run);
+    }
+}
+
+/// A run of 64 messages over 4 streams lost something, and each stream
+/// delivered an in-order subsequence of what it offered, every survivor
+/// intact under its original SSN/MID.
+fn assert_survivors_in_order(run: &MixedRun) {
+    let survivors: usize = run.delivered.values().map(Vec::len).sum();
+    assert!(survivors < 64, "2 ms lifetimes at 2% loss must abandon something");
+    for (&sid, recs) in &run.delivered {
+        for pair in recs.windows(2) {
+            assert!(pair[0].1 < pair[1].1, "stream {sid} delivered out of order: {pair:?}");
         }
+        for &(ssn, ppid, len, dig) in recs {
+            let want = mixed_payload(ppid, sid);
+            assert_eq!((ssn, len), (ppid / 4, want.len() as u32), "message {ppid}");
+            assert_eq!(dig, digest([&want]), "payload of message {ppid} on stream {sid}");
+        }
+    }
+}
+
+/// Only one end offers I-DATA: neither end uses it. Each end sends one
+/// 14 520 B message, which goes out as exactly ten full 1 452 B DATA
+/// chunks (I-DATA's 1 448 B would take eleven), and arrives intact — with
+/// the offer at the connecting end and at the listening end.
+#[test]
+fn one_sided_interleave_offer_sends_data_chunks_of_full_size() {
+    const LEN: usize = 10 * 1452;
+    let offer = SctpCfg { interleave: true, sched: SchedKind::RoundRobin, ..base_cfg() };
+    for (client, server) in [(offer.clone(), base_cfg()), (base_cfg(), offer)] {
+        let mut rt = Runtime::new(offer_world(client, server, 0.0), 5);
+        rt.set_deadline(DEADLINE);
+        rt.spawn("client", move |env: Env| async move {
+            let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
+            let a = connect_blocking(&env, ep, 1, 4000).await;
+            sendmsg_blocking(&env, a, 1, 0, pattern(LEN, 0), None).await;
+            let m = recvmsg_blocking(&env, ep).await;
+            assert_eq!((m.len, digest(&m.data)), (LEN as u32, digest([&pattern(LEN, 1)])));
+        });
+        rt.spawn("server", move |env: Env| async move {
+            let ep = env.with(|w, _| {
+                let ep = sctp::socket(w, 1, 4000, true);
+                sctp::listen(w, ep);
+                ep
+            });
+            let m = recvmsg_blocking(&env, ep).await;
+            assert_eq!((m.len, digest(&m.data)), (LEN as u32, digest([&pattern(LEN, 0)])));
+            sendmsg_blocking(&env, m.assoc, 1, 0, pattern(LEN, 1), None).await;
+        });
+        let out = rt.run();
+        for h in &out.world.hosts[..2] {
+            assert_eq!(h.sctp.total_stats().data_chunks_out, 10, "DATA chunks one end sent");
+        }
+        assert!(!out.hit_deadline, "the exchange stalled");
+    }
+}
+/// Both ends offer PR-SCTP and only one offers I-DATA: the association
+/// runs exactly as one where neither offered it, whichever end made the
+/// offer — the same chunks, and the same reap rule, because the negotiated
+/// flag decides both, not the offer. Every third message is reliable, the
+/// rest live 2 ms, so an expired message can sit at one stream's front
+/// behind a live one at the front FCFS sends next: reaping every stream's
+/// front would abandon it sooner. At 2 % loss messages are abandoned, and
+/// each stream delivers an in-order subsequence.
+#[test]
+fn one_sided_interleave_offer_runs_as_no_offer_under_pr_sctp() {
+    let pr = SctpCfg { pr_sctp: true, ..base_cfg() };
+    let offer = SctpCfg { interleave: true, sched: SchedKind::RoundRobin, ..pr.clone() };
+    let lifetime = |i: u32| Some((i % 3 != 0).then(|| Dur::from_millis(2)));
+    let none = run_mixed_offers(pr.clone(), pr.clone(), 0.02, 23, 64, 4, lifetime);
+    assert_survivors_in_order(&none);
+    for (client, server) in [(offer.clone(), pr.clone()), (pr, offer)] {
+        let one = run_mixed_offers(client, server, 0.02, 23, 64, 4, lifetime);
+        assert_eq!((one.events, one.sim_ns, one.stats), (none.events, none.sim_ns, none.stats));
+        assert_eq!(one.delivered, none.delivered);
     }
 }
 
