@@ -29,8 +29,9 @@
 //! gate sits 5 % above its measured count: the margin is for rustc and std
 //! drift only.
 //!
-//! Farm: 187 184 allocations over the run's 682 026 `net.packets_offered`,
-//! 0.2745 per offered packet; gate 0.287. Of these, SCTP's per-stream send
+//! Farm: 177 280 allocations over the run's 682 026 `net.packets_offered`,
+//! 0.2599 per offered packet; gate 0.273 (0.2745 before a receive sized
+//! its body list once). Of these, SCTP's per-stream send
 //! queues cost a few per association (the queue table, and each used
 //! stream's queue growing to its peak in messages), and a few piece lists
 //! join the payload-list pool, not any per message. Losing any
@@ -40,14 +41,16 @@
 //! moves whenever no-op timer wakes are added or removed, and those
 //! allocate nothing. The per-event form is printed beside the gated one.
 //!
-//! Stream: 10.47 (SCTP) and 26.02 (TCP) allocations per 64 KiB message
+//! Stream: 6.45 (SCTP) and 24.14 (TCP) allocations per 64 KiB message
 //! over the run's 200 messages, set-up included. None of SCTP's are in the
-//! engine or the event queue (the queue is one heap that reaches its
-//! working size in the first few messages); its gate is 11.0. A send window
-//! rebuilt per SACK cost 137 here, per-bucket growth in a bucketed event
-//! queue 32. TCP's gate is 27.4: an in-order segment inserted into and
-//! removed from the reassembly tree, or copied when it spans two send-queue
-//! chunks, costs 40.
+//! engine or the event queue (the timer heap and the delivery lanes reach
+//! their working size in the first few messages); its gate is 6.78. The
+//! receive request's body list, grown from empty fragment by fragment,
+//! cost 10.47 (TCP 26.02); sized once from the fragment count it costs one
+//! allocation. A send window rebuilt per SACK cost 137 here, per-bucket
+//! growth in a bucketed event queue 32. TCP's gate is 25.4: an in-order
+//! segment inserted into and removed from the reassembly tree, or copied
+//! when it spans two send-queue chunks, costs 40.
 //!
 //! Ping-pong: 5.03 (SCTP) and 5.02 (TCP) allocations per 1 KiB message
 //! over 2 000 round trips, set-up included — few packets per message, so
@@ -75,9 +78,9 @@ use transport::tcp::{Flags, TcpSegment};
 use transport::wire_bytes::{decode_frame, encode_packet_into};
 use workloads::pingpong::{run, run_stream, PingPongCfg, StreamCfg};
 
-const MAX_ALLOCS_PER_PACKET: f64 = 0.287;
-const MAX_ALLOCS_PER_STREAM_MSG: f64 = 11.0;
-const MAX_ALLOCS_PER_STREAM_MSG_TCP: f64 = 27.4;
+const MAX_ALLOCS_PER_PACKET: f64 = 0.273;
+const MAX_ALLOCS_PER_STREAM_MSG: f64 = 6.78;
+const MAX_ALLOCS_PER_STREAM_MSG_TCP: f64 = 25.4;
 const MAX_ALLOCS_PER_PINGPONG_MSG_SCTP: f64 = 5.28;
 const MAX_ALLOCS_PER_PINGPONG_MSG_TCP: f64 = 5.27;
 const MAX_ALLOCS_PER_INGRESS_TRAIN: u64 = 2;

@@ -120,3 +120,34 @@ fn flap_runs_are_replayable() {
     let back = netsim::FaultPlan::from_json(&plan.to_json()).unwrap();
     assert_eq!(plan, back);
 }
+
+/// Delay jitter with reordering, the one fault no figure uses, pinned for
+/// both transports: a 64 KiB stream whose deliveries are jittered by up to
+/// 40 µs with up to 3 packets overtaking each. A jittered packet can arrive
+/// before one queued ahead of it on the same downlink, so these are the
+/// runs where a delivery leaves its lane for the timer heap. The rows are
+/// `(events, sim ns, payload bytes delivered, retransmits)`; any drift is a
+/// behaviour change, and on a mismatch the test prints the actual rows.
+#[test]
+fn jitter_cells_are_pinned() {
+    use workloads::pingpong::{run_stream, StreamCfg};
+    let plan = FaultPlan {
+        jitter: vec![JitterRule { scope: Scope::ALL, max_jitter_ns: 40_000, reorder_bound: 3 }],
+        ..FaultPlan::default()
+    };
+    let want: [(&str, [u64; 4]); 2] = [("sctp", [7407, 104134616, 6556072, 12]), ("tcp", [13017, 56817536, 6556072, 67])];
+    let got = [("sctp", MpiCfg::sctp(2, 0.0)), ("tcp", MpiCfg::tcp(2, 0.0))].map(|(name, cfg)| {
+        let mut cfg = cfg.with_seed(SEED_BASE);
+        cfg.fault_plan = plan.clone();
+        let r = run_stream(cfg, StreamCfg { size: 64 * 1024, count: 100 });
+        let (bytes, rtx) = match name {
+            "sctp" => (r.sctp.bytes_in, r.sctp.retransmits),
+            _ => (r.tcp.bytes_in, r.tcp.retransmits),
+        };
+        (name, [r.events, (r.secs * 1e9).round() as u64, bytes, rtx])
+    });
+    for (name, row) in &got {
+        eprintln!("(\"{name}\", {row:?}),");
+    }
+    assert_eq!(got, want, "pinned jitter cells drifted (actual rows above)");
+}

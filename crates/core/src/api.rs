@@ -485,7 +485,7 @@ impl Mpi {
         let out = self.core.on_envelope(me, env);
         if let Some(sink) = out.sink {
             if len > 0 {
-                self.core.body_chunk(sink, data);
+                self.core.body_chunks(sink, [data]);
             }
             let ctrl = self.core.body_done(sink);
             debug_assert!(ctrl.is_empty());

@@ -415,19 +415,26 @@ impl Core {
         out
     }
 
-    /// Append body bytes to a sink.
-    pub fn body_chunk(&mut self, sink: Sink, chunk: Bytes) {
-        match sink {
+    /// Append body pieces to a sink, making room for all of them at once:
+    /// an eager message's fragments cost one allocation, not a regrowth
+    /// per power of two.
+    pub fn body_chunks(&mut self, sink: Sink, chunks: impl IntoIterator<Item = Bytes, IntoIter: ExactSizeIterator>) {
+        let (data, got) = match sink {
             Sink::Req(i) => {
-                self.reqs[i].got += chunk.len() as u32;
-                self.reqs[i].data.push(chunk);
+                let r = &mut self.reqs[i];
+                (&mut r.data, &mut r.got)
             }
             Sink::Unex(id) => {
                 let at = self.unex_at(id).expect("body for released unexpected");
                 let u = &mut self.unexpected[at];
-                u.got += chunk.len() as u32;
-                u.data.push(chunk);
+                (&mut u.data, &mut u.got)
             }
+        };
+        let chunks = chunks.into_iter();
+        data.reserve(chunks.len());
+        for c in chunks {
+            *got += c.len() as u32;
+            data.push(c);
         }
     }
 
@@ -618,7 +625,7 @@ mod tests {
         let out = c.on_envelope(0, env);
         let sink = out.sink.unwrap();
         assert_eq!(sink, Sink::Req(r.0));
-        c.body_chunk(sink, Bytes::from_static(b"abc"));
+        c.body_chunks(sink, [Bytes::from_static(b"abc")]);
         let ctrl = c.body_done(sink);
         assert!(ctrl.is_empty());
         assert!(c.is_done(r));
@@ -634,7 +641,7 @@ mod tests {
         let out = c.on_envelope(0, env);
         let sink = out.sink.unwrap();
         assert!(matches!(sink, Sink::Unex(_)));
-        c.body_chunk(sink, Bytes::from_static(b"xyz"));
+        c.body_chunks(sink, [Bytes::from_static(b"xyz")]);
         c.body_done(sink);
         let (r, ctrl) = c.post_recv(Some(0), Some(5), 0);
         assert!(ctrl.is_empty());
@@ -648,11 +655,11 @@ mod tests {
         let mut c = Core::new(1, 2, K64);
         let env = Envelope { kind: EnvKind::Eager, src: 0, tag: 5, cxt: 0, len: 6, seq: 0 };
         let sink = c.on_envelope(0, env).sink.unwrap();
-        c.body_chunk(sink, Bytes::from_static(b"abc"));
+        c.body_chunks(sink, [Bytes::from_static(b"abc")]);
         // Recv posted while body is mid-flight.
         let (r, _) = c.post_recv(Some(0), Some(5), 0);
         assert!(!c.is_done(r));
-        c.body_chunk(sink, Bytes::from_static(b"def"));
+        c.body_chunks(sink, [Bytes::from_static(b"def")]);
         c.body_done(sink);
         assert!(c.is_done(r));
         let (st, data) = c.take_done(r);
@@ -697,7 +704,7 @@ mod tests {
         let benv = Envelope { kind: EnvKind::RndvBody, src: 0, tag: 9, cxt: 0, len: 500_000, seq: 3 };
         let sink = c.on_envelope(0, benv).sink.unwrap();
         assert_eq!(sink, Sink::Req(r.0));
-        c.body_chunk(sink, Bytes::from(vec![0u8; 500_000]));
+        c.body_chunks(sink, [Bytes::from(vec![0u8; 500_000])]);
         c.body_done(sink);
         assert!(c.is_done(r));
     }
@@ -732,7 +739,7 @@ mod tests {
         let mut c = Core::new(1, 2, K64);
         let env = Envelope { kind: EnvKind::SyncEager, src: 0, tag: 5, cxt: 0, len: 2, seq: 8 };
         let sink = c.on_envelope(0, env).sink.unwrap();
-        c.body_chunk(sink, Bytes::from_static(b"hi"));
+        c.body_chunks(sink, [Bytes::from_static(b"hi")]);
         let ctrl = c.body_done(sink);
         assert!(ctrl.is_empty(), "no ack until matched");
         let (_r, ctrl) = c.post_recv(Some(0), Some(5), 0);
@@ -747,7 +754,7 @@ mod tests {
         let (_r, _) = c.post_recv(Some(0), Some(5), 0);
         let env = Envelope { kind: EnvKind::SyncEager, src: 0, tag: 5, cxt: 0, len: 2, seq: 8 };
         let sink = c.on_envelope(0, env).sink.unwrap();
-        c.body_chunk(sink, Bytes::from_static(b"hi"));
+        c.body_chunks(sink, [Bytes::from_static(b"hi")]);
         let ctrl = c.body_done(sink);
         assert_eq!(ctrl.len(), 1);
         assert_eq!(ctrl[0].1.kind, EnvKind::SyncAck);
@@ -771,7 +778,7 @@ mod tests {
         for seq in 0..3 {
             let env = Envelope { kind: EnvKind::Eager, src: 0, tag: 1, cxt: 0, len: 1, seq };
             let sink = c.on_envelope(0, env).sink.unwrap();
-            c.body_chunk(sink, Bytes::from(vec![seq as u8]));
+            c.body_chunks(sink, [Bytes::from(vec![seq as u8])]);
             c.body_done(sink);
         }
         for expect in 0..3u8 {
@@ -799,7 +806,7 @@ mod tests {
     fn arrive(c: &mut Core, tag: i32, seq: u32) {
         let env = Envelope { kind: EnvKind::Eager, src: 0, tag, cxt: 0, len: 1, seq };
         let sink = c.on_envelope(0, env).sink.unwrap();
-        c.body_chunk(sink, Bytes::from(vec![seq as u8]));
+        c.body_chunks(sink, [Bytes::from(vec![seq as u8])]);
         c.body_done(sink);
     }
 
@@ -827,15 +834,15 @@ mod tests {
             })
             .collect();
         // A and C complete and are received; B is still mid-body.
-        c.body_chunk(sinks[1], Bytes::from_static(b"b"));
+        c.body_chunks(sinks[1], [Bytes::from_static(b"b")]);
         for i in [0, 2] {
-            c.body_chunk(sinks[i], Bytes::from_static(b"xx"));
+            c.body_chunks(sinks[i], [Bytes::from_static(b"xx")]);
             c.body_done(sinks[i]);
             let (r, _) = c.post_recv(Some(0), Some(i as i32), 0);
             assert!(c.is_done(r));
         }
         assert_eq!(c.unexpected.len(), 1);
-        c.body_chunk(sinks[1], Bytes::from_static(b"B"));
+        c.body_chunks(sinks[1], [Bytes::from_static(b"B")]);
         c.body_done(sinks[1]);
         let (r, _) = c.post_recv(Some(0), Some(1), 0);
         let (st, data) = c.take_done(r);

@@ -364,9 +364,7 @@ impl SctpRpi {
             debug_assert!(len <= st.remaining, "piece overruns announced body");
             st.remaining -= len;
             let finished = st.remaining == 0;
-            for c in data.drain(..) {
-                core.body_chunk(sink, c);
-            }
+            core.body_chunks(sink, data.drain(..));
             if finished {
                 st.sink = None;
                 let ctrl = core.body_done(sink);
@@ -400,12 +398,12 @@ impl SctpRpi {
                 _ => {
                     // Short body rides in this same message after the
                     // envelope.
-                    let mut got = 0usize;
-                    for c in data.drain(..).skip(1) {
-                        got += c.len();
-                        core.body_chunk(sink, c);
-                    }
-                    debug_assert_eq!(got, env.len as usize, "eager body length mismatch");
+                    debug_assert_eq!(
+                        data[1..].iter().map(|c| c.len()).sum::<usize>(),
+                        env.len as usize,
+                        "eager body length mismatch"
+                    );
+                    core.body_chunks(sink, data.drain(..).skip(1));
                     let ctrl = core.body_done(sink);
                     self.enqueue_ctrl(ctrl);
                 }

@@ -219,9 +219,7 @@ impl TcpRpi {
                     let total = *total;
                     *remaining -= got;
                     let finished = *remaining == 0;
-                    for c in self.rd_scratch.drain(..) {
-                        core.body_chunk(sink, c);
-                    }
+                    core.body_chunks(sink, self.rd_scratch.drain(..));
                     if finished {
                         // Serial re-framing/staging copy at completion.
                         meter.charge(cost::tcp_frame_bytes(total));

@@ -53,7 +53,7 @@ proptest! {
                     };
                     let out = c.on_envelope(0, env);
                     let sink = out.sink.unwrap();
-                    c.body_chunk(sink, Bytes::from(payload));
+                    c.body_chunks(sink, [Bytes::from(payload)]);
                     let _ = c.body_done(sink);
                 }
                 Op::PostRecv { any_src, tag } => {
@@ -87,7 +87,7 @@ proptest! {
         for (i, &tag) in tags.iter().enumerate() {
             let env = Envelope { kind: EnvKind::Eager, src: 0, tag, cxt: 0, len: 1, seq: i as u32 };
             let sink = c.on_envelope(0, env).sink.unwrap();
-            c.body_chunk(sink, Bytes::from(vec![i as u8]));
+            c.body_chunks(sink, [Bytes::from(vec![i as u8])]);
             let _ = c.body_done(sink);
         }
         let mut seen = std::collections::HashSet::new();
@@ -307,7 +307,7 @@ proptest! {
             m_unex_peak = m_unex_peak.max(m_unex.iter().filter(|u| !u.gone).count());
             if let Some(at) = finish {
                 let (sink, (src, tag, id), msink) = open.remove(at);
-                c.body_chunk(sink, Bytes::from(vec![id]));
+                c.body_chunks(sink, [Bytes::from(vec![id])]);
                 let _ = c.body_done(sink);
                 match msink {
                     MSink::Slot(slot) => m_result[slot] = Some((src, tag, id)),

@@ -9,7 +9,7 @@
 //! real FIFO would have. Tail drop happens when that implied occupancy plus
 //! the new packet would exceed the configured capacity.
 
-use simcore::{transmission_time, Dur, SimTime};
+use simcore::{bytes_sent_in, transmission_time, Dur, SimTime};
 
 /// Line rate of every link in bits per second (paper: 1 Gb/s Ethernet).
 pub const LINK_BPS: u64 = 1_000_000_000;
@@ -104,9 +104,7 @@ impl Link {
 
     /// Bytes currently backlogged in the (virtual) queue at `now`.
     pub fn backlog_bytes(&self, now: SimTime) -> u64 {
-        let backlog = self.busy_until.since(now);
-        // bytes = time * bps / 8e9 (ns)
-        (backlog.as_nanos() as u128 * LINK_BPS as u128 / 8_000_000_000) as u64
+        bytes_sent_in(self.busy_until.since(now), LINK_BPS)
     }
 
     /// Offer a packet of `wire_bytes` to the link at `now`. On success,
@@ -130,8 +128,7 @@ impl Link {
             self.stats.drops_down += 1;
             return Err(LinkDrop::LinkDown);
         }
-        let backlog = self.busy_until.since(now);
-        let backlog_bytes = (backlog.as_nanos() as u128 * bandwidth_bps as u128 / 8_000_000_000) as u64;
+        let backlog_bytes = bytes_sent_in(self.busy_until.since(now), bandwidth_bps);
         if backlog_bytes + wire_bytes as u64 > self.cfg.queue_cap_bytes {
             self.stats.drops_queue += 1;
             return Err(LinkDrop::QueueFull);

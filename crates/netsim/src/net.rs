@@ -166,6 +166,22 @@ impl Net {
         self.cfg.ifaces_per_host
     }
 
+    /// The delivery lane of a packet `src` → `dst`, for
+    /// [`simcore::Ctx::schedule_deliver`]: one lane per destination
+    /// interface (`host × ifaces + iface`), then one loopback lane per host.
+    /// A lane's delivery instants never decrease without jitter: every
+    /// packet to one interface leaves through its one downlink, whose
+    /// `busy_until` only grows, and a host's loopback delivers a fixed delay
+    /// after the nondecreasing clock.
+    pub fn lane(&self, src: IfAddr, dst: IfAddr) -> usize {
+        let ifaces = self.cfg.ifaces_per_host as usize;
+        if src.host == dst.host {
+            self.cfg.hosts as usize * ifaces + dst.host as usize
+        } else {
+            dst.host as usize * ifaces + dst.iface as usize
+        }
+    }
+
     fn check_addr(&self, a: IfAddr) {
         assert!(
             a.host < self.cfg.hosts && a.iface < self.cfg.ifaces_per_host,
@@ -453,6 +469,16 @@ mod tests {
             "downlink backlog, not the idle uplink's: {backlogs:?}"
         );
         assert_eq!(dump.write_jsonl(), ref_trace.dump(0).write_jsonl());
+    }
+
+    #[test]
+    fn lanes_are_one_per_destination_interface_then_loopback() {
+        let (n, _) = net(0.0);
+        let a = |h, i| IfAddr::new(h, i);
+        assert_eq!(n.lane(a(0, 0), a(1, 0)), 3);
+        assert_eq!(n.lane(a(2, 2), a(1, 2)), 5, "the lane is the destination's, whoever sends");
+        assert_eq!(n.lane(a(7, 2), a(7, 2)), 8 * 3 + 7, "loopback lanes follow the interface lanes");
+        assert_eq!(n.lane(a(0, 1), a(7, 2)), 7 * 3 + 2);
     }
 
     #[test]

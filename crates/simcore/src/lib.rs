@@ -30,7 +30,7 @@ pub use deadline::Deadline;
 pub use process::{set_reference_discipline, ProcEnv, ProcId, RunOutcome, Runtime};
 pub use rng::{derive_rng, stream_id};
 pub use sched::{Ctx, Model, SchedCounters, TimerId};
-pub use time::{transmission_time, Dur, SimTime};
+pub use time::{bytes_sent_in, transmission_time, Dur, SimTime};
 
 /// `impl Model` for test worlds that only queue closures: no packets, no
 /// timers.

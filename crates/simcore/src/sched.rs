@@ -18,20 +18,33 @@
 //!
 //! # Queue structure
 //!
-//! One binary min-heap of small `Copy` keys, ordered by (time, seq), over a
-//! slab of reusable slots that hold the events. Every timer — a packet
-//! delivery microseconds out, an RTO seconds out — takes the same O(log n)
-//! push and the earliest event is the heap top. The measured queue depth at
-//! pop is tens to a few thousand entries (EXPERIMENTS.md, "One event
-//! queue"), where a 24-byte-key heap stays in cache; nothing here is tuned
-//! to a time scale.
+//! Packets ride lanes; timers ride the heap.
+//!
+//! Timers, process wakes and closures sit in one binary min-heap of small
+//! `Copy` keys, ordered by (time, seq), over a slab of reusable slots that
+//! hold the events. Each takes an O(log n) push and the earliest is the
+//! heap top; nothing here is tuned to a time scale.
+//!
+//! Packets in flight sit in delivery lanes: one FIFO of `(at, seq, packet)`
+//! per lane, which the world names when it schedules a delivery (the
+//! network uses one lane per destination interface, so a lane's delivery
+//! instants never decrease). A packet due no earlier than its lane's last
+//! entry is appended, so every lane is sorted and its head is its minimum;
+//! a second small heap holds one key per non-empty lane, its head. A packet
+//! due earlier than its lane's last entry (delay jitter) goes to the main
+//! heap as a `Deliver` event instead. The next event is the smaller of the
+//! two heap tops, so pops keep the exact global (time, seq) order while the
+//! heaps hold a handful of keys however many packets are in flight
+//! (EXPERIMENTS.md, "Delivery lanes").
 //!
 //! [`TimerId`] is a (slot, generation) pair, so `cancel` is O(1): it drops
 //! the event, frees the slot, and bumps the generation, leaving a stale
 //! `Copy` key in the heap that is discarded when it reaches the top (and
 //! bounded before that by compaction once stale keys outnumber live ones).
+//! Deliveries carry no `TimerId`: a packet in flight is never cancelled.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::SmallRng;
@@ -78,8 +91,9 @@ pub struct SchedCounters {
     /// Wakes that never became a poll: suppressed spurious wakes plus
     /// sleeps satisfied by an inline clock advance.
     pub wakes_coalesced: u64,
-    /// Events pushed onto the queue: one per schedule call, late re-queues
-    /// under a reserved seq included; inline clock advances push nothing.
+    /// Events pushed onto the queue: one per schedule call (a delivery
+    /// appended to its lane included), late re-queues under a reserved seq
+    /// included; inline clock advances push nothing.
     pub queued: u64,
 }
 
@@ -133,6 +147,14 @@ struct Key {
     gen: u32,
 }
 
+/// Ordering key of one non-empty delivery lane: its head's (time, seq).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LaneKey {
+    at: SimTime,
+    seq: u64,
+    lane: u32,
+}
+
 /// One slab slot: generation tag plus the event, `None` while free.
 struct Slot<W: Model> {
     gen: u32,
@@ -143,7 +165,8 @@ struct Slot<W: Model> {
 ///
 /// The event queue is `heap` (ordering keys) over `slots` (payloads, with
 /// `free` as the slot freelist); a key whose generation no longer matches
-/// its slot is a tombstone.
+/// its slot is a tombstone. Packets in flight are in `lanes`, with one key
+/// per non-empty lane in `lane_heads`.
 pub struct Ctx<W: Model> {
     now: SimTime,
     seq: u64,
@@ -152,6 +175,13 @@ pub struct Ctx<W: Model> {
     heap: BinaryHeap<Reverse<Key>>,
     /// Stale keys currently in the heap; bounded by compaction.
     heap_dead: usize,
+    /// Delivery lanes: `(at, seq, packet)` FIFOs, each sorted by (at, seq).
+    /// Grown on demand to the highest lane named.
+    lanes: Vec<VecDeque<(SimTime, u64, W::Packet)>>,
+    /// One key per non-empty lane, for its head.
+    lane_heads: BinaryHeap<Reverse<LaneKey>>,
+    /// Packets queued across all lanes.
+    lane_len: usize,
     wake_fifo: VecDeque<ProcId>,
     /// `wake_pending[p]` is true while `p` sits in `wake_fifo`, so duplicate
     /// wakes coalesce. Grown on demand, like `sleeping`.
@@ -194,6 +224,9 @@ impl<W: Model> Ctx<W> {
             free: Vec::new(),
             heap: BinaryHeap::new(),
             heap_dead: 0,
+            lanes: Vec::new(),
+            lane_heads: BinaryHeap::new(),
+            lane_len: 0,
             wake_fifo: VecDeque::new(),
             wake_pending: Vec::new(),
             sleeping: Vec::new(),
@@ -379,9 +412,32 @@ impl<W: Model> Ctx<W> {
         self.insert_reserved(at, seq, Event::Call(Box::new(f)))
     }
 
-    /// Hand `pkt` to [`Model::deliver`] at `at` (clamped to be >= now).
-    pub fn schedule_deliver(&mut self, at: SimTime, pkt: W::Packet) -> TimerId {
-        self.schedule_event(at, Event::Deliver(pkt))
+    /// Hand `pkt` to [`Model::deliver`] at `at` (clamped to be >= now),
+    /// queued on delivery lane `lane`. A lane should be something whose
+    /// delivery instants never decrease (one destination interface): then
+    /// the packet is appended to the lane. A packet due earlier than the
+    /// lane's last entry is still delivered in exact (time, seq) order,
+    /// through the main heap.
+    pub fn schedule_deliver(&mut self, lane: usize, at: SimTime, pkt: W::Packet) {
+        let at = at.max(self.now);
+        let seq = self.reserve_seq();
+        if self.lanes.len() <= lane {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let q = &mut self.lanes[lane];
+        match q.back() {
+            Some(&(last, _, _)) if at < last => {
+                self.insert(at, seq, Event::Deliver(pkt));
+            }
+            _ => {
+                if q.is_empty() {
+                    self.lane_heads.push(Reverse(LaneKey { at, seq, lane: lane as u32 }));
+                }
+                q.push_back((at, seq, pkt));
+                self.lane_len += 1;
+                self.queued += 1;
+            }
+        }
     }
 
     /// Hand `key` to [`Model::timer`] at `at`, with a sequence number drawn
@@ -421,16 +477,20 @@ impl<W: Model> Ctx<W> {
         self.maybe_compact_heap();
     }
 
-    /// Events queued and neither fired nor cancelled yet.
+    /// Events queued and neither fired nor cancelled yet, packets in their
+    /// lanes included.
     pub fn pending_events(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len() - self.free.len() + self.lane_len
     }
 
     /// Rebuild the heap without stale keys once they outnumber the live
-    /// ones (and there are more than a handful); keeps cancel-heavy runs
-    /// from dragging an ever-growing heap through every push/pop.
+    /// events, packets in lanes included (and there are more than a
+    /// handful); keeps cancel-heavy runs from dragging an ever-growing heap
+    /// through every push/pop. Counting the lanes keeps the rebuilds — and
+    /// with them which stale keys [`Ctx::next_event_key`] still sees — where
+    /// they were when every packet was a heap key.
     fn maybe_compact_heap(&mut self) {
-        if self.heap_dead <= 32 || self.heap_dead * 2 <= self.heap.len() {
+        if self.heap_dead <= 32 || self.heap_dead * 2 <= self.heap.len() + self.lane_len {
             return;
         }
         let old = std::mem::take(&mut self.heap);
@@ -548,25 +608,56 @@ impl<W: Model> Ctx<W> {
     /// minimum lies past `bound` — the tombstones above it are peeled either
     /// way, so [`Ctx::next_event_time`] then tells the two apart.
     fn pop_next(&mut self, bound: SimTime) -> Option<Event<W>> {
-        // Peel tombstones until a live key tops the heap; a key past `bound`
-        // must stay queued, so peek before popping.
+        // Peel tombstones while one tops the whole queue — a key past
+        // `bound` must stay queued, so peek before popping. A tombstone
+        // behind the first lane head stays, as it would in one heap of
+        // every event, so `next_event_key` sees what it always saw.
+        let lane = self.lane_heads.peek().map(|&Reverse(l)| l);
         let key = loop {
-            let &Reverse(k) = self.heap.peek()?;
+            let Some(&Reverse(k)) = self.heap.peek() else { break None };
+            if lane.is_some_and(|l| (l.at, l.seq) < (k.at, k.seq)) {
+                break None;
+            }
             if self.slots[k.idx as usize].gen == k.gen {
-                break k;
+                break Some(k);
             }
             self.heap.pop();
             self.heap_dead -= 1;
         };
-        if key.at > bound {
-            return None;
-        }
-        self.heap.pop();
-        let ev = self.take_slot(key.idx);
-        debug_assert!(key.at >= self.now, "time went backwards");
-        self.now = key.at;
+        let (at, ev) = match (key, lane) {
+            (Some(k), _) => {
+                if k.at > bound {
+                    return None;
+                }
+                self.heap.pop();
+                (k.at, self.take_slot(k.idx))
+            }
+            (None, Some(l)) => {
+                if l.at > bound {
+                    return None;
+                }
+                (l.at, Event::Deliver(self.pop_lane(l.lane)))
+            }
+            (None, None) => return None,
+        };
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.events_fired += 1;
         Some(ev)
+    }
+
+    /// Take the head of `lane`, which tops `lane_heads`, and re-key the lane
+    /// by its next entry (one sift) or drop its key when it empties.
+    fn pop_lane(&mut self, lane: u32) -> W::Packet {
+        let mut head = self.lane_heads.peek_mut().expect("a lane key tops the lane heap");
+        let q = &mut self.lanes[lane as usize];
+        let (_, _, pkt) = q.pop_front().expect("lane key over an empty lane");
+        match q.front() {
+            Some(&(at, seq, _)) => *head = Reverse(LaneKey { at, seq, lane }),
+            None => drop(PeekMut::pop(head)),
+        }
+        self.lane_len -= 1;
+        pkt
     }
 
     /// Driver entry point: pop the next event unless it lies past the run
@@ -587,12 +678,17 @@ impl<W: Model> Ctx<W> {
         self.next_event_key().map(|(t, _)| t)
     }
 
-    /// (time, seq) of the next pending event. Conservative: stale keys are
-    /// included (they order no later than any live event they shadow), so
-    /// callers using this to gate inline fast paths only ever decline, never
-    /// jump the queue.
+    /// (time, seq) of the next pending event, lane heads included.
+    /// Conservative: stale keys are included (they order no later than any
+    /// live event they shadow), so callers using this to gate inline fast
+    /// paths only ever decline, never jump the queue.
     pub fn next_event_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(k)| (k.at, k.seq))
+        let heap = self.heap.peek().map(|Reverse(k)| (k.at, k.seq));
+        let lane = self.lane_heads.peek().map(|Reverse(l)| (l.at, l.seq));
+        match (heap, lane) {
+            (Some(h), Some(l)) => Some(h.min(l)),
+            (h, l) => h.or(l),
+        }
     }
 }
 
@@ -857,6 +953,40 @@ mod tests {
         assert_eq!(c.now(), SimTime::from_nanos(1_500));
         drain(&mut w, &mut c);
         assert_eq!(w, vec![1]);
+    }
+
+    /// A world whose packets are tags, logged on delivery.
+    struct Tags(Vec<u32>);
+
+    impl Model for Tags {
+        type Packet = u32;
+        type Timer = std::convert::Infallible;
+        fn deliver(&mut self, _: &mut Ctx<Self>, tag: u32) {
+            self.0.push(tag);
+        }
+        fn timer(&mut self, _: &mut Ctx<Self>, key: Self::Timer) {
+            match key {}
+        }
+    }
+
+    #[test]
+    fn a_tombstone_behind_a_lane_head_stays_until_it_tops_the_queue() {
+        // One heap of every event peels a stale key only once it is the
+        // minimum of all of them; with packets on lanes the probe must
+        // still see it then, and the inline fast path still decline.
+        let mut c: Ctx<Tags> = Ctx::new(derive_rng(0, 0));
+        let mut w = Tags(Vec::new());
+        c.schedule_deliver(0, SimTime::from_nanos(100), 1);
+        let stale = c.schedule_at(SimTime::from_nanos(200), |w: &mut Tags, _| w.0.push(9));
+        c.schedule_at(SimTime::from_nanos(300), |w: &mut Tags, _| w.0.push(3));
+        c.cancel(stale);
+        assert_eq!(c.pending_events(), 2, "the packet and the live closure");
+        c.pop_next(SimTime::MAX).expect("the packet").fire(&mut w, &mut c);
+        assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(200), 1)));
+        assert!(!c.try_advance_sleep(Dur::from_nanos(150)), "declines short of the live event, as one heap did");
+        c.run_due(&mut w, SimTime::MAX);
+        assert_eq!(w.0, vec![1, 3]);
+        assert_eq!((c.heap_dead, c.pending_events()), (0, 0));
     }
 
     #[test]

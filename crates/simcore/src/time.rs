@@ -232,14 +232,32 @@ impl fmt::Display for Dur {
     }
 }
 
+/// `a * b / c`, rounded down: in `u64` when the product fits (every packet
+/// and every link backlog the simulator meets), in `u128` otherwise. Same
+/// result either way; the `u64` division is the cheap one.
+#[inline]
+fn mul_div(a: u64, b: u64, c: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => (a as u128 * b as u128 / c as u128) as u64,
+    }
+}
+
 /// Compute `bytes / rate` as a duration, where `rate` is in bits per second.
 /// This is the wire-serialization time of a packet.
 #[inline]
 pub fn transmission_time(bytes: u64, bits_per_sec: u64) -> Dur {
     debug_assert!(bits_per_sec > 0);
-    // ns = bytes * 8 * 1e9 / bps, computed in u128 to avoid overflow.
-    let ns = (bytes as u128 * 8 * 1_000_000_000) / bits_per_sec as u128;
-    Dur::from_nanos(ns as u64)
+    // ns = bytes * 8 * 1e9 / bps.
+    Dur::from_nanos(mul_div(bytes, 8_000_000_000, bits_per_sec))
+}
+
+/// The bytes a link serializing at `bits_per_sec` sends in `d`, rounded
+/// down: a backlog's queue occupancy.
+#[inline]
+pub fn bytes_sent_in(d: Dur, bits_per_sec: u64) -> u64 {
+    // bytes = ns * bps / 8e9.
+    mul_div(d.as_nanos(), bits_per_sec, 8_000_000_000)
 }
 
 #[cfg(test)]

@@ -249,6 +249,56 @@ fn queue_fires_like_a_sorted_model() {
     println!("queue model: {seen} compactions observed mid-drain");
 }
 
+proptest! {
+    /// Packets on delivery lanes and closures on the heap fire exactly in
+    /// the sorted (time, seq) order of a model, whichever lane a packet
+    /// rides and whether it lands behind a later packet on its lane (and so
+    /// takes the heap) or not. Item `k` is queued by driver event `k` at
+    /// `gap` steps after the previous driver, `delay` ns out: a packet on
+    /// lane `lane` for lanes 0–2, a closure for 3.
+    #[test]
+    fn lanes_and_heap_fire_like_a_sorted_model(
+        items in prop::collection::vec((0u64..3, 0u64..20_000, 0usize..4), 1..200),
+    ) {
+        struct W {
+            fired: Vec<(u64, usize)>,
+        }
+        impl simcore::Model for W {
+            type Packet = usize;
+            type Timer = std::convert::Infallible;
+            fn deliver(&mut self, ctx: &mut simcore::Ctx<Self>, k: usize) {
+                self.fired.push((ctx.now().as_nanos(), k));
+            }
+            fn timer(&mut self, _: &mut simcore::Ctx<Self>, key: Self::Timer) {
+                match key {}
+            }
+        }
+        // Driver events draw seqs 0..n and fire in order, so item k draws
+        // seq n + k.
+        let mut t = 0;
+        let mut expected = Vec::new();
+        let mut ctx = simcore::Ctx::<W>::standalone(simcore::derive_rng(3, 0));
+        for (k, &(gap, delay, lane)) in items.iter().enumerate() {
+            t += gap * 1_000;
+            expected.push((t + delay, k));
+            ctx.schedule_at(SimTime::from_nanos(t), move |_: &mut W, ctx| {
+                let at = ctx.now() + Dur::from_nanos(delay);
+                if lane < 3 {
+                    ctx.schedule_deliver(lane, at, k);
+                } else {
+                    ctx.schedule_at(at, move |w: &mut W, ctx| w.fired.push((ctx.now().as_nanos(), k)));
+                }
+            });
+        }
+        expected.sort_unstable();
+        let mut w = W { fired: Vec::new() };
+        ctx.run_due(&mut w, SimTime::MAX);
+        prop_assert_eq!(w.fired, expected);
+        prop_assert_eq!(ctx.pending_events(), 0);
+        prop_assert_eq!(ctx.counters(0).queued, 2 * items.len() as u64, "one push per delivery, on a lane or not");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // `Deadline` vs the eager cancel + reschedule it stands in for
 // ---------------------------------------------------------------------------
@@ -273,9 +323,15 @@ mod deadline_model {
         /// A logging event of some other component, `.0` steps from now.
         Foreign(u64),
         /// A packet delivered `.0` steps from now, or (`None`) after the run
-        /// has ended, so it is still queued when the context is dropped.
+        /// has ended, so it is still queued when the context is dropped. The
+        /// packet of script op `k` rides delivery lane `k % 3`, so some land
+        /// behind a later packet on their lane and take the heap.
         Deliver(Option<u64>),
-        /// Cancel the latest packet (a no-op if it was delivered already).
+        /// A closure holding a packet, fired (and the packet dropped) `.0`
+        /// steps from now or after the run has ended.
+        Hold(Option<u64>),
+        /// Cancel the latest held packet's closure (a no-op if it fired
+        /// already): deliveries cannot be cancelled.
         Cancel,
     }
 
@@ -287,6 +343,8 @@ mod deadline_model {
             (0u64..9).prop_map(Op::Foreign),
             (0u64..9).prop_map(|d| Op::Deliver(Some(d))),
             Just(Op::Deliver(None)),
+            (0u64..9).prop_map(|d| Op::Hold(Some(d))),
+            Just(Op::Hold(None)),
             Just(Op::Cancel),
         ]
     }
@@ -306,15 +364,15 @@ mod deadline_model {
         /// event and delivery: one log, so it pins the order between them
         /// too.
         log: Vec<(u64, usize, u64)>,
-        /// Queued packets, by packet id.
-        pkts: Vec<TimerId>,
+        /// Held packets' closures, with their packet ids.
+        held: Vec<(usize, TimerId)>,
         /// Times each packet has been dropped, by packet id.
         drops: Rc<RefCell<Vec<u32>>>,
     }
 
     /// A packet that counts its drops: queued, it must be dropped exactly
-    /// once whether it is delivered, cancelled, or still queued when the
-    /// context goes.
+    /// once whether it is delivered, its holder fired or cancelled, or still
+    /// queued when the context goes.
     pub struct Pkt {
         id: usize,
         who: usize,
@@ -397,7 +455,7 @@ mod deadline_model {
             queued: [0; TIMERS],
             after: Default::default(),
             log: Vec::new(),
-            pkts: Vec::new(),
+            held: Vec::new(),
             drops: Rc::clone(&drops),
         };
         for (k, &a) in after.iter().enumerate() {
@@ -418,15 +476,23 @@ mod deadline_model {
                                 w.log.push((ctx.now().as_nanos(), TIMERS + k, ctx.next_seq()));
                             });
                         }
-                        Op::Deliver(steps) => {
-                            let id = w.pkts.len();
+                        Op::Deliver(steps) | Op::Hold(steps) => {
+                            let id = w.drops.borrow().len();
                             w.drops.borrow_mut().push(0);
                             let pkt = Pkt { id, who: TIMERS + k, drops: Rc::clone(&w.drops) };
                             let at = ctx.now() + Dur::from_nanos(steps.unwrap_or(1_000) * STEP);
-                            w.pkts.push(ctx.schedule_deliver(at, pkt));
+                            if let Op::Deliver(_) = op {
+                                ctx.schedule_deliver(k % 3, at, pkt);
+                            } else {
+                                let tid = ctx.schedule_at(at, move |w: &mut W, ctx| {
+                                    let pkt = pkt;
+                                    w.log.push((ctx.now().as_nanos(), pkt.who, ctx.next_seq()));
+                                });
+                                w.held.push((id, tid));
+                            }
                         }
                         Op::Cancel => {
-                            if let Some((id, &tid)) = w.pkts.iter().enumerate().last() {
+                            if let Some(&(id, tid)) = w.held.last() {
                                 ctx.cancel(tid);
                                 assert_eq!(w.drops.borrow()[id], 1, "a cancel drops the packet at once");
                             }
@@ -438,8 +504,8 @@ mod deadline_model {
             env.sleep(Dur::from_nanos(t + 100 * STEP)).await;
         });
         let out = rt.run();
-        // The context is gone: every packet, delivered, cancelled or still
-        // queued, was dropped once.
+        // The context is gone: every packet, delivered, fired, cancelled or
+        // still queued, was dropped once.
         assert!(drops.borrow().iter().all(|&n| n == 1), "packet drop counts {:?}", drops.borrow());
         (out.world.log, out.sim_time.as_nanos())
     }
@@ -452,7 +518,7 @@ proptest! {
     /// number of seqs drawn before it, and the run ends on the same clock —
     /// while the deadline never has more than one event in the queue. The
     /// packets queued among them are each dropped exactly once: delivered,
-    /// cancelled, or left queued when the run ends.
+    /// fired, cancelled, or left queued when the run ends.
     #[test]
     fn deadline_matches_eager_cancel_then_schedule(
         script in prop::collection::vec((0u64..4, deadline_model::op()), 1..40),

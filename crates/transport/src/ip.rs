@@ -3,7 +3,8 @@
 //! `send` asks the network for a delivery verdict and, on success, schedules
 //! the matching `deliver` event, which demultiplexes on protocol back into
 //! the TCP or SCTP input routines. Every packet is one verdict and one
-//! delivery event; `send_train` hands the backend K back-to-back packets to
+//! delivery event, queued on its destination interface's delivery lane
+//! ([`netsim::Net::lane`]); `send_train` hands the backend K back-to-back packets to
 //! one peer at once, which the socket backend writes with one syscall and
 //! the simulator offers one `send` at a time.
 
@@ -146,7 +147,8 @@ pub(crate) fn sim_send(w: &mut World, ctx: &mut Wx, pkt: Packet) {
     }
     match verdict {
         Verdict::Deliver { at } => {
-            ctx.schedule_deliver(at, pkt);
+            let lane = w.net.lane(pkt.src, pkt.dst);
+            ctx.schedule_deliver(lane, at, pkt);
         }
         Verdict::Drop(_) => { /* the network recorded the drop */ }
     }

@@ -9,6 +9,7 @@ use simcore::fxhash::FxHashMap;
 use simcore::{Deadline, Dur, ProcId, SimTime};
 
 use crate::pool::Pools;
+use crate::ranges::RangeSet;
 use crate::rto::{RtoCfg, RtoEstimator};
 
 use super::receive::RcvWindow;
@@ -468,6 +469,11 @@ pub struct AssocStats {
     pub rescue_rtx: u64,
     /// PR-SCTP: user messages abandoned past their lifetime.
     pub msgs_abandoned: u64,
+    /// Chunks of the send window a SACK's gap-block and strike walks
+    /// visited: the holes of the gap-acked set inside each reported block,
+    /// then inside `[unacked_floor, highest reported TSN)`. Per SACK
+    /// received, the cost of SACK processing that grows with the window.
+    pub sack_chunk_visits: u64,
     /// FORWARD-TSN chunks sent.
     pub fwd_tsn_out: u64,
     /// FORWARD-TSN chunks received.
@@ -500,6 +506,7 @@ impl std::ops::AddAssign for AssocStats {
             spurious_frtx,
             rescue_rtx,
             msgs_abandoned,
+            sack_chunk_visits,
             fwd_tsn_out,
             fwd_tsn_in,
         } = other;
@@ -526,6 +533,7 @@ impl std::ops::AddAssign for AssocStats {
         self.spurious_frtx += spurious_frtx;
         self.rescue_rtx += rescue_rtx;
         self.msgs_abandoned += msgs_abandoned;
+        self.sack_chunk_visits += sack_chunk_visits;
         self.fwd_tsn_out += fwd_tsn_out;
         self.fwd_tsn_in += fwd_tsn_in;
     }
@@ -584,6 +592,11 @@ pub(crate) struct Assoc {
     /// `sent`, so earliest-unacked lookups skip the acked prefix and are
     /// amortized O(1) (`acked` never reverts to false).
     pub unacked_floor: u64,
+    /// TSNs in `sent` acknowledged by a gap block, trimmed at each
+    /// cumulative ack: SACK processing walks only its holes. Every TSN here
+    /// is in `sent` and acked; PR-SCTP phantoms and abandoned chunks are
+    /// acked but need not be here.
+    pub gap_acked: RangeSet,
     pub peer_rwnd: u64,
     /// CMT: destination of the most recent chunk assignment — the stripe's
     /// round-robin rotation cursor. Scheduling purely by "most open
@@ -671,6 +684,7 @@ impl Assoc {
             outstanding_bytes: 0,
             rtx_queue: BTreeSet::new(),
             unacked_floor: init_tsn,
+            gap_acked: RangeSet::new(),
             peer_rwnd: cfg.rcvbuf,
             cmt_last_path: 0,
             assoc_errors: 0,

@@ -111,9 +111,15 @@ pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
         let mid = match f {
             Frag::Data(mut d) => {
                 d.ssn = widen_ssn(d.ssn, st.next_ssn);
-                let at = st.frags.partition_point(|c| c.tsn < d.tsn);
-                closes_run = d.end || at < st.frags.len();
-                st.frags.insert(at, d);
+                if st.frags.back().is_none_or(|c| c.tsn < d.tsn) {
+                    // In order: the common case, appended without a search.
+                    closes_run = d.end;
+                    st.frags.push_back(d);
+                } else {
+                    let at = st.frags.partition_point(|c| c.tsn < d.tsn);
+                    closes_run = d.end || at < st.frags.len();
+                    st.frags.insert(at, d);
+                }
                 None
             }
             Frag::IData(d) => {

@@ -4,11 +4,12 @@
 use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
 
+use crate::ranges::RangeSet;
 use crate::{World, Wx};
 
 use super::assoc::{Assoc, AssocId, Scope, SentChunk, MAX_PATHS, PACKET_BUDGET, PMTU};
 use super::engine::{
-    arm_t3, assoc_mut, assoc_pool_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
+    arm_t3, assoc_pool_mut, assoc_ref, cfg_of, cmt_earliest_on, ensure_t3, ep_mut,
     maybe_progress_shutdown, reemit_marked, scope_drained, scope_of, scopes, send_packet,
     trace_cwnd, try_send, wake_writers_after_abandon,
 };
@@ -85,6 +86,11 @@ impl<T> SentRing<T> {
         (self.base + lo as u64..).zip(self.q.range(lo..hi))
     }
 
+    /// The TSNs the window holds: `base .. base + len`.
+    pub fn span(&self) -> (u64, u64) {
+        (self.base, self.base + self.q.len() as u64)
+    }
+
     /// Mutable [`range`](Self::range).
     pub fn range_mut(&mut self, range: impl RangeBounds<u64>) -> impl Iterator<Item = (u64, &mut T)> {
         let (lo, hi) = self.offsets(range);
@@ -124,6 +130,15 @@ pub(super) fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
             ak.rtx_queue, rtx_expect, ak.peer_host
         );
     }
+    for (s, e) in ak.gap_acked.iter() {
+        if let Some(tsn) = (s..e).find(|&t| !ak.sent.get(t).is_some_and(|c| c.acked)) {
+            panic!(
+                "[{now}] GAP SET DRIFT at {whence}: gap-acked tsn {tsn} not an acked chunk of the window {:?} (assoc to peer{})",
+                ak.sent.span(),
+                ak.peer_host
+            );
+        }
+    }
     if let Some((tsn, _)) = ak.sent.range(..ak.unacked_floor).find(|(_, c)| !c.acked) {
         panic!(
             "[{now}] FLOOR DRIFT at {whence}: unacked tsn {tsn} below floor {} (assoc to peer{})",
@@ -146,6 +161,21 @@ pub(super) fn check_flight(ak: &Assoc, whence: &str, now: simcore::SimTime) {
     }
 }
 
+/// The ranges of `[start, end)` a SACK walk visits, appended to `out`: the
+/// holes of the gap-acked set, since every TSN in it is an acked chunk that
+/// either walk would skip. The tests' oracle walks the whole range instead,
+/// as SACK processing did before the set existed.
+fn walk_ranges(gap_acked: &RangeSet, start: u64, end: u64, out: &mut Vec<(u64, u64)>) {
+    #[cfg(test)]
+    if tests::FULL_WALK.with(|f| f.get()) {
+        if start < end {
+            out.push((start, end));
+        }
+        return;
+    }
+    gap_acked.holes_within_into(start, end, out);
+}
+
 /// Missing-report threshold for fast retransmit (RFC 2960 said 4; the
 /// KAME implementation of the era used 3, like TCP's dup-ACK rule).
 const MISSING_THRESH: u32 = 3;
@@ -157,7 +187,7 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
     let mut do_fast_rtx = false;
     let wake_writers;
     {
-        let ak = assoc_mut(w, a);
+        let (ak, pool) = assoc_pool_mut(w, a);
         ak.stats.sacks_in += 1;
         // PR-SCTP: the peer's cumulative ack is the FORWARD-TSN baseline
         // (Advanced.Peer.Ack.Point walks upward from here).
@@ -173,7 +203,7 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
 
         // One chunk newly acknowledged — cumulatively or by a gap block —
         // given as it stood before the ack.
-        let Assoc { sent, paths, rtx_queue, stats, rtt_probe, outstanding_bytes, .. } = &mut *ak;
+        let Assoc { sent, gap_acked, paths, rtx_queue, stats, rtt_probe, outstanding_bytes, .. } = &mut *ak;
         let mut on_ack = |tsn: u64, c: &SentChunk| {
             let (len, p) = (c.data.len() as u64, c.path as usize);
             if c.marked_rtx {
@@ -200,15 +230,26 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
                 on_ack(tsn, &c);
             }
         }
-        // Gap acks: walk each reported block in place.
+        gap_acked.remove_below(cum.saturating_add(1));
+        // Gap acks: walk only what each reported block adds to the
+        // gap-acked set; a TSN already in it is an acked chunk.
+        let mut visits = 0;
+        let mut holes = pool.take_gap_vec();
+        let (lo, hi) = sent.span();
         for &(g0, g1) in gaps {
-            for (tsn, c) in sent.range_mut(g0..g1) {
-                if !c.acked {
-                    on_ack(tsn, c);
-                    c.acked = true;
-                    c.marked_rtx = false;
+            let (g0, g1) = (g0.max(lo), g1.min(hi));
+            walk_ranges(gap_acked, g0, g1, &mut holes);
+            for (h0, h1) in holes.drain(..) {
+                for (tsn, c) in sent.range_mut(h0..h1) {
+                    visits += 1;
+                    if !c.acked {
+                        on_ack(tsn, c);
+                        c.acked = true;
+                        c.marked_rtx = false;
+                    }
                 }
             }
+            gap_acked.insert(g0, g1);
         }
         if cum_advanced {
             // Nothing at or below `cum` remains, so the earliest-unacked
@@ -246,37 +287,44 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
         let mut marks = [(0u32, 0u64, 0u8); MAX_PATHS];
         // Entries below the earliest-unacked cursor are all acked, so the
         // strike walk starts there, not at the window's base (and is empty
-        // when abandonment moved the cursor past every reported block).
-        for (tsn, c) in ak.sent.range_mut(ak.unacked_floor..highest) {
-            // A chunk may be *fast*-retransmitted only once (RFC 4960
-            // §7.2.4); after that, only T3 resends it. Without this,
-            // the per-packet gap SACKs re-mark it every few reports
-            // and the retransmission storm congests the path further.
-            if !c.acked && !c.marked_rtx && c.txcount == 1 {
-                // SFR (split fast retransmit): only an ack above this
-                // chunk on its OWN path is evidence of loss there —
-                // acks of later TSNs striped onto other paths are just
-                // reordering.
-                if cfg.cmt && hna[c.path as usize] <= tsn {
-                    continue;
-                }
-                c.missing += 1;
-                if c.missing >= MISSING_THRESH {
-                    c.marked_rtx = true;
-                    // Marked chunks leave the flight (RFC 4960 §6.2.1/7.2.4)
-                    // so the retransmission fits inside the new cwnd.
-                    ak.paths[c.path as usize].flight = ak.paths[c.path as usize]
-                        .flight
-                        .saturating_sub(c.data.len() as u64);
-                    ak.rtx_queue.insert(tsn);
-                    let m = &mut marks[scope_of(&cfg, c.path).unwrap_or(0) as usize];
-                    if m.0 == 0 {
-                        (m.1, m.2) = (tsn, c.path);
+        // when abandonment moved the cursor past every reported block); it
+        // skips the gap-acked set, whose chunks are all acked.
+        walk_ranges(&ak.gap_acked, ak.unacked_floor, highest, &mut holes);
+        for &(h0, h1) in &holes {
+            for (tsn, c) in ak.sent.range_mut(h0..h1) {
+                visits += 1;
+                // A chunk may be *fast*-retransmitted only once (RFC 4960
+                // §7.2.4); after that, only T3 resends it. Without this,
+                // the per-packet gap SACKs re-mark it every few reports
+                // and the retransmission storm congests the path further.
+                if !c.acked && !c.marked_rtx && c.txcount == 1 {
+                    // SFR (split fast retransmit): only an ack above this
+                    // chunk on its OWN path is evidence of loss there —
+                    // acks of later TSNs striped onto other paths are just
+                    // reordering.
+                    if cfg.cmt && hna[c.path as usize] <= tsn {
+                        continue;
                     }
-                    m.0 += 1;
+                    c.missing += 1;
+                    if c.missing >= MISSING_THRESH {
+                        c.marked_rtx = true;
+                        // Marked chunks leave the flight (RFC 4960 §6.2.1/7.2.4)
+                        // so the retransmission fits inside the new cwnd.
+                        ak.paths[c.path as usize].flight = ak.paths[c.path as usize]
+                            .flight
+                            .saturating_sub(c.data.len() as u64);
+                        ak.rtx_queue.insert(tsn);
+                        let m = &mut marks[scope_of(&cfg, c.path).unwrap_or(0) as usize];
+                        if m.0 == 0 {
+                            (m.1, m.2) = (tsn, c.path);
+                        }
+                        m.0 += 1;
+                    }
                 }
             }
         }
+        pool.put_gap_vec(holes);
+        ak.stats.sack_chunk_visits += visits;
         // Fast recovery is one episode per scope: halve only where fresh
         // marks landed (the first marked chunk's path), and only when that
         // scope is not already recovering — a single reordering burst must
@@ -385,6 +433,8 @@ pub(super) fn process_sack(w: &mut World, ctx: &mut Wx, a: AssocId, cum: u64, a_
         wake_writers =
             newly_acked.iter().any(|&x| x > 0) && ak.snd_space(cfg.sndbuf) >= ak.writer_need;
         check_flight(ak, "process_sack", now);
+        #[cfg(test)]
+        tests::record_sack(ak);
     }
     if wake_writers {
         let ep = ep_mut(w, a.endpoint());
@@ -440,4 +490,123 @@ fn fast_retransmit_burst(w: &mut World, ctx: &mut Wx, a: AssocId) {
         ensure_t3(w, ctx, a, &cfg, p);
     }
     wake_writers_after_abandon(w, ctx, a, abandoned_before);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::{Cell, RefCell};
+
+    use bytes::Bytes;
+    use netsim::NetCfg;
+    use proptest::prelude::*;
+    use simcore::{derive_rng, Ctx, Dur, SimTime};
+
+    use super::*;
+    use crate::sctp::{self, AssocStats, SctpCfg};
+    use crate::tcp::TcpCfg;
+
+    thread_local! {
+        /// Walk every reported block and all of `[unacked_floor, highest)`,
+        /// as SACK processing did before the gap-acked set.
+        pub(super) static FULL_WALK: Cell<bool> = const { Cell::new(false) };
+        /// What each `process_sack` left behind, in order.
+        static SACKS: RefCell<Vec<Snap>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The state a SACK's walks decide, taken right after them (before the
+    /// fast-retransmit burst and the send opportunity that follow).
+    #[derive(Debug, PartialEq, Eq)]
+    struct Snap {
+        /// `(tsn, acked, missing, marked_rtx)` of every chunk in the window.
+        chunks: Vec<(u64, bool, u32, bool)>,
+        rtx_queue: Vec<u64>,
+        flight: Vec<u64>,
+        cwnd: Vec<u64>,
+    }
+
+    pub(super) fn record_sack(ak: &Assoc) {
+        let snap = Snap {
+            chunks: ak.sent.range(..).map(|(t, c)| (t, c.acked, c.missing, c.marked_rtx)).collect(),
+            rtx_queue: ak.rtx_queue.iter().copied().collect(),
+            flight: ak.paths.iter().map(|p| p.flight).collect(),
+            cwnd: ak.paths.iter().map(|p| p.cwnd).collect(),
+        };
+        SACKS.with(|s| s.borrow_mut().push(snap));
+    }
+
+    const PORT: u16 = 7000;
+    const END: SimTime = SimTime::from_nanos(3_000_000_000);
+
+    /// One lossy transfer of `sizes` from host 0 to host 1 (message `i` with
+    /// a 2 ms lifetime when `i % 4 == 1` and PR-SCTP is on), run for 3
+    /// simulated seconds. Returns every SACK's snapshot and the sender's
+    /// counters.
+    fn transfer(cfg: &SctpCfg, loss: f64, seed: u64, sizes: &[usize], full: bool) -> (Vec<Snap>, AssocStats) {
+        FULL_WALK.with(|f| f.set(full));
+        SACKS.with(|s| s.borrow_mut().clear());
+        let mut w = World::new(NetCfg::paper_cluster(loss), TcpCfg::default(), cfg.clone());
+        let mut ctx: Wx = Ctx::standalone(derive_rng(seed, 0));
+        let ea = sctp::socket(&mut w, 0, PORT, false);
+        let eb = sctp::socket(&mut w, 1, PORT, false);
+        sctp::listen(&mut w, eb);
+        let a = sctp::connect(&mut w, &mut ctx, ea, 1, PORT);
+        let mut sent = 0;
+        while ctx.now() < END {
+            if sctp::assoc_state(&w, a) == sctp::AssocState::Established {
+                while let Some(&len) = sizes.get(sent) {
+                    let life = (cfg.pr_sctp && sent % 4 == 1).then(|| Dur::from_millis(2));
+                    let body = Bytes::from(vec![sent as u8; len]);
+                    if sctp::sendmsg_pr(&mut w, &mut ctx, a, (sent % 3) as u16, 0, body, life).is_err() {
+                        break;
+                    }
+                    sent += 1;
+                }
+            }
+            while sctp::recvmsg(&mut w, &mut ctx, eb).is_some() {}
+            let Some(next) = ctx.next_event_time() else { break };
+            ctx.run_due(&mut w, next);
+        }
+        FULL_WALK.with(|f| f.set(false));
+        let stats = assoc_pool_mut(&mut w, a).0.stats;
+        (SACKS.with(|s| std::mem::take(&mut *s.borrow_mut())), stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Walking only the gap-acked set's holes leaves every chunk's
+        /// acked/missing/marked state, the retransmission queue, every
+        /// path's flight and cwnd exactly as the full walk does, after
+        /// every SACK: under random loss, gap-block truncation, PR-SCTP
+        /// abandonment and CMT.
+        #[test]
+        fn hole_walk_matches_the_full_walk(
+            loss in prop_oneof![Just(0.01), Just(0.03), Just(0.08)],
+            seed in 0u64..1_000,
+            max_gap_blocks in prop_oneof![Just(1usize), Just(2), Just(3), Just(usize::MAX)],
+            pr_sctp in any::<bool>(),
+            cmt in any::<bool>(),
+            sizes in prop::collection::vec(prop_oneof![1usize..3_000, 10_000usize..70_000], 20..60),
+        ) {
+            let cfg = SctpCfg {
+                max_gap_blocks,
+                pr_sctp,
+                cmt,
+                num_paths: if cmt { 3 } else { 1 },
+                ..SctpCfg::default()
+            };
+            let (holes, s) = transfer(&cfg, loss, seed, &sizes, false);
+            let (full, f) = transfer(&cfg, loss, seed, &sizes, true);
+            prop_assert!(s.sacks_in > 0 && s.sacks_in == f.sacks_in);
+            prop_assert_eq!(holes.len(), full.len());
+            for (i, (h, f)) in holes.iter().zip(&full).enumerate() {
+                prop_assert_eq!(h, f, "SACK {} of {}", i, s.sacks_in);
+            }
+            prop_assert_eq!(s.msgs_abandoned, f.msgs_abandoned);
+            prop_assert!(
+                s.sack_chunk_visits <= f.sack_chunk_visits,
+                "hole walk visited {} chunks, the full walk {}", s.sack_chunk_visits, f.sack_chunk_visits
+            );
+        }
+    }
 }
