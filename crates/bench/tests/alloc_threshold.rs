@@ -9,8 +9,8 @@
 //! hands in-order segments to the reader as slices of their payload, and
 //! the matcher's two queues are one `VecDeque` each. The tests run the
 //! Figure-10 farm at `--quick` scale, a 64 KiB stream and a 1 KiB ping-pong
-//! on both transports under the counting allocator and fail if allocations
-//! creep back up.
+//! on both transports (the SCTP stream also with I-DATA) under the counting
+//! allocator and fail if allocations creep back up.
 //!
 //! Alone in their own integration-test binary and serialized by [`METER`]:
 //! metering counts only the thread that turns it on and the cell workers
@@ -29,9 +29,11 @@
 //! gate sits 5 % above its measured count: the margin is for rustc and std
 //! drift only.
 //!
-//! Farm: 177 280 allocations over the run's 682 026 `net.packets_offered`,
-//! 0.2599 per offered packet; gate 0.273 (0.2745 before a receive sized
-//! its body list once). Of these, SCTP's per-stream send
+//! Farm: 135 734 allocations over the run's 682 026 `net.packets_offered`,
+//! 0.1990 per offered packet; gate 0.209 (0.2599 while the pools kept the
+//! empty payload lists of TCP's pure ACKs, which crowd out lists with
+//! capacity; 0.2745 before a receive sized its body list once). Of these,
+//! SCTP's per-stream send
 //! queues cost a few per association (the queue table, and each used
 //! stream's queue growing to its peak in messages), and a few piece lists
 //! join the payload-list pool, not any per message. Losing any
@@ -41,16 +43,19 @@
 //! moves whenever no-op timer wakes are added or removed, and those
 //! allocate nothing. The per-event form is printed beside the gated one.
 //!
-//! Stream: 6.45 (SCTP) and 24.14 (TCP) allocations per 64 KiB message
-//! over the run's 200 messages, set-up included. None of SCTP's are in the
-//! engine or the event queue (the timer heap and the delivery lanes reach
-//! their working size in the first few messages); its gate is 6.78. The
+//! Stream: 6.45 (SCTP, DATA or I-DATA) and 9.44 (TCP) allocations per
+//! 64 KiB message over the run's 200 messages, set-up included. None of
+//! SCTP's are in the engine or the event queue (the timer heap and the
+//! delivery lanes reach their working size in the first few messages); its
+//! gates are 6.78 and 6.77. I-DATA cost 14.51 while it reassembled in a
+//! tree of fragments per message apart from DATA's sorted store. The
 //! receive request's body list, grown from empty fragment by fragment,
 //! cost 10.47 (TCP 26.02); sized once from the fragment count it costs one
 //! allocation. A send window rebuilt per SACK cost 137 here, per-bucket
-//! growth in a bucketed event queue 32. TCP's gate is 25.4: an in-order
-//! segment inserted into and removed from the reassembly tree, or copied
-//! when it spans two send-queue chunks, costs 40.
+//! growth in a bucketed event queue 32. TCP's gate is 9.91: pure ACKs'
+//! empty payload lists in the pool cost 24.14, and an in-order segment
+//! inserted into and removed from the reassembly tree, or copied when it
+//! spans two send-queue chunks, costs 40.
 //!
 //! Ping-pong: 5.03 (SCTP) and 5.02 (TCP) allocations per 1 KiB message
 //! over 2 000 round trips, set-up included — few packets per message, so
@@ -73,14 +78,15 @@ use mpi_core::MpiCfg;
 use netsim::IfAddr;
 use transport::ip::{Packet, Proto};
 use transport::pool::Pools;
-use transport::sctp::{Chunk, DataChunk, SctpPacket};
+use transport::sctp::{Chunk, DataChunk, SchedKind, SctpCfg, SctpPacket};
 use transport::tcp::{Flags, TcpSegment};
 use transport::wire_bytes::{decode_frame, encode_packet_into};
 use workloads::pingpong::{run, run_stream, PingPongCfg, StreamCfg};
 
-const MAX_ALLOCS_PER_PACKET: f64 = 0.273;
+const MAX_ALLOCS_PER_PACKET: f64 = 0.209;
 const MAX_ALLOCS_PER_STREAM_MSG: f64 = 6.78;
-const MAX_ALLOCS_PER_STREAM_MSG_TCP: f64 = 25.4;
+const MAX_ALLOCS_PER_STREAM_MSG_IDATA: f64 = 6.77;
+const MAX_ALLOCS_PER_STREAM_MSG_TCP: f64 = 9.91;
 const MAX_ALLOCS_PER_PINGPONG_MSG_SCTP: f64 = 5.28;
 const MAX_ALLOCS_PER_PINGPONG_MSG_TCP: f64 = 5.27;
 const MAX_ALLOCS_PER_INGRESS_TRAIN: u64 = 2;
@@ -153,8 +159,20 @@ fn sctp_stream_64k_stays_within_alloc_budget() {
     assert!(
         per_msg <= MAX_ALLOCS_PER_STREAM_MSG,
         "allocation regression: {per_msg:.1} allocs per 64 KiB SCTP message exceeds budget \
-         {MAX_ALLOCS_PER_STREAM_MSG} (baseline 10.47). The send window, reassembly queue or \
+         {MAX_ALLOCS_PER_STREAM_MSG} (measured 6.45). The send window, reassembly queue or \
          receive window is allocating per chunk again."
+    );
+}
+
+#[test]
+fn sctp_idata_stream_64k_stays_within_alloc_budget() {
+    let sctp = SctpCfg { interleave: true, sched: SchedKind::RoundRobin, ..SctpCfg::default() };
+    let per_msg = stream_64k_allocs_per_msg(MpiCfg { sctp, ..MpiCfg::sctp(2, 0.0) });
+    assert!(
+        per_msg <= MAX_ALLOCS_PER_STREAM_MSG_IDATA,
+        "allocation regression: {per_msg:.1} allocs per 64 KiB SCTP message with I-DATA exceeds \
+         budget {MAX_ALLOCS_PER_STREAM_MSG_IDATA}. Is I-DATA reassembly allocating per fragment \
+         or per message again?"
     );
 }
 

@@ -354,8 +354,7 @@ fn payload_len(pkt: &Packet) -> usize {
             .chunks
             .iter()
             .map(|c| match c {
-                Chunk::Data(d) => d.data.len(),
-                Chunk::IData(d) => d.data.len(),
+                Chunk::Data(d) | Chunk::IData { d, .. } => d.data.len(),
                 _ => 0,
             })
             .sum(),
@@ -611,7 +610,7 @@ mod sys {
 mod tests {
     use super::*;
     use crate::ip::Proto;
-    use crate::sctp::{Chunk, DataChunk, IDataChunk, SctpPacket};
+    use crate::sctp::{Chunk, DataChunk, SctpPacket};
     use netsim::NetCfg;
     use simcore::rng::derive_rng;
 
@@ -726,17 +725,15 @@ mod tests {
         let bytes = |len: usize, salt: u8| -> Vec<u8> {
             (0..len).map(|i| (i as u8).wrapping_mul(7) ^ salt ^ seed).collect()
         };
-        let data = |tsn: u64, payload: &[u8]| {
-            Chunk::Data(DataChunk {
-                tsn,
-                stream: 1,
-                ssn: 0,
-                begin: true,
-                end: true,
-                unordered: false,
-                ppid: 0,
-                data: Bytes::from(payload.to_vec()),
-            })
+        let data = |tsn: u64, payload: &[u8]| DataChunk {
+            tsn,
+            stream: 1,
+            ssn: 0,
+            begin: true,
+            end: true,
+            unordered: false,
+            ppid: 0,
+            data: Bytes::from(payload.to_vec()),
         };
         let sctp = |chunks: Vec<Chunk>| Packet {
             src: IfAddr::new(0, 0),
@@ -747,21 +744,11 @@ mod tests {
         // IP 20 + common header 12 + DATA headers 16 each; I-DATA header
         // 20; TCP header 20 + timestamps 12.
         let frames = [
-            (sctp(vec![data(1, &d1), data(2, &d2)]), vec![(48, d1), (164, d2)]),
             (
-                sctp(vec![Chunk::IData(IDataChunk {
-                    tsn: 3,
-                    stream: 1,
-                    mid: 0,
-                    fsn: 0,
-                    begin: true,
-                    end: true,
-                    unordered: false,
-                    ppid: 0,
-                    data: Bytes::from(idata.clone()),
-                })]),
-                vec![(52, idata)],
+                sctp(vec![Chunk::Data(data(1, &d1)), Chunk::Data(data(2, &d2))]),
+                vec![(48, d1), (164, d2)],
             ),
+            (sctp(vec![Chunk::IData { d: data(3, &idata), fsn: 0 }]), vec![(52, idata)]),
             (
                 Packet {
                     src: IfAddr::new(0, 0),
@@ -797,8 +784,7 @@ mod tests {
         for pkt in pkts {
             match &pkt.body {
                 Proto::Sctp(p) => out.extend(p.chunks.iter().filter_map(|c| match c {
-                    Chunk::Data(d) => Some(d.data.clone()),
-                    Chunk::IData(d) => Some(d.data.clone()),
+                    Chunk::Data(d) | Chunk::IData { d, .. } => Some(d.data.clone()),
                     _ => None,
                 })),
                 Proto::Tcp(seg) => out.extend(seg.payload.iter().cloned()),

@@ -20,6 +20,8 @@
 //!   freelist, so a retired buffer holds nothing a stale read could see.
 //! * Freelists are capped (`MAX_POOLED`) so a burst cannot pin unbounded
 //!   memory; overflow buffers just drop.
+//! * A buffer with no capacity (a pure ACK's `Vec::new()` payload) drops
+//!   too: pooled, it would only displace a buffer worth reusing.
 //!
 //! Pools live on the [`crate::World`], one set per world. Everything here
 //! is single-threaded by construction (a world belongs to one scheduler),
@@ -80,7 +82,7 @@ macro_rules! pool_accessors {
         #[inline]
         pub fn $put(&mut self, mut b: $ty) {
             b.clear();
-            if self.$field.len() < MAX_POOLED {
+            if b.capacity() > 0 && self.$field.len() < MAX_POOLED {
                 self.$field.push(b);
             }
         }
@@ -121,6 +123,15 @@ mod tests {
         v.push((1, 2));
         p.put_gap_vec(v);
         assert!(p.take_gap_vec().is_empty());
+    }
+
+    #[test]
+    fn a_list_without_capacity_is_not_pooled() {
+        let mut p = Pools::default();
+        p.put_bytes_vec(Vec::new());
+        assert!(p.bytes_vecs.is_empty());
+        p.put_bytes_vec(Vec::with_capacity(1));
+        assert_eq!(p.bytes_vecs.len(), 1);
     }
 
     #[test]

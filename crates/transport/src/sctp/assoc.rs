@@ -15,7 +15,7 @@ use crate::rto::{RtoCfg, RtoEstimator};
 use super::receive::RcvWindow;
 use super::sched::{SchedKind, Scheduler};
 use super::window::SentRing;
-use super::wire::{DataChunk, IDataChunk, EXT_INTERLEAVE, EXT_PR_SCTP};
+use super::wire::{DataChunk, EXT_INTERLEAVE, EXT_PR_SCTP};
 
 /// Handle to an SCTP endpoint (socket) on a host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -394,14 +394,12 @@ impl PathState {
 #[derive(Debug, Default)]
 pub(crate) struct InStream {
     pub next_ssn: u32,
-    /// Fragments awaiting reassembly, sorted by TSN (fragments of one
-    /// message occupy consecutive TSNs): in-order arrivals append, a
-    /// finished run leaves in one drain. DATA path only.
+    /// Fragments awaiting reassembly, DATA and I-DATA alike, sorted by
+    /// (message, FSN): `ssn` holds the widened SSN or the MID, `tsn` the FSN
+    /// — a DATA fragment's own TSN, since one message's fragments occupy
+    /// consecutive TSNs. In-order arrivals append; a finished message
+    /// leaves in one drain.
     pub frags: VecDeque<DataChunk>,
-    /// RFC 8260 reassembly: fragments keyed (MID, FSN) — fragments of
-    /// different messages interleave freely in TSN space, so each message
-    /// reassembles independently. I-DATA path only.
-    pub i_frags: BTreeMap<u64, BTreeMap<u32, IDataChunk>>,
     /// Complete messages waiting for their SSN (or MID) turn.
     pub ready: BTreeMap<u32, RecvMsg>,
 }

@@ -16,9 +16,9 @@ use super::assoc::{
     Assoc, AssocId, AssocState, AssocStats, Endpoint, EpId, PathState, RecvMsg, Scope, SctpCfg,
     SentChunk, MAX_PATHS, PACKET_BUDGET, PMTU, SACK_DELAY,
 };
-use super::receive::{decide_sack, handle_data, handle_forward_tsn, Frag, RcvWindow};
+use super::receive::{decide_sack, handle_data, handle_forward_tsn, RcvWindow};
 use super::window::{check_flight, process_sack};
-use super::wire::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
+use super::wire::{Chunk, Cookie, DataChunk, SctpPacket};
 
 // ---------------------------------------------------------------------------
 // Accessors
@@ -764,7 +764,7 @@ fn try_send_inner(
             w.pool.put_chunk_vec(packet);
             return; // nothing fit, and no pending SACK was consumed either
         }
-        let has_data = packet.iter().any(|c| matches!(c, Chunk::Data(_) | Chunk::IData(_)));
+        let has_data = packet.iter().any(|c| matches!(c, Chunk::Data(_) | Chunk::IData { .. }));
         if crc {
             // CRC cost model delays each packet individually; no train.
             send_packet(w, ctx, a, path, vtag, packet);
@@ -868,33 +868,24 @@ fn make_sack_placeholder_len(ak: &Assoc) -> u32 {
     16 + 4 * ak.rcv.num_gaps() as u32
 }
 
-/// Rebuild the wire chunk for a sent fragment: I-DATA when interleaving was
-/// negotiated, classic DATA otherwise (the `Bytes` clone is a refcount
-/// bump, not a copy).
+/// Rebuild the wire chunk for a sent fragment: I-DATA, whose MID is the
+/// stream's message counter, when interleaving was negotiated, classic DATA
+/// otherwise (the `Bytes` clone is a refcount bump, not a copy).
 fn data_chunk_for(interleave: bool, tsn: u64, c: &SentChunk) -> Chunk {
+    let d = DataChunk {
+        tsn,
+        stream: c.stream,
+        ssn: c.ssn,
+        begin: c.begin,
+        end: c.end,
+        unordered: false,
+        ppid: c.ppid,
+        data: c.data.clone(),
+    };
     if interleave {
-        Chunk::IData(IDataChunk {
-            tsn,
-            stream: c.stream,
-            mid: c.ssn as u64,
-            fsn: c.fsn,
-            begin: c.begin,
-            end: c.end,
-            unordered: false,
-            ppid: c.ppid,
-            data: c.data.clone(),
-        })
+        Chunk::IData { d, fsn: c.fsn }
     } else {
-        Chunk::Data(DataChunk {
-            tsn,
-            stream: c.stream,
-            ssn: c.ssn,
-            begin: c.begin,
-            end: c.end,
-            unordered: false,
-            ppid: c.ppid,
-            data: c.data.clone(),
-        })
+        Chunk::Data(d)
     }
 }
 
@@ -1637,11 +1628,11 @@ pub fn input(w: &mut World, ctx: &mut Wx, src: IfAddr, dst: IfAddr, pkt: SctpPac
             Chunk::CookieAck => handle_cookie_ack(w, ctx, a),
             Chunk::Data(d) => {
                 saw_data = true;
-                handle_data(w, ctx, a, Frag::Data(d));
+                handle_data(w, ctx, a, d, None);
             }
-            Chunk::IData(d) => {
+            Chunk::IData { d, fsn } => {
                 saw_data = true;
-                handle_data(w, ctx, a, Frag::IData(d));
+                handle_data(w, ctx, a, d, Some(fsn));
             }
             Chunk::ForwardTsn { new_cum, skips } => {
                 // Rides the SACK decision machinery: it moves the receive
@@ -1756,18 +1747,25 @@ fn handle_shutdown(w: &mut World, ctx: &mut Wx, a: AssocId) {
 }
 
 fn handle_shutdown_ack(w: &mut World, ctx: &mut Wx, a: AssocId) {
-    let (vtag, path, proceed) = {
+    let (vtag, path, was) = {
         let ak = assoc_mut(w, a);
-        let ok = matches!(ak.state, AssocState::ShutdownSent | AssocState::ShutdownAckSent);
-        if ok {
+        let was = ak.state;
+        if matches!(was, AssocState::ShutdownSent | AssocState::ShutdownAckSent) {
             ak.state = AssocState::Closed;
             ak.shutdown_timer.clear();
         }
-        (ak.peer_tag, ak.primary, ok)
+        (ak.peer_tag, ak.primary, was)
     };
-    if proceed {
-        send_packet(w, ctx, a, path, vtag, vec![Chunk::ShutdownComplete]);
-        wake_endpoint(w, ctx, a.endpoint());
+    match was {
+        AssocState::ShutdownSent | AssocState::ShutdownAckSent => {
+            send_packet(w, ctx, a, path, vtag, vec![Chunk::ShutdownComplete]);
+            wake_endpoint(w, ctx, a.endpoint());
+        }
+        // RFC 4960 §8.4 rule 5: our SHUTDOWN-COMPLETE was lost, so the peer
+        // retransmits its SHUTDOWN-ACK. Answer again, or the peer waits
+        // out its T2 retries.
+        AssocState::Closed => send_packet(w, ctx, a, path, vtag, vec![Chunk::ShutdownComplete]),
+        _ => {}
     }
 }
 
@@ -1793,8 +1791,9 @@ pub(crate) fn on_shutdown_timer(w: &mut World, ctx: &mut Wx, a: AssocId) {
         }
     };
     if !resend {
-        // Give up: close unilaterally.
+        // Give up: close unilaterally, and wake whoever waits on the close.
         assoc_mut(w, a).state = AssocState::Closed;
+        wake_endpoint(w, ctx, a.endpoint());
         return;
     }
     match state {

@@ -21,6 +21,6 @@ pub use receive::RcvWindow;
 pub use sched::SchedKind;
 pub use window::SentRing;
 pub use wire::{
-    Chunk, Cookie, DataChunk, IDataChunk, SctpPacket, COMMON_HEADER, COOKIE_WIRE_LEN,
+    Chunk, Cookie, DataChunk, SctpPacket, COMMON_HEADER, COOKIE_WIRE_LEN,
     EXT_INTERLEAVE, EXT_PR_SCTP,
 };

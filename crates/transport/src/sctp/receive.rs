@@ -11,7 +11,7 @@ use crate::{World, Wx};
 
 use super::assoc::{Assoc, AssocId, AssocState, Endpoint, InStream, RecvMsg, SctpCfg, PMTU};
 use super::engine::{arm_sack_timer, assoc_mut, cfg_of, send_sack_now};
-use super::wire::{DataChunk, IDataChunk};
+use super::wire::DataChunk;
 
 /// The receiver's TSN window: the cumulative TSN (everything at or below it
 /// has arrived) and the ranges held above it, which a SACK reports as gap
@@ -82,58 +82,55 @@ impl RcvWindow {
 }
 
 // One pipeline serves DATA, I-DATA and FORWARD-TSN: admit the TSN →
-// reassemble (keyed by TSN run or by (MID, FSN)) → ordered-delivery gate →
-// endpoint hand-off. FORWARD-TSN enters at the gate, which it moves.
+// reassemble (one store per stream, keyed by message and FSN) →
+// ordered-delivery gate → endpoint hand-off. FORWARD-TSN enters at the
+// gate, which it moves.
 
-/// A received user-data fragment. The two wire forms differ only in how
-/// reassembly *keys* them (RFC 8260), not in TSN admission, the ordered
-/// gate or the hand-off.
-pub(super) enum Frag {
-    Data(DataChunk),
-    IData(IDataChunk),
-}
-
-pub(super) fn handle_data(w: &mut World, ctx: &mut Wx, a: AssocId, f: Frag) {
+/// Pipeline entry for one user-data fragment: `fsn` is an I-DATA chunk's
+/// fragment sequence number, `None` for DATA. The two wire forms differ
+/// only in how the store *keys* a fragment (RFC 8260 §2.1), not in TSN
+/// admission, reassembly, the ordered gate or the hand-off.
+pub(super) fn handle_data(
+    w: &mut World,
+    ctx: &mut Wx,
+    a: AssocId,
+    mut d: DataChunk,
+    fsn: Option<u32>,
+) {
     let cfg = cfg_of(w, a.host);
     let (ak, deliver_q, readers, pool) = rx_parts(w, a);
     let queued = deliver_q.len();
-    let (tsn, sid, len) = match &f {
-        Frag::Data(d) => (d.tsn, d.stream, d.data.len() as u64),
-        Frag::IData(d) => (d.tsn, d.stream, d.data.len() as u64),
-    };
-    if rx_open(ak, ctx.now()) && admit_tsn(ak, &cfg, tsn, len) {
+    if rx_open(ak, ctx.now()) && admit_tsn(ak, &cfg, d.tsn, d.data.len() as u64) {
         let peer = ak.peer_host;
+        let sid = d.stream;
         let st = ak.in_stream_mut(sid);
-        // A TSN run can only become complete when its E fragment arrives or
+        // The store's key, (message, FSN): an I-DATA fragment carries both;
+        // a DATA fragment's 16 SSN bits widen to the stream's counter and
+        // its TSN serves as its FSN, since one message's fragments occupy
+        // consecutive TSNs (usrsctp does the same).
+        match fsn {
+            Some(fsn) => d.tsn = fsn as u64,
+            None => d.ssn = widen_ssn(d.ssn, st.next_ssn),
+        }
+        // A message can only become complete when its E fragment arrives or
         // a hole below a fragment already held fills, so in-order traffic
         // scans once per message, not once per fragment.
-        let mut closes_run = false;
-        let mid = match f {
-            Frag::Data(mut d) => {
-                d.ssn = widen_ssn(d.ssn, st.next_ssn);
-                if st.frags.back().is_none_or(|c| c.tsn < d.tsn) {
-                    // In order: the common case, appended without a search.
-                    closes_run = d.end;
-                    st.frags.push_back(d);
-                } else {
-                    let at = st.frags.partition_point(|c| c.tsn < d.tsn);
-                    closes_run = d.end || at < st.frags.len();
-                    st.frags.insert(at, d);
-                }
-                None
-            }
-            Frag::IData(d) => {
-                let mid = d.mid;
-                st.i_frags.entry(mid).or_default().insert(d.fsn, d);
-                Some(mid)
-            }
+        let closes_run = if st.frags.back().is_none_or(|c| frag_key(c) < frag_key(&d)) {
+            // In order: the common case, appended without a search.
+            let closes = d.end;
+            st.frags.push_back(d);
+            closes
+        } else {
+            let at = st.frags.partition_point(|c| frag_key(c) < frag_key(&d));
+            let closes = d.end || at < st.frags.len();
+            st.frags.insert(at, d);
+            closes
         };
-        while let Some((unordered, msg)) = match mid {
-            None if closes_run => assemble_run(st, a, sid, pool),
-            None => None,
-            Some(mid) => assemble_mid(st, mid, a, sid, pool),
-        } {
-            ordered_gate(st, unordered, msg, deliver_q);
+        // The arrival completes at most its own message.
+        if closes_run {
+            if let Some((unordered, msg)) = assemble(st, a, sid, pool) {
+                ordered_gate(st, unordered, msg, deliver_q);
+            }
         }
         // Flight recorder: a stream is head-of-line blocked while complete
         // messages sit in `ready`, gated on an earlier SSN (or MID) whose
@@ -272,10 +269,7 @@ pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cu
             // ONLY its own: other messages' fragments at TSNs at or below
             // the jump may belong to complete-but-unacked messages and
             // must survive.
-            let mut freed: u64 = st
-                .i_frags
-                .remove(&mid)
-                .map_or(0, |m| m.values().map(|c| c.data.len() as u64).sum());
+            let mut freed: u64 = 0;
             st.frags.retain(|c| {
                 let doomed = c.ssn == ssn;
                 if doomed {
@@ -300,26 +294,29 @@ pub(super) fn handle_forward_tsn(w: &mut World, ctx: &mut Wx, a: AssocId, new_cu
     handed_over(ak, ctx, readers, deliver_q.len() - queued);
 }
 
-/// Pipeline stage 2, keyed by TSN run: try to assemble one complete message
-/// from a stream's TSN-sorted DATA fragments. Fragments of a message occupy
-/// consecutive TSNs bracketed by B/E bits. The chunk list comes from the
-/// pool; the middleware retires it after consuming the message. Returns
-/// the message and its U bit.
-fn assemble_run(
-    st: &mut InStream,
-    a: AssocId,
-    sid: u16,
-    pool: &mut crate::pool::Pools,
-) -> Option<(bool, RecvMsg)> {
-    // Positions, not TSNs: every step of a run was checked contiguous.
+/// A stored fragment's place in its stream's store: (message, FSN). In the
+/// store `ssn` holds the widened SSN or the MID and `tsn` holds the FSN
+/// (see [`handle_data`]).
+fn frag_key(c: &DataChunk) -> (u32, u64) {
+    (c.ssn, c.tsn)
+}
+
+/// Pipeline stage 2: try to assemble one complete message from a stream's
+/// store — a run from a B fragment to an E fragment over consecutive FSNs
+/// of one message. The message takes its SSN, PPID and U bit from the B
+/// fragment: a decoded non-B I-DATA fragment carries no PPID. The chunk list
+/// comes from the pool; the middleware retires it after consuming the
+/// message. Returns the message and its U bit.
+fn assemble(st: &mut InStream, a: AssocId, sid: u16, pool: &mut Pools) -> Option<(bool, RecvMsg)> {
+    // Positions, not keys: every step of a run was checked contiguous.
     let mut run_start: Option<usize> = None;
-    let mut prev_tsn: Option<u64> = None;
+    let mut prev: Option<(u32, u64)> = None;
     let mut complete: Option<(usize, usize)> = None;
     for (i, c) in st.frags.iter().enumerate() {
-        let contiguous = prev_tsn.map(|p| p + 1 == c.tsn).unwrap_or(true);
+        let follows = prev.is_some_and(|(msg, fsn)| msg == c.ssn && fsn + 1 == c.tsn);
         if c.begin {
             run_start = Some(i);
-        } else if !contiguous {
+        } else if !follows {
             run_start = None;
         }
         if let Some(s) = run_start {
@@ -328,46 +325,15 @@ fn assemble_run(
                 break;
             }
         }
-        prev_tsn = Some(c.tsn);
+        prev = Some(frag_key(c));
     }
     let (s, e) = complete?;
-    let mut msg =
-        RecvMsg { assoc: a, stream: sid, ssn: 0, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
+    let b = &st.frags[s];
+    let (unordered, ssn, ppid) = (b.unordered, b.ssn, b.ppid);
+    let mut msg = RecvMsg { assoc: a, stream: sid, ssn, ppid, data: pool.take_bytes_vec(), len: 0 };
     // Sized once: a pooled list may come back from a short message.
     msg.data.reserve(e + 1 - s);
-    let mut unordered = false;
     for c in st.frags.drain(s..=e) {
-        (msg.ssn, msg.ppid, unordered) = (c.ssn, c.ppid, c.unordered);
-        msg.len += c.data.len() as u32;
-        msg.data.push(c.data);
-    }
-    Some((unordered, msg))
-}
-
-/// Pipeline stage 2, keyed by (MID, FSN) — RFC 8260: fragments of different
-/// messages interleave in TSN space, so each message's fragments are keyed
-/// by FSN under their MID and reassemble independently — an incomplete
-/// message never blocks a complete one from assembling.
-fn assemble_mid(
-    st: &mut InStream,
-    mid: u64,
-    a: AssocId,
-    sid: u16,
-    pool: &mut crate::pool::Pools,
-) -> Option<(bool, RecvMsg)> {
-    // Complete when FSNs 0..=last are all present and `last` carries
-    // the E bit (distinct keys ≤ last with count last+1 ⇒ no holes).
-    let m = st.i_frags.get(&mid)?;
-    let (&last, c) = m.last_key_value()?;
-    if !(c.end && m.len() as u64 == last as u64 + 1 && m.contains_key(&0)) {
-        return None;
-    }
-    let ssn = mid as u32;
-    let mut msg =
-        RecvMsg { assoc: a, stream: sid, ssn, ppid: 0, data: pool.take_bytes_vec(), len: 0 };
-    let mut unordered = false;
-    for c in st.i_frags.remove(&mid)?.into_values() {
-        (msg.ppid, unordered) = (c.ppid, c.unordered);
         msg.len += c.data.len() as u32;
         msg.data.push(c.data);
     }

@@ -2,24 +2,27 @@
 //! cookie (RFC 4960 §3, §5.1.3).
 //!
 //! Sizes are modelled faithfully (common header 12 B, DATA chunk header
-//! 16 B, etc.) so that bundling and PMTU behaviour match the real protocol;
-//! field encodings are kept as typed Rust values rather than byte blobs —
-//! the simulator never needs to parse untrusted bytes, only to account for
-//! them. TSNs and tags are widened to `u64` (no wraparound bookkeeping;
-//! orthogonal to everything the paper measures).
+//! 16 B, etc.) so that bundling and PMTU behaviour match the real protocol.
+//! The simulator passes these typed values between engines as they are;
+//! `crate::wire_bytes` serializes them and parses untrusted bytes back into
+//! them for the UDP backend. TSNs and tags are widened to `u64` (no
+//! wraparound bookkeeping; orthogonal to everything the paper measures).
 
 use bytes::Bytes;
 use simcore::SimTime;
 
-/// A DATA chunk: one fragment of one user message on one stream.
+/// One fragment of one user message on one stream: the body of a DATA
+/// chunk, and of an I-DATA chunk beside its FSN ([`Chunk::IData`]).
 #[derive(Debug, Clone)]
 pub struct DataChunk {
     /// Transmission sequence number.
     pub tsn: u64,
     /// Stream the fragment belongs to.
     pub stream: u16,
-    /// Stream sequence number. The engine counts in 32 bits; the wire
-    /// carries the low 16 and the receiver widens them back (RFC 1982).
+    /// Stream sequence number, or an I-DATA chunk's message identifier
+    /// (RFC 8260 §2.1): both count the stream's messages. The engine counts
+    /// in 32 bits; DATA carries the low 16 on the wire and the receiver
+    /// widens them back (RFC 1982), I-DATA carries all 32.
     pub ssn: u32,
     /// First fragment of its user message (B bit).
     pub begin: bool,
@@ -28,35 +31,8 @@ pub struct DataChunk {
     /// Unordered delivery (U bit).
     pub unordered: bool,
     /// Payload protocol identifier — passed through opaquely (the paper
-    /// §2.3 suggests mapping MPI contexts onto it).
-    pub ppid: u32,
-    /// Fragment payload.
-    pub data: Bytes,
-}
-
-/// An I-DATA chunk (RFC 8260): one fragment of one user message on one
-/// stream, interleavable with fragments of *other* messages because the
-/// fragment sequence number (FSN) — not TSN adjacency — names its position
-/// within the message.
-#[derive(Debug, Clone)]
-pub struct IDataChunk {
-    /// Transmission sequence number.
-    pub tsn: u64,
-    /// Stream the fragment belongs to.
-    pub stream: u16,
-    /// Message identifier: replaces the SSN for ordering; per-stream,
-    /// assigned at `sendmsg` time (u64: the real u32 wraps, we don't).
-    pub mid: u64,
-    /// Fragment sequence number within the message (0 for the first
-    /// fragment; the real chunk carries the PPID in this slot when B=1).
-    pub fsn: u32,
-    /// First fragment of its user message (B bit).
-    pub begin: bool,
-    /// Last fragment of its user message (E bit).
-    pub end: bool,
-    /// Unordered delivery (U bit).
-    pub unordered: bool,
-    /// Payload protocol identifier — carried on the B fragment.
+    /// §2.3 suggests mapping MPI contexts onto it). I-DATA carries it on
+    /// the B fragment only; a decoded non-B I-DATA fragment reads 0.
     pub ppid: u32,
     /// Fragment payload.
     pub data: Bytes,
@@ -154,8 +130,16 @@ impl Cookie {
 pub enum Chunk {
     /// A DATA chunk (one message fragment).
     Data(DataChunk),
-    /// An I-DATA chunk (RFC 8260 interleavable fragment).
-    IData(IDataChunk),
+    /// An I-DATA chunk (RFC 8260): a fragment that may interleave with
+    /// fragments of other messages, because its fragment sequence number —
+    /// not TSN adjacency — names its place in the message. The B fragment's
+    /// FSN is 0; on the wire its PPID takes the FSN's slot.
+    IData {
+        /// The fragment, its MID in `ssn`.
+        d: DataChunk,
+        /// Fragment sequence number within the message.
+        fsn: u32,
+    },
     /// FORWARD-TSN (RFC 3758 / RFC 8260 §2.3.1 I-FORWARD-TSN): tells the
     /// receiver to advance its cumulative TSN past abandoned chunks, with
     /// per-stream skip entries naming the highest abandoned MID (or SSN in
@@ -251,7 +235,7 @@ impl Chunk {
             Chunk::Data(d) => 16 + d.data.len() as u32,
             // RFC 8260 §2.1: I-DATA header is 20 B (TSN, sid, reserved,
             // MID, then PPID/FSN) vs DATA's 16.
-            Chunk::IData(d) => 20 + d.data.len() as u32,
+            Chunk::IData { d, .. } => 20 + d.data.len() as u32,
             // Type/flags/len (4) + new cum TSN (4) + 8 B per skip entry
             // (sid, reserved, MID — the I-FORWARD-TSN layout).
             Chunk::ForwardTsn { skips, .. } => 8 + 8 * skips.len() as u32,
@@ -355,21 +339,30 @@ mod tests {
 
     #[test]
     fn idata_and_fwd_tsn_sizes() {
-        let i = Chunk::IData(IDataChunk {
+        let d = DataChunk {
             tsn: 1,
             stream: 0,
-            mid: 0,
-            fsn: 0,
+            ssn: 0,
             begin: true,
             end: true,
             unordered: false,
             ppid: 0,
             data: Bytes::from_static(b"xyz"),
-        });
+        };
+        let i = Chunk::IData { d, fsn: 0 };
         assert_eq!(i.wire_len(), 24, "20 hdr + 3 data padded to 24");
         let f = Chunk::ForwardTsn { new_cum: 9, skips: vec![(0, 3), (2, 1)] };
         assert_eq!(f.wire_len(), 8 + 16);
         assert_eq!(Chunk::ForwardTsn { new_cum: 9, skips: vec![] }.wire_len(), 8);
+    }
+
+    /// Chunks ride in pooled bundles by value: the I-DATA variant (a DATA
+    /// body and its FSN) must not grow the enum past its largest variant.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn chunk_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Chunk>(), 104);
+        assert!(std::mem::size_of::<DataChunk>() + 4 <= 64);
     }
 
     #[test]

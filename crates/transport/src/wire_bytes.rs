@@ -50,7 +50,7 @@ use netsim::IfAddr;
 use crate::crc32c::{crc32c, Crc32c};
 use crate::ip::{Packet, Proto, IP_HEADER};
 use crate::pool::Pools;
-use crate::sctp::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
+use crate::sctp::{Chunk, Cookie, DataChunk, SctpPacket};
 use crate::tcp::{Flags, TcpSegment};
 
 /// Trace metadata extracted from a packet: (proto, kind, first payload
@@ -73,13 +73,7 @@ pub fn pkt_meta(body: &Proto) -> (trace::Proto8, trace::PktKind, u64, u32, i32) 
             let mut has_sack = false;
             for c in &p.chunks {
                 match c {
-                    Chunk::Data(d) => {
-                        if first_data.is_none() {
-                            first_data = Some((d.tsn, d.stream));
-                        }
-                        ndata += 1;
-                    }
-                    Chunk::IData(d) => {
+                    Chunk::Data(d) | Chunk::IData { d, .. } => {
                         if first_data.is_none() {
                             first_data = Some((d.tsn, d.stream));
                         }
@@ -311,24 +305,6 @@ fn gap_offsets(cum: u64, lo: u64, hi: u64) -> (u16, u16) {
 fn encode_chunk(out: &mut Vec<u8>, c: &Chunk) {
     let start = out.len();
     match c {
-        Chunk::Data(d) => {
-            let mut flags = 0u8;
-            if d.end {
-                flags |= 0x01;
-            }
-            if d.begin {
-                flags |= 0x02;
-            }
-            if d.unordered {
-                flags |= 0x04;
-            }
-            put_chunk_header(out, 0, flags, (16 + d.data.len()) as u16);
-            out.extend_from_slice(&(d.tsn as u32).to_be_bytes());
-            out.extend_from_slice(&d.stream.to_be_bytes());
-            out.extend_from_slice(&(d.ssn as u16).to_be_bytes());
-            out.extend_from_slice(&d.ppid.to_be_bytes());
-            out.extend_from_slice(&d.data);
-        }
         Chunk::Sack { cum_tsn, a_rwnd, gaps } => {
             put_chunk_header(out, 3, 0, (16 + 4 * gaps.len()) as u16);
             out.extend_from_slice(&(*cum_tsn as u32).to_be_bytes());
@@ -341,7 +317,7 @@ fn encode_chunk(out: &mut Vec<u8>, c: &Chunk) {
                 out.extend_from_slice(&e.to_be_bytes());
             }
         }
-        Chunk::IData(d) => {
+        Chunk::Data(d) | Chunk::IData { d, .. } => {
             let mut flags = 0u8;
             if d.end {
                 flags |= 0x01;
@@ -352,17 +328,22 @@ fn encode_chunk(out: &mut Vec<u8>, c: &Chunk) {
             if d.unordered {
                 flags |= 0x04;
             }
-            put_chunk_header(out, 64, flags, (20 + d.data.len()) as u16);
-            out.extend_from_slice(&(d.tsn as u32).to_be_bytes());
-            out.extend_from_slice(&d.stream.to_be_bytes());
-            out.extend_from_slice(&0u16.to_be_bytes()); // reserved
-            out.extend_from_slice(&(d.mid as u32).to_be_bytes());
-            // RFC 8260 §2.1: the fourth word carries the PPID on the first
-            // fragment (B=1, FSN implicitly 0) and the FSN otherwise.
-            if d.begin {
-                out.extend_from_slice(&d.ppid.to_be_bytes());
+            if let Chunk::IData { fsn, .. } = c {
+                put_chunk_header(out, 64, flags, (20 + d.data.len()) as u16);
+                out.extend_from_slice(&(d.tsn as u32).to_be_bytes());
+                out.extend_from_slice(&d.stream.to_be_bytes());
+                out.extend_from_slice(&0u16.to_be_bytes()); // reserved
+                out.extend_from_slice(&d.ssn.to_be_bytes()); // the MID
+                // RFC 8260 §2.1: the fourth word carries the PPID on the
+                // first fragment (B=1, FSN implicitly 0) and the FSN
+                // otherwise.
+                out.extend_from_slice(&(if d.begin { d.ppid } else { *fsn }).to_be_bytes());
             } else {
-                out.extend_from_slice(&d.fsn.to_be_bytes());
+                put_chunk_header(out, 0, flags, (16 + d.data.len()) as u16);
+                out.extend_from_slice(&(d.tsn as u32).to_be_bytes());
+                out.extend_from_slice(&d.stream.to_be_bytes());
+                out.extend_from_slice(&(d.ssn as u16).to_be_bytes());
+                out.extend_from_slice(&d.ppid.to_be_bytes());
             }
             out.extend_from_slice(&d.data);
         }
@@ -740,20 +721,20 @@ fn decode_chunk(ty: u8, flags: u8, frame: &Bytes, at: Range<usize>, pool: &mut P
             }
             let begin = flags & 0x02 != 0;
             let slot = be32(v, 12);
-            Chunk::IData(IDataChunk {
+            // The shared word: PPID on the B fragment (whose FSN is 0 by
+            // definition), FSN elsewhere (whose PPID rides on the B
+            // fragment) — each decodes to its neutral value otherwise.
+            let d = DataChunk {
                 tsn: be32(v, 0) as u64,
                 stream: be16(v, 4),
-                mid: be32(v, 8) as u64,
-                // The shared word: PPID on the B fragment (whose FSN is 0
-                // by definition), FSN elsewhere (whose PPID rides on the B
-                // fragment) — each decodes to its neutral value otherwise.
-                fsn: if begin { 0 } else { slot },
+                ssn: be32(v, 8),
                 ppid: if begin { slot } else { 0 },
                 begin,
                 end: flags & 0x01 != 0,
                 unordered: flags & 0x04 != 0,
                 data: frame.slice(at.start + 16..at.end),
-            })
+            };
+            Chunk::IData { d, fsn: if begin { 0 } else { slot } }
         }
         194 => {
             if v.len() < 4 || (v.len() - 4) % 8 != 0 {
@@ -1242,28 +1223,32 @@ mod tests {
                 dst_port: 5600,
                 vtag: 7,
                 chunks: vec![
-                    Chunk::IData(IDataChunk {
-                        tsn: 100,
-                        stream: 2,
-                        mid: 5,
+                    Chunk::IData {
+                        d: DataChunk {
+                            tsn: 100,
+                            stream: 2,
+                            ssn: 5,
+                            begin: true,
+                            end: false,
+                            unordered: false,
+                            ppid: 0xC0FE,
+                            data: Bytes::from_static(b"first"),
+                        },
                         fsn: 0,
-                        begin: true,
-                        end: false,
-                        unordered: false,
-                        ppid: 0xC0FE,
-                        data: Bytes::from_static(b"first"),
-                    }),
-                    Chunk::IData(IDataChunk {
-                        tsn: 101,
-                        stream: 2,
-                        mid: 5,
+                    },
+                    Chunk::IData {
+                        d: DataChunk {
+                            tsn: 101,
+                            stream: 2,
+                            ssn: 5,
+                            begin: false,
+                            end: true,
+                            unordered: false,
+                            ppid: 0, // non-B fragment: PPID rides on the wire's B fragment
+                            data: Bytes::from_static(b"second"),
+                        },
                         fsn: 1,
-                        begin: false,
-                        end: true,
-                        unordered: false,
-                        ppid: 0, // non-B fragment: PPID rides on the wire's B fragment
-                        data: Bytes::from_static(b"second"),
-                    }),
+                    },
                     Chunk::ForwardTsn { new_cum: 99, skips: vec![(2, 4), (5, 0)] },
                 ],
             }),
@@ -1271,11 +1256,11 @@ mod tests {
         let frame = encode_packet(&pkt, 0);
         let back = decode_packet(&frame).expect("own frames must decode");
         let Proto::Sctp(p) = &back.body else { panic!("proto flipped") };
-        let Chunk::IData(b) = &p.chunks[0] else { panic!("I-DATA first") };
-        assert_eq!((b.tsn, b.stream, b.mid, b.fsn, b.ppid), (100, 2, 5, 0, 0xC0FE));
+        let Chunk::IData { d: b, fsn } = &p.chunks[0] else { panic!("I-DATA first") };
+        assert_eq!((b.tsn, b.stream, b.ssn, *fsn, b.ppid), (100, 2, 5, 0, 0xC0FE));
         assert!(b.begin && !b.end);
-        let Chunk::IData(e) = &p.chunks[1] else { panic!("I-DATA second") };
-        assert_eq!((e.tsn, e.mid, e.fsn, e.ppid), (101, 5, 1, 0));
+        let Chunk::IData { d: e, fsn } = &p.chunks[1] else { panic!("I-DATA second") };
+        assert_eq!((e.tsn, e.ssn, *fsn, e.ppid), (101, 5, 1, 0));
         assert!(!e.begin && e.end);
         assert_eq!(&e.data[..], b"second");
         let Chunk::ForwardTsn { new_cum, skips } = &p.chunks[2] else { panic!("FWD-TSN third") };

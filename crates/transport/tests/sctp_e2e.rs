@@ -2,12 +2,19 @@
 //! simulated cluster — handshake, multistreaming, fragmentation, loss
 //! recovery, security features, multihoming failover.
 
+mod support;
+
+use std::cell::Cell;
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::{IfAddr, NetCfg};
 use simcore::{Dur, ProcEnv, Runtime, SimTime};
-use transport::sctp::{self, AssocId, AssocState, EpId, RecvMsg, SctpCfg};
+use transport::backend::Backend;
+use transport::ip::{Packet, Proto};
+use transport::sctp::{self, AssocId, AssocState, Chunk, EpId, RecvMsg, SctpCfg};
 use transport::tcp::TcpCfg;
 use transport::World;
 
@@ -464,7 +471,7 @@ fn graceful_shutdown_completes_both_sides() {
             let _ = recvmsg_blocking(&env, ep).await;
             let me = env.id();
             env.block_on(|w, _| match sctp::assoc_state(w, a) {
-                AssocState::Closed | AssocState::ShutdownAckSent => Some(()),
+                AssocState::Closed => Some(()),
                 _ => {
                     sctp::register_reader(w, ep, me);
                     sctp::register_writer(w, ep, me);
@@ -573,4 +580,95 @@ fn deterministic_under_loss() {
         (out.sim_time.as_nanos(), out.world.net.stats.drops_loss, out.world.net.stats.packets_delivered)
     }
     assert_eq!(run_once(77), run_once(77));
+}
+
+/// Connect, send one 3 000 B message and shut down over `net`, which loses
+/// some packets. Returns where each side's association ended, once the run
+/// is over with no process blocked, and whether the message arrived
+/// byte-exact.
+fn lifecycle_over(net: impl Backend + 'static) -> Result<([Option<AssocState>; 2], bool), String> {
+    let mut w = world(0.0, SctpCfg::default());
+    w.install_backend(Box::new(net));
+    let mut rt = Runtime::new(w, 1);
+    rt.set_deadline(SimTime::ZERO + Dur::from_secs(3600));
+    let ends = Rc::new(Cell::new([None::<AssocState>; 2]));
+    let delivered = Rc::new(Cell::new(false));
+    // Wait until `a` leaves its live states and note where it ended.
+    async fn await_end(
+        env: &Env,
+        ep: EpId,
+        a: AssocId,
+        side: usize,
+        ends: &Cell<[Option<AssocState>; 2]>,
+    ) {
+        let me = env.id();
+        let end = env.block_on(|w, _| match sctp::assoc_state(w, a) {
+            s @ (AssocState::Closed | AssocState::Aborted) => Some(s),
+            _ => {
+                sctp::register_reader(w, ep, me);
+                sctp::register_writer(w, ep, me);
+                None
+            }
+        }).await;
+        let mut e = ends.get();
+        e[side] = Some(end);
+        ends.set(e);
+    }
+    let client_ends = ends.clone();
+    rt.spawn("client", move |env: Env| async move {
+        let ep = env.with(|w, _| sctp::socket(w, 0, 4000, true));
+        let a = connect_blocking(&env, ep, 1, 4000).await;
+        sendmsg_blocking(&env, a, 0, pattern(3000, 7)).await;
+        env.with(|w, ctx| sctp::shutdown(w, ctx, a));
+        await_end(&env, ep, a, 0, &client_ends).await;
+    });
+    let (server_ends, got) = (ends.clone(), delivered.clone());
+    rt.spawn("server", move |env: Env| async move {
+        let ep = env.with(|w, _| {
+            let ep = sctp::socket(w, 1, 4000, true);
+            sctp::listen(w, ep);
+            ep
+        });
+        let a = await_assoc(&env, ep, 0, 4000).await;
+        let m = recvmsg_blocking(&env, ep).await;
+        got.set(flatten(&m) == pattern(3000, 7).to_vec());
+        await_end(&env, ep, a, 1, &server_ends).await;
+    });
+    let out = catch_unwind(AssertUnwindSafe(|| rt.run()))
+        .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())?;
+    if out.hit_deadline {
+        return Err(format!("still blocked after an hour; ends {:?}", ends.get()));
+    }
+    Ok((ends.get(), delivered.get()))
+}
+
+#[test]
+fn every_one_or_two_drop_schedule_closes_both_sides() {
+    // The exchange takes 12 packets without loss; the first 18 leave room
+    // for retransmissions. A lost SHUTDOWN-COMPLETE is the case to watch:
+    // the closed client must answer the server's retransmitted
+    // SHUTDOWN-ACK, or the server waits out its T2 retries.
+    let schedules = support::one_or_two_drops(18);
+    assert_eq!(schedules.len(), 18 + 18 * 17 / 2);
+    let failed: Vec<_> = schedules
+        .into_iter()
+        .filter_map(|drops| match lifecycle_over(support::drop_numbered(&drops)) {
+            Ok(([Some(AssocState::Closed), Some(AssocState::Closed)], true)) => None,
+            other => Some((drops, other)),
+        })
+        .collect();
+    assert!(failed.is_empty(), "{} schedules failed: {failed:?}", failed.len());
+}
+
+#[test]
+fn shutdown_gives_up_and_wakes_when_no_shutdown_ack_arrives() {
+    // Every SHUTDOWN-ACK is lost: each side's T2 retransmits until the
+    // association's retransmission limit, closes unilaterally, and must
+    // wake the process waiting for the close.
+    let no_shutdown_ack = support::DropEgress::new(|_, pkt: &Packet| match &pkt.body {
+        Proto::Sctp(p) => p.chunks.iter().any(|c| matches!(c, Chunk::ShutdownAck)),
+        Proto::Tcp(_) => false,
+    });
+    let ends = lifecycle_over(no_shutdown_ack);
+    assert_eq!(ends, Ok(([Some(AssocState::Closed); 2], true)));
 }

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use netsim::IfAddr;
 use proptest::prelude::*;
 use transport::ip::{Packet, Proto};
-use transport::sctp::{Chunk, Cookie, DataChunk, IDataChunk, SctpPacket};
+use transport::sctp::{Chunk, Cookie, DataChunk, SctpPacket};
 use transport::tcp::{Flags, TcpSegment};
 use transport::wire_bytes::{decode_packet, encode_packet, encode_packet_into, DecodeError};
 
@@ -44,7 +44,7 @@ fn arb_cookie() -> impl Strategy<Value = Cookie> {
 
 fn arb_idata_chunk() -> impl Strategy<Value = Chunk> {
     (
-        (0u64..u32::MAX as u64, any::<u16>(), 0u64..u32::MAX as u64, any::<u32>()),
+        (0u64..u32::MAX as u64, any::<u16>(), any::<u32>(), any::<u32>()),
         (any::<bool>(), any::<bool>()),
         prop::collection::vec(any::<u8>(), 0..1400),
     )
@@ -53,17 +53,17 @@ fn arb_idata_chunk() -> impl Strategy<Value = Chunk> {
             // PPID (FSN is 0 by definition); a non-B fragment carries the
             // FSN (PPID rides on the B fragment).
             let begin = slot % 2 == 0;
-            Chunk::IData(IDataChunk {
+            let d = DataChunk {
                 tsn,
                 stream,
-                mid,
-                fsn: if begin { 0 } else { slot },
+                ssn: mid,
                 ppid: if begin { slot } else { 0 },
                 begin,
                 end,
                 unordered,
                 data: Bytes::from(data),
-            })
+            };
+            Chunk::IData { d, fsn: if begin { 0 } else { slot } }
         })
 }
 
@@ -408,17 +408,19 @@ fn encode_packet_output_is_pinned() {
                     ext_flags: 3,
                     cookie,
                 },
-                Chunk::IData(IDataChunk {
-                    tsn: 100,
-                    stream: 2,
-                    mid: 5,
+                Chunk::IData {
+                    d: DataChunk {
+                        tsn: 100,
+                        stream: 2,
+                        ssn: 5,
+                        begin: false,
+                        end: true,
+                        unordered: true,
+                        ppid: 0,
+                        data: Bytes::from_static(b"odd"),
+                    },
                     fsn: 1,
-                    begin: false,
-                    end: true,
-                    unordered: true,
-                    ppid: 0,
-                    data: Bytes::from_static(b"odd"),
-                }),
+                },
                 Chunk::ForwardTsn { new_cum: 99, skips: vec![(2, 4)] },
             ],
         }),
