@@ -67,7 +67,10 @@ impl Deadline {
     /// without doing anything else.
     pub fn expired<W: Model>(&mut self, ctx: &mut Ctx<W>, key: W::Timer) -> bool {
         let woke = self.queued.take().map(|(at, seq, _)| (at, seq));
-        debug_assert!(woke.is_some_and(|(at, _)| at == ctx.now()), "handler ran without its wake");
+        debug_assert!(
+            woke.is_some_and(|(at, _)| at == ctx.now()),
+            "handler ran without its wake"
+        );
         match self.due {
             None => false,
             Some(due) if Some(due) == woke => true,
@@ -146,7 +149,11 @@ mod tests {
         let seq0 = ctx.next_seq();
         drain(&mut w, &mut ctx);
         assert_eq!(w.expiries, vec![100_000, 200_000, 300_000]);
-        assert_eq!(w.armed_inside, vec![true; 3], "the handler's callees must see it armed");
+        assert_eq!(
+            w.armed_inside,
+            vec![true; 3],
+            "the handler's callees must see it armed"
+        );
         // One seq per restart and none for `arm_if_idle`: had the expiry
         // cleared the timer, each handler run would have armed it twice.
         assert_eq!(ctx.next_seq() - seq0, 2);
@@ -166,7 +173,11 @@ mod tests {
         assert_eq!(w.wakes, 1, "the queued event still wakes");
         assert!(w.expiries.is_empty());
         assert_eq!(ctx.next_seq(), seq0, "a no-op wake draws no seq");
-        assert_eq!(ctx.rng.gen::<u64>(), rng0, "a no-op wake draws no random number");
+        assert_eq!(
+            ctx.rng.gen::<u64>(),
+            rng0,
+            "a no-op wake draws no random number"
+        );
         assert_eq!(ctx.now(), SimTime::ZERO + D);
         assert_eq!(ctx.events_fired(), 1);
         // Nothing is queued any more: a fresh start inserts again.

@@ -233,13 +233,23 @@ impl<W: Model> Runtime<W> {
 
     /// Register a process. Ids are assigned densely in spawn order; the
     /// future `f` returns is first polled inside [`Runtime::run`].
-    pub fn spawn<Fut>(&mut self, name: impl Into<String>, f: impl FnOnce(ProcEnv<W>) -> Fut) -> ProcId
+    pub fn spawn<Fut>(
+        &mut self,
+        name: impl Into<String>,
+        f: impl FnOnce(ProcEnv<W>) -> Fut,
+    ) -> ProcId
     where
         Fut: Future<Output = ()> + 'static,
     {
         let id = ProcId(self.procs.len());
-        let env = ProcEnv { id, shared: Rc::clone(&self.shared) };
-        self.procs.push(Proc { name: name.into(), fut: Some(Box::pin(f(env))) });
+        let env = ProcEnv {
+            id,
+            shared: Rc::clone(&self.shared),
+        };
+        self.procs.push(Proc {
+            name: name.into(),
+            fut: Some(Box::pin(f(env))),
+        });
         id
     }
 
@@ -278,7 +288,9 @@ impl<W: Model> Runtime<W> {
                     // sleep fast path.
                     shared.inflight_wakes.set(shared.inflight_wakes.get() - 1);
                     let proc = &mut procs[p.0];
-                    let Some(fut) = proc.fut.as_mut() else { continue };
+                    let Some(fut) = proc.fut.as_mut() else {
+                        continue;
+                    };
                     polls += 1;
                     match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
                         Ok(Poll::Pending) => {}
@@ -287,7 +299,10 @@ impl<W: Model> Runtime<W> {
                             live -= 1;
                         }
                         // The panic hook has already printed the message.
-                        Err(_) => panic!("simulated process panicked: {}; see stderr for details", proc.name),
+                        Err(_) => panic!(
+                            "simulated process panicked: {}; see stderr for details",
+                            proc.name
+                        ),
                     }
                 }
             }
@@ -319,8 +334,11 @@ impl<W: Model> Runtime<W> {
                 break;
             }
             // No wakes, no events, processes still alive: deadlock.
-            let stuck: Vec<&str> =
-                procs.iter().filter(|p| p.fut.is_some()).map(|p| p.name.as_str()).collect();
+            let stuck: Vec<&str> = procs
+                .iter()
+                .filter(|p| p.fut.is_some())
+                .map(|p| p.name.as_str())
+                .collect();
             panic!("simulation deadlock: no pending events, processes still blocked: {stuck:?}");
         }
 
@@ -410,7 +428,8 @@ mod tests {
                     ctx.wake(id);
                 });
             });
-            env.block_on(|w, _| if w.ready { Some(()) } else { None }).await;
+            env.block_on(|w, _| if w.ready { Some(()) } else { None })
+                .await;
             assert_eq!(env.now(), SimTime::ZERO + Dur::from_secs(1));
         });
         let out = rt.run();

@@ -62,7 +62,9 @@ mod tests {
     fn different_streams_diverge() {
         let mut a = derive_rng(42, 7);
         let mut b = derive_rng(42, 8);
-        let same = (0..100).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..100)
+            .filter(|_| a.gen::<u64>() == b.gen::<u64>())
+            .count();
         assert_eq!(same, 0);
     }
 
@@ -70,7 +72,9 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = derive_rng(1, 7);
         let mut b = derive_rng(2, 7);
-        let same = (0..100).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..100)
+            .filter(|_| a.gen::<u64>() == b.gen::<u64>())
+            .count();
         assert_eq!(same, 0);
     }
 

@@ -346,7 +346,10 @@ impl<W: Model> Ctx<W> {
             (idx, s.gen)
         } else {
             let idx = self.slots.len() as u32;
-            self.slots.push(Slot { gen: 0, ev: Some(ev) });
+            self.slots.push(Slot {
+                gen: 0,
+                ev: Some(ev),
+            });
             (idx, 0)
         }
     }
@@ -391,12 +394,20 @@ impl<W: Model> Ctx<W> {
     }
 
     /// Schedule `f` to run at absolute time `at` (clamped to be >= now).
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static) -> TimerId {
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static,
+    ) -> TimerId {
         self.schedule_event(at, Event::Call(Box::new(f)))
     }
 
     /// Schedule `f` to run after `delay`.
-    pub fn schedule_in(&mut self, delay: Dur, f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static) -> TimerId {
+    pub fn schedule_in(
+        &mut self,
+        delay: Dur,
+        f: impl FnOnce(&mut W, &mut Ctx<W>) + 'static,
+    ) -> TimerId {
         self.schedule_at(self.now + delay, f)
     }
 
@@ -431,7 +442,11 @@ impl<W: Model> Ctx<W> {
             }
             _ => {
                 if q.is_empty() {
-                    self.lane_heads.push(Reverse(LaneKey { at, seq, lane: lane as u32 }));
+                    self.lane_heads.push(Reverse(LaneKey {
+                        at,
+                        seq,
+                        lane: lane as u32,
+                    }));
                 }
                 q.push_back((at, seq, pkt));
                 self.lane_len += 1;
@@ -468,7 +483,9 @@ impl<W: Model> Ctx<W> {
     /// the top and bounded before that by compaction.
     pub fn cancel(&mut self, id: TimerId) {
         let (idx, gen) = id.unpack();
-        let Some(s) = self.slots.get(idx as usize) else { return };
+        let Some(s) = self.slots.get(idx as usize) else {
+            return;
+        };
         if s.ev.is_none() || s.gen != gen {
             return;
         }
@@ -614,7 +631,9 @@ impl<W: Model> Ctx<W> {
         // every event, so `next_event_key` sees what it always saw.
         let lane = self.lane_heads.peek().map(|&Reverse(l)| l);
         let key = loop {
-            let Some(&Reverse(k)) = self.heap.peek() else { break None };
+            let Some(&Reverse(k)) = self.heap.peek() else {
+                break None;
+            };
             if lane.is_some_and(|l| (l.at, l.seq) < (k.at, k.seq)) {
                 break None;
             }
@@ -649,7 +668,10 @@ impl<W: Model> Ctx<W> {
     /// Take the head of `lane`, which tops `lane_heads`, and re-key the lane
     /// by its next entry (one sift) or drop its key when it empties.
     fn pop_lane(&mut self, lane: u32) -> W::Packet {
-        let mut head = self.lane_heads.peek_mut().expect("a lane key tops the lane heap");
+        let mut head = self
+            .lane_heads
+            .peek_mut()
+            .expect("a lane key tops the lane heap");
         let q = &mut self.lanes[lane as usize];
         let (_, _, pkt) = q.pop_front().expect("lane key over an empty lane");
         match q.front() {
@@ -803,10 +825,13 @@ mod tests {
     fn events_can_schedule_events() {
         let mut c = ctx();
         let mut w = Vec::new();
-        c.schedule_in(Dur::from_secs(1), |w: &mut Vec<u32>, c: &mut Ctx<Vec<u32>>| {
-            w.push(1);
-            c.schedule_in(Dur::from_secs(1), |w: &mut Vec<u32>, _| w.push(2));
-        });
+        c.schedule_in(
+            Dur::from_secs(1),
+            |w: &mut Vec<u32>, c: &mut Ctx<Vec<u32>>| {
+                w.push(1);
+                c.schedule_in(Dur::from_secs(1), |w: &mut Vec<u32>, _| w.push(2));
+            },
+        );
         drain(&mut w, &mut c);
         assert_eq!(w, vec![1, 2]);
         assert_eq!(c.now(), SimTime::ZERO + Dur::from_secs(2));
@@ -816,11 +841,14 @@ mod tests {
     fn schedule_at_past_clamps_to_now() {
         let mut c = ctx();
         let mut w = Vec::new();
-        c.schedule_in(Dur::from_secs(5), |w: &mut Vec<u32>, c: &mut Ctx<Vec<u32>>| {
-            w.push(1);
-            // Try to schedule in the past; must fire at `now`, not panic.
-            c.schedule_at(SimTime::ZERO, |w: &mut Vec<u32>, _| w.push(2));
-        });
+        c.schedule_in(
+            Dur::from_secs(5),
+            |w: &mut Vec<u32>, c: &mut Ctx<Vec<u32>>| {
+                w.push(1);
+                // Try to schedule in the past; must fire at `now`, not panic.
+                c.schedule_at(SimTime::ZERO, |w: &mut Vec<u32>, _| w.push(2));
+            },
+        );
         drain(&mut w, &mut c);
         assert_eq!(w, vec![1, 2]);
     }
@@ -879,11 +907,16 @@ mod tests {
         let mut c = ctx();
         let mut w = Vec::new();
         for round in 0..1000u32 {
-            c.schedule_in(Dur::from_micros(1), move |w: &mut Vec<u32>, _| w.push(round));
+            c.schedule_in(Dur::from_micros(1), move |w: &mut Vec<u32>, _| {
+                w.push(round)
+            });
             drain(&mut w, &mut c);
         }
         assert_eq!(w.len(), 1000);
-        assert!(c.slots.len() <= 2, "sequential schedule/fire must reuse one slot");
+        assert!(
+            c.slots.len() <= 2,
+            "sequential schedule/fire must reuse one slot"
+        );
     }
 
     #[test]
@@ -942,7 +975,11 @@ mod tests {
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(1_000), 0)));
         assert!(!c.try_advance_sleep(Dur::from_nanos(1_500)));
         assert!(!c.try_advance_sleep(Dur::from_nanos(2_500)));
-        assert_eq!(c.now(), SimTime::ZERO, "a declined advance leaves the clock alone");
+        assert_eq!(
+            c.now(),
+            SimTime::ZERO,
+            "a declined advance leaves the clock alone"
+        );
         // A pop past the tombstone's instant but short of the live event
         // peels the tombstone and removes nothing live.
         assert!(c.pop_next(SimTime::from_nanos(1_500)).is_none());
@@ -981,9 +1018,14 @@ mod tests {
         c.schedule_at(SimTime::from_nanos(300), |w: &mut Tags, _| w.0.push(3));
         c.cancel(stale);
         assert_eq!(c.pending_events(), 2, "the packet and the live closure");
-        c.pop_next(SimTime::MAX).expect("the packet").fire(&mut w, &mut c);
+        c.pop_next(SimTime::MAX)
+            .expect("the packet")
+            .fire(&mut w, &mut c);
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(200), 1)));
-        assert!(!c.try_advance_sleep(Dur::from_nanos(150)), "declines short of the live event, as one heap did");
+        assert!(
+            !c.try_advance_sleep(Dur::from_nanos(150)),
+            "declines short of the live event, as one heap did"
+        );
         c.run_due(&mut w, SimTime::MAX);
         assert_eq!(w.0, vec![1, 3]);
         assert_eq!((c.heap_dead, c.pending_events()), (0, 0));
@@ -1034,16 +1076,23 @@ mod tests {
         let mut c: Ctx<Vec<u32>> = Ctx::standalone(derive_rng(0, 0));
         let mut w = Vec::new();
         c.schedule_in(Dur::from_micros(10), |w: &mut Vec<u32>, _| w.push(1));
-        c.schedule_in(Dur::from_micros(20), |w: &mut Vec<u32>, c: &mut Ctx<Vec<u32>>| {
-            w.push(2);
-            // A follow-on inside the bound fires in the same pump.
-            c.schedule_in(Dur::from_micros(5), |w: &mut Vec<u32>, _| w.push(3));
-        });
+        c.schedule_in(
+            Dur::from_micros(20),
+            |w: &mut Vec<u32>, c: &mut Ctx<Vec<u32>>| {
+                w.push(2);
+                // A follow-on inside the bound fires in the same pump.
+                c.schedule_in(Dur::from_micros(5), |w: &mut Vec<u32>, _| w.push(3));
+            },
+        );
         c.schedule_in(Dur::from_millis(1), |w: &mut Vec<u32>, _| w.push(9));
         let fired = c.run_due(&mut w, SimTime::from_nanos(100_000));
         assert_eq!(fired, 3);
         assert_eq!(w, vec![1, 2, 3]);
-        assert_eq!(c.now(), SimTime::from_nanos(100_000), "clock lands on the bound");
+        assert_eq!(
+            c.now(),
+            SimTime::from_nanos(100_000),
+            "clock lands on the bound"
+        );
         // The past-bound timer is intact and fires on the next pump.
         let fired = c.run_due(&mut w, SimTime::from_nanos(2_000_000));
         assert_eq!(fired, 1);

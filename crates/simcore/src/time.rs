@@ -286,7 +286,10 @@ mod tests {
         assert_eq!(Dur::from_millis(1).round_up_to(g), Dur::from_millis(500));
         assert_eq!(Dur::from_millis(500).round_up_to(g), Dur::from_millis(500));
         assert_eq!(Dur::from_millis(501).round_up_to(g), Dur::from_millis(1000));
-        assert_eq!(Dur::from_millis(7).round_up_to(Dur::ZERO), Dur::from_millis(7));
+        assert_eq!(
+            Dur::from_millis(7).round_up_to(Dur::ZERO),
+            Dur::from_millis(7)
+        );
     }
 
     #[test]
@@ -311,7 +314,13 @@ mod tests {
         let b = SimTime::from_nanos(20);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert_eq!(Dur::from_nanos(1).max(Dur::from_nanos(2)), Dur::from_nanos(2));
-        assert_eq!(Dur::from_nanos(1).min(Dur::from_nanos(2)), Dur::from_nanos(1));
+        assert_eq!(
+            Dur::from_nanos(1).max(Dur::from_nanos(2)),
+            Dur::from_nanos(2)
+        );
+        assert_eq!(
+            Dur::from_nanos(1).min(Dur::from_nanos(2)),
+            Dur::from_nanos(1)
+        );
     }
 }

@@ -63,7 +63,10 @@ closure_world!(W);
 
 /// Runs the scripted program once and returns everything observable:
 /// the log, the ping counters, final sim time, and events fired.
-fn run_once(scripts: &[Vec<Op>], reference: bool) -> (Vec<(usize, usize, u64)>, Vec<u32>, u64, u64) {
+fn run_once(
+    scripts: &[Vec<Op>],
+    reference: bool,
+) -> (Vec<(usize, usize, u64)>, Vec<u32>, u64, u64) {
     let n = scripts.len();
     // How many pings each process must eventually see: its block_on target.
     let mut expected = vec![0u32; n];
@@ -74,7 +77,13 @@ fn run_once(scripts: &[Vec<Op>], reference: bool) -> (Vec<(usize, usize, u64)>, 
             }
         }
     }
-    let mut rt = Runtime::new(W { log: Vec::new(), pings: vec![0; n] }, 12);
+    let mut rt = Runtime::new(
+        W {
+            log: Vec::new(),
+            pings: vec![0; n],
+        },
+        12,
+    );
     for (p, script) in scripts.iter().enumerate() {
         let script = script.clone();
         let want = expected[p];
@@ -99,13 +108,19 @@ fn run_once(scripts: &[Vec<Op>], reference: bool) -> (Vec<(usize, usize, u64)>, 
             // Park until every ping aimed at us has landed; the wakes come
             // from the pingers, so this exercises wake-after-park,
             // wake-before-park, and wake-during-sleep orderings.
-            env.block_on(move |w, _| (w.pings[p] >= want).then_some(())).await;
+            env.block_on(move |w, _| (w.pings[p] >= want).then_some(()))
+                .await;
         });
     }
     set_reference_discipline(reference);
     let out = rt.run();
     set_reference_discipline(false);
-    (out.world.log, out.world.pings, out.sim_time.as_nanos(), out.events)
+    (
+        out.world.log,
+        out.world.pings,
+        out.sim_time.as_nanos(),
+        out.events,
+    )
 }
 
 /// The ROADMAP's "10 000-rank job starts in one process": a token ring of
@@ -127,7 +142,8 @@ fn ten_thousand_process_token_ring() {
     for p in 0..N {
         rt.spawn(format!("p{p}"), move |env: ProcEnv<Ring>| async move {
             for _ in 0..LAPS {
-                env.block_on(|w, _| (w.tokens[p] > 0).then(|| w.tokens[p] -= 1)).await;
+                env.block_on(|w, _| (w.tokens[p] > 0).then(|| w.tokens[p] -= 1))
+                    .await;
                 env.sleep(Dur::from_micros(1)).await;
                 env.with(|w, ctx| {
                     w.hops += 1;
@@ -141,8 +157,15 @@ fn ten_thousand_process_token_ring() {
     let hops = N as u64 * LAPS as u64;
     assert!(!out.hit_deadline);
     assert_eq!(out.world.hops, hops);
-    assert_eq!(out.sim_time.as_nanos(), hops * 1_000, "one 1 µs charge per hop, strictly serial");
-    assert_eq!(out.events, hops, "one sleep timer (fired or advanced inline) per hop");
+    assert_eq!(
+        out.sim_time.as_nanos(),
+        hops * 1_000,
+        "one 1 µs charge per hop, strictly serial"
+    );
+    assert_eq!(
+        out.events, hops,
+        "one sleep timer (fired or advanced inline) per hop"
+    );
     // The last hop hands the token back to process 0, which has finished.
     assert_eq!(out.world.tokens.iter().sum::<u32>(), 1);
 }

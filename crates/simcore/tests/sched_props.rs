@@ -389,8 +389,14 @@ mod deadline_model {
         type Packet = Pkt;
         type Timer = usize;
         fn deliver(&mut self, ctx: &mut Ctx<Self>, pkt: Pkt) {
-            assert_eq!(self.drops.borrow()[pkt.id], 0, "packet {} dropped before delivery", pkt.id);
-            self.log.push((ctx.now().as_nanos(), pkt.who, ctx.next_seq()));
+            assert_eq!(
+                self.drops.borrow()[pkt.id],
+                0,
+                "packet {} dropped before delivery",
+                pkt.id
+            );
+            self.log
+                .push((ctx.now().as_nanos(), pkt.who, ctx.next_seq()));
         }
         fn timer(&mut self, ctx: &mut Ctx<Self>, i: usize) {
             if self.lazy {
@@ -402,7 +408,12 @@ mod deadline_model {
 
     /// Run `f` on timer `i` and account for what it queued: never more than
     /// one wake per timer.
-    fn counted<R>(w: &mut W, ctx: &mut Ctx<W>, i: usize, f: impl FnOnce(&mut Deadline, &mut Ctx<W>) -> R) -> R {
+    fn counted<R>(
+        w: &mut W,
+        ctx: &mut Ctx<W>,
+        i: usize,
+        f: impl FnOnce(&mut Deadline, &mut Ctx<W>) -> R,
+    ) -> R {
         let before = ctx.pending_events();
         let r = f(&mut w.timers[i], ctx);
         w.queued[i] = w.queued[i] + ctx.pending_events() - before;
@@ -446,7 +457,11 @@ mod deadline_model {
 
     /// Run `script` (gap before each op in steps, then the op) and return
     /// the log and the final clock.
-    pub fn run(script: &[(u64, Op)], after: &[Option<u64>], lazy: bool) -> (Vec<(u64, usize, u64)>, u64) {
+    pub fn run(
+        script: &[(u64, Op)],
+        after: &[Option<u64>],
+        lazy: bool,
+    ) -> (Vec<(u64, usize, u64)>, u64) {
         let drops = Rc::new(RefCell::new(Vec::new()));
         let mut w = W {
             lazy,
@@ -472,14 +487,22 @@ mod deadline_model {
                         Op::Set(i, steps) => set(w, ctx, i, steps),
                         Op::Clear(i) => clear(w, ctx, i),
                         Op::Foreign(steps) => {
-                            ctx.schedule_in(Dur::from_nanos(steps * STEP), move |w: &mut W, ctx| {
-                                w.log.push((ctx.now().as_nanos(), TIMERS + k, ctx.next_seq()));
-                            });
+                            ctx.schedule_in(
+                                Dur::from_nanos(steps * STEP),
+                                move |w: &mut W, ctx| {
+                                    w.log
+                                        .push((ctx.now().as_nanos(), TIMERS + k, ctx.next_seq()));
+                                },
+                            );
                         }
                         Op::Deliver(steps) | Op::Hold(steps) => {
                             let id = w.drops.borrow().len();
                             w.drops.borrow_mut().push(0);
-                            let pkt = Pkt { id, who: TIMERS + k, drops: Rc::clone(&w.drops) };
+                            let pkt = Pkt {
+                                id,
+                                who: TIMERS + k,
+                                drops: Rc::clone(&w.drops),
+                            };
                             let at = ctx.now() + Dur::from_nanos(steps.unwrap_or(1_000) * STEP);
                             if let Op::Deliver(_) = op {
                                 ctx.schedule_deliver(k % 3, at, pkt);
@@ -494,7 +517,11 @@ mod deadline_model {
                         Op::Cancel => {
                             if let Some(&(id, tid)) = w.held.last() {
                                 ctx.cancel(tid);
-                                assert_eq!(w.drops.borrow()[id], 1, "a cancel drops the packet at once");
+                                assert_eq!(
+                                    w.drops.borrow()[id],
+                                    1,
+                                    "a cancel drops the packet at once"
+                                );
                             }
                         }
                     });
@@ -506,7 +533,11 @@ mod deadline_model {
         let out = rt.run();
         // The context is gone: every packet, delivered, fired, cancelled or
         // still queued, was dropped once.
-        assert!(drops.borrow().iter().all(|&n| n == 1), "packet drop counts {:?}", drops.borrow());
+        assert!(
+            drops.borrow().iter().all(|&n| n == 1),
+            "packet drop counts {:?}",
+            drops.borrow()
+        );
         (out.world.log, out.sim_time.as_nanos())
     }
 }
