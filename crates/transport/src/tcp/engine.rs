@@ -27,6 +27,9 @@ const MAX_SACK_BLOCKS: usize = 3;
 const IDLE_RESTART: bool = true;
 /// SYN (and SYN-ACK) retransmission limit before the connect fails.
 const MAX_SYN_RETRIES: u32 = 6;
+/// Retransmission timeouts after our FIN, with no ack making progress,
+/// before the socket closes unilaterally (cf. SCTP's T2 give-up).
+const MAX_FIN_RETRIES: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -229,6 +232,17 @@ pub(crate) fn on_rto(w: &mut World, ctx: &mut Wx, s: SockId) {
                     send_syn_ack(w, ctx, s);
                 }
                 return; // send_syn/send_syn_ack re-armed the timer
+            }
+            TcpState::FinWait1 | TcpState::Closing | TcpState::LastAck => {
+                sk.fin_retries += 1;
+                if sk.fin_retries > MAX_FIN_RETRIES {
+                    sk.state = TcpState::Closed;
+                    ctx.wake_all(&sk.readers);
+                    ctx.wake_all(&sk.writers);
+                    sk.readers.clear();
+                    sk.writers.clear();
+                    return;
+                }
             }
             TcpState::Closed | TcpState::TimeWait => return,
             _ => {}
@@ -609,6 +623,7 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
             new_ack = true;
             let acked = seg.ack - sk.snd_una;
             sk.snd_una = seg.ack;
+            sk.fin_retries = 0;
             // A stale ack may land after a go-back-N rewind: never let
             // snd_nxt fall behind snd_una.
             sk.snd_nxt = sk.snd_nxt.max(seg.ack);
@@ -654,8 +669,11 @@ fn process_ack(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) {
             ctx.wake_all(&sk.writers);
             sk.writers.clear();
 
-            // FIN acknowledged?
-            if sk.fin_sent && seg.ack == sk.snd.end_seq() + 1 {
+            // FIN acknowledged? An RTO's go-back-N rewind clears
+            // `fin_sent` until the FIN is re-sent, but the ack of the FIN
+            // sent before it may arrive first.
+            if sk.fin_queued && seg.ack == sk.snd.end_seq() + 1 {
+                sk.fin_sent = true;
                 sk.state = match sk.state {
                     TcpState::FinWait1 => TcpState::FinWait2,
                     TcpState::Closing => TcpState::TimeWait,
@@ -873,6 +891,10 @@ fn process_data(w: &mut World, ctx: &mut Wx, s: SockId, seg: &TcpSegment) -> boo
                 };
                 ctx.wake_all(&sk.readers);
                 sk.readers.clear();
+            } else if sk.eof_delivered && seg.flags.contains(Flags::FIN) {
+                // A retransmitted FIN: our ack of it was lost, and the peer
+                // waits for it (RFC 793, TIME-WAIT included).
+                ack_now = true;
             }
         }
     }

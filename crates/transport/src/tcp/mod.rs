@@ -282,6 +282,8 @@ pub(crate) struct TcpSock {
     pub rtt_probe: Option<(u64, SimTime)>,
     pub last_send: SimTime,
     pub syn_retries: u32,
+    /// RTO expiries since our FIN went out with no ack making progress.
+    pub fin_retries: u32,
     /// When the (first, unretransmitted) SYN went out — handshake RTT sample.
     pub syn_sent_at: Option<SimTime>,
 
@@ -347,6 +349,7 @@ impl TcpSock {
             rtt_probe: None,
             last_send: SimTime::ZERO,
             syn_retries: 0,
+            fin_retries: 0,
             syn_sent_at: None,
             rcv_nxt: 0,
             in_order: VecDeque::new(),

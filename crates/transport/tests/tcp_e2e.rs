@@ -1,11 +1,18 @@
 //! End-to-end TCP tests: sockets driven by virtual processes over the
 //! simulated cluster, with and without loss.
 
+mod support;
+
+use std::cell::Cell;
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use simcore::{Dur, ProcEnv, Runtime, SimTime};
-use transport::tcp::{self, SockId};
+use transport::backend::Backend;
+use transport::ip::{Packet, Proto};
+use transport::tcp::{self, SockId, TcpState};
 use transport::World;
 
 type Env = ProcEnv<World>;
@@ -420,4 +427,128 @@ fn tcp_cells_are_pinned() {
         }
     }
     assert!(!drift, "pinned TCP cells drifted (actual rows above)");
+}
+
+/// Where each side's socket ended, whether the bytes arrived intact, and
+/// how long the run took in simulated time.
+type Teardown = ([Option<TcpState>; 2], bool, SimTime);
+
+/// Connect, send 3 000 B and close both directions over `net`, which loses
+/// some segments. The client closes right after sending, reads to EOF and
+/// waits for `TimeWait` or `Closed`; the server reads to EOF, checks the
+/// bytes, closes and waits for `Closed`. Without loss this takes 11
+/// segments. Returns once the run is over with no process blocked.
+fn teardown_over(net: impl Backend + 'static) -> Result<Teardown, String> {
+    let mut w = World::paper_cluster(0.0);
+    w.install_backend(Box::new(net));
+    let mut rt = Runtime::new(w, 1);
+    rt.set_deadline(SimTime::ZERO + Dur::from_secs(3600));
+    let ends = Rc::new(Cell::new([None::<TcpState>; 2]));
+    let delivered = Rc::new(Cell::new(false));
+    // Read until the peer's FIN (or a unilateral close) ends the stream.
+    async fn read_to_eof(env: &Env, s: SockId) -> Vec<u8> {
+        let me = env.id();
+        let mut out = Vec::new();
+        loop {
+            let chunks = env.with(|w, ctx| tcp::recv(w, ctx, s, usize::MAX));
+            if chunks.is_empty() {
+                let done = env.with(|w, _| {
+                    let done = tcp::at_eof(w, s) || tcp::state(w, s) == TcpState::Closed;
+                    if !done {
+                        tcp::register_reader(w, s, me);
+                    }
+                    done
+                });
+                if done {
+                    return out;
+                }
+                env.park().await;
+            }
+            for c in chunks {
+                out.extend_from_slice(&c);
+            }
+        }
+    }
+    // Wait until `s` reaches a state `end` accepts and note it.
+    async fn await_end(
+        env: &Env,
+        s: SockId,
+        side: usize,
+        end: fn(TcpState) -> bool,
+        ends: &Cell<[Option<TcpState>; 2]>,
+    ) {
+        let me = env.id();
+        let state = env.block_on(|w, _| match tcp::state(w, s) {
+            st if end(st) => Some(st),
+            _ => {
+                tcp::register_reader(w, s, me);
+                tcp::register_writer(w, s, me);
+                None
+            }
+        }).await;
+        let mut e = ends.get();
+        e[side] = Some(state);
+        ends.set(e);
+    }
+    let client_ends = ends.clone();
+    rt.spawn("client", move |env: Env| async move {
+        let s = connect_blocking(&env, 0, 1, 5000).await;
+        send_all(&env, s, pattern(3000)).await;
+        env.with(|w, ctx| tcp::close(w, ctx, s));
+        read_to_eof(&env, s).await;
+        let end = |st| matches!(st, TcpState::TimeWait | TcpState::Closed);
+        await_end(&env, s, 0, end, &client_ends).await;
+    });
+    let (server_ends, got) = (ends.clone(), delivered.clone());
+    rt.spawn("server", move |env: Env| async move {
+        env.with(|w, _| tcp::listen(w, 1, 5000));
+        let s = accept_blocking(&env, 1, 5000).await;
+        got.set(read_to_eof(&env, s).await == pattern(3000).to_vec());
+        env.with(|w, ctx| tcp::close(w, ctx, s));
+        await_end(&env, s, 1, |st| st == TcpState::Closed, &server_ends).await;
+    });
+    let out = catch_unwind(AssertUnwindSafe(|| rt.run()))
+        .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())?;
+    if out.hit_deadline {
+        return Err(format!("still blocked after an hour; ends {:?}", ends.get()));
+    }
+    Ok((ends.get(), delivered.get(), out.sim_time))
+}
+
+#[test]
+fn every_one_or_two_drop_schedule_tears_down_both_sides() {
+    // The first 16 segments leave room for retransmissions. Two cases to
+    // watch: a lost data segment, after which the ack covering the FIN can
+    // arrive before the rewound FIN is re-sent; and a lost last ACK, which
+    // the client in TIME-WAIT must re-send when the server's FIN comes
+    // again. Every schedule must finish well before a FIN gives up.
+    let schedules = support::one_or_two_drops(16);
+    assert_eq!(schedules.len(), 16 + 16 * 15 / 2);
+    let failed: Vec<_> = schedules
+        .into_iter()
+        .filter_map(|drops| match teardown_over(support::drop_numbered(&drops)) {
+            Ok(([Some(TcpState::TimeWait | TcpState::Closed), Some(TcpState::Closed)], true, t))
+                if t < SimTime::ZERO + Dur::from_secs(60) =>
+            {
+                None
+            }
+            other => Some((drops, other)),
+        })
+        .collect();
+    assert!(failed.is_empty(), "{} schedules failed: {failed:?}", failed.len());
+}
+
+#[test]
+fn fin_gives_up_and_wakes_when_no_ack_of_it_arrives() {
+    // Every segment the client sends once it has acked the server's FIN
+    // (ack 2: the server sent no data) is lost. The server's FIN is never
+    // acked, so its RTO re-sends it until the give-up limit; then the
+    // socket closes unilaterally and must wake the process waiting for it.
+    let after_last_ack = support::DropEgress::new(|_, pkt: &Packet| match &pkt.body {
+        Proto::Tcp(seg) => pkt.src.host == 0 && seg.ack >= 2,
+        Proto::Sctp(_) => false,
+    });
+    let (ends, delivered, t) = teardown_over(after_last_ack).expect("no process stays blocked");
+    assert_eq!((ends, delivered), ([Some(TcpState::TimeWait), Some(TcpState::Closed)], true));
+    assert!(t > SimTime::ZERO + Dur::from_secs(60), "closed at {t}: the FIN was acked?");
 }
