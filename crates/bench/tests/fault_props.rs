@@ -125,7 +125,7 @@ fn flap_runs_are_replayable() {
 /// both transports: a 64 KiB stream whose deliveries are jittered by up to
 /// 40 µs with up to 3 packets overtaking each. A jittered packet can arrive
 /// before one queued ahead of it on the same downlink, so these are the
-/// runs where a delivery leaves its lane for the timer heap. The rows are
+/// runs where a delivery is inserted mid-lane instead of appended. The rows are
 /// `(events, sim ns, payload bytes delivered, retransmits)`; any drift is a
 /// behaviour change, and on a mismatch the test prints the actual rows.
 #[test]

@@ -136,9 +136,7 @@ mod tests {
     }
 
     fn drain(w: &mut W, ctx: &mut Ctx<W>) {
-        while let Some(ev) = ctx.pop_event() {
-            ev.fire(w, ctx);
-        }
+        while ctx.fire_next(w, SimTime::MAX) {}
     }
 
     #[test]

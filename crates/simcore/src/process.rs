@@ -318,13 +318,12 @@ impl<W: Model> Runtime<W> {
             let mut fired_any = false;
             while !g.ctx.has_wakes() {
                 let Sim { world, ctx } = &mut *g;
-                let Some(ev) = ctx.pop_event_due() else {
+                if !ctx.fire_next(world, ctx.deadline) {
                     // Nothing due: either the queue is empty or its live
                     // minimum lies past the deadline.
                     hit_deadline |= ctx.next_event_time().is_some();
                     break;
-                };
-                ev.fire(world, ctx);
+                }
                 fired_any = true;
             }
             if fired_any {

@@ -10,11 +10,12 @@
 //! # What an event is
 //!
 //! The world `W` is a [`Model`]: it names its packet type and its timer-key
-//! type, and handles both. A queued event is one variant of a closed enum:
-//! a packet delivery (`Deliver`, handed to [`Model::deliver`]), a protocol
-//! timer wake (`Timer`, handed to [`Model::timer`]), a process's sleep wake
-//! (`Wake`), or — the open case — a boxed closure (`Call`). Firing an event
-//! is one match arm; only `Call` allocates.
+//! type, and handles both. A packet is handed to [`Model::deliver`] straight
+//! from its delivery lane. Everything else queued is one variant of a closed
+//! enum in a slab slot: a protocol timer wake (`Timer`, handed to
+//! [`Model::timer`]), a process's sleep wake (`Wake`), or — the open case —
+//! a boxed closure (`Call`). Firing an event is one match arm; only `Call`
+//! allocates.
 //!
 //! # Queue structure
 //!
@@ -23,19 +24,21 @@
 //! Timers, process wakes and closures sit in one binary min-heap of small
 //! `Copy` keys, ordered by (time, seq), over a slab of reusable slots that
 //! hold the events. Each takes an O(log n) push and the earliest is the
-//! heap top; nothing here is tuned to a time scale.
+//! heap top; nothing here is tuned to a time scale. No slot holds a packet,
+//! so a slot is sized for a timer key or a box.
 //!
-//! Packets in flight sit in delivery lanes: one FIFO of `(at, seq, packet)`
+//! Packets in flight sit in delivery lanes: one queue of `(at, seq, packet)`
 //! per lane, which the world names when it schedules a delivery (the
-//! network uses one lane per destination interface, so a lane's delivery
-//! instants never decrease). A packet due no earlier than its lane's last
-//! entry is appended, so every lane is sorted and its head is its minimum;
-//! a second small heap holds one key per non-empty lane, its head. A packet
-//! due earlier than its lane's last entry (delay jitter) goes to the main
-//! heap as a `Deliver` event instead. The next event is the smaller of the
-//! two heap tops, so pops keep the exact global (time, seq) order while the
-//! heaps hold a handful of keys however many packets are in flight
-//! (EXPERIMENTS.md, "Delivery lanes").
+//! network uses one lane per destination interface). Every lane is kept
+//! sorted by (time, seq), so its head is its minimum, and a second small
+//! heap holds one key per non-empty lane, its head. A packet due no earlier
+//! than its lane's last entry is appended; one that delay jitter makes due
+//! earlier is inserted after every entry due no later than it (its seq is
+//! the newest, so ties go after), a search the jitter's reorder bound keeps
+//! short. The next event is the smaller of the two heap tops, so pops keep
+//! the exact global (time, seq) order while the heaps hold a handful of
+//! keys however many packets are in flight (EXPERIMENTS.md, "Delivery
+//! lanes").
 //!
 //! [`TimerId`] is a (slot, generation) pair, so `cancel` is O(1): it drops
 //! the event, frees the slot, and bumps the generation, leaving a stale
@@ -53,7 +56,8 @@ use crate::process::ProcId;
 use crate::time::{Dur, SimTime};
 
 /// A simulated world: the state every event mutates, plus the two kinds of
-/// typed event it handles. Everything else queued is a boxed closure.
+/// typed event it handles: packets, which ride delivery lanes, and protocol
+/// timer wakes. Everything else queued is a process wake or a boxed closure.
 pub trait Model: Sized + 'static {
     /// What a [`Ctx::schedule_deliver`] event carries to [`Model::deliver`].
     type Packet;
@@ -113,24 +117,12 @@ impl TimerId {
     }
 }
 
-/// One queued event.
-pub(crate) enum Event<W: Model> {
-    Deliver(W::Packet),
+/// One event queued in the heap: anything but a packet.
+enum Event<W: Model> {
     Timer(W::Timer),
     /// A process's `ProcEnv::sleep` timer.
     Wake(ProcId),
     Call(Box<dyn FnOnce(&mut W, &mut Ctx<W>)>),
-}
-
-impl<W: Model> Event<W> {
-    pub(crate) fn fire(self, w: &mut W, ctx: &mut Ctx<W>) {
-        match self {
-            Event::Deliver(pkt) => w.deliver(ctx, pkt),
-            Event::Timer(key) => w.timer(ctx, key),
-            Event::Wake(p) => ctx.finish_sleep_and_wake(p),
-            Event::Call(f) => f(w, ctx),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +167,7 @@ pub struct Ctx<W: Model> {
     heap: BinaryHeap<Reverse<Key>>,
     /// Stale keys currently in the heap; bounded by compaction.
     heap_dead: usize,
-    /// Delivery lanes: `(at, seq, packet)` FIFOs, each sorted by (at, seq).
+    /// Delivery lanes: `(at, seq, packet)` queues, each sorted by (at, seq).
     /// Grown on demand to the highest lane named.
     lanes: Vec<VecDeque<(SimTime, u64, W::Packet)>>,
     /// One key per non-empty lane, for its head.
@@ -200,7 +192,7 @@ pub struct Ctx<W: Model> {
     reference: bool,
     /// Runtime deadline, mirrored here so the inline fast paths never advance
     /// the clock past the point where the driver would abort the run.
-    deadline: SimTime,
+    pub(crate) deadline: SimTime,
     wakes_suppressed: u64,
     sleep_fastpaths: u64,
     queued: u64,
@@ -268,8 +260,7 @@ impl<W: Model> Ctx<W> {
     /// same call when they fall inside `bound`.
     pub fn run_due(&mut self, w: &mut W, bound: SimTime) -> u64 {
         let mut fired = 0u64;
-        while let Some(ev) = self.pop_next(bound) {
-            ev.fire(w, self);
+        while self.fire_next(w, bound) {
             fired += 1;
         }
         if bound > self.now {
@@ -425,10 +416,10 @@ impl<W: Model> Ctx<W> {
 
     /// Hand `pkt` to [`Model::deliver`] at `at` (clamped to be >= now),
     /// queued on delivery lane `lane`. A lane should be something whose
-    /// delivery instants never decrease (one destination interface): then
+    /// delivery instants seldom decrease (one destination interface): then
     /// the packet is appended to the lane. A packet due earlier than the
-    /// lane's last entry is still delivered in exact (time, seq) order,
-    /// through the main heap.
+    /// lane's last entry is inserted in (time, seq) order, so it is still
+    /// delivered in exact global order.
     pub fn schedule_deliver(&mut self, lane: usize, at: SimTime, pkt: W::Packet) {
         let at = at.max(self.now);
         let seq = self.reserve_seq();
@@ -436,23 +427,23 @@ impl<W: Model> Ctx<W> {
             self.lanes.resize_with(lane + 1, VecDeque::new);
         }
         let q = &mut self.lanes[lane];
-        match q.back() {
-            Some(&(last, _, _)) if at < last => {
-                self.insert(at, seq, Event::Deliver(pkt));
+        let pos = match q.back() {
+            // Its seq is the newest, so it goes after every entry due no
+            // later than it.
+            Some(&(last, _, _)) if at < last => q.partition_point(|&(t, _, _)| t <= at),
+            _ => q.len(),
+        };
+        q.insert(pos, (at, seq, pkt));
+        if pos == 0 {
+            // A new head re-keys the lane: exactly one key per non-empty lane.
+            let lane = lane as u32;
+            if q.len() > 1 {
+                self.lane_heads.retain(|&Reverse(l)| l.lane != lane);
             }
-            _ => {
-                if q.is_empty() {
-                    self.lane_heads.push(Reverse(LaneKey {
-                        at,
-                        seq,
-                        lane: lane as u32,
-                    }));
-                }
-                q.push_back((at, seq, pkt));
-                self.lane_len += 1;
-                self.queued += 1;
-            }
+            self.lane_heads.push(Reverse(LaneKey { at, seq, lane }));
         }
+        self.lane_len += 1;
+        self.queued += 1;
     }
 
     /// Hand `key` to [`Model::timer`] at `at`, with a sequence number drawn
@@ -620,11 +611,13 @@ impl<W: Model> Ctx<W> {
         !self.wake_fifo.is_empty()
     }
 
-    /// Pop the next non-cancelled event no later than `bound`, advancing the
-    /// clock to its timestamp. `None` means the queue is empty or its live
-    /// minimum lies past `bound` — the tombstones above it are peeled either
-    /// way, so [`Ctx::next_event_time`] then tells the two apart.
-    fn pop_next(&mut self, bound: SimTime) -> Option<Event<W>> {
+    /// Fire the next non-cancelled event no later than `bound`, advancing
+    /// the clock to its timestamp: a lane's head packet goes to
+    /// [`Model::deliver`], a slot's event to its arm. `false` means the
+    /// queue is empty or its live minimum lies past `bound` — the tombstones
+    /// above it are peeled either way, so [`Ctx::next_event_time`] then
+    /// tells the two apart.
+    pub(crate) fn fire_next(&mut self, w: &mut W, bound: SimTime) -> bool {
         // Peel tombstones while one tops the whole queue — a key past
         // `bound` must stay queued, so peek before popping. A tombstone
         // behind the first lane head stays, as it would in one heap of
@@ -643,26 +636,32 @@ impl<W: Model> Ctx<W> {
             self.heap.pop();
             self.heap_dead -= 1;
         };
-        let (at, ev) = match (key, lane) {
-            (Some(k), _) => {
-                if k.at > bound {
-                    return None;
-                }
+        match (key, lane) {
+            (Some(k), _) if k.at <= bound => {
                 self.heap.pop();
-                (k.at, self.take_slot(k.idx))
-            }
-            (None, Some(l)) => {
-                if l.at > bound {
-                    return None;
+                let ev = self.take_slot(k.idx);
+                self.advance_to(k.at);
+                match ev {
+                    Event::Timer(key) => w.timer(self, key),
+                    Event::Wake(p) => self.finish_sleep_and_wake(p),
+                    Event::Call(f) => f(w, self),
                 }
-                (l.at, Event::Deliver(self.pop_lane(l.lane)))
             }
-            (None, None) => return None,
-        };
+            (None, Some(l)) if l.at <= bound => {
+                let pkt = self.pop_lane(l.lane);
+                self.advance_to(l.at);
+                w.deliver(self, pkt);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Move the clock to a fired event's timestamp and count the event.
+    fn advance_to(&mut self, at: SimTime) {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.events_fired += 1;
-        Some(ev)
     }
 
     /// Take the head of `lane`, which tops `lane_heads`, and re-key the lane
@@ -680,19 +679,6 @@ impl<W: Model> Ctx<W> {
         }
         self.lane_len -= 1;
         pkt
-    }
-
-    /// Driver entry point: pop the next event unless it lies past the run
-    /// deadline or the queue is exhausted.
-    pub(crate) fn pop_event_due(&mut self) -> Option<Event<W>> {
-        self.pop_next(self.deadline)
-    }
-
-    /// Pop the next non-cancelled event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is exhausted.
-    #[cfg(test)]
-    pub(crate) fn pop_event(&mut self) -> Option<Event<W>> {
-        self.pop_next(SimTime::MAX)
     }
 
     /// Timestamp of the next pending (possibly cancelled) event, if any.
@@ -728,9 +714,7 @@ mod tests {
     }
 
     fn drain(world: &mut Vec<u32>, ctx: &mut Ctx<Vec<u32>>) {
-        while let Some(ev) = ctx.pop_event() {
-            ev.fire(world, ctx);
-        }
+        while ctx.fire_next(world, SimTime::MAX) {}
     }
 
     #[test]
@@ -982,7 +966,7 @@ mod tests {
         );
         // A pop past the tombstone's instant but short of the live event
         // peels the tombstone and removes nothing live.
-        assert!(c.pop_next(SimTime::from_nanos(1_500)).is_none());
+        assert!(!c.fire_next(&mut w, SimTime::from_nanos(1_500)));
         assert_eq!(c.heap_dead, 0);
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(2_000), 1)));
         // With the tombstone gone the advance short of the live event holds.
@@ -1018,9 +1002,7 @@ mod tests {
         c.schedule_at(SimTime::from_nanos(300), |w: &mut Tags, _| w.0.push(3));
         c.cancel(stale);
         assert_eq!(c.pending_events(), 2, "the packet and the live closure");
-        c.pop_next(SimTime::MAX)
-            .expect("the packet")
-            .fire(&mut w, &mut c);
+        assert!(c.fire_next(&mut w, SimTime::MAX), "the packet");
         assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(200), 1)));
         assert!(
             !c.try_advance_sleep(Dur::from_nanos(150)),
@@ -1029,6 +1011,95 @@ mod tests {
         c.run_due(&mut w, SimTime::MAX);
         assert_eq!(w.0, vec![1, 3]);
         assert_eq!((c.heap_dead, c.pending_events()), (0, 0));
+    }
+
+    /// The lane keys that name `lane`.
+    fn keys_of(c: &Ctx<Tags>, lane: u32) -> Vec<(u64, u64)> {
+        c.lane_heads
+            .iter()
+            .filter(|Reverse(l)| l.lane == lane)
+            .map(|Reverse(l)| (l.at.as_nanos(), l.seq))
+            .collect()
+    }
+
+    #[test]
+    fn an_early_packet_lands_mid_lane_after_its_ties() {
+        let mut c: Ctx<Tags> = Ctx::new(derive_rng(0, 0));
+        let mut w = Tags(Vec::new());
+        for (at, tag) in [(100, 1), (200, 2), (300, 3)] {
+            c.schedule_deliver(0, SimTime::from_nanos(at), tag);
+        }
+        // Due before the tail and tied with an earlier entry: it goes after
+        // the tie, behind the lane's head.
+        c.schedule_deliver(0, SimTime::from_nanos(200), 4);
+        c.schedule_deliver(0, SimTime::from_nanos(150), 5);
+        let order: Vec<_> = c.lanes[0]
+            .iter()
+            .map(|&(at, _, tag)| (at.as_nanos(), tag))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(100, 1), (150, 5), (200, 2), (200, 4), (300, 3)]
+        );
+        assert_eq!(keys_of(&c, 0), vec![(100, 0)], "the head is unchanged");
+        c.run_due(&mut w, SimTime::MAX);
+        assert_eq!(w.0, vec![1, 5, 2, 4, 3]);
+    }
+
+    #[test]
+    fn an_early_packet_that_heads_its_lane_fires_first_and_rekeys_it() {
+        let mut c: Ctx<Tags> = Ctx::new(derive_rng(0, 0));
+        let mut w = Tags(Vec::new());
+        c.schedule_deliver(0, SimTime::from_nanos(300), 1);
+        c.schedule_deliver(0, SimTime::from_nanos(400), 2);
+        c.schedule_deliver(1, SimTime::from_nanos(250), 3);
+        c.schedule_deliver(0, SimTime::from_nanos(200), 4);
+        assert_eq!(
+            keys_of(&c, 0),
+            vec![(200, 3)],
+            "one key for the lane, its new head"
+        );
+        assert_eq!(keys_of(&c, 1), vec![(250, 2)], "other lanes keep theirs");
+        assert_eq!(c.lane_heads.len(), 2);
+        assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(200), 3)));
+        assert!(c.fire_next(&mut w, SimTime::MAX));
+        assert_eq!(
+            (w.0.as_slice(), c.now()),
+            (&[4][..], SimTime::from_nanos(200))
+        );
+        c.run_due(&mut w, SimTime::MAX);
+        assert_eq!(w.0, vec![4, 3, 1, 2]);
+        assert!(c.lane_heads.is_empty());
+    }
+
+    #[test]
+    fn jittered_packets_leave_the_slab_empty() {
+        let mut c: Ctx<Tags> = Ctx::new(derive_rng(0, 0));
+        let mut w = Tags(Vec::new());
+        for (i, at) in [500, 400, 300, 450, 100, 500, 200].into_iter().enumerate() {
+            c.schedule_deliver(i % 2, SimTime::from_nanos(at), i as u32);
+        }
+        assert!(
+            c.slots.is_empty() && c.heap.is_empty(),
+            "no packet takes a slot"
+        );
+        assert_eq!((c.pending_events(), c.counters(0).queued), (7, 7));
+        c.run_due(&mut w, SimTime::MAX);
+        assert_eq!(w.0, vec![4, 6, 2, 1, 3, 0, 5]);
+        assert!(c.slots.is_empty());
+    }
+
+    #[test]
+    fn a_slot_is_sized_for_a_timer_not_a_packet() {
+        struct Big;
+        impl Model for Big {
+            type Packet = [u8; 96];
+            type Timer = [u64; 2];
+            fn deliver(&mut self, _: &mut Ctx<Self>, _: Self::Packet) {}
+            fn timer(&mut self, _: &mut Ctx<Self>, _: Self::Timer) {}
+        }
+        let size = std::mem::size_of::<Slot<Big>>();
+        assert!(size <= 32, "a slot takes {size} B");
     }
 
     #[test]

@@ -253,7 +253,7 @@ proptest! {
     /// Packets on delivery lanes and closures on the heap fire exactly in
     /// the sorted (time, seq) order of a model, whichever lane a packet
     /// rides and whether it lands behind a later packet on its lane (and so
-    /// takes the heap) or not. Item `k` is queued by driver event `k` at
+    /// is inserted mid-lane) or not. Item `k` is queued by driver event `k` at
     /// `gap` steps after the previous driver, `delay` ns out: a packet on
     /// lane `lane` for lanes 0–2, a closure for 3.
     #[test]
@@ -325,7 +325,7 @@ mod deadline_model {
         /// A packet delivered `.0` steps from now, or (`None`) after the run
         /// has ended, so it is still queued when the context is dropped. The
         /// packet of script op `k` rides delivery lane `k % 3`, so some land
-        /// behind a later packet on their lane and take the heap.
+        /// behind a later packet on their lane and are inserted mid-lane.
         Deliver(Option<u64>),
         /// A closure holding a packet, fired (and the packet dropped) `.0`
         /// steps from now or after the run has ended.
